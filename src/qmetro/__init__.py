@@ -6,7 +6,8 @@ depth witnesses, and noise-scaling experiments.
 """
 
 from .config import DEFAULT_TOLS, Tolerances
-from .linalg import SpectralDecomposition, eigh_hermitian, psd_sqrt, unitary_exp
+from .linalg import (SpectralDecomposition, eigh_hermitian, psd_sqrt, unitary_apply,
+                     unitary_exp)
 from .spin import (CollectiveOperator, Representation, collective_op,
                    dicke_embedding, direction_op, full_rep, gradient_op,
                    parity_op, symmetric_rep)

@@ -16,7 +16,7 @@ import numpy as np
 from . import serialize
 from .fisher import qfi, sld, wigner_yanase, zeno_time
 from .metrology import (FrontierRow, SweepRecord, crb_consistency,
-                        dicke_scenario, error_propagation, frontier_lambda_grid,
+                        dicke_scenario, frontier_lambda_grid,
                         ghz_parity_scenario, gradient_scenario,
                         noisy_scaling_sweep, ramsey_scenario, squeezing_frontier)
 from .spin import Representation, collective_op, direction_op, gradient_op
@@ -130,8 +130,10 @@ def cmd_qfi(args) -> int:
     if args.sld:
         L = sld(state, gen)
         doc["sld"] = serialize._complex_to_pairs(L)
-        rho = state.density()
-        doc["sld_trace_check"] = float(np.real(np.einsum("ij,ji->", rho, L @ L)))
+        # Tr(rho L^2): |L psi|^2 for a vector, Tr((L rho) L) for a density
+        X = L @ state.data
+        doc["sld_trace_check"] = float(np.real(
+            np.vdot(X, X) if state.is_pure else np.einsum("ij,ji->", X, L)))
     if args.out:
         serialize.write_report(doc, args.out)
     print(f"qfi = {res.value:.12g}  (skipped pairs: {res.skipped_pairs})")
@@ -202,8 +204,8 @@ def cmd_scenario(args) -> int:
         sc = gradient_scenario(args.n, args.theta0)
     else:
         sc = _SCENARIOS[args.family](args.n, args.rep, args.theta0)
-    res = error_propagation(sc)
     crb = crb_consistency(sc)
+    res = crb.result
     doc = {"inputs": {"family": args.family, "n": args.n, "theta0": args.theta0},
            "label": sc.label,
            "precision": res.value, "branch": res.branch,

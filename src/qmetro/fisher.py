@@ -23,10 +23,10 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize
 
 from .config import DEFAULT_TOLS
-from .linalg import SpectralDecomposition, eigh_hermitian, psd_sqrt, require_hermitian, unitary_exp
+from .linalg import (SpectralDecomposition, eigh_hermitian, psd_sqrt, pure_moments,
+                     require_hermitian, unitary_apply, unitary_exp)
 from .spin import CollectiveOperator
 from .states import QuantumState
 
@@ -170,8 +170,9 @@ def sld(state, op, tols=DEFAULT_TOLS) -> np.ndarray:
     A = _op_matrix(op)
     kind, data = _state_payload(state)
     if kind == "vector":
-        proj = np.outer(data, data.conj())
-        return 2j * (proj @ A - A @ proj)
+        # 2i [|psi><psi|, A] = 2i (|psi><A psi| - |A psi><psi|)
+        Av = A @ data
+        return 2j * (np.outer(data, Av.conj()) - np.outer(Av, data.conj()))
     dec = _eigensystem(kind, data)
     lam = dec.eigenvalues
     At = dec.eigenvectors.conj().T @ A @ dec.eigenvectors
@@ -271,10 +272,10 @@ def mandelstam_tamm_check(state, op, theta: float, tol: float = 1e-9) -> SpeedBo
             f"(have {np.sqrt(F) * abs(theta):.4f})")
     A = _op_matrix(op)
     kind, data = _state_payload(state)
-    U = unitary_exp(A, theta, sign=-1)
     if kind == "vector":
-        evolved = U @ data
+        evolved = unitary_apply(A, theta, data, sign=-1)
     else:
+        U = unitary_exp(A, theta, sign=-1)
         evolved = U @ data @ U.conj().T
     fid = bures_fidelity(data, evolved)
     bound = float(np.cos(np.sqrt(max(F, 0.0)) / 2.0 * theta) ** 2)
@@ -401,7 +402,9 @@ def fisher_matrix(state, generators, tols=DEFAULT_TOLS) -> FisherMatrix:
     mats = [_op_matrix(g) for g in generators]
     kind, data = _state_payload(state)
     if kind == "vector":
-        data = np.outer(data, data.conj())
+        # rank-1 spectrum: F is four times the covariance matrix
+        mean, second = pure_moments(data, mats)
+        return FisherMatrix(tuple(generators), 4.0 * (second - np.outer(mean, mean)))
     dec = _eigensystem("density", data)
     W, _ = _pair_weights(dec.eigenvalues, tols.qfi_pair_floor)
     V = dec.eigenvectors
@@ -489,6 +492,9 @@ def _roof_optimize(state, op, cardinality, maximize_g, restarts, seed, tols):
         g, _, _ = g_of(ensemble(x))
         return sgn * g
 
+    # deferred import: only the roof oracles need scipy.optimize, and every
+    # CLI process would otherwise pay for it at start-up
+    import scipy.optimize
     rng = np.random.default_rng(seed)
     best = None
     for _ in range(restarts):

@@ -1,9 +1,9 @@
 """Dense complex linear-algebra primitives used throughout the package.
 
 Everything here is a thin, contract-enforcing layer over LAPACK (via
-numpy): Hermitian eigendecomposition, PSD square roots and unitaries
-generated by Hermitian matrices.  All functions are pure; inputs are
-never mutated.
+numpy): Hermitian eigendecomposition, PSD square roots, unitaries
+generated by Hermitian matrices, their action on vectors and pure-state
+moments.  All functions are pure; inputs are never mutated.
 """
 
 from __future__ import annotations
@@ -92,3 +92,33 @@ def unitary_exp(A: np.ndarray, theta: float, sign: int = -1, tols: Tolerances = 
         raise ValueError("sign must be +1 or -1")
     dec = eigh_hermitian(A, tols)
     return dec.apply_function(lambda w: np.exp(1j * sign * theta * w))
+
+
+def pure_moments(psi: np.ndarray, ops) -> tuple[np.ndarray, np.ndarray]:
+    """<A_k> and the symmetrised second moments Re<A_k A_l> of a unit vector.
+
+    The second moments are the real part of the Gram matrix of the vectors
+    A_k psi, so one matrix-vector product per operator suffices.
+    """
+    W = np.stack([A @ psi for A in ops])
+    mean = np.real(W.conj() @ psi)
+    G = np.real(W.conj() @ W.T)
+    return mean, (G + G.T) / 2.0
+
+
+def unitary_apply(A: np.ndarray, theta: float, v: np.ndarray, sign: int = -1) -> np.ndarray:
+    """exp(sign * i * theta * A) v for Hermitian A, without forming the unitary.
+
+    The exponential's action is built from matrix-vector products over the
+    stored nonzeros of A (``scipy.sparse.linalg.expm_multiply``), so no
+    eigendecomposition runs; the number of products grows with
+    |theta| * ||A||_1.
+    """
+    if sign not in (-1, +1):
+        raise ValueError("sign must be +1 or -1")
+    # deferred import: only vector evolution needs it, and every CLI
+    # process would otherwise pay for it at start-up
+    import scipy.sparse
+    import scipy.sparse.linalg
+    return scipy.sparse.linalg.expm_multiply(
+        (1j * sign * theta) * scipy.sparse.csr_array(A), v)

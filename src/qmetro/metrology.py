@@ -20,7 +20,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize
 
 from .config import DEFAULT_TOLS
 from .fisher import qfi
@@ -68,7 +67,11 @@ class Scenario:
 
 
 def squared_op(op: CollectiveOperator, label: str = "") -> CollectiveOperator:
-    return CollectiveOperator(op.matrix @ op.matrix, op.rep,
+    # the product runs over stored nonzeros: collective operators are
+    # diagonal or banded in the symmetric sector and sparse in the full space
+    import scipy.sparse  # deferred: scenarios alone need it
+    S = scipy.sparse.csr_array(op.matrix)
+    return CollectiveOperator((S @ S).toarray(), op.rep,
                               provenance=label or f"({op.provenance})^2")
 
 
@@ -145,25 +148,52 @@ def _expect(kind_data, A):
     return float(np.real(np.einsum("ij,ji->", A, data)))
 
 
+def _slope_terms(state: QuantumState, A, M):
+    """<M>, <M^2> and d<M>/dtheta = i<[A, M]> at the working point.
+
+    A vector needs only M psi and A psi: the slope is -2 Im<A psi|M psi>.
+    """
+    if state.is_pure:
+        psi = state.data
+        m = M @ psi
+        return (float(np.real(np.vdot(psi, m))), float(np.real(np.vdot(m, m))),
+                -2.0 * float(np.imag(np.vdot(A @ psi, m))))
+    kd = ("density", state.data)
+    comm = A @ M - M @ A
+    return _expect(kd, M), _expect(kd, M @ M), _expect(kd, 1j * comm)
+
+
+def _curvature_terms(state: QuantumState, A, M):
+    """-<[A,[A,M]]> and -<[A,[A,M^2]]>: the second derivatives of <M> and
+    <M^2> at the working point.
+
+    For a vector, -<[A,[A,X]]> = 2<A psi|X A psi> - 2 Re<A^2 psi|X psi>,
+    evaluated for X = M and M^2 from matrix-vector products.
+    """
+    if state.is_pure:
+        psi = state.data
+        a, m = A @ psi, M @ psi
+        a2, ma = A @ a, M @ a
+        return (2.0 * float(np.real(np.vdot(a, ma) - np.vdot(a2, m))),
+                2.0 * float(np.real(np.vdot(ma, ma) - np.vdot(a2, M @ m))))
+    kd = ("density", state.data)
+    comm = A @ M - M @ A
+    M2 = M @ M
+    comm2 = A @ M2 - M2 @ A
+    return -_expect(kd, A @ comm - comm @ A), -_expect(kd, A @ comm2 - comm2 @ A)
+
+
 def error_propagation(sc: Scenario, deriv_floor: float = 1e-12,
                       fd_step: float = 1e-5) -> PrecisionResult:
     A = sc.generator.matrix
     M = sc.observable.matrix
     state = rotate(sc.probe, sc.generator, sc.theta0) if sc.theta0 else sc.probe
-    kd = ("vector", state.data) if state.is_pure else ("density", state.data)
-
-    mean = _expect(kd, M)
-    second = _expect(kd, M @ M)
+    mean, second, d1 = _slope_terms(state, A, M)
     var = second - mean * mean
-
-    comm = A @ M - M @ A
-    d1 = _expect(kd, 1j * comm)
 
     # central finite difference of <M>(theta) as an independent cross-check
     def mean_at(theta):
-        st = rotate(sc.probe, sc.generator, theta)
-        payload = ("vector", st.data) if st.is_pure else ("density", st.data)
-        return _expect(payload, M)
+        return rotate(sc.probe, sc.generator, theta).expectation(M)
 
     fd = (mean_at(sc.theta0 + fd_step) - mean_at(sc.theta0 - fd_step)) / (2 * fd_step)
 
@@ -177,9 +207,7 @@ def error_propagation(sc: Scenario, deriv_floor: float = 1e-12,
 
     # 0/0 at the working point: expand one order further.
     #   <M>'' = -<[A,[A,M]]>,  Var''  = -<[A,[A,M^2]]> - 2<M><M>'' (slope term ~ 0)
-    dd_m = -_expect(kd, A @ comm - comm @ A)
-    comm2 = A @ (M @ M) - (M @ M) @ A
-    dd_second = -_expect(kd, A @ comm2 - comm2 @ A)
+    dd_m, dd_second = _curvature_terms(state, A, M)
     var_dd = dd_second - 2 * d1 * d1 - 2 * mean * dd_m
     if abs(dd_m) < deriv_floor:
         return PrecisionResult(float("inf"), "limit", d1, var, fd,
@@ -196,6 +224,7 @@ class CrbReport:
     qcrb: float
     gap: float
     consistent: bool
+    result: PrecisionResult  # the error propagation the check was made on
 
 
 def crb_consistency(sc: Scenario, tol: float = 1e-8) -> CrbReport:
@@ -204,9 +233,9 @@ def crb_consistency(sc: Scenario, tol: float = 1e-8) -> CrbReport:
     F = qfi(sc.probe, sc.generator).value
     qcrb = float("inf") if F <= 1e-12 else 1.0 / F
     if res.no_sensitivity:
-        return CrbReport(float("inf"), qcrb, float("inf"), True)
+        return CrbReport(float("inf"), qcrb, float("inf"), True, res)
     gap = res.value - qcrb
-    return CrbReport(res.value, qcrb, gap, gap >= -tol)
+    return CrbReport(res.value, qcrb, gap, gap >= -tol, res)
 
 
 def ramsey_curve(probe: QuantumState, generator: CollectiveOperator,
@@ -218,9 +247,8 @@ def ramsey_curve(probe: QuantumState, generator: CollectiveOperator,
     variances = np.empty_like(thetas)
     for i, th in enumerate(thetas):
         st = rotate(probe, generator, th)
-        kd = ("vector", st.data) if st.is_pure else ("density", st.data)
-        means[i] = _expect(kd, M)
-        variances[i] = _expect(kd, M @ M) - means[i] ** 2
+        means[i] = st.expectation(M)
+        variances[i] = st.variance(M)
     return {"theta": thetas, "mean": means, "variance": variances}
 
 
@@ -465,7 +493,10 @@ def noisy_scaling_sweep(p: float, n_list, family: str = "squeezing",
         vals = [_noisy_precision(n, lam, p)[0] for lam in lams]
         k = int(np.argmax(vals))
         lam_best, prec_best = lams[k], vals[k]
-        if refine and 0 < k < len(lams) - 1:
+        # golden-section refinement needs a strict interior maximum; on a
+        # flat landscape (e.g. p = 1, all round-off) the coarse point stands
+        if refine and 0 < k < len(lams) - 1 and vals[k - 1] < vals[k] > vals[k + 1]:
+            import scipy.optimize  # deferred: start-up cost for every CLI process
             res = scipy.optimize.minimize_scalar(
                 lambda u: -_noisy_precision(n, np.exp(u), p)[0],
                 bracket=(np.log(lams[k - 1]), np.log(lams[k]), np.log(lams[k + 1])),

@@ -9,8 +9,9 @@ Two representations are supported:
                   j = N/2, basis ordered by ascending J_z eigenvalue
                   m = -N/2 ... +N/2.
 
-Operators are built once per (kind, axis, N) and cached; the returned
-arrays are marked read-only so cached values cannot be corrupted.
+Operators are built once per (kind, axis, N) and kept in bounded caches;
+the returned arrays are marked read-only so cached values cannot be
+corrupted.
 """
 
 from __future__ import annotations
@@ -26,6 +27,12 @@ from .linalg import require_hermitian
 FULL_VECTOR_MAX = 12   # 2^12 = 4096 amplitudes
 FULL_DENSITY_MAX = 10  # 2^10 = 1024 -> 1M-entry density matrices
 SYMMETRIC_MAX = 4096
+
+# Bounds on the operator caches.  The largest key set any CLI command uses
+# is the noise sweep's: x, y and z at four particle numbers in both the
+# symmetric and the full representation, 24 operators.
+OPERATOR_CACHE_SIZE = 32
+SMALL_CACHE_SIZE = 8
 
 AXES = ("x", "y", "z")
 
@@ -92,7 +99,7 @@ class CollectiveOperator:
 
 
 # ----------------------------------------------------------------------
-# cached raw matrices
+# raw matrices
 # ----------------------------------------------------------------------
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -100,21 +107,19 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@lru_cache(maxsize=None)
-def _symmetric_ladder(n: int) -> np.ndarray:
-    """J_+ for j = n/2 in the ascending-m Dicke basis."""
+def ladder_amplitudes(n: int) -> np.ndarray:
+    """<m+1|J_+|m> = sqrt(j(j+1) - m(m+1)) for m = -j .. j-1, j = n/2."""
     j = n / 2.0
-    m = np.arange(n + 1) - j          # m of each basis vector
-    amp = np.sqrt(j * (j + 1) - m[:-1] * (m[:-1] + 1))
-    return _freeze(np.diag(amp, k=-1).astype(complex))
+    m = np.arange(n) - j
+    return np.sqrt(j * (j + 1) - m * (m + 1))
 
 
-@lru_cache(maxsize=None)
 def _axis_matrix(kind: str, axis: str, n: int) -> np.ndarray:
     if kind == "symmetric":
         if axis == "z":
             return _freeze(np.diag(np.arange(n + 1) - n / 2.0).astype(complex))
-        jp = _symmetric_ladder(n)
+        # J_+ in the ascending-m Dicke basis: one subdiagonal
+        jp = np.diag(ladder_amplitudes(n), k=-1).astype(complex)
         if axis == "x":
             return _freeze((jp + jp.conj().T) / 2.0)
         return _freeze((jp - jp.conj().T) / 2j)
@@ -137,7 +142,7 @@ def _single_site_matrix(op2: np.ndarray, site: int, n: int) -> np.ndarray:
     return np.kron(np.kron(np.eye(left), op2), np.eye(right)).astype(complex)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SMALL_CACHE_SIZE)
 def _gradient_matrix(n: int, centered: bool) -> np.ndarray:
     weights = np.arange(1, n + 1, dtype=float)
     if centered:
@@ -148,7 +153,7 @@ def _gradient_matrix(n: int, centered: bool) -> np.ndarray:
     return _freeze(G)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SMALL_CACHE_SIZE)
 def _parity_matrix(kind: str, axis: str, n: int) -> np.ndarray:
     """sigma_axis^{tensor N}: the collective parity operator."""
     if kind == "symmetric":
@@ -166,8 +171,13 @@ def _parity_matrix(kind: str, axis: str, n: int) -> np.ndarray:
 # public builders
 # ----------------------------------------------------------------------
 
+@lru_cache(maxsize=OPERATOR_CACHE_SIZE)
 def collective_op(axis: str, rep: Representation) -> CollectiveOperator:
-    """The collective component J_axis = sum_n j_axis^{(n)}."""
+    """The collective component J_axis = sum_n j_axis^{(n)}.
+
+    Cached, so the matrix is built and its Hermiticity checked once per
+    (axis, representation).
+    """
     if axis not in AXES:
         raise ValueError(f"axis must be one of {AXES}, got {axis!r}")
     return CollectiveOperator(_axis_matrix(rep.kind, axis, rep.n), rep, provenance=axis)
@@ -180,7 +190,7 @@ def direction_op(n_vec, rep: Representation) -> CollectiveOperator:
         raise ValueError("direction must be a 3-vector")
     if abs(np.linalg.norm(n_vec) - 1.0) > DEFAULT_TOLS.direction_norm:
         raise ValueError(f"direction vector must have unit norm, got |n|={np.linalg.norm(n_vec):.12f}")
-    M = sum(n_vec[i] * _axis_matrix(rep.kind, AXES[i], rep.n) for i in range(3))
+    M = sum(n_vec[i] * collective_op(AXES[i], rep).matrix for i in range(3))
     return CollectiveOperator(np.ascontiguousarray(M), rep, provenance=tuple(n_vec))
 
 
@@ -219,7 +229,7 @@ def single_site_op(op2: np.ndarray, site: int, rep: Representation) -> Collectiv
                               provenance=f"site_{site}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=FULL_VECTOR_MAX)
 def dicke_embedding(n: int) -> np.ndarray:
     """2^n x (n+1) isometry mapping the symmetric sector into the full space.
 

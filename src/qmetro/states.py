@@ -8,19 +8,17 @@ demand.
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import comb
+from math import comb, lgamma
 
 import numpy as np
-import scipy.linalg
 
 from .config import DEFAULT_TOLS
-from .linalg import hermiticity_defect, unitary_exp
+from .linalg import hermiticity_defect, unitary_apply, unitary_exp
 from .spin import (FULL_DENSITY_MAX, CollectiveOperator, Representation,
-                   collective_op, dicke_embedding, full_rep, symmetric_rep)
+                   dicke_embedding, full_rep, ladder_amplitudes, symmetric_rep)
 
 
 @dataclass(frozen=True)
@@ -112,11 +110,16 @@ def _check_same_rep(state: QuantumState, op: CollectiveOperator):
 
 
 def rotate(state: QuantumState, generator: CollectiveOperator, theta: float) -> QuantumState:
-    """Unitary evolution exp(-i theta A) applied to the state."""
+    """Unitary evolution exp(-i theta A) applied to the state.
+
+    Pure states apply the exponential's action to the vector, with no
+    eigendecomposition; densities are conjugated by the full propagator.
+    """
     _check_same_rep(state, generator)
-    U = unitary_exp(generator.matrix, theta, sign=-1)
     if state.is_pure:
-        return QuantumState(state.rep, U @ state.data, label=state.label)
+        v = unitary_apply(generator.matrix, theta, state.data, sign=-1)
+        return QuantumState(state.rep, v, label=state.label)
+    U = unitary_exp(generator.matrix, theta, sign=-1)
     return QuantumState(state.rep, U @ state.data @ U.conj().T, label=state.label)
 
 
@@ -153,16 +156,27 @@ def polarized(n: int, axis: str = "z", rep: Representation | None = None) -> Qua
         for _ in range(n - 1):
             out = np.kron(out, v)
         return QuantumState(rep, out, label=f"polarized_{axis}({n})")
-    # coherent state on the j = N/2 sphere
+    return QuantumState(rep, _symmetric_coherent(n, axis, +1), label=f"polarized_{axis}({n})")
+
+
+def _symmetric_coherent(n: int, axis: str, sign: int) -> np.ndarray:
+    """All spins along sign * axis, in the ascending-m Dicke basis.
+
+    The binomial weights are evaluated in log space: the binomials
+    overflow int64 from N = 68 and 2^(N/2) overflows a double near
+    N = 2046.
+    """
     if axis == "z":
         v = np.zeros(n + 1, dtype=complex)
-        v[-1] = 1.0
-    else:
-        k = np.arange(n + 1)          # number of flipped spins = N - index
-        amp = np.sqrt([comb(n, int(n - i)) for i in k]) / 2 ** (n / 2.0)
-        phase = np.ones(n + 1, dtype=complex) if axis == "x" else (1j) ** (n - k)
-        v = amp * phase
-    return QuantumState(rep, v, label=f"polarized_{axis}({n})")
+        v[-1 if sign > 0 else 0] = 1.0
+        return v
+    log_fact = np.array([lgamma(k + 1.0) for k in range(n + 1)])
+    amp = np.exp(0.5 * (log_fact[n] - log_fact - log_fact[::-1] - n * np.log(2.0)))
+    # each flipped spin carries the single-spin amplitude ratio +-1 or +-i
+    ratio = complex(sign) if axis == "x" else sign * 1j
+    flips = n - np.arange(n + 1)
+    v = amp * ratio ** (flips % 4)
+    return v / np.linalg.norm(v)
 
 
 def ghz(n: int, rep: Representation | None = None, axis: str = "x") -> QuantumState:
@@ -193,14 +207,7 @@ def _polarized_minus(n: int, axis: str, rep: Representation) -> np.ndarray:
         for _ in range(n - 1):
             out = np.kron(out, minus)
         return out
-    if axis == "z":
-        v = np.zeros(n + 1, dtype=complex)
-        v[0] = 1.0
-        return v
-    k = np.arange(n + 1)
-    amp = np.sqrt([comb(n, int(n - i)) for i in k]) / 2 ** (n / 2.0)
-    sign = (-1.0) ** (n - k) if axis == "x" else (-1j) ** (n - k)
-    return amp * sign
+    return _symmetric_coherent(n, axis, -1)
 
 
 def dicke(n: int, m: int, rep: Representation | None = None) -> QuantumState:
@@ -236,7 +243,7 @@ def _perfect_matchings(items: tuple) -> list:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)  # one entry per even N <= 8
 def _singlet_density(n: int) -> np.ndarray:
     dim = 2 ** n
     rho = np.zeros((dim, dim), dtype=complex)
@@ -298,14 +305,20 @@ class SqueezingSpec:
             raise ValueError("the polarizing weight must be nonnegative")
 
 
-@lru_cache(maxsize=None)
-def _squeezing_hamiltonian_parts(n: int):
-    Jx = collective_op("x", symmetric_rep(n)).matrix.real
-    Jx2 = Jx @ Jx
-    Jz_diag = np.arange(n + 1) - n / 2.0
-    Jx2.flags.writeable = False
-    Jz_diag.flags.writeable = False
-    return Jx2, Jz_diag
+def _parity_blocks(n: int, lam: float):
+    """J_x^2 - lam J_z as two tridiagonal blocks, even and odd Dicke index.
+
+    J_x^2 couples m only to m +- 2, so the basis vectors of one index
+    parity never mix with the other.  Yields (indices, diagonal,
+    off-diagonal) per block, built in O(N) from the ladder amplitudes.
+    """
+    a = ladder_amplitudes(n)                    # <i+1|J_+|i>
+    edge = np.zeros(1)
+    diag = (np.concatenate([edge, a]) ** 2 + np.concatenate([a, edge]) ** 2) / 4.0
+    diag -= lam * (np.arange(n + 1) - n / 2.0)
+    off = a[:-1] * a[1:] / 4.0                  # <i|J_x^2|i+2>
+    for p in (0, 1):
+        yield np.arange(p, n + 1, 2), diag[p::2], off[p::2]
 
 
 def squeezed_ground_state(spec: SqueezingSpec) -> QuantumState:
@@ -313,17 +326,27 @@ def squeezed_ground_state(spec: SqueezingSpec) -> QuantumState:
 
     These states minimise Var(J_x) at fixed <J_z> and trace out the optimal
     precision frontier of Ramsey interferometry with collective
-    measurements.  Ties in a (numerically) degenerate ground space are
-    broken by the lowest eigenvalue index.
+    measurements.  Each parity block is solved as a tridiagonal problem
+    and the lower ground state wins; an exact tie between the blocks goes
+    to the block holding m = N/2.
     """
-    Jx2, Jz_diag = _squeezing_hamiltonian_parts(spec.n)
-    H = Jx2 - spec.lam * np.diag(Jz_diag)
-    vals, vecs = scipy.linalg.eigh(H, subset_by_index=[0, min(1, spec.n)])
+    # deferred import: only this solver needs scipy.linalg, and every CLI
+    # process would otherwise pay for it at start-up
+    import scipy.linalg
+    candidates = []
+    for idx, d, e in _parity_blocks(spec.n, spec.lam):
+        vals, vecs = scipy.linalg.eigh_tridiagonal(
+            d, e, select="i", select_range=(0, min(1, d.size - 1)))
+        candidates += [(val, idx, vecs[:, c]) for c, val in enumerate(vals)]
+    candidates.sort(key=lambda c: c[0])
+    vals = np.array([c[0] for c in candidates[:2]])
     scale = max(abs(vals).max(), 1.0)
-    if len(vals) > 1 and vals[1] - vals[0] < 1e-12 * scale:
+    if vals[1] - vals[0] < 1e-12 * scale:
         warnings.warn(f"nearly degenerate ground space (gap {vals[1]-vals[0]:.2e}); "
                       "returning the lowest-index vector")
-    v = vecs[:, 0].astype(complex)
+    _, idx, vec = candidates[0]
+    v = np.zeros(spec.n + 1, dtype=complex)
+    v[idx] = vec
     # fix the overall sign so results are deterministic across LAPACK builds
     k = int(np.argmax(np.abs(v)))
     v *= np.exp(-1j * np.angle(v[k]))

@@ -13,12 +13,12 @@ the criteria put the squeezed component on x, and those are the defaults.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from .config import DEFAULT_TOLS
 from .fisher import fisher_matrix, qfi
+from .linalg import pure_moments
 from .spin import AXES, CollectiveOperator, collective_op
 from .states import QuantumState
 
@@ -60,20 +60,25 @@ class MomentSet:
 
 
 def moments(state: QuantumState) -> MomentSet:
-    """Exact first and second collective moments of a state."""
+    """Exact first and second collective moments of a state.
+
+    With G_kl = <J_k J_l>, the symmetrised second moments are Re G.  A pure
+    state needs only the three vectors J_l|psi> (G is their Gram matrix);
+    a density needs the products J_l rho and, for the diagonal, J_l^2 rho.
+    """
     ops = [collective_op(a, state.rep).matrix for a in AXES]
+    if state.is_pure:
+        return MomentSet(state.n, *pure_moments(state.data, ops))
+    rho = state.data
     mean = np.array([state.expectation(J) for J in ops])
-    rho = None if state.is_pure else state.data
-    S = np.zeros((3, 3))
-    for i in range(3):
-        for k in range(i, 3):
-            prod = (ops[i] @ ops[k] + ops[k] @ ops[i]) / 2.0
-            if state.is_pure:
-                val = float(np.real(np.vdot(state.data, prod @ state.data)))
-            else:
-                val = float(np.real(np.trace(prod @ rho)))
-            S[i, k] = S[k, i] = val
-    return MomentSet(state.n, mean, S)
+    X = [J @ rho for J in ops]
+    # Tr(J_k J_l rho) = sum_ij conj(J_k)_ji (J_l rho)_ji, J_k Hermitian
+    G = np.array([[np.vdot(J, x) for x in X] for J in ops])
+    # the diagonal keeps the form Tr((J_k J_k) rho): at an exact tie
+    # between axes (white-noise GHZ, singlets) the axis that optimal_ssi
+    # reports follows this sum's round-off
+    G[np.diag_indices(3)] = [np.trace((J @ J) @ rho) for J in ops]
+    return MomentSet(state.n, mean, np.real(G + G.conj().T) / 2.0)
 
 
 # ----------------------------------------------------------------------

@@ -298,3 +298,35 @@ def test_sweep_without_enough_points_has_no_fit():
 def test_full_depolarizing_kills_precision():
     result = noisy_scaling_sweep(1.0, [4], lambda_points=6, compute_qfi=False)
     assert result.records[0].precision_inv <= 1e-9
+
+
+def test_flat_landscape_sweep_keeps_coarse_optimum():
+    # at p = 1 every precision is round-off; ties between grid neighbours
+    # must not reach the golden-section bracket
+    result = noisy_scaling_sweep(1.0, [4, 6, 8], compute_qfi=False)
+    assert len(result.records) == 3
+    assert all(rec.precision_inv <= 1e-9 for rec in result.records)
+
+
+def test_crb_report_carries_its_error_propagation():
+    sc = dicke_scenario(6, theta0=0.6)
+    crb = crb_consistency(sc)
+    assert crb.result == error_propagation(sc)
+    assert crb.precision == crb.result.value
+
+
+def test_scenario_command_propagates_errors_once(monkeypatch, tmp_path):
+    import qmetro.cli
+    import qmetro.metrology
+    calls = []
+    original = qmetro.metrology.error_propagation
+
+    def counted(sc, *args, **kwargs):
+        calls.append(sc.label)
+        return original(sc, *args, **kwargs)
+
+    monkeypatch.setattr(qmetro.metrology, "error_propagation", counted)
+    rc = qmetro.cli.main(["scenario", "--family", "dicke", "--n", "6",
+                          "--theta0", "0.1", "--out", str(tmp_path / "s.json")])
+    assert rc == 0
+    assert calls == ["dicke(6)"]

@@ -93,6 +93,20 @@ def test_cli_state_and_qfi(tmp_path, capsys):
     assert doc["zeno_time"] == pytest.approx(0.5, abs=1e-12)
 
 
+@pytest.mark.parametrize("state_args", [
+    ["--kind", "squeezed", "--n", "6", "--lam", "2"],
+    ["--kind", "mixed", "--n", "3", "--rep", "full", "--p", "0.7"],
+])
+def test_cli_sld_trace_equals_qfi(tmp_path, state_args):
+    out = tmp_path / "state.json"
+    assert main(["state", *state_args, "--out", str(out)]) == 0
+    report = tmp_path / "report.json"
+    assert main(["qfi", str(out), "--generator", "axis:y", "--sld",
+                 "--out", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    assert doc["sld_trace_check"] == pytest.approx(doc["qfi"], rel=1e-10)
+
+
 def test_cli_witness_all(tmp_path, capsys):
     out = tmp_path / "singlet.json"
     assert main(["state", "--kind", "singlet", "--n", "4", "--rep", "full",

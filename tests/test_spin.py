@@ -113,6 +113,18 @@ def test_operator_cache_returns_same_matrix():
     assert not a.flags.writeable
 
 
+def test_collective_op_is_cached_and_caches_are_bounded():
+    import qmetro.spin
+    import qmetro.states
+    rep = symmetric_rep(7)
+    assert collective_op("y", rep) is collective_op("y", rep)
+    for module in (qmetro.spin, qmetro.states):
+        cached = [f for f in vars(module).values() if hasattr(f, "cache_info")]
+        assert cached
+        for f in cached:
+            assert f.cache_info().maxsize is not None, f.__name__
+
+
 def test_parity_symmetric_matches_full():
     n = 4
     B = dicke_embedding(n)

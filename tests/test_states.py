@@ -31,6 +31,28 @@ def test_ghz_values():
     assert g.expectation(collective_op("z", g.rep)) == pytest.approx(0.0, abs=1e-12)
 
 
+def _ladder_mean(v):
+    """<J_+> of a symmetric-sector vector, from the ladder formula alone."""
+    n = v.size - 1
+    j = n / 2.0
+    m = np.arange(n) - j
+    return np.sum(np.sqrt(j * (j + 1) - m * (m + 1)) * v[1:].conj() * v[:-1])
+
+
+@pytest.mark.parametrize("n", [68, 1000, 4096])
+def test_large_n_coherent_and_ghz_states(n):
+    # binomial weights beyond int64 (N >= 68) and 2^(N/2) beyond a double
+    px, py, g = polarized(n, "x"), polarized(n, "y"), ghz(n)
+    for st in (px, py, g):
+        assert np.linalg.norm(st.data) == pytest.approx(1.0, abs=1e-12)
+    assert _ladder_mean(px.data) == pytest.approx(n / 2, rel=1e-9)
+    assert _ladder_mean(py.data) == pytest.approx(0.5j * n, rel=1e-9)
+    pops = np.abs(g.data) ** 2
+    m = np.arange(n + 1) - n / 2
+    assert abs(pops @ m) <= 1e-9 * n
+    assert pops @ m ** 2 == pytest.approx(n / 4, rel=1e-9)
+
+
 def test_ghz_z_axis_form():
     g = ghz(4, axis="z")
     v = np.zeros(5)
