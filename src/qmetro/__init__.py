@@ -28,7 +28,7 @@ from .metrology import (NoiseChannel, PrecisionResult, Scenario, SweepRecord,
                         apply_noise, crb_consistency, dicke_scenario,
                         error_propagation, frontier_on_polarization_grid,
                         ghz_parity_scenario, gradient_scenario,
-                        noisy_scaling_sweep, ramsey_curve, ramsey_scenario,
-                        squeezing_frontier)
+                        noisy_moments, noisy_scaling_sweep, ramsey_curve,
+                        ramsey_scenario, squeezing_frontier)
 
 __version__ = "0.1.0"

@@ -8,9 +8,13 @@ is taken through second derivatives (double commutators), which is exact
 for the parity- and Dicke-style schemes whose signal starts quadratically.
 
 Noise enters through per-qubit channels (depolarizing or a Pauli damping
-semigroup), applied in the full product space; ``noisy_scaling_sweep``
-traces how the best squeezed-probe precision degrades with particle
-number and fits the scaling exponent.
+semigroup).  ``apply_noise`` applies one to a full-space density;
+``noisy_moments`` maps collective moments through it exactly, since a
+Pauli channel only shrinks each qubit's Bloch vector.
+``noisy_scaling_sweep`` traces how the best squeezed-probe precision
+degrades with particle number and fits the scaling exponent: its
+precision comes from that moment transfer, and a density is built only
+for the QFI column.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .spin import (FULL_DENSITY_MAX, PAULI, CollectiveOperator, Representation,
                    collective_op, full_rep, gradient_op, parity_op, symmetric_rep)
 from .states import (QuantumState, SqueezingSpec, dicke, ghz, polarized, rotate,
                      singlet_pi, squeezed_ground_state, to_full)
+from .witnesses import MomentSet, moments
 
 
 def worker_count() -> int:
@@ -377,6 +382,12 @@ class NoiseChannel:
                       [1, -1, -1, 1]], dtype=float)
         return T @ np.concatenate([[1.0], d]) / 4.0
 
+    def bloch_shrink(self) -> np.ndarray:
+        """Factors (eta_x, eta_y, eta_z) scaling a qubit's Bloch components;
+        eta_l = c0 + c_l minus the other two weights (1 - p when depolarizing)."""
+        c0, cx, cy, cz = self.pauli_weights()
+        return np.array([c0 + cx - cy - cz, c0 - cx + cy - cz, c0 - cx - cy + cz])
+
     def choi_matrix(self) -> np.ndarray:
         c = self.pauli_weights()
         paulis = [np.eye(2, dtype=complex), PAULI["x"], PAULI["y"], PAULI["z"]]
@@ -421,6 +432,21 @@ def apply_noise(state: QuantumState, channel: NoiseChannel) -> QuantumState:
     return QuantumState(state.rep, rho, label=f"{state.label}|{channel.kind}")
 
 
+def noisy_moments(m: MomentSet, channel: NoiseChannel) -> MomentSet:
+    """Collective moments after ``channel`` acts on every particle, exactly.
+
+    <J_l> is a sum of single-qubit Bloch components, so it shrinks by eta_l.
+    <{J_k, J_l}/2> sums two-qubit correlations, which shrink by eta_k eta_l,
+    plus for k = l the N/4 of sigma_l^2 = 1, which no channel changes:
+    <J_l^2> -> eta_l^2 <J_l^2> + (1 - eta_l^2) N/4.  Any state, symmetric
+    or not, pure or mixed.
+    """
+    eta = channel.bloch_shrink()
+    second = np.outer(eta, eta) * m.second
+    second[np.diag_indices(3)] += (1.0 - eta ** 2) * (m.n / 4.0)
+    return MomentSet(m.n, eta * m.mean, second)
+
+
 # ----------------------------------------------------------------------
 # noisy scaling sweep
 # ----------------------------------------------------------------------
@@ -455,21 +481,14 @@ class SweepResult:
         return out
 
 
-def _noisy_precision(n: int, lam: float, p: float):
-    """Best-probe precision at (N, lam) after per-qubit depolarizing noise."""
+def _noisy_precision(n: int, lam: float, channel: NoiseChannel):
+    """Best-probe precision <J_z>^2 / Var(J_x) at (N, lam) after per-qubit
+    noise, from the probe's symmetric-sector moments: no density is built."""
     probe = squeezed_ground_state(SqueezingSpec(n, lam))
-    if p == 0.0:
-        rep = probe.rep
-        state = probe
-    else:
-        state = apply_noise(to_full(probe), NoiseChannel("depolarizing", p=p))
-        rep = state.rep
-    Jz = collective_op("z", rep)
-    Jx = collective_op("x", rep)
-    mz = state.expectation(Jz)
-    vx = state.variance(Jx)
+    m = noisy_moments(moments(probe), channel)
+    mz, vx = float(m.mean[2]), m.var("x")
     prec = mz * mz / vx if vx > 1e-300 else 0.0
-    return prec, mz / (n / 2.0), vx, state, rep
+    return prec, mz / (n / 2.0), vx, probe
 
 
 def noisy_scaling_sweep(p: float, n_list, family: str = "squeezing",
@@ -480,31 +499,39 @@ def noisy_scaling_sweep(p: float, n_list, family: str = "squeezing",
 
     With p > 0 each record is compared against the N/p uncorrelated-noise
     ceiling; the noiseless ceiling is N^2.  The lam search is a coarse log
-    grid followed by golden-section refinement around the best point.
+    grid followed by golden-section refinement around the best point, both
+    on moments transferred through the channel.  Only the QFI column needs
+    the noisy 2^N density, built once per N at the optimum, so with
+    ``compute_qfi=False`` any symmetric-sector N is accepted.
     """
     if family != "squeezing":
         raise ValueError(f"unknown scenario family {family!r}")
+    channel = NoiseChannel("depolarizing", p=p)
+    n_list = list(n_list)
+    if p > 0 and compute_qfi and max(n_list, default=0) > FULL_DENSITY_MAX:
+        raise ValueError(f"noisy sweeps with the QFI column need N <= {FULL_DENSITY_MAX}")
     records = []
     ceilings = {}
     for n in n_list:
-        if p > 0 and n > FULL_DENSITY_MAX:
-            raise ValueError(f"noisy sweeps need N <= {FULL_DENSITY_MAX}")
         lams = frontier_lambda_grid(n, lambda_points, pol_floor=0.02)
-        vals = [_noisy_precision(n, lam, p)[0] for lam in lams]
+        vals = [_noisy_precision(n, lam, channel)[0] for lam in lams]
         k = int(np.argmax(vals))
         lam_best, prec_best = lams[k], vals[k]
         # golden-section refinement needs a strict interior maximum; on a
-        # flat landscape (e.g. p = 1, all round-off) the coarse point stands
+        # flat landscape (e.g. p = 1, all zero) the coarse point stands
         if refine and 0 < k < len(lams) - 1 and vals[k - 1] < vals[k] > vals[k + 1]:
             import scipy.optimize  # deferred: start-up cost for every CLI process
             res = scipy.optimize.minimize_scalar(
-                lambda u: -_noisy_precision(n, np.exp(u), p)[0],
+                lambda u: -_noisy_precision(n, np.exp(u), channel)[0],
                 bracket=(np.log(lams[k - 1]), np.log(lams[k]), np.log(lams[k + 1])),
                 method="golden", options={"xtol": 1e-2})
             if -res.fun > prec_best:
                 lam_best, prec_best = float(np.exp(res.x)), float(-res.fun)
-        prec, pol, vx, state, rep = _noisy_precision(n, lam_best, p)
-        F = qfi(state, collective_op("y", rep)).value if compute_qfi else float("nan")
+        prec, pol, vx, probe = _noisy_precision(n, lam_best, channel)
+        F = float("nan")
+        if compute_qfi:
+            state = apply_noise(to_full(probe), channel) if p > 0 else probe
+            F = qfi(state, collective_op("y", state.rep)).value
         records.append(SweepRecord(
             scenario=f"squeezing(p={p:g})", n=n, p=p, lam=float(lam_best),
             theta0=theta0, precision_inv=float(prec), qfi=F,

@@ -10,13 +10,14 @@ import pytest
 
 from qmetro.fisher import fisher_matrix
 from qmetro.linalg import unitary_exp
-from qmetro.metrology import (Scenario, dicke_scenario, error_propagation,
+from qmetro.metrology import (NoiseChannel, Scenario, _noisy_precision,
+                              apply_noise, dicke_scenario, error_propagation,
                               frontier_lambda_grid, ghz_parity_scenario,
-                              ramsey_scenario, squared_op)
+                              noisy_moments, ramsey_scenario, squared_op)
 from qmetro.spin import (Representation, collective_op, direction_op, full_rep,
                          symmetric_rep)
 from qmetro.states import (QuantumState, SqueezingSpec, polarized, rotate,
-                           squeezed_ground_state)
+                           squeezed_ground_state, to_full)
 from qmetro.witnesses import moments
 from conftest import rand_density, rand_hermitian, rand_pure
 
@@ -115,3 +116,56 @@ def test_pure_error_propagation_matches_density_route(build, theta0):
     for field in ("value", "derivative", "variance"):
         assert getattr(got, field) == pytest.approx(getattr(want, field),
                                                     rel=1e-9, abs=1e-9), field
+
+
+# ------------------------------------------------- noise: moment transfer
+
+_CHANNELS = {
+    "depolarizing": NoiseChannel("depolarizing", p=0.3),
+    "semigroup": NoiseChannel("pauli_semigroup", gamma=0.9, alpha=(0.1, 0.2, 0.7), t=1.1),
+}
+
+
+def _assert_transfer_matches_channel(state, channel):
+    transferred = noisy_moments(moments(state), channel)
+    explicit = moments(apply_noise(state, channel))
+    assert np.abs(transferred.mean - explicit.mean).max() <= 1e-12
+    assert np.abs(transferred.second - explicit.second).max() <= 1e-12
+
+
+@pytest.mark.parametrize("channel", _CHANNELS.values(), ids=_CHANNELS.keys())
+@pytest.mark.parametrize("n", [3, 5, 7])
+@pytest.mark.parametrize("pure", [True, False])
+def test_moment_transfer_matches_explicit_channel(rng, channel, n, pure):
+    dim = 2 ** n
+    data = rand_pure(rng, dim) if pure else rand_density(rng, dim, rank=3)
+    _assert_transfer_matches_channel(QuantumState(full_rep(n), data), channel)
+
+
+@pytest.mark.parametrize("channel", _CHANNELS.values(), ids=_CHANNELS.keys())
+@pytest.mark.parametrize("n", [4, 6])
+def test_moment_transfer_on_embedded_squeezed_probes(channel, n):
+    for lam in (0.5, 3.0, 40.0):
+        probe = squeezed_ground_state(SqueezingSpec(n, lam))
+        # a tilted rotation gives the probe nonzero cross moments
+        axis = direction_op(np.array([1.0, 2.0, 2.0]) / 3.0, probe.rep)
+        tilted = rotate(probe, axis, 0.7)
+        for st in (probe, tilted):
+            _assert_transfer_matches_channel(to_full(st), channel)
+
+
+def _dense_noisy_precision(n, lam, p):
+    """The sweep's former route: embed, apply the channel, dense moments."""
+    probe = to_full(squeezed_ground_state(SqueezingSpec(n, lam)))
+    st = apply_noise(probe, NoiseChannel("depolarizing", p=p))
+    mz = st.expectation(collective_op("z", st.rep))
+    return mz * mz / st.variance(collective_op("x", st.rep))
+
+
+@pytest.mark.parametrize("n", [4, 6])
+@pytest.mark.parametrize("p", [0.05, 0.25, 0.7])
+def test_noisy_precision_matches_density_route(n, p):
+    channel = NoiseChannel("depolarizing", p=p)
+    for lam in (0.3, 2.0, 20.0):
+        prec = _noisy_precision(n, lam, channel)[0]
+        assert prec == pytest.approx(_dense_noisy_precision(n, lam, p), rel=1e-11)

@@ -298,6 +298,8 @@ def test_sweep_without_enough_points_has_no_fit():
 def test_full_depolarizing_kills_precision():
     result = noisy_scaling_sweep(1.0, [4], lambda_points=6, compute_qfi=False)
     assert result.records[0].precision_inv <= 1e-9
+    # the moment transfer zeroes <J_z> exactly; no round-off remains
+    assert result.records[0].precision_inv == 0.0
 
 
 def test_flat_landscape_sweep_keeps_coarse_optimum():
@@ -306,6 +308,41 @@ def test_flat_landscape_sweep_keeps_coarse_optimum():
     result = noisy_scaling_sweep(1.0, [4, 6, 8], compute_qfi=False)
     assert len(result.records) == 3
     assert all(rec.precision_inv <= 1e-9 for rec in result.records)
+    assert all(rec.precision_inv == 0.0 for rec in result.records)
+
+
+@pytest.mark.parametrize("compute_qfi", [True, False])
+def test_noisy_sweep_builds_one_density_per_n(monkeypatch, compute_qfi):
+    import qmetro.metrology
+    built = []
+    original = qmetro.metrology.apply_noise
+
+    def counted(state, channel):
+        built.append(state.n)
+        return original(state, channel)
+
+    monkeypatch.setattr(qmetro.metrology, "apply_noise", counted)
+    n_list = [4, 6]
+    result = noisy_scaling_sweep(0.25, n_list, lambda_points=8, compute_qfi=compute_qfi)
+    # the lam search runs on transferred moments; only the QFI column
+    # needs the noisy density, once per N at the optimum
+    assert built == (n_list if compute_qfi else [])
+    assert all(np.isfinite(rec.qfi) == compute_qfi for rec in result.records)
+
+
+def test_noisy_sweep_without_qfi_reaches_large_n():
+    p = 0.25
+    eta = 1.0 - p
+    result = noisy_scaling_sweep(p, [64, 256], lambda_points=8, compute_qfi=False)
+    for rec in result.records:
+        assert 0.0 < rec.precision_inv <= result.ceiling[rec.n] + 1e-6
+        assert result.ceiling[rec.n] == rec.n / p
+        assert rec.var_x >= p * rec.n / 4 - 1e-9
+        # <J_z> <= eta N/2 and Var(J_x) >= (1 - eta^2) N/4 after the channel
+        assert rec.precision_inv <= eta ** 2 * rec.n / (1 - eta ** 2) + 1e-9
+    # the QFI column still needs the 2^N density
+    with pytest.raises(ValueError, match="N <= 10"):
+        noisy_scaling_sweep(p, [4, 12], lambda_points=4)
 
 
 def test_crb_report_carries_its_error_propagation():

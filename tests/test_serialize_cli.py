@@ -119,6 +119,43 @@ def test_cli_witness_all(tmp_path, capsys):
     assert by_name["xi_squared_singlet"]["verdict"] == "violated"
 
 
+def test_cli_witness_all_takes_qfi_per_axis_from_avg(tmp_path, monkeypatch):
+    import qmetro.cli
+    import qmetro.witnesses
+    state = tmp_path / "mixed.json"
+    assert main(["state", "--kind", "mixed", "--n", "4", "--rep", "full",
+                 "--axis", "z", "--p", "0.7", "--out", str(state)]) == 0
+    calls = []
+    original = qmetro.witnesses.qfi
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (qmetro.cli, qmetro.witnesses):
+        monkeypatch.setattr(module, "qfi", counted)
+
+    def report(*criteria):
+        path = tmp_path / "w.json"
+        assert main(["witness", str(state), *criteria, "--out", str(path)]) == 0
+        return path.read_bytes()
+
+    written = report("--all")
+    assert len(calls) == 3  # avg_qfi's three axes serve the qfi criterion too
+    # the former --all report: the qfi criterion evaluated on its own
+    moment_side = json.loads(report("--criteria", "xi_s,xi_os,xi_singlet,ssi,qfi"))
+    assert len(calls) == 6
+    fisher_side = json.loads(report("--criteria", "avg,macro"))
+    expected = {"inputs": {"state": str(state)}, "n_qubits": 4,
+                "qfi_per_axis": moment_side["qfi_per_axis"],
+                "depth_certificate": moment_side["depth_certificate"],
+                "avg_qfi": fisher_side["avg_qfi"],
+                "effective_size": fisher_side["effective_size"],
+                "witnesses": moment_side["witnesses"]}
+    serialize.write_report(expected, str(tmp_path / "expected.json"))
+    assert written == (tmp_path / "expected.json").read_bytes()
+
+
 def test_cli_witness_dicke_depth(tmp_path):
     out = tmp_path / "dicke.json"
     assert main(["state", "--kind", "dicke", "--n", "4", "--m", "2",
