@@ -160,26 +160,18 @@ def cmd_witness(args) -> int:
         reports.append(xi_squared_singlet(mset))
     if "ssi" in wanted:
         reports.extend(optimal_ssi(mset))
-    # avg_qfi evaluates the per-axis QFI that the qfi criterion needs
-    avg = avg_qfi(state) if "avg" in wanted else None
+    # the qfi criterion reads its per-axis values from avg_qfi
+    avg = avg_qfi(state) if {"avg", "qfi"} & set(wanted) else None
     if "qfi" in wanted:
-        per_axis = (dict(zip("xyz", avg.per_axis)) if avg is not None else
-                    {a: qfi(state, collective_op(a, state.rep)).value for a in "xyz"})
+        per_axis = dict(zip("xyz", avg.per_axis))
         best_axis = max(per_axis, key=per_axis.get)
         reports.append(qfi_entanglement(per_axis[best_axis], state.n))
         cert = depth_certificate(per_axis[best_axis], state.n)
         doc["qfi_per_axis"] = per_axis
         doc["depth_certificate"] = _report_dataclass(cert)
-    if avg is not None:
-        doc["avg_qfi"] = {
-            "average": avg.average, "per_axis": list(avg.per_axis),
-            "bound_separable": avg.bound_separable,
-            "bound_biseparable": avg.bound_biseparable,
-            "bound_maximum": avg.bound_maximum,
-            "bound_spin_length": avg.bound_spin_length,
-            "certified_depth": avg.certified_depth,
-            "genuine_multipartite": avg.genuine_multipartite,
-        }
+    if "avg" in wanted:
+        doc["avg_qfi"] = {k: v for k, v in _report_dataclass(avg).items()
+                          if k not in ("n", "producibility_table")}
     if "macro" in wanted:
         macro = macroscopicity(state)
         doc["effective_size"] = {"n_eff": macro.n_eff,

@@ -7,14 +7,17 @@ The closed-form quantum Fisher information
 is evaluated in the eigenbasis of rho; pairs whose eigenvalue sum falls
 below a floor (both eigenvalues numerically zero) are dropped, which
 restricts the sum to the support and keeps the symmetric logarithmic
-derivative finite.  Alongside it live the alternative second-moment form,
-the SLD, classical Fisher information of a POVM, the multi-parameter
-Fisher matrix, Bures fidelity, evolution-speed and Zeno-time quantities,
-the Wigner-Yanase skew information and numerical roof optimizers for the
-variance.
+derivative finite.  ``qfi`` is the 1x1 case of the multi-parameter Fisher
+matrix.  Alongside them live the alternative second-moment form, the SLD,
+classical Fisher information of a POVM, Bures fidelity, evolution-speed
+and Zeno-time quantities, the Wigner-Yanase skew information and
+numerical roof optimizers for the variance.
 
 Functions accept either package states/operators or bare numpy arrays, so
 the property batteries can run on arbitrary-dimension random instances.
+A ``QuantumState`` density is eigendecomposed once: its payload is
+read-only, and the spectrum is kept on the state for every later Fisher
+quantity.  Bare arrays are eigendecomposed on every call.
 """
 
 from __future__ import annotations
@@ -68,9 +71,15 @@ def _mean_and_var(kind, data, A):
         m = float(np.real(np.vdot(data, Av)))
         second = float(np.real(np.vdot(Av, Av)))
     else:
-        m = float(np.real(np.trace(A @ data)))
-        second = float(np.real(np.trace(A @ A @ data)))
+        X = A @ data
+        m = float(np.real(np.trace(X)))
+        second = _second_moment(A, X)
     return m, second - m * m
+
+
+def _second_moment(A, X) -> float:
+    """Tr(A^2 rho) from X = A rho: sum_ij conj(A)_ij X_ij for Hermitian A."""
+    return float(np.real(np.vdot(A, X)))
 
 
 # ----------------------------------------------------------------------
@@ -88,39 +97,50 @@ class QfiResult:
         return self.value
 
 
-def _eigensystem(kind, data) -> SpectralDecomposition:
-    if kind == "vector":
-        raise AssertionError("vector states take the rank-1 shortcut")
-    if data.shape[0] > QFI_DENSITY_DIM_MAX:
-        raise ValueError(f"density dimension {data.shape[0]} exceeds {QFI_DENSITY_DIM_MAX}")
-    return eigh_hermitian(data)
+def _eigensystem(state, rho: np.ndarray) -> SpectralDecomposition:
+    """Spectrum of the density rho of state; a QuantumState keeps it."""
+    if isinstance(state, QuantumState):
+        return state._memoized("spectrum", lambda: _eigensystem(None, rho))
+    if rho.shape[0] > QFI_DENSITY_DIM_MAX:
+        raise ValueError(f"density dimension {rho.shape[0]} exceeds {QFI_DENSITY_DIM_MAX}")
+    return eigh_hermitian(rho)
 
 
-def _pair_weights(lam: np.ndarray, floor: float):
+def _pair_ratio(lam: np.ndarray, num: np.ndarray, floor: float):
+    """num_kl / (l_k + l_l) on the pairs whose sum reaches floor, 0 elsewhere."""
     S = lam[:, None] + lam[None, :]
-    D = lam[:, None] - lam[None, :]
     keep = S >= floor
-    W = np.zeros_like(S)
-    W[keep] = D[keep] ** 2 / S[keep]
-    return W, keep
+    return np.divide(num, S, out=np.zeros_like(S), where=keep), keep
+
+
+def _fisher(state, mats, tols) -> tuple[np.ndarray, int]:
+    """Fisher matrix of the generator matrices and the number of dropped pairs."""
+    kind, data = _state_payload(state)
+    if kind == "vector":
+        # rank-1 spectrum: F is four times the covariance matrix; the dropped
+        # pairs are exactly those inside the (dim-1)-dimensional kernel
+        mean, second = pure_moments(data, mats)
+        return 4.0 * (second - np.outer(mean, mean)), (data.shape[0] - 1) ** 2
+    dec = _eigensystem(state, data)
+    D = dec.eigenvalues[:, None] - dec.eigenvalues[None, :]
+    W, keep = _pair_ratio(dec.eigenvalues, D * D, tols.qfi_pair_floor)
+    V = dec.eigenvectors
+    tilde = [V.conj().T @ A @ V for A in mats]
+    k = len(mats)
+    F = np.empty((k, k))
+    for m in range(k):
+        F[m, m] = 2.0 * float(np.sum(W * np.abs(tilde[m]) ** 2))
+        for n in range(m + 1, k):
+            val = 2.0 * float(np.real(np.sum(W * tilde[m] * tilde[n].conj())))
+            F[m, n] = F[n, m] = val
+    return F, keep.size - int(np.count_nonzero(keep))
 
 
 def qfi(state, op, tols=DEFAULT_TOLS) -> QfiResult:
     """Quantum Fisher information of the state for the phase generator op."""
     _check_reps(state, op)
-    A = _op_matrix(op)
-    kind, data = _state_payload(state)
-    if kind == "vector":
-        # rank-1 spectrum: the dense sum collapses to 4 Var(A); the dropped
-        # pairs are exactly those inside the (dim-1)-dimensional kernel
-        _, var = _mean_and_var(kind, data, A)
-        dim = data.shape[0]
-        return QfiResult(4.0 * var, (dim - 1) ** 2)
-    dec = _eigensystem(kind, data)
-    At = dec.eigenvectors.conj().T @ A @ dec.eigenvectors
-    W, keep = _pair_weights(dec.eigenvalues, tols.qfi_pair_floor)
-    value = 2.0 * float(np.sum(W * np.abs(At) ** 2))
-    return QfiResult(value, int((~keep).sum()))
+    F, skipped = _fisher(state, [_op_matrix(op)], tols)
+    return QfiResult(float(F[0, 0]), skipped)
 
 
 def qfi_pure(state, op) -> float:
@@ -132,9 +152,7 @@ def qfi_pure(state, op) -> float:
         purity = float(np.real(np.vdot(data, data)))
         if abs(purity - 1.0) > 1e-9:
             raise ValueError(f"qfi_pure needs a pure state; purity={purity:.6f}")
-        dec = _eigensystem(kind, data)
-        data = dec.eigenvectors[:, -1]
-        kind = "vector"
+        kind, data = "vector", _eigensystem(state, data).eigenvectors[:, -1]
     _, var = _mean_and_var(kind, data, A)
     return 4.0 * var
 
@@ -148,16 +166,11 @@ def qfi_alternative(state, op, tols=DEFAULT_TOLS) -> float:
         # rank-1 spectrum: the correction sum keeps only the (psi,psi) term
         m, var = _mean_and_var(kind, data, A)
         return 4.0 * (var + m * m) - 4.0 * m * m
-    dec = _eigensystem(kind, data)
+    dec = _eigensystem(state, data)
     lam = dec.eigenvalues
     At = dec.eigenvectors.conj().T @ A @ dec.eigenvectors
-    S = lam[:, None] + lam[None, :]
-    P = lam[:, None] * lam[None, :]
-    keep = S >= tols.qfi_pair_floor
-    C = np.zeros_like(S)
-    C[keep] = P[keep] / S[keep]
-    second = float(np.real(np.trace(A @ A @ data)))
-    return 4.0 * second - 8.0 * float(np.sum(C * np.abs(At) ** 2))
+    C, _ = _pair_ratio(lam, lam[:, None] * lam[None, :], tols.qfi_pair_floor)
+    return 4.0 * _second_moment(A, A @ data) - 8.0 * float(np.sum(C * np.abs(At) ** 2))
 
 
 def sld(state, op, tols=DEFAULT_TOLS) -> np.ndarray:
@@ -173,17 +186,11 @@ def sld(state, op, tols=DEFAULT_TOLS) -> np.ndarray:
         # 2i [|psi><psi|, A] = 2i (|psi><A psi| - |A psi><psi|)
         Av = A @ data
         return 2j * (np.outer(data, Av.conj()) - np.outer(Av, data.conj()))
-    dec = _eigensystem(kind, data)
+    dec = _eigensystem(state, data)
     lam = dec.eigenvalues
-    At = dec.eigenvectors.conj().T @ A @ dec.eigenvectors
-    S = lam[:, None] + lam[None, :]
-    D = lam[:, None] - lam[None, :]
-    keep = S >= tols.qfi_pair_floor
-    w = np.zeros_like(S)
-    w[keep] = D[keep] / S[keep]
-    Lt = 2j * w * At
     V = dec.eigenvectors
-    return V @ Lt @ V.conj().T
+    w, _ = _pair_ratio(lam, lam[:, None] - lam[None, :], tols.qfi_pair_floor)
+    return V @ (2j * w * (V.conj().T @ A @ V)) @ V.conj().T
 
 
 def wigner_yanase(state, op) -> float:
@@ -194,11 +201,12 @@ def wigner_yanase(state, op) -> float:
     if kind == "vector":
         _, var = _mean_and_var(kind, data, A)
         return var
-    dec = _eigensystem(kind, data)
+    dec = _eigensystem(state, data)
     root = dec.apply_function(lambda w: np.sqrt(np.clip(w, 0.0, None)))
-    second = float(np.real(np.trace(A @ A @ data)))
-    cross = float(np.real(np.trace(A @ root @ A @ root)))
-    return second - cross
+    X = A @ root
+    # Tr(A root A root) = Tr(X X) = sum_ij X_ij X_ji
+    cross = float(np.real(np.sum(X * X.T)))
+    return _second_moment(A, A @ data) - cross
 
 
 def white_noise_qfi(pure_state, op, p: float) -> float:
@@ -399,22 +407,7 @@ def fisher_matrix(state, generators, tols=DEFAULT_TOLS) -> FisherMatrix:
     """Fisher matrix F_mn for a list of commuting-or-not phase generators."""
     if len(generators) == 0:
         raise ValueError("need at least one generator")
-    mats = [_op_matrix(g) for g in generators]
-    kind, data = _state_payload(state)
-    if kind == "vector":
-        # rank-1 spectrum: F is four times the covariance matrix
-        mean, second = pure_moments(data, mats)
-        return FisherMatrix(tuple(generators), 4.0 * (second - np.outer(mean, mean)))
-    dec = _eigensystem("density", data)
-    W, _ = _pair_weights(dec.eigenvalues, tols.qfi_pair_floor)
-    V = dec.eigenvectors
-    tilde = [V.conj().T @ A @ V for A in mats]
-    k = len(mats)
-    F = np.zeros((k, k))
-    for m in range(k):
-        for n in range(m, k):
-            val = 2.0 * float(np.real(np.sum(W * tilde[m] * tilde[n].conj())))
-            F[m, n] = F[n, m] = val
+    F, _ = _fisher(state, [_op_matrix(g) for g in generators], tols)
     return FisherMatrix(tuple(generators), F)
 
 
@@ -459,7 +452,7 @@ def _roof_optimize(state, op, cardinality, maximize_g, restarts, seed, tols):
     dim = data.shape[0]
     if dim > 8:
         raise ValueError("roof oracles are limited to dimension <= 8")
-    dec = _eigensystem("density", data)
+    dec = _eigensystem(state, data)
     mask = dec.eigenvalues > 1e-12
     lam = dec.eigenvalues[mask]
     Vs = dec.eigenvectors[:, mask]
@@ -471,7 +464,7 @@ def _roof_optimize(state, op, cardinality, maximize_g, restarts, seed, tols):
         raise ValueError(f"cardinality {K} below state rank {r}")
     sqrt_lam = np.sqrt(lam)
     B = (sqrt_lam[:, None] * (Vs.conj().T @ A @ Vs)) * sqrt_lam[None, :]
-    t2 = float(np.real(np.trace(A @ A @ data)))
+    t2 = _second_moment(A, A @ data)
 
     def ensemble(x):
         X = x[: K * r].reshape(K, r) + 1j * x[K * r:].reshape(K, r)

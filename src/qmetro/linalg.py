@@ -62,10 +62,12 @@ def eigh_hermitian(M: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> SpectralDe
     """Full eigendecomposition of a Hermitian matrix.
 
     Rejects non-Hermitian input with a diagnostic naming the maximum
-    asymmetry.  Deterministic for a fixed input (LAPACK ``heevd``).
+    asymmetry.  Deterministic for a fixed input (LAPACK ``heevd``).  The
+    returned arrays are read-only, so a kept spectrum cannot be altered.
     """
     M = require_hermitian(M, tols)
     vals, vecs = np.linalg.eigh(M)
+    vals.flags.writeable = vecs.flags.writeable = False
     return SpectralDecomposition(vals, vecs)
 
 

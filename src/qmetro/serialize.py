@@ -21,9 +21,8 @@ CSV_HEADER = ("scenario", "N", "p", "lambda", "theta0", "precision_inv",
 
 
 def _complex_to_pairs(arr: np.ndarray):
-    if arr.ndim == 1:
-        return [[float(z.real), float(z.imag)] for z in arr]
-    return [[[float(z.real), float(z.imag)] for z in row] for row in arr]
+    # tolist() yields Python floats, signed zeros included
+    return np.stack([arr.real, arr.imag], -1).tolist()
 
 
 def _pairs_to_complex(data) -> np.ndarray:

@@ -3,7 +3,9 @@
 States carry their representation and a short label so downstream reports
 can reference "ghz(8)" etc.  Pure states are stored as unit vectors,
 mixed states as density matrices; ``QuantumState.density()`` promotes on
-demand.
+demand.  A state's payload is a read-only view, so quantities derived
+from it (spectrum, collective moments, collective Fisher matrix) are
+computed once and kept on the state.
 """
 
 from __future__ import annotations
@@ -28,9 +30,12 @@ class QuantumState:
     rep: Representation
     data: np.ndarray
     label: str = "state"
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        d = np.asarray(self.data, dtype=complex)
+        # read-only view: nothing writes through the state behind its memo
+        d = np.asarray(self.data, dtype=complex).view()
+        d.flags.writeable = False
         object.__setattr__(self, "data", d)
         if d.ndim == 1:
             if d.shape != (self.rep.dim,):
@@ -55,6 +60,12 @@ class QuantumState:
                 raise ValueError(f"density matrix has negative eigenvalue {wmin:.2e}")
         else:
             raise ValueError("state payload must be a vector or a matrix")
+
+    def _memoized(self, key: str, compute):
+        """compute() on the first request for key, the kept value afterwards."""
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
     # -- basic queries ---------------------------------------------------
 

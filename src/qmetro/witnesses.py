@@ -65,7 +65,12 @@ def moments(state: QuantumState) -> MomentSet:
     With G_kl = <J_k J_l>, the symmetrised second moments are Re G.  A pure
     state needs only the three vectors J_l|psi> (G is their Gram matrix);
     a density needs the products J_l rho and, for the diagonal, J_l^2 rho.
+    The result is computed once and kept on the state: do not write into it.
     """
+    return state._memoized("moments", lambda: _evaluate_moments(state))
+
+
+def _evaluate_moments(state: QuantumState) -> MomentSet:
     ops = [collective_op(a, state.rep).matrix for a in AXES]
     if state.is_pure:
         return MomentSet(state.n, *pure_moments(state.data, ops))
@@ -305,11 +310,7 @@ def depth_certificate(value_or_state, n: int, generator=None,
     F = _resolve_fq(value_or_state, generator)
     if F < -tol or F > n * n + 1e-6:
         raise ValueError(f"F_Q={F:.6g} is outside the physical range [0, N^2]")
-    depth = n
-    for k in range(1, n + 1):
-        if F <= producibility_bound(n, k) + tol:
-            depth = k
-            break
+    depth = next((k for k in range(1, n + 1) if F <= producibility_bound(n, k) + tol), n)
     genuine = F > producibility_bound(n, n - 1) + tol if n >= 2 else False
     return DepthCertificate(depth, genuine, F, n)
 
@@ -330,23 +331,24 @@ class AvgQfiReport:
     genuine_multipartite: bool = False
 
 
+def _collective_fisher(state: QuantumState) -> np.ndarray:
+    """The 3x3 Fisher matrix of (J_x, J_y, J_z), computed once per state."""
+    return state._memoized("collective_fisher", lambda: fisher_matrix(
+        state, [collective_op(a, state.rep) for a in AXES]).matrix)
+
+
 def avg_qfi(state, tol: float = DEFAULT_TOLS.verdict) -> AvgQfiReport:
     """Average of F_Q over the three components; equals the uniform
     direction average of F_Q[rho, J_n]."""
     if not isinstance(state, QuantumState):
         raise ValueError("avg_qfi needs a QuantumState (thresholds depend on N)")
     n = state.n
-    gens = [collective_op(a, state.rep) for a in AXES]
-    per_axis = tuple(qfi(state, g).value for g in gens)
+    per_axis = tuple(float(f) for f in np.diag(_collective_fisher(state)))
     avg = sum(per_axis) / 3.0
     mset = moments(state)
     spin_bound = 4.0 * (np.trace(mset.second) - float(mset.mean @ mset.mean)) / 3.0
     table = {k: avg_producibility_bound(n, k) for k in range(1, n + 1)}
-    depth = n
-    for k in range(1, n + 1):
-        if avg <= table[k] + tol:
-            depth = k
-            break
+    depth = next((k for k in range(1, n + 1) if avg <= table[k] + tol), n)
     genuine = avg > avg_producibility_bound(n, n - 1) + tol if n >= 2 else False
     return AvgQfiReport(avg, per_axis, n,
                         bound_separable=2.0 * n / 3.0,
@@ -377,9 +379,7 @@ def macroscopicity(state: QuantumState) -> MacroReport:
     3x3 Fisher matrix; no direction grid is required.  Site-dependent
     single-particle operators are outside this maximisation.
     """
-    gens = [collective_op(a, state.rep) for a in AXES]
-    F = fisher_matrix(state, gens).matrix
-    w, v = np.linalg.eigh(F)
+    w, v = np.linalg.eigh(_collective_fisher(state))
     # unit-norm single-particle convention a = sigma, i.e. A = 2 J_n
     fq_max = 4.0 * float(w[-1])
     n_eff = fq_max / (4.0 * state.n)

@@ -168,6 +168,82 @@ def test_single_generator_matrix_matches_qfi(rng):
     assert fm.matrix[0, 0] == pytest.approx(qfi(rho, A).value, abs=1e-9)
 
 
+def test_qfi_against_direct_sum(rng):
+    # independent of fisher_matrix: explicit double loop over eigenpairs,
+    # on full-rank and rank-deficient densities
+    for rank in (5, 2):
+        dim = 5
+        rho = rand_density(rng, dim, rank)
+        A = rand_hermitian(rng, dim)
+        w, V = np.linalg.eigh(rho)
+        At = V.conj().T @ A @ V
+        ref, dropped = 0.0, 0
+        for k in range(dim):
+            for l in range(dim):
+                if w[k] + w[l] < 1e-12:
+                    dropped += 1
+                    continue
+                ref += 2 * (w[k] - w[l]) ** 2 / (w[k] + w[l]) * abs(At[k, l]) ** 2
+        res = qfi(rho, A)
+        assert res.value == pytest.approx(ref, abs=1e-9)
+        assert res.skipped_pairs == dropped == (dim - rank) ** 2
+
+
+def test_second_moment_forms_against_explicit_traces(rng):
+    import scipy.linalg
+    for _ in range(3):
+        # full rank: sqrtm is accurate only away from a singular spectrum
+        rho = rand_density(rng, 6)
+        A = rand_hermitian(rng, 6)
+        second = np.trace(A @ A @ rho).real
+        R = scipy.linalg.sqrtm(rho)
+        skew = second - np.trace(A @ R @ A @ R).real
+        assert wigner_yanase(rho, A) == pytest.approx(skew, abs=1e-9)
+        assert qfi_alternative(rho, A) == pytest.approx(qfi(rho, A).value, abs=1e-9)
+        w, V = np.linalg.eigh(rho)
+        var = second - np.trace(A @ rho).real ** 2
+        assert roof_sandwich_check(rho, A, w, V).upper == pytest.approx(var, abs=1e-9)
+
+
+def test_state_payload_is_read_only_view(rng):
+    rho = rand_density(rng, 4)
+    st = QuantumState(full_rep(2), rho)
+    assert not st.data.flags.writeable
+    assert np.shares_memory(st.data, rho)  # no copy
+    assert rho.flags.writeable             # the caller's array is untouched
+    with pytest.raises(ValueError):
+        st.data[0, 0] = 0.0
+
+
+def test_one_eigensolve_per_state(rng, monkeypatch):
+    import qmetro.fisher
+    calls = []
+    original = qmetro.fisher.eigh_hermitian
+
+    def counted(M, *args, **kwargs):
+        calls.append(M.shape)
+        return original(M, *args, **kwargs)
+
+    monkeypatch.setattr(qmetro.fisher, "eigh_hermitian", counted)
+    st = mix_white_noise(ghz(3, full_rep(3)), 0.6)
+    gens = [collective_op(a, st.rep) for a in "xyz"]
+    values = []
+    for _ in range(2):
+        values.append(qfi(st, gens[0]).value)
+        sld(st, gens[1])
+        wigner_yanase(st, gens[2])
+        qfi_alternative(st, gens[0])
+        fisher_matrix(st, gens)
+        zeno_time(st, gens[1])
+    assert len(calls) == 1
+    assert values[0] == values[1]
+    # bare arrays carry no memo: one eigensolve per call
+    rho = st.density().copy()
+    qfi(rho, gens[0].matrix)
+    qfi(rho, gens[0].matrix)
+    assert len(calls) == 3
+
+
 def test_ghz_fisher_matrix_diagonal():
     g = ghz(3)
     gens = [collective_op(a, g.rep) for a in "xyz"]

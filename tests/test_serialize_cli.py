@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -18,6 +19,23 @@ def test_state_roundtrip_bytes(tmp_path):
     state = serialize.read_state(str(path))
     serialize.write_state(state, str(path))
     assert path.read_bytes() == first
+
+
+def test_pair_writer_matches_elementwise_form(rng):
+    def elementwise(arr):
+        if arr.ndim == 1:
+            return [[float(z.real), float(z.imag)] for z in arr]
+        return [[[float(z.real), float(z.imag)] for z in row] for row in arr]
+
+    vec = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+    mat = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    vec[[1, 4]] = [complex(-0.0, 0.0), complex(0.0, -0.0)]
+    mat[2, 3] = complex(-0.0, -0.0)
+    for arr in (vec, mat):
+        pairs = serialize._complex_to_pairs(arr)
+        assert pairs == elementwise(arr)
+        assert json.dumps(pairs) == json.dumps(elementwise(arr))
+        assert "-0.0" in json.dumps(pairs)
 
 
 def test_density_roundtrip(tmp_path):
@@ -119,33 +137,44 @@ def test_cli_witness_all(tmp_path, capsys):
     assert by_name["xi_squared_singlet"]["verdict"] == "violated"
 
 
-def test_cli_witness_all_takes_qfi_per_axis_from_avg(tmp_path, monkeypatch):
-    import qmetro.cli
-    import qmetro.witnesses
-    state = tmp_path / "mixed.json"
-    assert main(["state", "--kind", "mixed", "--n", "4", "--rep", "full",
-                 "--axis", "z", "--p", "0.7", "--out", str(state)]) == 0
+def _count_calls(monkeypatch, owner, name):
+    """Record the calls of owner.name, patched in every qmetro module."""
     calls = []
-    original = qmetro.witnesses.qfi
+    original = getattr(owner, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    for module in (qmetro.cli, qmetro.witnesses):
-        monkeypatch.setattr(module, "qfi", counted)
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "qmetro" and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls
 
-    def report(*criteria):
-        path = tmp_path / "w.json"
-        assert main(["witness", str(state), *criteria, "--out", str(path)]) == 0
-        return path.read_bytes()
 
-    written = report("--all")
-    assert len(calls) == 3  # avg_qfi's three axes serve the qfi criterion too
+def test_cli_witness_all_takes_qfi_per_axis_from_avg(tmp_path, monkeypatch):
+    import qmetro.linalg
+    import qmetro.witnesses
+    state = tmp_path / "mixed.json"
+    assert main(["state", "--kind", "mixed", "--n", "4", "--rep", "full",
+                 "--axis", "z", "--p", "0.7", "--out", str(state)]) == 0
+    pure = tmp_path / "pure.json"
+    assert main(["state", "--kind", "ghz", "--n", "4", "--rep", "full",
+                 "--out", str(pure)]) == 0
+    eigh_calls = _count_calls(monkeypatch, qmetro.linalg, "eigh_hermitian")
+    moment_calls = _count_calls(monkeypatch, qmetro.witnesses, "_evaluate_moments")
+
+    def report(path, *criteria):
+        out = tmp_path / "w.json"
+        assert main(["witness", str(path), *criteria, "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    written = report(state, "--all")
+    # one spectrum and one moment evaluation serve every criterion
+    assert (len(eigh_calls), len(moment_calls)) == (1, 1)
     # the former --all report: the qfi criterion evaluated on its own
-    moment_side = json.loads(report("--criteria", "xi_s,xi_os,xi_singlet,ssi,qfi"))
-    assert len(calls) == 6
-    fisher_side = json.loads(report("--criteria", "avg,macro"))
+    moment_side = json.loads(report(state, "--criteria", "xi_s,xi_os,xi_singlet,ssi,qfi"))
+    fisher_side = json.loads(report(state, "--criteria", "avg,macro"))
     expected = {"inputs": {"state": str(state)}, "n_qubits": 4,
                 "qfi_per_axis": moment_side["qfi_per_axis"],
                 "depth_certificate": moment_side["depth_certificate"],
@@ -154,6 +183,10 @@ def test_cli_witness_all_takes_qfi_per_axis_from_avg(tmp_path, monkeypatch):
                 "witnesses": moment_side["witnesses"]}
     serialize.write_report(expected, str(tmp_path / "expected.json"))
     assert written == (tmp_path / "expected.json").read_bytes()
+    eigh_calls.clear()
+    moment_calls.clear()
+    report(pure, "--all")
+    assert (len(eigh_calls), len(moment_calls)) == (0, 1)
 
 
 def test_cli_witness_dicke_depth(tmp_path):

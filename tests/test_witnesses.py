@@ -37,6 +37,28 @@ def test_moments_dicke():
 
 # ------------------------------------------------- xi_s
 
+def test_moments_and_collective_fisher_kept_on_the_state(monkeypatch):
+    import qmetro.witnesses
+    st = singlet_pi(4)
+    m = moments(st)
+    assert moments(st) is m
+    calls = []
+    original = qmetro.witnesses.fisher_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(qmetro.witnesses, "fisher_matrix", counted)
+    g = to_full(ghz(4, axis="z"))
+    report = avg_qfi(g)
+    macro = macroscopicity(g)
+    assert len(calls) == 1
+    per_axis = [qfi(g, collective_op(a, g.rep)).value for a in "xyz"]
+    assert np.allclose(report.per_axis, per_axis, atol=1e-9)
+    assert macro.fq_max == pytest.approx(4 * max(per_axis), abs=1e-9)
+
+
 def test_xi_s_polarized_boundary():
     rep = xi_squared_s(moments(polarized(6, "z")))
     assert rep.value == pytest.approx(1.0, abs=1e-9)
