@@ -18,6 +18,10 @@ the property batteries can run on arbitrary-dimension random instances.
 A ``QuantumState`` density is eigendecomposed once: its payload is
 read-only, and the spectrum is kept on the state for every later Fisher
 quantity.  Bare arrays are eigendecomposed on every call.
+
+A real density (every probe family here and its noisy mixtures) has real
+eigenvectors V, and V^T A V takes two real products for the real J_x, J_z
+and the purely imaginary J_y.  Complex densities keep the complex route.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLS
 from .linalg import (SpectralDecomposition, eigh_hermitian, psd_sqrt, pure_moments,
-                     require_hermitian, unitary_apply, unitary_exp)
+                     require_hermitian, split_matmul, unitary_apply, unitary_exp)
 from .spin import CollectiveOperator
 from .states import QuantumState
 
@@ -106,6 +110,13 @@ def _eigensystem(state, rho: np.ndarray) -> SpectralDecomposition:
     return eigh_hermitian(rho)
 
 
+def _in_eigenbasis(V: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """V^dag A V; real eigenvectors take real products only."""
+    if np.isrealobj(V):
+        return split_matmul(V.T, A, V)
+    return V.conj().T @ A @ V
+
+
 def _pair_ratio(lam: np.ndarray, num: np.ndarray, floor: float):
     """num_kl / (l_k + l_l) on the pairs whose sum reaches floor, 0 elsewhere."""
     S = lam[:, None] + lam[None, :]
@@ -124,8 +135,7 @@ def _fisher(state, mats, tols) -> tuple[np.ndarray, int]:
     dec = _eigensystem(state, data)
     D = dec.eigenvalues[:, None] - dec.eigenvalues[None, :]
     W, keep = _pair_ratio(dec.eigenvalues, D * D, tols.qfi_pair_floor)
-    V = dec.eigenvectors
-    tilde = [V.conj().T @ A @ V for A in mats]
+    tilde = [_in_eigenbasis(dec.eigenvectors, A) for A in mats]
     k = len(mats)
     F = np.empty((k, k))
     for m in range(k):
@@ -168,7 +178,7 @@ def qfi_alternative(state, op, tols=DEFAULT_TOLS) -> float:
         return 4.0 * (var + m * m) - 4.0 * m * m
     dec = _eigensystem(state, data)
     lam = dec.eigenvalues
-    At = dec.eigenvectors.conj().T @ A @ dec.eigenvectors
+    At = _in_eigenbasis(dec.eigenvectors, A)
     C, _ = _pair_ratio(lam, lam[:, None] * lam[None, :], tols.qfi_pair_floor)
     return 4.0 * _second_moment(A, A @ data) - 8.0 * float(np.sum(C * np.abs(At) ** 2))
 
@@ -190,7 +200,7 @@ def sld(state, op, tols=DEFAULT_TOLS) -> np.ndarray:
     lam = dec.eigenvalues
     V = dec.eigenvectors
     w, _ = _pair_ratio(lam, lam[:, None] - lam[None, :], tols.qfi_pair_floor)
-    return V @ (2j * w * (V.conj().T @ A @ V)) @ V.conj().T
+    return V @ (2j * w * _in_eigenbasis(V, A)) @ V.conj().T
 
 
 def wigner_yanase(state, op) -> float:
@@ -202,7 +212,10 @@ def wigner_yanase(state, op) -> float:
         _, var = _mean_and_var(kind, data, A)
         return var
     dec = _eigensystem(state, data)
-    root = dec.apply_function(lambda w: np.sqrt(np.clip(w, 0.0, None)))
+    # eigenvalues under the numerical-rank tolerance dim * eps * max are
+    # round-off of zero; their square roots (~1e-8) would not be
+    floor = dec.dim * np.finfo(float).eps * max(dec.eigenvalues[-1], 0.0)
+    root = dec.apply_function(lambda w: np.sqrt(np.where(w > floor, w, 0.0)))
     X = A @ root
     # Tr(A root A root) = Tr(X X) = sum_ij X_ij X_ji
     cross = float(np.real(np.sum(X * X.T)))

@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .config import DEFAULT_TOLS
-from .linalg import require_hermitian
+from .linalg import real_if_exact, require_hermitian
 
 FULL_VECTOR_MAX = 12   # 2^12 = 4096 amplitudes
 FULL_DENSITY_MAX = 10  # 2^10 = 1024 -> 1M-entry density matrices
@@ -92,7 +92,7 @@ class CollectiveOperator:
     provenance: object = "custom"
 
     def __post_init__(self):
-        require_hermitian(self.matrix, name="collective operator")
+        require_hermitian(real_if_exact(self.matrix), name="collective operator")
         if self.matrix.shape[0] != self.rep.dim:
             raise ValueError(
                 f"operator dimension {self.matrix.shape[0]} does not match {self.rep}")
@@ -123,34 +123,35 @@ def _axis_matrix(kind: str, axis: str, n: int) -> np.ndarray:
         if axis == "x":
             return _freeze((jp + jp.conj().T) / 2.0)
         return _freeze((jp - jp.conj().T) / 2j)
-    # full representation: sum of single-site sigma/2 terms, built by
-    # broadcasting over bit patterns instead of repeated Kronecker products
-    dim = 2 ** n
-    if axis == "z":
-        bits = ((np.arange(dim)[:, None] >> np.arange(n)[None, :]) & 1)
-        return _freeze(np.diag(n / 2.0 - bits.sum(axis=1)).astype(complex))
-    J = np.zeros((dim, dim), dtype=complex)
-    for site in range(n):
-        J += _single_site_matrix(PAULI[axis] / 2.0, site, n)
-    return _freeze(J)
+    # full representation: a sum of single-site sigma/2 terms
+    return _freeze(_site_sum(PAULI[axis] / 2.0, np.ones(n)))
 
 
-def _single_site_matrix(op2: np.ndarray, site: int, n: int) -> np.ndarray:
-    """Embed a one-qubit operator at `site` (0-based, site 0 = leftmost factor)."""
-    left = 2 ** site
-    right = 2 ** (n - site - 1)
-    return np.kron(np.kron(np.eye(left), op2), np.eye(right)).astype(complex)
+def _site_sum(op2: np.ndarray, weights) -> np.ndarray:
+    """sum_s w_s op2 at site s (0 = leftmost factor) on N = len(weights) qubits.
+
+    Site s is bit N-1-s of the basis index: op2 at s maps column i to rows
+    i and i ^ 2^(N-1-s).  Each off-diagonal entry comes from one site, so
+    this equals the sum of Kronecker products I (x) op2 (x) I bit for bit.
+    """
+    n = len(weights)
+    cols = np.arange(2 ** n)
+    M = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    for s, w in enumerate(weights):
+        bit = (cols >> (n - 1 - s)) & 1
+        M[cols ^ (1 << (n - 1 - s)), cols] += w * op2[1 - bit, bit]
+        M[cols, cols] += w * op2[bit, bit]
+    return M
+
+
+def _gradient_weights(n: int, centered: bool) -> np.ndarray:
+    weights = np.arange(1, n + 1, dtype=float)
+    return weights - weights.mean() if centered else weights
 
 
 @lru_cache(maxsize=SMALL_CACHE_SIZE)
 def _gradient_matrix(n: int, centered: bool) -> np.ndarray:
-    weights = np.arange(1, n + 1, dtype=float)
-    if centered:
-        weights = weights - weights.mean()
-    G = np.zeros((2 ** n, 2 ** n), dtype=complex)
-    for site in range(n):
-        G += weights[site] * _single_site_matrix(PAULI["y"] / 2.0, site, n)
-    return _freeze(G)
+    return _freeze(_site_sum(PAULI["y"] / 2.0, _gradient_weights(n, centered)))
 
 
 @lru_cache(maxsize=SMALL_CACHE_SIZE)
@@ -206,11 +207,8 @@ def gradient_op(rep: Representation, centered: bool = False) -> CollectiveOperat
         raise ValueError(
             "the gradient generator is not permutation invariant and needs the full "
             "representation; the symmetric sector cannot hold it")
-    weights = np.arange(1, rep.n + 1, dtype=float)
-    if centered:
-        weights = weights - weights.mean()
     return CollectiveOperator(_gradient_matrix(rep.n, centered), rep,
-                              provenance=tuple(weights))
+                              provenance=tuple(_gradient_weights(rep.n, centered)))
 
 
 def parity_op(axis: str, rep: Representation) -> CollectiveOperator:
@@ -225,8 +223,9 @@ def single_site_op(op2: np.ndarray, site: int, rep: Representation) -> Collectiv
         raise ValueError("single-site operators need the full representation")
     if not (0 <= site < rep.n):
         raise ValueError(f"site {site} out of range for N={rep.n}")
-    return CollectiveOperator(_single_site_matrix(op2, site, rep.n), rep,
-                              provenance=f"site_{site}")
+    # unit weight at `site`, zero elsewhere
+    return CollectiveOperator(_site_sum(np.asarray(op2, dtype=complex), np.eye(rep.n)[site]),
+                              rep, provenance=f"site_{site}")
 
 
 @lru_cache(maxsize=FULL_VECTOR_MAX)

@@ -18,7 +18,7 @@ from math import comb, lgamma
 import numpy as np
 
 from .config import DEFAULT_TOLS
-from .linalg import hermiticity_defect, unitary_apply, unitary_exp
+from .linalg import hermiticity_defect, real_if_exact, unitary_apply, unitary_exp
 from .spin import (FULL_DENSITY_MAX, CollectiveOperator, Representation,
                    dicke_embedding, full_rep, ladder_amplitudes, symmetric_rep)
 
@@ -37,6 +37,8 @@ class QuantumState:
         d = np.asarray(self.data, dtype=complex).view()
         d.flags.writeable = False
         object.__setattr__(self, "data", d)
+        if not np.isfinite(d).all():
+            raise ValueError("state payload has non-finite entries")
         if d.ndim == 1:
             if d.shape != (self.rep.dim,):
                 raise ValueError(f"vector length {d.shape} does not match {self.rep}")
@@ -48,15 +50,17 @@ class QuantumState:
             if self.rep.kind == "full" and self.rep.n > FULL_DENSITY_MAX:
                 raise ValueError(
                     f"full-representation density matrices limited to N <= {FULL_DENSITY_MAX}")
-            if hermiticity_defect(d) > 1e-10:
+            # a real density (zero imaginary part) is checked in real arithmetic
+            r = real_if_exact(d)
+            if hermiticity_defect(r) > 1e-10:
                 raise ValueError("density matrix is not Hermitian")
-            if abs(np.trace(d).real - 1.0) > DEFAULT_TOLS.state_norm:
-                raise ValueError(f"density matrix trace {np.trace(d).real!r} != 1")
+            if abs(np.trace(r).real - 1.0) > DEFAULT_TOLS.state_norm:
+                raise ValueError(f"density matrix trace {np.trace(r).real!r} != 1")
             # PSD within the floor <=> rho + |floor| I admits a Cholesky factor
             try:
-                np.linalg.cholesky(d + (-DEFAULT_TOLS.psd_floor) * np.eye(d.shape[0]))
+                np.linalg.cholesky(r + (-DEFAULT_TOLS.psd_floor) * np.eye(d.shape[0]))
             except np.linalg.LinAlgError:
-                wmin = np.linalg.eigvalsh(d).min()
+                wmin = np.linalg.eigvalsh(r).min()
                 raise ValueError(f"density matrix has negative eigenvalue {wmin:.2e}")
         else:
             raise ValueError("state payload must be a vector or a matrix")
@@ -356,11 +360,10 @@ def squeezed_ground_state(spec: SqueezingSpec) -> QuantumState:
         warnings.warn(f"nearly degenerate ground space (gap {vals[1]-vals[0]:.2e}); "
                       "returning the lowest-index vector")
     _, idx, vec = candidates[0]
+    # fix the overall sign so results are deterministic across LAPACK builds;
+    # a real sign keeps the state exactly real
     v = np.zeros(spec.n + 1, dtype=complex)
-    v[idx] = vec
-    # fix the overall sign so results are deterministic across LAPACK builds
-    k = int(np.argmax(np.abs(v)))
-    v *= np.exp(-1j * np.angle(v[k]))
+    v[idx] = vec * np.sign(vec[np.argmax(np.abs(vec))])
     return QuantumState(symmetric_rep(spec.n), v,
                         label=f"squeezed({spec.n},lam={spec.lam:g})")
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLS
 from .fisher import fisher_matrix, qfi
-from .linalg import pure_moments
+from .linalg import pure_moments, split_matmul
 from .spin import AXES, CollectiveOperator, collective_op
 from .states import QuantumState
 
@@ -76,13 +76,14 @@ def _evaluate_moments(state: QuantumState) -> MomentSet:
         return MomentSet(state.n, *pure_moments(state.data, ops))
     rho = state.data
     mean = np.array([state.expectation(J) for J in ops])
-    X = [J @ rho for J in ops]
+    # real densities take real products (J_y rho is purely imaginary)
+    X = [split_matmul(J, rho) for J in ops]
     # Tr(J_k J_l rho) = sum_ij conj(J_k)_ji (J_l rho)_ji, J_k Hermitian
     G = np.array([[np.vdot(J, x) for x in X] for J in ops])
     # the diagonal keeps the form Tr((J_k J_k) rho): at an exact tie
     # between axes (white-noise GHZ, singlets) the axis that optimal_ssi
     # reports follows this sum's round-off
-    G[np.diag_indices(3)] = [np.trace((J @ J) @ rho) for J in ops]
+    G[np.diag_indices(3)] = [np.trace(split_matmul(J, J, rho)) for J in ops]
     return MomentSet(state.n, mean, np.real(G + G.conj().T) / 2.0)
 
 
@@ -380,10 +381,14 @@ def macroscopicity(state: QuantumState) -> MacroReport:
     single-particle operators are outside this maximisation.
     """
     w, v = np.linalg.eigh(_collective_fisher(state))
+    # eigh's sign is arbitrary: make the largest component positive, the
+    # first index winning ties
+    top = v[:, -1].real
+    top = top * np.sign(top[np.argmax(np.abs(top))])
     # unit-norm single-particle convention a = sigma, i.e. A = 2 J_n
     fq_max = 4.0 * float(w[-1])
     n_eff = fq_max / (4.0 * state.n)
-    return MacroReport(n_eff, tuple(v[:, -1].real), fq_max)
+    return MacroReport(n_eff, tuple(top), fq_max)
 
 
 def macroscopicity_index(states_by_n) -> float:

@@ -1,23 +1,28 @@
 """Structured and matrix-vector paths checked against dense constructions.
 
 The library never multiplies two dense operators or eigendecomposes one
-for pure states and symmetric-sector ground states.  The dense forms it
+for pure states and symmetric-sector ground states, builds full-space
+operators by bit-flip indexing instead of Kronecker products, and takes
+real densities through real arithmetic.  The dense and complex forms it
 replaced are kept here as oracles.
 """
 
 import numpy as np
 import pytest
 
-from qmetro.fisher import fisher_matrix
-from qmetro.linalg import unitary_exp
+from qmetro.cli import main
+from qmetro.fisher import (_eigensystem, fisher_matrix, qfi, qfi_alternative, sld,
+                           wigner_yanase)
+from qmetro.linalg import eigh_hermitian, unitary_exp
 from qmetro.metrology import (NoiseChannel, Scenario, _noisy_precision,
                               apply_noise, dicke_scenario, error_propagation,
                               frontier_lambda_grid, ghz_parity_scenario,
                               noisy_moments, ramsey_scenario, squared_op)
-from qmetro.spin import (Representation, collective_op, direction_op, full_rep,
-                         symmetric_rep)
-from qmetro.states import (QuantumState, SqueezingSpec, polarized, rotate,
-                           squeezed_ground_state, to_full)
+from qmetro.serialize import write_state
+from qmetro.spin import (PAULI, Representation, collective_op, direction_op, full_rep,
+                         gradient_op, single_site_op, symmetric_rep)
+from qmetro.states import (QuantumState, SqueezingSpec, ghz, mix_white_noise, polarized,
+                           rotate, singlet_pi, squeezed_ground_state, to_full)
 from qmetro.witnesses import moments
 from conftest import rand_density, rand_hermitian, rand_pure
 
@@ -169,3 +174,141 @@ def test_noisy_precision_matches_density_route(n, p):
     for lam in (0.3, 2.0, 20.0):
         prec = _noisy_precision(n, lam, channel)[0]
         assert prec == pytest.approx(_dense_noisy_precision(n, lam, p), rel=1e-11)
+
+
+# ------------------------------------------------- full-space operators
+
+def _kron_site_sum(op2, weights):
+    """sum_s w_s I (x) op2 (x) I, site 0 the leftmost Kronecker factor."""
+    n = len(weights)
+    M = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    for s, w in enumerate(weights):
+        M += w * np.kron(np.kron(np.eye(2 ** s), op2), np.eye(2 ** (n - s - 1)))
+    return M
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_full_operators_equal_kronecker_sums(rng, n):
+    rep = full_rep(n)
+    for axis in "xyz":
+        want = _kron_site_sum(PAULI[axis] / 2.0, np.ones(n))
+        assert np.array_equal(collective_op(axis, rep).matrix, want), axis
+    sites = np.arange(1, n + 1, dtype=float)
+    for centered, weights in ((False, sites), (True, sites - sites.mean())):
+        want = _kron_site_sum(PAULI["y"] / 2.0, weights)
+        assert np.array_equal(gradient_op(rep, centered=centered).matrix, want)
+    for site in range(n):
+        op2 = rand_hermitian(rng, 2)
+        want = np.kron(np.kron(np.eye(2 ** site), op2), np.eye(2 ** (n - site - 1)))
+        assert np.array_equal(single_site_op(op2, site, rep).matrix, want), site
+
+
+# ------------------------------------------------- real densities, real arithmetic
+
+def _real_density(rng, dim, rank):
+    G = rng.standard_normal((dim, rank))
+    rho = G @ G.T
+    return (rho / np.trace(rho)).astype(complex)
+
+
+def test_real_eigh_matches_complex_eigh():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(dim=st.integers(2, 64), rank_frac=st.floats(0.0, 1.0),
+                      seed=st.integers(0, 2 ** 32 - 1))
+    def check(dim, rank_frac, seed):
+        rank = max(1, int(round(rank_frac * dim)))
+        rho = _real_density(np.random.default_rng(seed), dim, rank)
+        dec = eigh_hermitian(rho)
+        assert dec.eigenvectors.dtype == np.float64
+        assert np.abs(dec.eigenvalues - np.linalg.eigh(rho)[0]).max() <= 1e-12
+        assert np.abs(dec.reconstruct() - rho).max() <= 1e-12
+
+    check()
+
+
+def _probe_states(n):
+    """Real full-space densities: white-noise GHZ, singlet, noisy squeezed."""
+    rep = full_rep(n)
+    squeezed = to_full(squeezed_ground_state(SqueezingSpec(n, 2.0)))
+    return {"ghz+noise": mix_white_noise(ghz(n, rep), 0.7),
+            "singlet": singlet_pi(n),
+            "squeezed+noise": apply_noise(squeezed, NoiseChannel("depolarizing", p=0.2))}
+
+
+def _z_rotation(n, theta):
+    """U = exp(-i theta J_z) and the matrix R with <J>_{U rho U^dag} = R <J>_rho."""
+    U = unitary_exp(collective_op("z", full_rep(n)).matrix, theta, sign=-1)
+    c, s = np.cos(theta), np.sin(theta)
+    return U, np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+def _z_field(n, theta):
+    """exp(-i theta sum_s (s+1) sigma_z^(s) / 2): unlike exp(-i theta J_z),
+    it also gives the rotation-invariant singlet complex entries."""
+    rep = full_rep(n)
+    G = sum((s + 1) * single_site_op(PAULI["z"] / 2.0, s, rep).matrix for s in range(n))
+    return unitary_exp(G, theta, sign=-1)
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_real_route_matches_rotated_complex_copy(n):
+    rep = full_rep(n)
+    gens = [collective_op(a, rep).matrix for a in "xyz"]
+    gens.append(direction_op(np.array([2.0, -1.0, 2.0]) / 3.0, rep).matrix)
+    gens.append(gradient_op(rep, centered=True).matrix)
+    U = _z_field(n, 0.37)
+    Uc, R = _z_rotation(n, 0.37)
+    for name, state in _probe_states(n).items():
+        assert not state.data.imag.any(), name
+        turned = QuantumState(rep, U @ state.data @ U.conj().T)
+        assert turned.data.imag.any(), name
+        assert _eigensystem(state, state.data).eigenvectors.dtype == np.float64
+        assert _eigensystem(turned, turned.data).eigenvectors.dtype == np.complex128
+        # F[U rho U^dag, U A U^dag] = F[rho, A]: the real state takes the real
+        # route, its rotated copy the complex one
+        turned_gens = [U @ A @ U.conj().T for A in gens]
+        for A, B in zip(gens, turned_gens):
+            assert qfi(state, A).value == pytest.approx(qfi(turned, B).value, abs=1e-10)
+            assert qfi_alternative(state, A) == pytest.approx(qfi_alternative(turned, B),
+                                                              abs=1e-10)
+            assert wigner_yanase(state, A) == pytest.approx(wigner_yanase(turned, B),
+                                                            abs=1e-10)
+            L = U @ sld(state, A) @ U.conj().T
+            assert np.abs(L - sld(turned, B)).max() <= 1e-10
+        F = fisher_matrix(state, gens).matrix
+        assert np.abs(F - fisher_matrix(turned, turned_gens).matrix).max() <= 1e-10
+        # collective moments: the complex dense products, and the collective
+        # z rotation, which turns <J> by R
+        m = moments(state)
+        mean, S = _moments_oracle(state)
+        assert np.abs(m.mean - mean).max() <= 1e-12
+        assert np.abs(m.second - S).max() <= 1e-12
+        mt = moments(QuantumState(rep, Uc @ state.data @ Uc.conj().T))
+        assert np.abs(R @ m.mean - mt.mean).max() <= 1e-10
+        assert np.abs(R @ m.second @ R.T - mt.second).max() <= 1e-10
+
+
+def test_witness_all_solves_a_real_density_in_real_arithmetic(tmp_path, monkeypatch):
+    rep = full_rep(4)
+    real = mix_white_noise(ghz(4, rep), 0.7)
+    U, _ = _z_rotation(4, 0.37)
+    paths = {"real": tmp_path / "real.json", "rotated": tmp_path / "rotated.json"}
+    write_state(real, str(paths["real"]))
+    write_state(QuantumState(rep, U @ real.data @ U.conj().T), str(paths["rotated"]))
+    solved = []
+    eigh = np.linalg.eigh
+
+    def recorded(M, *args, **kwargs):
+        if M.shape == (rep.dim, rep.dim):
+            solved.append(M.dtype)
+        return eigh(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    for kind, dtype in (("real", np.float64), ("rotated", np.complex128)):
+        solved.clear()
+        assert main(["witness", str(paths[kind]), "--all",
+                     "--out", str(tmp_path / f"{kind}_w.json")]) == 0
+        assert solved == [dtype], kind

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qmetro.linalg import eigh_hermitian, psd_sqrt, unitary_exp
+from qmetro.linalg import eigh_hermitian, psd_sqrt, split_matmul, unitary_exp
 from conftest import rand_hermitian
 
 
@@ -74,3 +74,20 @@ def test_unitarity_and_group_property(rng):
     U1 = unitary_exp(A, 0.2)
     U2 = unitary_exp(A, 0.5)
     assert np.abs(U1 @ U2 - unitary_exp(A, 0.7)).max() <= 1e-9
+
+
+def test_split_matmul_matches_complex_product(rng):
+    R = [rng.standard_normal((6, 6)) for _ in range(3)]
+    C = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    cases = [((R[0] + 0j, R[1]), np.float64),
+             ((1j * R[0], R[1]), np.complex128),
+             ((1j * R[0], R[1] + 0j, 1j * R[2]), np.float64),
+             ((1j * R[0], 1j * R[1], 1j * R[2]), np.complex128),
+             ((R[0], C, R[1]), np.complex128)]
+    for mats, dtype in cases:
+        want = mats[0]
+        for M in mats[1:]:
+            want = want @ M
+        got = split_matmul(*mats)
+        assert got.dtype == dtype
+        assert np.abs(got - want).max() <= 1e-12

@@ -189,6 +189,16 @@ def test_cli_witness_all_takes_qfi_per_axis_from_avg(tmp_path, monkeypatch):
     assert (len(eigh_calls), len(moment_calls)) == (0, 1)
 
 
+@pytest.mark.parametrize("command", [["qfi"], ["witness", "--all"]])
+def test_cli_rejects_non_finite_state_file(tmp_path, capsys, command):
+    doc = serialize.state_to_dict(ghz(3, full_rep(3)))
+    doc["data"][0][0] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))
+    assert main([command[0], str(path), *command[1:]]) == 1
+    assert "non-finite" in capsys.readouterr().err
+
+
 def test_cli_witness_dicke_depth(tmp_path):
     out = tmp_path / "dicke.json"
     assert main(["state", "--kind", "dicke", "--n", "4", "--m", "2",

@@ -190,6 +190,18 @@ def test_density_invariants_enforced():
         QuantumState(full_rep(1), unnorm)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_non_finite_payload_rejected(bad):
+    v = np.array([1.0, 0.0], dtype=complex)
+    v[1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        QuantumState(full_rep(1), v)
+    rho = np.diag([0.5, 0.5]).astype(complex)
+    rho[0, 1] = rho[1, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        QuantumState(full_rep(1), rho)
+
+
 def test_maximally_mixed_purity():
     mm = maximally_mixed(full_rep(3))
     assert mm.purity() == pytest.approx(1 / 8, abs=1e-12)

@@ -4,7 +4,7 @@ import pytest
 from qmetro.fisher import qfi
 from qmetro.spin import collective_op, direction_op, full_rep, symmetric_rep
 from qmetro.states import (QuantumState, SqueezingSpec, dicke, ghz,
-                           maximally_mixed, polarized, singlet_pi,
+                           maximally_mixed, mix_white_noise, polarized, singlet_pi,
                            squeezed_ground_state, to_full)
 from qmetro.witnesses import (avg_producibility_bound, avg_qfi,
                               avg_two_particle_dm, chi_squared,
@@ -252,6 +252,28 @@ def test_macroscopicity_families():
         assert macroscopicity(ghz(n)).n_eff == pytest.approx(n, abs=1e-9)
     assert macroscopicity(polarized(6, "z")).n_eff == pytest.approx(1.0, abs=1e-9)
     assert macroscopicity(maximally_mixed(symmetric_rep(4))).n_eff <= 1e-12
+
+
+def test_macroscopicity_direction_sign_is_fixed(monkeypatch):
+    import qmetro.witnesses
+    state = mix_white_noise(ghz(4, full_rep(4)), 0.8)
+    want = macroscopicity(state).direction
+    assert want[int(np.argmax(np.abs(want)))] > 0
+    eigh = np.linalg.eigh
+
+    def flipped(M):
+        w, v = eigh(M)
+        return w, -v
+
+    # eigh's arbitrary eigenvector sign does not reach the report
+    monkeypatch.setattr(np.linalg, "eigh", flipped)
+    assert macroscopicity(state).direction == want
+    # an exact tie in magnitude goes to the first index
+    s = 1.0 / np.sqrt(2.0)
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda M: (np.arange(3.0), np.array([[0, 0, -s], [1, 0, 0], [0, 1, s]])))
+    monkeypatch.setattr(qmetro.witnesses, "_collective_fisher", lambda st: np.eye(3))
+    assert macroscopicity(state).direction == (s, 0.0, -s)
 
 
 def test_macroscopicity_bounded_and_convex(rng):
