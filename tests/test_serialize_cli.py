@@ -1,5 +1,6 @@
 import json
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from qmetro import serialize
 from qmetro.cli import main, parse_int_list, parse_range
 from qmetro.spin import full_rep, symmetric_rep
-from qmetro.states import dicke, ghz, singlet_pi
+from qmetro.states import QuantumState, dicke, ghz, mix_white_noise, singlet_pi
 
 
 # ------------------------------------------------- state files
@@ -44,7 +45,7 @@ def test_density_roundtrip(tmp_path):
     serialize.write_state(st, str(path))
     back = serialize.read_state(str(path))
     assert not back.is_pure
-    assert np.abs(back.data - st.data).max() <= 1e-15
+    assert np.array_equal(back.data.view(np.uint64), st.data.view(np.uint64))
     assert np.trace(back.data).real == pytest.approx(1.0, abs=1e-12)
 
 
@@ -64,6 +65,235 @@ def test_reader_rejects_other_formats(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"format": "something-else"}))
     with pytest.raises(ValueError, match="qmetro-state"):
+        serialize.read_state(str(path))
+
+
+# ------------------------------------------------- codec against the json oracles
+
+def _oracle_bytes(state) -> bytes:
+    """The canonical document built as nested lists and dumped by json."""
+    return serialize.dumps_canonical(serialize.state_to_dict(state)).encode()
+
+
+def _oracle_payload(path) -> np.ndarray:
+    """The payload of any layout, read by json.load with .real/.imag set apart."""
+    with open(path, encoding="utf-8") as fh:
+        pairs = np.array(json.load(fh)["data"], dtype=float)
+    out = np.empty(pairs.shape[:-1], dtype=complex)
+    out.real, out.imag = pairs[..., 0], pairs[..., 1]
+    return out
+
+
+def _bits(arr):
+    return np.ascontiguousarray(arr).view(np.uint64)
+
+
+def _unchecked(rep, data, label="state"):
+    """Stands in for QuantumState: a payload with no physical checks."""
+    return SimpleNamespace(rep=rep, data=data, label=label, is_pure=data.ndim == 1)
+
+
+# repr switches between fixed and exponent notation at 1e16 and 1e-5
+_EDGE_FLOATS = np.array([
+    0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+    1e16, np.nextafter(1e16, 0), np.nextafter(1e16, np.inf), -1e16,
+    1e-5, np.nextafter(1e-5, 0), np.nextafter(1e-5, 1), -1e-5,
+    1.7976931348623157e308, 0.1, 1 / 3])
+
+
+def _random_floats(rng, size):
+    """Finite doubles from random bit patterns, edge values spliced in."""
+    x = rng.integers(0, 2 ** 64, size=size, dtype=np.uint64).view(np.float64)
+    x[~np.isfinite(x)] = -0.0
+    x[:len(_EDGE_FLOATS)] = _EDGE_FLOATS[:size]
+    return rng.permutation(x)
+
+
+def _random_payloads(rng):
+    sym, full = symmetric_rep(20), full_rep(3)
+    vec = lambda rep: _random_floats(rng, 2 * rep.dim).view(complex)
+    return [(sym, vec(sym)), (full, vec(full)),
+            (sym, _random_floats(rng, 2 * 21 * 21).view(complex).reshape(21, 21)),
+            (full, _random_floats(rng, 2 * 64).view(complex).reshape(8, 8))]
+
+
+def test_writer_bytes_match_json_oracle_on_random_bit_patterns(tmp_path, rng):
+    path = tmp_path / "s.json"
+    for rep, data in _random_payloads(rng):
+        state = _unchecked(rep, data, label='a "quoted", [bracketed] Ψ-état')
+        serialize.write_state(state, str(path))
+        assert path.read_bytes() == _oracle_bytes(state)
+
+
+def test_reader_payload_is_bitwise_the_json_oracle(tmp_path, rng, monkeypatch):
+    monkeypatch.setattr(serialize, "QuantumState", _unchecked)
+    path = tmp_path / "s.json"
+    for rep, data in _random_payloads(rng):
+        serialize.write_state(_unchecked(rep, data), str(path))
+        assert serialize._read_canonical(path.read_bytes()) is not None   # fast path
+        back = serialize.read_state(str(path))
+        assert np.array_equal(_bits(back.data), _bits(_oracle_payload(path)))
+        assert np.array_equal(_bits(back.data), _bits(data))
+
+
+def test_codec_roundtrip_hypothesis(tmp_path, monkeypatch):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    monkeypatch.setattr(serialize, "QuantumState", _unchecked)
+    path = tmp_path / "s.json"
+
+    @hypothesis.settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(n=st.integers(1, 3), density=st.booleans(), data=st.data())
+    def check(n, density, data):
+        rep = full_rep(n)
+        shape = (rep.dim, rep.dim) if density else (rep.dim,)
+        size = 2 * int(np.prod(shape))
+        floats = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                    min_size=size, max_size=size))
+        payload = np.array(floats, dtype=float).view(complex).reshape(shape)
+        state = _unchecked(rep, payload)
+        serialize.write_state(state, str(path))
+        assert path.read_bytes() == _oracle_bytes(state)
+        back = serialize.read_state(str(path))
+        assert np.array_equal(_bits(back.data), _bits(payload))
+
+    check()
+
+
+def _probe_states():
+    full = full_rep(4)
+    return [ghz(4), dicke(6, 3), ghz(4, full), singlet_pi(4),
+            mix_white_noise(ghz(4, full), 0.7)]
+
+
+def test_reader_fast_path_on_canonical_files(tmp_path, monkeypatch):
+    path = tmp_path / "s.json"
+    fallback = []
+    monkeypatch.setattr(serialize, "state_from_dict",
+                        lambda doc: fallback.append(doc))
+    for state in _probe_states():
+        serialize.write_state(state, str(path))
+        assert path.read_bytes() == _oracle_bytes(state)
+        back = serialize.read_state(str(path))
+        assert np.array_equal(_bits(back.data), _bits(_oracle_payload(path)))
+        assert (back.rep, back.label, back.is_pure) == (state.rep, state.label, state.is_pure)
+    assert fallback == []
+
+
+@pytest.mark.parametrize("layout", ["indent", "reordered"])
+@pytest.mark.parametrize("label", ['plain', 'say "hi"', "[x, y]", "a,b", "Ψ-état ✓"])
+def test_reader_fallback_agrees_with_fast_path(tmp_path, monkeypatch, layout, label):
+    state = QuantumState(symmetric_rep(4), dicke(4, 1).data, label=label)
+    canonical, other = tmp_path / "c.json", tmp_path / "o.json"
+    serialize.write_state(state, str(canonical))
+    doc = serialize.state_to_dict(state)   # "data" comes last
+    if layout == "indent":
+        other.write_text(json.dumps(doc, indent=2, sort_keys=True))
+    else:
+        other.write_text(json.dumps(doc, separators=(",", ":"), ensure_ascii=False),
+                         encoding="utf-8")
+    fast = serialize.read_state(str(canonical))
+    routes = []
+    original = serialize.state_from_dict
+    monkeypatch.setattr(serialize, "state_from_dict",
+                        lambda doc: routes.append(doc) or original(doc))
+    slow = serialize.read_state(str(other))
+    assert len(routes) == 1
+    assert fast.label == slow.label == label
+    assert np.array_equal(_bits(fast.data), _bits(slow.data))
+    assert np.array_equal(_bits(fast.data), _bits(_oracle_payload(other)))
+
+
+def _signed_zero_states():
+    vec = np.zeros(8, dtype=complex)
+    vec[[0, 7]] = 2 ** -0.5
+    vec[[1, 2, 3]] = [complex(-0.0, 0.0), complex(-0.0, -0.0), complex(0.0, -0.0)]
+    rho = singlet_pi(4).data.copy()
+    rho[0, 1], rho[1, 0] = complex(-0.0, -0.0), complex(-0.0, 0.0)
+    rho[2, 3], rho[3, 2] = complex(-0.0, 0.0), complex(-0.0, -0.0)
+    return [QuantumState(full_rep(3), vec), QuantumState(full_rep(4), rho)]
+
+
+@pytest.mark.parametrize("layout", ["canonical", "indent"])
+def test_signed_zeros_survive_both_reader_routes(tmp_path, layout):
+    path, again = tmp_path / "s.json", tmp_path / "again.json"
+    for state in _signed_zero_states():
+        serialize.write_state(state, str(path))
+        first = path.read_bytes()
+        assert b"[-0.0,0.0]" in first and b"[-0.0,-0.0]" in first
+        if layout == "indent":
+            path.write_text(json.dumps(json.loads(first), indent=2))
+        back = serialize.read_state(str(path))
+        assert np.array_equal(_bits(back.data), _bits(state.data))
+        serialize.write_state(back, str(again))
+        assert again.read_bytes() == first
+
+
+def _canonical_doc(**changes):
+    doc = serialize.state_to_dict(ghz(2, full_rep(2)))
+    doc.update(changes)
+    return {k: v for k, v in doc.items() if v is not None}
+
+
+_PAIRS = serialize.state_to_dict(ghz(2, full_rep(2)))["data"]
+
+
+_CANONICAL = serialize.dumps_canonical(_canonical_doc())
+# canonical layout, malformed numbers: the reader's fast path declines them
+_BAD_NUMBERS = {
+    "empty-slot": _CANONICAL.replace("0.0]", "]", 1),
+    "empty-last-slot": _CANONICAL.replace(",0.0]]", ",]]"),
+    "doubled-point": _CANONICAL.replace("0.0", "0.0.0", 1),
+    "regrouped": serialize.dumps_canonical(
+        _canonical_doc(data=[_PAIRS[0] + _PAIRS[1], _PAIRS[2] + _PAIRS[3]])),
+}
+_MALFORMED = {
+    "triples": serialize.dumps_canonical(_canonical_doc(data=[p + [0.0] for p in _PAIRS])),
+    "singletons": serialize.dumps_canonical(_canonical_doc(data=[p[:1] for p in _PAIRS])),
+    "top-level-array": json.dumps([_PAIRS]),
+    **{f"no-{k}": serialize.dumps_canonical(_canonical_doc(**{k: None}))
+       for k in ("data", "representation", "n_qubits", "kind")},
+    "unknown-kind": serialize.dumps_canonical(_canonical_doc(kind="mixed")),
+    "string-n_qubits": serialize.dumps_canonical(_canonical_doc(n_qubits="2")),
+    "matrix-for-pure": serialize.dumps_canonical(_canonical_doc(data=[_PAIRS] * 4)),
+    "ragged": serialize.dumps_canonical(
+        _canonical_doc(data=[_PAIRS] * 3 + [_PAIRS[:3]], kind="density")),
+    "object-entry": serialize.dumps_canonical(_canonical_doc(data=[{}, *_PAIRS[1:]])),
+    # a number spelled as a JSON string: a valid state if read as a number
+    "string-entry": serialize.dumps_canonical(
+        _canonical_doc(data=[[repr(_PAIRS[0][0]), 0.0], *_PAIRS[1:]])),
+    # an over-cap density header, refused before its payload is read
+    "over-cap": serialize.dumps_canonical(_canonical_doc(n_qubits=11, kind="density")),
+    **_BAD_NUMBERS,
+}
+
+
+@pytest.mark.parametrize("text", _MALFORMED.values(), ids=_MALFORMED.keys())
+def test_malformed_state_files_exit_one(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["qfi", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("qmetro: error:")
+
+
+@pytest.mark.parametrize("text", _BAD_NUMBERS.values(), ids=_BAD_NUMBERS.keys())
+def test_fast_path_declines_malformed_numbers(text):
+    assert serialize._read_canonical(text.encode()) is None
+
+
+def test_repeated_data_key_reads_as_json_does(tmp_path):
+    path = tmp_path / "twice.json"
+    other = serialize.state_to_dict(ghz(2, full_rep(2), axis="z"))["data"]
+    path.write_text(_CANONICAL.replace('"format"', f'"data":{json.dumps(other)},"format"'))
+    back = serialize.read_state(str(path))
+    assert np.array_equal(_bits(back.data), _bits(_oracle_payload(path)))
+    assert np.array_equal(_bits(back.data), _bits(ghz(2, full_rep(2), axis="z").data))
+
+
+def test_over_cap_density_names_the_cap(tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text(_MALFORMED["over-cap"])
+    with pytest.raises(ValueError, match="limited to N <= 10"):
         serialize.read_state(str(path))
 
 
