@@ -15,6 +15,8 @@ numerical roof optimizers for the variance.
 
 Functions accept either package states/operators or bare numpy arrays, so
 the property batteries can run on arbitrary-dimension random instances.
+Pure states take a ``CollectiveOperator`` through ``apply`` only (A|psi>
+with no d x d matrix); densities use its dense ``matrix``.
 A ``QuantumState`` density is eigendecomposed once: its payload is
 read-only, and the spectrum is kept on the state for every later Fisher
 quantity.  Bare arrays are eigendecomposed on every call.
@@ -34,7 +36,7 @@ import numpy as np
 from .config import DEFAULT_TOLS
 from .linalg import (SpectralDecomposition, eigh_hermitian, psd_sqrt, pure_moments,
                      require_hermitian, split_matmul, unitary_apply, unitary_exp)
-from .spin import CollectiveOperator
+from .spin import CollectiveOperator, apply_op, matrix_of
 from .states import QuantumState
 
 QFI_DENSITY_DIM_MAX = 4096
@@ -44,9 +46,10 @@ QFI_DENSITY_DIM_MAX = 4096
 # input adapters
 # ----------------------------------------------------------------------
 
-def _op_matrix(op) -> np.ndarray:
+def _operator(op):
+    """A CollectiveOperator as is; a bare matrix checked Hermitian."""
     if isinstance(op, CollectiveOperator):
-        return op.matrix
+        return op
     return require_hermitian(np.asarray(op, dtype=complex), name="generator")
 
 
@@ -71,13 +74,14 @@ def _check_reps(state, op):
 
 def _mean_and_var(kind, data, A):
     if kind == "vector":
-        Av = A @ data
+        Av = apply_op(A, data)
         m = float(np.real(np.vdot(data, Av)))
         second = float(np.real(np.vdot(Av, Av)))
     else:
-        X = A @ data
+        M = matrix_of(A)
+        X = M @ data
         m = float(np.real(np.trace(X)))
-        second = _second_moment(A, X)
+        second = _second_moment(M, X)
     return m, second - m * m
 
 
@@ -124,39 +128,55 @@ def _pair_ratio(lam: np.ndarray, num: np.ndarray, floor: float):
     return np.divide(num, S, out=np.zeros_like(S), where=keep), keep
 
 
-def _fisher(state, mats, tols) -> tuple[np.ndarray, int]:
-    """Fisher matrix of the generator matrices and the number of dropped pairs."""
+def _fisher(state, ops, tols) -> tuple[np.ndarray, int]:
+    """Fisher matrix of the generators (from ``_operator``) and the number of
+    dropped pairs."""
     kind, data = _state_payload(state)
     if kind == "vector":
         # rank-1 spectrum: F is four times the covariance matrix; the dropped
         # pairs are exactly those inside the (dim-1)-dimensional kernel
-        mean, second = pure_moments(data, mats)
+        mean, second = pure_moments(data, [apply_op(A, data) for A in ops])
         return 4.0 * (second - np.outer(mean, mean)), (data.shape[0] - 1) ** 2
     dec = _eigensystem(state, data)
+    # d x d temporaries are dropped as soon as they are used, so that a
+    # 1024^2 density holds W and the transformed generators only
     D = dec.eigenvalues[:, None] - dec.eigenvalues[None, :]
-    W, keep = _pair_ratio(dec.eigenvalues, D * D, tols.qfi_pair_floor)
-    tilde = [_in_eigenbasis(dec.eigenvectors, A) for A in mats]
-    k = len(mats)
+    D *= D
+    W, keep = _pair_ratio(dec.eigenvalues, D, tols.qfi_pair_floor)
+    skipped = keep.size - int(np.count_nonzero(keep))
+    del D, keep
+    k = len(ops)
+    tilde = []
     F = np.empty((k, k))
-    for m in range(k):
-        F[m, m] = 2.0 * float(np.sum(W * np.abs(tilde[m]) ** 2))
-        for n in range(m + 1, k):
-            val = 2.0 * float(np.real(np.sum(W * tilde[m] * tilde[n].conj())))
-            F[m, n] = F[n, m] = val
-    return F, keep.size - int(np.count_nonzero(keep))
+    for n in range(k):
+        tilde.append(_in_eigenbasis(dec.eigenvectors, matrix_of(ops[n])))
+        t = np.abs(tilde[n])
+        t **= 2
+        t *= W
+        F[n, n] = 2.0 * float(np.sum(t))
+        del t
+        for m in range(n):
+            # (W tilde_m) conj(tilde_n), multiplied into the complex factor
+            p, q = W * tilde[m], tilde[n].conj()
+            if np.iscomplexobj(q) and not np.iscomplexobj(p):
+                p, q = q, p
+            p *= q
+            F[m, n] = F[n, m] = 2.0 * float(np.real(np.sum(p)))
+            del p, q
+    return F, skipped
 
 
 def qfi(state, op, tols=DEFAULT_TOLS) -> QfiResult:
     """Quantum Fisher information of the state for the phase generator op."""
     _check_reps(state, op)
-    F, skipped = _fisher(state, [_op_matrix(op)], tols)
+    F, skipped = _fisher(state, [_operator(op)], tols)
     return QfiResult(float(F[0, 0]), skipped)
 
 
 def qfi_pure(state, op) -> float:
     """4 Var(A) -- valid for pure states only."""
     _check_reps(state, op)
-    A = _op_matrix(op)
+    A = _operator(op)
     kind, data = _state_payload(state)
     if kind != "vector":
         purity = float(np.real(np.vdot(data, data)))
@@ -170,12 +190,13 @@ def qfi_pure(state, op) -> float:
 def qfi_alternative(state, op, tols=DEFAULT_TOLS) -> float:
     """Second-moment form 4<A^2> - 8 sum l_k l_l / (l_k + l_l) |<k|A|l>|^2."""
     _check_reps(state, op)
-    A = _op_matrix(op)
+    A = _operator(op)
     kind, data = _state_payload(state)
     if kind == "vector":
         # rank-1 spectrum: the correction sum keeps only the (psi,psi) term
         m, var = _mean_and_var(kind, data, A)
         return 4.0 * (var + m * m) - 4.0 * m * m
+    A = matrix_of(A)
     dec = _eigensystem(state, data)
     lam = dec.eigenvalues
     At = _in_eigenbasis(dec.eigenvectors, A)
@@ -190,27 +211,28 @@ def sld(state, op, tols=DEFAULT_TOLS) -> np.ndarray:
     Off the support of rho the operator is completed with zeros.
     """
     _check_reps(state, op)
-    A = _op_matrix(op)
+    A = _operator(op)
     kind, data = _state_payload(state)
     if kind == "vector":
         # 2i [|psi><psi|, A] = 2i (|psi><A psi| - |A psi><psi|)
-        Av = A @ data
+        Av = apply_op(A, data)
         return 2j * (np.outer(data, Av.conj()) - np.outer(Av, data.conj()))
     dec = _eigensystem(state, data)
     lam = dec.eigenvalues
     V = dec.eigenvectors
     w, _ = _pair_ratio(lam, lam[:, None] - lam[None, :], tols.qfi_pair_floor)
-    return V @ (2j * w * _in_eigenbasis(V, A)) @ V.conj().T
+    return V @ (2j * w * _in_eigenbasis(V, matrix_of(A))) @ V.conj().T
 
 
 def wigner_yanase(state, op) -> float:
     """Skew information Tr(A^2 rho) - Tr(A sqrt(rho) A sqrt(rho))."""
     _check_reps(state, op)
-    A = _op_matrix(op)
+    A = _operator(op)
     kind, data = _state_payload(state)
     if kind == "vector":
         _, var = _mean_and_var(kind, data, A)
         return var
+    A = matrix_of(A)
     dec = _eigensystem(state, data)
     # eigenvalues under the numerical-rank tolerance dim * eps * max are
     # round-off of zero; their square roots (~1e-8) would not be
@@ -228,7 +250,7 @@ def white_noise_qfi(pure_state, op, p: float) -> float:
     Only the support<->kernel eigenvalue pairs contribute, giving
     F = 4 p^2 Var_psi(A) / (p + 2(1-p)/D).
     """
-    A = _op_matrix(op)
+    A = _operator(op)
     kind, data = _state_payload(pure_state)
     if kind != "vector":
         raise ValueError("white_noise_qfi takes the pure input state")
@@ -291,12 +313,13 @@ def mandelstam_tamm_check(state, op, theta: float, tol: float = 1e-9) -> SpeedBo
         raise ValueError(
             f"speed bound valid only for sqrt(F_Q)|theta| <= pi "
             f"(have {np.sqrt(F) * abs(theta):.4f})")
-    A = _op_matrix(op)
+    A = _operator(op)
     kind, data = _state_payload(state)
     if kind == "vector":
-        evolved = unitary_apply(A, theta, data, sign=-1)
+        S = A.sparse() if isinstance(A, CollectiveOperator) else A
+        evolved = unitary_apply(S, theta, data, sign=-1)
     else:
-        U = unitary_exp(A, theta, sign=-1)
+        U = unitary_exp(matrix_of(A), theta, sign=-1)
         evolved = U @ data @ U.conj().T
     fid = bures_fidelity(data, evolved)
     bound = float(np.cos(np.sqrt(max(F, 0.0)) / 2.0 * theta) ** 2)
@@ -330,7 +353,7 @@ class Povm:
 
     @classmethod
     def from_observable_eigenbasis(cls, M) -> "Povm":
-        dec = eigh_hermitian(_op_matrix(M))
+        dec = eigh_hermitian(matrix_of(_operator(M)))
         return cls.projective(dec.eigenvectors)
 
     def probabilities(self, state) -> np.ndarray:
@@ -420,7 +443,7 @@ def fisher_matrix(state, generators, tols=DEFAULT_TOLS) -> FisherMatrix:
     """Fisher matrix F_mn for a list of commuting-or-not phase generators."""
     if len(generators) == 0:
         raise ValueError("need at least one generator")
-    F, _ = _fisher(state, [_op_matrix(g) for g in generators], tols)
+    F, _ = _fisher(state, [_operator(g) for g in generators], tols)
     return FisherMatrix(tuple(generators), F)
 
 
@@ -458,7 +481,7 @@ class RoofResult:
 
 
 def _roof_optimize(state, op, cardinality, maximize_g, restarts, seed, tols):
-    A = _op_matrix(op)
+    A = matrix_of(_operator(op))
     kind, data = _state_payload(state)
     if kind == "vector":
         data = np.outer(data, data.conj())
@@ -549,7 +572,7 @@ class RoofSandwich:
 
 def roof_sandwich_check(state, op, weights, vectors, tol: float = 1e-8) -> RoofSandwich:
     """Verify F_Q/4 <= sum p_k Var_k <= Var for an explicit decomposition."""
-    A = _op_matrix(op)
+    A = _operator(op)
     kind, data = _state_payload(state)
     rho = np.outer(data, data.conj()) if kind == "vector" else data
     weights = np.asarray(weights, dtype=float)

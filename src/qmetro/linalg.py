@@ -5,6 +5,12 @@ numpy): Hermitian eigendecomposition, PSD square roots, unitaries
 generated by Hermitian matrices, their action on vectors and pure-state
 moments.  All functions are pure; inputs are never mutated.
 
+Operators reach this module as arrays.  Pure-state routines take what a
+structured operator gives without a dense matrix: ``pure_moments`` reads
+the images A_k|psi> (from ``CollectiveOperator.apply``) and
+``unitary_apply`` takes a ``scipy.sparse`` matrix (from ``.sparse()``).
+Densities work on the dense ``CollectiveOperator.matrix``.
+
 Real data takes real arithmetic.  A complex array whose imaginary part is
 exactly zero holds the same matrix as its real part, so ``eigh_hermitian``
 eigendecomposes the real part with real LAPACK (and returns real
@@ -143,25 +149,26 @@ def unitary_exp(A: np.ndarray, theta: float, sign: int = -1, tols: Tolerances = 
     return dec.apply_function(lambda w: np.exp(1j * sign * theta * w))
 
 
-def pure_moments(psi: np.ndarray, ops) -> tuple[np.ndarray, np.ndarray]:
-    """<A_k> and the symmetrised second moments Re<A_k A_l> of a unit vector.
+def pure_moments(psi: np.ndarray, images) -> tuple[np.ndarray, np.ndarray]:
+    """<A_k> and the symmetrised second moments Re<A_k A_l> of a unit vector,
+    from the images A_k psi of Hermitian operators A_k.
 
-    The second moments are the real part of the Gram matrix of the vectors
-    A_k psi, so one matrix-vector product per operator suffices.
+    The second moments are the real part of the Gram matrix of the images,
+    so one operator application per operator suffices.
     """
-    W = np.stack([A @ psi for A in ops])
+    W = np.stack(images)
     mean = np.real(W.conj() @ psi)
     G = np.real(W.conj() @ W.T)
     return mean, (G + G.T) / 2.0
 
 
-def unitary_apply(A: np.ndarray, theta: float, v: np.ndarray, sign: int = -1) -> np.ndarray:
+def unitary_apply(A, theta: float, v: np.ndarray, sign: int = -1) -> np.ndarray:
     """exp(sign * i * theta * A) v for Hermitian A, without forming the unitary.
 
-    The exponential's action is built from matrix-vector products over the
-    stored nonzeros of A (``scipy.sparse.linalg.expm_multiply``), so no
-    eigendecomposition runs; the number of products grows with
-    |theta| * ||A||_1.
+    A is a dense array or a ``scipy.sparse`` matrix.  The exponential's
+    action is built from matrix-vector products over the stored nonzeros of
+    A (``scipy.sparse.linalg.expm_multiply``), so no eigendecomposition
+    runs; the number of products grows with |theta| * ||A||_1.
     """
     if sign not in (-1, +1):
         raise ValueError("sign must be +1 or -1")

@@ -27,9 +27,9 @@ import numpy as np
 
 from .config import DEFAULT_TOLS
 from .fisher import qfi
-from .linalg import require_hermitian
 from .spin import (FULL_DENSITY_MAX, PAULI, CollectiveOperator, Representation,
-                   collective_op, full_rep, gradient_op, parity_op, symmetric_rep)
+                   collective_op, full_rep, gradient_op, parity_op, squared_op,
+                   symmetric_rep)
 from .states import (QuantumState, SqueezingSpec, dicke, ghz, polarized, rotate,
                      singlet_pi, squeezed_ground_state, to_full)
 from .witnesses import MomentSet, moments
@@ -69,15 +69,6 @@ class Scenario:
     @property
     def n(self) -> int:
         return self.probe.n
-
-
-def squared_op(op: CollectiveOperator, label: str = "") -> CollectiveOperator:
-    # the product runs over stored nonzeros: collective operators are
-    # diagonal or banded in the symmetric sector and sparse in the full space
-    import scipy.sparse  # deferred: scenarios alone need it
-    S = scipy.sparse.csr_array(op.matrix)
-    return CollectiveOperator((S @ S).toarray(), op.rep,
-                              provenance=label or f"({op.provenance})^2")
 
 
 def ramsey_scenario(n: int, kind: str = "symmetric", theta0: float = 0.0) -> Scenario:
@@ -146,52 +137,49 @@ class PrecisionResult:
         return 0.0 if self.no_sensitivity or self.value == 0 else 1.0 / self.value
 
 
-def _expect(kind_data, A):
-    kind, data = kind_data
-    if kind == "vector":
-        return float(np.real(np.vdot(data, A @ data)))
-    return float(np.real(np.einsum("ij,ji->", A, data)))
+def _expect(rho, X):
+    """Re Tr(X rho)."""
+    return float(np.real(np.einsum("ij,ji->", X, rho)))
 
 
-def _slope_terms(state: QuantumState, A, M):
+def _slope_terms(state: QuantumState, A: CollectiveOperator, M: CollectiveOperator):
     """<M>, <M^2> and d<M>/dtheta = i<[A, M]> at the working point.
 
     A vector needs only M psi and A psi: the slope is -2 Im<A psi|M psi>.
     """
     if state.is_pure:
         psi = state.data
-        m = M @ psi
+        m = M.apply(psi)
         return (float(np.real(np.vdot(psi, m))), float(np.real(np.vdot(m, m))),
-                -2.0 * float(np.imag(np.vdot(A @ psi, m))))
-    kd = ("density", state.data)
+                -2.0 * float(np.imag(np.vdot(A.apply(psi), m))))
+    rho, A, M = state.data, A.matrix, M.matrix
     comm = A @ M - M @ A
-    return _expect(kd, M), _expect(kd, M @ M), _expect(kd, 1j * comm)
+    return _expect(rho, M), _expect(rho, M @ M), _expect(rho, 1j * comm)
 
 
-def _curvature_terms(state: QuantumState, A, M):
+def _curvature_terms(state: QuantumState, A: CollectiveOperator, M: CollectiveOperator):
     """-<[A,[A,M]]> and -<[A,[A,M^2]]>: the second derivatives of <M> and
     <M^2> at the working point.
 
     For a vector, -<[A,[A,X]]> = 2<A psi|X A psi> - 2 Re<A^2 psi|X psi>,
-    evaluated for X = M and M^2 from matrix-vector products.
+    evaluated for X = M and M^2 from operator applications.
     """
     if state.is_pure:
         psi = state.data
-        a, m = A @ psi, M @ psi
-        a2, ma = A @ a, M @ a
+        a, m = A.apply(psi), M.apply(psi)
+        a2, ma = A.apply(a), M.apply(a)
         return (2.0 * float(np.real(np.vdot(a, ma) - np.vdot(a2, m))),
-                2.0 * float(np.real(np.vdot(ma, ma) - np.vdot(a2, M @ m))))
-    kd = ("density", state.data)
+                2.0 * float(np.real(np.vdot(ma, ma) - np.vdot(a2, M.apply(m)))))
+    rho, A, M = state.data, A.matrix, M.matrix
     comm = A @ M - M @ A
     M2 = M @ M
     comm2 = A @ M2 - M2 @ A
-    return -_expect(kd, A @ comm - comm @ A), -_expect(kd, A @ comm2 - comm2 @ A)
+    return -_expect(rho, A @ comm - comm @ A), -_expect(rho, A @ comm2 - comm2 @ A)
 
 
 def error_propagation(sc: Scenario, deriv_floor: float = 1e-12,
                       fd_step: float = 1e-5) -> PrecisionResult:
-    A = sc.generator.matrix
-    M = sc.observable.matrix
+    A, M = sc.generator, sc.observable
     state = rotate(sc.probe, sc.generator, sc.theta0) if sc.theta0 else sc.probe
     mean, second, d1 = _slope_terms(state, A, M)
     var = second - mean * mean
@@ -247,13 +235,12 @@ def ramsey_curve(probe: QuantumState, generator: CollectiveOperator,
                  observable: CollectiveOperator, thetas) -> dict:
     """<M>(theta) and Var M(theta) sampled on a grid."""
     thetas = np.asarray(thetas, dtype=float)
-    M = observable.matrix
     means = np.empty_like(thetas)
     variances = np.empty_like(thetas)
     for i, th in enumerate(thetas):
         st = rotate(probe, generator, th)
-        means[i] = st.expectation(M)
-        variances[i] = st.variance(M)
+        means[i] = st.expectation(observable)
+        variances[i] = st.variance(observable)
     return {"theta": thetas, "mean": means, "variance": variances}
 
 

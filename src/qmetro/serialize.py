@@ -70,6 +70,9 @@ def state_from_dict(doc: dict) -> QuantumState:
     if pairs.dtype.kind not in "iuf" or pairs.shape != (*shape, 2):
         raise ValueError(f"state payload ({pairs.dtype}, shape {pairs.shape}) is not {shape} "
                          f"[re, im] number pairs for a {doc['kind']} state of {rep}")
+    # NumPy reads true/false among numbers as 1/0: refuse any JSON boolean
+    if any(type(x) is bool for x in np.asarray(doc["data"], dtype=object).flat):
+        raise ValueError("state payload holds a JSON boolean where a number belongs")
     # an interleaved view keeps the sign of every zero
     payload = pairs.astype(float, copy=False).view(np.complex128).reshape(shape)
     return QuantumState(rep, payload, label=label)

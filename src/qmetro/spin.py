@@ -9,9 +9,27 @@ Two representations are supported:
                   j = N/2, basis ordered by ascending J_z eigenvalue
                   m = -N/2 ... +N/2.
 
-Operators are built once per (kind, axis, N) and kept in bounded caches;
-the returned arrays are marked read-only so cached values cannot be
-corrupted.
+Operators are applied, not stored.  A ``CollectiveOperator`` holds the
+structure the physics provides, and ``apply(v)`` acts with it on a vector
+(or on the columns of a d x k matrix) without a d x d array:
+
+* symmetric J_x, J_y, J_z: a real diagonal and one band from the ladder
+  amplitudes, O(N) per vector;
+* full-space site sums (``collective_op``, ``gradient_op``,
+  ``single_site_op``): site weights and a 2x2 operator, applied by bit
+  flips on the (2,)*N tensor in O(N 2^N);
+* parity: an index flip, with a sign for sigma_z and sigma_y;
+* ``direction_op``: sum_l n_l J_l, applied term by term;
+* ``squared_op``: the diagonal of squares for a diagonal operator (J_z^2),
+  else the operator applied twice;
+* custom matrices: ``matrix @ v``.
+
+Pure states only need A|psi> and go through ``apply``.  Densities and
+custom operators read ``matrix``, which is built from the structure on
+first use and kept, read-only, on the operator; the builders agree bit for
+bit with the Kronecker sums they replace.  ``sparse()`` gives the stored
+nonzeros, built in O(nnz), for ``expm_multiply``.  Builders are kept in
+bounded caches.
 """
 
 from __future__ import annotations
@@ -78,34 +96,235 @@ def symmetric_rep(n: int) -> Representation:
     return Representation("symmetric", n)
 
 
-@dataclass(frozen=True)
-class CollectiveOperator:
-    """A Hermitian operator together with its representation and provenance.
-
-    ``provenance`` records how the matrix was built: an axis label, a unit
-    direction 3-vector, the site weights of a gradient generator, or
-    "custom" for user-supplied matrices.
-    """
-
-    matrix: np.ndarray
-    rep: Representation
-    provenance: object = "custom"
-
-    def __post_init__(self):
-        require_hermitian(real_if_exact(self.matrix), name="collective operator")
-        if self.matrix.shape[0] != self.rep.dim:
-            raise ValueError(
-                f"operator dimension {self.matrix.shape[0]} does not match {self.rep}")
-
-
 # ----------------------------------------------------------------------
-# raw matrices
+# structured forms
 # ----------------------------------------------------------------------
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
 
+
+def _cols(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """x shaped to scale the rows of v, a vector or a d x k matrix."""
+    return x.reshape(x.shape + (1,) * (v.ndim - 1))
+
+
+class _Form:
+    """A structured Hermitian operator of dimension ``dim``.
+
+    A subclass gives ``apply(v)`` and its stored entries as ``triplets()``,
+    groups of (rows, cols, values) whose sum, group by group, is the matrix.
+    """
+
+    def diagonal(self):
+        return None
+
+    def dense(self) -> np.ndarray:
+        M = np.zeros((self.dim, self.dim), dtype=complex)
+        for rows, cols, vals in self.triplets():
+            M[rows, cols] += vals
+        return _freeze(M)
+
+    def sparse(self):
+        # deferred import: only vector rotations need it
+        import scipy.sparse
+        rows, cols, vals = (np.concatenate(part) for part in zip(*self.triplets()))
+        S = scipy.sparse.coo_array((vals.astype(complex), (rows, cols)),
+                                   shape=(self.dim, self.dim)).tocsr()
+        S.eliminate_zeros()
+        return S
+
+
+class _Banded(_Form):
+    """Real diagonal ``diag`` and subdiagonal ``lower`` (M[i+1, i]); either
+    may be absent, and the superdiagonal is conj(lower)."""
+
+    def __init__(self, dim: int, diag=None, lower=None):
+        self.dim, self.diag, self.lower = dim, diag, lower
+
+    def diagonal(self):
+        return self.diag if self.lower is None else None
+
+    def apply(self, v):
+        parts = [p for p in (self.diag, self.lower) if p is not None]
+        out = np.zeros(v.shape, dtype=np.result_type(v, *parts))
+        if self.diag is not None:
+            out += _cols(self.diag, v) * v
+        if self.lower is not None:
+            out[1:] += _cols(self.lower, v) * v[:-1]
+            out[:-1] += _cols(np.conj(self.lower), v) * v[1:]
+        return out
+
+    def triplets(self):
+        i = np.arange(self.dim)
+        if self.diag is not None:
+            yield i, i, self.diag
+        if self.lower is not None:
+            yield i[1:], i[:-1], self.lower
+            yield i[:-1], i[1:], np.conj(self.lower)
+
+
+class _SiteSum(_Form):
+    """sum_s w_s op2 at site s (0 = leftmost factor) on N = len(weights) qubits.
+
+    Site s is bit N-1-s of the basis index: op2 at s maps column i to rows
+    i and i ^ 2^(N-1-s).  Each off-diagonal entry comes from one site, so
+    the dense matrix equals the sum of Kronecker products I (x) op2 (x) I
+    bit for bit.
+    """
+
+    def __init__(self, op2: np.ndarray, weights):
+        self.op2, self.weights = op2, np.asarray(weights, dtype=float)
+        self.dim = 2 ** self.weights.size
+
+    def diagonal(self):
+        if self.op2[0, 1] or self.op2[1, 0]:
+            return None
+        d = np.zeros(self.dim, dtype=complex)
+        for _, _, vals in list(self.triplets())[1::2]:
+            d += vals
+        return real_if_exact(d)
+
+    def apply(self, v):
+        out = np.zeros(v.shape, dtype=np.result_type(v, self.op2))
+        for s, w in enumerate(self.weights):
+            if not w:
+                continue
+            # axis 1 is the bit of site s; trailing bits and columns merge
+            x, y = v.reshape(2 ** s, 2, -1), out.reshape(2 ** s, 2, -1)
+            for r in (0, 1):
+                for c in (0, 1):
+                    if self.op2[r, c]:
+                        y[:, r] += (w * self.op2[r, c]) * x[:, c]
+        return out
+
+    def triplets(self):
+        n = self.weights.size
+        cols = np.arange(self.dim)
+        for s, w in enumerate(self.weights):
+            bit = (cols >> (n - 1 - s)) & 1
+            yield cols ^ (1 << (n - 1 - s)), cols, w * self.op2[1 - bit, bit]
+            yield cols, cols, w * self.op2[bit, bit]
+
+
+class _Flip(_Form):
+    """(P v)[i] = phase[i] v[d-1-i] with ``flip``, else phase[i] v[i]."""
+
+    def __init__(self, phase: np.ndarray, flip: bool):
+        self.phase, self.flip, self.dim = phase, flip, phase.size
+
+    def apply(self, v):
+        return _cols(self.phase, v) * (v[::-1] if self.flip else v)
+
+    def triplets(self):
+        i = np.arange(self.dim)
+        yield i, (i[::-1] if self.flip else i), self.phase
+
+
+class _Sum(_Form):
+    """sum_l w_l A_l over (w_l, CollectiveOperator) terms, applied term by term."""
+
+    def __init__(self, terms):
+        self.terms, self.dim = terms, terms[0][1].rep.dim
+
+    def apply(self, v):
+        return sum(w * A.apply(v) for w, A in self.terms if w)
+
+    def dense(self):
+        return _freeze(np.ascontiguousarray(sum(w * A.matrix for w, A in self.terms)))
+
+    def sparse(self):
+        return sum(w * A.sparse() for w, A in self.terms if w)
+
+
+class _Square(_Form):
+    """A^2 of a CollectiveOperator A, applied as A twice."""
+
+    def __init__(self, A):
+        self.A, self.dim = A, A.rep.dim
+
+    def apply(self, v):
+        return self.A.apply(self.A.apply(v))
+
+    def dense(self):
+        return _freeze(self.A.matrix @ self.A.matrix)
+
+    def sparse(self):
+        return self.A.sparse() @ self.A.sparse()
+
+
+class _Dense(_Form):
+    """A custom operator: the matrix it was given."""
+
+    def __init__(self, M: np.ndarray):
+        self.M, self.dim = M, M.shape[0]
+
+    def apply(self, v):
+        return self.M @ v
+
+    def dense(self):
+        return self.M
+
+    def sparse(self):
+        import scipy.sparse  # deferred: only vector rotations need it
+        return scipy.sparse.csr_array(self.M)
+
+
+class CollectiveOperator:
+    """A Hermitian operator together with its representation and provenance.
+
+    ``form`` is one of the structured forms of this module, or a matrix for
+    a custom operator.  ``provenance`` records how it was built: an axis
+    label, a unit direction 3-vector, the site weights of a gradient
+    generator, or "custom" for user-supplied matrices.
+    """
+
+    def __init__(self, form, rep: Representation, provenance: object = "custom"):
+        if not isinstance(form, _Form):
+            M = np.asarray(form)
+            require_hermitian(real_if_exact(M), name="collective operator")
+            form = _Dense(M)
+        if form.dim != rep.dim:
+            raise ValueError(f"operator dimension {form.dim} does not match {rep}")
+        self.form, self.rep, self.provenance = form, rep, provenance
+        self._matrix = None
+
+    def __repr__(self):
+        return f"CollectiveOperator({self.provenance!r}, {self.rep})"
+
+    def apply(self, v) -> np.ndarray:
+        """A v for a vector, A X column by column for a d x k matrix."""
+        v = np.asarray(v)
+        if v.shape[0] != self.rep.dim:
+            raise ValueError(f"operand length {v.shape[0]} does not match {self.rep}")
+        return self.form.apply(v)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense matrix, built from the structure on first use and kept."""
+        if self._matrix is None:
+            self._matrix = self.form.dense()
+        return self._matrix
+
+    def sparse(self):
+        """The stored nonzeros as a ``scipy.sparse`` CSR array."""
+        return self.form.sparse()
+
+
+def apply_op(op, v) -> np.ndarray:
+    """op v: a CollectiveOperator applies itself, a bare matrix multiplies."""
+    return op.apply(v) if isinstance(op, CollectiveOperator) else np.asarray(op) @ v
+
+
+def matrix_of(op) -> np.ndarray:
+    """The dense matrix of a CollectiveOperator, or a bare matrix as is."""
+    return op.matrix if isinstance(op, CollectiveOperator) else np.asarray(op)
+
+
+# ----------------------------------------------------------------------
+# public builders
+# ----------------------------------------------------------------------
 
 def ladder_amplitudes(n: int) -> np.ndarray:
     """<m+1|J_+|m> = sqrt(j(j+1) - m(m+1)) for m = -j .. j-1, j = n/2."""
@@ -114,74 +333,26 @@ def ladder_amplitudes(n: int) -> np.ndarray:
     return np.sqrt(j * (j + 1) - m * (m + 1))
 
 
-def _axis_matrix(kind: str, axis: str, n: int) -> np.ndarray:
-    if kind == "symmetric":
-        if axis == "z":
-            return _freeze(np.diag(np.arange(n + 1) - n / 2.0).astype(complex))
-        # J_+ in the ascending-m Dicke basis: one subdiagonal
-        jp = np.diag(ladder_amplitudes(n), k=-1).astype(complex)
-        if axis == "x":
-            return _freeze((jp + jp.conj().T) / 2.0)
-        return _freeze((jp - jp.conj().T) / 2j)
-    # full representation: a sum of single-site sigma/2 terms
-    return _freeze(_site_sum(PAULI[axis] / 2.0, np.ones(n)))
-
-
-def _site_sum(op2: np.ndarray, weights) -> np.ndarray:
-    """sum_s w_s op2 at site s (0 = leftmost factor) on N = len(weights) qubits.
-
-    Site s is bit N-1-s of the basis index: op2 at s maps column i to rows
-    i and i ^ 2^(N-1-s).  Each off-diagonal entry comes from one site, so
-    this equals the sum of Kronecker products I (x) op2 (x) I bit for bit.
-    """
-    n = len(weights)
-    cols = np.arange(2 ** n)
-    M = np.zeros((2 ** n, 2 ** n), dtype=complex)
-    for s, w in enumerate(weights):
-        bit = (cols >> (n - 1 - s)) & 1
-        M[cols ^ (1 << (n - 1 - s)), cols] += w * op2[1 - bit, bit]
-        M[cols, cols] += w * op2[bit, bit]
-    return M
-
-
-def _gradient_weights(n: int, centered: bool) -> np.ndarray:
-    weights = np.arange(1, n + 1, dtype=float)
-    return weights - weights.mean() if centered else weights
-
-
-@lru_cache(maxsize=SMALL_CACHE_SIZE)
-def _gradient_matrix(n: int, centered: bool) -> np.ndarray:
-    return _freeze(_site_sum(PAULI["y"] / 2.0, _gradient_weights(n, centered)))
-
-
-@lru_cache(maxsize=SMALL_CACHE_SIZE)
-def _parity_matrix(kind: str, axis: str, n: int) -> np.ndarray:
-    """sigma_axis^{tensor N}: the collective parity operator."""
-    if kind == "symmetric":
-        if axis != "x":
-            raise ValueError("symmetric-sector parity implemented for the x axis only")
-        # sigma_x^N flips every spin, mapping |m> -> |-m> with unit amplitude
-        return _freeze(np.fliplr(np.eye(n + 1)).astype(complex))
-    P = PAULI[axis].copy()
-    for _ in range(n - 1):
-        P = np.kron(P, PAULI[axis])
-    return _freeze(P.astype(complex))
-
-
-# ----------------------------------------------------------------------
-# public builders
-# ----------------------------------------------------------------------
-
 @lru_cache(maxsize=OPERATOR_CACHE_SIZE)
 def collective_op(axis: str, rep: Representation) -> CollectiveOperator:
     """The collective component J_axis = sum_n j_axis^{(n)}.
 
-    Cached, so the matrix is built and its Hermiticity checked once per
+    Cached, so a matrix built for a density is built once per
     (axis, representation).
     """
     if axis not in AXES:
         raise ValueError(f"axis must be one of {AXES}, got {axis!r}")
-    return CollectiveOperator(_axis_matrix(rep.kind, axis, rep.n), rep, provenance=axis)
+    n = rep.n
+    if rep.kind == "full":
+        form = _SiteSum(PAULI[axis] / 2.0, np.ones(n))
+    elif axis == "z":
+        form = _Banded(n + 1, diag=np.arange(n + 1) - n / 2.0)
+    elif axis == "x":
+        # (J_+ + J_-)/2; J_+ is the subdiagonal in the ascending-m basis
+        form = _Banded(n + 1, lower=ladder_amplitudes(n) / 2.0)
+    else:
+        form = _Banded(n + 1, lower=ladder_amplitudes(n).astype(complex) / 2j)
+    return CollectiveOperator(form, rep, provenance=axis)
 
 
 def direction_op(n_vec, rep: Representation) -> CollectiveOperator:
@@ -191,10 +362,16 @@ def direction_op(n_vec, rep: Representation) -> CollectiveOperator:
         raise ValueError("direction must be a 3-vector")
     if abs(np.linalg.norm(n_vec) - 1.0) > DEFAULT_TOLS.direction_norm:
         raise ValueError(f"direction vector must have unit norm, got |n|={np.linalg.norm(n_vec):.12f}")
-    M = sum(n_vec[i] * collective_op(AXES[i], rep).matrix for i in range(3))
-    return CollectiveOperator(np.ascontiguousarray(M), rep, provenance=tuple(n_vec))
+    terms = tuple((n_vec[i], collective_op(AXES[i], rep)) for i in range(3))
+    return CollectiveOperator(_Sum(terms), rep, provenance=tuple(n_vec))
 
 
+def _gradient_weights(n: int, centered: bool) -> np.ndarray:
+    weights = np.arange(1, n + 1, dtype=float)
+    return weights - weights.mean() if centered else weights
+
+
+@lru_cache(maxsize=SMALL_CACHE_SIZE)
 def gradient_op(rep: Representation, centered: bool = False) -> CollectiveOperator:
     """Site-weighted generator sum_n n * j_y^{(n)} of a linear field gradient.
 
@@ -207,14 +384,34 @@ def gradient_op(rep: Representation, centered: bool = False) -> CollectiveOperat
         raise ValueError(
             "the gradient generator is not permutation invariant and needs the full "
             "representation; the symmetric sector cannot hold it")
-    return CollectiveOperator(_gradient_matrix(rep.n, centered), rep,
-                              provenance=tuple(_gradient_weights(rep.n, centered)))
+    weights = _gradient_weights(rep.n, centered)
+    return CollectiveOperator(_SiteSum(PAULI["y"] / 2.0, weights), rep,
+                              provenance=tuple(weights))
 
 
+@lru_cache(maxsize=SMALL_CACHE_SIZE)
 def parity_op(axis: str, rep: Representation) -> CollectiveOperator:
-    """The product operator sigma_axis^{tensor N} (parity in the axis basis)."""
-    return CollectiveOperator(_parity_matrix(rep.kind, axis, rep.n), rep,
-                              provenance=f"parity_{axis}")
+    """The product operator sigma_axis^{tensor N} (parity in the axis basis).
+
+    sigma_x^N flips every spin: it reverses the basis index, in the full
+    space (i -> 2^N-1-i) as in the symmetric sector (|m> -> |-m>).
+    sigma_z^N is the sign (-1)^k with k spins down, and sigma_y^N flips with
+    the phase i^N (-1)^(N-k) of the output index.
+    """
+    if axis not in AXES:
+        raise ValueError(f"axis must be one of {AXES}, got {axis!r}")
+    n = rep.n
+    if rep.kind == "symmetric" and axis != "x":
+        raise ValueError("symmetric-sector parity implemented for the x axis only")
+    if axis == "x":
+        form = _Flip(np.ones(rep.dim), flip=True)
+    else:
+        down = ((np.arange(rep.dim)[:, None] >> np.arange(n)) & 1).sum(axis=1)
+        if axis == "z":
+            form = _Flip(1.0 - 2.0 * (down % 2), flip=False)
+        else:
+            form = _Flip((1, 1j, -1, -1j)[n % 4] * (1.0 - 2.0 * ((n - down) % 2)), flip=True)
+    return CollectiveOperator(form, rep, provenance=f"parity_{axis}")
 
 
 def single_site_op(op2: np.ndarray, site: int, rep: Representation) -> CollectiveOperator:
@@ -223,9 +420,20 @@ def single_site_op(op2: np.ndarray, site: int, rep: Representation) -> Collectiv
         raise ValueError("single-site operators need the full representation")
     if not (0 <= site < rep.n):
         raise ValueError(f"site {site} out of range for N={rep.n}")
+    op2 = np.asarray(op2, dtype=complex)
+    if op2.shape != (2, 2):
+        raise ValueError(f"single-site operator must be 2x2, got shape {op2.shape}")
+    require_hermitian(op2, name="collective operator")
     # unit weight at `site`, zero elsewhere
-    return CollectiveOperator(_site_sum(np.asarray(op2, dtype=complex), np.eye(rep.n)[site]),
-                              rep, provenance=f"site_{site}")
+    return CollectiveOperator(_SiteSum(op2, np.eye(rep.n)[site]), rep,
+                              provenance=f"site_{site}")
+
+
+def squared_op(op: CollectiveOperator, label: str = "") -> CollectiveOperator:
+    """op^2.  A diagonal operator (J_z) gives the diagonal of squares."""
+    d = op.form.diagonal()
+    form = _Banded(op.rep.dim, diag=d * d) if d is not None else _Square(op)
+    return CollectiveOperator(form, op.rep, provenance=label or f"({op.provenance})^2")
 
 
 @lru_cache(maxsize=FULL_VECTOR_MAX)

@@ -6,6 +6,11 @@ mixed states as density matrices; ``QuantumState.density()`` promotes on
 demand.  A state's payload is a read-only view, so quantities derived
 from it (spectrum, collective moments, collective Fisher matrix) are
 computed once and kept on the state.
+
+A pure state meets a ``CollectiveOperator`` only through ``apply``:
+expectations, variances and vector rotations (``expm_multiply`` on the
+operator's sparse nonzeros) never build a d x d operator.  Densities and
+bare arrays use the dense ``matrix``.
 """
 
 from __future__ import annotations
@@ -19,8 +24,9 @@ import numpy as np
 
 from .config import DEFAULT_TOLS
 from .linalg import hermiticity_defect, real_if_exact, unitary_apply, unitary_exp
-from .spin import (FULL_DENSITY_MAX, CollectiveOperator, Representation,
-                   dicke_embedding, full_rep, ladder_amplitudes, symmetric_rep)
+from .spin import (FULL_DENSITY_MAX, CollectiveOperator, Representation, apply_op,
+                   dicke_embedding, full_rep, ladder_amplitudes, matrix_of,
+                   symmetric_rep)
 
 
 @dataclass(frozen=True)
@@ -92,17 +98,16 @@ class QuantumState:
         return float(np.real(np.vdot(self.data, self.data)))
 
     def expectation(self, op) -> float:
-        A = op.matrix if isinstance(op, CollectiveOperator) else np.asarray(op)
         if self.is_pure:
-            return float(np.real(np.vdot(self.data, A @ self.data)))
-        return float(np.real(np.einsum("ij,ji->", A, self.data)))
+            return float(np.real(np.vdot(self.data, apply_op(op, self.data))))
+        return float(np.real(np.einsum("ij,ji->", matrix_of(op), self.data)))
 
     def variance(self, op) -> float:
-        A = op.matrix if isinstance(op, CollectiveOperator) else np.asarray(op)
         if self.is_pure:
-            Av = A @ self.data
+            Av = apply_op(op, self.data)
             m = np.real(np.vdot(self.data, Av))
             return float(np.real(np.vdot(Av, Av)) - m ** 2)
+        A = matrix_of(op)
         X = A @ self.data
         m = float(np.real(np.trace(X)))
         return float(np.real(np.einsum("ij,ji->", A, X))) - m ** 2
@@ -127,12 +132,13 @@ def _check_same_rep(state: QuantumState, op: CollectiveOperator):
 def rotate(state: QuantumState, generator: CollectiveOperator, theta: float) -> QuantumState:
     """Unitary evolution exp(-i theta A) applied to the state.
 
-    Pure states apply the exponential's action to the vector, with no
-    eigendecomposition; densities are conjugated by the full propagator.
+    Pure states apply the exponential's action to the vector over the
+    generator's sparse nonzeros, with no eigendecomposition and no dense
+    generator; densities are conjugated by the full propagator.
     """
     _check_same_rep(state, generator)
     if state.is_pure:
-        v = unitary_apply(generator.matrix, theta, state.data, sign=-1)
+        v = unitary_apply(generator.sparse(), theta, state.data, sign=-1)
         return QuantumState(state.rep, v, label=state.label)
     U = unitary_exp(generator.matrix, theta, sign=-1)
     return QuantumState(state.rep, U @ state.data @ U.conj().T, label=state.label)

@@ -71,19 +71,25 @@ def moments(state: QuantumState) -> MomentSet:
 
 
 def _evaluate_moments(state: QuantumState) -> MomentSet:
-    ops = [collective_op(a, state.rep).matrix for a in AXES]
+    ops = [collective_op(a, state.rep) for a in AXES]
     if state.is_pure:
-        return MomentSet(state.n, *pure_moments(state.data, ops))
+        psi = state.data
+        return MomentSet(state.n, *pure_moments(psi, [J.apply(psi) for J in ops]))
     rho = state.data
-    mean = np.array([state.expectation(J) for J in ops])
-    # real densities take real products (J_y rho is purely imaginary)
-    X = [split_matmul(J, rho) for J in ops]
-    # Tr(J_k J_l rho) = sum_ij conj(J_k)_ji (J_l rho)_ji, J_k Hermitian
-    G = np.array([[np.vdot(J, x) for x in X] for J in ops])
-    # the diagonal keeps the form Tr((J_k J_k) rho): at an exact tie
-    # between axes (white-noise GHZ, singlets) the axis that optimal_ssi
-    # reports follows this sum's round-off
-    G[np.diag_indices(3)] = [np.trace(split_matmul(J, J, rho)) for J in ops]
+    mats = [J.matrix for J in ops]
+    mean = np.array([state.expectation(J) for J in mats])
+    G = np.empty((3, 3), dtype=complex)
+    for l, J in enumerate(mats):
+        # real densities take real products (J_y rho is purely imaginary);
+        # one d x d product is held at a time
+        x = split_matmul(J, rho)
+        # Tr(J_k J_l rho) = sum_ij conj(J_k)_ji (J_l rho)_ji, J_k Hermitian
+        G[:, l] = [np.vdot(Jk, x) for Jk in mats]
+        del x
+        # the diagonal keeps the form Tr((J_l J_l) rho): at an exact tie
+        # between axes (white-noise GHZ, singlets) the axis that optimal_ssi
+        # reports follows this sum's round-off
+        G[l, l] = np.trace(split_matmul(J, J, rho))
     return MomentSet(state.n, mean, np.real(G + G.conj().T) / 2.0)
 
 

@@ -1,0 +1,265 @@
+"""Applied operators checked against the dense builders they replaced.
+
+A ``CollectiveOperator`` acts on vectors through ``apply`` and builds its
+dense ``matrix`` only on request, for densities.  The former dense
+builders are kept here as oracles: the lazy matrix must equal them bit
+for bit, and ``apply`` must equal the dense product to 1e-12 relative to
+the scale ||A||_inf ||v||_inf of the product.
+"""
+
+import numpy as np
+import pytest
+
+from qmetro import spin
+from qmetro.cli import main
+from qmetro.serialize import write_state
+from qmetro.spin import (AXES, PAULI, CollectiveOperator, Representation, collective_op,
+                         dicke_embedding, direction_op, full_rep, gradient_op,
+                         ladder_amplitudes, parity_op, single_site_op, squared_op,
+                         symmetric_rep)
+from qmetro.states import SqueezingSpec, squeezed_ground_state
+from conftest import rand_hermitian
+
+
+# ------------------------------------------------- oracles: former builders
+
+def _site_sum_oracle(op2, weights):
+    """sum_s w_s op2 at site s, filled by bit flips into a dense matrix (equal
+    in value to the Kronecker sums of test_dense_oracles)."""
+    n = len(weights)
+    cols = np.arange(2 ** n)
+    M = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    for s, w in enumerate(weights):
+        bit = (cols >> (n - 1 - s)) & 1
+        M[cols ^ (1 << (n - 1 - s)), cols] += w * op2[1 - bit, bit]
+        M[cols, cols] += w * op2[bit, bit]
+    return M
+
+
+def _axis_oracle(rep, axis):
+    """The dense J_axis: ladder matrices in the symmetric sector, site sums
+    in the full space."""
+    n = rep.n
+    if rep.kind == "full":
+        return _site_sum_oracle(PAULI[axis] / 2.0, np.ones(n))
+    if axis == "z":
+        return np.diag(np.arange(n + 1) - n / 2.0).astype(complex)
+    jp = np.diag(ladder_amplitudes(n), k=-1).astype(complex)
+    return (jp + jp.conj().T) / 2.0 if axis == "x" else (jp - jp.conj().T) / 2j
+
+
+def _direction_oracle(rep, n_vec):
+    return np.ascontiguousarray(sum(n_vec[i] * _axis_oracle(rep, a)
+                                    for i, a in enumerate(AXES)))
+
+
+def _parity_oracle(rep, axis):
+    if rep.kind == "symmetric":
+        return np.fliplr(np.eye(rep.n + 1)).astype(complex)
+    P = PAULI[axis].copy()
+    for _ in range(rep.n - 1):
+        P = np.kron(P, PAULI[axis])
+    return P.astype(complex)
+
+
+def _squared_oracle(A):
+    """The former squared_op: a product over stored nonzeros."""
+    import scipy.sparse
+    S = scipy.sparse.csr_array(A)
+    return (S @ S).toarray()
+
+
+def _site_oracle(rep, op2, site):
+    return _site_sum_oracle(op2, np.eye(rep.n)[site])
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+# ------------------------------------------------- lazy matrix, bit for bit
+
+_REPS = [symmetric_rep(n) for n in (1, 2, 3, 6, 7, 40)] + [full_rep(n) for n in range(1, 7)]
+_DIRECTIONS = [np.array([0.6, 0.0, 0.8]), np.array([-1.0, 2.0, -2.0]) / 3.0,
+               np.array([0.0, 0.0, 1.0])]
+
+
+@pytest.mark.parametrize("rep", _REPS, ids=repr)
+def test_lazy_matrix_equals_former_builders_bitwise(rng, rep):
+    for axis in AXES:
+        J = collective_op(axis, rep)
+        assert np.array_equal(_bits(J.matrix), _bits(_axis_oracle(rep, axis))), axis
+    for n_vec in _DIRECTIONS:
+        got = direction_op(n_vec, rep).matrix
+        assert np.array_equal(_bits(got), _bits(_direction_oracle(rep, n_vec))), n_vec
+    Jz2 = squared_op(collective_op("z", rep)).matrix
+    assert np.array_equal(_bits(Jz2), _bits(_squared_oracle(_axis_oracle(rep, "z"))))
+    # the Kronecker products left negative zeros in the sigma_y and sigma_z
+    # parities; the index flip writes +0, so these compare by value
+    for axis in (AXES if rep.kind == "full" else "x"):
+        assert np.array_equal(parity_op(axis, rep).matrix, _parity_oracle(rep, axis)), axis
+    if rep.kind != "full":
+        return
+    sites = np.arange(1, rep.n + 1, dtype=float)
+    for centered, weights in ((False, sites), (True, sites - sites.mean())):
+        got = gradient_op(rep, centered=centered).matrix
+        assert np.array_equal(_bits(got), _bits(_site_sum_oracle(PAULI["y"] / 2.0, weights)))
+    for site in range(rep.n):
+        op2 = rand_hermitian(rng, 2)
+        got = single_site_op(op2, site, rep).matrix
+        assert np.array_equal(_bits(got), _bits(_site_oracle(rep, op2, site))), site
+
+
+def test_lazy_matrix_is_built_once_and_read_only():
+    J = collective_op("y", symmetric_rep(9))
+    assert J.matrix is J.matrix
+    assert not J.matrix.flags.writeable
+    custom = np.diag([1.0, -1.0]).astype(complex)
+    op = CollectiveOperator(custom, full_rep(1))
+    assert op.matrix is custom and custom.flags.writeable
+
+
+def test_non_diagonal_square_matches_sparse_product():
+    for rep in (symmetric_rep(30), full_rep(5)):
+        for axis in "xy":
+            got = squared_op(collective_op(axis, rep)).matrix
+            want = _squared_oracle(_axis_oracle(rep, axis))
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (rep, axis)
+
+
+def test_custom_and_site_operators_are_validated():
+    with pytest.raises(ValueError, match="not Hermitian"):
+        CollectiveOperator(np.array([[0, 1], [0, 0]], dtype=complex), full_rep(1))
+    with pytest.raises(ValueError, match="does not match"):
+        CollectiveOperator(np.eye(3), full_rep(1))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        single_site_op(np.array([[0, 1], [0, 0]]), 0, full_rep(3))
+    with pytest.raises(ValueError, match="does not match"):
+        collective_op("x", full_rep(3)).apply(np.ones(7))
+
+
+# ------------------------------------------------- apply vs dense product
+
+def _assert_product(got, M, v, what):
+    scale = np.abs(M).sum(axis=1).max() * max(np.abs(v).max(), 1e-300)
+    err = np.abs(got - M @ v).max()
+    assert err <= 1e-12 * scale, f"{what}: error {err:.3e} at scale {scale:.3e}"
+
+
+def _unit(raw):
+    raw = np.asarray(raw, dtype=float)
+    norm = np.linalg.norm(raw)
+    return raw / norm if norm > 1e-3 else np.array([0.0, 0.0, 1.0])
+
+
+def _operator_and_oracle(kind, rep, draw, st):
+    """One operator of the requested kind and its dense oracle."""
+    if kind == "axis":
+        axis = draw(st.sampled_from(AXES))
+        return collective_op(axis, rep), _axis_oracle(rep, axis)
+    if kind == "direction":
+        n_vec = _unit(draw(st.lists(st.floats(-1, 1), min_size=3, max_size=3)))
+        return direction_op(n_vec, rep), _direction_oracle(rep, n_vec)
+    if kind == "squared":
+        axis = draw(st.sampled_from(AXES))
+        return squared_op(collective_op(axis, rep)), _squared_oracle(_axis_oracle(rep, axis))
+    if kind == "parity":
+        axis = draw(st.sampled_from(AXES if rep.kind == "full" else ("x",)))
+        return parity_op(axis, rep), _parity_oracle(rep, axis)
+    if kind == "gradient":
+        centered = draw(st.booleans())
+        sites = np.arange(1, rep.n + 1, dtype=float)
+        weights = sites - sites.mean() if centered else sites
+        return gradient_op(rep, centered), _site_sum_oracle(PAULI["y"] / 2.0, weights)
+    site = draw(st.integers(0, rep.n - 1))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    op2 = rand_hermitian(np.random.default_rng(seed), 2)
+    return single_site_op(op2, site, rep), _site_oracle(rep, op2, site)
+
+
+def test_apply_matches_dense_product():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(data=st.data())
+    def check(data):
+        draw = data.draw
+        full = draw(st.booleans())
+        rep = full_rep(draw(st.integers(1, 7))) if full else symmetric_rep(draw(st.integers(1, 60)))
+        kinds = ["axis", "direction", "squared", "parity"]
+        kinds += ["gradient", "site"] if full else []
+        kind = draw(st.sampled_from(kinds))
+        op, M = _operator_and_oracle(kind, rep, draw, st)
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        cols = draw(st.integers(0, 3))
+        shape = (rep.dim,) if cols == 0 else (rep.dim, cols)
+        v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        if draw(st.booleans()):
+            v = v.real.copy()
+        _assert_product(op.apply(v), M, v, f"{kind} {rep}")
+
+    check()
+
+
+def test_symmetric_and_full_agree_through_dicke_embedding():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(n=st.integers(1, 12), kind=st.sampled_from(
+        ["x", "y", "z", "direction", "parity", "squared"]),
+        raw=st.lists(st.floats(-1, 1), min_size=3, max_size=3))
+    def check(n, kind, raw):
+        build = {
+            "direction": lambda rep: direction_op(_unit(raw), rep),
+            "parity": lambda rep: parity_op("x", rep),
+            "squared": lambda rep: squared_op(collective_op("z", rep)),
+        }.get(kind, lambda rep: collective_op(kind, rep))
+        sym, full = build(symmetric_rep(n)), build(full_rep(n))
+        B = dicke_embedding(n)
+        # the full operator maps the embedded sector onto itself, as the
+        # symmetric operator maps the sector: J_full B = B J_sym
+        want = B @ sym.apply(np.eye(n + 1))
+        got = full.apply(B)
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+    check()
+
+
+@pytest.mark.parametrize("rep", [symmetric_rep(12), full_rep(5)], ids=repr)
+def test_sparse_form_equals_matrix(rep):
+    ops = [collective_op(a, rep) for a in AXES]
+    ops += [direction_op(_DIRECTIONS[1], rep), parity_op("x", rep),
+            squared_op(collective_op("z", rep)), squared_op(collective_op("x", rep))]
+    for op in ops:
+        S = op.sparse()
+        assert np.abs(S.toarray() - op.matrix).max() <= 1e-13, op
+        assert np.count_nonzero(S.data) == S.nnz, op
+
+
+# ------------------------------------------------- no dense operator at N = 1000
+
+def test_symmetric_1000_commands_build_no_dense_operator(tmp_path, monkeypatch):
+    """witness --all, the Dicke scenario and the frontier rows at symmetric
+    N = 1000 read no structured operator's dense matrix."""
+    read = []
+    lazy = CollectiveOperator.matrix
+
+    def recorded(op):
+        if not isinstance(op.form, spin._Dense):
+            read.append(op)
+        return lazy.fget(op)
+
+    monkeypatch.setattr(CollectiveOperator, "matrix", property(recorded))
+    state = tmp_path / "sq.json"
+    write_state(squeezed_ground_state(SqueezingSpec(1000, 100.0)), str(state))
+    assert main(["witness", str(state), "--all", "--out", str(tmp_path / "w.json")]) == 0
+    assert main(["scenario", "--family", "dicke", "--n", "1000", "--theta0", "0.01",
+                 "--out", str(tmp_path / "d.json")]) == 0
+    assert main(["sweep", "--kind", "frontier", "--n", "1000", "--points", "4",
+                 "--out", str(tmp_path / "f.csv")]) == 0
+    assert read == []
+    # the recorder sees a dense read when one happens
+    collective_op("z", Representation("symmetric", 4)).matrix
+    assert len(read) == 1

@@ -262,6 +262,12 @@ _MALFORMED = {
     # a number spelled as a JSON string: a valid state if read as a number
     "string-entry": serialize.dumps_canonical(
         _canonical_doc(data=[[repr(_PAIRS[0][0]), 0.0], *_PAIRS[1:]])),
+    # JSON booleans: NumPy reads true/false among numbers as 1/0, which made
+    # this file the state |00>
+    "bool-mixed": '{"data":[[true,false],[0,0],[0,0],[0,0]],"format":"qmetro-state/1",'
+                  '"kind":"pure","label":"bool","n_qubits":2,"representation":"full"}',
+    "bool-only": serialize.dumps_canonical(
+        _canonical_doc(data=[[True, False], [False, False], [False, False], [False, False]])),
     # an over-cap density header, refused before its payload is read
     "over-cap": serialize.dumps_canonical(_canonical_doc(n_qubits=11, kind="density")),
     **_BAD_NUMBERS,
@@ -288,6 +294,12 @@ def test_repeated_data_key_reads_as_json_does(tmp_path):
     back = serialize.read_state(str(path))
     assert np.array_equal(_bits(back.data), _bits(_oracle_payload(path)))
     assert np.array_equal(_bits(back.data), _bits(ghz(2, full_rep(2), axis="z").data))
+
+
+@pytest.mark.parametrize("key", ["bool-mixed", "bool-only"])
+def test_json_booleans_are_not_numbers(key):
+    with pytest.raises(ValueError, match="boolean|not"):
+        serialize.state_from_dict(json.loads(_MALFORMED[key]))
 
 
 def test_over_cap_density_names_the_cap(tmp_path):
