@@ -25,7 +25,7 @@ from .witnesses import (AvgQfiReport, DepthCertificate, MomentSet, WitnessReport
                         producibility_bound, qfi_entanglement, xi_squared_os,
                         xi_squared_s, xi_squared_singlet)
 from .metrology import (NoiseChannel, PrecisionResult, Scenario, SweepRecord,
-                        apply_noise, crb_consistency, dicke_scenario,
+                        apply_noise, crb_consistency, depolarized_qfi, dicke_scenario,
                         error_propagation, frontier_on_polarization_grid,
                         ghz_parity_scenario, gradient_scenario,
                         noisy_moments, noisy_scaling_sweep, ramsey_curve,

@@ -10,11 +10,13 @@ for the parity- and Dicke-style schemes whose signal starts quadratically.
 Noise enters through per-qubit channels (depolarizing or a Pauli damping
 semigroup).  ``apply_noise`` applies one to a full-space density;
 ``noisy_moments`` maps collective moments through it exactly, since a
-Pauli channel only shrinks each qubit's Bloch vector.
-``noisy_scaling_sweep`` traces how the best squeezed-probe precision
-degrades with particle number and fits the scaling exponent: its
-precision comes from that moment transfer, and a density is built only
-for the QFI column.
+Pauli channel only shrinks each qubit's Bloch vector.  A depolarized
+symmetric probe is permutation invariant, rho = sum_J A_J (x) 1/d_J, and
+``depolarized_qfi`` builds its J blocks directly (N <= NOISY_QFI_MAX),
+with ``apply_noise`` kept as the oracle.  ``noisy_scaling_sweep`` traces
+how the best squeezed-probe precision degrades with particle number and
+fits the scaling exponent: its precision comes from the moment transfer
+and its QFI column from the J blocks, so no 2^N density is built.
 """
 
 from __future__ import annotations
@@ -22,17 +24,24 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from math import comb
 
 import numpy as np
 
 from .config import DEFAULT_TOLS
 from .fisher import qfi
+from .linalg import real_if_exact
 from .spin import (FULL_DENSITY_MAX, PAULI, CollectiveOperator, Representation,
                    collective_op, full_rep, gradient_op, parity_op, squared_op,
                    symmetric_rep)
 from .states import (QuantumState, SqueezingSpec, dicke, ghz, polarized, rotate,
-                     singlet_pi, squeezed_ground_state, to_full)
+                     singlet_pi, squeezed_ground_state)
 from .witnesses import MomentSet, moments
+
+# Largest N for the QFI of a depolarized symmetric probe.  The reduced
+# probes and the J blocks hold about N^3/3 numbers and the recursion costs
+# about N^4/24 multiply-adds: 75 MB and 3 s at N = 256.
+NOISY_QFI_MAX = 256
 
 
 def worker_count() -> int:
@@ -435,6 +444,112 @@ def noisy_moments(m: MomentSet, channel: NoiseChannel) -> MomentSet:
 
 
 # ----------------------------------------------------------------------
+# depolarized symmetric probes as permutation-invariant J blocks
+# ----------------------------------------------------------------------
+
+# A block below this trace adds at most 1e-154 N^2 to F_Q; dividing it by
+# its trace would rescale entries that underflowed to subnormals.
+_BLOCK_TRACE_FLOOR = float(np.sqrt(np.finfo(float).tiny))
+
+
+def _split(A: np.ndarray, up: np.ndarray, down: np.ndarray) -> np.ndarray:
+    """up up^T o A[1:, 1:] + down down^T o A[:-1, :-1]: a block one size
+    smaller, from two square-root-weighted copies of A shifted by one m.
+
+    Tracing one qubit out of spin j and coupling spin j to a maximally
+    mixed spin 1/2 are both this two-term split of the Clebsch-Gordan
+    expansion |j, m> = a_m |j-1/2, m-1/2>|up> + b_m |j-1/2, m+1/2>|down>.
+    """
+    out = A[1:, 1:] * up[:, None]
+    out *= up
+    low = A[:-1, :-1] * down[:, None]
+    low *= down
+    out += low
+    return out
+
+
+def _partial_trace(A: np.ndarray) -> np.ndarray:
+    """Spin-j block (size d) of a symmetric state -> its reduction to one
+    qubit fewer (size d - 1); the trace is kept."""
+    d = A.shape[0]
+    k = np.arange(d - 1)
+    return _split(A, np.sqrt((k + 1) / (d - 1)), np.sqrt((d - 1 - k) / (d - 1)))
+
+
+def _couple_mixed_qubit(A: np.ndarray):
+    """Spin-j block (size d) tensored with 1/2 on one more qubit and
+    symmetrised: the spin j+1/2 block (size d + 1) and the spin j-1/2 block
+    (size d - 1, None for j = 0), each half the two-term split of A."""
+    d = A.shape[0]
+    k = np.arange(d + 1)
+    padded = np.pad(A, 1)
+    grown = _split(padded, np.sqrt((d - k) / (2 * d)), np.sqrt(k / (2 * d)))
+    if d == 1:
+        return grown, None
+    k = k[:d - 1]
+    return grown, _split(A, np.sqrt((k + 1) / (2 * d)), np.sqrt((d - 1 - k) / (2 * d)))
+
+
+def _depolarized_blocks(probe: QuantumState, p: float) -> list:
+    """The blocks A_J of a symmetric-sector probe after per-qubit
+    depolarizing noise p, largest J first: rho' = sum_J A_J (x) 1/d_J.
+
+    With sigma_n the probe reduced to n qubits and w_k the binomial weight
+    of k depolarized qubits, rho' = sum_k w_k Sym[sigma_{N-k} (x) (1/2)^k].
+    Horner's rule over n = 1..N builds it as Z_n = T(Z_{n-1}) + w_{N-n}
+    sigma_n, where T couples one maximally mixed qubit to every block, so
+    no 2^N matrix appears.  A real probe stays in real arithmetic.
+    """
+    n = probe.n
+    reduced = [real_if_exact(probe.density())]  # sigma_N, ..., sigma_0
+    for _ in range(n):
+        reduced.append(_partial_trace(reduced[-1]))
+    weights = [comb(n, k) * p ** k * (1.0 - p) ** (n - k) for k in range(n + 1)]
+    blocks = [weights[n] * reduced.pop()]
+    for m in range(1, n + 1):
+        # block r of Z_m (J = m/2 - r) gets J + 1/2 from block r and
+        # J - 1/2 from block r - 1 of Z_{m-1}
+        new = [None] * (m // 2 + 1)
+        for r, B in enumerate(blocks):
+            grown, shrunk = _couple_mixed_qubit(B)
+            if new[r] is None:
+                new[r] = grown
+            else:
+                new[r] += grown
+            if shrunk is not None:
+                new[r + 1] = shrunk
+        new[0] += weights[n - m] * reduced.pop()
+        blocks = new
+    return blocks
+
+
+def depolarized_qfi(probe: QuantumState, p: float) -> float:
+    """F_Q[J_y] of a symmetric-sector probe (pure or density) after
+    depolarizing noise p on every qubit, from its J blocks.
+
+    F_Q = sum_J Tr(A_J) F_Q(A_J / Tr A_J), each block a spin-J state with
+    its own J_y (Chase & Geremia, PRA 78, 052101 (2008)); J = 0 carries no
+    QFI.  ``apply_noise`` on the 2^N embedding is the oracle for N <= 10.
+    """
+    if probe.rep.kind != "symmetric":
+        raise ValueError("depolarized_qfi needs a symmetric-sector probe")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("depolarizing probability must lie in [0, 1]")
+    if probe.n > NOISY_QFI_MAX:
+        raise ValueError(f"the noisy QFI is limited to N <= {NOISY_QFI_MAX} "
+                         f"(NOISY_QFI_MAX), got N={probe.n}")
+    F = 0.0
+    for A in _depolarized_blocks(probe, p):
+        weight = float(np.trace(A).real)
+        # blocks whose trace is near the float floor hold only round-off
+        if A.shape[0] == 1 or weight < _BLOCK_TRACE_FLOOR:
+            continue
+        rep = symmetric_rep(A.shape[0] - 1)
+        F += weight * qfi(QuantumState(rep, A / weight), collective_op("y", rep)).value
+    return F
+
+
+# ----------------------------------------------------------------------
 # noisy scaling sweep
 # ----------------------------------------------------------------------
 
@@ -478,6 +593,36 @@ def _noisy_precision(n: int, lam: float, channel: NoiseChannel):
     return prec, mz / (n / 2.0), vx, probe
 
 
+def _golden(f, xa: float, xb: float, xc: float, xtol: float):
+    """Minimise f by golden-section search in the bracket xa < xb < xc.
+
+    Step for step the iteration of ``scipy.optimize.minimize_scalar(f,
+    bracket=(xa, xb, xc), method="golden", options={"xtol": xtol})``: the
+    same constant, start points, stopping rule and final tie rule, so the
+    same points are evaluated and (x, f(x)) agree bit for bit.  The caller
+    has checked f(xb) < f(xa), f(xc) on values it already has, so the
+    bracket is not evaluated again.
+    """
+    gr = 0.61803399
+    gc = 1.0 - gr
+    x0, x3 = xa, xc
+    if abs(xc - xb) > abs(xb - xa):
+        x1, x2 = xb, xb + gc * (xc - xb)
+    else:
+        x1, x2 = xb - gc * (xb - xa), xb
+    f1, f2 = f(x1), f(x2)
+    while abs(x3 - x0) > xtol * (abs(x1) + abs(x2)):
+        if f2 < f1:
+            x0, x1 = x1, x2
+            x2 = gr * x1 + gc * x3
+            f1, f2 = f2, f(x2)
+        else:
+            x3, x2 = x2, x1
+            x1 = gr * x2 + gc * x0
+            f2, f1 = f1, f(x1)
+    return (x1, f1) if f1 < f2 else (x2, f2)
+
+
 def noisy_scaling_sweep(p: float, n_list, family: str = "squeezing",
                         lambda_points: int = 16, refine: bool = True,
                         theta0: float = 0.0, compute_qfi: bool = True) -> SweepResult:
@@ -487,16 +632,19 @@ def noisy_scaling_sweep(p: float, n_list, family: str = "squeezing",
     With p > 0 each record is compared against the N/p uncorrelated-noise
     ceiling; the noiseless ceiling is N^2.  The lam search is a coarse log
     grid followed by golden-section refinement around the best point, both
-    on moments transferred through the channel.  Only the QFI column needs
-    the noisy 2^N density, built once per N at the optimum, so with
-    ``compute_qfi=False`` any symmetric-sector N is accepted.
+    on moments transferred through the channel.  The QFI column, at the
+    optimum, comes from the probe's permutation-invariant J blocks
+    (``depolarized_qfi``); no 2^N density is built.  With p > 0 it is
+    limited to N <= NOISY_QFI_MAX, and a longer list is refused before any
+    row runs; with ``compute_qfi=False`` any symmetric-sector N is accepted.
     """
     if family != "squeezing":
         raise ValueError(f"unknown scenario family {family!r}")
     channel = NoiseChannel("depolarizing", p=p)
     n_list = list(n_list)
-    if p > 0 and compute_qfi and max(n_list, default=0) > FULL_DENSITY_MAX:
-        raise ValueError(f"noisy sweeps with the QFI column need N <= {FULL_DENSITY_MAX}")
+    if p > 0 and compute_qfi and max(n_list, default=0) > NOISY_QFI_MAX:
+        raise ValueError(f"the QFI column of a noisy sweep is limited to "
+                         f"N <= {NOISY_QFI_MAX} (NOISY_QFI_MAX), got N={max(n_list)}")
     records = []
     ceilings = {}
     for n in n_list:
@@ -507,18 +655,16 @@ def noisy_scaling_sweep(p: float, n_list, family: str = "squeezing",
         # golden-section refinement needs a strict interior maximum; on a
         # flat landscape (e.g. p = 1, all zero) the coarse point stands
         if refine and 0 < k < len(lams) - 1 and vals[k - 1] < vals[k] > vals[k + 1]:
-            import scipy.optimize  # deferred: start-up cost for every CLI process
-            res = scipy.optimize.minimize_scalar(
-                lambda u: -_noisy_precision(n, np.exp(u), channel)[0],
-                bracket=(np.log(lams[k - 1]), np.log(lams[k]), np.log(lams[k + 1])),
-                method="golden", options={"xtol": 1e-2})
-            if -res.fun > prec_best:
-                lam_best, prec_best = float(np.exp(res.x)), float(-res.fun)
+            u, fun = _golden(lambda u: -_noisy_precision(n, np.exp(u), channel)[0],
+                             np.log(lams[k - 1]), np.log(lams[k]), np.log(lams[k + 1]),
+                             xtol=1e-2)
+            if -fun > prec_best:
+                lam_best, prec_best = float(np.exp(u)), float(-fun)
         prec, pol, vx, probe = _noisy_precision(n, lam_best, channel)
         F = float("nan")
         if compute_qfi:
-            state = apply_noise(to_full(probe), channel) if p > 0 else probe
-            F = qfi(state, collective_op("y", state.rep)).value
+            F = (depolarized_qfi(probe, p) if p > 0
+                 else qfi(probe, collective_op("y", probe.rep)).value)
         records.append(SweepRecord(
             scenario=f"squeezing(p={p:g})", n=n, p=p, lam=float(lam_best),
             theta0=theta0, precision_inv=float(prec), qfi=F,

@@ -46,9 +46,9 @@ FULL_VECTOR_MAX = 12   # 2^12 = 4096 amplitudes
 FULL_DENSITY_MAX = 10  # 2^10 = 1024 -> 1M-entry density matrices
 SYMMETRIC_MAX = 4096
 
-# Bounds on the operator caches.  The largest key set any CLI command uses
-# is the noise sweep's: x, y and z at four particle numbers in both the
-# symmetric and the full representation, 24 operators.
+# Bounds on the operator caches.  The largest key set any CLI command
+# reuses is the noise sweep's: x, y and z at each particle number, plus J_y
+# of every J block of the noisy QFI (13 operators for N = 4, 6, 8, 10).
 OPERATOR_CACHE_SIZE = 32
 SMALL_CACHE_SIZE = 8
 

@@ -14,8 +14,9 @@ from qmetro.cli import main
 from qmetro.fisher import (_eigensystem, fisher_matrix, qfi, qfi_alternative, sld,
                            wigner_yanase)
 from qmetro.linalg import eigh_hermitian, unitary_exp
-from qmetro.metrology import (NoiseChannel, Scenario, _noisy_precision,
-                              apply_noise, dicke_scenario, error_propagation,
+from qmetro.metrology import (NoiseChannel, Scenario, _depolarized_blocks,
+                              _noisy_precision, apply_noise, depolarized_qfi,
+                              dicke_scenario, error_propagation,
                               frontier_lambda_grid, ghz_parity_scenario,
                               noisy_moments, ramsey_scenario, squared_op)
 from qmetro.serialize import write_state
@@ -174,6 +175,50 @@ def test_noisy_precision_matches_density_route(n, p):
     for lam in (0.3, 2.0, 20.0):
         prec = _noisy_precision(n, lam, channel)[0]
         assert prec == pytest.approx(_dense_noisy_precision(n, lam, p), rel=1e-11)
+
+
+# ------------------------------------------------- noise: J blocks
+
+_DEPOLARIZING = (0.0, 0.05, 0.25, 0.9, 1.0)
+
+
+def _symmetric_probes(rng, n, random_max=None):
+    """Squeezed (even N), and random complex pure and rank-2 densities up to
+    N = random_max."""
+    rep = symmetric_rep(n)
+    probes = {}
+    if n % 2 == 0:
+        probes["squeezed"] = squeezed_ground_state(SqueezingSpec(n, 2.0))
+    if random_max is None or n <= random_max:
+        probes["pure"] = QuantumState(rep, rand_pure(rng, n + 1))
+        probes["rank2"] = QuantumState(rep, rand_density(rng, n + 1, rank=2))
+    return probes
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_depolarized_qfi_matches_full_density(rng, n):
+    # complex 1024^2 eigensolves take 0.7 s each, so N = 10 checks the
+    # (real) squeezed probe only
+    for name, probe in _symmetric_probes(rng, n, random_max=9).items():
+        embedded = to_full(probe)
+        Jy = collective_op("y", embedded.rep)
+        for p in _DEPOLARIZING:
+            want = qfi(apply_noise(embedded, NoiseChannel("depolarizing", p=p)), Jy).value
+            got = depolarized_qfi(probe, p)
+            assert abs(got - want) <= 1e-10 * max(want, 1.0), (name, p)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 10, 33])
+def test_depolarized_blocks_are_a_state(rng, n):
+    for name, probe in _symmetric_probes(rng, n).items():
+        for p in _DEPOLARIZING:
+            blocks = _depolarized_blocks(probe, p)
+            # one block per J = N/2, N/2 - 1, ..., sizes 2J + 1
+            assert [A.shape[0] for A in blocks] == list(range(n + 1, 0, -2))
+            assert abs(sum(np.trace(A).real for A in blocks) - 1.0) <= 1e-12, (name, p)
+            for A in blocks:
+                assert np.abs(A - A.conj().T).max() <= 1e-15
+                assert np.linalg.eigvalsh(A).min() >= -1e-14, (name, p)
 
 
 # ------------------------------------------------- full-space operators

@@ -1,12 +1,18 @@
 import itertools
+import os
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qmetro
 from qmetro.fisher import qfi
-from qmetro.metrology import (NoiseChannel, Scenario, apply_noise,
-                              crb_consistency, dicke_scenario,
+from qmetro.metrology import (NOISY_QFI_MAX, NoiseChannel, Scenario, _golden,
+                              _noisy_precision, apply_noise,
+                              crb_consistency, depolarized_qfi, dicke_scenario,
                               error_propagation, frontier_lambda_grid,
                               frontier_on_polarization_grid, ghz_parity_scenario,
                               gradient_scenario, noisy_scaling_sweep,
@@ -324,10 +330,58 @@ def test_noisy_sweep_builds_one_density_per_n(monkeypatch, compute_qfi):
     monkeypatch.setattr(qmetro.metrology, "apply_noise", counted)
     n_list = [4, 6]
     result = noisy_scaling_sweep(0.25, n_list, lambda_points=8, compute_qfi=compute_qfi)
-    # the lam search runs on transferred moments; only the QFI column
-    # needs the noisy density, once per N at the optimum
-    assert built == (n_list if compute_qfi else [])
+    # the lam search runs on transferred moments and the QFI column on the
+    # probe's J blocks: no noisy 2^N density, with or without the column
+    assert built == []
     assert all(np.isfinite(rec.qfi) == compute_qfi for rec in result.records)
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_noisy_sweep_qfi_column_at_large_n(n):
+    p = 0.25
+    rec = noisy_scaling_sweep(p, [n], lambda_points=8).records[0]
+    # Cramer-Rao: the J_x readout cannot beat the probe's QFI, which the
+    # uncorrelated noise keeps below N/p
+    assert 0.0 < rec.precision_inv <= rec.qfi * (1 + 1e-12)
+    assert rec.qfi <= n / p
+
+
+@pytest.mark.parametrize("n", range(4, 11, 2))
+def test_golden_matches_scipy_golden_bitwise(n):
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    channel = NoiseChannel("depolarizing", p=0.25)
+    lams = frontier_lambda_grid(n, 16, pol_floor=0.02)
+    vals = [_noisy_precision(n, lam, channel)[0] for lam in lams]
+    k = int(np.argmax(vals))
+    assert 0 < k < len(lams) - 1
+
+    def objective(u):
+        return -_noisy_precision(n, np.exp(u), channel)[0]
+
+    bracket = (np.log(lams[k - 1]), np.log(lams[k]), np.log(lams[k + 1]))
+    want = scipy_optimize.minimize_scalar(objective, bracket=bracket, method="golden",
+                                          options={"xtol": 1e-2})
+    x, fun = _golden(objective, *bracket, xtol=1e-2)
+    assert (x, fun) == (want.x, want.fun)
+
+
+def test_depolarized_qfi_refuses_bad_input():
+    with pytest.raises(ValueError, match="symmetric-sector"):
+        depolarized_qfi(to_full(polarized(4)), 0.25)
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        depolarized_qfi(polarized(4), 1.5)
+    with pytest.raises(ValueError, match=f"N <= {NOISY_QFI_MAX}"):
+        depolarized_qfi(polarized(NOISY_QFI_MAX + 1), 0.25)
+
+
+def test_noise_sweep_does_not_import_scipy_optimize():
+    code = ("import sys\n"
+            "from qmetro.metrology import noisy_scaling_sweep\n"
+            "noisy_scaling_sweep(0.25, [4, 6], lambda_points=8)\n"
+            "sys.exit('scipy.optimize' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(qmetro.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
+    assert done.returncode == 0
 
 
 def test_noisy_sweep_without_qfi_reaches_large_n():
@@ -340,9 +394,9 @@ def test_noisy_sweep_without_qfi_reaches_large_n():
         assert rec.var_x >= p * rec.n / 4 - 1e-9
         # <J_z> <= eta N/2 and Var(J_x) >= (1 - eta^2) N/4 after the channel
         assert rec.precision_inv <= eta ** 2 * rec.n / (1 - eta ** 2) + 1e-9
-    # the QFI column still needs the 2^N density
-    with pytest.raises(ValueError, match="N <= 10"):
-        noisy_scaling_sweep(p, [4, 12], lambda_points=4)
+    # the QFI column stops at the cap, before any row runs
+    with pytest.raises(ValueError, match=f"N <= {NOISY_QFI_MAX}"):
+        noisy_scaling_sweep(p, [4, NOISY_QFI_MAX + 1], lambda_points=4)
 
 
 def test_crb_report_carries_its_error_propagation():

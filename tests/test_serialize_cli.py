@@ -488,6 +488,19 @@ def test_cli_usage_errors_exit_one(tmp_path, capsys):
                  "--out", str(tmp_path / "s.csv")]) == 1
 
 
+def test_cli_noise_sweep_over_the_qfi_cap_runs_no_row(tmp_path, capsys, monkeypatch):
+    import qmetro.metrology
+    rows = []
+    monkeypatch.setattr(qmetro.metrology, "_noisy_precision",
+                        lambda *args: rows.append(args))
+    out = tmp_path / "s.csv"
+    too_big = qmetro.metrology.NOISY_QFI_MAX + 1
+    assert main(["sweep", "--kind", "noise", "--n-list", f"4,{too_big}", "--p", "0.25",
+                 "--out", str(out)]) == 1
+    assert f"N <= {qmetro.metrology.NOISY_QFI_MAX}" in capsys.readouterr().err
+    assert rows == [] and not out.exists()
+
+
 def test_cli_selftest_small(capsys):
     assert main(["selftest", "--samples", "8"]) == 0
     assert "PASS" in capsys.readouterr().out
