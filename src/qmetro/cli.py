@@ -2,7 +2,7 @@
 
 Subcommands: state, qfi, witness, scenario, sweep, selftest.
 Exit codes: 0 success, 1 usage or I/O problem, 2 invariant violation.
-The QMETRO_THREADS environment variable caps sweep workers.
+Sweeps run in one thread; the QMETRO_THREADS environment variable is ignored.
 """
 
 from __future__ import annotations

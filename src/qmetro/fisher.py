@@ -316,8 +316,7 @@ def mandelstam_tamm_check(state, op, theta: float, tol: float = 1e-9) -> SpeedBo
     A = _operator(op)
     kind, data = _state_payload(state)
     if kind == "vector":
-        S = A.sparse() if isinstance(A, CollectiveOperator) else A
-        evolved = unitary_apply(S, theta, data, sign=-1)
+        evolved = unitary_apply(A, theta, data, sign=-1)
     else:
         U = unitary_exp(matrix_of(A), theta, sign=-1)
         evolved = U @ data @ U.conj().T

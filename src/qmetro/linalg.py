@@ -8,7 +8,7 @@ moments.  All functions are pure; inputs are never mutated.
 Operators reach this module as arrays.  Pure-state routines take what a
 structured operator gives without a dense matrix: ``pure_moments`` reads
 the images A_k|psi> (from ``CollectiveOperator.apply``) and
-``unitary_apply`` takes a ``scipy.sparse`` matrix (from ``.sparse()``).
+``unitary_apply`` needs only ``apply`` and the operator's ``norm_bound()``.
 Densities work on the dense ``CollectiveOperator.matrix``.
 
 Real data takes real arithmetic.  A complex array whose imaginary part is
@@ -26,6 +26,8 @@ from functools import reduce
 import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
+
+_UNIT_ROUNDOFF = 2.0 ** -53  # the Taylor stopping rule's tolerance, as in expm_multiply
 
 
 def hermiticity_defect(M: np.ndarray) -> float:
@@ -165,16 +167,30 @@ def pure_moments(psi: np.ndarray, images) -> tuple[np.ndarray, np.ndarray]:
 def unitary_apply(A, theta: float, v: np.ndarray, sign: int = -1) -> np.ndarray:
     """exp(sign * i * theta * A) v for Hermitian A, without forming the unitary.
 
-    A is a dense array or a ``scipy.sparse`` matrix.  The exponential's
-    action is built from matrix-vector products over the stored nonzeros of
-    A (``scipy.sparse.linalg.expm_multiply``), so no eigendecomposition
-    runs; the number of products grows with |theta| * ||A||_1.
+    A is a ``CollectiveOperator`` (``A.apply``, 1-norm at most b =
+    ``A.norm_bound()``) or a bare matrix (``A @ v``, b its 1-norm).  Taylor
+    steps with scaling (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488,
+    2011): ceil(|theta| b) steps, each summing the series until two
+    consecutive terms fall below the unit roundoff times the sum.
     """
     if sign not in (-1, +1):
         raise ValueError("sign must be +1 or -1")
-    # deferred import: only vector evolution needs it, and every CLI
-    # process would otherwise pay for it at start-up
-    import scipy.sparse
-    import scipy.sparse.linalg
-    return scipy.sparse.linalg.expm_multiply(
-        (1j * sign * theta) * scipy.sparse.csr_array(A), v)
+    if hasattr(A, "apply"):
+        apply, bound = A.apply, A.norm_bound()
+    else:
+        A = np.asarray(A)
+        apply, bound = A.__matmul__, np.linalg.norm(A, 1)
+    steps = int(np.ceil(abs(theta) * bound))
+    c = 1j * sign * theta / max(steps, 1)
+    out = np.array(v, dtype=complex)
+    for _ in range(steps):
+        term, prev = out, np.abs(out).max()
+        # |c| b <= 1: term k is at most 1/k! of the input, so k < 60 ends only NaN
+        for k in range(1, 60):
+            term = (c / k) * apply(term)
+            out += term
+            size = np.abs(term).max()
+            if prev + size <= _UNIT_ROUNDOFF * np.abs(out).max():
+                break
+            prev = size
+    return out

@@ -21,8 +21,6 @@ and its QFI column from the J blocks, so no 2^N density is built.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import comb
 
@@ -42,14 +40,6 @@ from .witnesses import MomentSet, moments
 # probes and the J blocks hold about N^3/3 numbers and the recursion costs
 # about N^4/24 multiply-adds: 75 MB and 3 s at N = 256.
 NOISY_QFI_MAX = 256
-
-
-def worker_count() -> int:
-    """Thread cap for sweeps; QMETRO_THREADS overrides the default."""
-    env = os.environ.get("QMETRO_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
 
 
 # ----------------------------------------------------------------------
@@ -295,14 +285,7 @@ def squeezing_frontier(n: int, lambdas) -> list[FrontierRow]:
         raise ValueError("the squeezed-probe family needs even N")
     rep = symmetric_rep(n)
     ops = tuple(collective_op(a, rep) for a in "zxy")
-    lambdas = list(lambdas)
-    rows = [None] * len(lambdas)
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        futures = {pool.submit(_frontier_row, n, lam, ops): i
-                   for i, lam in enumerate(lambdas)}
-        for fut, i in futures.items():
-            rows[i] = fut.result()
-    return rows
+    return [_frontier_row(n, lam, ops) for lam in lambdas]
 
 
 def frontier_lambda_grid(n: int, points: int = 110, pol_floor: float = 0.005,

@@ -27,9 +27,9 @@ structure the physics provides, and ``apply(v)`` acts with it on a vector
 Pure states only need A|psi> and go through ``apply``.  Densities and
 custom operators read ``matrix``, which is built from the structure on
 first use and kept, read-only, on the operator; the builders agree bit for
-bit with the Kronecker sums they replace.  ``sparse()`` gives the stored
-nonzeros, built in O(nnz), for ``expm_multiply``.  Builders are kept in
-bounded caches.
+bit with the Kronecker sums they replace.  ``norm_bound()`` bounds the
+1-norm from the same structure, for the Taylor steps of
+``linalg.unitary_apply``.  Builders are kept in bounded caches.
 """
 
 from __future__ import annotations
@@ -113,8 +113,8 @@ def _cols(x: np.ndarray, v: np.ndarray) -> np.ndarray:
 class _Form:
     """A structured Hermitian operator of dimension ``dim``.
 
-    A subclass gives ``apply(v)`` and its stored entries as ``triplets()``,
-    groups of (rows, cols, values) whose sum, group by group, is the matrix.
+    A subclass gives ``apply(v)``, a 1-norm bound ``norm_bound()`` and its
+    entries as ``triplets()``, (rows, cols, values) groups summing to the matrix.
     """
 
     def diagonal(self):
@@ -125,15 +125,6 @@ class _Form:
         for rows, cols, vals in self.triplets():
             M[rows, cols] += vals
         return _freeze(M)
-
-    def sparse(self):
-        # deferred import: only vector rotations need it
-        import scipy.sparse
-        rows, cols, vals = (np.concatenate(part) for part in zip(*self.triplets()))
-        S = scipy.sparse.coo_array((vals.astype(complex), (rows, cols)),
-                                   shape=(self.dim, self.dim)).tocsr()
-        S.eliminate_zeros()
-        return S
 
 
 class _Banded(_Form):
@@ -155,6 +146,12 @@ class _Banded(_Form):
             out[1:] += _cols(self.lower, v) * v[:-1]
             out[:-1] += _cols(np.conj(self.lower), v) * v[1:]
         return out
+
+    def norm_bound(self):
+        rows = np.abs(self.diag) if self.diag is not None else np.zeros(self.dim)
+        if self.lower is not None:
+            rows = rows + np.abs(np.r_[0, self.lower]) + np.abs(np.r_[self.lower, 0])
+        return float(rows.max())
 
     def triplets(self):
         i = np.arange(self.dim)
@@ -199,6 +196,9 @@ class _SiteSum(_Form):
                         y[:, r] += (w * self.op2[r, c]) * x[:, c]
         return out
 
+    def norm_bound(self):
+        return float(np.abs(self.weights).sum() * np.linalg.norm(self.op2, 1))
+
     def triplets(self):
         n = self.weights.size
         cols = np.arange(self.dim)
@@ -217,6 +217,9 @@ class _Flip(_Form):
     def apply(self, v):
         return _cols(self.phase, v) * (v[::-1] if self.flip else v)
 
+    def norm_bound(self):
+        return float(np.abs(self.phase).max())
+
     def triplets(self):
         i = np.arange(self.dim)
         yield i, (i[::-1] if self.flip else i), self.phase
@@ -234,8 +237,8 @@ class _Sum(_Form):
     def dense(self):
         return _freeze(np.ascontiguousarray(sum(w * A.matrix for w, A in self.terms)))
 
-    def sparse(self):
-        return sum(w * A.sparse() for w, A in self.terms if w)
+    def norm_bound(self):
+        return sum(abs(w) * A.norm_bound() for w, A in self.terms)
 
 
 class _Square(_Form):
@@ -250,8 +253,8 @@ class _Square(_Form):
     def dense(self):
         return _freeze(self.A.matrix @ self.A.matrix)
 
-    def sparse(self):
-        return self.A.sparse() @ self.A.sparse()
+    def norm_bound(self):
+        return self.A.norm_bound() ** 2
 
 
 class _Dense(_Form):
@@ -266,9 +269,8 @@ class _Dense(_Form):
     def dense(self):
         return self.M
 
-    def sparse(self):
-        import scipy.sparse  # deferred: only vector rotations need it
-        return scipy.sparse.csr_array(self.M)
+    def norm_bound(self):
+        return float(np.linalg.norm(self.M, 1))
 
 
 class CollectiveOperator:
@@ -307,9 +309,9 @@ class CollectiveOperator:
             self._matrix = self.form.dense()
         return self._matrix
 
-    def sparse(self):
-        """The stored nonzeros as a ``scipy.sparse`` CSR array."""
-        return self.form.sparse()
+    def norm_bound(self) -> float:
+        """A bound on the 1-norm (so on the spectral norm), from the structure."""
+        return self.form.norm_bound()
 
 
 def apply_op(op, v) -> np.ndarray:

@@ -8,9 +8,9 @@ from it (spectrum, collective moments, collective Fisher matrix) are
 computed once and kept on the state.
 
 A pure state meets a ``CollectiveOperator`` only through ``apply``:
-expectations, variances and vector rotations (``expm_multiply`` on the
-operator's sparse nonzeros) never build a d x d operator.  Densities and
-bare arrays use the dense ``matrix``.
+expectations, variances and vector rotations (Taylor steps over ``apply``)
+never build a d x d operator.  Densities and bare arrays use the dense
+``matrix``.
 """
 
 from __future__ import annotations
@@ -132,13 +132,13 @@ def _check_same_rep(state: QuantumState, op: CollectiveOperator):
 def rotate(state: QuantumState, generator: CollectiveOperator, theta: float) -> QuantumState:
     """Unitary evolution exp(-i theta A) applied to the state.
 
-    Pure states apply the exponential's action to the vector over the
-    generator's sparse nonzeros, with no eigendecomposition and no dense
-    generator; densities are conjugated by the full propagator.
+    Pure states take Taylor steps over ``generator.apply`` (``unitary_apply``),
+    with no eigendecomposition and no dense generator; densities are
+    conjugated by the full propagator.
     """
     _check_same_rep(state, generator)
     if state.is_pure:
-        v = unitary_apply(generator.sparse(), theta, state.data, sign=-1)
+        v = unitary_apply(generator, theta, state.data, sign=-1)
         return QuantumState(state.rep, v, label=state.label)
     U = unitary_exp(generator.matrix, theta, sign=-1)
     return QuantumState(state.rep, U @ state.data @ U.conj().T, label=state.label)

@@ -228,14 +228,13 @@ def test_symmetric_and_full_agree_through_dicke_embedding():
 
 
 @pytest.mark.parametrize("rep", [symmetric_rep(12), full_rep(5)], ids=repr)
-def test_sparse_form_equals_matrix(rep):
+def test_norm_bound_holds_and_apply_equals_matrix(rep):
     ops = [collective_op(a, rep) for a in AXES]
     ops += [direction_op(_DIRECTIONS[1], rep), parity_op("x", rep),
             squared_op(collective_op("z", rep)), squared_op(collective_op("x", rep))]
     for op in ops:
-        S = op.sparse()
-        assert np.abs(S.toarray() - op.matrix).max() <= 1e-13, op
-        assert np.count_nonzero(S.data) == S.nnz, op
+        assert np.linalg.norm(op.matrix, 2) <= op.norm_bound() * (1 + 1e-12), op
+        assert np.abs(op.apply(np.eye(rep.dim)) - op.matrix).max() <= 1e-13, op
 
 
 # ------------------------------------------------- no dense operator at N = 1000

@@ -11,17 +11,18 @@ import numpy as np
 import pytest
 
 from qmetro.cli import main
-from qmetro.fisher import (_eigensystem, fisher_matrix, qfi, qfi_alternative, sld,
-                           wigner_yanase)
-from qmetro.linalg import eigh_hermitian, unitary_exp
+from qmetro.fisher import (_eigensystem, fisher_matrix, mandelstam_tamm_check, qfi,
+                           qfi_alternative, sld, wigner_yanase)
+from qmetro.linalg import eigh_hermitian, unitary_apply, unitary_exp
 from qmetro.metrology import (NoiseChannel, Scenario, _depolarized_blocks,
                               _noisy_precision, apply_noise, depolarized_qfi,
                               dicke_scenario, error_propagation,
                               frontier_lambda_grid, ghz_parity_scenario,
                               noisy_moments, ramsey_scenario, squared_op)
 from qmetro.serialize import write_state
-from qmetro.spin import (PAULI, Representation, collective_op, direction_op, full_rep,
-                         gradient_op, single_site_op, symmetric_rep)
+from qmetro.spin import (PAULI, CollectiveOperator, Representation, collective_op,
+                         direction_op, full_rep, gradient_op, parity_op, single_site_op,
+                         symmetric_rep)
 from qmetro.states import (QuantumState, SqueezingSpec, ghz, mix_white_noise, polarized,
                            rotate, singlet_pi, squeezed_ground_state, to_full)
 from qmetro.witnesses import moments
@@ -81,15 +82,51 @@ def test_pure_fisher_matrix_matches_density_route(rng):
     assert np.abs(got - want).max() <= 1e-10
 
 
-@pytest.mark.parametrize("rep", [symmetric_rep(8), full_rep(4)])
-@pytest.mark.parametrize("theta", [0.3, 2.5])
+def _rotation_generators(rng, rep):
+    """One operator of every structured form in ``rep``, and a custom matrix."""
+    Jz, Jx = collective_op("z", rep), collective_op("x", rep)
+    gens = [collective_op("y", rep), direction_op(np.array([2.0, -1.0, 2.0]) / 3.0, rep),
+            parity_op("x", rep), squared_op(Jz), squared_op(Jx),
+            CollectiveOperator(rand_hermitian(rng, rep.dim), rep)]
+    if rep.kind == "full":
+        gens += [gradient_op(rep), gradient_op(rep, centered=True),
+                 single_site_op(rand_hermitian(rng, 2), 1, rep),
+                 parity_op("y", rep), parity_op("z", rep)]
+    return gens
+
+
+@pytest.mark.parametrize("rep", [symmetric_rep(8), full_rep(4)], ids=repr)
+@pytest.mark.parametrize("theta", [-2.5, 0.0, 1e-5, 0.3, "large"])
 def test_pure_rotate_matches_unitary_exp(rng, rep, theta):
     state = QuantumState(rep, rand_pure(rng, rep.dim))
-    for gen in (collective_op("y", rep),
-                direction_op(np.array([2.0, -1.0, 2.0]) / 3.0, rep)):
+    for gen in _rotation_generators(rng, rep):
+        # "large" takes 60 Taylor steps: theta times the norm bound is 60
+        t = 60.0 / gen.norm_bound() if theta == "large" else theta
+        U = unitary_exp(gen.matrix, t, sign=-1)
+        got = rotate(state, gen, t).data
+        assert np.abs(got - U @ state.data).max() <= 1e-12, gen
+        # the bare matrix, on a vector and on the columns of a matrix
+        A = np.array(gen.matrix)
+        assert np.abs(unitary_apply(A, t, state.data) - U @ state.data).max() <= 1e-12, gen
+        X = np.eye(rep.dim)[:, :3]
+        assert np.abs(unitary_apply(gen, t, X, sign=+1) - U.conj().T @ X).max() <= 1e-12, gen
+
+
+@pytest.mark.parametrize("rep", [symmetric_rep(8), full_rep(4)], ids=repr)
+def test_pure_speed_bound_fidelity_matches_density(rng, rep):
+    psi = rand_pure(rng, rep.dim)
+    pure, mixed = QuantumState(rep, psi), QuantumState(rep, np.outer(psi, psi.conj()))
+    for gen in _rotation_generators(rng, rep):
+        theta = 0.9 / np.sqrt(qfi(pure, gen).value)
+        got = mandelstam_tamm_check(pure, gen, theta)
+        want = mandelstam_tamm_check(mixed, gen, theta)
         U = unitary_exp(gen.matrix, theta, sign=-1)
-        got = rotate(state, gen, theta).data
-        assert np.abs(got - U @ state.data).max() <= 1e-12
+        assert abs(got.fidelity - abs(np.vdot(psi, U @ psi)) ** 2) <= 1e-12, gen
+        # the density route takes the square root of a rank-1 density, whose
+        # zero eigenvalues come back as round-off of size eps: their square
+        # roots put the fidelity off by about sqrt(eps)
+        assert abs(got.fidelity - want.fidelity) <= 1e-6, gen
+        assert got.holds and want.holds, gen
 
 
 @pytest.mark.parametrize("build", [ramsey_scenario, dicke_scenario])

@@ -384,6 +384,23 @@ def test_noise_sweep_does_not_import_scipy_optimize():
     assert done.returncode == 0
 
 
+def test_pure_rotations_do_not_import_scipy():
+    code = ("import sys\n"
+            "from qmetro.fisher import mandelstam_tamm_check\n"
+            "from qmetro.metrology import dicke_scenario, error_propagation\n"
+            "from qmetro.spin import collective_op, full_rep\n"
+            "from qmetro.states import ghz\n"
+            "error_propagation(dicke_scenario(1000, 'symmetric', 0.01))\n"
+            "g = ghz(6, rep=full_rep(6))\n"
+            "assert mandelstam_tamm_check(g, collective_op('z', g.rep), 0.1).holds\n"
+            "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+            "sys.exit(' '.join(sorted(loaded)) or None)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(qmetro.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
 def test_noisy_sweep_without_qfi_reaches_large_n():
     p = 0.25
     eta = 1.0 - p
