@@ -35,7 +35,8 @@ import numpy as np
 
 from .config import DEFAULT_TOLS
 from .linalg import (SpectralDecomposition, eigh_hermitian, psd_sqrt, pure_moments,
-                     require_hermitian, split_matmul, unitary_apply, unitary_exp)
+                     rank_floor_sqrt, require_hermitian, split_matmul, unitary_apply,
+                     unitary_exp)
 from .spin import CollectiveOperator, apply_op, matrix_of
 from .states import QuantumState
 
@@ -234,10 +235,7 @@ def wigner_yanase(state, op) -> float:
         return var
     A = matrix_of(A)
     dec = _eigensystem(state, data)
-    # eigenvalues under the numerical-rank tolerance dim * eps * max are
-    # round-off of zero; their square roots (~1e-8) would not be
-    floor = dec.dim * np.finfo(float).eps * max(dec.eigenvalues[-1], 0.0)
-    root = dec.apply_function(lambda w: np.sqrt(np.where(w > floor, w, 0.0)))
+    root = dec.apply_function(rank_floor_sqrt)
     X = A @ root
     # Tr(A root A root) = Tr(X X) = sum_ij X_ij X_ji
     cross = float(np.real(np.sum(X * X.T)))
@@ -292,7 +290,7 @@ def bures_fidelity(state1, state2) -> float:
     R = psd_sqrt(d1)
     M = R @ d2 @ R
     w = np.linalg.eigvalsh((M + M.conj().T) / 2.0)
-    return float(np.sum(np.sqrt(np.clip(w, 0.0, None))) ** 2)
+    return float(np.sum(rank_floor_sqrt(w)) ** 2)
 
 
 @dataclass(frozen=True)

@@ -129,15 +129,26 @@ def split_matmul(*mats: np.ndarray) -> np.ndarray:
 def psd_sqrt(M: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     """Principal square root of a PSD Hermitian matrix.
 
-    Eigenvalues in [psd_floor, 0) are clamped to zero; anything below the
-    floor is rejected as non-PSD.
+    Eigenvalues in [psd_floor, 0), and positive ones under the numerical-rank
+    floor of ``rank_floor_sqrt``, are clamped to zero; anything below
+    psd_floor is rejected as non-PSD.
     """
     dec = eigh_hermitian(M, tols)
     lo = dec.eigenvalues.min() if dec.dim else 0.0
     scale = max(abs(dec.eigenvalues).max(), 1.0)
     if lo < tols.psd_floor * scale:
         raise ValueError(f"matrix is not PSD: smallest eigenvalue {lo:.3e}")
-    return dec.apply_function(lambda w: np.sqrt(np.clip(w, 0.0, None)))
+    return dec.apply_function(rank_floor_sqrt)
+
+
+def rank_floor_sqrt(w: np.ndarray) -> np.ndarray:
+    """Square roots of the eigenvalues w of a PSD matrix.
+
+    Eigenvalues under the numerical-rank floor dim * eps * max(w) are
+    round-off of zero and give 0; their square roots (~1e-8) would not.
+    """
+    floor = w.size * np.finfo(float).eps * max(w.max(), 0.0)
+    return np.sqrt(np.where(w > floor, w, 0.0))
 
 
 def unitary_exp(A: np.ndarray, theta: float, sign: int = -1, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:

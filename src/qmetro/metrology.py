@@ -100,8 +100,8 @@ def gradient_scenario(n: int, theta0: float = 0.0, probe: QuantumState | None = 
     The probe is rotation invariant, so a homogeneous field produces no
     signal while the gradient component does.
     """
-    if n % 2 or n > 8:
-        raise ValueError("gradient estimation implemented for even N <= 8")
+    if n % 2 or n > FULL_DENSITY_MAX:
+        raise ValueError(f"gradient estimation implemented for even N <= {FULL_DENSITY_MAX}")
     rep = full_rep(n)
     probe = probe if probe is not None else singlet_pi(n)
     return Scenario(probe, gradient_op(rep),
@@ -136,11 +136,6 @@ class PrecisionResult:
         return 0.0 if self.no_sensitivity or self.value == 0 else 1.0 / self.value
 
 
-def _expect(rho, X):
-    """Re Tr(X rho)."""
-    return float(np.real(np.einsum("ij,ji->", X, rho)))
-
-
 def _slope_terms(state: QuantumState, A: CollectiveOperator, M: CollectiveOperator):
     """<M>, <M^2> and d<M>/dtheta = i<[A, M]> at the working point.
 
@@ -151,9 +146,9 @@ def _slope_terms(state: QuantumState, A: CollectiveOperator, M: CollectiveOperat
         m = M.apply(psi)
         return (float(np.real(np.vdot(psi, m))), float(np.real(np.vdot(m, m))),
                 -2.0 * float(np.imag(np.vdot(A.apply(psi), m))))
-    rho, A, M = state.data, A.matrix, M.matrix
+    A, M = A.matrix, M.matrix
     comm = A @ M - M @ A
-    return _expect(rho, M), _expect(rho, M @ M), _expect(rho, 1j * comm)
+    return state.expectation(M), state.expectation(M @ M), state.expectation(1j * comm)
 
 
 def _curvature_terms(state: QuantumState, A: CollectiveOperator, M: CollectiveOperator):
@@ -169,11 +164,12 @@ def _curvature_terms(state: QuantumState, A: CollectiveOperator, M: CollectiveOp
         a2, ma = A.apply(a), M.apply(a)
         return (2.0 * float(np.real(np.vdot(a, ma) - np.vdot(a2, m))),
                 2.0 * float(np.real(np.vdot(ma, ma) - np.vdot(a2, M.apply(m)))))
-    rho, A, M = state.data, A.matrix, M.matrix
+    A, M = A.matrix, M.matrix
     comm = A @ M - M @ A
     M2 = M @ M
     comm2 = A @ M2 - M2 @ A
-    return -_expect(rho, A @ comm - comm @ A), -_expect(rho, A @ comm2 - comm2 @ A)
+    return (-state.expectation(A @ comm - comm @ A),
+            -state.expectation(A @ comm2 - comm2 @ A))
 
 
 def error_propagation(sc: Scenario, deriv_floor: float = 1e-12,

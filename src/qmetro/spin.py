@@ -391,6 +391,11 @@ def gradient_op(rep: Representation, centered: bool = False) -> CollectiveOperat
                               provenance=tuple(weights))
 
 
+def _popcount(n: int) -> np.ndarray:
+    """The number of 1 bits (spins down) of every full-space basis index."""
+    return ((np.arange(2 ** n)[:, None] >> np.arange(n)) & 1).sum(axis=1)
+
+
 @lru_cache(maxsize=SMALL_CACHE_SIZE)
 def parity_op(axis: str, rep: Representation) -> CollectiveOperator:
     """The product operator sigma_axis^{tensor N} (parity in the axis basis).
@@ -408,7 +413,7 @@ def parity_op(axis: str, rep: Representation) -> CollectiveOperator:
     if axis == "x":
         form = _Flip(np.ones(rep.dim), flip=True)
     else:
-        down = ((np.arange(rep.dim)[:, None] >> np.arange(n)) & 1).sum(axis=1)
+        down = _popcount(n)
         if axis == "z":
             form = _Flip(1.0 - 2.0 * (down % 2), flip=False)
         else:
@@ -447,9 +452,8 @@ def dicke_embedding(n: int) -> np.ndarray:
     """
     if n > FULL_VECTOR_MAX:
         raise ValueError(f"embedding limited to N <= {FULL_VECTOR_MAX}")
-    dim = 2 ** n
-    bits = ((np.arange(dim)[:, None] >> np.arange(n)[None, :]) & 1).sum(axis=1)
-    B = np.zeros((dim, n + 1), dtype=complex)
+    bits = _popcount(n)
+    B = np.zeros((2 ** n, n + 1), dtype=complex)
     for i in range(n + 1):
         k = n - i
         mask = bits == k

@@ -18,15 +18,16 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import comb, lgamma
+from math import lgamma
 
 import numpy as np
 
 from .config import DEFAULT_TOLS
-from .linalg import hermiticity_defect, real_if_exact, unitary_apply, unitary_exp
-from .spin import (FULL_DENSITY_MAX, CollectiveOperator, Representation, apply_op,
-                   dicke_embedding, full_rep, ladder_amplitudes, matrix_of,
-                   symmetric_rep)
+from .linalg import (hermiticity_defect, real_if_exact, split_matmul, unitary_apply,
+                     unitary_exp)
+from .spin import (AXES, FULL_DENSITY_MAX, CollectiveOperator, Representation, apply_op,
+                   collective_op, dicke_embedding, full_rep, ladder_amplitudes,
+                   matrix_of, symmetric_rep)
 
 
 @dataclass(frozen=True)
@@ -236,79 +237,41 @@ def dicke(n: int, m: int, rep: Representation | None = None) -> QuantumState:
     if not 0 <= m <= n:
         raise ValueError(f"need 0 <= m <= N, got m={m}, N={n}")
     rep = rep or symmetric_rep(n)
-    if rep.kind == "symmetric":
-        v = np.zeros(n + 1, dtype=complex)
-        v[n - m] = 1.0
-        return QuantumState(rep, v, label=f"dicke({n},{m})")
-    dim = 2 ** n
-    bits = ((np.arange(dim)[:, None] >> np.arange(n)[None, :]) & 1).sum(axis=1)
-    v = np.zeros(dim, dtype=complex)
-    v[bits == m] = 1.0 / np.sqrt(comb(n, m))
-    return QuantumState(rep, v, label=f"dicke({n},{m})")
+    if rep.n != n:
+        raise ValueError("rep particle number does not match n")
+    v = np.zeros(n + 1, dtype=complex)
+    v[n - m] = 1.0
+    st = QuantumState(symmetric_rep(n), v, label=f"dicke({n},{m})")
+    return to_full(st) if rep.kind == "full" else st
 
 
-_PAIR_SINGLET = np.zeros(4, dtype=complex)
-_PAIR_SINGLET[1] = 1 / np.sqrt(2)   # |01>
-_PAIR_SINGLET[2] = -1 / np.sqrt(2)  # |10>
-
-
-def _perfect_matchings(items: tuple) -> list:
-    if not items:
-        return [[]]
-    first, rest = items[0], items[1:]
-    out = []
-    for i, partner in enumerate(rest):
-        sub = rest[:i] + rest[i + 1:]
-        for tail in _perfect_matchings(sub):
-            out.append([(first, partner)] + tail)
-    return out
-
-
-@lru_cache(maxsize=4)  # one entry per even N <= 8
+@lru_cache(maxsize=FULL_DENSITY_MAX // 2)  # one entry per even N <= FULL_DENSITY_MAX
 def _singlet_density(n: int) -> np.ndarray:
-    dim = 2 ** n
-    rho = np.zeros((dim, dim), dtype=complex)
-    matchings = _perfect_matchings(tuple(range(n)))
-    for matching in matchings:
-        v = np.zeros(dim, dtype=complex)
-        v[0] = 1.0
-        for (a, b) in matching:
-            v = _apply_pair_state(v, a, b, n)
-        rho += np.outer(v, v.conj())
-    rho /= len(matchings)
+    # J^2 = sum_l J_l^2 is real (J_y^2 through split_matmul); its eigenvalues
+    # are J(J+1), J = 0 .. N/2, so the product of 1 - J^2/(j(j+1)) over
+    # j = 1 .. N/2 keeps the J = 0 subspace only
+    J2 = sum(split_matmul(J.matrix, J.matrix) for J in
+             (collective_op(a, full_rep(n)) for a in AXES))
+    P = np.eye(2 ** n)
+    for j in range(1, n // 2 + 1):
+        P = P - (P @ J2) / (j * (j + 1))
+    rho = P / np.trace(P)
     rho.flags.writeable = False
     return rho
-
-
-def _apply_pair_state(v: np.ndarray, a: int, b: int, n: int) -> np.ndarray:
-    """Replace the (a,b) qubit factor of a product basis vector by |Psi^->."""
-    t = v.reshape((2,) * n)
-    out = np.zeros_like(t)
-    # v is built as |0...0> progressively turned into pair singlets on
-    # disjoint supports, so slots a and b still hold |0>
-    idx0 = [slice(None)] * n
-    idx0[a], idx0[b] = 0, 0
-    base = t[tuple(idx0)]
-    i01 = list(idx0)
-    i01[a], i01[b] = 0, 1
-    i10 = list(idx0)
-    i10[a], i10[b] = 1, 0
-    out[tuple(i01)] = base / np.sqrt(2)
-    out[tuple(i10)] = -base / np.sqrt(2)
-    return out.reshape(-1)
 
 
 def singlet_pi(n: int) -> QuantumState:
     """The permutationally invariant zero-total-spin mixed state (full rep).
 
-    Uniform mixture of all pairings of the N spins into two-particle
-    singlets; only distinct perfect matchings are enumerated, since
-    permutations inside a matching leave the projector unchanged.
+    The normalised projector onto J = 0, rho = P_0 / Tr P_0 with
+    P_0 = prod_{j=1}^{N/2} (1 - J^2 / (j(j+1))); it equals the uniform
+    mixture of all pairings of the N spins into two-particle singlets.
+    Its rank is the Catalan number C_{N/2} (42 at N = 10).
     """
     if n % 2 != 0:
-        raise ValueError("the pair-singlet construction needs an even particle number")
-    if n > 8:
-        raise ValueError("singlet construction limited to N <= 8")
+        raise ValueError("the singlet (J = 0) needs an even particle number")
+    if n > FULL_DENSITY_MAX:
+        raise ValueError(f"singlet construction limited to N <= {FULL_DENSITY_MAX}")
     return QuantumState(full_rep(n), _singlet_density(n), label=f"singlet({n})")
 
 

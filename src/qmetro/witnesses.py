@@ -19,7 +19,7 @@ import numpy as np
 from .config import DEFAULT_TOLS
 from .fisher import fisher_matrix, qfi
 from .linalg import pure_moments, split_matmul
-from .spin import AXES, CollectiveOperator, collective_op
+from .spin import AXES, PAULI, collective_op
 from .states import QuantumState
 
 _AX_INDEX = {"x": 0, "y": 1, "z": 2}
@@ -417,63 +417,37 @@ def macroscopicity_index(states_by_n) -> float:
 # reduced two-particle state
 # ----------------------------------------------------------------------
 
-def _two_site_rdm(rho: np.ndarray, a: int, b: int, n: int) -> np.ndarray:
-    """Reduced state of sites (a, b), with a as the first tensor factor."""
-    t = rho.reshape((2,) * (2 * n))
-    letters = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
-    lo, hi = min(a, b), max(a, b)
-    sub = [None] * (2 * n)
-    pos = 0
-    for q in range(n):
-        if q in (lo, hi):
-            sub[q] = letters[pos]
-            sub[n + q] = letters[pos + 1]
-            pos += 2
-        else:
-            sub[q] = sub[n + q] = letters[pos]
-            pos += 1
-    out = sub[lo] + sub[hi] + sub[n + lo] + sub[n + hi]
-    rdm = np.einsum("".join(sub) + "->" + out, t).reshape(4, 4)
-    if a > b:
-        swap = np.array([0, 2, 1, 3])
-        rdm = rdm[np.ix_(swap, swap)]
-    return rdm
+# 1, sigma_x, sigma_y, sigma_z: rho2 = (1/4) sum_mn c_mn sigma_m (x) sigma_n
+_SIGMA = np.array([np.eye(2)] + [PAULI[a] for a in AXES])
 
 
 def avg_two_particle_dm(state: QuantumState) -> np.ndarray:
     """The pair-averaged reduced state (1/N(N-1)) sum_{m != n} rho_mn.
 
-    Every first and second collective moment entering the squeezing
-    criteria can be recomputed from this 4x4 matrix.
+    The pair average is swap symmetric, so its Pauli coefficients are the
+    Bloch vector c_a0 = c_0a = 2<J_a>/N and the correlations
+    c_ab = (4<{J_a, J_b}/2> - N delta_ab) / (N(N-1)): it is computed from
+    ``moments(state)``, exactly for every state and in either
+    representation, and no 2^N density is formed.
     """
-    if state.rep.kind != "full":
-        raise ValueError("two-particle reductions need the full representation")
     n = state.n
     if n < 2:
         raise ValueError("need at least two particles")
-    rho = state.density()
-    acc = np.zeros((4, 4), dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            if a != b:
-                acc += _two_site_rdm(rho, a, b, n)
-    return acc / (n * (n - 1))
+    m = moments(state)
+    c = np.empty((4, 4))
+    c[0, 0] = 1.0
+    c[0, 1:] = c[1:, 0] = 2.0 * m.mean / n
+    c[1:, 1:] = (4.0 * m.second - n * np.eye(3)) / (n * (n - 1))
+    # kron(sigma_m, sigma_n)[(i,k), (j,l)] = sigma_m[i,j] sigma_n[k,l]
+    return np.einsum("mn,mij,nkl->ikjl", c, _SIGMA, _SIGMA).reshape(4, 4) / 4.0
 
 
 def moments_from_two_particle(rho2: np.ndarray, n: int) -> MomentSet:
-    """Reconstruct collective moments from the pair-averaged reduced state."""
-    from .spin import PAULI
-    singles = {a: PAULI[a] / 2.0 for a in AXES}
-    rho1 = rho2.reshape(2, 2, 2, 2).trace(axis1=1, axis2=3)
-    mean = np.array([n * np.real(np.trace(rho1 @ singles[a])) for a in AXES])
-    S = np.zeros((3, 3))
-    for i, ai in enumerate(AXES):
-        for k, ak in enumerate(AXES):
-            if k < i:
-                continue
-            pair = (np.kron(singles[ai], singles[ak]) + np.kron(singles[ak], singles[ai])) / 2.0
-            val = n * (n - 1) * np.real(np.trace(rho2 @ pair))
-            if i == k:
-                val += n / 4.0
-            S[i, k] = S[k, i] = val
-    return MomentSet(n, mean, S)
+    """Reconstruct collective moments from the pair-averaged reduced state;
+    the inverse of ``avg_two_particle_dm``."""
+    # c_mn = Tr(rho2 sigma_m (x) sigma_n)
+    c = np.einsum("ikjl,mji,nlk->mn", np.asarray(rho2).reshape(2, 2, 2, 2),
+                  _SIGMA, _SIGMA).real
+    T = c[1:, 1:]
+    second = n * (n - 1) / 8.0 * (T + T.T) + n / 4.0 * np.eye(3)
+    return MomentSet(n, n / 2.0 * c[1:, 0], second)

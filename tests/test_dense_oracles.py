@@ -25,7 +25,7 @@ from qmetro.spin import (PAULI, CollectiveOperator, Representation, collective_o
                          symmetric_rep)
 from qmetro.states import (QuantumState, SqueezingSpec, ghz, mix_white_noise, polarized,
                            rotate, singlet_pi, squeezed_ground_state, to_full)
-from qmetro.witnesses import moments
+from qmetro.witnesses import avg_two_particle_dm, moments, moments_from_two_particle
 from conftest import rand_density, rand_hermitian, rand_pure
 
 
@@ -122,10 +122,7 @@ def test_pure_speed_bound_fidelity_matches_density(rng, rep):
         want = mandelstam_tamm_check(mixed, gen, theta)
         U = unitary_exp(gen.matrix, theta, sign=-1)
         assert abs(got.fidelity - abs(np.vdot(psi, U @ psi)) ** 2) <= 1e-12, gen
-        # the density route takes the square root of a rank-1 density, whose
-        # zero eigenvalues come back as round-off of size eps: their square
-        # roots put the fidelity off by about sqrt(eps)
-        assert abs(got.fidelity - want.fidelity) <= 1e-6, gen
+        assert abs(got.fidelity - want.fidelity) <= 1e-12, gen
         assert got.holds and want.holds, gen
 
 
@@ -394,3 +391,98 @@ def test_witness_all_solves_a_real_density_in_real_arithmetic(tmp_path, monkeypa
         assert main(["witness", str(paths[kind]), "--all",
                      "--out", str(tmp_path / f"{kind}_w.json")]) == 0
         assert solved == [dtype], kind
+
+
+# ------------------------------------------------- permutation-invariant states
+
+def _matchings(items):
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for i, partner in enumerate(rest):
+        for tail in _matchings(rest[:i] + rest[i + 1:]):
+            yield [(first, partner)] + tail
+
+
+def _matching_sum_singlet(n):
+    """Uniform mixture, over the perfect matchings of the N spins, of products
+    of two-particle singlets (|01> - |10>)/sqrt(2)."""
+    pair = np.array([[0.0, 1.0], [-1.0, 0.0]]) / np.sqrt(2)   # amplitude[a, b]
+    matchings = list(_matchings(tuple(range(n))))
+    rho = np.zeros((2 ** n, 2 ** n))
+    for matching in matchings:
+        t, sites = np.ones(()), []
+        for a, b in matching:
+            t = np.multiply.outer(t, pair)
+            sites += [a, b]
+        v = t.transpose(np.argsort(sites)).reshape(-1)
+        rho += np.outer(v, v)
+    return rho / len(matchings)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_singlet_projector_matches_matching_sum(n):
+    assert np.abs(singlet_pi(n).data - _matching_sum_singlet(n)).max() <= 1e-14
+
+
+def test_singlet_at_ten_spins(rng):
+    st = singlet_pi(10)
+    # the J = 0 multiplicity of ten spins is the Catalan number C_5
+    w = np.linalg.eigvalsh(st.data)
+    assert np.sum(w > 1e-8) == 42
+    assert np.abs(w[w > 1e-8] - 1 / 42).max() <= 1e-12
+    J2 = sum(collective_op(a, st.rep).matrix @ collective_op(a, st.rep).matrix
+             for a in "xyz")
+    assert np.abs(J2 @ st.data).max() <= 1e-12
+    n_vec = rng.standard_normal(3)
+    rotated = rotate(st, direction_op(n_vec / np.linalg.norm(n_vec), st.rep), 1.3)
+    assert np.abs(rotated.data - st.data).max() <= 1e-12
+
+
+def _two_site_rdm(rho, a, b, n):
+    """Reduced state of sites (a, b) by an explicit partial trace, a first."""
+    others = [q for q in range(n) if q not in (a, b)]
+    perm = [a, b] + others
+    t = rho.reshape((2,) * (2 * n)).transpose(perm + [n + q for q in perm])
+    return np.einsum("ikjk->ij", t.reshape(4, 2 ** (n - 2), 4, 2 ** (n - 2)))
+
+
+def _pair_average_oracle(rho, n):
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    return sum(_two_site_rdm(rho, a, b, n) for a, b in pairs) / len(pairs)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+@pytest.mark.parametrize("pure", [True, False])
+def test_pair_average_from_moments_matches_partial_traces(rng, n, pure):
+    # random states of the full space are not permutation invariant
+    rep = full_rep(n)
+    st = QuantumState(rep, rand_pure(rng, rep.dim) if pure else
+                      rand_density(rng, rep.dim, rank=3))
+    want = _pair_average_oracle(st.density(), n)
+    assert np.abs(avg_two_particle_dm(st) - want).max() <= 1e-14
+
+
+@pytest.mark.parametrize("n", [2, 5, 8])
+@pytest.mark.parametrize("pure", [True, False])
+def test_symmetric_pair_average_matches_embedded_state(rng, n, pure):
+    rep = symmetric_rep(n)
+    st = QuantumState(rep, rand_pure(rng, rep.dim) if pure else
+                      rand_density(rng, rep.dim, rank=3))
+    want = _pair_average_oracle(to_full(st).density(), n)
+    assert np.abs(avg_two_particle_dm(st) - want).max() <= 1e-14
+    assert np.abs(avg_two_particle_dm(to_full(st)) - want).max() <= 1e-14
+
+
+def test_pair_average_of_a_large_symmetric_state():
+    st = squeezed_ground_state(SqueezingSpec(1000, 20.0))
+    rho2 = avg_two_particle_dm(st)
+    assert abs(np.trace(rho2) - 1) <= 1e-12
+    assert np.abs(rho2 - rho2.conj().T).max() <= 1e-15
+    assert np.linalg.eigvalsh(rho2).min() >= -1e-12
+    # the round trip through rho2 recovers the moments to round-off of
+    # their size (<J_z^2> ~ N^2/4)
+    back, want = moments_from_two_particle(rho2, 1000), moments(st)
+    assert np.abs(back.mean - want.mean).max() <= 1e-12 * 500
+    assert np.abs(back.second - want.second).max() <= 1e-15 * 250000

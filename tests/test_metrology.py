@@ -146,6 +146,12 @@ def test_gradient_larger_n_finite():
     assert 0 < res.value < 1
 
 
+def test_gradient_scenario_sizes():
+    for n in (3, 12):
+        with pytest.raises(ValueError, match="even N <= 10"):
+            gradient_scenario(n)
+
+
 def test_homogeneous_field_invisible_to_singlet():
     rep = full_rep(4)
     sc = Scenario(singlet_pi(4), collective_op("y", rep),

@@ -460,6 +460,15 @@ def test_cli_scenario(tmp_path, capsys):
     assert "0.0625" in capsys.readouterr().out
 
 
+def test_cli_gradient_scenario_at_ten_spins(tmp_path):
+    # the singlet probe at the full-density cap, N = 10
+    out = tmp_path / "gradient.json"
+    assert main(["scenario", "--family", "gradient", "--n", "10", "--theta0", "0.1",
+                 "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["label"] == "gradient(10)" and doc["crb_consistent"] is True
+
+
 def test_cli_sweep_frontier(tmp_path):
     out = tmp_path / "frontier.csv"
     assert main(["sweep", "--kind", "frontier", "--n", "12",

@@ -129,6 +129,12 @@ def test_singlet_rejects_odd():
         singlet_pi(3)
 
 
+def test_singlet_size_cap():
+    # refused before any 2^N x 2^N matrix is built
+    with pytest.raises(ValueError, match="limited to N <= 10"):
+        singlet_pi(12)
+
+
 def test_squeezed_limits():
     n = 8
     strong = squeezed_ground_state(SqueezingSpec(n, 1e6))
