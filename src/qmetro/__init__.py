@@ -5,7 +5,6 @@ representations, quantum/classical Fisher information, entanglement and
 depth witnesses, and noise-scaling experiments.
 """
 
-from .config import DEFAULT_TOLS, Tolerances
 from .linalg import (SpectralDecomposition, eigh_hermitian, psd_sqrt, unitary_apply,
                      unitary_exp)
 from .spin import (CollectiveOperator, Representation, collective_op,

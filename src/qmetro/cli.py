@@ -94,6 +94,8 @@ def _generator_from_spec(spec: str, rep: Representation):
         return collective_op(spec.split(":", 1)[1], rep)
     if spec.startswith("direction:"):
         vec = np.array([float(t) for t in spec.split(":", 1)[1].split(",")])
+        if not (np.isfinite(vec).all() and vec.any()):
+            raise ValueError(f"direction must be a finite nonzero vector, got {spec!r}")
         vec = vec / np.linalg.norm(vec)
         return direction_op(vec, rep)
     if spec == "gradient":
@@ -147,8 +149,12 @@ _CRITERIA = ("xi_s", "xi_os", "xi_singlet", "ssi", "qfi", "avg", "macro")
 
 
 def cmd_witness(args) -> int:
-    state = serialize.read_state(args.state)
     wanted = _CRITERIA if args.all else tuple(args.criteria.split(","))
+    unknown = [c for c in wanted if c not in _CRITERIA]
+    if unknown:
+        raise ValueError(f"unknown criteria {', '.join(map(repr, unknown))} "
+                         f"(choose from {', '.join(_CRITERIA)})")
+    state = serialize.read_state(args.state)
     mset = moments(state)
     reports = []
     doc = {"inputs": {"state": args.state}, "n_qubits": state.n}
@@ -229,6 +235,8 @@ def _frontier_to_records(rows: list[FrontierRow]) -> list[SweepRecord]:
 
 
 def cmd_sweep(args) -> int:
+    if args.points < 1:
+        raise ValueError(f"--points must be at least 1, got {args.points}")
     if args.kind == "frontier":
         if args.lambdas:
             lams = parse_range(args.lambdas)

@@ -33,7 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_TOLS
+from .config import (CRB_RCOND, FD_STEP, FISHER_FLOOR, PROB_FLOOR, QFI_PAIR_FLOOR,
+                     ROOF_TOL, SPEED_BOUND_TOL)
 from .linalg import (SpectralDecomposition, eigh_hermitian, psd_sqrt, pure_moments,
                      rank_floor_sqrt, require_hermitian, split_matmul, unitary_apply,
                      unitary_exp)
@@ -129,7 +130,7 @@ def _pair_ratio(lam: np.ndarray, num: np.ndarray, floor: float):
     return np.divide(num, S, out=np.zeros_like(S), where=keep), keep
 
 
-def _fisher(state, ops, tols) -> tuple[np.ndarray, int]:
+def _fisher(state, ops) -> tuple[np.ndarray, int]:
     """Fisher matrix of the generators (from ``_operator``) and the number of
     dropped pairs."""
     kind, data = _state_payload(state)
@@ -143,7 +144,7 @@ def _fisher(state, ops, tols) -> tuple[np.ndarray, int]:
     # 1024^2 density holds W and the transformed generators only
     D = dec.eigenvalues[:, None] - dec.eigenvalues[None, :]
     D *= D
-    W, keep = _pair_ratio(dec.eigenvalues, D, tols.qfi_pair_floor)
+    W, keep = _pair_ratio(dec.eigenvalues, D, QFI_PAIR_FLOOR)
     skipped = keep.size - int(np.count_nonzero(keep))
     del D, keep
     k = len(ops)
@@ -167,10 +168,10 @@ def _fisher(state, ops, tols) -> tuple[np.ndarray, int]:
     return F, skipped
 
 
-def qfi(state, op, tols=DEFAULT_TOLS) -> QfiResult:
+def qfi(state, op) -> QfiResult:
     """Quantum Fisher information of the state for the phase generator op."""
     _check_reps(state, op)
-    F, skipped = _fisher(state, [_operator(op)], tols)
+    F, skipped = _fisher(state, [_operator(op)])
     return QfiResult(float(F[0, 0]), skipped)
 
 
@@ -188,7 +189,7 @@ def qfi_pure(state, op) -> float:
     return 4.0 * var
 
 
-def qfi_alternative(state, op, tols=DEFAULT_TOLS) -> float:
+def qfi_alternative(state, op) -> float:
     """Second-moment form 4<A^2> - 8 sum l_k l_l / (l_k + l_l) |<k|A|l>|^2."""
     _check_reps(state, op)
     A = _operator(op)
@@ -201,11 +202,11 @@ def qfi_alternative(state, op, tols=DEFAULT_TOLS) -> float:
     dec = _eigensystem(state, data)
     lam = dec.eigenvalues
     At = _in_eigenbasis(dec.eigenvectors, A)
-    C, _ = _pair_ratio(lam, lam[:, None] * lam[None, :], tols.qfi_pair_floor)
+    C, _ = _pair_ratio(lam, lam[:, None] * lam[None, :], QFI_PAIR_FLOOR)
     return 4.0 * _second_moment(A, A @ data) - 8.0 * float(np.sum(C * np.abs(At) ** 2))
 
 
-def sld(state, op, tols=DEFAULT_TOLS) -> np.ndarray:
+def sld(state, op) -> np.ndarray:
     """Symmetric logarithmic derivative for unitary dynamics generated by op.
 
     Satisfies (L rho + rho L)/2 = i(rho A - A rho) and Tr(rho L^2) = F_Q.
@@ -221,7 +222,7 @@ def sld(state, op, tols=DEFAULT_TOLS) -> np.ndarray:
     dec = _eigensystem(state, data)
     lam = dec.eigenvalues
     V = dec.eigenvectors
-    w, _ = _pair_ratio(lam, lam[:, None] - lam[None, :], tols.qfi_pair_floor)
+    w, _ = _pair_ratio(lam, lam[:, None] - lam[None, :], QFI_PAIR_FLOOR)
     return V @ (2j * w * _in_eigenbasis(V, matrix_of(A))) @ V.conj().T
 
 
@@ -264,7 +265,7 @@ def white_noise_qfi(pure_state, op, p: float) -> float:
 def zeno_time(state, op) -> float:
     """Shortest useful interval between projective resets: 2 / sqrt(F_Q)."""
     F = qfi(state, op).value
-    if F <= 1e-12:
+    if F <= FISHER_FLOOR:
         return float("inf")
     return 2.0 / np.sqrt(F)
 
@@ -300,7 +301,7 @@ class SpeedBoundCheck:
     holds: bool
 
 
-def mandelstam_tamm_check(state, op, theta: float, tol: float = 1e-9) -> SpeedBoundCheck:
+def mandelstam_tamm_check(state, op, theta: float) -> SpeedBoundCheck:
     """Check F_B(rho, rho_theta) >= cos^2(sqrt(F_Q/4) theta).
 
     Valid while sqrt(F_Q)|theta| <= pi; outside that window the bound is
@@ -320,7 +321,7 @@ def mandelstam_tamm_check(state, op, theta: float, tol: float = 1e-9) -> SpeedBo
         evolved = U @ data @ U.conj().T
     fid = bures_fidelity(data, evolved)
     bound = float(np.cos(np.sqrt(max(F, 0.0)) / 2.0 * theta) ** 2)
-    return SpeedBoundCheck(fid, bound, fid >= bound - tol)
+    return SpeedBoundCheck(fid, bound, fid >= bound - SPEED_BOUND_TOL)
 
 
 # ----------------------------------------------------------------------
@@ -374,25 +375,24 @@ class CfiResult:
         return self.value
 
 
-def classical_fisher(family, povm: Povm, theta0: float, dtheta: float = 1e-5,
-                     tols=DEFAULT_TOLS) -> CfiResult:
+def classical_fisher(family, povm: Povm, theta0: float) -> CfiResult:
     """Fisher information sum (dp/dtheta)^2 / p of a parametrised state family.
 
     ``family`` maps theta to a state.  Derivatives are central differences
-    with step ``dtheta``; a Richardson pass refines outcomes whose
+    with step ``FD_STEP``; a Richardson pass refines outcomes whose
     probability is below 1e-8, and outcomes with vanishing probability are
     handled by a one-sided limit (the contribution of a quadratically
     vanishing outcome is finite and survives the limit).
     """
     if not isinstance(povm, Povm):
         povm = Povm(povm)
-    h = dtheta
+    h = FD_STEP
     p0 = povm.probabilities(family(theta0))
     pp = povm.probabilities(family(theta0 + h))
     pm = povm.probabilities(family(theta0 - h))
     dp = (pp - pm) / (2 * h)
 
-    needs_richardson = np.any((p0 >= tols.prob_floor) & (p0 < 1e-8))
+    needs_richardson = np.any((p0 >= PROB_FLOOR) & (p0 < 1e-8))
     if needs_richardson:
         pph = povm.probabilities(family(theta0 + h / 2))
         pmh = povm.probabilities(family(theta0 - h / 2))
@@ -409,7 +409,7 @@ def classical_fisher(family, povm: Povm, theta0: float, dtheta: float = 1e-5,
         return lazy[theta]
 
     for x in range(len(povm)):
-        if p0[x] >= tols.prob_floor:
+        if p0[x] >= PROB_FLOOR:
             value += dp[x] ** 2 / p0[x]
             continue
         # zero-probability outcome: evaluate the term one step off theta0
@@ -419,7 +419,7 @@ def classical_fisher(family, povm: Povm, theta0: float, dtheta: float = 1e-5,
                 f"POVM outcome {x} has vanishing probability but derivative "
                 f"{dp[x]:.3e}; contribution estimated by a one-sided limit")
         p_side = probs(theta0 + h)[x]
-        if p_side < tols.prob_floor:
+        if p_side < PROB_FLOOR:
             continue
         dp_side = (probs(theta0 + 2 * h)[x] - p0[x]) / (2 * h)
         value += dp_side ** 2 / p_side
@@ -436,11 +436,11 @@ class FisherMatrix:
     matrix: np.ndarray
 
 
-def fisher_matrix(state, generators, tols=DEFAULT_TOLS) -> FisherMatrix:
+def fisher_matrix(state, generators) -> FisherMatrix:
     """Fisher matrix F_mn for a list of commuting-or-not phase generators."""
     if len(generators) == 0:
         raise ValueError("need at least one generator")
-    F, _ = _fisher(state, [_operator(g) for g in generators], tols)
+    F, _ = _fisher(state, [_operator(g) for g in generators])
     return FisherMatrix(tuple(generators), F)
 
 
@@ -450,12 +450,12 @@ class CovarianceBound:
     pseudo_inverse: bool
 
 
-def crb_matrix(F: FisherMatrix | np.ndarray, rcond: float = 1e-10) -> CovarianceBound:
+def crb_matrix(F: FisherMatrix | np.ndarray) -> CovarianceBound:
     """Inverse Fisher matrix: the covariance lower bound of joint estimation."""
     M = F.matrix if isinstance(F, FisherMatrix) else np.asarray(F)
     w = np.linalg.eigvalsh(M)
-    if w.min() <= rcond * max(w.max(), 1.0):
-        return CovarianceBound(np.linalg.pinv(M, rcond=rcond), True)
+    if w.min() <= CRB_RCOND * max(w.max(), 1.0):
+        return CovarianceBound(np.linalg.pinv(M, rcond=CRB_RCOND), True)
     return CovarianceBound(np.linalg.inv(M), False)
 
 
@@ -477,7 +477,7 @@ class RoofResult:
     vectors: np.ndarray  # columns are the decomposition states
 
 
-def _roof_optimize(state, op, cardinality, maximize_g, restarts, seed, tols):
+def _roof_optimize(state, op, cardinality, maximize_g, restarts, seed):
     A = matrix_of(_operator(op))
     kind, data = _state_payload(state)
     if kind == "vector":
@@ -540,23 +540,23 @@ def _roof_optimize(state, op, cardinality, maximize_g, restarts, seed, tols):
 
 
 def convex_roof_oracle(state, op, cardinality=None, restarts: int = 32,
-                       seed: int = 7, tols=DEFAULT_TOLS) -> RoofResult:
+                       seed: int = 7) -> RoofResult:
     """Numerically minimise the average pure-state variance over decompositions.
 
     The minimum equals F_Q/4; the returned value is the best local optimum
     found and therefore an upper bound on it.
     """
-    return _roof_optimize(state, op, cardinality, True, restarts, seed, tols)
+    return _roof_optimize(state, op, cardinality, True, restarts, seed)
 
 
 def concave_roof_oracle(state, op, cardinality=None, restarts: int = 32,
-                        seed: int = 7, tols=DEFAULT_TOLS) -> RoofResult:
+                        seed: int = 7) -> RoofResult:
     """Numerically maximise the average pure-state variance over decompositions.
 
     The maximum equals Var(A) on the mixed state; the returned value is a
     lower bound on it.
     """
-    return _roof_optimize(state, op, cardinality, False, restarts, seed, tols)
+    return _roof_optimize(state, op, cardinality, False, restarts, seed)
 
 
 @dataclass(frozen=True)
@@ -567,7 +567,7 @@ class RoofSandwich:
     holds: bool
 
 
-def roof_sandwich_check(state, op, weights, vectors, tol: float = 1e-8) -> RoofSandwich:
+def roof_sandwich_check(state, op, weights, vectors) -> RoofSandwich:
     """Verify F_Q/4 <= sum p_k Var_k <= Var for an explicit decomposition."""
     A = _operator(op)
     kind, data = _state_payload(state)
@@ -584,5 +584,5 @@ def roof_sandwich_check(state, op, weights, vectors, tol: float = 1e-8) -> RoofS
         avg += weights[k] * var
     lower = qfi(rho, A).value / 4.0
     _, upper = _mean_and_var("density", rho, A)
-    holds = (lower - tol <= avg) and (avg <= upper + tol)
+    holds = (lower - ROOF_TOL <= avg) and (avg <= upper + ROOF_TOL)
     return RoofSandwich(float(avg), float(lower), float(upper), bool(holds))

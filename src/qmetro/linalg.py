@@ -25,7 +25,7 @@ from functools import reduce
 
 import numpy as np
 
-from .config import DEFAULT_TOLS, Tolerances
+from .config import HERMITICITY, PSD_FLOOR
 
 _UNIT_ROUNDOFF = 2.0 ** -53  # the Taylor stopping rule's tolerance, as in expm_multiply
 
@@ -37,13 +37,13 @@ def hermiticity_defect(M: np.ndarray) -> float:
     return float(np.abs(M - M.conj().T).max() / scale)
 
 
-def require_hermitian(M: np.ndarray, tols: Tolerances = DEFAULT_TOLS, name: str = "matrix") -> np.ndarray:
+def require_hermitian(M: np.ndarray, name: str = "matrix") -> np.ndarray:
     M = np.asarray(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"{name} must be square, got shape {M.shape}")
     # factor 10: the elementwise-relative contract in the docs is checked
     # against max|M|, which is slightly stricter than needed
-    limit = tols.hermiticity * 10
+    limit = HERMITICITY * 10
     # the defect is relative to max(max|M|, 1) >= 1, so an absolute
     # asymmetry within the limit passes without computing that scale
     if np.abs(M - M.conj().T).max() > limit and (defect := hermiticity_defect(M)) > limit:
@@ -83,7 +83,7 @@ def real_if_exact(M: np.ndarray) -> np.ndarray:
     return M
 
 
-def eigh_hermitian(M: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> SpectralDecomposition:
+def eigh_hermitian(M: np.ndarray) -> SpectralDecomposition:
     """Full eigendecomposition of a Hermitian matrix.
 
     Rejects non-Hermitian input with a diagnostic naming the maximum
@@ -93,7 +93,7 @@ def eigh_hermitian(M: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> SpectralDe
     come back real (float64); complex input gives complex eigenvectors.
     The returned arrays are read-only, so a kept spectrum cannot be altered.
     """
-    M = require_hermitian(real_if_exact(M), tols)
+    M = require_hermitian(real_if_exact(M))
     vals, vecs = np.linalg.eigh(M)
     vals.flags.writeable = vecs.flags.writeable = False
     return SpectralDecomposition(vals, vecs)
@@ -126,17 +126,17 @@ def split_matmul(*mats: np.ndarray) -> np.ndarray:
     return out if k == 0 else (1, 1j, -1, -1j)[k] * out
 
 
-def psd_sqrt(M: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+def psd_sqrt(M: np.ndarray) -> np.ndarray:
     """Principal square root of a PSD Hermitian matrix.
 
-    Eigenvalues in [psd_floor, 0), and positive ones under the numerical-rank
+    Eigenvalues in [PSD_FLOOR, 0), and positive ones under the numerical-rank
     floor of ``rank_floor_sqrt``, are clamped to zero; anything below
-    psd_floor is rejected as non-PSD.
+    PSD_FLOOR is rejected as non-PSD.
     """
-    dec = eigh_hermitian(M, tols)
+    dec = eigh_hermitian(M)
     lo = dec.eigenvalues.min() if dec.dim else 0.0
     scale = max(abs(dec.eigenvalues).max(), 1.0)
-    if lo < tols.psd_floor * scale:
+    if lo < PSD_FLOOR * scale:
         raise ValueError(f"matrix is not PSD: smallest eigenvalue {lo:.3e}")
     return dec.apply_function(rank_floor_sqrt)
 
@@ -151,14 +151,14 @@ def rank_floor_sqrt(w: np.ndarray) -> np.ndarray:
     return np.sqrt(np.where(w > floor, w, 0.0))
 
 
-def unitary_exp(A: np.ndarray, theta: float, sign: int = -1, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+def unitary_exp(A: np.ndarray, theta: float, sign: int = -1) -> np.ndarray:
     """exp(sign * i * theta * A) for Hermitian A, via the spectral decomposition.
 
     ``sign=-1`` (default) gives the interferometer propagator exp(-i A theta).
     """
     if sign not in (-1, +1):
         raise ValueError("sign must be +1 or -1")
-    dec = eigh_hermitian(A, tols)
+    dec = eigh_hermitian(A)
     return dec.apply_function(lambda w: np.exp(1j * sign * theta * w))
 
 

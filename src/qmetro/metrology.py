@@ -26,7 +26,7 @@ from math import comb
 
 import numpy as np
 
-from .config import DEFAULT_TOLS
+from .config import CRB_TOL, DERIV_FLOOR, FD_STEP, FISHER_FLOOR
 from .fisher import qfi
 from .linalg import real_if_exact
 from .spin import (FULL_DENSITY_MAX, PAULI, CollectiveOperator, Representation,
@@ -50,8 +50,8 @@ NOISY_QFI_MAX = 256
 class Scenario:
     """One phase-estimation task: probe evolved by exp(-i theta A), M measured.
 
-    ``gamma_b`` optionally records the gyromagnetic-ratio--field product
-    so theta can be read as gamma*B*t; it does not enter any computation.
+    theta is the accumulated phase (gamma B t for a field B sensed over a
+    time t); the working point ``theta0`` is where the precision is taken.
     """
 
     probe: QuantumState
@@ -59,7 +59,6 @@ class Scenario:
     observable: CollectiveOperator
     theta0: float = 0.0
     label: str = "scenario"
-    gamma_b: float | None = None
 
     def __post_init__(self):
         if not (self.probe.rep == self.generator.rep == self.observable.rep):
@@ -172,8 +171,7 @@ def _curvature_terms(state: QuantumState, A: CollectiveOperator, M: CollectiveOp
             -state.expectation(A @ comm2 - comm2 @ A))
 
 
-def error_propagation(sc: Scenario, deriv_floor: float = 1e-12,
-                      fd_step: float = 1e-5) -> PrecisionResult:
+def error_propagation(sc: Scenario) -> PrecisionResult:
     A, M = sc.generator, sc.observable
     state = rotate(sc.probe, sc.generator, sc.theta0) if sc.theta0 else sc.probe
     mean, second, d1 = _slope_terms(state, A, M)
@@ -183,12 +181,12 @@ def error_propagation(sc: Scenario, deriv_floor: float = 1e-12,
     def mean_at(theta):
         return rotate(sc.probe, sc.generator, theta).expectation(M)
 
-    fd = (mean_at(sc.theta0 + fd_step) - mean_at(sc.theta0 - fd_step)) / (2 * fd_step)
+    fd = (mean_at(sc.theta0 + FD_STEP) - mean_at(sc.theta0 - FD_STEP)) / (2 * FD_STEP)
 
-    if abs(d1) > deriv_floor:
+    if abs(d1) > DERIV_FLOOR:
         return PrecisionResult(var / d1 ** 2, "direct", d1, var, fd)
 
-    if var > deriv_floor:
+    if var > DERIV_FLOOR:
         return PrecisionResult(float("inf"), "direct", d1, var, fd,
                                no_sensitivity=True,
                                message="flat response: finite variance with zero slope")
@@ -197,7 +195,7 @@ def error_propagation(sc: Scenario, deriv_floor: float = 1e-12,
     #   <M>'' = -<[A,[A,M]]>,  Var''  = -<[A,[A,M^2]]> - 2<M><M>'' (slope term ~ 0)
     dd_m, dd_second = _curvature_terms(state, A, M)
     var_dd = dd_second - 2 * d1 * d1 - 2 * mean * dd_m
-    if abs(dd_m) < deriv_floor:
+    if abs(dd_m) < DERIV_FLOOR:
         return PrecisionResult(float("inf"), "limit", d1, var, fd,
                                no_sensitivity=True,
                                message="no sensitivity: signal flat through second order")
@@ -215,15 +213,15 @@ class CrbReport:
     result: PrecisionResult  # the error propagation the check was made on
 
 
-def crb_consistency(sc: Scenario, tol: float = 1e-8) -> CrbReport:
+def crb_consistency(sc: Scenario) -> CrbReport:
     """Check (Delta theta)^2 >= 1/F_Q for the scenario's probe and generator."""
     res = error_propagation(sc)
     F = qfi(sc.probe, sc.generator).value
-    qcrb = float("inf") if F <= 1e-12 else 1.0 / F
+    qcrb = float("inf") if F <= FISHER_FLOOR else 1.0 / F
     if res.no_sensitivity:
         return CrbReport(float("inf"), qcrb, float("inf"), True, res)
     gap = res.value - qcrb
-    return CrbReport(res.value, qcrb, gap, gap >= -tol, res)
+    return CrbReport(res.value, qcrb, gap, gap >= -CRB_TOL, res)
 
 
 def ramsey_curve(probe: QuantumState, generator: CollectiveOperator,
@@ -284,9 +282,9 @@ def squeezing_frontier(n: int, lambdas) -> list[FrontierRow]:
     return [_frontier_row(n, lam, ops) for lam in lambdas]
 
 
-def frontier_lambda_grid(n: int, points: int = 110, pol_floor: float = 0.005,
-                         lam_hi: float | None = None) -> np.ndarray:
-    """Log grid of lam values whose polarizations span (pol_floor, ~1)."""
+def frontier_lambda_grid(n: int, points: int = 110, pol_floor: float = 0.005) -> np.ndarray:
+    """Log grid of lam values, up to 1000 N, whose polarizations span
+    (pol_floor, ~1)."""
     rep = symmetric_rep(n)
     ops = tuple(collective_op(a, rep) for a in "zxy")
     lo = 1e-9 * n
@@ -294,8 +292,7 @@ def frontier_lambda_grid(n: int, points: int = 110, pol_floor: float = 0.005,
         lo /= 10.0
         if lo < 1e-18:
             break
-    hi = lam_hi if lam_hi is not None else 1e3 * n
-    return np.geomspace(lo, hi, points)
+    return np.geomspace(lo, 1e3 * n, points)
 
 
 def frontier_on_polarization_grid(n: int, pol_grid, points: int = 110) -> np.ndarray:
@@ -602,11 +599,13 @@ def _golden(f, xa: float, xb: float, xc: float, xtol: float):
     return (x1, f1) if f1 < f2 else (x2, f2)
 
 
-def noisy_scaling_sweep(p: float, n_list, family: str = "squeezing",
-                        lambda_points: int = 16, refine: bool = True,
-                        theta0: float = 0.0, compute_qfi: bool = True) -> SweepResult:
+def noisy_scaling_sweep(p: float, n_list, lambda_points: int = 16,
+                        compute_qfi: bool = True) -> SweepResult:
     """Optimise the squeezed-probe precision over lam for every N and fit
     the log-log scaling of the optimum.
+
+    The probe family is the squeezed ground state of J_x^2 - lam J_z, read
+    out at theta0 = 0 (the records' ``theta0`` column is 0.0).
 
     With p > 0 each record is compared against the N/p uncorrelated-noise
     ceiling; the noiseless ceiling is N^2.  The lam search is a coarse log
@@ -617,8 +616,6 @@ def noisy_scaling_sweep(p: float, n_list, family: str = "squeezing",
     limited to N <= NOISY_QFI_MAX, and a longer list is refused before any
     row runs; with ``compute_qfi=False`` any symmetric-sector N is accepted.
     """
-    if family != "squeezing":
-        raise ValueError(f"unknown scenario family {family!r}")
     channel = NoiseChannel("depolarizing", p=p)
     n_list = list(n_list)
     if p > 0 and compute_qfi and max(n_list, default=0) > NOISY_QFI_MAX:
@@ -633,7 +630,7 @@ def noisy_scaling_sweep(p: float, n_list, family: str = "squeezing",
         lam_best, prec_best = lams[k], vals[k]
         # golden-section refinement needs a strict interior maximum; on a
         # flat landscape (e.g. p = 1, all zero) the coarse point stands
-        if refine and 0 < k < len(lams) - 1 and vals[k - 1] < vals[k] > vals[k + 1]:
+        if 0 < k < len(lams) - 1 and vals[k - 1] < vals[k] > vals[k + 1]:
             u, fun = _golden(lambda u: -_noisy_precision(n, np.exp(u), channel)[0],
                              np.log(lams[k - 1]), np.log(lams[k]), np.log(lams[k + 1]),
                              xtol=1e-2)
@@ -646,7 +643,7 @@ def noisy_scaling_sweep(p: float, n_list, family: str = "squeezing",
                  else qfi(probe, collective_op("y", probe.rep)).value)
         records.append(SweepRecord(
             scenario=f"squeezing(p={p:g})", n=n, p=p, lam=float(lam_best),
-            theta0=theta0, precision_inv=float(prec), qfi=F,
+            theta0=0.0, precision_inv=float(prec), qfi=F,
             bound_sep=float(n), bound_bisep=float((n - 1) ** 2 + 1),
             bound_heisenberg=float(n * n), polarization=float(pol), var_x=float(vx)))
         ceilings[n] = n / p if p > 0 else float(n * n)

@@ -214,12 +214,11 @@ def witness_soundness_battery(samples: int = 200, seed: int = 99) -> list[CheckR
                         f"({checked} verdicts over {samples} states)")]
 
 
-def run_all(samples: int = 100, seed: int = 2024, verbose: bool = True) -> bool:
+def run_all(samples: int = 100, seed: int = 2024) -> bool:
     results = qfi_property_battery(samples, seed)
     results += witness_soundness_battery(2 * samples, seed + 1)
     ok = True
     for r in results:
         ok &= r.passed
-        if verbose:
-            print(r.line())
+        print(r.line())
     return ok

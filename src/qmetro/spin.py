@@ -39,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import DEFAULT_TOLS
+from .config import DIRECTION_NORM
 from .linalg import real_if_exact, require_hermitian
 
 FULL_VECTOR_MAX = 12   # 2^12 = 4096 amplitudes
@@ -362,7 +362,10 @@ def direction_op(n_vec, rep: Representation) -> CollectiveOperator:
     n_vec = np.asarray(n_vec, dtype=float)
     if n_vec.shape != (3,):
         raise ValueError("direction must be a 3-vector")
-    if abs(np.linalg.norm(n_vec) - 1.0) > DEFAULT_TOLS.direction_norm:
+    # NaN fails every comparison, so the norm check below would pass it
+    if not np.isfinite(n_vec).all():
+        raise ValueError(f"direction vector must be finite, got {n_vec}")
+    if abs(np.linalg.norm(n_vec) - 1.0) > DIRECTION_NORM:
         raise ValueError(f"direction vector must have unit norm, got |n|={np.linalg.norm(n_vec):.12f}")
     terms = tuple((n_vec[i], collective_op(AXES[i], rep)) for i in range(3))
     return CollectiveOperator(_Sum(terms), rep, provenance=tuple(n_vec))

@@ -22,7 +22,7 @@ from math import lgamma
 
 import numpy as np
 
-from .config import DEFAULT_TOLS
+from .config import PSD_FLOOR, STATE_NORM
 from .linalg import (hermiticity_defect, real_if_exact, split_matmul, unitary_apply,
                      unitary_exp)
 from .spin import (AXES, FULL_DENSITY_MAX, CollectiveOperator, Representation, apply_op,
@@ -49,7 +49,7 @@ class QuantumState:
         if d.ndim == 1:
             if d.shape != (self.rep.dim,):
                 raise ValueError(f"vector length {d.shape} does not match {self.rep}")
-            if abs(np.linalg.norm(d) - 1.0) > DEFAULT_TOLS.state_norm:
+            if abs(np.linalg.norm(d) - 1.0) > STATE_NORM:
                 raise ValueError(f"state vector not normalised: |psi|={np.linalg.norm(d):.2e}")
         elif d.ndim == 2:
             if d.shape != (self.rep.dim, self.rep.dim):
@@ -61,11 +61,11 @@ class QuantumState:
             r = real_if_exact(d)
             if hermiticity_defect(r) > 1e-10:
                 raise ValueError("density matrix is not Hermitian")
-            if abs(np.trace(r).real - 1.0) > DEFAULT_TOLS.state_norm:
+            if abs(np.trace(r).real - 1.0) > STATE_NORM:
                 raise ValueError(f"density matrix trace {np.trace(r).real!r} != 1")
             # PSD within the floor <=> rho + |floor| I admits a Cholesky factor
             try:
-                np.linalg.cholesky(r + (-DEFAULT_TOLS.psd_floor) * np.eye(d.shape[0]))
+                np.linalg.cholesky(r + (-PSD_FLOOR) * np.eye(d.shape[0]))
             except np.linalg.LinAlgError:
                 wmin = np.linalg.eigvalsh(r).min()
                 raise ValueError(f"density matrix has negative eigenvalue {wmin:.2e}")

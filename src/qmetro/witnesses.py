@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_TOLS
+from .config import FISHER_FLOOR, VERDICT_TOL
 from .fisher import fisher_matrix, qfi
 from .linalg import pure_moments, split_matmul
 from .spin import AXES, PAULI, collective_op
@@ -103,8 +103,8 @@ class WitnessReport:
 
     ``direction`` says which side of the threshold is consistent with
     separability ('ge': satisfied when value >= threshold).  ``verdict``
-    is 'satisfied', 'violated' or 'inapplicable'; boundary hits within the
-    verdict tolerance count as satisfied with ``boundary=True``.
+    is 'satisfied', 'violated' or 'inapplicable'; boundary hits within
+    ``VERDICT_TOL`` count as satisfied with ``boundary=True``.
     """
 
     criterion: str
@@ -121,12 +121,11 @@ class WitnessReport:
         return self.verdict == "violated"
 
 
-def _verdict(value: float, threshold: float, direction: str,
-             tol: float = DEFAULT_TOLS.verdict):
+def _verdict(value: float, threshold: float, direction: str):
     gap = value - threshold if direction == "ge" else threshold - value
-    if gap < -tol:
+    if gap < -VERDICT_TOL:
         return "violated", False
-    return "satisfied", abs(gap) <= tol
+    return "satisfied", abs(gap) <= VERDICT_TOL
 
 
 # ----------------------------------------------------------------------
@@ -270,7 +269,7 @@ def chi_squared(state, generator, n: int | None = None) -> WitnessReport:
             raise ValueError("pass n explicitly for bare-array states")
         n = state.n
     F = qfi(state, generator).value
-    value = float("inf") if F <= 1e-12 else n / F
+    value = float("inf") if F <= FISHER_FLOOR else n / F
     verdict, boundary = _verdict(value, 1.0, "ge") if np.isfinite(value) \
         else ("satisfied", False)
     return WitnessReport("chi_squared", value, 1.0, "ge", verdict, boundary)
@@ -306,8 +305,7 @@ class DepthCertificate:
         return producibility_bound(self.n, k)
 
 
-def depth_certificate(value_or_state, n: int, generator=None,
-                      tol: float = DEFAULT_TOLS.verdict) -> DepthCertificate:
+def depth_certificate(value_or_state, n: int, generator=None) -> DepthCertificate:
     """Smallest producibility class k consistent with the observed F_Q.
 
     k-producible states satisfy F_Q <= s k^2 + (N - s k)^2 with
@@ -315,10 +313,11 @@ def depth_certificate(value_or_state, n: int, generator=None,
     N-partite entanglement.
     """
     F = _resolve_fq(value_or_state, generator)
-    if F < -tol or F > n * n + 1e-6:
+    if F < -VERDICT_TOL or F > n * n + 1e-6:
         raise ValueError(f"F_Q={F:.6g} is outside the physical range [0, N^2]")
-    depth = next((k for k in range(1, n + 1) if F <= producibility_bound(n, k) + tol), n)
-    genuine = F > producibility_bound(n, n - 1) + tol if n >= 2 else False
+    depth = next((k for k in range(1, n + 1)
+                  if F <= producibility_bound(n, k) + VERDICT_TOL), n)
+    genuine = F > producibility_bound(n, n - 1) + VERDICT_TOL if n >= 2 else False
     return DepthCertificate(depth, genuine, F, n)
 
 
@@ -344,7 +343,7 @@ def _collective_fisher(state: QuantumState) -> np.ndarray:
         state, [collective_op(a, state.rep) for a in AXES]).matrix)
 
 
-def avg_qfi(state, tol: float = DEFAULT_TOLS.verdict) -> AvgQfiReport:
+def avg_qfi(state) -> AvgQfiReport:
     """Average of F_Q over the three components; equals the uniform
     direction average of F_Q[rho, J_n]."""
     if not isinstance(state, QuantumState):
@@ -355,8 +354,8 @@ def avg_qfi(state, tol: float = DEFAULT_TOLS.verdict) -> AvgQfiReport:
     mset = moments(state)
     spin_bound = 4.0 * (np.trace(mset.second) - float(mset.mean @ mset.mean)) / 3.0
     table = {k: avg_producibility_bound(n, k) for k in range(1, n + 1)}
-    depth = next((k for k in range(1, n + 1) if avg <= table[k] + tol), n)
-    genuine = avg > avg_producibility_bound(n, n - 1) + tol if n >= 2 else False
+    depth = next((k for k in range(1, n + 1) if avg <= table[k] + VERDICT_TOL), n)
+    genuine = avg > avg_producibility_bound(n, n - 1) + VERDICT_TOL if n >= 2 else False
     return AvgQfiReport(avg, per_axis, n,
                         bound_separable=2.0 * n / 3.0,
                         bound_biseparable=(n * n + 1) / 3.0,
@@ -395,22 +394,6 @@ def macroscopicity(state: QuantumState) -> MacroReport:
     fq_max = 4.0 * float(w[-1])
     n_eff = fq_max / (4.0 * state.n)
     return MacroReport(n_eff, tuple(top), fq_max)
-
-
-def macroscopicity_index(states_by_n) -> float:
-    """Family exponent: log-log slope of max_n F_Q[rho_N, 2 J_n]/4 vs N.
-
-    Feed states of the same family at several N; returns the fitted power
-    p with max Var ~ N^p (p = 2 marks a macroscopic superposition).
-    """
-    ns, vals = [], []
-    for st in states_by_n:
-        rep = macroscopicity(st)
-        ns.append(st.n)
-        vals.append(rep.fq_max / 4.0)
-    if len(ns) < 2:
-        raise ValueError("need at least two family members")
-    return float(np.polyfit(np.log(ns), np.log(vals), 1)[0])
 
 
 # ----------------------------------------------------------------------

@@ -513,3 +513,28 @@ def test_cli_noise_sweep_over_the_qfi_cap_runs_no_row(tmp_path, capsys, monkeypa
 def test_cli_selftest_small(capsys):
     assert main(["selftest", "--samples", "8"]) == 0
     assert "PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("direction", ["0,0,0", "nan,0,1", "1,inf,0"])
+def test_cli_qfi_rejects_zero_or_non_finite_direction(tmp_path, capsys, direction):
+    path = tmp_path / "ghz.json"
+    serialize.write_state(ghz(3), str(path))
+    assert main(["qfi", str(path), "--generator", f"direction:{direction}"]) == 1
+    captured = capsys.readouterr()
+    assert "finite nonzero" in captured.err and "qfi =" not in captured.out
+
+
+def test_cli_witness_names_unknown_criteria(tmp_path, capsys):
+    path = tmp_path / "ghz.json"
+    serialize.write_state(ghz(3), str(path))
+    assert main(["witness", str(path), "--criteria", "xi_s,ssii"]) == 1
+    captured = capsys.readouterr()
+    assert "'ssii'" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("kind", ["noise", "frontier"])
+def test_cli_sweep_needs_at_least_one_point(tmp_path, capsys, kind):
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--kind", kind, "--n", "8", "--n-list", "4", "--p", "0.25",
+                 "--points", "0", "--out", str(out)]) == 1
+    assert "--points" in capsys.readouterr().err and not out.exists()

@@ -155,3 +155,10 @@ def test_embedding_consistency_of_moments():
         sym_val = st.expectation(collective_op(axis, st.rep))
         full_val = full.expectation(collective_op(axis, full.rep))
         assert sym_val == pytest.approx(full_val, abs=1e-10)
+
+
+@pytest.mark.parametrize("n_vec", [(np.nan, 0.0, 1.0), (0.0, -np.inf, 0.0)])
+def test_direction_rejects_non_finite_entries(n_vec):
+    # NaN fails every comparison, so the unit-norm check alone let it through
+    with pytest.raises(ValueError, match="finite"):
+        direction_op(n_vec, symmetric_rep(2))
