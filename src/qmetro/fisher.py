@@ -16,14 +16,17 @@ numerical roof optimizers for the variance.
 Functions accept either package states/operators or bare numpy arrays, so
 the property batteries can run on arbitrary-dimension random instances.
 Pure states take a ``CollectiveOperator`` through ``apply`` only (A|psi>
-with no d x d matrix); densities use its dense ``matrix``.
+with no d x d matrix); densities take its real factor or diagonal
+(``spin.density_factor``), and a bare array is split into its real or
+imaginary part where the other is exactly zero.
 A ``QuantumState`` density is eigendecomposed once: its payload is
 read-only, and the spectrum is kept on the state for every later Fisher
 quantity.  Bare arrays are eigendecomposed on every call.
 
 A real density (every probe family here and its noisy mixtures) has real
-eigenvectors V, and V^T A V takes two real products for the real J_x, J_z
-and the purely imaginary J_y.  Complex densities keep the complex route.
+eigenvectors V, and V^T A V is real for J_x, J_z ((V^T * m) V) and the
+real factor of the purely imaginary J_y; the Fisher cross term of a real
+and a purely imaginary transform is exactly zero and is not summed.
 """
 
 from __future__ import annotations
@@ -35,10 +38,10 @@ import numpy as np
 
 from .config import (CRB_RCOND, FD_STEP, FISHER_FLOOR, PROB_FLOOR, QFI_PAIR_FLOOR,
                      ROOF_TOL, SPEED_BOUND_TOL)
-from .linalg import (SpectralDecomposition, eigh_hermitian, psd_sqrt, pure_moments,
-                     rank_floor_sqrt, require_hermitian, split_matmul, unitary_apply,
-                     unitary_exp)
-from .spin import CollectiveOperator, apply_op, matrix_of
+from .linalg import (SpectralDecomposition, eigh_hermitian, factor_product, hermitian_trace,
+                     psd_sqrt, pure_moments, rank_floor_sqrt, require_hermitian,
+                     unitary_apply, unitary_exp)
+from .spin import CollectiveOperator, apply_op, density_factor, matrix_of
 from .states import QuantumState
 
 QFI_DENSITY_DIM_MAX = 4096
@@ -80,16 +83,15 @@ def _mean_and_var(kind, data, A):
         m = float(np.real(np.vdot(data, Av)))
         second = float(np.real(np.vdot(Av, Av)))
     else:
-        M = matrix_of(A)
-        X = M @ data
-        m = float(np.real(np.trace(X)))
-        second = _second_moment(M, X)
+        f = density_factor(A)
+        m = float(np.real(hermitian_trace(f, data)))
+        second = _second_moment(f, data)
     return m, second - m * m
 
 
-def _second_moment(A, X) -> float:
-    """Tr(A^2 rho) from X = A rho: sum_ij conj(A)_ij X_ij for Hermitian A."""
-    return float(np.real(np.vdot(A, X)))
+def _second_moment(A, rho) -> float:
+    """Tr(A^2 rho) for a Hermitian A, an operand of ``factor_product``."""
+    return float(np.real(hermitian_trace(A, factor_product(A, rho))))
 
 
 # ----------------------------------------------------------------------
@@ -116,11 +118,10 @@ def _eigensystem(state, rho: np.ndarray) -> SpectralDecomposition:
     return eigh_hermitian(rho)
 
 
-def _in_eigenbasis(V: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """V^dag A V; real eigenvectors take real products only."""
-    if np.isrealobj(V):
-        return split_matmul(V.T, A, V)
-    return V.conj().T @ A @ V
+def _in_eigenbasis(V: np.ndarray, A) -> tuple:
+    """V^dag A V as a factor (T, k), for A an operand of ``factor_product``:
+    real eigenvectors and a real factor take real products only."""
+    return factor_product((V.conj().T, 0), A, (V, 0))
 
 
 def _pair_ratio(lam: np.ndarray, num: np.ndarray, floor: float):
@@ -140,6 +141,7 @@ def _fisher(state, ops) -> tuple[np.ndarray, int]:
         mean, second = pure_moments(data, [apply_op(A, data) for A in ops])
         return 4.0 * (second - np.outer(mean, mean)), (data.shape[0] - 1) ** 2
     dec = _eigensystem(state, data)
+    V = dec.eigenvectors
     # d x d temporaries are dropped as soon as they are used, so that a
     # 1024^2 density holds W and the transformed generators only
     D = dec.eigenvalues[:, None] - dec.eigenvalues[None, :]
@@ -147,25 +149,40 @@ def _fisher(state, ops) -> tuple[np.ndarray, int]:
     W, keep = _pair_ratio(dec.eigenvalues, D, QFI_PAIR_FLOOR)
     skipped = keep.size - int(np.count_nonzero(keep))
     del D, keep
-    k = len(ops)
-    tilde = []
-    F = np.empty((k, k))
-    for n in range(k):
-        tilde.append(_in_eigenbasis(dec.eigenvectors, matrix_of(ops[n])))
-        t = np.abs(tilde[n])
+    factors = [density_factor(A) for A in ops]
+    # real transforms 1j**k T: the cross term of an even and an odd power of
+    # 1j is 2 Re(+-1j * real sum) = 0, so only a group of one parity is held
+    real = np.isrealobj(V) and all(np.isrealobj(f) for f, _ in factors)
+    groups = {}
+    for n, (_, k) in enumerate(factors):
+        groups.setdefault(k % 2 if real else 0, []).append(n)
+    F = np.zeros((len(ops), len(ops)))
+    for members in groups.values():
+        _fisher_block(F, W, V, [(n, factors[n]) for n in members])
+    return F, skipped
+
+
+def _fisher_block(F, W, V, members):
+    """Fill F[m, n] for the (n, factor) members, whose transforms
+    V^dag A_n V = 1j**k T are held together until the block is done."""
+    held = []
+    for n, f in members:
+        T, k = _in_eigenbasis(V, f)
+        t = np.abs(T)
         t **= 2
         t *= W
         F[n, n] = 2.0 * float(np.sum(t))
         del t
-        for m in range(n):
-            # (W tilde_m) conj(tilde_n), multiplied into the complex factor
-            p, q = W * tilde[m], tilde[n].conj()
+        for m, Tm, km in held:
+            # (W tilde_m) conj(tilde_n), multiplied into the complex factor,
+            # with the power of 1j outside
+            p, q = W * Tm, T.conj()
             if np.iscomplexobj(q) and not np.iscomplexobj(p):
                 p, q = q, p
             p *= q
-            F[m, n] = F[n, m] = 2.0 * float(np.real(np.sum(p)))
+            F[m, n] = F[n, m] = 2.0 * float(np.real(1j ** (km - k) * np.sum(p)))
             del p, q
-    return F, skipped
+        held.append((n, T, k))
 
 
 def qfi(state, op) -> QfiResult:
@@ -198,12 +215,12 @@ def qfi_alternative(state, op) -> float:
         # rank-1 spectrum: the correction sum keeps only the (psi,psi) term
         m, var = _mean_and_var(kind, data, A)
         return 4.0 * (var + m * m) - 4.0 * m * m
-    A = matrix_of(A)
+    A = density_factor(A)
     dec = _eigensystem(state, data)
     lam = dec.eigenvalues
-    At = _in_eigenbasis(dec.eigenvectors, A)
+    At, _ = _in_eigenbasis(dec.eigenvectors, A)
     C, _ = _pair_ratio(lam, lam[:, None] * lam[None, :], QFI_PAIR_FLOOR)
-    return 4.0 * _second_moment(A, A @ data) - 8.0 * float(np.sum(C * np.abs(At) ** 2))
+    return 4.0 * _second_moment(A, data) - 8.0 * float(np.sum(C * np.abs(At) ** 2))
 
 
 def sld(state, op) -> np.ndarray:
@@ -223,7 +240,8 @@ def sld(state, op) -> np.ndarray:
     lam = dec.eigenvalues
     V = dec.eigenvectors
     w, _ = _pair_ratio(lam, lam[:, None] - lam[None, :], QFI_PAIR_FLOOR)
-    return V @ (2j * w * _in_eigenbasis(V, matrix_of(A))) @ V.conj().T
+    T, k = _in_eigenbasis(V, density_factor(A))
+    return V @ (2j * 1j ** k * w * T) @ V.conj().T
 
 
 def wigner_yanase(state, op) -> float:
@@ -240,7 +258,7 @@ def wigner_yanase(state, op) -> float:
     X = A @ root
     # Tr(A root A root) = Tr(X X) = sum_ij X_ij X_ji
     cross = float(np.real(np.sum(X * X.T)))
-    return _second_moment(A, A @ data) - cross
+    return _second_moment(A, data) - cross
 
 
 def white_noise_qfi(pure_state, op, p: float) -> float:
@@ -317,7 +335,8 @@ def mandelstam_tamm_check(state, op, theta: float) -> SpeedBoundCheck:
     if kind == "vector":
         evolved = unitary_apply(A, theta, data, sign=-1)
     else:
-        U = unitary_exp(matrix_of(A), theta, sign=-1)
+        U = unitary_exp(A.spectrum if isinstance(A, CollectiveOperator) else A, theta,
+                        sign=-1)
         evolved = U @ data @ U.conj().T
     fid = bures_fidelity(data, evolved)
     bound = float(np.cos(np.sqrt(max(F, 0.0)) / 2.0 * theta) ** 2)
@@ -497,7 +516,7 @@ def _roof_optimize(state, op, cardinality, maximize_g, restarts, seed):
         raise ValueError(f"cardinality {K} below state rank {r}")
     sqrt_lam = np.sqrt(lam)
     B = (sqrt_lam[:, None] * (Vs.conj().T @ A @ Vs)) * sqrt_lam[None, :]
-    t2 = _second_moment(A, A @ data)
+    t2 = _second_moment(A, data)
 
     def ensemble(x):
         X = x[: K * r].reshape(K, r) + 1j * x[K * r:].reshape(K, r)

@@ -9,13 +9,16 @@ Operators reach this module as arrays.  Pure-state routines take what a
 structured operator gives without a dense matrix: ``pure_moments`` reads
 the images A_k|psi> (from ``CollectiveOperator.apply``) and
 ``unitary_apply`` needs only ``apply`` and the operator's ``norm_bound()``.
-Densities work on the dense ``CollectiveOperator.matrix``.
+Densities work on factors (F, k) standing for 1j**k F
+(``spin.density_factor``): F is a real diagonal (1-D), a real matrix, or a
+genuinely complex matrix with k = 0.
 
 Real data takes real arithmetic.  A complex array whose imaginary part is
 exactly zero holds the same matrix as its real part, so ``eigh_hermitian``
 eigendecomposes the real part with real LAPACK (and returns real
-eigenvectors), and ``split_matmul`` multiplies real and purely imaginary
-operands with real BLAS.  The rule is exact: no tolerance decides it.
+eigenvectors), and ``factor_product`` multiplies real and purely imaginary
+operands with real BLAS, keeping the power of 1j apart, so that no complex
+d x d array is formed.  The rule is exact: no tolerance decides it.
 """
 
 from __future__ import annotations
@@ -30,11 +33,25 @@ from .config import HERMITICITY, PSD_FLOOR
 _UNIT_ROUNDOFF = 2.0 ** -53  # the Taylor stopping rule's tolerance, as in expm_multiply
 
 
+# rows per block of the Hermiticity check: a block of a 1024^2 matrix is 1 MB
+_ROW_BLOCK = 128
+
+
+def _max_asymmetry(M: np.ndarray) -> float:
+    """max |M - M^dag|, by blocks of rows: no d x d temporary is formed."""
+    out = 0.0
+    for i in range(0, M.shape[0], _ROW_BLOCK):
+        out = max(out, np.abs(M[i:i + _ROW_BLOCK] - M[:, i:i + _ROW_BLOCK].conj().T).max())
+    return float(out)
+
+
 def hermiticity_defect(M: np.ndarray) -> float:
-    """Largest elementwise asymmetry |M - M^dag|, relative to max|M|."""
+    """Largest elementwise asymmetry |M - M^dag|, relative to max(max|M|, 1)."""
     M = np.asarray(M)
-    scale = max(np.abs(M).max(), 1.0) if M.size else 1.0
-    return float(np.abs(M - M.conj().T).max() / scale)
+    scale = 1.0
+    for i in range(0, M.shape[0], _ROW_BLOCK):
+        scale = max(scale, np.abs(M[i:i + _ROW_BLOCK]).max())
+    return _max_asymmetry(M) / float(scale)
 
 
 def require_hermitian(M: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -46,7 +63,7 @@ def require_hermitian(M: np.ndarray, name: str = "matrix") -> np.ndarray:
     limit = HERMITICITY * 10
     # the defect is relative to max(max|M|, 1) >= 1, so an absolute
     # asymmetry within the limit passes without computing that scale
-    if np.abs(M - M.conj().T).max() > limit and (defect := hermiticity_defect(M)) > limit:
+    if _max_asymmetry(M) > limit and (defect := hermiticity_defect(M)) > limit:
         raise ValueError(f"{name} is not Hermitian: max asymmetry {defect:.3e} exceeds tolerance")
     return M
 
@@ -110,20 +127,45 @@ def _real_factor(M: np.ndarray):
     return None
 
 
-def split_matmul(*mats: np.ndarray) -> np.ndarray:
-    """The product mats[0] @ mats[1] @ ..., in real BLAS where that is exact.
+def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b, where a 1-D operand is a diagonal: it scales rows or columns."""
+    if b.ndim == 1:
+        return a * b
+    return a[:, None] * b if a.ndim == 1 else a @ b
 
-    When every operand is real or purely imaginary, the product is the
-    product of the real matrices times a power of 1j, and a real result
-    comes back as a float64 array.  If any operand has both parts nonzero
-    the complex product is taken as is.
+
+def _as_factor(op) -> tuple:
+    """A factor (F, k) as is; an array split by ``_real_factor``, else (M, 0)."""
+    return op if isinstance(op, tuple) else (_real_factor(op) or (op, 0))
+
+
+def factor_product(*operands) -> tuple:
+    """The product operands[0] @ operands[1] @ ... as a factor (P, k), the
+    product being 1j**k P.
+
+    An operand is an array or a factor (F, k) standing for 1j**k F, where a
+    1-D F is a diagonal.  An array is split into its real or imaginary part
+    when the other is exactly zero (``_real_factor``), so real and purely
+    imaginary operands multiply in real BLAS and the power of 1j stays out of
+    the d x d result; a genuinely complex array takes part as it is.
     """
-    factors = [_real_factor(M) for M in mats]
-    if any(f is None for f in factors):
-        return reduce(np.matmul, mats)
-    out = reduce(np.matmul, [R for R, _ in factors])
-    k = sum(k for _, k in factors) % 4
-    return out if k == 0 else (1, 1j, -1, -1j)[k] * out
+    factors = [_as_factor(op) for op in operands]
+    return reduce(_times, [F for F, _ in factors]), sum(k for _, k in factors) % 4
+
+
+def hermitian_trace(a, b) -> complex:
+    """Tr(A B) for a Hermitian A and any B, each an operand of
+    ``factor_product``, in O(d^2) multiply-adds.
+
+    A^T = conj(A), so a real F has F^T = (-1)^k F and a complex F (k = 0)
+    has F^T = conj(F): Tr(A B) = sum_ij A_ji B_ij = 1j**(k_b - k_a) vdot(F_a, F_b).
+    """
+    (Fa, ka), (Fb, kb) = _as_factor(a), _as_factor(b)
+    if Fa.ndim == 1 or Fb.ndim == 1:
+        # a diagonal meets only the diagonal of the other factor
+        da, db = (F if F.ndim == 1 else np.diagonal(F) for F in (Fa, Fb))
+        return 1j ** (ka + kb) * (da @ db)
+    return 1j ** (kb - ka) * np.vdot(Fa, Fb)
 
 
 def psd_sqrt(M: np.ndarray) -> np.ndarray:
@@ -151,14 +193,15 @@ def rank_floor_sqrt(w: np.ndarray) -> np.ndarray:
     return np.sqrt(np.where(w > floor, w, 0.0))
 
 
-def unitary_exp(A: np.ndarray, theta: float, sign: int = -1) -> np.ndarray:
+def unitary_exp(A, theta: float, sign: int = -1) -> np.ndarray:
     """exp(sign * i * theta * A) for Hermitian A, via the spectral decomposition.
 
-    ``sign=-1`` (default) gives the interferometer propagator exp(-i A theta).
+    A is a matrix or its kept ``SpectralDecomposition``.  ``sign=-1``
+    (default) gives the interferometer propagator exp(-i A theta).
     """
     if sign not in (-1, +1):
         raise ValueError("sign must be +1 or -1")
-    dec = eigh_hermitian(A)
+    dec = A if isinstance(A, SpectralDecomposition) else eigh_hermitian(A)
     return dec.apply_function(lambda w: np.exp(1j * sign * theta * w))
 
 

@@ -28,10 +28,10 @@ import numpy as np
 
 from .config import CRB_TOL, DERIV_FLOOR, FD_STEP, FISHER_FLOOR
 from .fisher import qfi
-from .linalg import real_if_exact
+from .linalg import factor_product, hermitian_trace, real_if_exact
 from .spin import (FULL_DENSITY_MAX, PAULI, CollectiveOperator, Representation,
-                   collective_op, full_rep, gradient_op, parity_op, squared_op,
-                   symmetric_rep)
+                   collective_op, density_factor, full_rep, gradient_op, parity_op,
+                   squared_op, symmetric_rep)
 from .states import (QuantumState, SqueezingSpec, dicke, ghz, polarized, rotate,
                      singlet_pi, squeezed_ground_state)
 from .witnesses import MomentSet, moments
@@ -139,15 +139,19 @@ def _slope_terms(state: QuantumState, A: CollectiveOperator, M: CollectiveOperat
     """<M>, <M^2> and d<M>/dtheta = i<[A, M]> at the working point.
 
     A vector needs only M psi and A psi: the slope is -2 Im<A psi|M psi>.
+    A density rho needs M rho: Tr(M A rho) = conj Tr(A M rho), so the slope
+    is -2 Im Tr(A M rho), from the real factors or diagonals of A and M.
     """
     if state.is_pure:
         psi = state.data
         m = M.apply(psi)
         return (float(np.real(np.vdot(psi, m))), float(np.real(np.vdot(m, m))),
                 -2.0 * float(np.imag(np.vdot(A.apply(psi), m))))
-    A, M = A.matrix, M.matrix
-    comm = A @ M - M @ A
-    return state.expectation(M), state.expectation(M @ M), state.expectation(1j * comm)
+    A, M = density_factor(A), density_factor(M)
+    Mrho = factor_product(M, state.data)
+    return (float(np.real(hermitian_trace(M, state.data))),
+            float(np.real(hermitian_trace(M, Mrho))),
+            -2.0 * float(np.imag(hermitian_trace(A, Mrho))))
 
 
 def _curvature_terms(state: QuantumState, A: CollectiveOperator, M: CollectiveOperator):
@@ -163,12 +167,16 @@ def _curvature_terms(state: QuantumState, A: CollectiveOperator, M: CollectiveOp
         a2, ma = A.apply(a), M.apply(a)
         return (2.0 * float(np.real(np.vdot(a, ma) - np.vdot(a2, m))),
                 2.0 * float(np.real(np.vdot(ma, ma) - np.vdot(a2, M.apply(m)))))
-    A, M = A.matrix, M.matrix
-    comm = A @ M - M @ A
-    M2 = M @ M
-    comm2 = A @ M2 - M2 @ A
-    return (-state.expectation(A @ comm - comm @ A),
-            -state.expectation(A @ comm2 - comm2 @ A))
+    # the same for a density: -<[A,[A,X]]> = 2 Tr(X A rho A) - 2 Re Tr(A A X rho)
+    A, M = density_factor(A), density_factor(M)
+    ArhoA = factor_product(A, state.data, A)
+    Mrho = factor_product(M, state.data)
+    MMrho = factor_product(M, Mrho)
+
+    def term(X, Xrho):
+        return 2.0 * float(np.real(hermitian_trace(X, ArhoA)
+                                   - hermitian_trace(A, factor_product(A, Xrho))))
+    return term(M, Mrho), term(factor_product(M, M), MMrho)
 
 
 def error_propagation(sc: Scenario) -> PrecisionResult:

@@ -24,12 +24,15 @@ structure the physics provides, and ``apply(v)`` acts with it on a vector
   else the operator applied twice;
 * custom matrices: ``matrix @ v``.
 
-Pure states only need A|psi> and go through ``apply``.  Densities and
-custom operators read ``matrix``, which is built from the structure on
-first use and kept, read-only, on the operator; the builders agree bit for
-bit with the Kronecker sums they replace.  ``norm_bound()`` bounds the
-1-norm from the same structure, for the Taylor steps of
-``linalg.unitary_apply``.  Builders are kept in bounded caches.
+Pure states only need A|psi> and go through ``apply``.  Densities meet an
+operator through ``density_factor``: its diagonal (J_z, J_z^2), else its
+``real_factor`` (R, k), A = 1j**k R with R float64 (J_x real, J_y purely
+imaginary), else (a mixed direction, a complex custom matrix) its dense
+complex ``matrix``.  Each is built from the structure on first use and
+kept, read-only; ``matrix`` agrees bit for bit with 1j**k R and with the
+Kronecker sums it replaced.  ``spectrum`` keeps the eigendecomposition for
+density rotations, and ``norm_bound()`` bounds the 1-norm for the Taylor
+steps of ``linalg.unitary_apply``.  Builders are kept in bounded caches.
 """
 
 from __future__ import annotations
@@ -40,7 +43,8 @@ from functools import lru_cache
 import numpy as np
 
 from .config import DIRECTION_NORM
-from .linalg import real_if_exact, require_hermitian
+from .linalg import (SpectralDecomposition, _real_factor, eigh_hermitian, real_if_exact,
+                     require_hermitian)
 
 FULL_VECTOR_MAX = 12   # 2^12 = 4096 amplitudes
 FULL_DENSITY_MAX = 10  # 2^10 = 1024 -> 1M-entry density matrices
@@ -110,6 +114,13 @@ def _cols(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     return x.reshape(x.shape + (1,) * (v.ndim - 1))
 
 
+def _from_factor(R: np.ndarray, k: int) -> np.ndarray:
+    """The complex matrix 1j**k R (k = 0 or 1), with +0 in the other part."""
+    M = np.zeros(R.shape, dtype=complex)
+    (M.imag if k else M.real)[...] = R
+    return _freeze(M)
+
+
 class _Form:
     """A structured Hermitian operator of dimension ``dim``.
 
@@ -125,6 +136,22 @@ class _Form:
         for rows, cols, vals in self.triplets():
             M[rows, cols] += vals
         return _freeze(M)
+
+    def real_factor(self):
+        """(R, k), the matrix being 1j**k R with R real, filled from the
+        triplets as ``dense`` fills the complex matrix; None if some entry
+        has both parts nonzero."""
+        groups = list(self.triplets())
+        if not any(np.imag(v).any() for *_, v in groups):
+            k, part = 0, np.real
+        elif not any(np.real(v).any() for *_, v in groups):
+            k, part = 1, np.imag
+        else:
+            return None
+        R = np.zeros((self.dim, self.dim))
+        for rows, cols, vals in groups:
+            R[rows, cols] += part(vals)
+        return _freeze(R), k
 
 
 class _Banded(_Form):
@@ -237,6 +264,14 @@ class _Sum(_Form):
     def dense(self):
         return _freeze(np.ascontiguousarray(sum(w * A.matrix for w, A in self.terms)))
 
+    def real_factor(self):
+        # the terms with a nonzero weight, when they share one power of 1j
+        parts = [(w, A.real_factor) for w, A in self.terms if w]
+        powers = {f[1] for _, f in parts if f is not None}
+        if any(f is None for _, f in parts) or len(powers) != 1:
+            return None
+        return _freeze(sum(w * f[0] for w, f in parts)), powers.pop()
+
     def norm_bound(self):
         return sum(abs(w) * A.norm_bound() for w, A in self.terms)
 
@@ -251,7 +286,16 @@ class _Square(_Form):
         return self.A.apply(self.A.apply(v))
 
     def dense(self):
-        return _freeze(self.A.matrix @ self.A.matrix)
+        f = self.real_factor()
+        return _from_factor(*f) if f else _freeze(self.A.matrix @ self.A.matrix)
+
+    def real_factor(self):
+        # (1j**k R)^2 = (-1)^k R^2, real either way
+        f = self.A.real_factor
+        if f is None:
+            return None
+        R, k = f
+        return _freeze(-(R @ R) if k else R @ R), 0
 
     def norm_bound(self):
         return self.A.norm_bound() ** 2
@@ -268,6 +312,10 @@ class _Dense(_Form):
 
     def dense(self):
         return self.M
+
+    def real_factor(self):
+        f = _real_factor(self.M)
+        return None if f is None else (_freeze(f[0].view()), f[1])
 
     def norm_bound(self):
         return float(np.linalg.norm(self.M, 1))
@@ -290,7 +338,7 @@ class CollectiveOperator:
         if form.dim != rep.dim:
             raise ValueError(f"operator dimension {form.dim} does not match {rep}")
         self.form, self.rep, self.provenance = form, rep, provenance
-        self._matrix = None
+        self._memo = {}
 
     def __repr__(self):
         return f"CollectiveOperator({self.provenance!r}, {self.rep})"
@@ -302,12 +350,29 @@ class CollectiveOperator:
             raise ValueError(f"operand length {v.shape[0]} does not match {self.rep}")
         return self.form.apply(v)
 
+    def _memoized(self, key: str, compute):
+        """compute() on the first request for key, the kept value afterwards."""
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
+
     @property
     def matrix(self) -> np.ndarray:
-        """The dense matrix, built from the structure on first use and kept."""
-        if self._matrix is None:
-            self._matrix = self.form.dense()
-        return self._matrix
+        """The dense complex matrix, built from the structure on first use and kept."""
+        return self._memoized("matrix", self.form.dense)
+
+    @property
+    def real_factor(self):
+        """(R, k) with ``matrix`` = 1j**k R and R a read-only float64 array,
+        built from the structure on first use and kept; None when the
+        operator is genuinely complex."""
+        return self._memoized("real_factor", self.form.real_factor)
+
+    @property
+    def spectrum(self) -> SpectralDecomposition:
+        """The eigendecomposition, computed on first use and kept (one per
+        generator however many angles it rotates by)."""
+        return self._memoized("spectrum", lambda: eigh_hermitian(self.form.dense()))
 
     def norm_bound(self) -> float:
         """A bound on the 1-norm (so on the spectral norm), from the structure."""
@@ -322,6 +387,18 @@ def apply_op(op, v) -> np.ndarray:
 def matrix_of(op) -> np.ndarray:
     """The dense matrix of a CollectiveOperator, or a bare matrix as is."""
     return op.matrix if isinstance(op, CollectiveOperator) else np.asarray(op)
+
+
+def density_factor(op) -> tuple:
+    """op as a factor (F, k) = 1j**k F for products with a density
+    (``linalg.factor_product``): the real diagonal (1-D) of a diagonal
+    CollectiveOperator, else its ``real_factor``, else its dense matrix with
+    k = 0.  A bare matrix is split by its exact real and imaginary parts."""
+    if isinstance(op, CollectiveOperator):
+        d = op.form.diagonal()
+        return (d, 0) if d is not None else (op.real_factor or (op.matrix, 0))
+    M = np.asarray(op)
+    return _real_factor(M) or (M, 0)
 
 
 # ----------------------------------------------------------------------

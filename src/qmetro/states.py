@@ -9,8 +9,9 @@ computed once and kept on the state.
 
 A pure state meets a ``CollectiveOperator`` only through ``apply``:
 expectations, variances and vector rotations (Taylor steps over ``apply``)
-never build a d x d operator.  Densities and bare arrays use the dense
-``matrix``.
+never build a d x d operator.  A density meets it through its real factor
+or diagonal (``spin.density_factor``), so a real density takes real
+products only, and is rotated with the generator's kept ``spectrum``.
 """
 
 from __future__ import annotations
@@ -23,11 +24,11 @@ from math import lgamma
 import numpy as np
 
 from .config import PSD_FLOOR, STATE_NORM
-from .linalg import (hermiticity_defect, real_if_exact, split_matmul, unitary_apply,
-                     unitary_exp)
+from .linalg import (factor_product, hermitian_trace, hermiticity_defect, real_if_exact,
+                     unitary_apply, unitary_exp)
 from .spin import (AXES, FULL_DENSITY_MAX, CollectiveOperator, Representation, apply_op,
-                   collective_op, dicke_embedding, full_rep, ladder_amplitudes,
-                   matrix_of, symmetric_rep)
+                   collective_op, density_factor, dicke_embedding, full_rep,
+                   ladder_amplitudes, symmetric_rep)
 
 
 @dataclass(frozen=True)
@@ -63,9 +64,12 @@ class QuantumState:
                 raise ValueError("density matrix is not Hermitian")
             if abs(np.trace(r).real - 1.0) > STATE_NORM:
                 raise ValueError(f"density matrix trace {np.trace(r).real!r} != 1")
-            # PSD within the floor <=> rho + |floor| I admits a Cholesky factor
+            # PSD within the floor <=> rho + |floor| I admits a Cholesky factor;
+            # the shift goes onto the diagonal of one copy
+            shifted = np.array(r)
+            shifted.flat[::d.shape[0] + 1] += -PSD_FLOOR
             try:
-                np.linalg.cholesky(r + (-PSD_FLOOR) * np.eye(d.shape[0]))
+                np.linalg.cholesky(shifted)
             except np.linalg.LinAlgError:
                 wmin = np.linalg.eigvalsh(r).min()
                 raise ValueError(f"density matrix has negative eigenvalue {wmin:.2e}")
@@ -101,17 +105,17 @@ class QuantumState:
     def expectation(self, op) -> float:
         if self.is_pure:
             return float(np.real(np.vdot(self.data, apply_op(op, self.data))))
-        return float(np.real(np.einsum("ij,ji->", matrix_of(op), self.data)))
+        return float(np.real(hermitian_trace(density_factor(op), self.data)))
 
     def variance(self, op) -> float:
         if self.is_pure:
             Av = apply_op(op, self.data)
             m = np.real(np.vdot(self.data, Av))
             return float(np.real(np.vdot(Av, Av)) - m ** 2)
-        A = matrix_of(op)
-        X = A @ self.data
-        m = float(np.real(np.trace(X)))
-        return float(np.real(np.einsum("ij,ji->", A, X))) - m ** 2
+        A = density_factor(op)
+        X = factor_product(A, self.data)
+        m = float(np.real(hermitian_trace(A, self.data)))
+        return float(np.real(hermitian_trace(A, X))) - m ** 2
 
     def fidelity_with(self, other: "QuantumState") -> float:
         """Overlap fidelity; for two pure states |<a|b>|^2."""
@@ -135,13 +139,13 @@ def rotate(state: QuantumState, generator: CollectiveOperator, theta: float) -> 
 
     Pure states take Taylor steps over ``generator.apply`` (``unitary_apply``),
     with no eigendecomposition and no dense generator; densities are
-    conjugated by the full propagator.
+    conjugated by the full propagator, from the generator's kept spectrum.
     """
     _check_same_rep(state, generator)
     if state.is_pure:
         v = unitary_apply(generator, theta, state.data, sign=-1)
         return QuantumState(state.rep, v, label=state.label)
-    U = unitary_exp(generator.matrix, theta, sign=-1)
+    U = unitary_exp(generator.spectrum, theta, sign=-1)
     return QuantumState(state.rep, U @ state.data @ U.conj().T, label=state.label)
 
 
@@ -247,11 +251,15 @@ def dicke(n: int, m: int, rep: Representation | None = None) -> QuantumState:
 
 @lru_cache(maxsize=FULL_DENSITY_MAX // 2)  # one entry per even N <= FULL_DENSITY_MAX
 def _singlet_density(n: int) -> np.ndarray:
-    # J^2 = sum_l J_l^2 is real (J_y^2 through split_matmul); its eigenvalues
-    # are J(J+1), J = 0 .. N/2, so the product of 1 - J^2/(j(j+1)) over
-    # j = 1 .. N/2 keeps the J = 0 subspace only
-    J2 = sum(split_matmul(J.matrix, J.matrix) for J in
-             (collective_op(a, full_rep(n)) for a in AXES))
+    # J^2 = sum_l J_l^2 is real (J_y^2 = -R_y^2 for J_y = i R_y); its
+    # eigenvalues are J(J+1), J = 0 .. N/2, so the product of 1 - J^2/(j(j+1))
+    # over j = 1 .. N/2 keeps the J = 0 subspace only
+    (Rx, _), (Ry, _), (m, _) = (density_factor(collective_op(a, full_rep(n))) for a in AXES)
+    # entry for entry the sum 0 + R_x^2 - R_y^2 + J_z^2 of dense squares:
+    # J_z^2 adds m^2 on the diagonal and +0 elsewhere
+    J2 = Rx @ Rx
+    J2 -= Ry @ Ry
+    J2 += np.diag(m * m)
     P = np.eye(2 ** n)
     for j in range(1, n // 2 + 1):
         P = P - (P @ J2) / (j * (j + 1))

@@ -18,8 +18,8 @@ import numpy as np
 
 from .config import FISHER_FLOOR, VERDICT_TOL
 from .fisher import fisher_matrix, qfi
-from .linalg import pure_moments, split_matmul
-from .spin import AXES, PAULI, collective_op
+from .linalg import factor_product, hermitian_trace, pure_moments, real_if_exact
+from .spin import AXES, PAULI, collective_op, density_factor
 from .states import QuantumState
 
 _AX_INDEX = {"x": 0, "y": 1, "z": 2}
@@ -64,8 +64,10 @@ def moments(state: QuantumState) -> MomentSet:
 
     With G_kl = <J_k J_l>, the symmetrised second moments are Re G.  A pure
     state needs only the three vectors J_l|psi> (G is their Gram matrix);
-    a density needs the products J_l rho and, for the diagonal, J_l^2 rho.
-    The result is computed once and kept on the state: do not write into it.
+    a density needs the products J_l rho and, for the diagonal, J_l^2 rho,
+    each from the real factor or the diagonal of J_l (real products only on a
+    real density).  The result is computed once and kept on the state: do
+    not write into it.
     """
     return state._memoized("moments", lambda: _evaluate_moments(state))
 
@@ -75,21 +77,23 @@ def _evaluate_moments(state: QuantumState) -> MomentSet:
     if state.is_pure:
         psi = state.data
         return MomentSet(state.n, *pure_moments(psi, [J.apply(psi) for J in ops]))
-    rho = state.data
-    mats = [J.matrix for J in ops]
-    mean = np.array([state.expectation(J) for J in mats])
+    # one contiguous copy of a real density serves every product; J_x rho and
+    # J_y rho are real products (the latter times 1j), J_z rho scales rows,
+    # and one d x d product is held at a time
+    rho = np.ascontiguousarray(real_if_exact(state.data))
+    factors = [density_factor(J) for J in ops]
+    mean = np.array([hermitian_trace(f, rho).real for f in factors])
     G = np.empty((3, 3), dtype=complex)
-    for l, J in enumerate(mats):
-        # real densities take real products (J_y rho is purely imaginary);
-        # one d x d product is held at a time
-        x = split_matmul(J, rho)
-        # Tr(J_k J_l rho) = sum_ij conj(J_k)_ji (J_l rho)_ji, J_k Hermitian
-        G[:, l] = [np.vdot(Jk, x) for Jk in mats]
+    for l, f in enumerate(factors):
+        x = factor_product(f, rho)
+        G[:, l] = [hermitian_trace(g, x) for g in factors]
         del x
-        # the diagonal keeps the form Tr((J_l J_l) rho): at an exact tie
-        # between axes (white-noise GHZ, singlets) the axis that optimal_ssi
-        # reports follows this sum's round-off
-        G[l, l] = np.trace(split_matmul(J, J, rho))
+        # the diagonal keeps the form Tr((J_l J_l) rho) of dense products:
+        # at an exact tie between axes (white-noise GHZ, singlets) the axis
+        # that optimal_ssi reports follows this sum's round-off
+        P, k = factor_product(f, f, rho)
+        G[l, l] = 1j ** k * np.trace(P)
+        del P
     return MomentSet(state.n, mean, np.real(G + G.conj().T) / 2.0)
 
 

@@ -1,10 +1,11 @@
 """Applied operators checked against the dense builders they replaced.
 
-A ``CollectiveOperator`` acts on vectors through ``apply`` and builds its
-dense ``matrix`` only on request, for densities.  The former dense
-builders are kept here as oracles: the lazy matrix must equal them bit
-for bit, and ``apply`` must equal the dense product to 1e-12 relative to
-the scale ||A||_inf ||v||_inf of the product.
+A ``CollectiveOperator`` acts on vectors through ``apply``, meets densities
+through its real factor (A = 1j**k R) or diagonal, and builds its dense
+``matrix`` only on request.  The former dense builders are kept here as
+oracles: the lazy matrix must equal them, and 1j**k R must equal the
+matrix, bit for bit; ``apply`` must equal the dense product to 1e-12
+relative to the scale ||A||_inf ||v||_inf of the product.
 """
 
 import numpy as np
@@ -17,7 +18,7 @@ from qmetro.spin import (AXES, PAULI, CollectiveOperator, Representation, collec
                          dicke_embedding, direction_op, full_rep, gradient_op,
                          ladder_amplitudes, parity_op, single_site_op, squared_op,
                          symmetric_rep)
-from qmetro.states import SqueezingSpec, squeezed_ground_state
+from qmetro.states import SqueezingSpec, ghz, mix_white_noise, squeezed_ground_state
 from conftest import rand_hermitian
 
 
@@ -117,6 +118,45 @@ def test_lazy_matrix_is_built_once_and_read_only():
     custom = np.diag([1.0, -1.0]).astype(complex)
     op = CollectiveOperator(custom, full_rep(1))
     assert op.matrix is custom and custom.flags.writeable
+
+
+# ------------------------------------------------- real factors, bit for bit
+
+def _factored_ops(rep):
+    """Every structured operator that is real or purely imaginary."""
+    axes = [collective_op(a, rep) for a in AXES]
+    ops = axes + [squared_op(J) for J in axes]
+    ops += [direction_op(sign * np.eye(3)[i], rep) for i in range(3) for sign in (1, -1)]
+    ops += [parity_op(a, rep) for a in (AXES if rep.kind == "full" else "x")]
+    if rep.kind == "full":
+        ops += [gradient_op(rep), gradient_op(rep, centered=True)]
+        ops += [single_site_op(PAULI[a] / 2.0, s, rep) for a in AXES for s in range(rep.n)]
+    return ops
+
+
+@pytest.mark.parametrize("rep", [symmetric_rep(n) for n in range(1, 9)]
+                         + [full_rep(n) for n in range(1, 7)], ids=repr)
+def test_real_factor_equals_matrix_bitwise(rep):
+    for op in _factored_ops(rep):
+        R, k = op.real_factor
+        assert R.dtype == np.float64 and not R.flags.writeable, op
+        assert op.real_factor is op.real_factor
+        # 1j**k R, with +0 in the other part as the matrix is filled from zeros
+        want = np.zeros(R.shape, dtype=complex)
+        (want.imag if k else want.real)[...] = R
+        assert np.array_equal(_bits(want), _bits(op.matrix)), op
+
+
+def test_genuinely_complex_operators_have_no_factor(rng):
+    rep = full_rep(3)
+    assert direction_op(np.array([1.0, 1.0, 0.0]) / np.sqrt(2), rep).real_factor is None
+    assert single_site_op(rand_hermitian(rng, 2), 1, rep).real_factor is None
+    assert CollectiveOperator(rand_hermitian(rng, 8), rep).real_factor is None
+    # a real custom matrix is its own factor, as a read-only view
+    custom = np.diag(np.arange(8.0))
+    R, k = CollectiveOperator(custom, rep).real_factor
+    assert k == 0 and np.array_equal(R, custom) and not R.flags.writeable
+    assert custom.flags.writeable
 
 
 def test_non_diagonal_square_matches_sparse_product():
@@ -262,3 +302,21 @@ def test_symmetric_1000_commands_build_no_dense_operator(tmp_path, monkeypatch):
     # the recorder sees a dense read when one happens
     collective_op("z", Representation("symmetric", 4)).matrix
     assert len(read) == 1
+
+
+def test_witness_on_a_real_full_density_builds_no_dense_operator(tmp_path, monkeypatch):
+    """witness --all on white-noise GHZ-8 meets J through real factors and
+    the diagonal of J_z only."""
+    read = []
+    lazy = CollectiveOperator.matrix
+
+    def recorded(op):
+        if not isinstance(op.form, spin._Dense):
+            read.append(op)
+        return lazy.fget(op)
+
+    monkeypatch.setattr(CollectiveOperator, "matrix", property(recorded))
+    state = tmp_path / "mixed.json"
+    write_state(mix_white_noise(ghz(8, full_rep(8)), 0.6), str(state))
+    assert main(["witness", str(state), "--all", "--out", str(tmp_path / "w.json")]) == 0
+    assert read == []

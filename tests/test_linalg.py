@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from qmetro.linalg import eigh_hermitian, psd_sqrt, split_matmul, unitary_exp
+from qmetro.linalg import (eigh_hermitian, factor_product, hermitian_trace, hermiticity_defect,
+                           psd_sqrt, require_hermitian, unitary_exp)
 from conftest import rand_hermitian
 
 
@@ -76,18 +77,51 @@ def test_unitarity_and_group_property(rng):
     assert np.abs(U1 @ U2 - unitary_exp(A, 0.7)).max() <= 1e-9
 
 
-def test_split_matmul_matches_complex_product(rng):
+def test_factor_product_matches_complex_product(rng):
     R = [rng.standard_normal((6, 6)) for _ in range(3)]
     C = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    cases = [((R[0] + 0j, R[1]), np.float64),
-             ((1j * R[0], R[1]), np.complex128),
-             ((1j * R[0], R[1] + 0j, 1j * R[2]), np.float64),
-             ((1j * R[0], 1j * R[1], 1j * R[2]), np.complex128),
-             ((R[0], C, R[1]), np.complex128)]
-    for mats, dtype in cases:
+    d = rng.standard_normal(6)
+    # operands, the dtype of the product's factor and its power of 1j
+    cases = [((R[0] + 0j, R[1]), np.float64, 0),
+             ((1j * R[0], R[1]), np.float64, 1),
+             ((1j * R[0], R[1] + 0j, 1j * R[2]), np.float64, 2),
+             ((1j * R[0], 1j * R[1], 1j * R[2]), np.float64, 3),
+             ((R[0], C, R[1]), np.complex128, 0),
+             ((1j * R[0], C), np.complex128, 1)]
+    for mats, dtype, power in cases:
         want = mats[0]
         for M in mats[1:]:
             want = want @ M
-        got = split_matmul(*mats)
-        assert got.dtype == dtype
-        assert np.abs(got - want).max() <= 1e-12
+        P, k = factor_product(*mats)
+        assert P.dtype == dtype and k == power
+        assert np.abs(1j ** k * P - want).max() <= 1e-12
+    # a factor (F, k) takes part as 1j**k F, a 1-D F as a diagonal
+    P, k = factor_product((d, 0), (R[0], 1), R[1], (d, 0))
+    want = np.diag(d) @ (1j * R[0]) @ R[1] @ np.diag(d)
+    assert k == 1 and np.abs(1j * P - want).max() <= 1e-12
+
+
+def test_hermitian_trace_matches_dense_trace(rng):
+    B = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    S = rng.standard_normal((6, 6))
+    d = rng.standard_normal(6)
+    hermitian = {"symmetric": ((S + S.T, 0), S + S.T),
+                 "imaginary": ((S - S.T, 1), 1j * (S - S.T)),
+                 "complex": ((B + B.conj().T, 0), B + B.conj().T),
+                 "diagonal": ((d, 0), np.diag(d))}
+    others = {"complex": (B, B), "imaginary": ((S, 1), 1j * S), "diagonal": ((d, 2), -np.diag(d))}
+    for a, (fa, A) in hermitian.items():
+        for b, (fb, Bm) in others.items():
+            want = np.trace(A @ Bm)
+            assert abs(hermitian_trace(fa, fb) - want) <= 1e-12 * max(1.0, abs(want)), (a, b)
+
+
+def test_hermiticity_checked_across_row_blocks(rng):
+    """The check runs by blocks of rows; an asymmetry in the last block of a
+    300 x 300 matrix is found, and measured as on the whole matrix."""
+    A = rand_hermitian(rng, 300)
+    require_hermitian(A)
+    A[290, 3] += 1e-3
+    with pytest.raises(ValueError, match="not Hermitian"):
+        require_hermitian(A)
+    assert hermiticity_defect(A) == np.abs(A - A.conj().T).max() / np.abs(A).max()

@@ -4,6 +4,11 @@ Symmetric states up to N = 4096 and full vectors up to N = 12 are pure, so
 their collective operators are applied, never stored: each command below
 stays under 200 MB (a dense 4096 x 4096 operator alone is 268 MB).
 
+Full densities go up to N = 10 (1024 x 1024, 16 MB complex).  They meet
+J_x and J_y through real factors and J_z through its diagonal, so
+``witness --all`` on a mixed N = 10 state holds no complex 1024^2 operator
+and stays under 150 MB (three complex J alone are 48 MB).
+
 Each command runs in its own process, and its peak RSS is ``ru_maxrss``
 from ``os.wait4``.  A small launcher process starts it: Linux carries the
 parent's peak RSS over fork and exec into the child's ``ru_maxrss``, so a
@@ -22,9 +27,10 @@ import pytest
 import qmetro
 from qmetro.serialize import write_state
 from qmetro.spin import full_rep
-from qmetro.states import SqueezingSpec, ghz, squeezed_ground_state
+from qmetro.states import SqueezingSpec, ghz, mix_white_noise, squeezed_ground_state
 
 LIMIT_MB = 200
+DENSITY_LIMIT_MB = 150
 
 _LAUNCHER = """
 import json, os, subprocess, sys
@@ -39,6 +45,7 @@ def states(tmp_path_factory):
     root = tmp_path_factory.mktemp("limits")
     write_state(squeezed_ground_state(SqueezingSpec(4096, 100.0)), str(root / "sq4096.json"))
     write_state(ghz(12, full_rep(12)), str(root / "ghz12.json"))
+    write_state(mix_white_noise(ghz(10, full_rep(10)), 0.6), str(root / "mixed10.json"))
     return root
 
 
@@ -52,12 +59,14 @@ def _peak_rss_mb(argv, cwd) -> float:
     return rec["maxrss_kb"] / 1024.0
 
 
-@pytest.mark.parametrize("argv", [
-    ["witness", "sq4096.json", "--all"],
-    ["sweep", "--kind", "frontier", "--n", "4096", "--points", "4", "--out", "f.csv"],
-    ["qfi", "ghz12.json"],
-    ["witness", "ghz12.json", "--all"],
-], ids=["witness-symmetric-4096", "frontier-4096", "qfi-full-ghz-12", "witness-full-ghz-12"])
-def test_cli_peak_rss_at_advertised_limits(states, argv):
+@pytest.mark.parametrize("argv,limit", [
+    (["witness", "sq4096.json", "--all"], LIMIT_MB),
+    (["sweep", "--kind", "frontier", "--n", "4096", "--points", "4", "--out", "f.csv"], LIMIT_MB),
+    (["qfi", "ghz12.json"], LIMIT_MB),
+    (["witness", "ghz12.json", "--all"], LIMIT_MB),
+    (["witness", "mixed10.json", "--all"], DENSITY_LIMIT_MB),
+], ids=["witness-symmetric-4096", "frontier-4096", "qfi-full-ghz-12", "witness-full-ghz-12",
+        "witness-full-mixed-10"])
+def test_cli_peak_rss_at_advertised_limits(states, argv, limit):
     peak = _peak_rss_mb(argv, states)
-    assert peak < LIMIT_MB, f"{' '.join(argv)}: peak RSS {peak:.0f} MB"
+    assert peak < limit, f"{' '.join(argv)}: peak RSS {peak:.0f} MB"

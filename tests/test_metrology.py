@@ -18,7 +18,8 @@ from qmetro.metrology import (NOISY_QFI_MAX, NoiseChannel, Scenario, _golden,
                               gradient_scenario, noisy_scaling_sweep,
                               ramsey_curve, ramsey_scenario, squeezing_frontier,
                               squared_op)
-from qmetro.spin import collective_op, direction_op, full_rep, parity_op, symmetric_rep
+from qmetro.spin import (collective_op, direction_op, full_rep, gradient_op, parity_op,
+                         symmetric_rep)
 from qmetro.states import (QuantumState, SqueezingSpec, dicke, ghz, polarized,
                            rotate, singlet_pi, squeezed_ground_state, to_full)
 
@@ -138,6 +139,25 @@ def test_gradient_frozen_and_oracle():
         vals.append(v / d ** 2)
     richardson = (4 * vals[1] - vals[0]) / 3
     assert res.value == pytest.approx(richardson, rel=1e-5)
+
+
+def test_gradient_error_propagation_eigendecomposes_the_generator_once(monkeypatch):
+    """The rotations at theta0 and at both finite-difference points share the
+    generator's kept spectrum."""
+    gradient_op.cache_clear()
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    res = error_propagation(gradient_scenario(8, theta0=0.1))
+    assert shapes == [(256, 256)]
+    # the value of three separate eigendecompositions and dense commutators
+    assert res.branch == "direct"
+    assert res.value == pytest.approx(0.024847580850594877, rel=1e-12)
 
 
 def test_gradient_larger_n_finite():

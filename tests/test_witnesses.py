@@ -35,6 +35,31 @@ def test_moments_dicke():
     assert m.second_moment("z") == pytest.approx(0.0, abs=1e-12)
 
 
+def _dense_moment_diagonal(state):
+    """Tr((J_l J_l) rho) as dense products give it: the real part of the
+    complex J_l (the imaginary part of J_y, whose square is -R_y^2), two real
+    products of the full matrices and np.trace."""
+    rho = state.data.real
+    out = []
+    for a in "xyz":
+        J = collective_op(a, state.rep).form.dense()
+        R = J.imag if a == "y" else J.real
+        out.append((-1.0 if a == "y" else 1.0) * np.trace(R @ R @ rho))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("make", [lambda p=p: mix_white_noise(ghz(10, full_rep(10)), p)
+                                  for p in (0.5, 0.6, 0.7, 0.8, 0.9)] + [lambda: singlet_pi(8)],
+                         ids=[f"ghz10-p{p}" for p in (0.5, 0.6, 0.7, 0.8, 0.9)] + ["singlet8"])
+def test_density_moment_diagonal_is_the_dense_form_bitwise(make):
+    """Axes tie exactly on these states (y and z for white-noise GHZ, all
+    three for singlets), so the axis optimal_ssi reports follows the last bit
+    of <J_l^2>: the real factors and the diagonal of J_z keep every bit."""
+    state = make()
+    got = np.diag(moments(state).second).copy()
+    assert np.array_equal(got.view(np.uint64), _dense_moment_diagonal(state).view(np.uint64))
+
+
 # ------------------------------------------------- xi_s
 
 def test_moments_and_collective_fisher_kept_on_the_state(monkeypatch):
