@@ -15,10 +15,11 @@ numerical roof optimizers for the variance.
 
 Functions accept either package states/operators or bare numpy arrays, so
 the property batteries can run on arbitrary-dimension random instances.
-Pure states take a ``CollectiveOperator`` through ``apply`` only (A|psi>
-with no d x d matrix); densities take its real factor or diagonal
-(``spin.density_factor``), and a bare array is split into its real or
-imaginary part where the other is exactly zero.
+A bare matrix becomes a custom ``CollectiveOperator`` of no representation
+(``spin.as_operator``, checked Hermitian), so every operator is met the
+same way: pure states through ``apply`` only (A|psi> with no d x d
+matrix), densities through its ``factor`` (a real diagonal or matrix
+where the operator is real or purely imaginary).
 A ``QuantumState`` density is eigendecomposed once: its payload is
 read-only, and the spectrum is kept on the state for every later Fisher
 quantity.  Bare arrays are eigendecomposed on every call.
@@ -38,11 +39,11 @@ import numpy as np
 
 from .config import (CRB_RCOND, FD_STEP, FISHER_FLOOR, PROB_FLOOR, QFI_PAIR_FLOOR,
                      ROOF_TOL, SPEED_BOUND_TOL)
-from .linalg import (SpectralDecomposition, eigh_hermitian, factor_product, hermitian_trace,
-                     psd_sqrt, pure_moments, rank_floor_sqrt, require_hermitian,
-                     unitary_apply, unitary_exp)
-from .spin import CollectiveOperator, apply_op, density_factor, matrix_of
-from .states import QuantumState
+from .linalg import (SpectralDecomposition, eigh_hermitian, factor_product, psd_sqrt,
+                     pure_moments, rank_floor_sqrt, require_hermitian, unitary_apply,
+                     unitary_exp)
+from .spin import as_operator
+from .states import QuantumState, check_same_rep, operator_moments
 
 QFI_DENSITY_DIM_MAX = 4096
 
@@ -50,13 +51,6 @@ QFI_DENSITY_DIM_MAX = 4096
 # ----------------------------------------------------------------------
 # input adapters
 # ----------------------------------------------------------------------
-
-def _operator(op):
-    """A CollectiveOperator as is; a bare matrix checked Hermitian."""
-    if isinstance(op, CollectiveOperator):
-        return op
-    return require_hermitian(np.asarray(op, dtype=complex), name="generator")
-
 
 def _state_payload(state):
     """Return ("vector"|"density", array)."""
@@ -70,28 +64,9 @@ def _state_payload(state):
     raise ValueError("state must be a vector or a density matrix")
 
 
-def _check_reps(state, op):
-    if isinstance(state, QuantumState) and isinstance(op, CollectiveOperator):
-        if state.rep != op.rep:
-            raise ValueError(
-                f"representation mismatch: state {state.rep} vs operator {op.rep}")
-
-
-def _mean_and_var(kind, data, A):
-    if kind == "vector":
-        Av = apply_op(A, data)
-        m = float(np.real(np.vdot(data, Av)))
-        second = float(np.real(np.vdot(Av, Av)))
-    else:
-        f = density_factor(A)
-        m = float(np.real(hermitian_trace(f, data)))
-        second = _second_moment(f, data)
+def _mean_and_var(data, A) -> tuple[float, float]:
+    m, second = operator_moments(A, data)
     return m, second - m * m
-
-
-def _second_moment(A, rho) -> float:
-    """Tr(A^2 rho) for a Hermitian A, an operand of ``factor_product``."""
-    return float(np.real(hermitian_trace(A, factor_product(A, rho))))
 
 
 # ----------------------------------------------------------------------
@@ -132,13 +107,13 @@ def _pair_ratio(lam: np.ndarray, num: np.ndarray, floor: float):
 
 
 def _fisher(state, ops) -> tuple[np.ndarray, int]:
-    """Fisher matrix of the generators (from ``_operator``) and the number of
+    """Fisher matrix of the generators (CollectiveOperators) and the number of
     dropped pairs."""
     kind, data = _state_payload(state)
     if kind == "vector":
         # rank-1 spectrum: F is four times the covariance matrix; the dropped
         # pairs are exactly those inside the (dim-1)-dimensional kernel
-        mean, second = pure_moments(data, [apply_op(A, data) for A in ops])
+        mean, second = pure_moments(data, [A.apply(data) for A in ops])
         return 4.0 * (second - np.outer(mean, mean)), (data.shape[0] - 1) ** 2
     dec = _eigensystem(state, data)
     V = dec.eigenvectors
@@ -149,7 +124,7 @@ def _fisher(state, ops) -> tuple[np.ndarray, int]:
     W, keep = _pair_ratio(dec.eigenvalues, D, QFI_PAIR_FLOOR)
     skipped = keep.size - int(np.count_nonzero(keep))
     del D, keep
-    factors = [density_factor(A) for A in ops]
+    factors = [A.factor for A in ops]
     # real transforms 1j**k T: the cross term of an even and an odd power of
     # 1j is 2 Re(+-1j * real sum) = 0, so only a group of one parity is held
     real = np.isrealobj(V) and all(np.isrealobj(f) for f, _ in factors)
@@ -187,40 +162,40 @@ def _fisher_block(F, W, V, members):
 
 def qfi(state, op) -> QfiResult:
     """Quantum Fisher information of the state for the phase generator op."""
-    _check_reps(state, op)
-    F, skipped = _fisher(state, [_operator(op)])
+    A = as_operator(op)
+    check_same_rep(state, A)
+    F, skipped = _fisher(state, [A])
     return QfiResult(float(F[0, 0]), skipped)
 
 
 def qfi_pure(state, op) -> float:
     """4 Var(A) -- valid for pure states only."""
-    _check_reps(state, op)
-    A = _operator(op)
+    A = as_operator(op)
+    check_same_rep(state, A)
     kind, data = _state_payload(state)
     if kind != "vector":
         purity = float(np.real(np.vdot(data, data)))
         if abs(purity - 1.0) > 1e-9:
             raise ValueError(f"qfi_pure needs a pure state; purity={purity:.6f}")
-        kind, data = "vector", _eigensystem(state, data).eigenvectors[:, -1]
-    _, var = _mean_and_var(kind, data, A)
+        data = _eigensystem(state, data).eigenvectors[:, -1]
+    _, var = _mean_and_var(data, A)
     return 4.0 * var
 
 
 def qfi_alternative(state, op) -> float:
     """Second-moment form 4<A^2> - 8 sum l_k l_l / (l_k + l_l) |<k|A|l>|^2."""
-    _check_reps(state, op)
-    A = _operator(op)
+    A = as_operator(op)
+    check_same_rep(state, A)
     kind, data = _state_payload(state)
     if kind == "vector":
         # rank-1 spectrum: the correction sum keeps only the (psi,psi) term
-        m, var = _mean_and_var(kind, data, A)
+        m, var = _mean_and_var(data, A)
         return 4.0 * (var + m * m) - 4.0 * m * m
-    A = density_factor(A)
     dec = _eigensystem(state, data)
     lam = dec.eigenvalues
-    At, _ = _in_eigenbasis(dec.eigenvectors, A)
+    At, _ = _in_eigenbasis(dec.eigenvectors, A.factor)
     C, _ = _pair_ratio(lam, lam[:, None] * lam[None, :], QFI_PAIR_FLOOR)
-    return 4.0 * _second_moment(A, data) - 8.0 * float(np.sum(C * np.abs(At) ** 2))
+    return 4.0 * operator_moments(A, data)[1] - 8.0 * float(np.sum(C * np.abs(At) ** 2))
 
 
 def sld(state, op) -> np.ndarray:
@@ -229,36 +204,34 @@ def sld(state, op) -> np.ndarray:
     Satisfies (L rho + rho L)/2 = i(rho A - A rho) and Tr(rho L^2) = F_Q.
     Off the support of rho the operator is completed with zeros.
     """
-    _check_reps(state, op)
-    A = _operator(op)
+    A = as_operator(op)
+    check_same_rep(state, A)
     kind, data = _state_payload(state)
     if kind == "vector":
         # 2i [|psi><psi|, A] = 2i (|psi><A psi| - |A psi><psi|)
-        Av = apply_op(A, data)
+        Av = A.apply(data)
         return 2j * (np.outer(data, Av.conj()) - np.outer(Av, data.conj()))
     dec = _eigensystem(state, data)
     lam = dec.eigenvalues
     V = dec.eigenvectors
     w, _ = _pair_ratio(lam, lam[:, None] - lam[None, :], QFI_PAIR_FLOOR)
-    T, k = _in_eigenbasis(V, density_factor(A))
+    T, k = _in_eigenbasis(V, A.factor)
     return V @ (2j * 1j ** k * w * T) @ V.conj().T
 
 
 def wigner_yanase(state, op) -> float:
     """Skew information Tr(A^2 rho) - Tr(A sqrt(rho) A sqrt(rho))."""
-    _check_reps(state, op)
-    A = _operator(op)
+    A = as_operator(op)
+    check_same_rep(state, A)
     kind, data = _state_payload(state)
     if kind == "vector":
-        _, var = _mean_and_var(kind, data, A)
-        return var
-    A = matrix_of(A)
+        return _mean_and_var(data, A)[1]
     dec = _eigensystem(state, data)
     root = dec.apply_function(rank_floor_sqrt)
-    X = A @ root
-    # Tr(A root A root) = Tr(X X) = sum_ij X_ij X_ji
-    cross = float(np.real(np.sum(X * X.T)))
-    return _second_moment(A, data) - cross
+    # Tr(A root A root) = Tr(X X) = sum_ij X_ij X_ji for X = A root = 1j**k P
+    P, k = factor_product(A.factor, root)
+    cross = float(np.real((-1) ** k * np.sum(P * P.T)))
+    return operator_moments(A, data)[1] - cross
 
 
 def white_noise_qfi(pure_state, op, p: float) -> float:
@@ -267,14 +240,14 @@ def white_noise_qfi(pure_state, op, p: float) -> float:
     Only the support<->kernel eigenvalue pairs contribute, giving
     F = 4 p^2 Var_psi(A) / (p + 2(1-p)/D).
     """
-    A = _operator(op)
+    A = as_operator(op)
     kind, data = _state_payload(pure_state)
     if kind != "vector":
         raise ValueError("white_noise_qfi takes the pure input state")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     dim = data.shape[0]
-    _, var = _mean_and_var(kind, data, A)
+    _, var = _mean_and_var(data, A)
     if p == 0.0:
         return 0.0
     return 4.0 * p * p * var / (p + 2.0 * (1.0 - p) / dim)
@@ -325,18 +298,17 @@ def mandelstam_tamm_check(state, op, theta: float) -> SpeedBoundCheck:
     Valid while sqrt(F_Q)|theta| <= pi; outside that window the bound is
     meaningless and the call is rejected.
     """
-    F = qfi(state, op).value
+    A = as_operator(op)
+    F = qfi(state, A).value
     if np.sqrt(max(F, 0.0)) * abs(theta) > np.pi + 1e-12:
         raise ValueError(
             f"speed bound valid only for sqrt(F_Q)|theta| <= pi "
             f"(have {np.sqrt(F) * abs(theta):.4f})")
-    A = _operator(op)
     kind, data = _state_payload(state)
     if kind == "vector":
         evolved = unitary_apply(A, theta, data, sign=-1)
     else:
-        U = unitary_exp(A.spectrum if isinstance(A, CollectiveOperator) else A, theta,
-                        sign=-1)
+        U = unitary_exp(A.spectrum, theta, sign=-1)
         evolved = U @ data @ U.conj().T
     fid = bures_fidelity(data, evolved)
     bound = float(np.cos(np.sqrt(max(F, 0.0)) / 2.0 * theta) ** 2)
@@ -370,8 +342,7 @@ class Povm:
 
     @classmethod
     def from_observable_eigenbasis(cls, M) -> "Povm":
-        dec = eigh_hermitian(matrix_of(_operator(M)))
-        return cls.projective(dec.eigenvectors)
+        return cls.projective(as_operator(M).spectrum.eigenvectors)
 
     def probabilities(self, state) -> np.ndarray:
         kind, data = _state_payload(state)
@@ -459,7 +430,7 @@ def fisher_matrix(state, generators) -> FisherMatrix:
     """Fisher matrix F_mn for a list of commuting-or-not phase generators."""
     if len(generators) == 0:
         raise ValueError("need at least one generator")
-    F, _ = _fisher(state, [_operator(g) for g in generators])
+    F, _ = _fisher(state, [as_operator(g) for g in generators])
     return FisherMatrix(tuple(generators), F)
 
 
@@ -497,7 +468,7 @@ class RoofResult:
 
 
 def _roof_optimize(state, op, cardinality, maximize_g, restarts, seed):
-    A = matrix_of(_operator(op))
+    A = as_operator(op)
     kind, data = _state_payload(state)
     if kind == "vector":
         data = np.outer(data, data.conj())
@@ -515,8 +486,8 @@ def _roof_optimize(state, op, cardinality, maximize_g, restarts, seed):
     if K < r:
         raise ValueError(f"cardinality {K} below state rank {r}")
     sqrt_lam = np.sqrt(lam)
-    B = (sqrt_lam[:, None] * (Vs.conj().T @ A @ Vs)) * sqrt_lam[None, :]
-    t2 = _second_moment(A, data)
+    B = (sqrt_lam[:, None] * (Vs.conj().T @ A.matrix @ Vs)) * sqrt_lam[None, :]
+    t2 = operator_moments(A, data)[1]
 
     def ensemble(x):
         X = x[: K * r].reshape(K, r) + 1j * x[K * r:].reshape(K, r)
@@ -588,7 +559,7 @@ class RoofSandwich:
 
 def roof_sandwich_check(state, op, weights, vectors) -> RoofSandwich:
     """Verify F_Q/4 <= sum p_k Var_k <= Var for an explicit decomposition."""
-    A = _operator(op)
+    A = as_operator(op)
     kind, data = _state_payload(state)
     rho = np.outer(data, data.conj()) if kind == "vector" else data
     weights = np.asarray(weights, dtype=float)
@@ -599,9 +570,9 @@ def roof_sandwich_check(state, op, weights, vectors) -> RoofSandwich:
                          f"(max deviation {np.abs(rebuilt - rho).max():.2e})")
     avg = 0.0
     for k in range(weights.size):
-        _, var = _mean_and_var("vector", vectors[:, k], A)
+        _, var = _mean_and_var(vectors[:, k], A)
         avg += weights[k] * var
     lower = qfi(rho, A).value / 4.0
-    _, upper = _mean_and_var("density", rho, A)
+    _, upper = _mean_and_var(rho, A)
     holds = (lower - ROOF_TOL <= avg) and (avg <= upper + ROOF_TOL)
     return RoofSandwich(float(avg), float(lower), float(upper), bool(holds))

@@ -9,9 +9,9 @@ Operators reach this module as arrays.  Pure-state routines take what a
 structured operator gives without a dense matrix: ``pure_moments`` reads
 the images A_k|psi> (from ``CollectiveOperator.apply``) and
 ``unitary_apply`` needs only ``apply`` and the operator's ``norm_bound()``.
-Densities work on factors (F, k) standing for 1j**k F
-(``spin.density_factor``): F is a real diagonal (1-D), a real matrix, or a
-genuinely complex matrix with k = 0.
+Densities work on factors (F, k) standing for 1j**k F (an operator's
+``CollectiveOperator.factor``): F is a real diagonal (1-D), a real matrix,
+or a genuinely complex matrix with k = 0.
 
 Real data takes real arithmetic.  A complex array whose imaginary part is
 exactly zero holds the same matrix as its real part, so ``eigh_hermitian``

@@ -30,10 +30,10 @@ from .config import CRB_TOL, DERIV_FLOOR, FD_STEP, FISHER_FLOOR
 from .fisher import qfi
 from .linalg import factor_product, hermitian_trace, real_if_exact
 from .spin import (FULL_DENSITY_MAX, PAULI, CollectiveOperator, Representation,
-                   collective_op, density_factor, full_rep, gradient_op, parity_op,
+                   collective_op, full_rep, gradient_op, parity_op,
                    squared_op, symmetric_rep)
-from .states import (QuantumState, SqueezingSpec, dicke, ghz, polarized, rotate,
-                     singlet_pi, squeezed_ground_state)
+from .states import (QuantumState, SqueezingSpec, check_same_rep, dicke, ghz, polarized,
+                     rotate, singlet_pi, squeezed_ground_state)
 from .witnesses import MomentSet, moments
 
 # Largest N for the QFI of a depolarized symmetric probe.  The reduced
@@ -61,8 +61,8 @@ class Scenario:
     label: str = "scenario"
 
     def __post_init__(self):
-        if not (self.probe.rep == self.generator.rep == self.observable.rep):
-            raise ValueError("probe, generator and observable must share one representation")
+        check_same_rep(self.probe, self.generator)
+        check_same_rep(self.probe, self.observable)
 
     @property
     def n(self) -> int:
@@ -140,14 +140,14 @@ def _slope_terms(state: QuantumState, A: CollectiveOperator, M: CollectiveOperat
 
     A vector needs only M psi and A psi: the slope is -2 Im<A psi|M psi>.
     A density rho needs M rho: Tr(M A rho) = conj Tr(A M rho), so the slope
-    is -2 Im Tr(A M rho), from the real factors or diagonals of A and M.
+    is -2 Im Tr(A M rho), from the factors of A and M.
     """
     if state.is_pure:
         psi = state.data
         m = M.apply(psi)
         return (float(np.real(np.vdot(psi, m))), float(np.real(np.vdot(m, m))),
                 -2.0 * float(np.imag(np.vdot(A.apply(psi), m))))
-    A, M = density_factor(A), density_factor(M)
+    A, M = A.factor, M.factor
     Mrho = factor_product(M, state.data)
     return (float(np.real(hermitian_trace(M, state.data))),
             float(np.real(hermitian_trace(M, Mrho))),
@@ -168,7 +168,7 @@ def _curvature_terms(state: QuantumState, A: CollectiveOperator, M: CollectiveOp
         return (2.0 * float(np.real(np.vdot(a, ma) - np.vdot(a2, m))),
                 2.0 * float(np.real(np.vdot(ma, ma) - np.vdot(a2, M.apply(m)))))
     # the same for a density: -<[A,[A,X]]> = 2 Tr(X A rho A) - 2 Re Tr(A A X rho)
-    A, M = density_factor(A), density_factor(M)
+    A, M = A.factor, M.factor
     ArhoA = factor_product(A, state.data, A)
     Mrho = factor_product(M, state.data)
     MMrho = factor_product(M, Mrho)

@@ -25,14 +25,17 @@ structure the physics provides, and ``apply(v)`` acts with it on a vector
 * custom matrices: ``matrix @ v``.
 
 Pure states only need A|psi> and go through ``apply``.  Densities meet an
-operator through ``density_factor``: its diagonal (J_z, J_z^2), else its
-``real_factor`` (R, k), A = 1j**k R with R float64 (J_x real, J_y purely
-imaginary), else (a mixed direction, a complex custom matrix) its dense
-complex ``matrix``.  Each is built from the structure on first use and
-kept, read-only; ``matrix`` agrees bit for bit with 1j**k R and with the
-Kronecker sums it replaced.  ``spectrum`` keeps the eigendecomposition for
-density rotations, and ``norm_bound()`` bounds the 1-norm for the Taylor
-steps of ``linalg.unitary_apply``.  Builders are kept in bounded caches.
+operator through its ``factor`` (F, k), A = 1j**k F: the real diagonal
+(1-D) of a diagonal operator (J_z, J_z^2), else a float64 F when no entry
+has both a real and an imaginary part (J_x real, J_y purely imaginary),
+else (a mixed direction, a complex custom matrix) the complex matrix with
+k = 0.  The factor is filled from the structure on first use and kept,
+read-only; the dense complex ``matrix`` is built from it on request and
+agrees bit for bit with the Kronecker sums it replaced.  ``as_operator``
+wraps a bare matrix as a custom operator, so every caller meets one kind
+of operator.  ``spectrum`` keeps the eigendecomposition for density
+rotations, and ``norm_bound()`` bounds the 1-norm for the Taylor steps of
+``linalg.unitary_apply``.  Builders are kept in bounded caches.
 """
 
 from __future__ import annotations
@@ -114,10 +117,17 @@ def _cols(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     return x.reshape(x.shape + (1,) * (v.ndim - 1))
 
 
-def _from_factor(R: np.ndarray, k: int) -> np.ndarray:
-    """The complex matrix 1j**k R (k = 0 or 1), with +0 in the other part."""
-    M = np.zeros(R.shape, dtype=complex)
-    (M.imag if k else M.real)[...] = R
+def _from_factor(F: np.ndarray, k: int) -> np.ndarray:
+    """The complex matrix 1j**k F (k = 0 or 1), with +0 in the other part; a
+    1-D F fills the diagonal, and a complex matrix F (k = 0) is returned as is."""
+    if F.ndim == 2 and np.iscomplexobj(F):
+        return F
+    M = np.zeros((F.shape[0],) * 2, dtype=complex)
+    target = M if np.iscomplexobj(F) else (M.imag if k else M.real)
+    if F.ndim == 1:
+        np.fill_diagonal(target, F)
+    else:
+        target[...] = F
     return _freeze(M)
 
 
@@ -131,27 +141,24 @@ class _Form:
     def diagonal(self):
         return None
 
-    def dense(self) -> np.ndarray:
-        M = np.zeros((self.dim, self.dim), dtype=complex)
-        for rows, cols, vals in self.triplets():
-            M[rows, cols] += vals
-        return _freeze(M)
-
-    def real_factor(self):
-        """(R, k), the matrix being 1j**k R with R real, filled from the
-        triplets as ``dense`` fills the complex matrix; None if some entry
-        has both parts nonzero."""
+    def factor(self):
+        """(F, k), the matrix being 1j**k F: the diagonal of a diagonal form,
+        else filled from the triplets, real when no entry has both parts
+        nonzero and complex with k = 0 otherwise."""
+        d = self.diagonal()
+        if d is not None:
+            return _freeze(d), 0
         groups = list(self.triplets())
         if not any(np.imag(v).any() for *_, v in groups):
             k, part = 0, np.real
         elif not any(np.real(v).any() for *_, v in groups):
             k, part = 1, np.imag
         else:
-            return None
-        R = np.zeros((self.dim, self.dim))
+            k, part = 0, None
+        F = np.zeros((self.dim, self.dim), dtype=complex if part is None else float)
         for rows, cols, vals in groups:
-            R[rows, cols] += part(vals)
-        return _freeze(R), k
+            F[rows, cols] += vals if part is None else part(vals)
+        return _freeze(F), k
 
 
 class _Banded(_Form):
@@ -261,16 +268,15 @@ class _Sum(_Form):
     def apply(self, v):
         return sum(w * A.apply(v) for w, A in self.terms if w)
 
-    def dense(self):
-        return _freeze(np.ascontiguousarray(sum(w * A.matrix for w, A in self.terms)))
-
-    def real_factor(self):
-        # the terms with a nonzero weight, when they share one power of 1j
-        parts = [(w, A.real_factor) for w, A in self.terms if w]
-        powers = {f[1] for _, f in parts if f is not None}
-        if any(f is None for _, f in parts) or len(powers) != 1:
-            return None
-        return _freeze(sum(w * f[0] for w, f in parts)), powers.pop()
+    def factor(self):
+        # the real factors of the terms with a nonzero weight, when they share
+        # one power of 1j (a diagonal as its matrix); else the complex sum
+        parts = [(w, *A.factor) for w, A in self.terms if w]
+        if len({k for *_, k in parts}) == 1 and not any(np.iscomplexobj(F) for _, F, _ in parts):
+            return _freeze(sum(w * (np.diag(F) if F.ndim == 1 else F)
+                               for w, F, _ in parts)), parts[0][2]
+        return _freeze(np.ascontiguousarray(
+            sum(w * _from_factor(*A.factor) for w, A in self.terms))), 0
 
     def norm_bound(self):
         return sum(abs(w) * A.norm_bound() for w, A in self.terms)
@@ -280,22 +286,15 @@ class _Square(_Form):
     """A^2 of a CollectiveOperator A, applied as A twice."""
 
     def __init__(self, A):
-        self.A, self.dim = A, A.rep.dim
+        self.A, self.dim = A, A.form.dim
 
     def apply(self, v):
         return self.A.apply(self.A.apply(v))
 
-    def dense(self):
-        f = self.real_factor()
-        return _from_factor(*f) if f else _freeze(self.A.matrix @ self.A.matrix)
-
-    def real_factor(self):
-        # (1j**k R)^2 = (-1)^k R^2, real either way
-        f = self.A.real_factor
-        if f is None:
-            return None
-        R, k = f
-        return _freeze(-(R @ R) if k else R @ R), 0
+    def factor(self):
+        # (1j**k F)^2 = (-1)^k F^2, real for a real F
+        F, k = self.A.factor
+        return _freeze(-(F @ F) if k else F @ F), 0
 
     def norm_bound(self):
         return self.A.norm_bound() ** 2
@@ -310,12 +309,9 @@ class _Dense(_Form):
     def apply(self, v):
         return self.M @ v
 
-    def dense(self):
-        return self.M
-
-    def real_factor(self):
-        f = _real_factor(self.M)
-        return None if f is None else (_freeze(f[0].view()), f[1])
+    def factor(self):
+        F, k = _real_factor(self.M) or (self.M, 0)
+        return _freeze(F.view()), k
 
     def norm_bound(self):
         return float(np.linalg.norm(self.M, 1))
@@ -327,18 +323,21 @@ class CollectiveOperator:
     ``form`` is one of the structured forms of this module, or a matrix for
     a custom operator.  ``provenance`` records how it was built: an axis
     label, a unit direction 3-vector, the site weights of a gradient
-    generator, or "custom" for user-supplied matrices.
+    generator, or "custom" for user-supplied matrices.  ``rep`` is None for
+    a bare matrix wrapped by ``as_operator``, which fits any state of its
+    dimension.
     """
 
-    def __init__(self, form, rep: Representation, provenance: object = "custom"):
+    def __init__(self, form, rep: Representation | None, provenance: object = "custom"):
+        self._memo = {}
         if not isinstance(form, _Form):
             M = np.asarray(form)
             require_hermitian(real_if_exact(M), name="collective operator")
             form = _Dense(M)
-        if form.dim != rep.dim:
+            self._memo["matrix"] = M
+        if rep is not None and form.dim != rep.dim:
             raise ValueError(f"operator dimension {form.dim} does not match {rep}")
         self.form, self.rep, self.provenance = form, rep, provenance
-        self._memo = {}
 
     def __repr__(self):
         return f"CollectiveOperator({self.provenance!r}, {self.rep})"
@@ -346,8 +345,8 @@ class CollectiveOperator:
     def apply(self, v) -> np.ndarray:
         """A v for a vector, A X column by column for a d x k matrix."""
         v = np.asarray(v)
-        if v.shape[0] != self.rep.dim:
-            raise ValueError(f"operand length {v.shape[0]} does not match {self.rep}")
+        if v.shape[0] != self.form.dim:
+            raise ValueError(f"operand length {v.shape[0]} does not match dimension {self.form.dim}")
         return self.form.apply(v)
 
     def _memoized(self, key: str, compute):
@@ -357,48 +356,33 @@ class CollectiveOperator:
         return self._memo[key]
 
     @property
-    def matrix(self) -> np.ndarray:
-        """The dense complex matrix, built from the structure on first use and kept."""
-        return self._memoized("matrix", self.form.dense)
+    def factor(self) -> tuple:
+        """(F, k) with the operator equal to 1j**k F, F read-only: a 1-D real
+        diagonal, a float64 matrix, or a complex matrix with k = 0.  Built
+        from the structure on first use and kept."""
+        return self._memoized("factor", self.form.factor)
 
     @property
-    def real_factor(self):
-        """(R, k) with ``matrix`` = 1j**k R and R a read-only float64 array,
-        built from the structure on first use and kept; None when the
-        operator is genuinely complex."""
-        return self._memoized("real_factor", self.form.real_factor)
+    def matrix(self) -> np.ndarray:
+        """The dense complex matrix 1j**k F, built on first use and kept; a
+        custom operator's is the matrix it was given."""
+        return self._memoized("matrix", lambda: _from_factor(*self.factor))
 
     @property
     def spectrum(self) -> SpectralDecomposition:
         """The eigendecomposition, computed on first use and kept (one per
         generator however many angles it rotates by)."""
-        return self._memoized("spectrum", lambda: eigh_hermitian(self.form.dense()))
+        return self._memoized("spectrum", lambda: eigh_hermitian(_from_factor(*self.factor)))
 
     def norm_bound(self) -> float:
         """A bound on the 1-norm (so on the spectral norm), from the structure."""
         return self.form.norm_bound()
 
 
-def apply_op(op, v) -> np.ndarray:
-    """op v: a CollectiveOperator applies itself, a bare matrix multiplies."""
-    return op.apply(v) if isinstance(op, CollectiveOperator) else np.asarray(op) @ v
-
-
-def matrix_of(op) -> np.ndarray:
-    """The dense matrix of a CollectiveOperator, or a bare matrix as is."""
-    return op.matrix if isinstance(op, CollectiveOperator) else np.asarray(op)
-
-
-def density_factor(op) -> tuple:
-    """op as a factor (F, k) = 1j**k F for products with a density
-    (``linalg.factor_product``): the real diagonal (1-D) of a diagonal
-    CollectiveOperator, else its ``real_factor``, else its dense matrix with
-    k = 0.  A bare matrix is split by its exact real and imaginary parts."""
-    if isinstance(op, CollectiveOperator):
-        d = op.form.diagonal()
-        return (d, 0) if d is not None else (op.real_factor or (op.matrix, 0))
-    M = np.asarray(op)
-    return _real_factor(M) or (M, 0)
+def as_operator(op) -> CollectiveOperator:
+    """A CollectiveOperator as is; a bare matrix as a custom operator of no
+    representation, checked Hermitian."""
+    return op if isinstance(op, CollectiveOperator) else CollectiveOperator(op, None)
 
 
 # ----------------------------------------------------------------------
@@ -519,7 +503,7 @@ def single_site_op(op2: np.ndarray, site: int, rep: Representation) -> Collectiv
 def squared_op(op: CollectiveOperator, label: str = "") -> CollectiveOperator:
     """op^2.  A diagonal operator (J_z) gives the diagonal of squares."""
     d = op.form.diagonal()
-    form = _Banded(op.rep.dim, diag=d * d) if d is not None else _Square(op)
+    form = _Banded(op.form.dim, diag=d * d) if d is not None else _Square(op)
     return CollectiveOperator(form, op.rep, provenance=label or f"({op.provenance})^2")
 
 

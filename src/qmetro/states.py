@@ -9,9 +9,12 @@ computed once and kept on the state.
 
 A pure state meets a ``CollectiveOperator`` only through ``apply``:
 expectations, variances and vector rotations (Taylor steps over ``apply``)
-never build a d x d operator.  A density meets it through its real factor
-or diagonal (``spin.density_factor``), so a real density takes real
-products only, and is rotated with the generator's kept ``spectrum``.
+never build a d x d operator.  A density meets it through its ``factor``
+(a real diagonal or matrix for every structured operator but a mixed
+direction), so a real density takes real products only, and is rotated
+with the generator's kept ``spectrum``.  ``operator_moments`` is the one
+evaluation of <A> and <A^2>, shared with the Fisher module; a bare matrix
+is accepted wherever an operator is (``spin.as_operator``).
 """
 
 from __future__ import annotations
@@ -26,9 +29,9 @@ import numpy as np
 from .config import PSD_FLOOR, STATE_NORM
 from .linalg import (factor_product, hermitian_trace, hermiticity_defect, real_if_exact,
                      unitary_apply, unitary_exp)
-from .spin import (AXES, FULL_DENSITY_MAX, CollectiveOperator, Representation, apply_op,
-                   collective_op, density_factor, dicke_embedding, full_rep,
-                   ladder_amplitudes, symmetric_rep)
+from .spin import (AXES, FULL_DENSITY_MAX, CollectiveOperator, Representation, as_operator,
+                   collective_op, dicke_embedding, full_rep, ladder_amplitudes,
+                   symmetric_rep)
 
 
 @dataclass(frozen=True)
@@ -103,34 +106,39 @@ class QuantumState:
         return float(np.real(np.vdot(self.data, self.data)))
 
     def expectation(self, op) -> float:
-        if self.is_pure:
-            return float(np.real(np.vdot(self.data, apply_op(op, self.data))))
-        return float(np.real(hermitian_trace(density_factor(op), self.data)))
+        return operator_moments(as_operator(op), self.data, second=False)[0]
 
     def variance(self, op) -> float:
-        if self.is_pure:
-            Av = apply_op(op, self.data)
-            m = np.real(np.vdot(self.data, Av))
-            return float(np.real(np.vdot(Av, Av)) - m ** 2)
-        A = density_factor(op)
-        X = factor_product(A, self.data)
-        m = float(np.real(hermitian_trace(A, self.data)))
-        return float(np.real(hermitian_trace(A, X))) - m ** 2
+        m, second = operator_moments(as_operator(op), self.data)
+        # m ** 2 (C pow) and m * m differ in the last bit for some m; the
+        # frontier and Ramsey outputs were recorded with this one
+        return second - m ** 2
 
     def fidelity_with(self, other: "QuantumState") -> float:
         """Overlap fidelity; for two pure states |<a|b>|^2."""
-        if self.is_pure and other.is_pure:
-            return float(abs(np.vdot(self.data, other.data)) ** 2)
-        if self.is_pure:
-            return float(np.real(np.vdot(self.data, other.density() @ self.data)))
-        if other.is_pure:
-            return other.fidelity_with(self)
         from .fisher import bures_fidelity
         return bures_fidelity(self, other)
 
 
-def _check_same_rep(state: QuantumState, op: CollectiveOperator):
-    if state.rep != op.rep:
+def operator_moments(A: CollectiveOperator, data: np.ndarray, second: bool = True) -> tuple:
+    """<A> and, with ``second``, <A^2> (else None) of a unit vector or a
+    density: vdots with A psi for a vector, traces with A's factor for a
+    density."""
+    if data.ndim == 1:
+        Av = A.apply(data)
+        m = np.vdot(data, Av)
+        s = np.vdot(Av, Av) if second else None
+    else:
+        f = A.factor
+        m = hermitian_trace(f, data)
+        s = hermitian_trace(f, factor_product(f, data)) if second else None
+    return float(np.real(m)), (None if s is None else float(np.real(s)))
+
+
+def check_same_rep(state, op: CollectiveOperator):
+    """Reject an operator of another representation than a QuantumState's; a
+    bare array state or an operator of no representation passes."""
+    if isinstance(state, QuantumState) and op.rep is not None and state.rep != op.rep:
         raise ValueError(f"representation mismatch: state {state.rep} vs operator {op.rep}")
 
 
@@ -141,7 +149,7 @@ def rotate(state: QuantumState, generator: CollectiveOperator, theta: float) -> 
     with no eigendecomposition and no dense generator; densities are
     conjugated by the full propagator, from the generator's kept spectrum.
     """
-    _check_same_rep(state, generator)
+    check_same_rep(state, generator)
     if state.is_pure:
         v = unitary_apply(generator, theta, state.data, sign=-1)
         return QuantumState(state.rep, v, label=state.label)
@@ -254,7 +262,7 @@ def _singlet_density(n: int) -> np.ndarray:
     # J^2 = sum_l J_l^2 is real (J_y^2 = -R_y^2 for J_y = i R_y); its
     # eigenvalues are J(J+1), J = 0 .. N/2, so the product of 1 - J^2/(j(j+1))
     # over j = 1 .. N/2 keeps the J = 0 subspace only
-    (Rx, _), (Ry, _), (m, _) = (density_factor(collective_op(a, full_rep(n))) for a in AXES)
+    (Rx, _), (Ry, _), (m, _) = (collective_op(a, full_rep(n)).factor for a in AXES)
     # entry for entry the sum 0 + R_x^2 - R_y^2 + J_z^2 of dense squares:
     # J_z^2 adds m^2 on the diagonal and +0 elsewhere
     J2 = Rx @ Rx

@@ -19,7 +19,7 @@ import numpy as np
 from .config import FISHER_FLOOR, VERDICT_TOL
 from .fisher import fisher_matrix, qfi
 from .linalg import factor_product, hermitian_trace, pure_moments, real_if_exact
-from .spin import AXES, PAULI, collective_op, density_factor
+from .spin import AXES, PAULI, collective_op
 from .states import QuantumState
 
 _AX_INDEX = {"x": 0, "y": 1, "z": 2}
@@ -81,7 +81,7 @@ def _evaluate_moments(state: QuantumState) -> MomentSet:
     # J_y rho are real products (the latter times 1j), J_z rho scales rows,
     # and one d x d product is held at a time
     rho = np.ascontiguousarray(real_if_exact(state.data))
-    factors = [density_factor(J) for J in ops]
+    factors = [J.factor for J in ops]
     mean = np.array([hermitian_trace(f, rho).real for f in factors])
     G = np.empty((3, 3), dtype=complex)
     for l, f in enumerate(factors):

@@ -1,11 +1,11 @@
 """Applied operators checked against the dense builders they replaced.
 
 A ``CollectiveOperator`` acts on vectors through ``apply``, meets densities
-through its real factor (A = 1j**k R) or diagonal, and builds its dense
-``matrix`` only on request.  The former dense builders are kept here as
-oracles: the lazy matrix must equal them, and 1j**k R must equal the
-matrix, bit for bit; ``apply`` must equal the dense product to 1e-12
-relative to the scale ||A||_inf ||v||_inf of the product.
+through its kept ``factor`` (A = 1j**k R, R a diagonal or a matrix), and
+builds its dense ``matrix`` only on request.  The former dense builders
+are kept here as oracles: the lazy matrix must equal them, and 1j**k R
+must equal the matrix, bit for bit; ``apply`` must equal the dense
+product to 1e-12 relative to the scale ||A||_inf ||v||_inf of the product.
 """
 
 import numpy as np
@@ -13,9 +13,10 @@ import pytest
 
 from qmetro import spin
 from qmetro.cli import main
+from qmetro.fisher import qfi
 from qmetro.serialize import write_state
-from qmetro.spin import (AXES, PAULI, CollectiveOperator, Representation, collective_op,
-                         dicke_embedding, direction_op, full_rep, gradient_op,
+from qmetro.spin import (AXES, PAULI, CollectiveOperator, Representation, as_operator,
+                         collective_op, dicke_embedding, direction_op, full_rep, gradient_op,
                          ladder_amplitudes, parity_op, single_site_op, squared_op,
                          symmetric_rep)
 from qmetro.states import SqueezingSpec, ghz, mix_white_noise, squeezed_ground_state
@@ -138,23 +139,33 @@ def _factored_ops(rep):
                          + [full_rep(n) for n in range(1, 7)], ids=repr)
 def test_real_factor_equals_matrix_bitwise(rep):
     for op in _factored_ops(rep):
-        R, k = op.real_factor
+        R, k = op.factor
+        # diagonal operators (J_z, J_z^2, sigma_z sites) keep their diagonal,
+        # kept and read-only like every factor: the cached J_z is shared
         assert R.dtype == np.float64 and not R.flags.writeable, op
-        assert op.real_factor is op.real_factor
+        assert R.ndim == (1 if op.form.diagonal() is not None else 2), op
+        assert op.factor is op.factor
         # 1j**k R, with +0 in the other part as the matrix is filled from zeros
-        want = np.zeros(R.shape, dtype=complex)
-        (want.imag if k else want.real)[...] = R
+        want = np.zeros((rep.dim, rep.dim), dtype=complex)
+        target = want.imag if k else want.real
+        if R.ndim == 1:
+            np.fill_diagonal(target, R)
+        else:
+            target[...] = R
         assert np.array_equal(_bits(want), _bits(op.matrix)), op
 
 
 def test_genuinely_complex_operators_have_no_factor(rng):
     rep = full_rep(3)
-    assert direction_op(np.array([1.0, 1.0, 0.0]) / np.sqrt(2), rep).real_factor is None
-    assert single_site_op(rand_hermitian(rng, 2), 1, rep).real_factor is None
-    assert CollectiveOperator(rand_hermitian(rng, 8), rep).real_factor is None
+    for op in (direction_op(np.array([1.0, 1.0, 0.0]) / np.sqrt(2), rep),
+               single_site_op(rand_hermitian(rng, 2), 1, rep),
+               CollectiveOperator(rand_hermitian(rng, 8), rep)):
+        F, k = op.factor
+        assert np.iscomplexobj(F) and k == 0 and not F.flags.writeable, op
+        assert np.array_equal(_bits(F), _bits(op.matrix)), op
     # a real custom matrix is its own factor, as a read-only view
     custom = np.diag(np.arange(8.0))
-    R, k = CollectiveOperator(custom, rep).real_factor
+    R, k = CollectiveOperator(custom, rep).factor
     assert k == 0 and np.array_equal(R, custom) and not R.flags.writeable
     assert custom.flags.writeable
 
@@ -176,6 +187,20 @@ def test_custom_and_site_operators_are_validated():
         single_site_op(np.array([[0, 1], [0, 0]]), 0, full_rep(3))
     with pytest.raises(ValueError, match="does not match"):
         collective_op("x", full_rep(3)).apply(np.ones(7))
+
+
+def test_bare_matrices_become_custom_operators(rng):
+    M = rand_hermitian(rng, 4)
+    A = as_operator(M)
+    assert A.rep is None and A.matrix is M and as_operator(A) is A
+    with pytest.raises(ValueError, match="not Hermitian"):
+        as_operator(np.triu(M))
+    # no representation: a custom operator fits any state of its dimension,
+    # while a structured one must share the state's representation
+    st = ghz(2, full_rep(2))
+    assert qfi(st, M).value == qfi(st, CollectiveOperator(M, full_rep(2))).value
+    with pytest.raises(ValueError, match="mismatch"):
+        qfi(st, collective_op("x", symmetric_rep(3)))
 
 
 # ------------------------------------------------- apply vs dense product
@@ -305,8 +330,8 @@ def test_symmetric_1000_commands_build_no_dense_operator(tmp_path, monkeypatch):
 
 
 def test_witness_on_a_real_full_density_builds_no_dense_operator(tmp_path, monkeypatch):
-    """witness --all on white-noise GHZ-8 meets J through real factors and
-    the diagonal of J_z only."""
+    """witness --all and qfi --wy --sld --zeno on white-noise GHZ-8 meet J
+    through real factors and the diagonal of J_z only."""
     read = []
     lazy = CollectiveOperator.matrix
 
@@ -319,4 +344,6 @@ def test_witness_on_a_real_full_density_builds_no_dense_operator(tmp_path, monke
     state = tmp_path / "mixed.json"
     write_state(mix_white_noise(ghz(8, full_rep(8)), 0.6), str(state))
     assert main(["witness", str(state), "--all", "--out", str(tmp_path / "w.json")]) == 0
+    assert main(["qfi", str(state), "--wy", "--sld", "--zeno",
+                 "--out", str(tmp_path / "q.json")]) == 0
     assert read == []

@@ -219,3 +219,15 @@ def test_fidelity_shortcuts(rng):
     assert a.fidelity_with(a) == pytest.approx(1.0, abs=1e-12)
     assert a.fidelity_with(b) == pytest.approx(abs(np.vdot(a.data, b.data)) ** 2, abs=1e-12)
     assert bures_fidelity(a, b) == pytest.approx(a.fidelity_with(b), abs=1e-10)
+
+
+def test_fidelity_with_keeps_the_former_shortcuts_bitwise():
+    """fidelity_with is bures_fidelity, whose pure-state shortcuts are the
+    expressions fidelity_with evaluated itself."""
+    a = polarized(3, "z", full_rep(3))
+    b = polarized(3, "x", full_rep(3))
+    m = mix_white_noise(ghz(3, full_rep(3)), 0.7)
+    assert a.fidelity_with(b) == float(abs(np.vdot(a.data, b.data)) ** 2)
+    shortcut = float(np.real(np.vdot(a.data, m.data @ a.data)))
+    assert a.fidelity_with(m) == shortcut and m.fidelity_with(a) == shortcut
+    assert m.fidelity_with(m) == bures_fidelity(m, m)

@@ -42,7 +42,7 @@ def _dense_moment_diagonal(state):
     rho = state.data.real
     out = []
     for a in "xyz":
-        J = collective_op(a, state.rep).form.dense()
+        J = collective_op(a, state.rep).matrix
         R = J.imag if a == "y" else J.real
         out.append((-1.0 if a == "y" else 1.0) * np.trace(R @ R @ rho))
     return np.array(out)
