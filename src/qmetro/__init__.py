@@ -12,7 +12,7 @@ from .spin import (CollectiveOperator, Representation, collective_op,
                    parity_op, symmetric_rep)
 from .states import (QuantumState, SqueezingSpec, dicke, ghz, maximally_mixed,
                      mix_white_noise, polarized, rotate, singlet_pi,
-                     squeezed_ground_state, to_full)
+                     squeezed_ground_state, squeezed_ground_states, to_full)
 from .fisher import (CfiResult, FisherMatrix, Povm, QfiResult, bures_fidelity,
                      classical_fisher, concave_roof_oracle, convex_roof_oracle,
                      crb_matrix, fisher_matrix, mandelstam_tamm_check, qfi,

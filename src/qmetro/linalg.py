@@ -13,6 +13,13 @@ Densities work on factors (F, k) standing for 1j**k F (an operator's
 ``CollectiveOperator.factor``): F is a real diagonal (1-D), a real matrix,
 or a genuinely complex matrix with k = 0.
 
+Symmetric tridiagonal M-matrices (nonpositive off-diagonals, positive
+definite) have their own batched routines: ``mmatrix_tridiagonal_solve``
+solves them by odd-even reduction, and ``tridiagonal_ground_pairs`` finds
+the lowest eigenpair of a tridiagonal matrix with positive off-diagonals,
+which such a matrix becomes under a sign change of every other basis
+vector, with those solves alone.
+
 Real data takes real arithmetic.  A complex array whose imaginary part is
 exactly zero holds the same matrix as its real part, so ``eigh_hermitian``
 eigendecomposes the real part with real LAPACK (and returns real
@@ -31,6 +38,10 @@ import numpy as np
 from .config import HERMITICITY, PSD_FLOOR
 
 _UNIT_ROUNDOFF = 2.0 ** -53  # the Taylor stopping rule's tolerance, as in expm_multiply
+_EPS = np.finfo(float).eps
+# Noda steps before tridiagonal_ground_pairs gives up; the squeezing blocks
+# up to N = 4096 need at most 10
+_NODA_MAX_STEPS = 100
 
 
 # rows per block of the Hermiticity check: a block of a 1024^2 matrix is 1 MB
@@ -248,3 +259,115 @@ def unitary_apply(A, theta: float, v: np.ndarray, sign: int = -1) -> np.ndarray:
                 break
             prev = size
     return out
+
+
+def mmatrix_tridiagonal_solve(d: np.ndarray, e: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Solve T x = f for a batch of symmetric tridiagonal M-matrices by
+    odd-even reduction (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7,
+    627, 1970).
+
+    Row b of ``d`` (B x n) is the diagonal of T_b, row b of ``e`` (B x n-1,
+    or 1 x n-1 shared by every row) its off-diagonal, all <= 0, and row b of
+    ``f`` (B x n) the right-hand side.  Each level eliminates the odd-index
+    unknowns, which leaves a tridiagonal system in the even ones, so the
+    solve takes about log2(n) levels of whole-array operations.  There is
+    no pivoting: each reduced matrix is a Schur complement of a positive
+    definite M-matrix and again one, so every pivot is positive, and a
+    nonnegative f gives a nonnegative x in which only the pivots subtract.
+    Every operation is elementwise, so each row's x is bit for bit its
+    solve alone.
+    """
+    n = d.shape[-1]
+    if n == 1:
+        return f / d
+    m = n // 2
+    d_odd, f_odd = d[:, 1::2], f[:, 1::2]
+    e_left, e_right = e[:, 0::2], e[:, 1::2]    # couplings of odd row 2k+1 to 2k, 2k+2
+    r = e_right.shape[-1]
+    left = e_left / d_odd
+    right = e_right / d_odd[:, :r]
+    d_even, f_even = d[:, 0::2].copy(), f[:, 0::2].copy()
+    d_even[:, :m] -= e_left * left
+    f_even[:, :m] -= left * f_odd
+    d_even[:, 1:1 + r] -= e_right * right
+    f_even[:, 1:1 + r] -= right * f_odd[:, :r]
+    x_even = mmatrix_tridiagonal_solve(d_even, -e_left[:, :r] * right, f_even)
+    x_odd = f_odd - e_left * x_even[:, :m]
+    x_odd[:, :r] -= e_right * x_even[:, 1:1 + r]
+    x_odd /= d_odd
+    x = np.empty(np.broadcast_shapes(d.shape, f.shape))
+    x[:, 0::2], x[:, 1::2] = x_even, x_odd
+    return x
+
+
+def tridiagonal_ground_pairs(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest eigenvalue and unit eigenvector of each symmetric tridiagonal
+    matrix T_b with diagonal ``d[b]`` (B x n) and off-diagonal ``e`` (n-1,
+    every entry > 0, shared by all rows), by Noda iteration (T. Noda,
+    Numer. Math. 17, 382, 1971).
+
+    With S = diag((-1)^i), A = S T S has off-diagonal -e, so A - mu is an
+    irreducible M-matrix for every mu below the lowest eigenvalue lam0, and
+    lam0's eigenvector u of A (T's is S u) is positive.  For any u > 0 the
+    smallest ratio (A u)_i / u_i is a lower bound on lam0 (Collatz-
+    Wielandt).  Each step solves (A - mu) w = u (``mmatrix_tridiagonal_solve``)
+    at the current bound, reads the next bound as mu + min_i u_i / w_i and
+    normalises w: inverse iteration whose shift rises to lam0, converging
+    superlinearly.  The shift stays 16 eps ||T|| below the bound, so that
+    rounding never makes the shifted matrix indefinite; ||T|| is the
+    largest Gershgorin row sum.  A row stops when |A w - theta w| / |w| <=
+    eps ||T|| at the Rayleigh quotient theta, which is then within that
+    residual of lam0.  The residual is u - (theta - mu) w over |w|, formed
+    without cancellation, so it can be asked to fall that far; what is
+    left is the solve's own rounding, and T v - theta v computed afresh is
+    about 1.5 eps ||T||.  Rows that have stopped are not iterated further
+    and every operation acts on one row, so each row's result is bit for
+    bit its own call.  Returns the Rayleigh quotients (B,) and the unit
+    eigenvectors of T (B x n), whose signs alternate from a positive first
+    entry.
+    """
+    d = np.asarray(d, dtype=float)
+    e = np.asarray(e, dtype=float)
+    if not (e > 0).all():
+        raise ValueError("the off-diagonal must be positive (an unreduced tridiagonal matrix)")
+    rows, n = d.shape
+    off = -e[None, :]                                  # A's off-diagonal
+    size = np.abs(d)
+    size[:, 1:] += e
+    size[:, :-1] += e
+    norm = size.max(axis=1)
+    margin = 16.0 * _EPS * norm
+    # A u for u = 1 needs no division: the row sums of A
+    bound = d.copy()
+    bound[:, 1:] += off
+    bound[:, :-1] += off
+    bound = bound.min(axis=1)
+    u = np.ones((rows, n))
+    values, vectors = np.empty(rows), np.empty((rows, n))
+    active = np.arange(rows)
+    for _ in range(_NODA_MAX_STEPS):
+        shift = bound - margin[active]
+        w = mmatrix_tridiagonal_solve(d[active] - shift[:, None], off, u)
+        top = w.max(axis=1)
+        if not (np.isfinite(top).all() and (top > 0).all()):
+            raise FloatingPointError("Noda iteration broke down: a shifted block "
+                                     "was not positive definite")
+        s = w / top[:, None]
+        ss = (s * s).sum(axis=1)
+        rise = (s * u).sum(axis=1) / ss / top               # theta - shift
+        # in units of ||T||, so that no square overflows
+        gap = (u / top[:, None] - rise[:, None] * s) / norm[active, None]
+        done = np.sqrt((gap * gap).sum(axis=1) / ss) <= _EPS
+        if done.any():
+            values[active[done]] = shift[done] + rise[done]
+            vectors[active[done]] = s[done] / np.sqrt(ss[done])[:, None]
+            keep = ~done
+            active, u, w, s, shift = active[keep], u[keep], w[keep], s[keep], shift[keep]
+        if active.size == 0:
+            vectors[:, 1::2] *= -1.0
+            return values, vectors
+        # entries that underflowed to 0 in both u and w give NaN, which fmin skips
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bound = shift + np.fmin.reduce(u / w, axis=1)
+        u = s
+    raise FloatingPointError(f"Noda iteration did not converge in {_NODA_MAX_STEPS} steps")

@@ -33,7 +33,8 @@ from .spin import (FULL_DENSITY_MAX, PAULI, CollectiveOperator, Representation,
                    collective_op, full_rep, gradient_op, parity_op,
                    squared_op, symmetric_rep)
 from .states import (QuantumState, SqueezingSpec, check_same_rep, dicke, ghz, polarized,
-                     rotate, singlet_pi, squeezed_ground_state)
+                     rotate, singlet_pi, squeezed_ground_state,
+                     squeezed_ground_states)
 from .witnesses import MomentSet, moments
 
 # Largest N for the QFI of a depolarized symmetric probe.  The reduced
@@ -264,9 +265,9 @@ class FrontierRow:
         return self.precision_inv <= self.ceiling + 1e-6
 
 
-def _frontier_row(n: int, lam: float, ops) -> FrontierRow:
+def _frontier_row(st: QuantumState, lam: float, ops) -> FrontierRow:
     Jz, Jx, Jy = ops
-    st = squeezed_ground_state(SqueezingSpec(n, lam))
+    n = st.n
     mz = st.expectation(Jz)
     vx = st.variance(Jx)
     prec = mz * mz / vx if vx > 1e-300 else 0.0
@@ -287,7 +288,9 @@ def squeezing_frontier(n: int, lambdas) -> list[FrontierRow]:
         raise ValueError("the squeezed-probe family needs even N")
     rep = symmetric_rep(n)
     ops = tuple(collective_op(a, rep) for a in "zxy")
-    return [_frontier_row(n, lam, ops) for lam in lambdas]
+    lambdas = list(lambdas)
+    return [_frontier_row(st, lam, ops)
+            for st, lam in zip(squeezed_ground_states(n, lambdas), lambdas)]
 
 
 def frontier_lambda_grid(n: int, points: int = 110, pol_floor: float = 0.005) -> np.ndarray:
@@ -296,7 +299,8 @@ def frontier_lambda_grid(n: int, points: int = 110, pol_floor: float = 0.005) ->
     rep = symmetric_rep(n)
     ops = tuple(collective_op(a, rep) for a in "zxy")
     lo = 1e-9 * n
-    while _frontier_row(n, lo, ops).polarization > pol_floor:
+    while _frontier_row(squeezed_ground_state(SqueezingSpec(n, lo)), lo,
+                        ops).polarization > pol_floor:
         lo /= 10.0
         if lo < 1e-18:
             break
@@ -570,7 +574,12 @@ class SweepResult:
 def _noisy_precision(n: int, lam: float, channel: NoiseChannel):
     """Best-probe precision <J_z>^2 / Var(J_x) at (N, lam) after per-qubit
     noise, from the probe's symmetric-sector moments: no density is built."""
-    probe = squeezed_ground_state(SqueezingSpec(n, lam))
+    return _probe_precision(squeezed_ground_state(SqueezingSpec(n, lam)), channel)
+
+
+def _probe_precision(probe: QuantumState, channel: NoiseChannel):
+    """``_noisy_precision`` of a squeezed probe already built."""
+    n = probe.n
     m = noisy_moments(moments(probe), channel)
     mz, vx = float(m.mean[2]), m.var("x")
     prec = mz * mz / vx if vx > 1e-300 else 0.0
@@ -633,7 +642,8 @@ def noisy_scaling_sweep(p: float, n_list, lambda_points: int = 16,
     ceilings = {}
     for n in n_list:
         lams = frontier_lambda_grid(n, lambda_points, pol_floor=0.02)
-        vals = [_noisy_precision(n, lam, channel)[0] for lam in lams]
+        vals = [_probe_precision(probe, channel)[0]
+                for probe in squeezed_ground_states(n, lams)]
         k = int(np.argmax(vals))
         lam_best, prec_best = lams[k], vals[k]
         # golden-section refinement needs a strict interior maximum; on a

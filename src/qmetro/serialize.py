@@ -78,8 +78,10 @@ def state_from_dict(doc: dict) -> QuantumState:
     return QuantumState(rep, payload, label=label)
 
 
-def _read_canonical(raw: bytes) -> QuantumState | None:
-    """The state of a canonically written file, None for any other layout."""
+def _read_canonical(raw: bytes) -> tuple | None:
+    """(representation, payload, label) of a canonically written file, None
+    for any other layout.  The caller builds the state once this returns,
+    so that the payload's text is gone before the state checks it."""
     end = raw.find(b'"', len(_PAYLOAD_OPEN))
     if not raw.startswith(_PAYLOAD_OPEN) or end < 0 or raw[end - 1:end] != b",":
         return None
@@ -103,7 +105,7 @@ def _read_canonical(raw: bytes) -> QuantumState | None:
         return None
     if flat.size != 2 * math.prod(shape):
         return None
-    return QuantumState(rep, flat.view(np.complex128).reshape(shape), label=label)
+    return rep, flat.view(np.complex128).reshape(shape), label
 
 
 def dumps_canonical(doc: dict) -> str:
@@ -127,8 +129,15 @@ def write_state(state: QuantumState, path: str):
 def read_state(path: str) -> QuantumState:
     with open(path, "rb") as fh:
         raw = fh.read()
-    state = _read_canonical(raw)
-    return state if state is not None else state_from_dict(json.loads(raw))
+    parsed = _read_canonical(raw)
+    if parsed is None:
+        doc = json.loads(raw)
+        del raw
+        return state_from_dict(doc)
+    # the file's bytes (15 MB for a full N = 10 density) go before the check
+    del raw
+    rep, payload, label = parsed
+    return QuantumState(rep, payload, label=label)
 
 
 def write_report(doc: dict, path: str):

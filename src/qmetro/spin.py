@@ -371,8 +371,14 @@ class CollectiveOperator:
     @property
     def spectrum(self) -> SpectralDecomposition:
         """The eigendecomposition, computed on first use and kept (one per
-        generator however many angles it rotates by)."""
-        return self._memoized("spectrum", lambda: eigh_hermitian(_from_factor(*self.factor)))
+        generator however many angles it rotates by).  A real factor (k = 0)
+        is decomposed as it is, with no complex d x d copy."""
+        def compute():
+            F, k = self.factor
+            if k == 0 and not np.iscomplexobj(F):
+                return eigh_hermitian(np.diag(F) if F.ndim == 1 else F)
+            return eigh_hermitian(_from_factor(F, k))
+        return self._memoized("spectrum", compute)
 
     def norm_bound(self) -> float:
         """A bound on the 1-norm (so on the spectral norm), from the structure."""

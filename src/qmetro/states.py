@@ -15,11 +15,18 @@ direction), so a real density takes real products only, and is rotated
 with the generator's kept ``spectrum``.  ``operator_moments`` is the one
 evaluation of <A> and <A^2>, shared with the Fisher module; a bare matrix
 is accepted wherever an operator is (``spin.as_operator``).
+
+Squeezed states, the ground states of J_x^2 - lam J_z, come from the two
+parity blocks of that tridiagonal Hamiltonian by Noda iteration
+(``squeezed_ground_states``, batched over lam): NumPy only, each vector
+within a residual of eps ||T|| of its block T, with a warning when the
+two blocks' lowest eigenvalues nearly coincide.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import lgamma
@@ -28,7 +35,7 @@ import numpy as np
 
 from .config import PSD_FLOOR, STATE_NORM
 from .linalg import (factor_product, hermitian_trace, hermiticity_defect, real_if_exact,
-                     unitary_apply, unitary_exp)
+                     tridiagonal_ground_pairs, unitary_apply, unitary_exp)
 from .spin import (AXES, FULL_DENSITY_MAX, CollectiveOperator, Representation, as_operator,
                    collective_op, dicke_embedding, full_rep, ladder_amplitudes,
                    symmetric_rep)
@@ -301,56 +308,85 @@ class SqueezingSpec:
     def __post_init__(self):
         if self.n % 2 != 0 or self.n < 2:
             raise ValueError("squeezed ground states are defined for even N >= 2")
+        if not np.isfinite(self.lam):
+            raise ValueError(f"the polarizing weight must be finite, got {self.lam}")
         if self.lam < 0:
             raise ValueError("the polarizing weight must be nonnegative")
 
 
-def _parity_blocks(n: int, lam: float):
+def _parity_blocks(n: int, lams: np.ndarray):
     """J_x^2 - lam J_z as two tridiagonal blocks, even and odd Dicke index.
 
     J_x^2 couples m only to m +- 2, so the basis vectors of one index
-    parity never mix with the other.  Yields (indices, diagonal,
-    off-diagonal) per block, built in O(N) from the ladder amplitudes.
+    parity never mix with the other.  Yields (indices, diagonals,
+    off-diagonal) per block, built in O(N) from the ladder amplitudes: one
+    diagonal row per lam, and the off-diagonal, which lam does not enter,
+    once.
     """
     a = ladder_amplitudes(n)                    # <i+1|J_+|i>
     edge = np.zeros(1)
-    diag = (np.concatenate([edge, a]) ** 2 + np.concatenate([a, edge]) ** 2) / 4.0
-    diag -= lam * (np.arange(n + 1) - n / 2.0)
+    base = (np.concatenate([edge, a]) ** 2 + np.concatenate([a, edge]) ** 2) / 4.0
+    diag = base - lams[:, None] * (np.arange(n + 1) - n / 2.0)
     off = a[:-1] * a[1:] / 4.0                  # <i|J_x^2|i+2>
     for p in (0, 1):
-        yield np.arange(p, n + 1, 2), diag[p::2], off[p::2]
+        yield np.arange(p, n + 1, 2), diag[:, p::2], off[p::2]
 
 
-def squeezed_ground_state(spec: SqueezingSpec) -> QuantumState:
-    """Ground state of J_x^2 - lam * J_z in the symmetric sector.
+# lam values solved together: the Noda iteration's arrays hold about this
+# many entries each (0.5 MB), whatever the number of points requested
+_BATCH_ENTRIES = 1 << 16
+
+
+def squeezed_ground_states(n: int, lams) -> Iterator[QuantumState]:
+    """Ground states of J_x^2 - lam * J_z in the symmetric sector, yielded in
+    the order of ``lams``.
 
     These states minimise Var(J_x) at fixed <J_z> and trace out the optimal
     precision frontier of Ramsey interferometry with collective
-    measurements.  Each parity block is solved as a tridiagonal problem
-    and the lower ground state wins; an exact tie between the blocks goes
-    to the block holding m = N/2.
+    measurements.  Each parity block T (``_parity_blocks``) has positive
+    off-diagonals, so its lowest eigenpair is the Perron pair of the
+    M-matrix S T S, S = diag((-1)^i), and ``tridiagonal_ground_pairs``
+    finds it by Noda iteration on odd-even reduction solves, batched over
+    lam: no dense matrix and no LAPACK eigensolver.  Each vector's residual
+    |T v - theta v| at its Rayleigh quotient theta is brought to eps ||T||,
+    eps the double precision and ||T|| the block's largest Gershgorin row
+    sum, the norm LAPACK's tridiagonal tolerances scale by.
+
+    The block with the lower eigenvalue wins; an exact tie goes to the
+    block holding m = N/2.  An unreduced tridiagonal block has simple
+    eigenvalues, so the ground space is nearly degenerate only when the
+    two blocks' lowest eigenvalues are within 1e-12 of the larger of 1 and
+    their magnitude; that case warns.  The sign is fixed so that the
+    largest entry is positive.  Each state is bit for bit the one a call
+    with its lam alone returns.  The lam values are solved in batches of
+    bounded size, and the states of a batch are yielded before the next is
+    solved.
     """
-    # deferred import: only this solver needs scipy.linalg, and every CLI
-    # process would otherwise pay for it at start-up
-    import scipy.linalg
-    candidates = []
-    for idx, d, e in _parity_blocks(spec.n, spec.lam):
-        vals, vecs = scipy.linalg.eigh_tridiagonal(
-            d, e, select="i", select_range=(0, min(1, d.size - 1)))
-        candidates += [(val, idx, vecs[:, c]) for c, val in enumerate(vals)]
-    candidates.sort(key=lambda c: c[0])
-    vals = np.array([c[0] for c in candidates[:2]])
-    scale = max(abs(vals).max(), 1.0)
-    if vals[1] - vals[0] < 1e-12 * scale:
-        warnings.warn(f"nearly degenerate ground space (gap {vals[1]-vals[0]:.2e}); "
-                      "returning the lowest-index vector")
-    _, idx, vec = candidates[0]
-    # fix the overall sign so results are deterministic across LAPACK builds;
-    # a real sign keeps the state exactly real
-    v = np.zeros(spec.n + 1, dtype=complex)
-    v[idx] = vec * np.sign(vec[np.argmax(np.abs(vec))])
-    return QuantumState(symmetric_rep(spec.n), v,
-                        label=f"squeezed({spec.n},lam={spec.lam:g})")
+    specs = [SqueezingSpec(n, lam) for lam in lams]
+    lams = np.array([spec.lam for spec in specs], dtype=float)
+    step = max(1, _BATCH_ENTRIES // (n // 2 + 1))
+    for lo in range(0, lams.size, step):
+        chunk = lams[lo:lo + step]
+        (idx0, d0, e0), (idx1, d1, e1) = _parity_blocks(n, chunk)
+        vals0, vecs0 = tridiagonal_ground_pairs(d0, e0)
+        vals1, vecs1 = tridiagonal_ground_pairs(d1, e1)
+        for k, lam in enumerate(chunk):
+            gap = abs(vals1[k] - vals0[k])
+            if gap < 1e-12 * max(abs(vals0[k]), abs(vals1[k]), 1.0):
+                warnings.warn(f"nearly degenerate ground space (gap {gap:.2e}); "
+                              "returning the lowest-index vector")
+            idx, vec = (idx1, vecs1[k]) if vals1[k] < vals0[k] else (idx0, vecs0[k])
+            # a real sign keeps the state exactly real
+            v = np.zeros(n + 1, dtype=complex)
+            v[idx] = vec * np.sign(vec[np.argmax(np.abs(vec))])
+            yield QuantumState(symmetric_rep(n), v, label=f"squeezed({n},lam={lam:g})")
+
+
+def squeezed_ground_state(spec: SqueezingSpec) -> QuantumState:
+    """Ground state of J_x^2 - lam * J_z in the symmetric sector: the batch
+    of one of ``squeezed_ground_states``, whose docstring gives the method,
+    its tolerance and the degeneracy warning."""
+    return next(squeezed_ground_states(spec.n, [spec.lam]))
 
 
 def mix_white_noise(state: QuantumState, p: float) -> QuantumState:

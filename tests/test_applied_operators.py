@@ -8,12 +8,15 @@ must equal the matrix, bit for bit; ``apply`` must equal the dense
 product to 1e-12 relative to the scale ||A||_inf ||v||_inf of the product.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from qmetro import spin
 from qmetro.cli import main
 from qmetro.fisher import qfi
+from qmetro.linalg import eigh_hermitian
 from qmetro.serialize import write_state
 from qmetro.spin import (AXES, PAULI, CollectiveOperator, Representation, as_operator,
                          collective_op, dicke_embedding, direction_op, full_rep, gradient_op,
@@ -168,6 +171,38 @@ def test_genuinely_complex_operators_have_no_factor(rng):
     R, k = CollectiveOperator(custom, rep).factor
     assert k == 0 and np.array_equal(R, custom) and not R.flags.writeable
     assert custom.flags.writeable
+
+
+@pytest.mark.parametrize("rep", [full_rep(n) for n in range(1, 7)], ids=repr)
+def test_spectrum_from_a_real_factor_equals_the_matrix_spectrum_bitwise(rep):
+    """A real factor (J_x, J_z, directions in the x-z plane) is decomposed as
+    it is, J_y and mixed directions through the complex matrix; LAPACK sees
+    the same values either way."""
+    ops = [collective_op(a, rep) for a in AXES] + [direction_op(n_vec, rep) for n_vec in
+                                                   _DIRECTIONS + [np.ones(3) / np.sqrt(3)]]
+    for op in ops:
+        # a fresh operator: the cached ones may hold a spectrum already
+        op = CollectiveOperator(op.form, op.rep, op.provenance)
+        got, want = op.spectrum, eigh_hermitian(op.matrix)
+        assert got.eigenvalues.dtype == want.eigenvalues.dtype, op
+        assert got.eigenvectors.dtype == want.eigenvectors.dtype, op
+        assert np.array_equal(_bits(got.eigenvalues), _bits(want.eigenvalues)), op
+        assert np.array_equal(_bits(got.eigenvectors), _bits(want.eigenvectors)), op
+
+
+def test_spectrum_of_a_real_factor_holds_no_complex_copy():
+    """Full J_x at N = 10: the eigenvectors (8 MB) and no complex 1024^2
+    matrix (16 MB) in NumPy-tracked memory."""
+    J = collective_op("x", full_rep(10))
+    op = CollectiveOperator(J.form, J.rep, J.provenance)
+    op.factor
+    tracemalloc.start()
+    try:
+        op.spectrum
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2 ** 20, f"{peak / 2 ** 20:.1f} MB"
 
 
 def test_non_diagonal_square_matches_sparse_product():

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from qmetro.linalg import (eigh_hermitian, factor_product, hermitian_trace, hermiticity_defect,
-                           psd_sqrt, require_hermitian, unitary_exp)
+                           mmatrix_tridiagonal_solve, psd_sqrt, require_hermitian,
+                           tridiagonal_ground_pairs, unitary_exp)
 from conftest import rand_hermitian
 
 
@@ -125,3 +126,73 @@ def test_hermiticity_checked_across_row_blocks(rng):
     with pytest.raises(ValueError, match="not Hermitian"):
         require_hermitian(A)
     assert hermiticity_defect(A) == np.abs(A - A.conj().T).max() / np.abs(A).max()
+
+
+def _tridiagonal(d, e):
+    return np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+
+
+def _random_mmatrices(rng, rows, n, e=None):
+    """Irreducible symmetric tridiagonal M-matrices: negative off-diagonals
+    (``e`` if given) and a diagonal above the row sums, some only slightly."""
+    if e is None:
+        e = -rng.uniform(0.1, 2.0, (rows, n - 1))
+    d = rng.uniform(0.0, 1.0, (rows, n)) * 10.0 ** rng.integers(-6, 1, (rows, 1))
+    d[:, 1:] -= e
+    d[:, :-1] -= e
+    return d, e
+
+
+@pytest.mark.parametrize("n", [*range(1, 10), 501, 2049])
+def test_odd_even_solve_matches_dense_solve(rng, n):
+    rows = 3
+    d, e = _random_mmatrices(rng, rows, n)
+    f = rng.uniform(0.0, 1.0, (rows, n))
+    x = mmatrix_tridiagonal_solve(d, e, f)
+    # a shared off-diagonal row broadcasts over the batch
+    d_shared, e_shared = _random_mmatrices(rng, rows, n, e[:1])
+    shared = mmatrix_tridiagonal_solve(d_shared, e_shared, f)
+    eps = np.finfo(float).eps
+    for b in range(rows):
+        for got, T in ((x[b], _tridiagonal(d[b], e[b])),
+                       (shared[b], _tridiagonal(d_shared[b], e_shared[0]))):
+            want = np.linalg.solve(T, f[b])
+            norm = np.abs(T).sum(axis=1).max()
+            # the inverse of an M-matrix is nonnegative: |T^-1|_inf = max T^-1 1
+            cond = norm * np.linalg.solve(T, np.ones(n)).max()
+            # backward stable, and forward error within the conditioning
+            assert np.abs(T @ got - f[b]).max() <= 16 * eps * (norm * np.abs(got).max() + 1.0)
+            assert np.abs(got - want).max() <= 16 * eps * cond * np.abs(want).max(), b
+            # so a nonnegative right-hand side gives a nonnegative solution
+            assert (got >= 0).all()
+
+
+def test_ground_pairs_match_dense_eigh(rng):
+    for n in (1, 2, 3, 8, 65):
+        e = rng.uniform(0.1, 2.0, n - 1)
+        d = rng.normal(size=(4, n)) * 3.0
+        vals, vecs = tridiagonal_ground_pairs(d, e)
+        for b in range(4):
+            T = _tridiagonal(d[b], e)
+            w, V = np.linalg.eigh(T)
+            norm = np.abs(T).sum(axis=1).max()
+            assert abs(vals[b] - w[0]) <= 16 * np.finfo(float).eps * norm
+            assert abs(np.vdot(V[:, 0], vecs[b])) ** 2 >= 1 - 1e-12
+            assert np.linalg.norm(T @ vecs[b] - vals[b] * vecs[b]) <= 16 * np.finfo(float).eps * norm
+            # alternating signs, first entry positive
+            assert (vecs[b] * (-1.0) ** np.arange(n) > 0).all()
+
+
+def test_ground_pair_batch_rows_are_their_single_solves(rng):
+    n = 300
+    e = rng.uniform(0.1, 2.0, n - 1)
+    d = rng.normal(size=(7, n)) * 10.0 ** np.arange(-3, 4)[:, None]
+    vals, vecs = tridiagonal_ground_pairs(d, e)
+    for b in range(7):
+        one_val, one_vec = tridiagonal_ground_pairs(d[b:b + 1], e)
+        assert one_val[0] == vals[b] and np.array_equal(one_vec[0], vecs[b])
+
+
+def test_ground_pairs_refuse_a_reducible_matrix():
+    with pytest.raises(ValueError, match="off-diagonal must be positive"):
+        tridiagonal_ground_pairs(np.zeros((1, 3)), np.array([1.0, 0.0]))

@@ -9,6 +9,10 @@ J_x and J_y through real factors and J_z through its diagonal, so
 ``witness --all`` on a mixed N = 10 state holds no complex 1024^2 operator
 and stays under 150 MB (three complex J alone are 48 MB).
 
+Squeezed ground states come from NumPy alone, so building one at N = 4096
+or a 64-point frontier at N = 1000 stays under 45 MB; importing
+``scipy.linalg`` alone would add 26 MB.
+
 Each command runs in its own process, and its peak RSS is ``ru_maxrss``
 from ``os.wait4``.  A small launcher process starts it: Linux carries the
 parent's peak RSS over fork and exec into the child's ``ru_maxrss``, so a
@@ -31,6 +35,8 @@ from qmetro.states import SqueezingSpec, ghz, mix_white_noise, squeezed_ground_s
 
 LIMIT_MB = 200
 DENSITY_LIMIT_MB = 150
+# squeezed ground states take NumPy alone (no SciPy import): 31-35 MB here
+SQUEEZING_LIMIT_MB = 45
 
 _LAUNCHER = """
 import json, os, subprocess, sys
@@ -65,8 +71,12 @@ def _peak_rss_mb(argv, cwd) -> float:
     (["qfi", "ghz12.json"], LIMIT_MB),
     (["witness", "ghz12.json", "--all"], LIMIT_MB),
     (["witness", "mixed10.json", "--all"], DENSITY_LIMIT_MB),
+    (["state", "--kind", "squeezed", "--n", "4096", "--lam", "100", "--out", "s.json"],
+     SQUEEZING_LIMIT_MB),
+    (["sweep", "--kind", "frontier", "--n", "1000", "--points", "64", "--out", "f1000.csv"],
+     SQUEEZING_LIMIT_MB),
 ], ids=["witness-symmetric-4096", "frontier-4096", "qfi-full-ghz-12", "witness-full-ghz-12",
-        "witness-full-mixed-10"])
+        "witness-full-mixed-10", "state-squeezed-4096", "frontier-1000"])
 def test_cli_peak_rss_at_advertised_limits(states, argv, limit):
     peak = _peak_rss_mb(argv, states)
     assert peak < limit, f"{' '.join(argv)}: peak RSS {peak:.0f} MB"

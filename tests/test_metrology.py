@@ -427,6 +427,24 @@ def test_pure_rotations_do_not_import_scipy():
     assert done.returncode == 0, done.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["state", "--kind", "squeezed", "--n", "1000", "--lam", "100", "--out", "sq.json"],
+    ["sweep", "--kind", "frontier", "--n", "100", "--points", "16", "--out", "f.csv"],
+    ["sweep", "--kind", "noise", "--p", "0.25", "--n-list", "4,6", "--points", "8",
+     "--out", "n.csv"],
+], ids=["state-squeezed", "frontier", "noise"])
+def test_squeezing_commands_run_without_scipy(argv, tmp_path):
+    """A None entry in sys.modules makes every import of scipy fail."""
+    code = ("import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from qmetro.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(qmetro.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=env, cwd=tmp_path,
+                          timeout=120, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
 def test_noisy_sweep_without_qfi_reaches_large_n():
     p = 0.25
     eta = 1.0 - p

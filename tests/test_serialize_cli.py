@@ -502,6 +502,9 @@ def test_cli_noise_sweep_over_the_qfi_cap_runs_no_row(tmp_path, capsys, monkeypa
     rows = []
     monkeypatch.setattr(qmetro.metrology, "_noisy_precision",
                         lambda *args: rows.append(args))
+    # the coarse lam grid builds its probes in one batch
+    monkeypatch.setattr(qmetro.metrology, "squeezed_ground_states",
+                        lambda *args: rows.append(args))
     out = tmp_path / "s.csv"
     too_big = qmetro.metrology.NOISY_QFI_MAX + 1
     assert main(["sweep", "--kind", "noise", "--n-list", f"4,{too_big}", "--p", "0.25",

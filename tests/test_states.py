@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 
+import qmetro.states
+from qmetro.linalg import tridiagonal_ground_pairs
+from qmetro.metrology import frontier_lambda_grid
 from qmetro.spin import collective_op, full_rep, symmetric_rep
-from qmetro.states import (QuantumState, SqueezingSpec, dicke, ghz,
+from qmetro.states import (QuantumState, SqueezingSpec, _parity_blocks, dicke, ghz,
                            maximally_mixed, mix_white_noise, polarized, rotate,
-                           singlet_pi, squeezed_ground_state, to_full)
+                           singlet_pi, squeezed_ground_state, squeezed_ground_states,
+                           to_full)
 from qmetro.fisher import qfi, qfi_pure, white_noise_qfi, bures_fidelity
 
 
@@ -160,6 +164,67 @@ def test_squeezed_is_squeezed():
     vx = st.variance(collective_op("x", st.rep))
     mz = st.expectation(collective_op("z", st.rep))
     assert vx < abs(mz) / 2
+
+
+EPS = np.finfo(float).eps
+SQUEEZING_SIZES = [2, 4, 10, 100, 1000, 4096]
+
+
+@pytest.mark.parametrize("n", SQUEEZING_SIZES)
+def test_squeezed_residuals_on_the_frontier_grid(n):
+    """|H v - <H> v| <= 16 eps ||H|| for H = J_x^2 - lam J_z, with ||H|| at
+    least max(N^2/4, lam N/2 + N/4), the energies of the x-polarized and
+    the -z-polarized states."""
+    rep = symmetric_rep(n)
+    Jx, Jz = collective_op("x", rep), collective_op("z", rep)
+    lams = frontier_lambda_grid(n, 64)
+    for st, lam in zip(squeezed_ground_states(n, lams), lams):
+        v = st.data
+        assert not v.imag.any()
+        Hv = Jx.apply(Jx.apply(v)) - lam * Jz.apply(v)
+        resid = np.linalg.norm(Hv - np.vdot(v, Hv).real * v)
+        assert resid <= 16 * EPS * max(n * n / 4, lam * n / 2 + n / 4), f"lam={lam:g}"
+
+
+@pytest.mark.parametrize("n", SQUEEZING_SIZES)
+def test_squeezed_block_eigenvalues_match_lapack(n):
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    lams = frontier_lambda_grid(n, 64)
+    for idx, d, e in _parity_blocks(n, lams):
+        vals, _ = tridiagonal_ground_pairs(d, e)
+        for k, lam in enumerate(lams):
+            want = scipy_linalg.eigh_tridiagonal(d[k], e, eigvals_only=True,
+                                                 select="i", select_range=(0, 0))[0]
+            norm = np.abs(d[k]).max() + 2 * (e.max() if e.size else 0.0)
+            assert abs(vals[k] - want) <= 16 * EPS * norm, f"lam={lam:g}, block {idx[0]}"
+
+
+@pytest.mark.parametrize("n", [10, 4096])
+def test_squeezed_batch_rows_are_their_single_solves(n):
+    # 64 values at N = 4096 span three internal batches
+    lams = frontier_lambda_grid(n, 64)
+    for st, lam in zip(squeezed_ground_states(n, lams), lams):
+        one = squeezed_ground_state(SqueezingSpec(n, lam))
+        assert np.array_equal(st.data, one.data) and st.label == one.label
+
+
+@pytest.mark.parametrize("lam", [np.inf, np.nan])
+def test_squeezed_spec_refuses_a_non_finite_weight(lam):
+    with pytest.raises(ValueError, match="must be finite"):
+        SqueezingSpec(10, lam)
+
+
+def test_squeezed_block_tie_warns_and_keeps_the_top_block(monkeypatch):
+    """Equal block eigenvalues warn, and the state of the block holding
+    m = N/2 (even Dicke indices) is returned with its largest entry positive."""
+    def tied(d, e):
+        vals, vecs = tridiagonal_ground_pairs(d, e)
+        return np.zeros_like(vals), vecs
+    monkeypatch.setattr(qmetro.states, "tridiagonal_ground_pairs", tied)
+    with pytest.warns(UserWarning, match="nearly degenerate ground space"):
+        st = squeezed_ground_state(SqueezingSpec(8, 2.0))
+    v = st.data.real
+    assert not v[1::2].any() and v[np.argmax(np.abs(v))] > 0
 
 
 def test_white_noise_endpoints():
