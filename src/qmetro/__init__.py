@@ -7,9 +7,8 @@ depth witnesses, and noise-scaling experiments.
 
 from .linalg import (SpectralDecomposition, eigh_hermitian, psd_sqrt, unitary_apply,
                      unitary_exp)
-from .spin import (CollectiveOperator, Representation, collective_op,
-                   dicke_embedding, direction_op, full_rep, gradient_op,
-                   parity_op, symmetric_rep)
+from .spin import (CollectiveOperator, Representation, collective_op, direction_op,
+                   full_rep, gradient_op, parity_op, symmetric_rep)
 from .states import (QuantumState, SqueezingSpec, dicke, ghz, maximally_mixed,
                      mix_white_noise, polarized, rotate, singlet_pi,
                      squeezed_ground_state, squeezed_ground_states, to_full)

@@ -241,6 +241,7 @@ def white_noise_qfi(pure_state, op, p: float) -> float:
     F = 4 p^2 Var_psi(A) / (p + 2(1-p)/D).
     """
     A = as_operator(op)
+    check_same_rep(pure_state, A)
     kind, data = _state_payload(pure_state)
     if kind != "vector":
         raise ValueError("white_noise_qfi takes the pure input state")
@@ -306,9 +307,9 @@ def mandelstam_tamm_check(state, op, theta: float) -> SpeedBoundCheck:
             f"(have {np.sqrt(F) * abs(theta):.4f})")
     kind, data = _state_payload(state)
     if kind == "vector":
-        evolved = unitary_apply(A, theta, data, sign=-1)
+        evolved = unitary_apply(A, theta, data)
     else:
-        U = unitary_exp(A.spectrum, theta, sign=-1)
+        U = unitary_exp(A.spectrum, theta)
         evolved = U @ data @ U.conj().T
     fid = bures_fidelity(data, evolved)
     bound = float(np.cos(np.sqrt(max(F, 0.0)) / 2.0 * theta) ** 2)
@@ -391,7 +392,7 @@ def classical_fisher(family, povm: Povm, theta0: float) -> CfiResult:
 
     value = 0.0
     boundary = []
-    lazy = {}
+    lazy = {theta0 + h: pp}
 
     def probs(theta):
         if theta not in lazy:
@@ -469,6 +470,7 @@ class RoofResult:
 
 def _roof_optimize(state, op, cardinality, maximize_g, restarts, seed):
     A = as_operator(op)
+    check_same_rep(state, A)
     kind, data = _state_payload(state)
     if kind == "vector":
         data = np.outer(data, data.conj())
@@ -560,6 +562,7 @@ class RoofSandwich:
 def roof_sandwich_check(state, op, weights, vectors) -> RoofSandwich:
     """Verify F_Q/4 <= sum p_k Var_k <= Var for an explicit decomposition."""
     A = as_operator(op)
+    check_same_rep(state, A)
     kind, data = _state_payload(state)
     rho = np.outer(data, data.conj()) if kind == "vector" else data
     weights = np.asarray(weights, dtype=float)

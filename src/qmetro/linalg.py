@@ -204,16 +204,13 @@ def rank_floor_sqrt(w: np.ndarray) -> np.ndarray:
     return np.sqrt(np.where(w > floor, w, 0.0))
 
 
-def unitary_exp(A, theta: float, sign: int = -1) -> np.ndarray:
-    """exp(sign * i * theta * A) for Hermitian A, via the spectral decomposition.
-
-    A is a matrix or its kept ``SpectralDecomposition``.  ``sign=-1``
-    (default) gives the interferometer propagator exp(-i A theta).
+def unitary_exp(A, theta: float) -> np.ndarray:
+    """The interferometer propagator exp(-i theta A) for Hermitian A, via the
+    spectral decomposition; A is a matrix or its kept ``SpectralDecomposition``.
+    exp(+i theta A) is the propagator at -theta.
     """
-    if sign not in (-1, +1):
-        raise ValueError("sign must be +1 or -1")
     dec = A if isinstance(A, SpectralDecomposition) else eigh_hermitian(A)
-    return dec.apply_function(lambda w: np.exp(1j * sign * theta * w))
+    return dec.apply_function(lambda w: np.exp(-1j * theta * w))
 
 
 def pure_moments(psi: np.ndarray, images) -> tuple[np.ndarray, np.ndarray]:
@@ -229,8 +226,9 @@ def pure_moments(psi: np.ndarray, images) -> tuple[np.ndarray, np.ndarray]:
     return mean, (G + G.T) / 2.0
 
 
-def unitary_apply(A, theta: float, v: np.ndarray, sign: int = -1) -> np.ndarray:
-    """exp(sign * i * theta * A) v for Hermitian A, without forming the unitary.
+def unitary_apply(A, theta: float, v: np.ndarray) -> np.ndarray:
+    """exp(-i theta A) v for Hermitian A (``unitary_exp`` applied to v),
+    without forming the unitary.
 
     A is a ``CollectiveOperator`` (``A.apply``, 1-norm at most b =
     ``A.norm_bound()``) or a bare matrix (``A @ v``, b its 1-norm).  Taylor
@@ -238,15 +236,13 @@ def unitary_apply(A, theta: float, v: np.ndarray, sign: int = -1) -> np.ndarray:
     2011): ceil(|theta| b) steps, each summing the series until two
     consecutive terms fall below the unit roundoff times the sum.
     """
-    if sign not in (-1, +1):
-        raise ValueError("sign must be +1 or -1")
     if hasattr(A, "apply"):
         apply, bound = A.apply, A.norm_bound()
     else:
         A = np.asarray(A)
         apply, bound = A.__matmul__, np.linalg.norm(A, 1)
     steps = int(np.ceil(abs(theta) * bound))
-    c = 1j * sign * theta / max(steps, 1)
+    c = -1j * theta / max(steps, 1)
     out = np.array(v, dtype=complex)
     for _ in range(steps):
         term, prev = out, np.abs(out).max()

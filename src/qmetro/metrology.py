@@ -29,12 +29,12 @@ import numpy as np
 from .config import CRB_TOL, DERIV_FLOOR, FD_STEP, FISHER_FLOOR
 from .fisher import qfi
 from .linalg import factor_product, hermitian_trace, real_if_exact
-from .spin import (FULL_DENSITY_MAX, PAULI, CollectiveOperator, Representation,
+from .spin import (FULL_DENSITY_MAX, CollectiveOperator, Representation,
                    collective_op, full_rep, gradient_op, parity_op,
                    squared_op, symmetric_rep)
-from .states import (QuantumState, SqueezingSpec, check_same_rep, dicke, ghz, polarized,
-                     rotate, singlet_pi, squeezed_ground_state,
-                     squeezed_ground_states)
+from .states import (QuantumState, SqueezingSpec, check_same_rep, dicke, ghz,
+                     operator_moments, polarized, rotate, singlet_pi,
+                     squeezed_ground_state, squeezed_ground_states)
 from .witnesses import MomentSet, moments
 
 # Largest N for the QFI of a depolarized symmetric probe.  The reduced
@@ -94,7 +94,7 @@ def dicke_scenario(n: int, kind: str = "symmetric", theta0: float = 0.0) -> Scen
                     theta0, label=f"dicke({n})")
 
 
-def gradient_scenario(n: int, theta0: float = 0.0, probe: QuantumState | None = None) -> Scenario:
+def gradient_scenario(n: int, theta0: float = 0.0) -> Scenario:
     """Singlet probe under a site-weighted y generator, <J_z^2> measured.
 
     The probe is rotation invariant, so a homogeneous field produces no
@@ -103,8 +103,7 @@ def gradient_scenario(n: int, theta0: float = 0.0, probe: QuantumState | None = 
     if n % 2 or n > FULL_DENSITY_MAX:
         raise ValueError(f"gradient estimation implemented for even N <= {FULL_DENSITY_MAX}")
     rep = full_rep(n)
-    probe = probe if probe is not None else singlet_pi(n)
-    return Scenario(probe, gradient_op(rep),
+    return Scenario(singlet_pi(n), gradient_op(rep),
                     squared_op(collective_op("z", rep), "Jz^2"),
                     theta0, label=f"gradient({n})")
 
@@ -136,23 +135,17 @@ class PrecisionResult:
         return 0.0 if self.no_sensitivity or self.value == 0 else 1.0 / self.value
 
 
-def _slope_terms(state: QuantumState, A: CollectiveOperator, M: CollectiveOperator):
-    """<M>, <M^2> and d<M>/dtheta = i<[A, M]> at the working point.
+def _slope(state: QuantumState, A: CollectiveOperator, M: CollectiveOperator) -> float:
+    """d<M>/dtheta = i<[A, M]> at the working point.
 
-    A vector needs only M psi and A psi: the slope is -2 Im<A psi|M psi>.
-    A density rho needs M rho: Tr(M A rho) = conj Tr(A M rho), so the slope
-    is -2 Im Tr(A M rho), from the factors of A and M.
+    For a vector it is -2 Im<A psi|M psi>.  For a density rho,
+    Tr(M A rho) = conj Tr(A M rho), so it is -2 Im Tr(A M rho), from the
+    factors of A and M.
     """
     if state.is_pure:
-        psi = state.data
-        m = M.apply(psi)
-        return (float(np.real(np.vdot(psi, m))), float(np.real(np.vdot(m, m))),
-                -2.0 * float(np.imag(np.vdot(A.apply(psi), m))))
-    A, M = A.factor, M.factor
-    Mrho = factor_product(M, state.data)
-    return (float(np.real(hermitian_trace(M, state.data))),
-            float(np.real(hermitian_trace(M, Mrho))),
-            -2.0 * float(np.imag(hermitian_trace(A, Mrho))))
+        return -2.0 * float(np.imag(np.vdot(A.apply(state.data), M.apply(state.data))))
+    return -2.0 * float(np.imag(hermitian_trace(A.factor,
+                                                factor_product(M.factor, state.data))))
 
 
 def _curvature_terms(state: QuantumState, A: CollectiveOperator, M: CollectiveOperator):
@@ -183,7 +176,8 @@ def _curvature_terms(state: QuantumState, A: CollectiveOperator, M: CollectiveOp
 def error_propagation(sc: Scenario) -> PrecisionResult:
     A, M = sc.generator, sc.observable
     state = rotate(sc.probe, sc.generator, sc.theta0) if sc.theta0 else sc.probe
-    mean, second, d1 = _slope_terms(state, A, M)
+    mean, second = operator_moments(M, state.data)
+    d1 = _slope(state, A, M)
     var = second - mean * mean
 
     # central finite difference of <M>(theta) as an independent cross-check
@@ -349,10 +343,10 @@ class NoiseChannel:
                 raise ValueError("noise strength and time must be nonnegative")
         else:
             raise ValueError(f"unknown channel kind {self.kind!r}")
-        choi = self.choi_matrix()
-        w = np.linalg.eigvalsh((choi + choi.conj().T) / 2.0)
-        tp = choi.reshape(2, 2, 2, 2).trace(axis1=1, axis2=3)
-        if w.min() < -1e-10 or np.abs(tp - np.eye(2)).max() > 1e-10:
+        # the Choi matrix of rho -> sum_k c_k sigma_k rho sigma_k has the
+        # eigenvalues 2 c_k and the partial trace (sum_k c_k) 1
+        c = self.pauli_weights()
+        if 2.0 * c.min() < -1e-10 or abs(c.sum() - 1.0) > 1e-10:
             raise ValueError("channel is not CPTP")
 
     def pauli_weights(self) -> np.ndarray:
@@ -371,18 +365,6 @@ class NoiseChannel:
         eta_l = c0 + c_l minus the other two weights (1 - p when depolarizing)."""
         c0, cx, cy, cz = self.pauli_weights()
         return np.array([c0 + cx - cy - cz, c0 - cx + cy - cz, c0 - cx - cy + cz])
-
-    def choi_matrix(self) -> np.ndarray:
-        c = self.pauli_weights()
-        paulis = [np.eye(2, dtype=complex), PAULI["x"], PAULI["y"], PAULI["z"]]
-        choi = np.zeros((4, 4), dtype=complex)
-        for i in range(2):
-            for j in range(2):
-                E = np.zeros((2, 2), dtype=complex)
-                E[i, j] = 1.0
-                out = sum(ck * P @ E @ P.conj().T for ck, P in zip(c, paulis))
-                choi += np.kron(E, out)
-        return choi
 
 
 def apply_noise(state: QuantumState, channel: NoiseChannel) -> QuantumState:
@@ -562,13 +544,6 @@ class SweepResult:
     records: list
     exponent: float | None
     ceiling: dict = field(default_factory=dict)  # N -> analytic ceiling
-
-    def best_by_n(self):
-        out = {}
-        for r in self.records:
-            if r.n not in out or r.precision_inv > out[r.n].precision_inv:
-                out[r.n] = r
-        return out
 
 
 def _noisy_precision(n: int, lam: float, channel: NoiseChannel):

@@ -511,21 +511,3 @@ def squared_op(op: CollectiveOperator, label: str = "") -> CollectiveOperator:
     d = op.form.diagonal()
     form = _Banded(op.form.dim, diag=d * d) if d is not None else _Square(op)
     return CollectiveOperator(form, op.rep, provenance=label or f"({op.provenance})^2")
-
-
-@lru_cache(maxsize=FULL_VECTOR_MAX)
-def dicke_embedding(n: int) -> np.ndarray:
-    """2^n x (n+1) isometry mapping the symmetric sector into the full space.
-
-    Column i is the Dicke state with J_z eigenvalue m = i - n/2, i.e. with
-    k = n - i spins flipped to |1>.
-    """
-    if n > FULL_VECTOR_MAX:
-        raise ValueError(f"embedding limited to N <= {FULL_VECTOR_MAX}")
-    bits = _popcount(n)
-    B = np.zeros((2 ** n, n + 1), dtype=complex)
-    for i in range(n + 1):
-        k = n - i
-        mask = bits == k
-        B[mask, i] = 1.0 / np.sqrt(mask.sum())
-    return _freeze(B)

@@ -36,9 +36,8 @@ import numpy as np
 from .config import PSD_FLOOR, STATE_NORM
 from .linalg import (factor_product, hermitian_trace, hermiticity_defect, real_if_exact,
                      tridiagonal_ground_pairs, unitary_apply, unitary_exp)
-from .spin import (AXES, FULL_DENSITY_MAX, CollectiveOperator, Representation, as_operator,
-                   collective_op, dicke_embedding, full_rep, ladder_amplitudes,
-                   symmetric_rep)
+from .spin import (AXES, FULL_DENSITY_MAX, CollectiveOperator, Representation, _popcount,
+                   as_operator, collective_op, full_rep, ladder_amplitudes, symmetric_rep)
 
 
 @dataclass(frozen=True)
@@ -158,21 +157,33 @@ def rotate(state: QuantumState, generator: CollectiveOperator, theta: float) -> 
     """
     check_same_rep(state, generator)
     if state.is_pure:
-        v = unitary_apply(generator, theta, state.data, sign=-1)
+        v = unitary_apply(generator, theta, state.data)
         return QuantumState(state.rep, v, label=state.label)
-    U = unitary_exp(generator.spectrum, theta, sign=-1)
+    U = unitary_exp(generator.spectrum, theta)
     return QuantumState(state.rep, U @ state.data @ U.conj().T, label=state.label)
 
 
 def to_full(state: QuantumState) -> QuantumState:
-    """Embed a symmetric-sector state into the full 2^N space."""
+    """Embed a symmetric-sector state into the full 2^N space, by index.
+
+    The full basis state j with k spins down (k one bits) is a 1/sqrt(C(N, k))
+    share of the Dicke state i = N - k, so a vector v becomes v[i] c and a
+    density rho[i, i'] c c' (scaled by rows, then by columns, as the
+    products B rho B^dag of the isometry B order them).  No 2^N x (N+1)
+    matrix is formed.
+    """
     if state.rep.kind == "full":
         return state
-    B = dicke_embedding(state.n)
     rep = full_rep(state.n)
+    down = _popcount(state.n)
+    c = (1.0 / np.sqrt(np.bincount(down)))[down]
+    i = state.n - down
     if state.is_pure:
-        return QuantumState(rep, B @ state.data, label=state.label)
-    return QuantumState(rep, B @ state.data @ B.conj().T, label=state.label)
+        return QuantumState(rep, state.data[i] * c, label=state.label)
+    rho = state.data[np.ix_(i, i)]
+    rho *= c[:, None]
+    rho *= c
+    return QuantumState(rep, rho, label=state.label)
 
 
 # ----------------------------------------------------------------------

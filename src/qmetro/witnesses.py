@@ -214,33 +214,26 @@ def optimal_ssi(m: MomentSet) -> list[WitnessReport]:
                                  verdict, boundary))
 
     # <Jk^2> + <Jl^2> - N/2 <= (N-1) Var(Jm)
-    worst = None
-    for axis in AXES:
-        o1, o2 = _others(axis)
-        lhs = m.second_moment(o1) + m.second_moment(o2) - n / 2.0
-        rhs = (n - 1) * m.var(axis)
-        margin = rhs - lhs
-        if worst is None or margin < worst[0]:
-            worst = (margin, axis, lhs, rhs)
-    margin, axis, lhs, rhs = worst
-    verdict, boundary = _verdict(lhs, rhs, "le")
-    reports.append(WitnessReport("ssi_second_moments_vs_variance", lhs, rhs, "le",
-                                 verdict, boundary, detail=f"tightest for m={axis}"))
-
+    reports.append(_tightest("ssi_second_moments_vs_variance", "le", lambda o1, o2, ax: (
+        m.second_moment(o1) + m.second_moment(o2) - n / 2.0, (n - 1) * m.var(ax))))
     # (N-1)[Var(Jk) + Var(Jl)] >= <Jm^2> + N(N-2)/4
-    worst = None
-    for axis in AXES:
-        o1, o2 = _others(axis)
-        lhs = (n - 1) * (m.var(o1) + m.var(o2))
-        rhs = m.second_moment(axis) + n * (n - 2) / 4.0
-        margin = lhs - rhs
-        if worst is None or margin < worst[0]:
-            worst = (margin, axis, lhs, rhs)
-    margin, axis, lhs, rhs = worst
-    verdict, boundary = _verdict(lhs, rhs, "ge")
-    reports.append(WitnessReport("ssi_variances_vs_second_moment", lhs, rhs, "ge",
-                                 verdict, boundary, detail=f"tightest for m={axis}"))
+    reports.append(_tightest("ssi_variances_vs_second_moment", "ge", lambda o1, o2, ax: (
+        (n - 1) * (m.var(o1) + m.var(o2)), m.second_moment(ax) + n * (n - 2) / 4.0)))
     return reports
+
+
+def _tightest(name: str, sense: str, sides) -> WitnessReport:
+    """The report of an axis-resolved inequality lhs <sense> rhs at its axis
+    of smallest margin, the first of x, y, z on a tie; ``sides(o1, o2, m)``
+    gives (lhs, rhs) for the axis m and the other two o1, o2."""
+    rows = []
+    for axis in AXES:
+        lhs, rhs = sides(*_others(axis), axis)
+        rows.append((rhs - lhs if sense == "le" else lhs - rhs, axis, lhs, rhs))
+    _, axis, lhs, rhs = min(rows, key=lambda row: row[0])
+    verdict, boundary = _verdict(lhs, rhs, sense)
+    return WitnessReport(name, lhs, rhs, sense, verdict, boundary,
+                         detail=f"tightest for m={axis}")
 
 
 # ----------------------------------------------------------------------

@@ -19,11 +19,11 @@ from qmetro.fisher import qfi
 from qmetro.linalg import eigh_hermitian
 from qmetro.serialize import write_state
 from qmetro.spin import (AXES, PAULI, CollectiveOperator, Representation, as_operator,
-                         collective_op, dicke_embedding, direction_op, full_rep, gradient_op,
+                         collective_op, direction_op, full_rep, gradient_op,
                          ladder_amplitudes, parity_op, single_site_op, squared_op,
                          symmetric_rep)
 from qmetro.states import SqueezingSpec, ghz, mix_white_noise, squeezed_ground_state
-from conftest import rand_hermitian
+from conftest import dicke_isometry, rand_hermitian
 
 
 # ------------------------------------------------- oracles: former builders
@@ -317,7 +317,7 @@ def test_symmetric_and_full_agree_through_dicke_embedding():
             "squared": lambda rep: squared_op(collective_op("z", rep)),
         }.get(kind, lambda rep: collective_op(kind, rep))
         sym, full = build(symmetric_rep(n)), build(full_rep(n))
-        B = dicke_embedding(n)
+        B = dicke_isometry(n)
         # the full operator maps the embedded sector onto itself, as the
         # symmetric operator maps the sector: J_full B = B J_sym
         want = B @ sym.apply(np.eye(n + 1))

@@ -102,14 +102,15 @@ def test_pure_rotate_matches_unitary_exp(rng, rep, theta):
     for gen in _rotation_generators(rng, rep):
         # "large" takes 60 Taylor steps: theta times the norm bound is 60
         t = 60.0 / gen.norm_bound() if theta == "large" else theta
-        U = unitary_exp(gen.matrix, t, sign=-1)
+        U = unitary_exp(gen.matrix, t)
         got = rotate(state, gen, t).data
         assert np.abs(got - U @ state.data).max() <= 1e-12, gen
         # the bare matrix, on a vector and on the columns of a matrix
         A = np.array(gen.matrix)
         assert np.abs(unitary_apply(A, t, state.data) - U @ state.data).max() <= 1e-12, gen
+        # exp(+i t A) = U^dag is the propagator at -t
         X = np.eye(rep.dim)[:, :3]
-        assert np.abs(unitary_apply(gen, t, X, sign=+1) - U.conj().T @ X).max() <= 1e-12, gen
+        assert np.abs(unitary_apply(gen, -t, X) - U.conj().T @ X).max() <= 1e-12, gen
 
 
 @pytest.mark.parametrize("rep", [symmetric_rep(8), full_rep(4)], ids=repr)
@@ -120,7 +121,7 @@ def test_pure_speed_bound_fidelity_matches_density(rng, rep):
         theta = 0.9 / np.sqrt(qfi(pure, gen).value)
         got = mandelstam_tamm_check(pure, gen, theta)
         want = mandelstam_tamm_check(mixed, gen, theta)
-        U = unitary_exp(gen.matrix, theta, sign=-1)
+        U = unitary_exp(gen.matrix, theta)
         assert abs(got.fidelity - abs(np.vdot(psi, U @ psi)) ** 2) <= 1e-12, gen
         assert abs(got.fidelity - want.fidelity) <= 1e-12, gen
         assert got.holds and want.holds, gen
@@ -319,7 +320,7 @@ def _probe_states(n):
 
 def _z_rotation(n, theta):
     """U = exp(-i theta J_z) and the matrix R with <J>_{U rho U^dag} = R <J>_rho."""
-    U = unitary_exp(collective_op("z", full_rep(n)).matrix, theta, sign=-1)
+    U = unitary_exp(collective_op("z", full_rep(n)).matrix, theta)
     c, s = np.cos(theta), np.sin(theta)
     return U, np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
@@ -329,7 +330,7 @@ def _z_field(n, theta):
     it also gives the rotation-invariant singlet complex entries."""
     rep = full_rep(n)
     G = sum((s + 1) * single_site_op(PAULI["z"] / 2.0, s, rep).matrix for s in range(n))
-    return unitary_exp(G, theta, sign=-1)
+    return unitary_exp(G, theta)
 
 
 @pytest.mark.parametrize("n", [4, 6])

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from qmetro.config import FD_STEP
 from qmetro.fisher import (Povm, bures_fidelity, classical_fisher,
                            concave_roof_oracle, convex_roof_oracle, crb_matrix,
                            fisher_matrix, mandelstam_tamm_check, qfi,
                            qfi_alternative, qfi_pure, roof_sandwich_check, sld,
-                           wigner_yanase, zeno_time)
+                           white_noise_qfi, wigner_yanase, zeno_time)
 from qmetro.spin import collective_op, full_rep, parity_op, symmetric_rep
 from qmetro.states import (QuantumState, dicke, ghz, maximally_mixed,
                            mix_white_noise, polarized, rotate)
@@ -48,6 +49,20 @@ def test_qfi_rep_mismatch_rejected():
     st = polarized(3, "z", symmetric_rep(3))
     with pytest.raises(ValueError, match="mismatch"):
         qfi(st, collective_op("x", full_rep(3)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda st, J: white_noise_qfi(st, J, 0.5),
+    lambda st, J: convex_roof_oracle(st, J, restarts=1),
+    lambda st, J: concave_roof_oracle(st, J, restarts=1),
+    lambda st, J: roof_sandwich_check(st, J, np.array([1.0]), st.data[:, None]),
+], ids=["white_noise_qfi", "convex_roof_oracle", "concave_roof_oracle",
+        "roof_sandwich_check"])
+def test_rep_mismatch_of_equal_dimension_rejected(call):
+    # symmetric N = 3 and full N = 2 both have dimension 4
+    st = polarized(3, "x", symmetric_rep(3))
+    with pytest.raises(ValueError, match="representation mismatch"):
+        call(st, collective_op("z", full_rep(2)))
 
 
 def test_alternative_form_agrees(rng):
@@ -148,6 +163,23 @@ def test_parity_basis_reaches_heisenberg_at_origin():
     povm = Povm.from_observable_eigenbasis(parity_op("x", g.rep))
     F = classical_fisher(lambda th: rotate(g, Jz, th), povm, 0.0)
     assert F.value == pytest.approx(16.0, rel=1e-6)
+
+
+def test_zero_probability_outcome_reuses_the_forward_step():
+    """The one-sided limit of a vanishing outcome reads the family at
+    theta0 + h from the central difference: four evaluations, not five, and
+    the value it had with five."""
+    st = polarized(2, "z")
+    Jy = collective_op("y", st.rep)
+    calls = []
+
+    def family(theta):
+        calls.append(theta)
+        return rotate(st, Jy, theta)
+
+    F = classical_fisher(family, Povm.from_observable_eigenbasis(collective_op("z", st.rep)), 0.0)
+    assert calls == [0.0, FD_STEP, -FD_STEP, 2 * FD_STEP]
+    assert F.value == 1.9999999995333337
 
 
 def test_povm_validation():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import os
 import subprocess
@@ -18,8 +19,8 @@ from qmetro.metrology import (NOISY_QFI_MAX, NoiseChannel, Scenario, _golden,
                               gradient_scenario, noisy_scaling_sweep,
                               ramsey_curve, ramsey_scenario, squeezing_frontier,
                               squared_op)
-from qmetro.spin import (collective_op, direction_op, full_rep, gradient_op, parity_op,
-                         symmetric_rep)
+from qmetro.spin import (PAULI, collective_op, direction_op, full_rep, gradient_op,
+                         parity_op, symmetric_rep)
 from qmetro.states import (QuantumState, SqueezingSpec, dicke, ghz, polarized,
                            rotate, singlet_pi, squeezed_ground_state, to_full)
 
@@ -185,7 +186,7 @@ def test_gradient_result_invariant_under_prerotation(rng):
     n = rng.standard_normal(3)
     n /= np.linalg.norm(n)
     rotated = rotate(probe, direction_op(n, probe.rep), 0.8)
-    res = error_propagation(gradient_scenario(2, probe=rotated))
+    res = error_propagation(dataclasses.replace(gradient_scenario(2), probe=rotated))
     assert res.value == pytest.approx(base, abs=1e-9)
 
 
@@ -273,14 +274,41 @@ def test_pauli_semigroup_bloch_decay():
     assert rx == pytest.approx(expected, abs=1e-12)
 
 
+def _choi(weights):
+    """Choi matrix sum_ij |i><j| (x) N(|i><j|) of rho -> sum_k c_k sigma_k rho sigma_k."""
+    paulis = [np.eye(2, dtype=complex), PAULI["x"], PAULI["y"], PAULI["z"]]
+    choi = np.zeros((4, 4), dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            E = np.zeros((2, 2), dtype=complex)
+            E[i, j] = 1.0
+            out = sum(ck * P @ E @ P.conj().T for ck, P in zip(weights, paulis))
+            choi += np.kron(E, out)
+    return choi
+
+
 def test_channel_cptp_on_choi():
     for ch in (NoiseChannel("depolarizing", p=0.37),
                NoiseChannel("pauli_semigroup", gamma=1.4, alpha=(0.5, 0.25, 0.25), t=0.6)):
-        choi = ch.choi_matrix()
+        choi = _choi(ch.pauli_weights())
         w = np.linalg.eigvalsh((choi + choi.conj().T) / 2)
         assert w.min() >= -1e-10
         tp = choi.reshape(2, 2, 2, 2).trace(axis1=1, axis2=3)
         assert np.abs(tp - np.eye(2)).max() <= 1e-10
+
+
+@pytest.mark.parametrize("weights", [[1.0 + 1e-9, -1e-9, 0.0, 0.0], [0.9, 0.05, 0.05, 1e-9]],
+                         ids=["negative", "not-trace-preserving"])
+def test_channel_weight_check_refuses_what_the_choi_test_refuses(monkeypatch, weights):
+    # the Pauli-weight check is the Choi test: a weight of -1e-9 is a Choi
+    # eigenvalue of -2e-9, and weights summing to 1 + 1e-9 a partial trace
+    # 1e-9 off the identity
+    choi = _choi(weights)
+    assert (np.linalg.eigvalsh(choi).min() < -1e-10
+            or np.abs(choi.reshape(2, 2, 2, 2).trace(axis1=1, axis2=3) - np.eye(2)).max() > 1e-10)
+    monkeypatch.setattr(NoiseChannel, "pauli_weights", lambda self: np.array(weights))
+    with pytest.raises(ValueError, match="not CPTP"):
+        NoiseChannel("depolarizing", p=0.3)
 
 
 def test_channel_parameter_validation():

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from qmetro.spin import (Representation, collective_op, direction_op, full_rep,
-                         gradient_op, parity_op, symmetric_rep, dicke_embedding)
+                         gradient_op, parity_op, symmetric_rep)
 from qmetro.states import dicke, polarized, rotate, singlet_pi, to_full
-from conftest import rand_pure
+from conftest import dicke_isometry, rand_pure
 
 
 @pytest.mark.parametrize("rep", [symmetric_rep(6), full_rep(6)])
@@ -127,7 +127,7 @@ def test_collective_op_is_cached_and_caches_are_bounded():
 
 def test_parity_symmetric_matches_full():
     n = 4
-    B = dicke_embedding(n)
+    B = dicke_isometry(n)
     P_full = parity_op("x", full_rep(n)).matrix
     P_sym = parity_op("x", symmetric_rep(n)).matrix
     assert np.abs(B.conj().T @ P_full @ B - P_sym).max() <= 1e-12

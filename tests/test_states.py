@@ -10,6 +10,7 @@ from qmetro.states import (QuantumState, SqueezingSpec, _parity_blocks, dicke, g
                            singlet_pi, squeezed_ground_state, squeezed_ground_states,
                            to_full)
 from qmetro.fisher import qfi, qfi_pure, white_noise_qfi, bures_fidelity
+from conftest import dicke_isometry, rand_density, rand_pure
 
 
 def test_polarized_examples():
@@ -25,6 +26,37 @@ def test_polarized_reps_agree(axis):
     sym = to_full(polarized(5, axis))
     full = polarized(5, axis, full_rep(5))
     assert abs(np.vdot(sym.data, full.data)) == pytest.approx(1.0, abs=1e-10)
+
+
+def _symmetric_probes(rng, n):
+    """Polarized states along x, y and z, GHZ states likewise (N >= 2), every
+    Dicke state, squeezed states (even N) and random complex vectors of the
+    symmetric sector."""
+    probes = [polarized(n, a) for a in "xyz"] + [dicke(n, m) for m in range(n + 1)]
+    if n >= 2:
+        probes += [ghz(n, axis=a) for a in "xyz"]
+    if n % 2 == 0:
+        probes += squeezed_ground_states(n, [0.0, 1.0, 4.0 * n])
+    return probes + [QuantumState(symmetric_rep(n), rand_pure(rng, n + 1)) for _ in range(3)]
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_to_full_is_the_dense_isometry_exactly(rng, n):
+    """to_full embeds by index: equal, value for value, to B v and B rho B^dag
+    with the dense isometry B (the signs of zeros aside)."""
+    B = dicke_isometry(n)
+    for st in _symmetric_probes(rng, n):
+        got = to_full(st)
+        assert got.rep == full_rep(n) and got.label == st.label
+        assert np.array_equal(got.data, B @ st.data), st.label
+    if n > 10:
+        return
+    rhos = [rand_density(rng, n + 1), rand_density(rng, n + 1, rank=2),
+            polarized(n, "y").density(),
+            0.3 * dicke(n, n // 2).density() + 0.7 * np.eye(n + 1) / (n + 1)]
+    for rho in rhos:
+        got = to_full(QuantumState(symmetric_rep(n), rho))
+        assert np.array_equal(got.data, B @ rho @ B.conj().T)
 
 
 def test_ghz_values():

@@ -123,6 +123,16 @@ def test_ssi_dicke_violation():
     assert reports["ssi_second_moments_vs_variance"].violated
 
 
+@pytest.mark.parametrize("n, s", [(4, 0.0), (4, 0.5), (7, 1.25)])
+def test_ssi_exact_tie_reports_the_first_axis(n, s):
+    """Isotropic second moments tie all three margins exactly: both
+    axis-resolved inequalities report m = x, the first of x, y, z."""
+    from qmetro.witnesses import MomentSet
+    reports = {r.criterion: r for r in optimal_ssi(MomentSet(n, np.zeros(3), s * np.eye(3)))}
+    for name in ("ssi_second_moments_vs_variance", "ssi_variances_vs_second_moment"):
+        assert reports[name].detail == "tightest for m=x", name
+
+
 def test_ssi_rejects_unphysical_moments():
     from qmetro.witnesses import MomentSet
     n = 4
