@@ -10,8 +10,8 @@ restricts the sum to the support and keeps the symmetric logarithmic
 derivative finite.  ``qfi`` is the 1x1 case of the multi-parameter Fisher
 matrix.  Alongside them live the alternative second-moment form, the SLD,
 classical Fisher information of a POVM, Bures fidelity, evolution-speed
-and Zeno-time quantities, the Wigner-Yanase skew information and
-numerical roof optimizers for the variance.
+and Zeno-time quantities, the Wigner-Yanase skew information and exact
+optimal decompositions for the convex and concave roofs of the variance.
 
 Functions accept either package states/operators or bare numpy arrays, so
 the property batteries can run on arbitrary-dimension random instances.
@@ -392,13 +392,7 @@ def classical_fisher(family, povm: Povm, theta0: float) -> CfiResult:
 
     value = 0.0
     boundary = []
-    lazy = {theta0 + h: pp}
-
-    def probs(theta):
-        if theta not in lazy:
-            lazy[theta] = povm.probabilities(family(theta))
-        return lazy[theta]
-
+    p2h = None  # at theta0 + 2h, evaluated for the first outcome that needs it
     for x in range(len(povm)):
         if p0[x] >= PROB_FLOOR:
             value += dp[x] ** 2 / p0[x]
@@ -409,11 +403,12 @@ def classical_fisher(family, povm: Povm, theta0: float) -> CfiResult:
             warnings.warn(
                 f"POVM outcome {x} has vanishing probability but derivative "
                 f"{dp[x]:.3e}; contribution estimated by a one-sided limit")
-        p_side = probs(theta0 + h)[x]
-        if p_side < PROB_FLOOR:
+        if pp[x] < PROB_FLOOR:
             continue
-        dp_side = (probs(theta0 + 2 * h)[x] - p0[x]) / (2 * h)
-        value += dp_side ** 2 / p_side
+        if p2h is None:
+            p2h = povm.probabilities(family(theta0 + 2 * h))
+        dp_side = (p2h[x] - p0[x]) / (2 * h)
+        value += dp_side ** 2 / pp[x]
     return CfiResult(float(value), boundary)
 
 
@@ -451,104 +446,86 @@ def crb_matrix(F: FisherMatrix | np.ndarray) -> CovarianceBound:
 
 
 # ----------------------------------------------------------------------
-# roof optimizers for the variance
+# exact decompositions for the variance roofs
 # ----------------------------------------------------------------------
 
 @dataclass
 class RoofResult:
-    """Best decomposition found: value = sum_k p_k Var(A)_{psi_k}.
-
-    The optimizer is local with seeded multi-start; the value is an upper
-    bound on the convex-roof infimum (resp. lower bound on the concave-roof
-    supremum), never a certified optimum.
-    """
+    """An optimal decomposition rho = sum_k p_k |psi_k><psi_k| into rank(rho)
+    states; value = sum_k p_k Var(A)_{psi_k} is the roof exactly (up to
+    round-off): F_Q/4 for the convex roof, Var(A) for the concave one."""
 
     value: float
     weights: np.ndarray
     vectors: np.ndarray  # columns are the decomposition states
 
 
-def _roof_optimize(state, op, cardinality, maximize_g, restarts, seed):
+def _roof(state, op, convex: bool) -> RoofResult:
+    """psi~_k = sum_i sqrt(l_i) U_ik |i> and p_k = |psi~_k|^2 over the kept
+    spectrum l > QFI_PAIR_FLOOR, with B = sqrt(L) V^dag A V sqrt(L) there.
+    Convex: U = W (not conj(W)) for g = W D W^dag, g_ij = 2 B_ij / (l_i + l_j);
+    the purification sum_i sqrt(l_i) |i>|i> is measured on the ancilla in the
+    eigenbasis of the optimal h = g^T of F_Q/4 = min_h Var(A x 1 - 1 x h).
+    Concave: diag(U^dag (B - <A> L) U) = 0, so every psi_k has the mean <A>.
+    """
     A = as_operator(op)
     check_same_rep(state, A)
     kind, data = _state_payload(state)
     if kind == "vector":
-        data = np.outer(data, data.conj())
-    dim = data.shape[0]
-    if dim > 8:
-        raise ValueError("roof oracles are limited to dimension <= 8")
+        # a pure state is its only decomposition
+        return RoofResult(_mean_and_var(data, A)[1], np.ones(1), data[:, None])
     dec = _eigensystem(state, data)
-    mask = dec.eigenvalues > 1e-12
-    lam = dec.eigenvalues[mask]
-    Vs = dec.eigenvectors[:, mask]
-    r = lam.size
-    if r > 4:
-        raise ValueError(f"roof oracles are limited to rank <= 4, state has rank {r}")
-    K = cardinality if cardinality is not None else max(r * r, r)
-    if K < r:
-        raise ValueError(f"cardinality {K} below state rank {r}")
-    sqrt_lam = np.sqrt(lam)
-    B = (sqrt_lam[:, None] * (Vs.conj().T @ A.matrix @ Vs)) * sqrt_lam[None, :]
-    t2 = operator_moments(A, data)[1]
-
-    def ensemble(x):
-        X = x[: K * r].reshape(K, r) + 1j * x[K * r:].reshape(K, r)
-        # polar retraction onto the isometry manifold V^dag V = 1
-        w, U = np.linalg.eigh(X.conj().T @ X)
-        inv_root = (U * (1.0 / np.sqrt(np.maximum(w, 1e-30)))) @ U.conj().T
-        return X @ inv_root
-
-    def g_of(V):
-        m = np.einsum("ki,ij,kj->k", V.conj(), B, V)
-        p = np.einsum("ki,i,ki->k", V.conj(), lam + 0j, V).real
-        ok = p > 1e-14
-        return float(np.sum(np.abs(m[ok]) ** 2 / p[ok])), p, V
-
-    sgn = -1.0 if maximize_g else 1.0
-
-    def cost(x):
-        g, _, _ = g_of(ensemble(x))
-        return sgn * g
-
-    # deferred import: only the roof oracles need scipy.optimize, and every
-    # CLI process would otherwise pay for it at start-up
-    import scipy.optimize
-    rng = np.random.default_rng(seed)
-    best = None
-    for _ in range(restarts):
-        x0 = rng.standard_normal(2 * K * r)
-        res = scipy.optimize.minimize(cost, x0, method="L-BFGS-B",
-                                      options={"maxiter": 400, "ftol": 1e-14, "gtol": 1e-12})
-        if best is None or res.fun < best.fun:
-            best = res
-    g_best, p, V = g_of(ensemble(best.x))
-    avg_var = t2 - g_best
-    # materialise the decomposition: psi_k ~ sum_i V_ki sqrt(lam_i) |i>
-    raw = (V * sqrt_lam[None, :]) @ Vs.T  # K x dim, rows are unnormalised states
-    weights = np.einsum("kd,kd->k", raw.conj(), raw).real
-    keep = weights > 1e-14
-    vectors = (raw[keep] / np.sqrt(weights[keep])[:, None]).T
-    return RoofResult(float(avg_var), weights[keep], vectors)
+    keep = dec.eigenvalues > QFI_PAIR_FLOOR
+    lam, V = dec.eigenvalues[keep], dec.eigenvectors[:, keep]
+    T, k = _in_eigenbasis(V, A.factor)
+    root = np.sqrt(lam)
+    B = root[:, None] * (1j ** k * T) * root
+    if convex:
+        U = np.linalg.eigh(2.0 * B / (lam[:, None] + lam[None, :]))[1]
+    else:
+        U = _zero_diagonal(B - (np.trace(B).real / lam.sum()) * np.diag(lam))
+    # <psi~_k|A|psi~_k> = (U^dag B U)_kk, and the average variance is
+    # <A^2> - sum_k <psi~_k|A|psi~_k>^2 / p_k, where every p_k >= min l
+    weights = lam @ np.abs(U) ** 2
+    means = np.sum(U.conj() * (B @ U), axis=0).real
+    value = operator_moments(A, data)[1] - float(np.sum(means ** 2 / weights))
+    return RoofResult(value, weights, (V @ (root[:, None] * U)) / np.sqrt(weights))
 
 
-def convex_roof_oracle(state, op, cardinality=None, restarts: int = 32,
-                       seed: int = 7) -> RoofResult:
-    """Numerically minimise the average pure-state variance over decompositions.
+def _zero_diagonal(H: np.ndarray) -> np.ndarray:
+    """U with diag(U^dag H U) = 0 for a traceless Hermitian H, by r - 1 complex
+    Givens rotations (Fillmore, Amer. Math. Monthly 76, 167 (1969)).  Each turns
+    the largest active diagonal entry h_i and the smallest h_j into 0 and
+    h_i + h_j, its phase making e^{i phi} H_ij imaginary; index i is then done."""
+    U = np.eye(H.shape[0], dtype=complex)
+    active = list(range(H.shape[0]))
+    while len(active) > 1:
+        h = H.diagonal().real
+        i, j = max(active, key=h.__getitem__), min(active, key=h.__getitem__)
+        if h[i] <= h[j]:
+            break  # the active diagonal is zero already
+        t = min(max(h[i] / (h[i] - h[j]), 0.0), 1.0)
+        c, s = np.sqrt(1.0 - t), np.sqrt(t)
+        phase = 1j * np.exp(-1j * np.angle(H[i, j]))
+        G = np.array([[c, -s], [s * phase, c * phase]])
+        U[:, [i, j]] = U[:, [i, j]] @ G
+        H[:, [i, j]] = H[:, [i, j]] @ G
+        H[[i, j], :] = G.conj().T @ H[[i, j], :]
+        active.remove(i)
+    return U
 
-    The minimum equals F_Q/4; the returned value is the best local optimum
-    found and therefore an upper bound on it.
-    """
-    return _roof_optimize(state, op, cardinality, True, restarts, seed)
+
+def convex_roof_oracle(state, op) -> RoofResult:
+    """The decomposition of least average variance, F_Q/4 (Toth & Petz, PRA 87,
+    032324 (2013); Escher, de Matos Filho & Davidovich, Nat. Phys. 7, 406
+    (2011))."""
+    return _roof(state, op, True)
 
 
-def concave_roof_oracle(state, op, cardinality=None, restarts: int = 32,
-                        seed: int = 7) -> RoofResult:
-    """Numerically maximise the average pure-state variance over decompositions.
-
-    The maximum equals Var(A) on the mixed state; the returned value is a
-    lower bound on it.
-    """
-    return _roof_optimize(state, op, cardinality, False, restarts, seed)
+def concave_roof_oracle(state, op) -> RoofResult:
+    """The decomposition of greatest average variance, Var(A) (Yu,
+    arXiv:1302.5311)."""
+    return _roof(state, op, False)
 
 
 @dataclass(frozen=True)
@@ -571,10 +548,7 @@ def roof_sandwich_check(state, op, weights, vectors) -> RoofSandwich:
     if np.abs(rebuilt - rho).max() > 1e-9:
         raise ValueError("decomposition does not reproduce the state "
                          f"(max deviation {np.abs(rebuilt - rho).max():.2e})")
-    avg = 0.0
-    for k in range(weights.size):
-        _, var = _mean_and_var(vectors[:, k], A)
-        avg += weights[k] * var
+    avg = sum(w * _mean_and_var(v, A)[1] for w, v in zip(weights, vectors.T))
     lower = qfi(rho, A).value / 4.0
     _, upper = _mean_and_var(rho, A)
     holds = (lower - ROOF_TOL <= avg) and (avg <= upper + ROOF_TOL)

@@ -463,7 +463,11 @@ def gradient_op(rep: Representation, centered: bool = False) -> CollectiveOperat
 
 def _popcount(n: int) -> np.ndarray:
     """The number of 1 bits (spins down) of every full-space basis index."""
-    return ((np.arange(2 ** n)[:, None] >> np.arange(n)) & 1).sum(axis=1)
+    idx = np.arange(2 ** n)
+    count = np.zeros_like(idx)
+    for b in range(n):
+        count += (idx >> b) & 1
+    return count
 
 
 @lru_cache(maxsize=SMALL_CACHE_SIZE)

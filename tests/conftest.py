@@ -40,3 +40,69 @@ def dicke_isometry(n):
         mask = bits == n - i
         B[mask, i] = 1.0 / np.sqrt(mask.sum())
     return B
+
+
+def roof_objective(lam, B, K):
+    """g(x) = sum_k m_k^2 / p_k over the K-state decompositions of rho, and its
+    gradient in x = (Re X, Im X), X a K x r matrix.
+
+    Y = X (X^dag X)^{-1/2} is the polar retraction of X onto the isometries
+    Y^dag Y = 1, the rows y_k of Y give psi~_k = sum_i sqrt(l_i) y_ki |i> on
+    the support of rho (eigenvalues lam), m_k = y_k^dag B y_k with
+    B = sqrt(L) A sqrt(L) and p_k = y_k^dag L y_k.  The average variance is
+    <A^2> - g.  The Wirtinger gradient dg/d conj(Y) passes back through the
+    retraction with the Daleckii-Krein derivative of S^{-1/2}, whose divided
+    differences are -1 / (s_a s_b (s_a + s_b)) for s = sqrt(eig S).
+    """
+    r = lam.size
+
+    def g_and_grad(x):
+        X = x[: K * r].reshape(K, r) + 1j * x[K * r:].reshape(K, r)
+        w, Q = np.linalg.eigh(X.conj().T @ X)
+        s = np.sqrt(np.maximum(w, 1e-30))
+        R = (Q / s) @ Q.conj().T
+        Y = X @ R
+        BY = Y @ B.T  # row k is (B y_k)^T
+        m = np.einsum("ki,ki->k", Y.conj(), BY).real
+        p = np.abs(Y) ** 2 @ lam
+        q = np.zeros(K)  # m_k / p_k; a state of vanishing weight adds nothing
+        ok = p > 1e-14
+        q[ok] = m[ok] / p[ok]
+        G = 2.0 * q[:, None] * BY - (q ** 2)[:, None] * (Y * lam)  # dg / d conj(Y)
+        Gamma = -1.0 / (s[:, None] * s[None, :] * (s[:, None] + s[None, :]))
+        N = Q @ (Gamma * (Q.conj().T @ (X.conj().T @ G) @ Q)) @ Q.conj().T
+        GX = G @ R + X @ (N + N.conj().T)  # dg / d conj(X)
+        return float(np.sum(q * m)), 2.0 * np.concatenate([GX.real.ravel(), GX.imag.ravel()])
+
+    return g_and_grad
+
+
+def roof_search(rho, A, roof):
+    """The multi-start local search for the convex ("convex") or concave
+    ("concave") roof of the variance: the best average variance that
+    L-BFGS-B finds over decompositions into r^2 states (r = rank rho), from
+    32 seeded random starts.  The oracle of ``fisher.convex_roof_oracle`` and
+    ``fisher.concave_roof_oracle``, which construct the optimum exactly."""
+    import scipy.optimize  # only this oracle needs SciPy; the other tests run without it
+    l, V = np.linalg.eigh(rho)
+    keep = l > 1e-12
+    lam, Vs = l[keep], V[:, keep]
+    root = np.sqrt(lam)
+    B = root[:, None] * (Vs.conj().T @ A @ Vs) * root
+    r = lam.size
+    K = r * r
+    g_and_grad = roof_objective(lam, B, K)
+    sign = -1.0 if roof == "convex" else 1.0  # the convex roof maximises g
+
+    def cost(x):
+        g, grad = g_and_grad(x)
+        return sign * g, sign * grad
+
+    rng = np.random.default_rng(7)
+    best = min((scipy.optimize.minimize(cost, rng.standard_normal(2 * K * r), jac=True,
+                                        method="L-BFGS-B",
+                                        options={"maxiter": 400, "ftol": 1e-14,
+                                                 "gtol": 1e-12})
+                for _ in range(32)), key=lambda res: res.fun)
+    t2 = float(np.real(np.trace(A @ A @ rho)))
+    return t2 - sign * best.fun

@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+from qmetro.config import ROOF_TOL
 from qmetro.fisher import (Povm, classical_fisher, concave_roof_oracle,
                            convex_roof_oracle, mandelstam_tamm_check, qfi,
                            qfi_alternative, sld, zeno_time)
@@ -21,6 +22,7 @@ from qmetro.spin import collective_op, full_rep, symmetric_rep
 from qmetro.states import (QuantumState, SqueezingSpec, dicke, ghz, rotate,
                            squeezed_ground_state, to_full)
 from qmetro.witnesses import avg_qfi, depth_certificate, producibility_bound
+from conftest import roof_search
 
 
 def _report(name, detail=""):
@@ -93,7 +95,7 @@ def test_criterion_05_qfi_battery():
 def test_criterion_06_roof_theorem():
     t0 = time.time()
     rng = np.random.default_rng(606)
-    worst_cv = worst_cc = 0.0
+    worst_cv = worst_cc = worst_search = 0.0
     for _ in range(20):
         G = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
         rho = G @ G.conj().T
@@ -103,16 +105,22 @@ def test_criterion_06_roof_theorem():
         target_cv = qfi(rho, A).value / 4
         m = np.real(np.trace(A @ rho))
         target_cc = np.real(np.trace(A @ A @ rho)) - m ** 2
-        cv = convex_roof_oracle(rho, A, cardinality=4).value
-        cc = concave_roof_oracle(rho, A, cardinality=4).value
+        cv = convex_roof_oracle(rho, A).value
+        cc = concave_roof_oracle(rho, A).value
         worst_cv = max(worst_cv, abs(cv - target_cv))
         worst_cc = max(worst_cc, abs(cc - target_cc))
-    assert worst_cv <= 1e-4
-    assert worst_cc <= 1e-4
+        # the independent side: no local search gets past either roof
+        found_cv, found_cc = roof_search(rho, A, "convex"), roof_search(rho, A, "concave")
+        assert target_cv - ROOF_TOL <= found_cv and found_cc <= target_cc + ROOF_TOL
+        worst_search = max(worst_search, abs(found_cv - target_cv), abs(found_cc - target_cc))
+    assert worst_cv <= 1e-10
+    assert worst_cc <= 1e-10
+    assert worst_search <= 1e-4
     elapsed = time.time() - t0
     assert elapsed < 120
     _report("6 variance roofs", f"20 rank-2 states, worst gaps "
-            f"{worst_cv:.2e}/{worst_cc:.2e} in {elapsed:.0f}s")
+            f"{worst_cv:.2e}/{worst_cc:.2e} exact, {worst_search:.2e} searched "
+            f"in {elapsed:.0f}s")
 
 
 def test_criterion_07_witness_soundness_and_saturation():

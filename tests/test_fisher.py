@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import qmetro
 
 from qmetro.config import FD_STEP
 from qmetro.fisher import (Povm, bures_fidelity, classical_fisher,
@@ -7,10 +14,11 @@ from qmetro.fisher import (Povm, bures_fidelity, classical_fisher,
                            fisher_matrix, mandelstam_tamm_check, qfi,
                            qfi_alternative, qfi_pure, roof_sandwich_check, sld,
                            white_noise_qfi, wigner_yanase, zeno_time)
-from qmetro.spin import collective_op, full_rep, parity_op, symmetric_rep
+from qmetro.spin import collective_op, full_rep, gradient_op, parity_op, symmetric_rep
 from qmetro.states import (QuantumState, dicke, ghz, maximally_mixed,
-                           mix_white_noise, polarized, rotate)
-from conftest import rand_density, rand_hermitian, rand_pure, rand_unitary
+                           mix_white_noise, polarized, rotate, singlet_pi)
+from conftest import (rand_density, rand_hermitian, rand_pure, rand_unitary,
+                      roof_objective, roof_search)
 
 
 # ----------------------------------------------------------------- qfi
@@ -53,8 +61,8 @@ def test_qfi_rep_mismatch_rejected():
 
 @pytest.mark.parametrize("call", [
     lambda st, J: white_noise_qfi(st, J, 0.5),
-    lambda st, J: convex_roof_oracle(st, J, restarts=1),
-    lambda st, J: concave_roof_oracle(st, J, restarts=1),
+    lambda st, J: convex_roof_oracle(st, J),
+    lambda st, J: concave_roof_oracle(st, J),
     lambda st, J: roof_sandwich_check(st, J, np.array([1.0]), st.data[:, None]),
 ], ids=["white_noise_qfi", "convex_roof_oracle", "concave_roof_oracle",
         "roof_sandwich_check"])
@@ -412,17 +420,23 @@ def test_roofs_on_pure_input(rng):
     psi = rand_pure(rng, 4)
     A = rand_hermitian(rng, 4)
     var = np.real(np.vdot(psi, A @ A @ psi)) - np.real(np.vdot(psi, A @ psi)) ** 2
-    cv = convex_roof_oracle(psi, A, cardinality=2, restarts=4)
-    cc = concave_roof_oracle(psi, A, cardinality=2, restarts=4)
-    assert cv.value == pytest.approx(var, abs=1e-8)
-    assert cc.value == pytest.approx(var, abs=1e-8)
+    cv = convex_roof_oracle(psi, A)
+    cc = concave_roof_oracle(psi, A)
+    assert cv.value == pytest.approx(var, abs=1e-10)
+    assert cc.value == pytest.approx(var, abs=1e-10)
+    # the same state as a rank-1 density
+    rho = np.outer(psi, psi.conj())
+    for res in (convex_roof_oracle(rho, A), concave_roof_oracle(rho, A)):
+        assert res.weights.shape == (1,)
+        assert res.value == pytest.approx(var, abs=1e-10)
+        assert roof_sandwich_check(rho, A, res.weights, res.vectors).holds
 
 
 def test_roofs_maximally_mixed_qubit():
     rho = np.eye(2) / 2
     A = np.diag([0.5, -0.5])
-    cv = convex_roof_oracle(rho, A, cardinality=2, restarts=8)
-    cc = concave_roof_oracle(rho, A, cardinality=2, restarts=8)
+    cv = convex_roof_oracle(rho, A)
+    cc = concave_roof_oracle(rho, A)
     assert cv.value == pytest.approx(0.0, abs=1e-9)   # z eigenstates
     assert cc.value == pytest.approx(0.25, abs=1e-9)  # x eigenstates
 
@@ -433,27 +447,20 @@ def test_roof_theorem_random_rank2(rng):
         A = rand_hermitian(rng, 4)
         m = np.real(np.trace(A @ rho))
         var = np.real(np.trace(A @ A @ rho)) - m ** 2
-        cv = convex_roof_oracle(rho, A, cardinality=4)
-        cc = concave_roof_oracle(rho, A, cardinality=4)
-        assert cv.value == pytest.approx(qfi(rho, A).value / 4, abs=1e-4)
-        assert cc.value == pytest.approx(var, abs=1e-4)
-
-
-def test_roof_cardinality_below_rank_rejected(rng):
-    rho = rand_density(rng, 4, rank=3)
-    A = rand_hermitian(rng, 4)
-    with pytest.raises(ValueError, match="cardinality"):
-        convex_roof_oracle(rho, A, cardinality=2)
+        cv = convex_roof_oracle(rho, A)
+        cc = concave_roof_oracle(rho, A)
+        assert cv.value == pytest.approx(qfi(rho, A).value / 4, abs=1e-10)
+        assert cc.value == pytest.approx(var, abs=1e-10)
 
 
 def test_roof_decomposition_is_valid(rng):
     rho = rand_density(rng, 4, rank=2)
     A = rand_hermitian(rng, 4)
-    cv = convex_roof_oracle(rho, A, cardinality=4, restarts=8)
+    cv = convex_roof_oracle(rho, A)
     chk = roof_sandwich_check(rho, A, cv.weights, cv.vectors)
     assert chk.holds
     assert chk.average_variance == pytest.approx(cv.value, abs=1e-9)
-    assert chk.average_variance <= chk.lower + 1e-4  # optimizer hit the floor
+    assert chk.average_variance <= chk.lower + 1e-10  # the decomposition hits the floor
 
 
 def test_roof_sandwich_on_eigendecomposition(rng):
@@ -472,3 +479,87 @@ def test_roof_sandwich_rejects_bad_decomposition(rng):
     with pytest.raises(ValueError, match="reproduce"):
         roof_sandwich_check(rho, A, np.array([1.0]),
                             np.array([[1.0], [0], [0], [0]], dtype=complex))
+
+
+def _assert_exact_roofs(rho, A):
+    """Both decompositions pass the sandwich check and sit on its ends."""
+    cv, cc = convex_roof_oracle(rho, A), concave_roof_oracle(rho, A)
+    lo = roof_sandwich_check(rho, A, cv.weights, cv.vectors)
+    hi = roof_sandwich_check(rho, A, cc.weights, cc.vectors)
+    assert lo.holds and hi.holds
+    assert abs(cv.value - lo.lower) <= 1e-10 and abs(lo.average_variance - cv.value) <= 1e-10
+    assert abs(cc.value - hi.upper) <= 1e-10 and abs(hi.average_variance - cc.value) <= 1e-10
+    return cv, cc
+
+
+def test_exact_roofs_past_the_old_caps(rng):
+    # singlet(8): dimension 256, rank 14; every collective J_l has zero variance
+    st = singlet_pi(8)
+    for A in (collective_op("z", st.rep), gradient_op(st.rep), rand_hermitian(rng, 256)):
+        cv, cc = _assert_exact_roofs(st, A)
+        assert cv.weights.size == cc.weights.size == 14
+    # white-noise GHZ-6 has full rank 64
+    noisy = mix_white_noise(ghz(6, full_rep(6)), 0.5)
+    for axis in "xyz":
+        cv, _ = _assert_exact_roofs(noisy, collective_op(axis, noisy.rep))
+        assert cv.weights.size == 64
+
+
+def test_exact_roofs_of_a_random_complex_operator(rng):
+    # a complex A pins U = W in the convex construction: conj(W) overshoots F_Q/4
+    for dim, rank in ((4, 2), (6, 3), (9, 9), (16, 5)):
+        rho = rand_density(rng, dim, rank=rank)
+        A = rand_hermitian(rng, dim)
+        _, cc = _assert_exact_roofs(rho, A)
+        # every state of the concave decomposition has the mean of rho
+        mean = np.real(np.trace(A @ rho))
+        assert np.abs(np.einsum("ik,ij,jk->k", cc.vectors.conj(), A, cc.vectors).real
+                      - mean).max() <= 1e-10
+
+
+def test_exact_roofs_when_a_is_constant_on_the_support(rng):
+    # P A P = c P on the rank-3 support: H = 0 in the Givens loop (exactly so
+    # for c = 0 in the eigenbasis), and the variance comes only from the
+    # couplings to the kernel, where F_Q/4 = Var
+    for c, V in ((0.0, np.eye(5)), (0.7, np.eye(5)), (0.7, rand_unitary(rng, 5))):
+        rho = (V * np.array([0.5, 0.3, 0.2, 0.0, 0.0])) @ V.conj().T
+        M = rand_hermitian(rng, 5)
+        M[:3, :3] = c * np.eye(3)
+        A = V @ M @ V.conj().T
+        with np.errstate(divide="raise", invalid="raise"):
+            cv, cc = _assert_exact_roofs(rho, A)
+        var = np.real(np.trace(A @ A @ rho)) - np.real(np.trace(A @ rho)) ** 2
+        assert var > 0.1
+        assert cv.value == pytest.approx(var, abs=1e-10)
+        assert cc.value == pytest.approx(var, abs=1e-10)
+
+
+def test_roof_search_gradient_matches_finite_differences(rng):
+    lam = np.array([0.5, 0.3, 0.2])
+    B = np.sqrt(lam)[:, None] * rand_hermitian(rng, 3) * np.sqrt(lam)
+    g_and_grad = roof_objective(lam, B, 9)
+    x = rng.standard_normal(2 * 9 * 3)
+    _, grad = g_and_grad(x)
+    h = 1e-6
+    fd = np.array([(g_and_grad(x + h * e)[0] - g_and_grad(x - h * e)[0]) / (2 * h)
+                   for e in np.eye(x.size)])
+    assert np.abs(fd - grad).max() <= 1e-6 * (1.0 + np.abs(grad).max())
+
+
+def test_roofs_and_demo_03_run_without_scipy():
+    """A None entry in sys.modules makes every import of scipy fail."""
+    code = ("import runpy, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from qmetro.fisher import concave_roof_oracle, convex_roof_oracle, qfi\n"
+            "from qmetro.spin import collective_op, full_rep\n"
+            "from qmetro.states import ghz, mix_white_noise\n"
+            "st = mix_white_noise(ghz(4, full_rep(4)), 0.5)\n"
+            "J = collective_op('y', st.rep)\n"
+            "assert abs(convex_roof_oracle(st, J).value - qfi(st, J).value / 4) <= 1e-10\n"
+            "assert abs(concave_roof_oracle(st, J).value - st.variance(J)) <= 1e-10\n"
+            "runpy.run_path(sys.argv[1], run_name='__main__')\n")
+    demo = Path(__file__).parents[1] / "demos" / "03_fisher_information_tour.py"
+    env = dict(os.environ, PYTHONPATH=str(Path(qmetro.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code, str(demo)], env=env, timeout=120,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from qmetro.spin import (Representation, collective_op, direction_op, full_rep,
+from qmetro.spin import (Representation, _popcount, collective_op, direction_op, full_rep,
                          gradient_op, parity_op, symmetric_rep)
 from qmetro.states import dicke, polarized, rotate, singlet_pi, to_full
 from conftest import dicke_isometry, rand_pure
@@ -162,3 +164,20 @@ def test_direction_rejects_non_finite_entries(n_vec):
     # NaN fails every comparison, so the unit-norm check alone let it through
     with pytest.raises(ValueError, match="finite"):
         direction_op(n_vec, symmetric_rep(2))
+
+
+def test_popcount_counts_the_one_bits():
+    for n in range(13):
+        want = np.array([bin(i).count("1") for i in range(2 ** n)])
+        assert np.array_equal(_popcount(n), want), n
+
+
+def test_popcount_holds_no_bit_table():
+    """At N = 16 the result is 0.5 MB; a (2^N, N) int64 table would be 8 MB."""
+    tracemalloc.start()
+    try:
+        count = _popcount(16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * count.nbytes, f"{peak / count.nbytes:.1f} x the result"
