@@ -28,6 +28,11 @@ A real density (every probe family here and its noisy mixtures) has real
 eigenvectors V, and V^T A V is real for J_x, J_z ((V^T * m) V) and the
 real factor of the purely imaginary J_y; the Fisher cross term of a real
 and a purely imaginary transform is exactly zero and is not summed.
+
+The Fisher matrix of a density is summed over blocks of rows k of the
+pair sums (``linalg.row_blocks``): each block forms its pair weights and
+its rows of V^dag A V, so no d x d array beyond the kept eigenvectors is
+held, and a matrix of d <= 362 takes one pass.
 """
 
 from __future__ import annotations
@@ -40,8 +45,8 @@ import numpy as np
 from .config import (CRB_RCOND, FD_STEP, FISHER_FLOOR, PROB_FLOOR, QFI_PAIR_FLOOR,
                      ROOF_TOL, SPEED_BOUND_TOL)
 from .linalg import (SpectralDecomposition, eigh_hermitian, factor_product, psd_sqrt,
-                     pure_moments, rank_floor_sqrt, require_hermitian, unitary_apply,
-                     unitary_exp)
+                     pure_moments, rank_floor_sqrt, require_hermitian, row_blocks,
+                     unitary_apply, unitary_exp)
 from .spin import as_operator
 from .states import QuantumState, check_same_rep, operator_moments
 
@@ -93,15 +98,17 @@ def _eigensystem(state, rho: np.ndarray) -> SpectralDecomposition:
     return eigh_hermitian(rho)
 
 
-def _in_eigenbasis(V: np.ndarray, A) -> tuple:
-    """V^dag A V as a factor (T, k), for A an operand of ``factor_product``:
-    real eigenvectors and a real factor take real products only."""
-    return factor_product((V.conj().T, 0), A, (V, 0))
+def _in_eigenbasis(V: np.ndarray, A, rows=slice(None)) -> tuple:
+    """Rows ``rows`` of V^dag A V as a factor (T, k), for A an operand of
+    ``factor_product``: real eigenvectors and a real factor take real
+    products only."""
+    return factor_product((V[:, rows].conj().T, 0), A, (V, 0))
 
 
-def _pair_ratio(lam: np.ndarray, num: np.ndarray, floor: float):
-    """num_kl / (l_k + l_l) on the pairs whose sum reaches floor, 0 elsewhere."""
-    S = lam[:, None] + lam[None, :]
+def _pair_ratio(lam_rows: np.ndarray, lam: np.ndarray, num: np.ndarray, floor: float):
+    """num_kl / (l_k + l_l) for k over lam_rows and l over lam, on the pairs
+    whose sum reaches floor, 0 elsewhere."""
+    S = lam_rows[:, None] + lam[None, :]
     keep = S >= floor
     return np.divide(num, S, out=np.zeros_like(S), where=keep), keep
 
@@ -116,14 +123,7 @@ def _fisher(state, ops) -> tuple[np.ndarray, int]:
         mean, second = pure_moments(data, [A.apply(data) for A in ops])
         return 4.0 * (second - np.outer(mean, mean)), (data.shape[0] - 1) ** 2
     dec = _eigensystem(state, data)
-    V = dec.eigenvectors
-    # d x d temporaries are dropped as soon as they are used, so that a
-    # 1024^2 density holds W and the transformed generators only
-    D = dec.eigenvalues[:, None] - dec.eigenvalues[None, :]
-    D *= D
-    W, keep = _pair_ratio(dec.eigenvalues, D, QFI_PAIR_FLOOR)
-    skipped = keep.size - int(np.count_nonzero(keep))
-    del D, keep
+    lam, V = dec.eigenvalues, dec.eigenvectors
     factors = [A.factor for A in ops]
     # real transforms 1j**k T: the cross term of an even and an odd power of
     # 1j is 2 Re(+-1j * real sum) = 0, so only a group of one parity is held
@@ -132,21 +132,30 @@ def _fisher(state, ops) -> tuple[np.ndarray, int]:
     for n, (_, k) in enumerate(factors):
         groups.setdefault(k % 2 if real else 0, []).append(n)
     F = np.zeros((len(ops), len(ops)))
-    for members in groups.values():
-        _fisher_block(F, W, V, [(n, factors[n]) for n in members])
+    skipped = 0
+    # by blocks of rows k of the pair sums: no d x d array is formed
+    for rows in row_blocks(lam.size):
+        D = lam[rows, None] - lam[None, :]
+        D *= D
+        W, keep = _pair_ratio(lam[rows], lam, D, QFI_PAIR_FLOOR)
+        skipped += keep.size - int(np.count_nonzero(keep))
+        del D, keep
+        for members in groups.values():
+            _fisher_block(F, W, V, rows, [(n, factors[n]) for n in members])
     return F, skipped
 
 
-def _fisher_block(F, W, V, members):
-    """Fill F[m, n] for the (n, factor) members, whose transforms
-    V^dag A_n V = 1j**k T are held together until the block is done."""
+def _fisher_block(F, W, V, rows, members):
+    """Add the pairs of the rows ``rows`` to F[m, n] for the (n, factor)
+    members, whose rows of V^dag A_n V = 1j**k T are held together until the
+    block is done; W holds the pair weights of those rows."""
     held = []
     for n, f in members:
-        T, k = _in_eigenbasis(V, f)
+        T, k = _in_eigenbasis(V, f, rows)
         t = np.abs(T)
         t **= 2
         t *= W
-        F[n, n] = 2.0 * float(np.sum(t))
+        F[n, n] += 2.0 * float(np.sum(t))
         del t
         for m, Tm, km in held:
             # (W tilde_m) conj(tilde_n), multiplied into the complex factor,
@@ -155,7 +164,8 @@ def _fisher_block(F, W, V, members):
             if np.iscomplexobj(q) and not np.iscomplexobj(p):
                 p, q = q, p
             p *= q
-            F[m, n] = F[n, m] = 2.0 * float(np.real(1j ** (km - k) * np.sum(p)))
+            F[m, n] += 2.0 * float(np.real(1j ** (km - k) * np.sum(p)))
+            F[n, m] = F[m, n]
             del p, q
         held.append((n, T, k))
 
@@ -194,7 +204,7 @@ def qfi_alternative(state, op) -> float:
     dec = _eigensystem(state, data)
     lam = dec.eigenvalues
     At, _ = _in_eigenbasis(dec.eigenvectors, A.factor)
-    C, _ = _pair_ratio(lam, lam[:, None] * lam[None, :], QFI_PAIR_FLOOR)
+    C, _ = _pair_ratio(lam, lam, lam[:, None] * lam[None, :], QFI_PAIR_FLOOR)
     return 4.0 * operator_moments(A, data)[1] - 8.0 * float(np.sum(C * np.abs(At) ** 2))
 
 
@@ -214,7 +224,7 @@ def sld(state, op) -> np.ndarray:
     dec = _eigensystem(state, data)
     lam = dec.eigenvalues
     V = dec.eigenvectors
-    w, _ = _pair_ratio(lam, lam[:, None] - lam[None, :], QFI_PAIR_FLOOR)
+    w, _ = _pair_ratio(lam, lam, lam[:, None] - lam[None, :], QFI_PAIR_FLOOR)
     T, k = _in_eigenbasis(V, A.factor)
     return V @ (2j * 1j ** k * w * T) @ V.conj().T
 
@@ -549,7 +559,9 @@ def roof_sandwich_check(state, op, weights, vectors) -> RoofSandwich:
         raise ValueError("decomposition does not reproduce the state "
                          f"(max deviation {np.abs(rebuilt - rho).max():.2e})")
     avg = sum(w * _mean_and_var(v, A)[1] for w, v in zip(weights, vectors.T))
-    lower = qfi(rho, A).value / 4.0
-    _, upper = _mean_and_var(rho, A)
+    # both ends from the state itself: its kept spectrum (none for a vector)
+    # and its payload
+    lower = qfi(state, A).value / 4.0
+    _, upper = _mean_and_var(data, A)
     holds = (lower - ROOF_TOL <= avg) and (avg <= upper + ROOF_TOL)
     return RoofSandwich(float(avg), float(lower), float(upper), bool(holds))

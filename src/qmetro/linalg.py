@@ -26,6 +26,14 @@ eigendecomposes the real part with real LAPACK (and returns real
 eigenvectors), and ``factor_product`` multiplies real and purely imaginary
 operands with real BLAS, keeping the power of 1j apart, so that no complex
 d x d array is formed.  The rule is exact: no tolerance decides it.
+
+So is the coupled-index rule: an index i with M[i, j] = M[j, i] = 0 for
+every j != i, in the lower triangle LAPACK reads, is an eigenvector e_i
+with eigenvalue M_ii and a 1 x 1 block of a Cholesky factor
+(``coupled_indices``).  ``eigh_hermitian`` and the PSD check of a state
+hand LAPACK the coupled indices only; a matrix with every index coupled
+takes the same single call as before.  Passes over a whole d x d matrix
+run in blocks of rows (``row_blocks``), of 1 MB of float64 each.
 """
 
 from __future__ import annotations
@@ -44,15 +52,24 @@ _EPS = np.finfo(float).eps
 _NODA_MAX_STEPS = 100
 
 
-# rows per block of the Hermiticity check: a block of a 1024^2 matrix is 1 MB
-_ROW_BLOCK = 128
+# entries per block of every blocked pass over a d x d matrix (the checks
+# here, the moments, the Fisher matrix): 1 MB of float64, 128 rows at d = 1024
+_BLOCK_ENTRIES = 1 << 17
+
+
+def row_blocks(d: int) -> list:
+    """Slices of consecutive rows (or columns) of a d x d matrix, each at most
+    _BLOCK_ENTRIES entries or one row: a matrix of d <= 362 is one block.  The
+    last slice may reach past d."""
+    step = max(1, _BLOCK_ENTRIES // d) if d else 1
+    return [slice(i, i + step) for i in range(0, d, step)]
 
 
 def _max_asymmetry(M: np.ndarray) -> float:
     """max |M - M^dag|, by blocks of rows: no d x d temporary is formed."""
     out = 0.0
-    for i in range(0, M.shape[0], _ROW_BLOCK):
-        out = max(out, np.abs(M[i:i + _ROW_BLOCK] - M[:, i:i + _ROW_BLOCK].conj().T).max())
+    for b in row_blocks(M.shape[0]):
+        out = max(out, np.abs(M[b] - M[:, b].conj().T).max())
     return float(out)
 
 
@@ -60,8 +77,8 @@ def hermiticity_defect(M: np.ndarray) -> float:
     """Largest elementwise asymmetry |M - M^dag|, relative to max(max|M|, 1)."""
     M = np.asarray(M)
     scale = 1.0
-    for i in range(0, M.shape[0], _ROW_BLOCK):
-        scale = max(scale, np.abs(M[i:i + _ROW_BLOCK]).max())
+    for b in row_blocks(M.shape[0]):
+        scale = max(scale, np.abs(M[b]).max())
     return _max_asymmetry(M) / float(scale)
 
 
@@ -111,6 +128,27 @@ def real_if_exact(M: np.ndarray) -> np.ndarray:
     return M
 
 
+def coupled_indices(M: np.ndarray) -> np.ndarray:
+    """Mask of the indices i with M[i, j] != 0 or M[j, i] != 0 for some j != i
+    in the lower triangle, the one LAPACK reads; by blocks of rows.
+
+    An uncoupled index i is an eigenvector e_i of M with eigenvalue M_ii and
+    a 1 x 1 block of its Cholesky factor.
+    """
+    d = M.shape[0]
+    if d > 1 and np.count_nonzero(M) == M.size:
+        return np.ones(d, dtype=bool)   # a dense matrix, at the cost of one count
+    coupled = np.zeros(d, dtype=bool)
+    for b in row_blocks(d):
+        # row i = b.start + r against the columns j < i
+        nonzero = M[b, :b.stop] != 0
+        rows, cols = nonzero.shape
+        nonzero &= np.arange(cols) < np.arange(b.start, b.start + rows)[:, None]
+        coupled[b] |= nonzero.any(axis=1)
+        coupled[:cols] |= nonzero.any(axis=0)
+    return coupled
+
+
 def eigh_hermitian(M: np.ndarray) -> SpectralDecomposition:
     """Full eigendecomposition of a Hermitian matrix.
 
@@ -119,10 +157,29 @@ def eigh_hermitian(M: np.ndarray) -> SpectralDecomposition:
     ``syevd`` on a real matrix).  A matrix with an exactly zero imaginary
     part is solved as the real symmetric matrix it is, so its eigenvectors
     come back real (float64); complex input gives complex eigenvectors.
+    LAPACK solves only the coupled indices (``coupled_indices``): each
+    uncoupled index i is the eigenpair (M_ii, e_i), and the pairs are merged
+    in ascending order into dense arrays.  A matrix with every index coupled
+    is one LAPACK call on M, and a diagonal matrix none.
     The returned arrays are read-only, so a kept spectrum cannot be altered.
     """
     M = require_hermitian(real_if_exact(M))
-    vals, vecs = np.linalg.eigh(M)
+    coupled = coupled_indices(M)
+    if np.count_nonzero(coupled) == coupled.size:
+        vals, vecs = np.linalg.eigh(M)
+    else:
+        c, u = np.flatnonzero(coupled), np.flatnonzero(~coupled)
+        block = np.linalg.eigh(M[np.ix_(c, c)]) if c.size else (np.empty(0), None)
+        vals = np.concatenate([np.diagonal(M).real[u], block[0]])
+        # ascending, the uncoupled pairs first at a tie; pair t goes to column at[t]
+        order = np.argsort(vals, kind="stable")
+        at = np.empty_like(order)
+        at[order] = np.arange(order.size)
+        vals = vals[order]
+        vecs = np.zeros(M.shape, dtype=complex if np.iscomplexobj(M) else float)
+        vecs[u, at[:u.size]] = 1.0
+        if c.size:
+            vecs[np.ix_(c, at[u.size:])] = block[1]
     vals.flags.writeable = vecs.flags.writeable = False
     return SpectralDecomposition(vals, vecs)
 

@@ -3,18 +3,23 @@
 State files hold complex payloads as nested [re, im] pairs in row-major
 order.  Writing is canonical (sorted keys, no whitespace, shortest
 round-trip floats with signed zeros) and streams the payload one row at a
-time, so write -> read -> write is byte-identical.  Reading parses a file
-that starts with ``{"data":[`` in one pass: the header after the payload
-is validated first, then the payload must match the bracket skeleton of
-the declared shape and hold two numbers per entry (NumPy's parser also
-takes spellings JSON forbids, such as ``+1``).  Other layouts, and any
-mismatch, go through ``json.loads`` and the same checks.
+time, with one repr per distinct bit pattern of a row, so write -> read ->
+write is byte-identical.  Reading takes a file that starts with
+``{"data":[`` in chunks of about 1 MB: the header after the payload is
+found and validated first, then each chunk of whole rows must match its
+part of the bracket skeleton of the declared shape and hold two numbers
+per entry (NumPy's parser also takes spellings JSON forbids, such as
+``+1``), and is parsed straight into the preallocated payload.  A chunk
+ends between two rows, so the chunks accept exactly what the whole text
+would.  Other layouts, and any mismatch, go through ``json.loads`` and the
+same checks.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from operator import itemgetter
 
 import numpy as np
 
@@ -27,6 +32,9 @@ CSV_HEADER = ("scenario", "N", "p", "lambda", "theta0", "precision_inv",
               "qfi", "bound_sep", "bound_bisep", "bound_heisenberg")
 
 _PAYLOAD_OPEN = b'{"data":['
+# bytes of payload text checked and parsed at a time: about 70 rows of a full
+# N = 10 density, whose temporaries take a few MB
+_READ_CHUNK = 1 << 20
 
 
 def _complex_to_pairs(arr: np.ndarray):
@@ -78,34 +86,79 @@ def state_from_dict(doc: dict) -> QuantumState:
     return QuantumState(rep, payload, label=label)
 
 
-def _read_canonical(raw: bytes) -> tuple | None:
-    """(representation, payload, label) of a canonically written file, None
-    for any other layout.  The caller builds the state once this returns,
-    so that the payload's text is gone before the state checks it."""
-    end = raw.find(b'"', len(_PAYLOAD_OPEN))
-    if not raw.startswith(_PAYLOAD_OPEN) or end < 0 or raw[end - 1:end] != b",":
+def _read_canonical(fh) -> tuple | None:
+    """(representation, payload, label) of a canonically written file, read
+    from the binary file fh in chunks; None for any other layout."""
+    if fh.read(len(_PAYLOAD_OPEN)) != _PAYLOAD_OPEN:
         return None
+    # the first quote after the payload opens the header's first key
+    end, before = len(_PAYLOAD_OPEN), b""
+    while (chunk := fh.read(_READ_CHUNK)) and (at := chunk.find(b'"')) < 0:
+        end, before = end + len(chunk), chunk[-1:]
+    if not chunk or (chunk[at - 1:at] if at else before) != b",":
+        return None
+    fh.seek(end + at)
     try:
-        doc = json.loads(b"{" + raw[end:])
+        doc = json.loads(b"{" + fh.read())
     except ValueError:
         return None
     if "data" in doc:       # a repeated key: json keeps the last one
         return None
     rep, shape, label = _checked_header(doc)   # before the payload is read
-    skeleton = b"[,]"
-    for n in reversed(shape):
-        skeleton = b"[" + (skeleton + b",") * (n - 1) + skeleton + b"]"
-    body = raw[len(_PAYLOAD_OPEN) - 1:end - 1]
-    if body.translate(None, b"0123456789.-+eE") != skeleton:
+    payload = np.empty(shape, dtype=complex)
+    # the payload's text runs from its outer [ to the , after its ]
+    first = len(_PAYLOAD_OPEN) - 1
+    fh.seek(first)
+    if not _parse_payload(fh, end + at - 1 - first, payload):
         return None
-    try:
-        # brackets deleted, not blanked: NumPy reads a blank token as -1
-        flat = np.fromstring(body.translate(None, b"[]"), sep=",")
-    except ValueError:      # a bad token; older NumPy warns and stops short
-        return None
-    if flat.size != 2 * math.prod(shape):
-        return None
-    return rep, flat.view(np.complex128).reshape(shape), label
+    return rep, payload, label
+
+
+def _parse_payload(fh, size: int, payload: np.ndarray) -> bool:
+    """Fill payload from the next size bytes of fh, [item,item,...] with one
+    item per row (per entry of a vector), a chunk of whole items at a time.
+    False unless the text matches the bracket skeleton of payload's shape
+    and holds two numbers per entry.
+
+    A chunk ends at the separator of two items, "]],[[" between rows (which
+    occurs nowhere else in the skeleton), so that the chunks together are
+    checked and parsed exactly as the whole text would be."""
+    shape = payload.shape
+    item = b"[,]"
+    for n in reversed(shape[1:]):
+        item = b"[" + (item + b",") * (n - 1) + item + b"]"
+    depth = len(shape)
+    sep = b"]" * depth + b"," + b"[" * depth
+    numbers = 2 * math.prod(shape[1:])
+    flat = payload.reshape(-1).view(float)
+    text, done, head = b"", 0, True
+    while size or text:
+        chunk = fh.read(min(size, _READ_CHUNK))
+        size -= len(chunk)
+        text += chunk
+        tail = size == 0 or not chunk
+        if tail:
+            piece, text = text, b""
+        else:
+            cut = text.rfind(sep)
+            if cut < 0:
+                continue
+            piece, text = text[:cut + depth], text[cut + depth + 1:]
+        skeleton = piece.translate(None, b"0123456789.-+eE")
+        k = (len(skeleton) - head - tail + 1) // (len(item) + 1)
+        if (done + k > shape[0] or skeleton !=
+                b"[" * head + (item + b",") * (k - 1) + item + b"]" * tail):
+            return False
+        try:
+            # brackets deleted, not blanked: NumPy reads a blank token as -1
+            values = np.fromstring(piece.translate(None, b"[]"), sep=",")
+        except ValueError:      # a bad token; older NumPy warns and stops short
+            return False
+        if values.size != k * numbers:
+            return False
+        flat[done * numbers:(done + k) * numbers] = values
+        done, head = done + k, False
+    return done == shape[0]
 
 
 def dumps_canonical(doc: dict) -> str:
@@ -114,28 +167,28 @@ def dumps_canonical(doc: dict) -> str:
 
 def write_state(state: QuantumState, path: str):
     data = state.data
-    # %r is float.__repr__, the float format of json.dumps
-    pairs = "[" + ",".join(["[%r,%r]"] * data.shape[-1]) + "]"
+    pairs = "[" + ",".join(["[%s,%s]"] * data.shape[-1]) + "]"
     rows = [data] if state.is_pure else data
     with open(path, "w") as fh:
         fh.write('{"data":' + ("" if state.is_pure else "["))
         for i, row in enumerate(rows):
-            fh.write(("," if i else "") + pairs % tuple(
-                np.stack([row.real, row.imag], -1).ravel().tolist()))
+            # one repr per distinct bit pattern (so -0.0 keeps its sign);
+            # float.__repr__ is the float format of json.dumps
+            values, at = np.unique(np.stack([row.real, row.imag], -1).ravel().view(np.uint64),
+                                   return_inverse=True)
+            text = list(map(float.__repr__, values.view(float).tolist()))
+            # a row holds at least two numbers, so itemgetter gives a tuple
+            fh.write(("," if i else "") + pairs % itemgetter(*at.tolist())(text))
         # every header key sorts after "data"
         fh.write(("," if state.is_pure else "],") + dumps_canonical(_header(state))[1:])
 
 
 def read_state(path: str) -> QuantumState:
     with open(path, "rb") as fh:
-        raw = fh.read()
-    parsed = _read_canonical(raw)
-    if parsed is None:
-        doc = json.loads(raw)
-        del raw
-        return state_from_dict(doc)
-    # the file's bytes (15 MB for a full N = 10 density) go before the check
-    del raw
+        parsed = _read_canonical(fh)
+        if parsed is None:
+            fh.seek(0)
+            return state_from_dict(json.loads(fh.read()))
     rep, payload, label = parsed
     return QuantumState(rep, payload, label=label)
 

@@ -34,8 +34,8 @@ from math import lgamma
 import numpy as np
 
 from .config import PSD_FLOOR, STATE_NORM
-from .linalg import (factor_product, hermitian_trace, hermiticity_defect, real_if_exact,
-                     tridiagonal_ground_pairs, unitary_apply, unitary_exp)
+from .linalg import (coupled_indices, factor_product, hermitian_trace, hermiticity_defect,
+                     real_if_exact, tridiagonal_ground_pairs, unitary_apply, unitary_exp)
 from .spin import (AXES, FULL_DENSITY_MAX, CollectiveOperator, Representation, _popcount,
                    as_operator, collective_op, full_rep, ladder_amplitudes, symmetric_rep)
 
@@ -74,12 +74,18 @@ class QuantumState:
             if abs(np.trace(r).real - 1.0) > STATE_NORM:
                 raise ValueError(f"density matrix trace {np.trace(r).real!r} != 1")
             # PSD within the floor <=> rho + |floor| I admits a Cholesky factor;
-            # the shift goes onto the diagonal of one copy
-            shifted = np.array(r)
-            shifted.flat[::d.shape[0] + 1] += -PSD_FLOOR
+            # an uncoupled index is a 1 x 1 block of it, and the shift goes
+            # onto the diagonal of one copy of the coupled block
+            coupled = coupled_indices(r)
+            c = np.flatnonzero(coupled)
+            shifted = r[np.ix_(c, c)]
+            shifted.flat[::c.size + 1] += -PSD_FLOOR
             try:
                 np.linalg.cholesky(shifted)
+                psd = (np.diagonal(r).real[~coupled] + -PSD_FLOOR > 0).all()
             except np.linalg.LinAlgError:
+                psd = False
+            if not psd:
                 wmin = np.linalg.eigvalsh(r).min()
                 raise ValueError(f"density matrix has negative eigenvalue {wmin:.2e}")
         else:
@@ -410,7 +416,13 @@ def mix_white_noise(state: QuantumState, p: float) -> QuantumState:
     if state.rep.n > FULL_DENSITY_MAX:
         raise ValueError(f"density matrices limited to N <= {FULL_DENSITY_MAX}")
     dim = state.rep.dim
-    rho = p * state.density() + (1 - p) * np.eye(dim) / dim
+    rho = state.density()
+    # a pure state's density is a fresh outer product, scaled in place
+    rho = np.multiply(rho, p, out=rho if state.is_pure else None)
+    # the sum with the real (1 - p) I / dim added +0.0 to every entry, which
+    # turns each -0.0 into +0.0: the bytes of a written state keep that
+    rho += 0.0
+    rho.flat[::dim + 1] += (1 - p) / dim
     return QuantumState(state.rep, rho, label=f"{state.label}+noise({p:g})")
 
 

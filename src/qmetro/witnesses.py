@@ -8,6 +8,12 @@ reduced state.
 
 Axis conventions are explicit arguments everywhere; the printed forms of
 the criteria put the squeezed component on x, and those are the defaults.
+
+The moments of a density are summed over blocks of columns of rho
+(``linalg.row_blocks``, 128 of a 1024^2 density): each block holds
+J_l rho[:, blk] and the rows blk of J_l J_l, never a d x d product.  The
+diagonal <J_l^2> and the means keep every bit of the dense products, so
+that exact ties between axes break as before.
 """
 
 from __future__ import annotations
@@ -18,7 +24,8 @@ import numpy as np
 
 from .config import FISHER_FLOOR, VERDICT_TOL
 from .fisher import fisher_matrix, qfi
-from .linalg import factor_product, hermitian_trace, pure_moments, real_if_exact
+from .linalg import (factor_product, hermitian_trace, pure_moments, real_if_exact,
+                     row_blocks)
 from .spin import AXES, PAULI, collective_op
 from .states import QuantumState
 
@@ -63,11 +70,13 @@ def moments(state: QuantumState) -> MomentSet:
     """Exact first and second collective moments of a state.
 
     With G_kl = <J_k J_l>, the symmetrised second moments are Re G.  A pure
-    state needs only the three vectors J_l|psi> (G is their Gram matrix);
-    a density needs the products J_l rho and, for the diagonal, J_l^2 rho,
-    each from the real factor or the diagonal of J_l (real products only on a
-    real density).  The result is computed once and kept on the state: do
-    not write into it.
+    state needs only the three vectors J_l|psi> (G is their Gram matrix).
+    A density meets each J_l through its real factor or diagonal (real
+    products only on a real density), in blocks of columns of rho:
+    the columns blk of J_l rho give their share of every G_kl, k != l, and
+    the diagonal G_ll keeps the dense-product form Tr((J_l J_l) rho), its
+    entries blk from rows blk of J_l J_l times rho[:, blk].  The result is
+    computed once and kept on the state: do not write into it.
     """
     return state._memoized("moments", lambda: _evaluate_moments(state))
 
@@ -77,24 +86,42 @@ def _evaluate_moments(state: QuantumState) -> MomentSet:
     if state.is_pure:
         psi = state.data
         return MomentSet(state.n, *pure_moments(psi, [J.apply(psi) for J in ops]))
-    # one contiguous copy of a real density serves every product; J_x rho and
-    # J_y rho are real products (the latter times 1j), J_z rho scales rows,
-    # and one d x d product is held at a time
-    rho = np.ascontiguousarray(real_if_exact(state.data))
-    factors = [J.factor for J in ops]
-    mean = np.array([hermitian_trace(f, rho).real for f in factors])
-    G = np.empty((3, 3), dtype=complex)
-    for l, f in enumerate(factors):
-        x = factor_product(f, rho)
-        G[:, l] = [hermitian_trace(g, x) for g in factors]
-        del x
-        # the diagonal keeps the form Tr((J_l J_l) rho) of dense products:
-        # at an exact tie between axes (white-noise GHZ, singlets) the axis
-        # that optimal_ssi reports follows this sum's round-off
-        P, k = factor_product(f, f, rho)
-        G[l, l] = 1j ** k * np.trace(P)
-        del P
+    rho = real_if_exact(state.data)
+    # factors built here and dropped on return, not the operators' kept ones:
+    # a density's eigendecomposition, which the Fisher quantities run next,
+    # then holds none of them (two 8 MB factors at full N = 10)
+    factors = [J.form.factor() for J in ops]
+    # the means are whole-array traces, on one contiguous copy of a real density
+    whole = np.ascontiguousarray(rho)
+    mean = np.array([hermitian_trace(f, whole).real for f in factors])
+    del whole
+    G = np.zeros((3, 3), dtype=complex)
+    diagonals, powers = [[] for _ in factors], [0] * len(factors)
+    for blk in row_blocks(rho.shape[0]):
+        cols = np.ascontiguousarray(rho[:, blk])
+        for l, (F, k) in enumerate(factors):
+            x = factor_product((F, k), cols)
+            for m, g in enumerate(factors):
+                if m != l:
+                    G[m, l] += _column_trace(g, x, blk)
+            # at an exact tie between axes (white-noise GHZ, singlets) the axis
+            # that optimal_ssi reports follows the round-off of the diagonal, so
+            # it takes the entries of the dense product (F F) rho, bit for bit
+            P, powers[l] = (factor_product((F[blk], k), (F[blk], k), cols[blk]) if F.ndim == 1
+                            else factor_product((F[blk], k), (F, k), cols))
+            diagonals[l].append(np.diagonal(P))
+    for l, (parts, k) in enumerate(zip(diagonals, powers)):
+        G[l, l] = 1j ** k * np.concatenate(parts).sum()
     return MomentSet(state.n, mean, np.real(G + G.conj().T) / 2.0)
+
+
+def _column_trace(f, x, blk) -> complex:
+    """The share of the columns blk in Tr(A X) for the Hermitian A of factor
+    f, from the factor x of X[:, blk]."""
+    F, k = f
+    if F.ndim == 1:     # a diagonal meets the rows blk of X[:, blk] only
+        return hermitian_trace((F[blk], k), (x[0][blk], x[1]))
+    return hermitian_trace((F[:, blk], k), x)
 
 
 # ----------------------------------------------------------------------

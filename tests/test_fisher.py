@@ -318,6 +318,45 @@ def test_fisher_matrix_against_direct_sum(rng):
         assert np.abs(fm.matrix - fm.matrix.T).max() <= 1e-12
 
 
+def _fisher_whole_array_oracle(state, ops):
+    """The Fisher matrix and dropped-pair count from the d x d pair weights
+    and the complex d x d transforms V^dag A V at once, on the state's own
+    spectrum: the oracle of the row blocks of fisher._fisher."""
+    from qmetro.config import QFI_PAIR_FLOOR
+    from qmetro.fisher import _eigensystem, _state_payload
+    _, data = _state_payload(state)
+    dec = _eigensystem(state, data)
+    lam, V = dec.eigenvalues, dec.eigenvectors
+    S = lam[:, None] + lam[None, :]
+    keep = S >= QFI_PAIR_FLOOR
+    W = np.divide(2.0 * (lam[:, None] - lam[None, :]) ** 2, S, out=np.zeros_like(S), where=keep)
+    T = [V.conj().T @ (A.matrix if hasattr(A, "matrix") else A) @ V for A in ops]
+    F = np.array([[np.sum(W * Tm * Tn.conj()).real for Tn in T] for Tm in T])
+    return F, int(keep.size - np.count_nonzero(keep))
+
+
+def _blocked_fisher_cases(rng):
+    rep = full_rep(10)
+    axes = [collective_op(a, rep) for a in "xyz"]
+    return {"ghz10-p0.6": (mix_white_noise(ghz(10, rep), 0.6), axes),
+            "singlet10": (singlet_pi(10), axes),
+            "complex-500": (rand_density(rng, 500), [rand_hermitian(rng, 500) for _ in range(3)]),
+            "rank3-500": (rand_density(rng, 500, rank=3), [rand_hermitian(rng, 500)
+                                                           for _ in range(2)]),
+            "complex-16": (rand_density(rng, 16), [rand_hermitian(rng, 16) for _ in range(3)])}
+
+
+def test_blocked_fisher_matrix_matches_whole_array_oracle(rng):
+    from qmetro.fisher import _fisher
+    from qmetro.spin import as_operator
+    for name, (state, ops) in _blocked_fisher_cases(rng).items():
+        F, skipped = _fisher(state, [as_operator(A) for A in ops])
+        want, want_skipped = _fisher_whole_array_oracle(state, ops)
+        assert skipped == want_skipped, name
+        assert np.abs(F - want).max() <= 1e-12 * max(1.0, np.abs(want).max()), name
+        assert np.array_equal(F, F.T), name
+
+
 def test_crb_matrix_inverse_and_pseudo(rng):
     rho = rand_density(rng, 4)
     ops = [rand_hermitian(rng, 4) for _ in range(2)]
@@ -471,6 +510,63 @@ def test_roof_sandwich_on_eigendecomposition(rng):
     assert chk.holds
     assert chk.lower <= chk.average_variance + 1e-8
     assert chk.average_variance <= chk.upper + 1e-8
+
+
+def _sandwich_ends_from_a_rebuilt_density(state, A):
+    """F_Q/4 and Var(A) of the density rebuilt from the payload: the former
+    ends of roof_sandwich_check, its oracle."""
+    data = state.data if isinstance(state, QuantumState) else np.asarray(state)
+    rho = np.outer(data, data.conj()) / np.vdot(data, data).real if data.ndim == 1 else data
+    A = A.matrix if hasattr(A, "matrix") else A
+    mean = np.trace(A @ rho).real
+    return qfi(rho, A).value / 4.0, np.trace(A @ A @ rho).real - mean * mean
+
+
+def test_roof_sandwich_ends_match_the_rebuilt_density(rng):
+    cases = [(rand_pure(rng, 5), rand_hermitian(rng, 5)),
+             (rand_density(rng, 4, rank=2), rand_hermitian(rng, 4)),
+             (rand_density(rng, 5), rand_hermitian(rng, 5)),
+             (singlet_pi(8), collective_op("z", full_rep(8))),
+             (mix_white_noise(ghz(6, full_rep(6)), 0.5), collective_op("y", full_rep(6))),
+             (polarized(6, "x", symmetric_rep(6)), collective_op("y", symmetric_rep(6)))]
+    for state, A in cases:
+        cv = convex_roof_oracle(state, A)
+        chk = roof_sandwich_check(state, A, cv.weights, cv.vectors)
+        lower, upper = _sandwich_ends_from_a_rebuilt_density(state, A)
+        assert chk.holds
+        assert abs(chk.lower - lower) <= 1e-12 * max(1.0, abs(lower))
+        assert abs(chk.upper - upper) <= 1e-12 * max(1.0, abs(upper))
+
+
+def test_roof_sandwich_reuses_the_kept_spectrum(monkeypatch):
+    import qmetro.fisher
+    calls = []
+    original = qmetro.fisher.eigh_hermitian
+    monkeypatch.setattr(qmetro.fisher, "eigh_hermitian",
+                        lambda M: calls.append(M.shape) or original(M))
+    st = mix_white_noise(ghz(4, full_rep(4)), 0.6)
+    J = collective_op("x", st.rep)
+    fq = qfi(st, J).value
+    assert len(calls) == 1
+    w, V = np.linalg.eigh(st.data)
+    chk = roof_sandwich_check(st, J, w, V)
+    assert len(calls) == 1
+    assert chk.holds and chk.lower == fq / 4.0
+
+
+def test_roof_sandwich_of_a_large_pure_state_is_fast():
+    """Polarized-x at symmetric N = 1000 with J_y: the ends need no
+    eigendecomposition of a rebuilt 1001^2 density."""
+    import time
+    st = polarized(1000, "x", symmetric_rep(1000))
+    J = collective_op("y", st.rep)
+    took = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        chk = roof_sandwich_check(st, J, np.array([1.0]), st.data[:, None])
+        took.append(time.perf_counter() - t0)
+    assert chk.holds and chk.lower == pytest.approx(250.0, rel=1e-12)
+    assert min(took) < 0.2
 
 
 def test_roof_sandwich_rejects_bad_decomposition(rng):

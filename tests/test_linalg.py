@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from qmetro.linalg import (eigh_hermitian, factor_product, hermitian_trace, hermiticity_defect,
-                           mmatrix_tridiagonal_solve, psd_sqrt, require_hermitian,
-                           tridiagonal_ground_pairs, unitary_exp)
-from conftest import rand_hermitian
+from qmetro.linalg import (coupled_indices, eigh_hermitian, factor_product, hermitian_trace,
+                           hermiticity_defect, mmatrix_tridiagonal_solve, psd_sqrt,
+                           require_hermitian, tridiagonal_ground_pairs, unitary_exp)
+from conftest import rand_density, rand_hermitian
 
 
 def test_diagonal_matrix():
@@ -115,6 +115,80 @@ def test_hermitian_trace_matches_dense_trace(rng):
         for b, (fb, Bm) in others.items():
             want = np.trace(A @ Bm)
             assert abs(hermitian_trace(fa, fb) - want) <= 1e-12 * max(1.0, abs(want)), (a, b)
+
+
+def _with_uncoupled(rng, dim, real):
+    """A random density with a random third of its indices uncoupled: their
+    rows and columns are zero off the diagonal."""
+    rho = rand_density(rng, dim)
+    if real:
+        rho = rho.real
+    off = rng.permutation(dim)[:dim // 3]
+    diag = rho[off, off].real
+    rho[off, :] = 0.0
+    rho[:, off] = 0.0
+    rho[off, off] = diag
+    return rho / np.trace(rho).real, off
+
+
+def _assert_matches_lapack(M):
+    dec = eigh_hermitian(M)
+    V = dec.eigenvectors
+    assert np.all(np.diff(dec.eigenvalues) >= 0)
+    assert np.abs(dec.eigenvalues - np.linalg.eigvalsh(M)).max() <= 1e-12
+    assert np.abs(dec.reconstruct() - M).max() <= 1e-12
+    assert np.abs(V.conj().T @ V - np.eye(M.shape[0])).max() <= 1e-12
+    assert not (dec.eigenvalues.flags.writeable or V.flags.writeable)
+    return dec
+
+
+@pytest.mark.parametrize("dim", [3, 16, 200, 400])
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_eigh_solves_the_coupled_indices_only(rng, monkeypatch, dim, real):
+    M, off = _with_uncoupled(rng, dim, real)
+    coupled = coupled_indices(M)
+    assert not coupled[off].any() and coupled.sum() == dim - off.size
+    shapes = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda A: shapes.append(A.shape) or eigh(A))
+    dec = _assert_matches_lapack(M)
+    assert shapes == [(dim - off.size,) * 2]
+    assert dec.eigenvectors.dtype == (np.float64 if real else np.complex128)
+    # an uncoupled index is the unit eigenvector of its diagonal entry
+    for i in off:
+        k = np.flatnonzero(dec.eigenvectors[i])
+        assert k.size == 1 and dec.eigenvectors[i, k[0]] == 1.0
+        assert dec.eigenvalues[k[0]] == M[i, i].real
+
+
+def test_eigh_of_a_diagonal_density_makes_no_lapack_call(rng, monkeypatch):
+    w = rng.random(50)
+    M = np.diag(w / w.sum()).astype(complex)
+    monkeypatch.setattr(np.linalg, "eigh", lambda A: pytest.fail("LAPACK was called"))
+    dec = _assert_matches_lapack(M)
+    assert np.array_equal(dec.eigenvalues, np.sort(np.diag(M).real))
+    assert dec.eigenvectors.dtype == np.float64
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_eigh_with_every_index_coupled_is_one_lapack_call(rng, real):
+    M = rand_density(rng, 300)
+    if real:
+        M = M.real.copy()
+    assert coupled_indices(M).all()
+    dec = _assert_matches_lapack(M)
+    vals, vecs = np.linalg.eigh(M)
+    assert np.array_equal(dec.eigenvalues, vals) and np.array_equal(dec.eigenvectors, vecs)
+
+
+def test_coupling_is_read_from_the_lower_triangle():
+    """LAPACK reads the lower triangle; an entry above the diagonal couples
+    its pair there too only through its mirror image."""
+    M = np.diag([1.0, 2.0, 3.0, 4.0])
+    M[3, 1] = M[1, 3] = 0.5
+    assert coupled_indices(M).tolist() == [False, True, False, True]
+    M[0, 2] = 1e-300   # upper triangle only: not read by LAPACK
+    assert coupled_indices(M).tolist() == [False, True, False, True]
 
 
 def test_hermiticity_checked_across_row_blocks(rng):

@@ -5,9 +5,13 @@ their collective operators are applied, never stored: each command below
 stays under 200 MB (a dense 4096 x 4096 operator alone is 268 MB).
 
 Full densities go up to N = 10 (1024 x 1024, 16 MB complex).  They meet
-J_x and J_y through real factors and J_z through its diagonal, so
-``witness --all`` on a mixed N = 10 state holds no complex 1024^2 operator
-and stays under 150 MB (three complex J alone are 48 MB).
+J_x and J_y through real factors and J_z through its diagonal, and are read,
+checked, eigendecomposed and contracted in blocks of rows, so
+``witness --all`` on a mixed N = 10 state holds the payload, two real
+factors, the eigenvectors and a few MB more: under 90 MB.  Its odd-parity
+indices are uncoupled, so LAPACK sees a 512^2 block; a singlet's indices are
+all coupled by round-off, so its witnesses (under 100 MB) take the blocks
+without that rule.  Building and writing the mixed state stays under 70 MB.
 
 Squeezed ground states come from NumPy alone, so building one at N = 4096
 or a 64-point frontier at N = 1000 stays under 45 MB; importing
@@ -31,10 +35,13 @@ import pytest
 import qmetro
 from qmetro.serialize import write_state
 from qmetro.spin import full_rep
-from qmetro.states import SqueezingSpec, ghz, mix_white_noise, squeezed_ground_state
+from qmetro.states import (SqueezingSpec, ghz, mix_white_noise, singlet_pi,
+                           squeezed_ground_state)
 
 LIMIT_MB = 200
-DENSITY_LIMIT_MB = 150
+DENSITY_LIMIT_MB = 90
+SINGLET_LIMIT_MB = 100
+MIXED_STATE_LIMIT_MB = 70
 # squeezed ground states take NumPy alone (no SciPy import): 31-35 MB here
 SQUEEZING_LIMIT_MB = 45
 
@@ -52,6 +59,7 @@ def states(tmp_path_factory):
     write_state(squeezed_ground_state(SqueezingSpec(4096, 100.0)), str(root / "sq4096.json"))
     write_state(ghz(12, full_rep(12)), str(root / "ghz12.json"))
     write_state(mix_white_noise(ghz(10, full_rep(10)), 0.6), str(root / "mixed10.json"))
+    write_state(singlet_pi(10), str(root / "singlet10.json"))
     return root
 
 
@@ -71,12 +79,16 @@ def _peak_rss_mb(argv, cwd) -> float:
     (["qfi", "ghz12.json"], LIMIT_MB),
     (["witness", "ghz12.json", "--all"], LIMIT_MB),
     (["witness", "mixed10.json", "--all"], DENSITY_LIMIT_MB),
+    (["witness", "singlet10.json", "--all"], SINGLET_LIMIT_MB),
+    (["state", "--kind", "mixed", "--n", "10", "--rep", "full", "--p", "0.6", "--out", "m.json"],
+     MIXED_STATE_LIMIT_MB),
     (["state", "--kind", "squeezed", "--n", "4096", "--lam", "100", "--out", "s.json"],
      SQUEEZING_LIMIT_MB),
     (["sweep", "--kind", "frontier", "--n", "1000", "--points", "64", "--out", "f1000.csv"],
      SQUEEZING_LIMIT_MB),
 ], ids=["witness-symmetric-4096", "frontier-4096", "qfi-full-ghz-12", "witness-full-ghz-12",
-        "witness-full-mixed-10", "state-squeezed-4096", "frontier-1000"])
+        "witness-full-mixed-10", "witness-full-singlet-10", "state-mixed-10",
+        "state-squeezed-4096", "frontier-1000"])
 def test_cli_peak_rss_at_advertised_limits(states, argv, limit):
     peak = _peak_rss_mb(argv, states)
     assert peak < limit, f"{' '.join(argv)}: peak RSS {peak:.0f} MB"

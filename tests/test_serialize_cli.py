@@ -1,3 +1,4 @@
+import io
 import json
 import sys
 from types import SimpleNamespace
@@ -130,7 +131,8 @@ def test_reader_payload_is_bitwise_the_json_oracle(tmp_path, rng, monkeypatch):
     path = tmp_path / "s.json"
     for rep, data in _random_payloads(rng):
         serialize.write_state(_unchecked(rep, data), str(path))
-        assert serialize._read_canonical(path.read_bytes()) is not None   # fast path
+        with open(path, "rb") as fh:
+            assert serialize._read_canonical(fh) is not None   # fast path
         back = serialize.read_state(str(path))
         assert np.array_equal(_bits(back.data), _bits(_oracle_payload(path)))
         assert np.array_equal(_bits(back.data), _bits(data))
@@ -284,7 +286,7 @@ def test_malformed_state_files_exit_one(tmp_path, capsys, text):
 
 @pytest.mark.parametrize("text", _BAD_NUMBERS.values(), ids=_BAD_NUMBERS.keys())
 def test_fast_path_declines_malformed_numbers(text):
-    assert serialize._read_canonical(text.encode()) is None
+    assert serialize._read_canonical(io.BytesIO(text.encode())) is None
 
 
 def test_repeated_data_key_reads_as_json_does(tmp_path):
@@ -307,6 +309,82 @@ def test_over_cap_density_names_the_cap(tmp_path):
     path.write_text(_MALFORMED["over-cap"])
     with pytest.raises(ValueError, match="limited to N <= 10"):
         serialize.read_state(str(path))
+
+
+def _write_state_oracle(state) -> bytes:
+    """The writer's former form, one %r per number: the oracle of the
+    writer's one repr per distinct bit pattern of a row."""
+    data = state.data
+    pairs = "[" + ",".join(["[%r,%r]"] * data.shape[-1]) + "]"
+    rows = [data] if state.is_pure else data
+    out = ['{"data":' + ("" if state.is_pure else "[")]
+    for i, row in enumerate(rows):
+        out.append(("," if i else "") + pairs % tuple(
+            np.stack([row.real, row.imag], -1).ravel().tolist()))
+    out.append(("," if state.is_pure else "],")
+               + serialize.dumps_canonical(serialize._header(state))[1:])
+    return "".join(out).encode()
+
+
+def _writer_probe_states(rng):
+    from conftest import rand_density
+    from qmetro.states import SqueezingSpec, squeezed_ground_state, to_full
+    rho = 0.5 * rand_density(rng, 96) + 0.5 * np.eye(96) / 96
+    rho[3, 5], rho[5, 3] = complex(-0.0, 0.0), complex(-0.0, -0.0)
+    rho[7, 2], rho[2, 7] = complex(5e-324, -0.0), complex(5e-324, 0.0)
+    rho[9, 8], rho[8, 9] = complex(-2.2250738585072e-308, 1e-320), \
+        complex(-2.2250738585072e-308, -1e-320)
+    full = full_rep(10)
+    return ([mix_white_noise(ghz(10, full), p) for p in (0.5, 0.6, 0.7, 0.8, 0.9)]
+            + [singlet_pi(8), to_full(squeezed_ground_state(SqueezingSpec(10, 4.0))),
+               QuantumState(symmetric_rep(95), rho)])
+
+
+def test_writer_bytes_match_per_float_oracle(tmp_path, rng):
+    path = tmp_path / "s.json"
+    for state in _writer_probe_states(rng):
+        serialize.write_state(state, str(path))
+        assert path.read_bytes() == _write_state_oracle(state), state.label
+
+
+def test_full_density_write_read_write_is_byte_identical(tmp_path):
+    path, again = tmp_path / "m.json", tmp_path / "again.json"
+    serialize.write_state(mix_white_noise(ghz(10, full_rep(10)), 0.6), str(path))
+    serialize.write_state(serialize.read_state(str(path)), str(again))
+    assert again.read_bytes() == path.read_bytes()
+
+
+def _chunk_edge_files(tmp_path):
+    """A canonical 16 x 16 density and three broken copies of it: a bad token
+    in the last row, a row with one pair too many, a file cut in mid-row."""
+    path = tmp_path / "m.json"
+    serialize.write_state(mix_white_noise(ghz(4, full_rep(4)), 0.7), str(path))
+    text = path.read_text()
+    last = text.rindex("]],[[") + 5          # the last row's first number
+    cut = text.index("]],[[", len(text) // 2) - 40
+    broken = {"bad-token-last-row": text[:last] + "1.1." + text[last:],
+              "extra-pair": text.replace("]],[[", "],[0.0,0.0]],[[", 1),
+              "cut-mid-row": text[:cut]}
+    files = {}
+    for name, body in broken.items():
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(body)
+    return path, files
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 100, 1 << 20])
+def test_reader_chunks_end_on_row_boundaries(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(serialize, "_READ_CHUNK", chunk)
+    path, files = _chunk_edge_files(tmp_path)
+    with open(path, "rb") as fh:
+        assert serialize._read_canonical(fh) is not None
+    back = serialize.read_state(str(path))
+    assert np.array_equal(_bits(back.data), _bits(_oracle_payload(path)))
+    for name, bad in files.items():
+        with open(bad, "rb") as fh:
+            assert serialize._read_canonical(fh) is None, name
+        with pytest.raises(ValueError):
+            serialize.read_state(str(bad))
 
 
 def test_csv_formatting():

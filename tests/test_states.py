@@ -278,6 +278,40 @@ def test_white_noise_ghz2_frozen_value():
     assert closed == pytest.approx(direct, abs=1e-9)
 
 
+@pytest.mark.parametrize("pure", [True, False], ids=["pure", "density"])
+def test_white_noise_payload_is_the_dense_sum_bitwise(pure):
+    """The in-place build keeps every bit of p rho + (1 - p) I / dim, signed
+    zeros included: the sum turned each -0.0 of rho into +0.0."""
+    g = ghz(10, full_rep(10)) if pure else mix_white_noise(ghz(10, full_rep(10), axis="y"), 0.3)
+    for p in (0.0, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0):
+        dim = g.rep.dim
+        want = p * g.density() + (1 - p) * np.eye(dim) / dim
+        got = mix_white_noise(g, p)
+        assert got.data.view(np.uint64).tobytes() == want.view(np.uint64).tobytes(), p
+        assert got.label == f"{g.label}+noise({p:g})"
+
+
+def test_psd_check_of_uncoupled_indices():
+    """An uncoupled index is a 1 x 1 block of the Cholesky factor: it passes
+    when its diagonal entry lies above PSD_FLOOR."""
+    from qmetro.config import PSD_FLOOR
+    QuantumState(full_rep(1), np.diag([1.0 - PSD_FLOOR / 2, PSD_FLOOR / 2]).astype(complex))
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        QuantumState(full_rep(1), np.diag([1.0 - 2 * PSD_FLOOR, 2 * PSD_FLOOR]).astype(complex))
+    # a PSD coupled block beside a negative uncoupled entry
+    rho = np.zeros((4, 4), dtype=complex)
+    rho[np.ix_([0, 2], [0, 2])] = [[0.5, 0.25], [0.25, 0.5]]
+    rho[1, 1], rho[3, 3] = 0.1, -0.1
+    with pytest.raises(ValueError, match="negative eigenvalue -1"):
+        QuantumState(full_rep(2), rho)
+    rho[1, 1], rho[3, 3] = 0.0, 0.0
+    QuantumState(full_rep(2), rho)
+    # and a negative coupled block beside uncoupled entries
+    rho[np.ix_([0, 2], [0, 2])] = [[0.5, 0.75], [0.75, 0.5]]
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        QuantumState(full_rep(2), rho)
+
+
 def test_white_noise_rejects_bad_p():
     g = ghz(2, full_rep(2))
     with pytest.raises(ValueError, match="0, 1"):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import qmetro.linalg
 from qmetro.fisher import qfi
+from qmetro.linalg import hermitian_trace, real_if_exact
 from qmetro.spin import collective_op, direction_op, full_rep, symmetric_rep
 from qmetro.states import (QuantumState, SqueezingSpec, dicke, ghz,
                            maximally_mixed, mix_white_noise, polarized, singlet_pi,
@@ -12,7 +14,7 @@ from qmetro.witnesses import (avg_producibility_bound, avg_qfi,
                               moments_from_two_particle, optimal_ssi,
                               producibility_bound, qfi_entanglement,
                               xi_squared_os, xi_squared_s, xi_squared_singlet)
-from conftest import rand_pure
+from conftest import rand_density, rand_pure
 
 
 # ----------------------------------------------------------------- moments
@@ -48,16 +50,57 @@ def _dense_moment_diagonal(state):
     return np.array(out)
 
 
-@pytest.mark.parametrize("make", [lambda p=p: mix_white_noise(ghz(10, full_rep(10)), p)
-                                  for p in (0.5, 0.6, 0.7, 0.8, 0.9)] + [lambda: singlet_pi(8)],
-                         ids=[f"ghz10-p{p}" for p in (0.5, 0.6, 0.7, 0.8, 0.9)] + ["singlet8"])
+def _whole_array_means(state):
+    """<J_l> as whole-array traces of one contiguous copy of the density."""
+    rho = np.ascontiguousarray(real_if_exact(state.data))
+    return np.array([hermitian_trace(collective_op(a, state.rep).factor, rho).real
+                     for a in "xyz"])
+
+
+_TIED_DENSITIES = {**{f"ghz10-p{p}": lambda p=p: mix_white_noise(ghz(10, full_rep(10)), p)
+                      for p in (0.5, 0.6, 0.7, 0.8, 0.9)},
+                   "singlet8": lambda: singlet_pi(8), "singlet10": lambda: singlet_pi(10)}
+
+
+@pytest.mark.parametrize("make", _TIED_DENSITIES.values(), ids=_TIED_DENSITIES.keys())
 def test_density_moment_diagonal_is_the_dense_form_bitwise(make):
     """Axes tie exactly on these states (y and z for white-noise GHZ, all
     three for singlets), so the axis optimal_ssi reports follows the last bit
-    of <J_l^2>: the real factors and the diagonal of J_z keep every bit."""
+    of <J_l^2>: the real factors and the diagonal of J_z keep every bit, and
+    so do the means."""
     state = make()
-    got = np.diag(moments(state).second).copy()
+    m = moments(state)
+    got = np.diag(m.second).copy()
     assert np.array_equal(got.view(np.uint64), _dense_moment_diagonal(state).view(np.uint64))
+    assert np.array_equal(m.mean.view(np.uint64), _whole_array_means(state).view(np.uint64))
+
+
+@pytest.mark.parametrize("rows", [64, 256])
+@pytest.mark.parametrize("make", [_TIED_DENSITIES["ghz10-p0.6"], _TIED_DENSITIES["singlet10"]],
+                         ids=["ghz10-p0.6", "singlet10"])
+def test_blocked_moments_keep_every_bit_at_any_block(monkeypatch, make, rows):
+    """Column blocks of 64 and 256 rows of a 1024^2 density (128 is the
+    default) give the dense form's diagonal and means bit for bit."""
+    monkeypatch.setattr(qmetro.linalg, "_BLOCK_ENTRIES", 1024 * rows)
+    state = make()
+    m = moments(state)
+    got = np.diag(m.second).copy()
+    assert np.array_equal(got.view(np.uint64), _dense_moment_diagonal(state).view(np.uint64))
+    assert np.array_equal(m.mean.view(np.uint64), _whole_array_means(state).view(np.uint64))
+
+
+@pytest.mark.parametrize("rows", [5, 8, 64])
+def test_blocked_moments_match_dense_products(monkeypatch, rng, rows):
+    """Every second moment of a complex density from column blocks of 5, 8
+    and 64 (one block) of its 64 columns, against dense complex products."""
+    monkeypatch.setattr(qmetro.linalg, "_BLOCK_ENTRIES", 64 * rows)
+    rep = full_rep(6)
+    state = QuantumState(rep, rand_density(rng, rep.dim))
+    J = [collective_op(a, rep).matrix for a in "xyz"]
+    dense = np.array([[np.trace(a @ b @ state.data).real for b in J] for a in J])
+    m = moments(state)
+    assert np.abs(m.second - (dense + dense.T) / 2).max() <= 1e-12
+    assert np.abs(m.mean - [np.trace(a @ state.data).real for a in J]).max() <= 1e-12
 
 
 # ------------------------------------------------- xi_s
