@@ -108,7 +108,7 @@ def _in_eigenbasis(V: np.ndarray, A, rows=slice(None)) -> tuple:
 def _pair_ratio(lam_rows: np.ndarray, lam: np.ndarray, num: np.ndarray, floor: float):
     """num_kl / (l_k + l_l) for k over lam_rows and l over lam, on the pairs
     whose sum reaches floor, 0 elsewhere."""
-    S = lam_rows[:, None] + lam[None, :]
+    S = lam_rows[:, None] + lam
     keep = S >= floor
     return np.divide(num, S, out=np.zeros_like(S), where=keep), keep
 
@@ -129,19 +129,20 @@ def _fisher(state, ops) -> tuple[np.ndarray, int]:
     # 1j is 2 Re(+-1j * real sum) = 0, so only a group of one parity is held
     real = np.isrealobj(V) and all(np.isrealobj(f) for f, _ in factors)
     groups = {}
-    for n, (_, k) in enumerate(factors):
-        groups.setdefault(k % 2 if real else 0, []).append(n)
+    for n, f in enumerate(factors):
+        groups.setdefault(f[1] % 2 if real else 0, []).append((n, f))
     F = np.zeros((len(ops), len(ops)))
     skipped = 0
     # by blocks of rows k of the pair sums: no d x d array is formed
     for rows in row_blocks(lam.size):
-        D = lam[rows, None] - lam[None, :]
+        lam_rows = lam[rows]
+        D = lam_rows[:, None] - lam
         D *= D
-        W, keep = _pair_ratio(lam[rows], lam, D, QFI_PAIR_FLOOR)
+        W, keep = _pair_ratio(lam_rows, lam, D, QFI_PAIR_FLOOR)
         skipped += keep.size - int(np.count_nonzero(keep))
         del D, keep
         for members in groups.values():
-            _fisher_block(F, W, V, rows, [(n, factors[n]) for n in members])
+            _fisher_block(F, W, V, rows, members)
     return F, skipped
 
 

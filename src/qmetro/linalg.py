@@ -20,7 +20,8 @@ the lowest eigenpair of a tridiagonal matrix with positive off-diagonals,
 which such a matrix becomes under a sign change of every other basis
 vector, with those solves alone.
 
-Real data takes real arithmetic.  A complex array whose imaginary part is
+Real data takes real arithmetic.  A state's real density arrives as float64
+(``states.QuantumState``); a bare complex array whose imaginary part is
 exactly zero holds the same matrix as its real part, so ``eigh_hermitian``
 eigendecomposes the real part with real LAPACK (and returns real
 eigenvectors), and ``factor_product`` multiplies real and purely imaginary
@@ -39,7 +40,7 @@ run in blocks of rows (``row_blocks``), of 1 MB of float64 each.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -57,12 +58,18 @@ _NODA_MAX_STEPS = 100
 _BLOCK_ENTRIES = 1 << 17
 
 
-def row_blocks(d: int) -> list:
+def row_blocks(d: int) -> tuple:
     """Slices of consecutive rows (or columns) of a d x d matrix, each at most
     _BLOCK_ENTRIES entries or one row: a matrix of d <= 362 is one block.  The
-    last slice may reach past d."""
-    step = max(1, _BLOCK_ENTRIES // d) if d else 1
-    return [slice(i, i + step) for i in range(0, d, step)]
+    last slice may reach past d.  Kept per (d, block size), so that a small
+    matrix pays one lookup."""
+    return _row_blocks(d, _BLOCK_ENTRIES)
+
+
+@lru_cache(maxsize=1024)
+def _row_blocks(d: int, entries: int) -> tuple:
+    step = max(1, entries // d) if d else 1
+    return tuple(slice(i, i + step) for i in range(0, d, step))
 
 
 def _max_asymmetry(M: np.ndarray) -> float:
@@ -160,12 +167,13 @@ def eigh_hermitian(M: np.ndarray) -> SpectralDecomposition:
     LAPACK solves only the coupled indices (``coupled_indices``): each
     uncoupled index i is the eigenpair (M_ii, e_i), and the pairs are merged
     in ascending order into dense arrays.  A matrix with every index coupled
-    is one LAPACK call on M, and a diagonal matrix none.
+    is one LAPACK call on M (one with no zero entry is told by one count,
+    with no mask), and a diagonal matrix none.
     The returned arrays are read-only, so a kept spectrum cannot be altered.
     """
     M = require_hermitian(real_if_exact(M))
-    coupled = coupled_indices(M)
-    if np.count_nonzero(coupled) == coupled.size:
+    # a matrix with no zero entry has every index coupled, with no mask
+    if np.count_nonzero(M) == M.size or (coupled := coupled_indices(M)).all():
         vals, vecs = np.linalg.eigh(M)
     else:
         c, u = np.flatnonzero(coupled), np.flatnonzero(~coupled)

@@ -452,8 +452,15 @@ def _couple_mixed_qubit(A: np.ndarray):
     (size d - 1, None for j = 0), each half the two-term split of A."""
     d = A.shape[0]
     k = np.arange(d + 1)
-    padded = np.pad(A, 1)
-    grown = _split(padded, np.sqrt((d - k) / (2 * d)), np.sqrt(k / (2 * d)))
+    # the split of A padded by one zero row and column on each side: the
+    # two shifted terms accumulate into one (d + 1)^2 block
+    up, down = np.sqrt((d - k[:d]) / (2 * d)), np.sqrt(k[1:] / (2 * d))
+    grown = np.zeros((d + 1, d + 1), dtype=A.dtype)
+    np.multiply(A, up[:, None], out=grown[:d, :d])
+    grown[:d, :d] *= up
+    low = A * down[:, None]
+    low *= down
+    grown[1:, 1:] += low
     if d == 1:
         return grown, None
     k = k[:d - 1]

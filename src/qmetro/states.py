@@ -5,7 +5,10 @@ can reference "ghz(8)" etc.  Pure states are stored as unit vectors,
 mixed states as density matrices; ``QuantumState.density()`` promotes on
 demand.  A state's payload is a read-only view, so quantities derived
 from it (spectrum, collective moments, collective Fisher matrix) are
-computed once and kept on the state.
+computed once and kept on the state.  A density whose every imaginary
+part is +0.0, bit for bit, is stored as its real part, a C-contiguous
+float64 array; every other density (a -0.0 imaginary part included) and
+every vector is complex128.
 
 A pure state meets a ``CollectiveOperator`` only through ``apply``:
 expectations, variances and vector rotations (Taylor steps over ``apply``)
@@ -42,7 +45,12 @@ from .spin import (AXES, FULL_DENSITY_MAX, CollectiveOperator, Representation, _
 
 @dataclass(frozen=True)
 class QuantumState:
-    """A pure vector or density matrix in a fixed representation."""
+    """A pure vector or density matrix in a fixed representation.
+
+    ``data`` is read-only: float64 and C-contiguous for a density whose
+    imaginary parts are all +0.0, bit for bit, and complex128 for every other
+    density and every vector.
+    """
 
     rep: Representation
     data: np.ndarray
@@ -50,8 +58,13 @@ class QuantumState:
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # read-only view: nothing writes through the state behind its memo
-        d = np.asarray(self.data, dtype=complex).view()
+        d = np.asarray(self.data)
+        # a read-only view, so nothing writes through the state behind its memo:
+        # float64 for a density whose imaginary parts are all +0.0, bit for bit
+        if d.ndim == 2 and (np.isrealobj(d) or not d.imag.view(np.uint64).any()):
+            d = np.ascontiguousarray(d.real, dtype=float).view()
+        else:
+            d = np.asarray(d, dtype=complex).view()
         d.flags.writeable = False
         object.__setattr__(self, "data", d)
         if not np.isfinite(d).all():
@@ -67,26 +80,24 @@ class QuantumState:
             if self.rep.kind == "full" and self.rep.n > FULL_DENSITY_MAX:
                 raise ValueError(
                     f"full-representation density matrices limited to N <= {FULL_DENSITY_MAX}")
-            # a real density (zero imaginary part) is checked in real arithmetic
-            r = real_if_exact(d)
-            if hermiticity_defect(r) > 1e-10:
+            if hermiticity_defect(d) > 1e-10:
                 raise ValueError("density matrix is not Hermitian")
-            if abs(np.trace(r).real - 1.0) > STATE_NORM:
-                raise ValueError(f"density matrix trace {np.trace(r).real!r} != 1")
+            if abs(np.trace(d).real - 1.0) > STATE_NORM:
+                raise ValueError(f"density matrix trace {np.trace(d).real!r} != 1")
             # PSD within the floor <=> rho + |floor| I admits a Cholesky factor;
             # an uncoupled index is a 1 x 1 block of it, and the shift goes
             # onto the diagonal of one copy of the coupled block
-            coupled = coupled_indices(r)
+            coupled = coupled_indices(d)
             c = np.flatnonzero(coupled)
-            shifted = r[np.ix_(c, c)]
+            shifted = d[np.ix_(c, c)]
             shifted.flat[::c.size + 1] += -PSD_FLOOR
             try:
                 np.linalg.cholesky(shifted)
-                psd = (np.diagonal(r).real[~coupled] + -PSD_FLOOR > 0).all()
+                psd = (np.diagonal(d).real[~coupled] + -PSD_FLOOR > 0).all()
             except np.linalg.LinAlgError:
                 psd = False
             if not psd:
-                wmin = np.linalg.eigvalsh(r).min()
+                wmin = np.linalg.eigvalsh(d).min()
                 raise ValueError(f"density matrix has negative eigenvalue {wmin:.2e}")
         else:
             raise ValueError("state payload must be a vector or a matrix")
@@ -416,8 +427,9 @@ def mix_white_noise(state: QuantumState, p: float) -> QuantumState:
     if state.rep.n > FULL_DENSITY_MAX:
         raise ValueError(f"density matrices limited to N <= {FULL_DENSITY_MAX}")
     dim = state.rep.dim
-    rho = state.density()
-    # a pure state's density is a fresh outer product, scaled in place
+    v = real_if_exact(state.data)
+    # a pure state's density is a fresh outer product (real for a real vector), scaled in place
+    rho = np.outer(v, v.conj()) if state.is_pure else v
     rho = np.multiply(rho, p, out=rho if state.is_pure else None)
     # the sum with the real (1 - p) I / dim added +0.0 to every entry, which
     # turns each -0.0 into +0.0: the bytes of a written state keep that
@@ -430,4 +442,4 @@ def maximally_mixed(rep: Representation) -> QuantumState:
     if rep.kind == "full" and rep.n > FULL_DENSITY_MAX:
         raise ValueError(f"density matrices limited to N <= {FULL_DENSITY_MAX}")
     dim = rep.dim
-    return QuantumState(rep, np.eye(dim, dtype=complex) / dim, label="maximally_mixed")
+    return QuantumState(rep, np.eye(dim) / dim, label="maximally_mixed")

@@ -24,8 +24,7 @@ import numpy as np
 
 from .config import FISHER_FLOOR, VERDICT_TOL
 from .fisher import fisher_matrix, qfi
-from .linalg import (factor_product, hermitian_trace, pure_moments, real_if_exact,
-                     row_blocks)
+from .linalg import factor_product, hermitian_trace, pure_moments, row_blocks
 from .spin import AXES, PAULI, collective_op
 from .states import QuantumState
 
@@ -86,15 +85,12 @@ def _evaluate_moments(state: QuantumState) -> MomentSet:
     if state.is_pure:
         psi = state.data
         return MomentSet(state.n, *pure_moments(psi, [J.apply(psi) for J in ops]))
-    rho = real_if_exact(state.data)
+    rho = state.data
     # factors built here and dropped on return, not the operators' kept ones:
     # a density's eigendecomposition, which the Fisher quantities run next,
     # then holds none of them (two 8 MB factors at full N = 10)
     factors = [J.form.factor() for J in ops]
-    # the means are whole-array traces, on one contiguous copy of a real density
-    whole = np.ascontiguousarray(rho)
-    mean = np.array([hermitian_trace(f, whole).real for f in factors])
-    del whole
+    mean = np.array([hermitian_trace(f, rho).real for f in factors])
     G = np.zeros((3, 3), dtype=complex)
     diagonals, powers = [[] for _ in factors], [0] * len(factors)
     for blk in row_blocks(rho.shape[0]):

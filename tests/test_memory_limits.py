@@ -4,14 +4,17 @@ Symmetric states up to N = 4096 and full vectors up to N = 12 are pure, so
 their collective operators are applied, never stored: each command below
 stays under 200 MB (a dense 4096 x 4096 operator alone is 268 MB).
 
-Full densities go up to N = 10 (1024 x 1024, 16 MB complex).  They meet
-J_x and J_y through real factors and J_z through its diagonal, and are read,
-checked, eigendecomposed and contracted in blocks of rows, so
-``witness --all`` on a mixed N = 10 state holds the payload, two real
-factors, the eigenvectors and a few MB more: under 90 MB.  Its odd-parity
-indices are uncoupled, so LAPACK sees a 512^2 block; a singlet's indices are
-all coupled by round-off, so its witnesses (under 100 MB) take the blocks
-without that rule.  Building and writing the mixed state stays under 70 MB.
+Full densities go up to N = 10 (1024 x 1024).  A real one (white-noise
+GHZ, the singlet) is held as an 8 MB float64 payload, a complex one in
+16 MB.  They meet J_x and J_y through real factors and J_z through its
+diagonal, and are read, checked, eigendecomposed and contracted in blocks
+of rows, so ``witness --all`` on a mixed N = 10 state holds the payload,
+two real factors, the eigenvectors and a few MB more: under 80 MB.  Its
+odd-parity indices are uncoupled, so LAPACK sees a 512^2 block; a
+singlet's indices are all coupled by round-off, so its witnesses take the
+blocks without that rule.  Building the singlet (a dense projector
+product) and its witnesses stay under 92 MB, building and writing the
+mixed state under 60 MB.
 
 Squeezed ground states come from NumPy alone, so building one at N = 4096
 or a 64-point frontier at N = 1000 stays under 45 MB; importing
@@ -39,9 +42,9 @@ from qmetro.states import (SqueezingSpec, ghz, mix_white_noise, singlet_pi,
                            squeezed_ground_state)
 
 LIMIT_MB = 200
-DENSITY_LIMIT_MB = 90
-SINGLET_LIMIT_MB = 100
-MIXED_STATE_LIMIT_MB = 70
+DENSITY_LIMIT_MB = 80
+SINGLET_LIMIT_MB = 92
+MIXED_STATE_LIMIT_MB = 60
 # squeezed ground states take NumPy alone (no SciPy import): 31-35 MB here
 SQUEEZING_LIMIT_MB = 45
 
@@ -82,12 +85,15 @@ def _peak_rss_mb(argv, cwd) -> float:
     (["witness", "singlet10.json", "--all"], SINGLET_LIMIT_MB),
     (["state", "--kind", "mixed", "--n", "10", "--rep", "full", "--p", "0.6", "--out", "m.json"],
      MIXED_STATE_LIMIT_MB),
+    (["state", "--kind", "singlet", "--n", "10", "--rep", "full", "--out", "sg.json"],
+     SINGLET_LIMIT_MB),
     (["state", "--kind", "squeezed", "--n", "4096", "--lam", "100", "--out", "s.json"],
      SQUEEZING_LIMIT_MB),
     (["sweep", "--kind", "frontier", "--n", "1000", "--points", "64", "--out", "f1000.csv"],
      SQUEEZING_LIMIT_MB),
 ], ids=["witness-symmetric-4096", "frontier-4096", "qfi-full-ghz-12", "witness-full-ghz-12",
         "witness-full-mixed-10", "witness-full-singlet-10", "state-mixed-10",
+        "state-singlet-10",
         "state-squeezed-4096", "frontier-1000"])
 def test_cli_peak_rss_at_advertised_limits(states, argv, limit):
     peak = _peak_rss_mb(argv, states)

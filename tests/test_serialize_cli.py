@@ -86,7 +86,10 @@ def _oracle_payload(path) -> np.ndarray:
 
 
 def _bits(arr):
-    return np.ascontiguousarray(arr).view(np.uint64)
+    """Bit patterns of a payload widened to complex128, so that a real
+    payload (a float64 density) meets a complex oracle entry for entry: the
+    widening gives every imaginary part +0.0, as the file must hold."""
+    return np.ascontiguousarray(arr, dtype=complex).view(np.uint64)
 
 
 def _unchecked(rep, data, label="state"):
@@ -210,7 +213,7 @@ def _signed_zero_states():
     vec = np.zeros(8, dtype=complex)
     vec[[0, 7]] = 2 ** -0.5
     vec[[1, 2, 3]] = [complex(-0.0, 0.0), complex(-0.0, -0.0), complex(0.0, -0.0)]
-    rho = singlet_pi(4).data.copy()
+    rho = np.array(singlet_pi(4).data, dtype=complex)
     rho[0, 1], rho[1, 0] = complex(-0.0, -0.0), complex(-0.0, 0.0)
     rho[2, 3], rho[3, 2] = complex(-0.0, 0.0), complex(-0.0, -0.0)
     return [QuantumState(full_rep(3), vec), QuantumState(full_rep(4), rho)]
@@ -385,6 +388,47 @@ def test_reader_chunks_end_on_row_boundaries(tmp_path, monkeypatch, chunk):
             assert serialize._read_canonical(fh) is None, name
         with pytest.raises(ValueError):
             serialize.read_state(str(bad))
+
+
+def _dtype_probe_states():
+    """(state, payload dtype): a real density, one whose only imaginary part
+    other than +0.0 is a -0.0 in its last row, one with a nonzero imaginary
+    part, and a real vector."""
+    full = full_rep(4)
+    real = mix_white_noise(ghz(4, full), 0.7)
+    rho = np.array(real.data, dtype=complex)
+    rho[-1, 5] = complex(rho[-1, 5].real, -0.0)
+    imag = np.eye(16, dtype=complex) / 16
+    imag[2, 9], imag[9, 2] = 0.01 + 0.02j, 0.01 - 0.02j
+    return [(real, np.float64), (QuantumState(full, rho, label="signed"), np.complex128),
+            (QuantumState(full, imag, label="imag"), np.complex128),
+            (ghz(4, full), np.complex128)]
+
+
+@pytest.mark.parametrize("layout", ["canonical", "indent"])
+@pytest.mark.parametrize("chunk", [7, 1 << 20])
+def test_reader_keeps_the_payload_dtype_rule(tmp_path, monkeypatch, layout, chunk):
+    """Both reader routes give a density float64 exactly when every imaginary
+    part in the file is +0.0 (a -0.0 in the last row, read in chunks of 7
+    bytes, keeps it complex) and every vector complex128, bit for bit as
+    written; write -> read -> write is byte-identical for each."""
+    monkeypatch.setattr(serialize, "_READ_CHUNK", chunk)
+    path, again = tmp_path / "s.json", tmp_path / "again.json"
+    for state, dtype in _dtype_probe_states():
+        assert state.data.dtype == dtype, state.label
+        serialize.write_state(state, str(path))
+        first = path.read_bytes()
+        if layout == "indent":
+            path.write_text(json.dumps(json.loads(first), indent=2))
+        else:
+            with open(path, "rb") as fh:
+                assert serialize._read_canonical(fh) is not None, state.label
+        back = serialize.read_state(str(path))
+        assert back.data.dtype == dtype, state.label
+        assert back.data.flags.c_contiguous and not back.data.flags.writeable
+        assert np.array_equal(back.data.view(np.uint64), state.data.view(np.uint64))
+        serialize.write_state(back, str(again))
+        assert again.read_bytes() == first, state.label
 
 
 def test_csv_formatting():

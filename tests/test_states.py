@@ -287,8 +287,64 @@ def test_white_noise_payload_is_the_dense_sum_bitwise(pure):
         dim = g.rep.dim
         want = p * g.density() + (1 - p) * np.eye(dim) / dim
         got = mix_white_noise(g, p)
-        assert got.data.view(np.uint64).tobytes() == want.view(np.uint64).tobytes(), p
+        got_bits, want_bits = (np.asarray(x, dtype=complex).tobytes() for x in (got.data, want))
+        assert got_bits == want_bits, p
         assert got.label == f"{g.label}+noise({p:g})"
+
+
+def _float64_payload(state) -> bool:
+    d = state.data
+    return d.dtype == np.float64 and d.flags.c_contiguous and not d.flags.writeable
+
+
+def test_real_densities_are_stored_as_float64():
+    """A density whose every imaginary part is +0.0 is kept as its real part,
+    C-contiguous float64: the builders hand over real arrays, and a complex
+    array with +0.0 imaginary parts is narrowed with every real bit kept."""
+    full = full_rep(6)
+    built = [mix_white_noise(ghz(6, full), p) for p in (0.0, 0.6, 1.0)]
+    built += [mix_white_noise(ghz(6, full, axis="y"), 0.3), singlet_pi(6),
+              maximally_mixed(full), maximally_mixed(symmetric_rep(4)),
+              to_full(QuantumState(symmetric_rep(4), np.eye(5) / 5))]
+    for state in built:
+        assert _float64_payload(state), state.label
+    rho = np.array(mix_white_noise(ghz(6, full), 0.6).data, dtype=complex)
+    rho[rho == 0] = -0.0        # negative zeros in the real part stay as they are
+    narrowed = QuantumState(full, rho)
+    assert _float64_payload(narrowed)
+    assert np.array_equal(narrowed.data.view(np.uint64), rho.real.view(np.uint64))
+    # a column-major real array becomes C-contiguous
+    fortran = QuantumState(full, np.asfortranarray(singlet_pi(6).data))
+    assert _float64_payload(fortran)
+    assert np.array_equal(fortran.data.view(np.uint64), singlet_pi(6).data.view(np.uint64))
+
+
+def _with_imaginary_entry(value):
+    """A 16 x 16 complex density with one off-diagonal pair (i, j), (j, i)
+    whose imaginary parts are value and +0.0 or -value."""
+    rho = np.eye(16, dtype=complex) / 16
+    rho[3, 12] = complex(0.01, value)
+    rho[12, 3] = complex(0.01, -value if value else 0.0)
+    return rho
+
+
+@pytest.mark.parametrize("value", [-0.0, 1e-300, 0.01])
+def test_densities_with_another_imaginary_part_stay_complex(value):
+    """One imaginary entry other than +0.0, even -0.0, keeps the density
+    complex128, bit for bit as given."""
+    rho = _with_imaginary_entry(value)
+    state = QuantumState(full_rep(4), rho)
+    assert state.data.dtype == np.complex128 and not state.data.flags.writeable
+    assert np.array_equal(state.data.view(np.uint64), rho.view(np.uint64))
+
+
+def test_vectors_stay_complex():
+    """Every pure state is complex128, real vectors included."""
+    vectors = [dicke(6, 3), dicke(6, 2, full_rep(6)), ghz(6, full_rep(6)), polarized(4, "z"),
+               squeezed_ground_state(SqueezingSpec(6, 2.0)),
+               QuantumState(symmetric_rep(3), np.array([1.0, 0.0, 0.0, 0.0]))]
+    for state in vectors:
+        assert state.data.dtype == np.complex128, state.label
 
 
 def test_psd_check_of_uncoupled_indices():

@@ -89,6 +89,21 @@ def test_blocked_moments_keep_every_bit_at_any_block(monkeypatch, make, rows):
     assert np.array_equal(m.mean.view(np.uint64), _whole_array_means(state).view(np.uint64))
 
 
+def test_moments_of_a_real_density_copy_no_payload():
+    """The moments of a real full N = 10 density take the float64 payload as
+    it is: NumPy-tracked memory holds the two real 8 MB factors they build
+    and a few MB of column blocks (22 MB here), no 8 MB copy of rho."""
+    import tracemalloc
+    state = mix_white_noise(ghz(10, full_rep(10)), 0.6)
+    tracemalloc.start()
+    try:
+        moments(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 23 * 2 ** 20, f"{peak / 2 ** 20:.1f} MB"
+
+
 @pytest.mark.parametrize("rows", [5, 8, 64])
 def test_blocked_moments_match_dense_products(monkeypatch, rng, rows):
     """Every second moment of a complex density from column blocks of 5, 8
