@@ -20,8 +20,7 @@ import numpy as np
 from qmetro.metrology import noisy_scaling_sweep
 
 print("noiseless sweep (symmetric sector, large N):")
-clean = noisy_scaling_sweep(0.0, [32, 64, 128, 256], lambda_points=12,
-                            compute_qfi=False)
+clean = noisy_scaling_sweep(0.0, [32, 64, 128, 256], lambda_points=12)
 for r in clean.records:
     print(f"  N={r.n:4d}: best (dtheta)^-2 = {r.precision_inv:9.1f} "
           f"at polarization {r.polarization:.3f}")

@@ -33,11 +33,8 @@ INVARIANT_EXIT = 2
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(self.exit_code_message(message))
-
-    def exit_code_message(self, message):
         print(f"{self.prog}: error: {message}", file=sys.stderr)
-        return USAGE_EXIT
+        raise SystemExit(USAGE_EXIT)
 
 
 def parse_range(text: str) -> np.ndarray:

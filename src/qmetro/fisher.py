@@ -15,6 +15,9 @@ optimal decompositions for the convex and concave roofs of the variance.
 
 Functions accept either package states/operators or bare numpy arrays, so
 the property batteries can run on arbitrary-dimension random instances.
+One adapter, ``_inputs``, turns a (state, operator) pair into (A, payload):
+the payload is a ``QuantumState``'s own array, or a bare array as complex
+(a vector normalised), and a 1-D payload is a pure state.
 A bare matrix becomes a custom ``CollectiveOperator`` of no representation
 (``spin.as_operator``, checked Hermitian), so every operator is met the
 same way: pure states through ``apply`` only (A|psi> with no d x d
@@ -57,16 +60,25 @@ QFI_DENSITY_DIM_MAX = 4096
 # input adapters
 # ----------------------------------------------------------------------
 
-def _state_payload(state):
-    """Return ("vector"|"density", array)."""
+def _payload(state) -> np.ndarray:
+    """A QuantumState's payload; a bare vector normalised and a bare matrix,
+    both as complex arrays.  A 1-D payload is a pure state."""
     if isinstance(state, QuantumState):
-        return ("vector" if state.is_pure else "density"), state.data
+        return state.data
     arr = np.asarray(state, dtype=complex)
     if arr.ndim == 1:
-        return "vector", arr / np.linalg.norm(arr)
+        return arr / np.linalg.norm(arr)
     if arr.ndim == 2:
-        return "density", arr
+        return arr
     raise ValueError("state must be a vector or a density matrix")
+
+
+def _inputs(state, op) -> tuple:
+    """(A, payload): op as a CollectiveOperator, checked against the state's
+    representation, and the state's ``_payload``."""
+    A = as_operator(op)
+    check_same_rep(state, A)
+    return A, _payload(state)
 
 
 def _mean_and_var(data, A) -> tuple[float, float]:
@@ -116,8 +128,8 @@ def _pair_ratio(lam_rows: np.ndarray, lam: np.ndarray, num: np.ndarray, floor: f
 def _fisher(state, ops) -> tuple[np.ndarray, int]:
     """Fisher matrix of the generators (CollectiveOperators) and the number of
     dropped pairs."""
-    kind, data = _state_payload(state)
-    if kind == "vector":
+    data = _payload(state)
+    if data.ndim == 1:
         # rank-1 spectrum: F is four times the covariance matrix; the dropped
         # pairs are exactly those inside the (dim-1)-dimensional kernel
         mean, second = pure_moments(data, [A.apply(data) for A in ops])
@@ -181,10 +193,8 @@ def qfi(state, op) -> QfiResult:
 
 def qfi_pure(state, op) -> float:
     """4 Var(A) -- valid for pure states only."""
-    A = as_operator(op)
-    check_same_rep(state, A)
-    kind, data = _state_payload(state)
-    if kind != "vector":
+    A, data = _inputs(state, op)
+    if data.ndim != 1:
         purity = float(np.real(np.vdot(data, data)))
         if abs(purity - 1.0) > 1e-9:
             raise ValueError(f"qfi_pure needs a pure state; purity={purity:.6f}")
@@ -195,10 +205,8 @@ def qfi_pure(state, op) -> float:
 
 def qfi_alternative(state, op) -> float:
     """Second-moment form 4<A^2> - 8 sum l_k l_l / (l_k + l_l) |<k|A|l>|^2."""
-    A = as_operator(op)
-    check_same_rep(state, A)
-    kind, data = _state_payload(state)
-    if kind == "vector":
+    A, data = _inputs(state, op)
+    if data.ndim == 1:
         # rank-1 spectrum: the correction sum keeps only the (psi,psi) term
         m, var = _mean_and_var(data, A)
         return 4.0 * (var + m * m) - 4.0 * m * m
@@ -215,10 +223,8 @@ def sld(state, op) -> np.ndarray:
     Satisfies (L rho + rho L)/2 = i(rho A - A rho) and Tr(rho L^2) = F_Q.
     Off the support of rho the operator is completed with zeros.
     """
-    A = as_operator(op)
-    check_same_rep(state, A)
-    kind, data = _state_payload(state)
-    if kind == "vector":
+    A, data = _inputs(state, op)
+    if data.ndim == 1:
         # 2i [|psi><psi|, A] = 2i (|psi><A psi| - |A psi><psi|)
         Av = A.apply(data)
         return 2j * (np.outer(data, Av.conj()) - np.outer(Av, data.conj()))
@@ -232,10 +238,8 @@ def sld(state, op) -> np.ndarray:
 
 def wigner_yanase(state, op) -> float:
     """Skew information Tr(A^2 rho) - Tr(A sqrt(rho) A sqrt(rho))."""
-    A = as_operator(op)
-    check_same_rep(state, A)
-    kind, data = _state_payload(state)
-    if kind == "vector":
+    A, data = _inputs(state, op)
+    if data.ndim == 1:
         return _mean_and_var(data, A)[1]
     dec = _eigensystem(state, data)
     root = dec.apply_function(rank_floor_sqrt)
@@ -251,10 +255,8 @@ def white_noise_qfi(pure_state, op, p: float) -> float:
     Only the support<->kernel eigenvalue pairs contribute, giving
     F = 4 p^2 Var_psi(A) / (p + 2(1-p)/D).
     """
-    A = as_operator(op)
-    check_same_rep(pure_state, A)
-    kind, data = _state_payload(pure_state)
-    if kind != "vector":
+    A, data = _inputs(pure_state, op)
+    if data.ndim != 1:
         raise ValueError("white_noise_qfi takes the pure input state")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
@@ -279,17 +281,16 @@ def zeno_time(state, op) -> float:
 
 def bures_fidelity(state1, state2) -> float:
     """Tr(sqrt(sqrt(r1) r2 sqrt(r1)))^2, with pure-state shortcuts."""
-    k1, d1 = _state_payload(state1)
-    k2, d2 = _state_payload(state2)
+    d1, d2 = _payload(state1), _payload(state2)
     dim1 = d1.shape[0]
     dim2 = d2.shape[0]
     if dim1 != dim2:
         raise ValueError(f"dimension mismatch {dim1} vs {dim2}")
-    if k1 == "vector" and k2 == "vector":
+    if d1.ndim == 1 and d2.ndim == 1:
         return float(abs(np.vdot(d1, d2)) ** 2)
-    if k1 == "vector":
+    if d1.ndim == 1:
         return float(np.real(np.vdot(d1, d2 @ d1)))
-    if k2 == "vector":
+    if d2.ndim == 1:
         return float(np.real(np.vdot(d2, d1 @ d2)))
     R = psd_sqrt(d1)
     M = R @ d2 @ R
@@ -316,8 +317,8 @@ def mandelstam_tamm_check(state, op, theta: float) -> SpeedBoundCheck:
         raise ValueError(
             f"speed bound valid only for sqrt(F_Q)|theta| <= pi "
             f"(have {np.sqrt(F) * abs(theta):.4f})")
-    kind, data = _state_payload(state)
-    if kind == "vector":
+    data = _payload(state)
+    if data.ndim == 1:
         evolved = unitary_apply(A, theta, data)
     else:
         U = unitary_exp(A.spectrum, theta)
@@ -357,8 +358,8 @@ class Povm:
         return cls.projective(as_operator(M).spectrum.eigenvectors)
 
     def probabilities(self, state) -> np.ndarray:
-        kind, data = _state_payload(state)
-        if kind == "vector":
+        data = _payload(state)
+        if data.ndim == 1:
             p = [np.real(np.vdot(data, E @ data)) for E in self.elements]
         else:
             p = [np.real(np.trace(E @ data)) for E in self.elements]
@@ -479,10 +480,8 @@ def _roof(state, op, convex: bool) -> RoofResult:
     eigenbasis of the optimal h = g^T of F_Q/4 = min_h Var(A x 1 - 1 x h).
     Concave: diag(U^dag (B - <A> L) U) = 0, so every psi_k has the mean <A>.
     """
-    A = as_operator(op)
-    check_same_rep(state, A)
-    kind, data = _state_payload(state)
-    if kind == "vector":
+    A, data = _inputs(state, op)
+    if data.ndim == 1:
         # a pure state is its only decomposition
         return RoofResult(_mean_and_var(data, A)[1], np.ones(1), data[:, None])
     dec = _eigensystem(state, data)
@@ -549,10 +548,8 @@ class RoofSandwich:
 
 def roof_sandwich_check(state, op, weights, vectors) -> RoofSandwich:
     """Verify F_Q/4 <= sum p_k Var_k <= Var for an explicit decomposition."""
-    A = as_operator(op)
-    check_same_rep(state, A)
-    kind, data = _state_payload(state)
-    rho = np.outer(data, data.conj()) if kind == "vector" else data
+    A, data = _inputs(state, op)
+    rho = np.outer(data, data.conj()) if data.ndim == 1 else data
     weights = np.asarray(weights, dtype=float)
     vectors = np.asarray(vectors, dtype=complex)
     rebuilt = (vectors * weights[None, :]) @ vectors.conj().T

@@ -301,6 +301,8 @@ def unitary_apply(A, theta: float, v: np.ndarray) -> np.ndarray:
     2011): ceil(|theta| b) steps, each summing the series until two
     consecutive terms fall below the unit roundoff times the sum.
     """
+    if not np.isfinite(theta):
+        raise ValueError(f"rotation angle must be finite, got {theta}")
     if hasattr(A, "apply"):
         apply, bound = A.apply, A.norm_bound()
     else:

@@ -31,7 +31,7 @@ from .fisher import qfi
 from .linalg import factor_product, hermitian_trace, real_if_exact
 from .spin import (FULL_DENSITY_MAX, CollectiveOperator, Representation,
                    collective_op, full_rep, gradient_op, parity_op,
-                   squared_op, symmetric_rep)
+                   require_density, squared_op, symmetric_rep)
 from .states import (QuantumState, SqueezingSpec, check_same_rep, dicke, ghz,
                      operator_moments, polarized, rotate, singlet_pi,
                      squeezed_ground_state, squeezed_ground_states)
@@ -377,9 +377,7 @@ def apply_noise(state: QuantumState, channel: NoiseChannel) -> QuantumState:
     if state.rep.kind != "full":
         raise ValueError("per-qubit noise needs the full representation; "
                          "embed symmetric states first (states.to_full)")
-    n = state.n
-    if n > FULL_DENSITY_MAX:
-        raise ValueError(f"noisy evolution limited to N <= {FULL_DENSITY_MAX}")
+    n = require_density(state.rep).n
     c0, cx, cy, cz = channel.pauli_weights()
     pop_keep, pop_flip = c0 + cz, cx + cy
     coh_keep, coh_flip = c0 - cz, cx - cy
@@ -598,8 +596,7 @@ def _golden(f, xa: float, xb: float, xc: float, xtol: float):
     return (x1, f1) if f1 < f2 else (x2, f2)
 
 
-def noisy_scaling_sweep(p: float, n_list, lambda_points: int = 16,
-                        compute_qfi: bool = True) -> SweepResult:
+def noisy_scaling_sweep(p: float, n_list, lambda_points: int = 16) -> SweepResult:
     """Optimise the squeezed-probe precision over lam for every N and fit
     the log-log scaling of the optimum.
 
@@ -611,13 +608,14 @@ def noisy_scaling_sweep(p: float, n_list, lambda_points: int = 16,
     grid followed by golden-section refinement around the best point, both
     on moments transferred through the channel.  The QFI column, at the
     optimum, comes from the probe's permutation-invariant J blocks
-    (``depolarized_qfi``); no 2^N density is built.  With p > 0 it is
-    limited to N <= NOISY_QFI_MAX, and a longer list is refused before any
-    row runs; with ``compute_qfi=False`` any symmetric-sector N is accepted.
+    (``depolarized_qfi``), or at p = 0 from the pure probe itself; no 2^N
+    density is built.  With p > 0 it is limited to N <= NOISY_QFI_MAX, and a
+    longer list is refused before any row runs; at p = 0 any symmetric-sector
+    N is accepted.
     """
     channel = NoiseChannel("depolarizing", p=p)
     n_list = list(n_list)
-    if p > 0 and compute_qfi and max(n_list, default=0) > NOISY_QFI_MAX:
+    if p > 0 and max(n_list, default=0) > NOISY_QFI_MAX:
         raise ValueError(f"the QFI column of a noisy sweep is limited to "
                          f"N <= {NOISY_QFI_MAX} (NOISY_QFI_MAX), got N={max(n_list)}")
     records = []
@@ -637,10 +635,8 @@ def noisy_scaling_sweep(p: float, n_list, lambda_points: int = 16,
             if -fun > prec_best:
                 lam_best, prec_best = float(np.exp(u)), float(-fun)
         prec, pol, vx, probe = _noisy_precision(n, lam_best, channel)
-        F = float("nan")
-        if compute_qfi:
-            F = (depolarized_qfi(probe, p) if p > 0
-                 else qfi(probe, collective_op("y", probe.rep)).value)
+        F = (depolarized_qfi(probe, p) if p > 0
+             else qfi(probe, collective_op("y", probe.rep)).value)
         records.append(SweepRecord(
             scenario=f"squeezing(p={p:g})", n=n, p=p, lam=float(lam_best),
             theta0=0.0, precision_inv=float(prec), qfi=F,

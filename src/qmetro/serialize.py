@@ -23,7 +23,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .spin import FULL_DENSITY_MAX, Representation
+from .spin import Representation, require_density
 from .states import QuantumState
 
 STATE_FORMAT = "qmetro-state/1"
@@ -62,10 +62,7 @@ def _checked_header(doc) -> tuple[Representation, tuple, str]:
     rep = Representation(doc.get("representation"), n)
     if kind not in ("pure", "density"):
         raise ValueError(f"unknown state kind {kind!r} (use pure or density)")
-    if kind == "density" and rep.kind == "full" and n > FULL_DENSITY_MAX:
-        raise ValueError(
-            f"full-representation density matrices limited to N <= {FULL_DENSITY_MAX}")
-    shape = (rep.dim,) if kind == "pure" else (rep.dim, rep.dim)
+    shape = (rep.dim,) if kind == "pure" else (require_density(rep).dim,) * 2
     return rep, shape, doc.get("label", "state")
 
 

@@ -103,6 +103,13 @@ def symmetric_rep(n: int) -> Representation:
     return Representation("symmetric", n)
 
 
+def require_density(rep: Representation) -> Representation:
+    """rep, when a density matrix of it fits: full ones stop at FULL_DENSITY_MAX."""
+    if rep.kind == "full" and rep.n > FULL_DENSITY_MAX:
+        raise ValueError(f"full-representation density matrices limited to N <= {FULL_DENSITY_MAX}")
+    return rep
+
+
 # ----------------------------------------------------------------------
 # structured forms
 # ----------------------------------------------------------------------

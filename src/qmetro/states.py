@@ -31,16 +31,17 @@ from __future__ import annotations
 import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from functools import lru_cache
-from math import lgamma
+from functools import lru_cache, reduce
+from math import isfinite, lgamma
 
 import numpy as np
 
 from .config import PSD_FLOOR, STATE_NORM
-from .linalg import (coupled_indices, factor_product, hermitian_trace, hermiticity_defect,
-                     real_if_exact, tridiagonal_ground_pairs, unitary_apply, unitary_exp)
+from .linalg import (coupled_indices, factor_product, hermitian_trace, real_if_exact,
+                     require_hermitian, tridiagonal_ground_pairs, unitary_apply, unitary_exp)
 from .spin import (AXES, FULL_DENSITY_MAX, CollectiveOperator, Representation, _popcount,
-                   as_operator, collective_op, full_rep, ladder_amplitudes, symmetric_rep)
+                   as_operator, collective_op, full_rep, ladder_amplitudes, require_density,
+                   symmetric_rep)
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,9 @@ class QuantumState:
 
     ``data`` is read-only: float64 and C-contiguous for a density whose
     imaginary parts are all +0.0, bit for bit, and complex128 for every other
-    density and every vector.
+    density and every vector.  A density must fit (``spin.require_density``)
+    and pass ``linalg.require_hermitian``, the rule of every operator and
+    eigensolve, so a state that is built passes the Fisher stage's check too.
     """
 
     rep: Representation
@@ -77,11 +80,8 @@ class QuantumState:
         elif d.ndim == 2:
             if d.shape != (self.rep.dim, self.rep.dim):
                 raise ValueError(f"density shape {d.shape} does not match {self.rep}")
-            if self.rep.kind == "full" and self.rep.n > FULL_DENSITY_MAX:
-                raise ValueError(
-                    f"full-representation density matrices limited to N <= {FULL_DENSITY_MAX}")
-            if hermiticity_defect(d) > 1e-10:
-                raise ValueError("density matrix is not Hermitian")
+            require_density(self.rep)
+            require_hermitian(d, "density matrix")
             if abs(np.trace(d).real - 1.0) > STATE_NORM:
                 raise ValueError(f"density matrix trace {np.trace(d).real!r} != 1")
             # PSD within the floor <=> rho + |floor| I admits a Cholesky factor;
@@ -207,11 +207,10 @@ def to_full(state: QuantumState) -> QuantumState:
 # state families
 # ----------------------------------------------------------------------
 
-_SINGLE = {
-    "x": np.array([1, 1], dtype=complex) / np.sqrt(2),
-    "y": np.array([1, 1j], dtype=complex) / np.sqrt(2),
-    "z": np.array([1, 0], dtype=complex),
-}
+# rows: the single-spin states along +axis and -axis
+_SINGLE = {"x": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
+           "y": np.array([[1, 1j], [1, -1j]], dtype=complex) / np.sqrt(2),
+           "z": np.eye(2, dtype=complex)}
 
 
 def polarized(n: int, axis: str = "z", rep: Representation | None = None) -> QuantumState:
@@ -219,13 +218,15 @@ def polarized(n: int, axis: str = "z", rep: Representation | None = None) -> Qua
     rep = rep or symmetric_rep(n)
     if rep.n != n:
         raise ValueError("rep particle number does not match n")
+    return QuantumState(rep, _coherent(n, axis, +1, rep), label=f"polarized_{axis}({n})")
+
+
+def _coherent(n: int, axis: str, sign: int, rep: Representation) -> np.ndarray:
+    """All n spins along sign * axis in rep: the Kronecker power of the
+    single-spin state, taken left to right, in the full space."""
     if rep.kind == "full":
-        v = _SINGLE[axis]
-        out = v
-        for _ in range(n - 1):
-            out = np.kron(out, v)
-        return QuantumState(rep, out, label=f"polarized_{axis}({n})")
-    return QuantumState(rep, _symmetric_coherent(n, axis, +1), label=f"polarized_{axis}({n})")
+        return reduce(np.kron, [_SINGLE[axis][int(sign < 0)]] * n)
+    return _symmetric_coherent(n, axis, sign)
 
 
 def _symmetric_coherent(n: int, axis: str, sign: int) -> np.ndarray:
@@ -259,24 +260,8 @@ def ghz(n: int, rep: Representation | None = None, axis: str = "x") -> QuantumSt
     if n < 2:
         raise ValueError("GHZ needs at least two particles")
     rep = rep or symmetric_rep(n)
-    up = polarized(n, axis, rep).data
-    down = _polarized_minus(n, axis, rep)
-    v = (up + down) / np.linalg.norm(up + down)
-    return QuantumState(rep, v, label=f"ghz_{axis}({n})")
-
-
-def _polarized_minus(n: int, axis: str, rep: Representation) -> np.ndarray:
-    minus = {
-        "x": np.array([1, -1], dtype=complex) / np.sqrt(2),
-        "y": np.array([1, -1j], dtype=complex) / np.sqrt(2),
-        "z": np.array([0, 1], dtype=complex),
-    }[axis]
-    if rep.kind == "full":
-        out = minus
-        for _ in range(n - 1):
-            out = np.kron(out, minus)
-        return out
-    return _symmetric_coherent(n, axis, -1)
+    v = _coherent(n, axis, +1, rep) + _coherent(n, axis, -1, rep)
+    return QuantumState(rep, v / np.linalg.norm(v), label=f"ghz_{axis}({n})")
 
 
 def dicke(n: int, m: int, rep: Representation | None = None) -> QuantumState:
@@ -321,9 +306,8 @@ def singlet_pi(n: int) -> QuantumState:
     """
     if n % 2 != 0:
         raise ValueError("the singlet (J = 0) needs an even particle number")
-    if n > FULL_DENSITY_MAX:
-        raise ValueError(f"singlet construction limited to N <= {FULL_DENSITY_MAX}")
-    return QuantumState(full_rep(n), _singlet_density(n), label=f"singlet({n})")
+    rep = require_density(full_rep(n))
+    return QuantumState(rep, _singlet_density(n), label=f"singlet({n})")
 
 
 @dataclass(frozen=True)
@@ -336,8 +320,9 @@ class SqueezingSpec:
     def __post_init__(self):
         if self.n % 2 != 0 or self.n < 2:
             raise ValueError("squeezed ground states are defined for even N >= 2")
-        if not np.isfinite(self.lam):
-            raise ValueError(f"the polarizing weight must be finite, got {self.lam}")
+        # lam m, |m| <= N/2, fills the parity blocks' diagonal
+        if not isfinite(float(self.lam) * self.n):
+            raise ValueError(f"the polarizing weight times N must be finite, got lam = {self.lam}")
         if self.lam < 0:
             raise ValueError("the polarizing weight must be nonnegative")
 
@@ -424,9 +409,7 @@ def mix_white_noise(state: QuantumState, p: float) -> QuantumState:
     if state.rep.kind != "full":
         raise ValueError("white noise admixture needs the full representation "
                          "(the identity term lives in the whole 2^N space)")
-    if state.rep.n > FULL_DENSITY_MAX:
-        raise ValueError(f"density matrices limited to N <= {FULL_DENSITY_MAX}")
-    dim = state.rep.dim
+    dim = require_density(state.rep).dim
     v = real_if_exact(state.data)
     # a pure state's density is a fresh outer product (real for a real vector), scaled in place
     rho = np.outer(v, v.conj()) if state.is_pure else v
@@ -439,7 +422,5 @@ def mix_white_noise(state: QuantumState, p: float) -> QuantumState:
 
 
 def maximally_mixed(rep: Representation) -> QuantumState:
-    if rep.kind == "full" and rep.n > FULL_DENSITY_MAX:
-        raise ValueError(f"density matrices limited to N <= {FULL_DENSITY_MAX}")
-    dim = rep.dim
+    dim = require_density(rep).dim
     return QuantumState(rep, np.eye(dim) / dim, label="maximally_mixed")

@@ -152,7 +152,8 @@ def _verdict(value: float, threshold: float, direction: str):
     gap = value - threshold if direction == "ge" else threshold - value
     if gap < -VERDICT_TOL:
         return "violated", False
-    return "satisfied", abs(gap) <= VERDICT_TOL
+    # a Python bool: a NumPy one is no JSON value
+    return "satisfied", bool(abs(gap) <= VERDICT_TOL)
 
 
 # ----------------------------------------------------------------------

@@ -171,10 +171,8 @@ def test_criterion_09_noise_crossover():
     # noiseless scaling: the asymptotic exponent is 2; the fit window must
     # sit at large N because the optimum N(N+2)/2 carries an (N+2)/N bias
     # that puts the {4,6,8,10} window at slope 1.755 (printed for reference)
-    small = noisy_scaling_sweep(0.0, [4, 6, 8, 10], lambda_points=12,
-                                compute_qfi=False)
-    large = noisy_scaling_sweep(0.0, [32, 64, 128, 256], lambda_points=12,
-                                compute_qfi=False)
+    small = noisy_scaling_sweep(0.0, [4, 6, 8, 10], lambda_points=12)
+    large = noisy_scaling_sweep(0.0, [32, 64, 128, 256], lambda_points=12)
     assert abs(large.exponent - 2.0) <= 0.1
     elapsed = time.time() - t0
     _report("9 noise crossover",

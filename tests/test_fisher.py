@@ -323,8 +323,8 @@ def _fisher_whole_array_oracle(state, ops):
     and the complex d x d transforms V^dag A V at once, on the state's own
     spectrum: the oracle of the row blocks of fisher._fisher."""
     from qmetro.config import QFI_PAIR_FLOOR
-    from qmetro.fisher import _eigensystem, _state_payload
-    _, data = _state_payload(state)
+    from qmetro.fisher import _eigensystem, _payload
+    data = _payload(state)
     dec = _eigensystem(state, data)
     lam, V = dec.eigenvalues, dec.eigenvectors
     S = lam[:, None] + lam[None, :]

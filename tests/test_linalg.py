@@ -3,7 +3,8 @@ import pytest
 
 from qmetro.linalg import (coupled_indices, eigh_hermitian, factor_product, hermitian_trace,
                            hermiticity_defect, mmatrix_tridiagonal_solve, psd_sqrt,
-                           require_hermitian, tridiagonal_ground_pairs, unitary_exp)
+                           require_hermitian, tridiagonal_ground_pairs, unitary_apply,
+                           unitary_exp)
 from conftest import rand_density, rand_hermitian
 
 
@@ -270,3 +271,10 @@ def test_ground_pair_batch_rows_are_their_single_solves(rng):
 def test_ground_pairs_refuse_a_reducible_matrix():
     with pytest.raises(ValueError, match="off-diagonal must be positive"):
         tridiagonal_ground_pairs(np.zeros((1, 3)), np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("theta", [np.inf, -np.inf, np.nan])
+def test_unitary_apply_refuses_a_non_finite_angle(theta):
+    # ceil(|theta| ||A||) Taylor steps: inf overflows the count and NaN has none
+    with pytest.raises(ValueError, match="angle must be finite, got"):
+        unitary_apply(np.diag([0.5, -0.5]), theta, np.array([1.0, 0.0]))

@@ -344,19 +344,18 @@ def test_noisy_sweep_obeys_ceiling_and_floor():
 
 
 def test_noiseless_sweep_exponent_large_n():
-    result = noisy_scaling_sweep(0.0, [32, 64, 128], lambda_points=10,
-                                 compute_qfi=False)
+    result = noisy_scaling_sweep(0.0, [32, 64, 128], lambda_points=10)
     assert result.exponent == pytest.approx(2.0, abs=0.1)
 
 
 def test_sweep_without_enough_points_has_no_fit():
-    result = noisy_scaling_sweep(0.0, [8, 16], lambda_points=8, compute_qfi=False)
+    result = noisy_scaling_sweep(0.0, [8, 16], lambda_points=8)
     assert result.exponent is None
     assert len(result.records) == 2
 
 
 def test_full_depolarizing_kills_precision():
-    result = noisy_scaling_sweep(1.0, [4], lambda_points=6, compute_qfi=False)
+    result = noisy_scaling_sweep(1.0, [4], lambda_points=6)
     assert result.records[0].precision_inv <= 1e-9
     # the moment transfer zeroes <J_z> exactly; no round-off remains
     assert result.records[0].precision_inv == 0.0
@@ -365,14 +364,13 @@ def test_full_depolarizing_kills_precision():
 def test_flat_landscape_sweep_keeps_coarse_optimum():
     # at p = 1 every precision is round-off; ties between grid neighbours
     # must not reach the golden-section bracket
-    result = noisy_scaling_sweep(1.0, [4, 6, 8], compute_qfi=False)
+    result = noisy_scaling_sweep(1.0, [4, 6, 8])
     assert len(result.records) == 3
     assert all(rec.precision_inv <= 1e-9 for rec in result.records)
     assert all(rec.precision_inv == 0.0 for rec in result.records)
 
 
-@pytest.mark.parametrize("compute_qfi", [True, False])
-def test_noisy_sweep_builds_one_density_per_n(monkeypatch, compute_qfi):
+def test_noisy_sweep_builds_one_density_per_n(monkeypatch):
     import qmetro.metrology
     built = []
     original = qmetro.metrology.apply_noise
@@ -383,11 +381,11 @@ def test_noisy_sweep_builds_one_density_per_n(monkeypatch, compute_qfi):
 
     monkeypatch.setattr(qmetro.metrology, "apply_noise", counted)
     n_list = [4, 6]
-    result = noisy_scaling_sweep(0.25, n_list, lambda_points=8, compute_qfi=compute_qfi)
+    result = noisy_scaling_sweep(0.25, n_list, lambda_points=8)
     # the lam search runs on transferred moments and the QFI column on the
-    # probe's J blocks: no noisy 2^N density, with or without the column
+    # probe's J blocks: no noisy 2^N density
     assert built == []
-    assert all(np.isfinite(rec.qfi) == compute_qfi for rec in result.records)
+    assert all(np.isfinite(rec.qfi) for rec in result.records)
 
 
 @pytest.mark.parametrize("n", [64, 128])
@@ -476,7 +474,7 @@ def test_squeezing_commands_run_without_scipy(argv, tmp_path):
 def test_noisy_sweep_without_qfi_reaches_large_n():
     p = 0.25
     eta = 1.0 - p
-    result = noisy_scaling_sweep(p, [64, 256], lambda_points=8, compute_qfi=False)
+    result = noisy_scaling_sweep(p, [64, 256], lambda_points=8)
     for rec in result.records:
         assert 0.0 < rec.precision_inv <= result.ceiling[rec.n] + 1e-6
         assert result.ceiling[rec.n] == rec.n / p

@@ -635,6 +635,35 @@ def test_cli_noise_sweep_over_the_qfi_cap_runs_no_row(tmp_path, capsys, monkeypa
     assert rows == [] and not out.exists()
 
 
+@pytest.mark.parametrize("rep,n", [("symmetric", 4), ("full", 12)])
+def test_cli_witness_reports_of_coherent_states(tmp_path, capsys, rep, n):
+    # boundary verdicts are Python bools, so the report is written
+    for axis in "xyz":
+        state, report = tmp_path / f"p{axis}.json", tmp_path / f"r{axis}.json"
+        assert main(["state", "--kind", "polarized", "--n", str(n), "--rep", rep,
+                     "--axis", axis, "--out", str(state)]) == 0
+        assert main(["witness", str(state), "--all", "--out", str(report)]) == 0
+        xi = json.loads(report.read_text())["witnesses"][0]
+        assert xi["criterion"] == "xi_squared_s"
+        if axis != "x":
+            assert xi["boundary"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["scenario", "--family", "ramsey", "--n", "4", "--theta0", "inf"],
+    ["scenario", "--family", "ramsey", "--n", "4", "--theta0", "nan"],
+    ["scenario", "--family", "ramsey", "--n", "8", "--rep", "full", "--theta0=-inf"],
+    ["state", "--kind", "squeezed", "--n", "4", "--lam", "1e308"],
+    ["state", "--kind", "squeezed", "--n", "4096", "--lam", "1e305"],
+])
+def test_cli_out_of_range_numbers_exit_one(tmp_path, capsys, argv):
+    out = ["--out", str(tmp_path / "s.json")] if argv[0] == "state" else []
+    assert main(argv + out) == 1
+    err = capsys.readouterr().err
+    assert "must be finite" in err
+    assert not (tmp_path / "s.json").exists()
+
+
 def test_cli_selftest_small(capsys):
     assert main(["selftest", "--samples", "8"]) == 0
     assert "PASS" in capsys.readouterr().out

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import qmetro.states
+from qmetro import serialize
 from qmetro.linalg import tridiagonal_ground_pairs
-from qmetro.metrology import frontier_lambda_grid
+from qmetro.metrology import NoiseChannel, apply_noise, frontier_lambda_grid
 from qmetro.spin import collective_op, full_rep, symmetric_rep
 from qmetro.states import (QuantumState, SqueezingSpec, _parity_blocks, dicke, ghz,
                            maximally_mixed, mix_white_noise, polarized, rotate,
@@ -101,6 +102,38 @@ def test_ghz_reps_agree():
     sym = to_full(ghz(4, axis="x"))
     full = ghz(4, full_rep(4), axis="x")
     assert abs(np.vdot(sym.data, full.data)) == pytest.approx(1.0, abs=1e-10)
+
+
+def _kron_loop(v, n):
+    """The product-state builders' former Kronecker loop, the oracle of the
+    full-space coherent states."""
+    out = v
+    for _ in range(n - 1):
+        out = np.kron(out, v)
+    return out
+
+
+_PLUS_MINUS = {
+    "x": (np.array([1, 1], dtype=complex) / np.sqrt(2),
+          np.array([1, -1], dtype=complex) / np.sqrt(2)),
+    "y": (np.array([1, 1j], dtype=complex) / np.sqrt(2),
+          np.array([1, -1j], dtype=complex) / np.sqrt(2)),
+    "z": (np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex)),
+}
+
+
+@pytest.mark.parametrize("axis", ["x", "y", "z"])
+def test_full_coherent_and_ghz_states_are_the_kronecker_loop_bitwise(axis):
+    # the recorded tie picks of white-noise GHZ states depend on round-off,
+    # so the Kronecker order is kept bit for bit
+    plus, minus = _PLUS_MINUS[axis]
+    for n in range(1, 13):
+        rep = full_rep(n)
+        up, down = _kron_loop(plus, n), _kron_loop(minus, n)
+        assert np.array_equal(polarized(n, axis, rep).data.view(np.uint64), up.view(np.uint64))
+        if n >= 2:
+            want = (up + down) / np.linalg.norm(up + down)
+            assert np.array_equal(ghz(n, rep, axis).data.view(np.uint64), want.view(np.uint64))
 
 
 def test_dicke_moments_and_qfi():
@@ -240,7 +273,7 @@ def test_squeezed_batch_rows_are_their_single_solves(n):
         assert np.array_equal(st.data, one.data) and st.label == one.label
 
 
-@pytest.mark.parametrize("lam", [np.inf, np.nan])
+@pytest.mark.parametrize("lam", [np.inf, np.nan, 1e308])
 def test_squeezed_spec_refuses_a_non_finite_weight(lam):
     with pytest.raises(ValueError, match="must be finite"):
         SqueezingSpec(10, lam)
@@ -366,6 +399,47 @@ def test_psd_check_of_uncoupled_indices():
     rho[np.ix_([0, 2], [0, 2])] = [[0.5, 0.75], [0.75, 0.5]]
     with pytest.raises(ValueError, match="negative eigenvalue"):
         QuantumState(full_rep(2), rho)
+
+
+def _asymmetric_density(defect):
+    rho = np.diag([0.5, 0.5])
+    rho[0, 1] = defect
+    return rho
+
+
+def _density_file(path, rho):
+    """A state file written by hand, for a density no QuantumState accepts."""
+    pairs = [[[float(x), 0.0] for x in row] for row in rho]
+    path.write_text(serialize.dumps_canonical({
+        "data": pairs, "format": "qmetro-state/1", "kind": "density", "label": "hand",
+        "n_qubits": 1, "representation": "full"}))
+    return str(path)
+
+
+def test_one_hermiticity_rule_for_states_and_fisher(tmp_path):
+    # within linalg.require_hermitian's tolerance: the state, its file and its QFI
+    ok = _asymmetric_density(5e-12)
+    st = QuantumState(full_rep(1), ok)
+    back = serialize.read_state(_density_file(tmp_path / "ok.json", ok))
+    assert np.array_equal(back.data, st.data)
+    for s in (st, back):
+        assert qfi(s, collective_op("x", s.rep)).value >= 0.0
+    # beyond it: refused when the state is built, not later by the Fisher stage
+    bad = _asymmetric_density(5e-11)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        QuantumState(full_rep(1), bad)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        serialize.read_state(_density_file(tmp_path / "bad.json", bad))
+
+
+def test_density_builders_share_the_cap():
+    rep = full_rep(11)
+    with pytest.raises(ValueError, match="limited to N <= 10"):
+        mix_white_noise(polarized(11, "z", rep), 0.5)
+    with pytest.raises(ValueError, match="limited to N <= 10"):
+        maximally_mixed(rep)
+    with pytest.raises(ValueError, match="limited to N <= 10"):
+        apply_noise(polarized(11, "z", rep), NoiseChannel("depolarizing", p=0.1))
 
 
 def test_white_noise_rejects_bad_p():
