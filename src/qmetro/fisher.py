@@ -48,10 +48,9 @@ import numpy as np
 from .config import (CRB_RCOND, FD_STEP, FISHER_FLOOR, PROB_FLOOR, QFI_PAIR_FLOOR,
                      ROOF_TOL, SPEED_BOUND_TOL)
 from .linalg import (SpectralDecomposition, eigh_hermitian, factor_product, psd_sqrt,
-                     pure_moments, rank_floor_sqrt, require_hermitian, row_blocks,
-                     unitary_apply, unitary_exp)
+                     pure_moments, rank_floor_sqrt, require_hermitian, row_blocks)
 from .spin import as_operator
-from .states import QuantumState, check_same_rep, operator_moments
+from .states import QuantumState, check_same_rep, evolve, operator_moments
 
 QFI_DENSITY_DIM_MAX = 4096
 
@@ -318,12 +317,7 @@ def mandelstam_tamm_check(state, op, theta: float) -> SpeedBoundCheck:
             f"speed bound valid only for sqrt(F_Q)|theta| <= pi "
             f"(have {np.sqrt(F) * abs(theta):.4f})")
     data = _payload(state)
-    if data.ndim == 1:
-        evolved = unitary_apply(A, theta, data)
-    else:
-        U = unitary_exp(A.spectrum, theta)
-        evolved = U @ data @ U.conj().T
-    fid = bures_fidelity(data, evolved)
+    fid = bures_fidelity(data, evolve(A, theta, data))
     bound = float(np.cos(np.sqrt(max(F, 0.0)) / 2.0 * theta) ** 2)
     return SpeedBoundCheck(fid, bound, fid >= bound - SPEED_BOUND_TOL)
 

@@ -47,6 +47,7 @@ import numpy as np
 from .config import HERMITICITY, PSD_FLOOR
 
 _UNIT_ROUNDOFF = 2.0 ** -53  # the Taylor stopping rule's tolerance, as in expm_multiply
+_TAYLOR_MAX_STEPS = 50_000  # the step budget of unitary_apply
 _EPS = np.finfo(float).eps
 # Noda steps before tridiagonal_ground_pairs gives up; the squeezing blocks
 # up to N = 4096 need at most 10
@@ -299,7 +300,9 @@ def unitary_apply(A, theta: float, v: np.ndarray) -> np.ndarray:
     ``A.norm_bound()``) or a bare matrix (``A @ v``, b its 1-norm).  Taylor
     steps with scaling (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488,
     2011): ceil(|theta| b) steps, each summing the series until two
-    consecutive terms fall below the unit roundoff times the sum.
+    consecutive terms fall below the unit roundoff times the sum, within a
+    budget of _TAYLOR_MAX_STEPS = 50,000 steps (4 pi about a unit J_n at N =
+    4096 takes at most 44,584); an angle that needs more is refused.
     """
     if not np.isfinite(theta):
         raise ValueError(f"rotation angle must be finite, got {theta}")
@@ -308,6 +311,9 @@ def unitary_apply(A, theta: float, v: np.ndarray) -> np.ndarray:
     else:
         A = np.asarray(A)
         apply, bound = A.__matmul__, np.linalg.norm(A, 1)
+    if abs(theta) * bound > _TAYLOR_MAX_STEPS:
+        raise ValueError(f"rotation angle theta = {theta} needs {abs(theta) * bound:.3g} "
+                         f"Taylor steps, more than the budget of {_TAYLOR_MAX_STEPS}")
     steps = int(np.ceil(abs(theta) * bound))
     c = -1j * theta / max(steps, 1)
     out = np.array(v, dtype=complex)

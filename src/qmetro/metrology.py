@@ -234,9 +234,8 @@ def ramsey_curve(probe: QuantumState, generator: CollectiveOperator,
     means = np.empty_like(thetas)
     variances = np.empty_like(thetas)
     for i, th in enumerate(thetas):
-        st = rotate(probe, generator, th)
-        means[i] = st.expectation(observable)
-        variances[i] = st.variance(observable)
+        m, second = operator_moments(observable, rotate(probe, generator, th).data)
+        means[i], variances[i] = m, second - m ** 2  # C pow, as QuantumState.variance
     return {"theta": thetas, "mean": means, "variance": variances}
 
 

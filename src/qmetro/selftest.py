@@ -13,8 +13,8 @@ import numpy as np
 
 from .fisher import (Povm, classical_fisher, qfi, qfi_alternative, sld,
                      white_noise_qfi)
-from .spin import collective_op, full_rep
-from .states import QuantumState
+from .spin import as_operator, collective_op, full_rep
+from .states import QuantumState, evolve
 from .witnesses import (avg_qfi, moments, optimal_ssi, qfi_entanglement,
                         xi_squared_os, xi_squared_s, xi_squared_singlet)
 
@@ -172,20 +172,14 @@ def qfi_property_battery(samples: int = 100, seed: int = 2024) -> list[CheckResu
     for _ in range(samples // 2):
         dim = int(rng.integers(2, 7))
         rho = _rand_density(rng, dim)
-        A = _rand_hermitian(rng, dim)
+        A = as_operator(_rand_hermitian(rng, dim))  # one spectrum per sample
         U = _rand_unitary(rng, dim)
         povm = Povm.projective(U)
-        F = classical_fisher(lambda th: _evolve(rho, A, th), povm, 0.0)
+        F = classical_fisher(lambda th: evolve(A, th, rho), povm, 0.0)
         worst = max(worst, F.value - qfi(rho, A).value)
     results.append(CheckResult("classical Fisher <= quantum Fisher",
                                worst <= 1e-6, worst))
     return results
-
-
-def _evolve(rho, A, theta):
-    from .linalg import unitary_exp
-    U = unitary_exp(A, theta)
-    return U @ rho @ U.conj().T
 
 
 def witness_soundness_battery(samples: int = 200, seed: int = 99) -> list[CheckResult]:

@@ -17,7 +17,7 @@ structure the physics provides, and ``apply(v)`` acts with it on a vector
   amplitudes, O(N) per vector;
 * full-space site sums (``collective_op``, ``gradient_op``,
   ``single_site_op``): site weights and a 2x2 operator, applied by bit
-  flips on the (2,)*N tensor in O(N 2^N);
+  flips on the (2,)*N tensor in O(N 2^N) and exponentiated site by site;
 * parity: an index flip, with a sign for sigma_z and sigma_y;
 * ``direction_op``: sum_l n_l J_l, applied term by term;
 * ``squared_op``: the diagonal of squares for a diagonal operator (J_z^2),
@@ -34,8 +34,8 @@ read-only; the dense complex ``matrix`` is built from it on request and
 agrees bit for bit with the Kronecker sums it replaced.  ``as_operator``
 wraps a bare matrix as a custom operator, so every caller meets one kind
 of operator.  ``spectrum`` keeps the eigendecomposition for density
-rotations, and ``norm_bound()`` bounds the 1-norm for the Taylor steps of
-``linalg.unitary_apply``.  Builders are kept in bounded caches.
+rotations by any generator but a site sum, and ``norm_bound()`` bounds the
+1-norm for ``linalg.unitary_apply``.  Builders are kept in bounded caches.
 """
 
 from __future__ import annotations
@@ -236,6 +236,21 @@ class _SiteSum(_Form):
                     if self.op2[r, c]:
                         y[:, r] += (w * self.op2[r, c]) * x[:, c]
         return out
+
+    def propagate(self, theta, X, columns=False):
+        """exp(-i theta A) X for a vector or a d x k matrix X, or with ``columns``
+        X exp(i theta A) for a d x d X: the terms commute, so it is the product
+        over sites of exp(-i phi op2), phi = theta w_s, on the bit of site s; with
+        op2 = a + r B, B^2 = 1, that is e^{-i phi a} (cos(phi r) - i sin(phi r) B)."""
+        h, phi = self.op2, theta * self.weights[:, None, None]
+        a, r = np.trace(h).real / 2.0, np.hypot((h[0, 0] - h[1, 1]).real / 2.0, abs(h[0, 1]))
+        B = (h - a * np.eye(2)) / (r or 1.0)
+        us = np.exp(-1j * phi * a) * (np.cos(phi * r) * np.eye(2) - 1j * np.sin(phi * r) * B)
+        # a column's bits follow its row index; real for a purely imaginary op2
+        us, lead = (us.conj(), X.shape[0]) if columns else (us, 1)
+        for s in np.flatnonzero(phi):
+            X = (real_if_exact(us[s]) @ X.reshape(lead * 2 ** s, 2, -1)).reshape(X.shape)
+        return X
 
     def norm_bound(self):
         return float(np.abs(self.weights).sum() * np.linalg.norm(self.op2, 1))

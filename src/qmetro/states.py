@@ -10,14 +10,14 @@ part is +0.0, bit for bit, is stored as its real part, a C-contiguous
 float64 array; every other density (a -0.0 imaginary part included) and
 every vector is complex128.
 
-A pure state meets a ``CollectiveOperator`` only through ``apply``:
-expectations, variances and vector rotations (Taylor steps over ``apply``)
-never build a d x d operator.  A density meets it through its ``factor``
-(a real diagonal or matrix for every structured operator but a mixed
-direction), so a real density takes real products only, and is rotated
-with the generator's kept ``spectrum``.  ``operator_moments`` is the one
-evaluation of <A> and <A^2>, shared with the Fisher module; a bare matrix
-is accepted wherever an operator is (``spin.as_operator``).
+A pure state meets a ``CollectiveOperator`` only through ``apply``, so no
+d x d operator is built for it, and a density through its ``factor`` (real
+for every structured operator but a mixed direction), so a real density
+takes real products only.  ``operator_moments`` is the one evaluation of
+<A> and <A^2>, shared with the Fisher module, and ``evolve`` the one
+evolution rule: a full-space site sum rotates by its exact product of 2x2
+rotations, any other operator a vector by Taylor steps and a density with
+its kept ``spectrum``.  A bare matrix is accepted wherever an operator is.
 
 Squeezed states, the ground states of J_x^2 - lam J_z, come from the two
 parity blocks of that tridiagonal Hamiltonian by Noda iteration
@@ -40,8 +40,8 @@ from .config import PSD_FLOOR, STATE_NORM
 from .linalg import (coupled_indices, factor_product, hermitian_trace, real_if_exact,
                      require_hermitian, tridiagonal_ground_pairs, unitary_apply, unitary_exp)
 from .spin import (AXES, FULL_DENSITY_MAX, CollectiveOperator, Representation, _popcount,
-                   as_operator, collective_op, full_rep, ladder_amplitudes, require_density,
-                   symmetric_rep)
+                   _SiteSum, as_operator, collective_op, full_rep, ladder_amplitudes,
+                   require_density, symmetric_rep)
 
 
 @dataclass(frozen=True)
@@ -165,19 +165,26 @@ def check_same_rep(state, op: CollectiveOperator):
         raise ValueError(f"representation mismatch: state {state.rep} vs operator {op.rep}")
 
 
-def rotate(state: QuantumState, generator: CollectiveOperator, theta: float) -> QuantumState:
-    """Unitary evolution exp(-i theta A) applied to the state.
+def evolve(A: CollectiveOperator, theta: float, data: np.ndarray) -> np.ndarray:
+    """psi -> U psi or rho -> U rho U^dag, U = exp(-i theta A); theta is refused first
+    if theta ||A|| is not finite.  A full-space site sum takes its product of 2x2
+    rotations on the rows, then the columns of a density; any other operator Taylor
+    steps on a vector (``unitary_apply``) and its kept ``spectrum`` on a density."""
+    if not isfinite(theta * A.norm_bound()):
+        raise ValueError(f"rotation angle theta = {theta}: theta times ||A|| must be finite")
+    if isinstance(A.form, _SiteSum):
+        rows = A.form.propagate(theta, data)
+        return rows if data.ndim == 1 else A.form.propagate(theta, rows, columns=True)
+    if data.ndim == 1:
+        return unitary_apply(A, theta, data)
+    U = unitary_exp(A.spectrum, theta)
+    return U @ data @ U.conj().T
 
-    Pure states take Taylor steps over ``generator.apply`` (``unitary_apply``),
-    with no eigendecomposition and no dense generator; densities are
-    conjugated by the full propagator, from the generator's kept spectrum.
-    """
+
+def rotate(state: QuantumState, generator: CollectiveOperator, theta: float) -> QuantumState:
+    """The state under exp(-i theta A), by the one evolution rule (``evolve``)."""
     check_same_rep(state, generator)
-    if state.is_pure:
-        v = unitary_apply(generator, theta, state.data)
-        return QuantumState(state.rep, v, label=state.label)
-    U = unitary_exp(generator.spectrum, theta)
-    return QuantumState(state.rep, U @ state.data @ U.conj().T, label=state.label)
+    return QuantumState(state.rep, evolve(generator, theta, state.data), label=state.label)
 
 
 def to_full(state: QuantumState) -> QuantumState:

@@ -10,6 +10,7 @@ replaced are kept here as oracles.
 import numpy as np
 import pytest
 
+import qmetro.states
 from qmetro.cli import main
 from qmetro.fisher import (_eigensystem, fisher_matrix, mandelstam_tamm_check, qfi,
                            qfi_alternative, sld, wigner_yanase)
@@ -20,11 +21,11 @@ from qmetro.metrology import (NoiseChannel, Scenario, _depolarized_blocks,
                               frontier_lambda_grid, ghz_parity_scenario,
                               noisy_moments, ramsey_scenario, squared_op)
 from qmetro.serialize import write_state
-from qmetro.spin import (PAULI, CollectiveOperator, Representation, collective_op,
+from qmetro.spin import (PAULI, CollectiveOperator, Representation, _SiteSum, collective_op,
                          direction_op, full_rep, gradient_op, parity_op, single_site_op,
                          symmetric_rep)
-from qmetro.states import (QuantumState, SqueezingSpec, ghz, mix_white_noise, polarized,
-                           rotate, singlet_pi, squeezed_ground_state, to_full)
+from qmetro.states import (QuantumState, SqueezingSpec, evolve, ghz, mix_white_noise,
+                           polarized, rotate, singlet_pi, squeezed_ground_state, to_full)
 from qmetro.witnesses import avg_two_particle_dm, moments, moments_from_two_particle
 from conftest import rand_density, rand_hermitian, rand_pure
 
@@ -125,6 +126,70 @@ def test_pure_speed_bound_fidelity_matches_density(rng, rep):
         assert abs(got.fidelity - abs(np.vdot(psi, U @ psi)) ** 2) <= 1e-12, gen
         assert abs(got.fidelity - want.fidelity) <= 1e-12, gen
         assert got.holds and want.holds, gen
+
+
+def _site_sums(rng, rep):
+    """Every kind of full-space site sum: J_x, J_y, J_z, both gradients and a
+    single-site operator with a nonzero trace."""
+    h = rand_hermitian(rng, 2)
+    assert np.trace(h).real != 0
+    return ([collective_op(axis, rep) for axis in "xyz"]
+            + [gradient_op(rep), gradient_op(rep, centered=True),
+               single_site_op(h, rep.n // 2, rep)])
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_site_sum_rotations_match_unitary_exp(rng, n):
+    rep = full_rep(n)
+    psi, rho = rand_pure(rng, rep.dim), rand_density(rng, rep.dim)
+    payloads = [psi, psi.real / np.linalg.norm(psi.real), rho, rho.real]
+    for gen in _site_sums(rng, rep):
+        # 60 / ||A|| is 60 Taylor steps on the general path; a zero operator
+        # (the centered gradient at N = 1) rotates nothing
+        for t in (-2.5, 0.0, 1e-5, 0.3, 60.0 / max(gen.norm_bound(), 1.0)):
+            U = unitary_exp(gen.matrix, t)
+            for data in payloads:
+                want = U @ data if data.ndim == 1 else U @ data @ U.conj().T
+                assert np.abs(evolve(gen, t, data) - want).max() <= 1e-12, (gen, t)
+
+
+def test_site_sum_product_follows_the_site_order(rng):
+    # site s is bit N-1-s of the index, as in apply: the weights reversed
+    # give another operator and another rotation
+    rep = full_rep(3)
+    psi = rand_pure(rng, rep.dim)
+    forward, reverse = gradient_op(rep), CollectiveOperator(
+        _SiteSum(PAULI["y"] / 2.0, np.arange(3.0, 0.0, -1.0)), rep)
+    for gen in (forward, reverse):
+        U = unitary_exp(gen.matrix, 0.7)
+        assert np.abs(evolve(gen, 0.7, psi) - U @ psi).max() <= 1e-12
+    assert np.abs(evolve(forward, 0.7, psi) - evolve(reverse, 0.7, psi)).max() > 0.1
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_real_density_stays_real_under_jy_and_the_gradient(n):
+    rep = full_rep(n)
+    probe = singlet_pi(n)
+    assert probe.data.dtype == np.float64
+    for gen in (collective_op("y", rep), gradient_op(rep), gradient_op(rep, centered=True)):
+        assert evolve(gen, 0.4, probe.data).dtype == np.float64
+        assert rotate(probe, gen, 0.4).data.dtype == np.float64
+
+
+def test_site_sum_rotations_take_no_spectrum_and_no_taylor_steps(rng, monkeypatch):
+    def refused(*args):
+        raise AssertionError("general evolution path taken")
+
+    monkeypatch.setattr(qmetro.states, "unitary_apply", refused)
+    monkeypatch.setattr(qmetro.states, "unitary_exp", refused)
+    monkeypatch.setattr(CollectiveOperator, "spectrum", property(refused))
+    rep = full_rep(4)
+    pure = QuantumState(rep, rand_pure(rng, rep.dim))
+    mixed = QuantumState(rep, rand_density(rng, rep.dim))
+    for gen in _site_sums(rng, rep):
+        for state in (pure, mixed):
+            rotate(state, gen, 0.3)
+            mandelstam_tamm_check(state, gen, 0.1)
 
 
 @pytest.mark.parametrize("build", [ramsey_scenario, dicke_scenario])

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from qmetro.linalg import (coupled_indices, eigh_hermitian, factor_product, hermitian_trace,
-                           hermiticity_defect, mmatrix_tridiagonal_solve, psd_sqrt,
-                           require_hermitian, tridiagonal_ground_pairs, unitary_apply,
-                           unitary_exp)
+from qmetro.linalg import (_TAYLOR_MAX_STEPS, coupled_indices, eigh_hermitian, factor_product,
+                           hermitian_trace, hermiticity_defect, mmatrix_tridiagonal_solve,
+                           psd_sqrt, require_hermitian, tridiagonal_ground_pairs,
+                           unitary_apply, unitary_exp)
+from qmetro.spin import SYMMETRIC_MAX, direction_op, symmetric_rep
 from conftest import rand_density, rand_hermitian
 
 
@@ -278,3 +279,18 @@ def test_unitary_apply_refuses_a_non_finite_angle(theta):
     # ceil(|theta| ||A||) Taylor steps: inf overflows the count and NaN has none
     with pytest.raises(ValueError, match="angle must be finite, got"):
         unitary_apply(np.diag([0.5, -0.5]), theta, np.array([1.0, 0.0]))
+
+
+def test_unitary_apply_step_budget():
+    # every turn of up to 4 pi about a unit direction fits at the largest
+    # symmetric N; sum_l |n_l| and so the norm bound peak on the diagonal
+    rep = symmetric_rep(SYMMETRIC_MAX)
+    for n_vec in ([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], np.ones(3) / np.sqrt(3.0)):
+        assert 4 * np.pi * direction_op(np.asarray(n_vec), rep).norm_bound() <= _TAYLOR_MAX_STEPS
+    # the 1-norm is 0.5, so theta = 2 * budget is the last angle that runs
+    A, v = np.diag([0.5, -0.5]), np.array([1.0, 0.0])
+    with pytest.raises(ValueError, match=r"theta = 1e\+300 needs 5e\+299 Taylor steps"):
+        unitary_apply(A, 1e300, v)
+    with pytest.raises(ValueError, match="more than the budget of 50000"):
+        unitary_apply(A, np.nextafter(2.0 * _TAYLOR_MAX_STEPS, np.inf), v)
+    assert unitary_apply(A, 4 * np.pi, v) == pytest.approx(np.exp(-2j * np.pi) * v, abs=1e-12)

@@ -16,6 +16,10 @@ blocks without that rule.  Building the singlet (a dense projector
 product) and its witnesses stay under 92 MB, building and writing the
 mixed state under 60 MB.
 
+The gradient scenario at N = 10 rotates the float64 singlet by the
+gradient's product of 2x2 rotations, with no 2^N generator spectrum and
+no dense propagator: under 130 MB (181 MB with both).
+
 Squeezed ground states come from NumPy alone, so building one at N = 4096
 or a 64-point frontier at N = 1000 stays under 45 MB; importing
 ``scipy.linalg`` alone would add 26 MB.
@@ -45,6 +49,7 @@ LIMIT_MB = 200
 DENSITY_LIMIT_MB = 80
 SINGLET_LIMIT_MB = 92
 MIXED_STATE_LIMIT_MB = 60
+GRADIENT_LIMIT_MB = 130
 # squeezed ground states take NumPy alone (no SciPy import): 31-35 MB here
 SQUEEZING_LIMIT_MB = 45
 
@@ -91,10 +96,11 @@ def _peak_rss_mb(argv, cwd) -> float:
      SQUEEZING_LIMIT_MB),
     (["sweep", "--kind", "frontier", "--n", "1000", "--points", "64", "--out", "f1000.csv"],
      SQUEEZING_LIMIT_MB),
+    (["scenario", "--family", "gradient", "--n", "10", "--theta0", "0.1"], GRADIENT_LIMIT_MB),
 ], ids=["witness-symmetric-4096", "frontier-4096", "qfi-full-ghz-12", "witness-full-ghz-12",
         "witness-full-mixed-10", "witness-full-singlet-10", "state-mixed-10",
         "state-singlet-10",
-        "state-squeezed-4096", "frontier-1000"])
+        "state-squeezed-4096", "frontier-1000", "scenario-gradient-10"])
 def test_cli_peak_rss_at_advertised_limits(states, argv, limit):
     peak = _peak_rss_mb(argv, states)
     assert peak < limit, f"{' '.join(argv)}: peak RSS {peak:.0f} MB"

@@ -1,11 +1,16 @@
 import io
 import json
+import os
+import subprocess
 import sys
+import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import qmetro
 from qmetro import serialize
 from qmetro.cli import main, parse_int_list, parse_range
 from qmetro.spin import full_rep, symmetric_rep
@@ -662,6 +667,28 @@ def test_cli_out_of_range_numbers_exit_one(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert "must be finite" in err
     assert not (tmp_path / "s.json").exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    # refused before any path runs, so NumPy warns of no invalid product;
+    # 1e308 times the gradient's weights overflows
+    (["scenario", "--family", "gradient", "--n", "4", "--theta0", "inf"],
+     "rotation angle theta = inf: theta times ||A|| must be finite"),
+    (["scenario", "--family", "gradient", "--n", "4", "--theta0", "1e308"],
+     "rotation angle theta = 1e+308: theta times ||A|| must be finite"),
+    # about 1e300 Taylor steps, refused before the first
+    (["scenario", "--family", "ramsey", "--n", "4", "--theta0", "1e300"],
+     "rotation angle theta = 1e+300 needs"),
+], ids=["gradient-inf", "gradient-1e308", "ramsey-1e300"])
+def test_cli_refuses_bad_rotation_angles_promptly(argv, message):
+    env = dict(os.environ, PYTHONPATH=str(Path(qmetro.__file__).parents[1]))
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "qmetro.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - start < 10.0
+    assert done.returncode == 1
+    assert message in done.stderr
+    assert "Warning" not in done.stderr and done.stdout == ""
 
 
 def test_cli_selftest_small(capsys):
