@@ -33,9 +33,9 @@ real factor of the purely imaginary J_y; the Fisher cross term of a real
 and a purely imaginary transform is exactly zero and is not summed.
 
 The Fisher matrix of a density is summed over blocks of rows k of the
-pair sums (``linalg.row_blocks``): each block forms its pair weights and
-its rows of V^dag A V, so no d x d array beyond the kept eigenvectors is
-held, and a matrix of d <= 362 takes one pass.
+pair sums (``linalg.row_blocks``) on the kept block spectrum, with no d x d
+V, by parity groups whose dense factors are built for the group and
+dropped after it; a matrix of d <= 362 takes one pass.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ import numpy as np
 
 from .config import (CRB_RCOND, FD_STEP, FISHER_FLOOR, PROB_FLOOR, QFI_PAIR_FLOOR,
                      ROOF_TOL, SPEED_BOUND_TOL)
-from .linalg import (SpectralDecomposition, eigh_hermitian, factor_product, psd_sqrt,
+from .linalg import (SpectralDecomposition, _times, eigh_hermitian, factor_product, psd_sqrt,
                      pure_moments, rank_floor_sqrt, require_hermitian, row_blocks)
 from .spin import as_operator
 from .states import QuantumState, check_same_rep, evolve, operator_moments
@@ -109,19 +109,70 @@ def _eigensystem(state, rho: np.ndarray) -> SpectralDecomposition:
     return eigh_hermitian(rho)
 
 
-def _in_eigenbasis(V: np.ndarray, A, rows=slice(None)) -> tuple:
-    """Rows ``rows`` of V^dag A V as a factor (T, k), for A an operand of
-    ``factor_product``: real eigenvectors and a real factor take real
-    products only."""
-    return factor_product((V[:, rows].conj().T, 0), A, (V, 0))
-
-
 def _pair_ratio(lam_rows: np.ndarray, lam: np.ndarray, num: np.ndarray, floor: float):
-    """num_kl / (l_k + l_l) for k over lam_rows and l over lam, on the pairs
-    whose sum reaches floor, 0 elsewhere."""
+    """num_kl / (l_k + l_l), in place of num, for k over lam_rows and l over
+    lam, on the pairs whose sum reaches floor, 0 elsewhere (over infinity)."""
     S = lam_rows[:, None] + lam
     keep = S >= floor
-    return np.divide(num, S, out=np.zeros_like(S), where=keep), keep
+    S[~keep] = np.inf
+    num /= S
+    return num, keep
+
+
+def _entries(f, rows: np.ndarray, cols) -> tuple:
+    """A[rows][:, cols] as a factor, for A's factor f (a 1-D F a diagonal)."""
+    F, k = f
+    if F.ndim == 1:
+        return np.where(rows[:, None] == np.arange(F.size)[cols], F[rows, None], 0.0), k
+    return F[rows][:, cols], k
+
+
+def _pair_blocks(dec: SpectralDecomposition):
+    """Blocks of rows k (``linalg.row_blocks``, in the order of ``dec.values``)
+    of the eigenvector pairs (k, l) as (l_k, l_l, times, transform), the
+    factor transform(f) of V^dag A V there counting times: a row e_u gives
+    A[u, u] and A[u, c] W, twice for its conjugate (c, u), a row of W gives
+    (W^dag A)[:, c] W, the dense V^dag A V when every index is coupled."""
+    u, c, W, lam, nu = dec.uncoupled, dec.coupled, dec.block_vectors, dec.values, dec.uncoupled.size
+
+    def coupled_rows(f, Vr):
+        return _times(Vr.conj().T, f[0])[:, c] @ W, f[1]
+
+    for r in row_blocks(dec.dim):
+        if r.start < nu:
+            ru = slice(r.start, min(r.stop, nu))
+            ur = u[ru]
+            yield lam[ru], lam[:nu], 1, lambda f, ur=ur: _entries(f, ur, u)
+            yield lam[ru], lam[nu:], 2, lambda f, ur=ur: factor_product(_entries(f, ur, c), (W, 0))
+        if r.stop > nu:
+            Vr = dec.columns(rc := slice(max(r.start, nu), r.stop))
+            yield lam[rc], lam[nu:], 1, lambda f, Vr=Vr: coupled_rows(f, Vr)
+
+
+def _pair_sum(dec: SpectralDecomposition, ops, numerator) -> tuple[np.ndarray, int]:
+    """S_mn = 2 sum_kl w_kl Re(T^m_kl conj T^n_kl) for the generators ops, with
+    T^n = V^dag A_n V and w_kl = numerator(l_k, l_l) / (l_k + l_l) on the pairs
+    that reach QFI_PAIR_FLOOR, and the number of pairs dropped, over
+    ``_pair_blocks`` (one pass at d <= 362).  Real transforms 1j**k T of an
+    even and an odd power of 1j have the cross term 2 Re(+-1j * real sum) = 0,
+    so the generators go by parity groups (J_x with J_z, then J_y; complex
+    ones in one), each group's dense factors built for it and dropped after."""
+    groups = {0: list(enumerate(ops))}
+    if len(ops) > 1:    # each factor's kind, from an empty column block
+        kinds = [A.form.factor(slice(0)) for A in ops]
+        real = np.isrealobj(dec.block_vectors) and all(np.isrealobj(F) for F, _ in kinds)
+        groups = {}
+        for n, (A, (_, k)) in enumerate(zip(ops, kinds)):
+            groups.setdefault(k % 2 if real else 0, []).append((n, A))
+    S = np.zeros((len(ops), len(ops)))
+    for members in groups.values():
+        factors, skipped = [(n, A.form.factor()) for n, A in members], 0
+        for lam_k, lam_l, times, transform in _pair_blocks(dec):
+            W, keep = _pair_ratio(lam_k, lam_l, numerator(lam_k, lam_l), QFI_PAIR_FLOOR)
+            skipped += times * (keep.size - int(np.count_nonzero(keep)))
+            _fisher_block(S, W, transform, factors, 2.0 * times)
+        del factors
+    return S, skipped
 
 
 def _fisher(state, ops) -> tuple[np.ndarray, int]:
@@ -133,41 +184,20 @@ def _fisher(state, ops) -> tuple[np.ndarray, int]:
         # pairs are exactly those inside the (dim-1)-dimensional kernel
         mean, second = pure_moments(data, [A.apply(data) for A in ops])
         return 4.0 * (second - np.outer(mean, mean)), (data.shape[0] - 1) ** 2
-    dec = _eigensystem(state, data)
-    lam, V = dec.eigenvalues, dec.eigenvectors
-    factors = [A.factor for A in ops]
-    # real transforms 1j**k T: the cross term of an even and an odd power of
-    # 1j is 2 Re(+-1j * real sum) = 0, so only a group of one parity is held
-    real = np.isrealobj(V) and all(np.isrealobj(f) for f, _ in factors)
-    groups = {}
-    for n, f in enumerate(factors):
-        groups.setdefault(f[1] % 2 if real else 0, []).append((n, f))
-    F = np.zeros((len(ops), len(ops)))
-    skipped = 0
-    # by blocks of rows k of the pair sums: no d x d array is formed
-    for rows in row_blocks(lam.size):
-        lam_rows = lam[rows]
-        D = lam_rows[:, None] - lam
-        D *= D
-        W, keep = _pair_ratio(lam_rows, lam, D, QFI_PAIR_FLOOR)
-        skipped += keep.size - int(np.count_nonzero(keep))
-        del D, keep
-        for members in groups.values():
-            _fisher_block(F, W, V, rows, members)
-    return F, skipped
+    return _pair_sum(_eigensystem(state, data), ops,
+                     lambda lam_k, lam_l: (lam_k[:, None] - lam_l) ** 2)
 
 
-def _fisher_block(F, W, V, rows, members):
-    """Add the pairs of the rows ``rows`` to F[m, n] for the (n, factor)
-    members, whose rows of V^dag A_n V = 1j**k T are held together until the
-    block is done; W holds the pair weights of those rows."""
+def _fisher_block(F, W, transform, members, scale):
+    """Add scale sum_kl W_kl Re(T^m_kl conj T^n_kl) to F[m, n] for the (n, factor)
+    members, whose transforms 1j**k T = transform(factor) are held together."""
     held = []
     for n, f in members:
-        T, k = _in_eigenbasis(V, f, rows)
+        T, k = transform(f)
         t = np.abs(T)
         t **= 2
         t *= W
-        F[n, n] += 2.0 * float(np.sum(t))
+        F[n, n] += scale * float(t.sum())
         del t
         for m, Tm, km in held:
             # (W tilde_m) conj(tilde_n), multiplied into the complex factor,
@@ -176,7 +206,7 @@ def _fisher_block(F, W, V, rows, members):
             if np.iscomplexobj(q) and not np.iscomplexobj(p):
                 p, q = q, p
             p *= q
-            F[m, n] += 2.0 * float(np.real(1j ** (km - k) * np.sum(p)))
+            F[m, n] += scale * float(np.real(1j ** (km - k) * p.sum()))
             F[n, m] = F[m, n]
             del p, q
         held.append((n, T, k))
@@ -209,11 +239,9 @@ def qfi_alternative(state, op) -> float:
         # rank-1 spectrum: the correction sum keeps only the (psi,psi) term
         m, var = _mean_and_var(data, A)
         return 4.0 * (var + m * m) - 4.0 * m * m
-    dec = _eigensystem(state, data)
-    lam = dec.eigenvalues
-    At, _ = _in_eigenbasis(dec.eigenvectors, A.factor)
-    C, _ = _pair_ratio(lam, lam, lam[:, None] * lam[None, :], QFI_PAIR_FLOOR)
-    return 4.0 * operator_moments(A, data)[1] - 8.0 * float(np.sum(C * np.abs(At) ** 2))
+    # 8 sum = 4 times the pair sum of l_k l_l
+    S, _ = _pair_sum(_eigensystem(state, data), [A], lambda lam_k, lam_l: lam_k[:, None] * lam_l)
+    return 4.0 * operator_moments(A, data)[1] - 4.0 * float(S[0, 0])
 
 
 def sld(state, op) -> np.ndarray:
@@ -231,7 +259,7 @@ def sld(state, op) -> np.ndarray:
     lam = dec.eigenvalues
     V = dec.eigenvectors
     w, _ = _pair_ratio(lam, lam, lam[:, None] - lam[None, :], QFI_PAIR_FLOOR)
-    T, k = _in_eigenbasis(V, A.factor)
+    T, k = factor_product((V.conj().T, 0), A.factor, (V, 0))
     return V @ (2j * 1j ** k * w * T) @ V.conj().T
 
 
@@ -481,7 +509,7 @@ def _roof(state, op, convex: bool) -> RoofResult:
     dec = _eigensystem(state, data)
     keep = dec.eigenvalues > QFI_PAIR_FLOOR
     lam, V = dec.eigenvalues[keep], dec.eigenvectors[:, keep]
-    T, k = _in_eigenbasis(V, A.factor)
+    T, k = factor_product((V.conj().T, 0), A.factor, (V, 0))
     root = np.sqrt(lam)
     B = root[:, None] * (1j ** k * T) * root
     if convex:

@@ -32,9 +32,9 @@ So is the coupled-index rule: an index i with M[i, j] = M[j, i] = 0 for
 every j != i, in the lower triangle LAPACK reads, is an eigenvector e_i
 with eigenvalue M_ii and a 1 x 1 block of a Cholesky factor
 (``coupled_indices``).  ``eigh_hermitian`` and the PSD check of a state
-hand LAPACK the coupled indices only; a matrix with every index coupled
-takes the same single call as before.  Passes over a whole d x d matrix
-run in blocks of rows (``row_blocks``), of 1 MB of float64 each.
+hand LAPACK the coupled block only; the spectrum keeps its eigenvectors
+W beside the pairs (M_ii, e_i), and builds the dense d x d ones on request.
+Passes over a d x d matrix run in blocks of rows (``row_blocks``).
 """
 
 from __future__ import annotations
@@ -106,21 +106,41 @@ def require_hermitian(M: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian matrix.
-
-    ``eigenvectors[:, k]`` is the normalized eigenvector for ``eigenvalues[k]``.
-    """
+    """Eigenvalues (ascending) and eigenvectors of a Hermitian M in block form:
+    the pairs (M_uu, e_u) of the uncoupled indices u, then the block M[c, c] =
+    W diag(l_c) W^dag (``values`` lists the M_uu, then the l_c; ``coupled`` is
+    slice(None) when W is every eigenvector).  The dense ``eigenvectors``,
+    column k for ``eigenvalues[k]``, are merged on each request, not kept."""
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    uncoupled: np.ndarray
+    coupled: np.ndarray | slice
+    values: np.ndarray
+    block_vectors: np.ndarray
 
     @property
     def dim(self) -> int:
         return self.eigenvalues.shape[0]
 
-    def reconstruct(self) -> np.ndarray:
-        V = self.eigenvectors
-        return (V * self.eigenvalues) @ V.conj().T
+    def columns(self, cols=slice(None)) -> np.ndarray:
+        """The eigenvectors of ``values[cols]`` as columns of length d."""
+        nu, W = self.uncoupled.size, self.block_vectors
+        if not nu:
+            return W[:, cols]
+        k = np.arange(self.dim)[cols]
+        out, unit = np.zeros((self.dim, k.size), dtype=W.dtype), k < nu
+        out[self.uncoupled[k[unit]], np.flatnonzero(unit)] = 1.0
+        out[np.ix_(self.coupled, np.flatnonzero(~unit))] = W[:, k[~unit] - nu]
+        return out
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        if not self.uncoupled.size:
+            return self.block_vectors
+        # ascending, the uncoupled pairs first at a tie
+        V = self.columns(np.argsort(self.values, kind="stable"))
+        V.flags.writeable = False
+        return V
 
     def apply_function(self, f) -> np.ndarray:
         """f(M) computed through the spectrum; f acts elementwise on eigenvalues."""
@@ -158,39 +178,32 @@ def coupled_indices(M: np.ndarray) -> np.ndarray:
 
 
 def eigh_hermitian(M: np.ndarray) -> SpectralDecomposition:
-    """Full eigendecomposition of a Hermitian matrix.
+    """Full eigendecomposition of a Hermitian matrix, in block form.
 
     Rejects non-Hermitian input with a diagnostic naming the maximum
     asymmetry.  Deterministic for a fixed input (LAPACK ``heevd``, or
     ``syevd`` on a real matrix).  A matrix with an exactly zero imaginary
     part is solved as the real symmetric matrix it is, so its eigenvectors
     come back real (float64); complex input gives complex eigenvectors.
-    LAPACK solves only the coupled indices (``coupled_indices``): each
-    uncoupled index i is the eigenpair (M_ii, e_i), and the pairs are merged
-    in ascending order into dense arrays.  A matrix with every index coupled
-    is one LAPACK call on M (one with no zero entry is told by one count,
-    with no mask), and a diagonal matrix none.
-    The returned arrays are read-only, so a kept spectrum cannot be altered.
+    LAPACK solves only the coupled block M[c, c] (``coupled_indices``), kept
+    with the uncoupled pairs (M_uu, e_u).  A matrix with every index coupled
+    is one LAPACK call on M (one with no zero entry is told by one count, with
+    no mask), and a diagonal matrix none.  The arrays are read-only.
     """
     M = require_hermitian(real_if_exact(M))
     # a matrix with no zero entry has every index coupled, with no mask
     if np.count_nonzero(M) == M.size or (coupled := coupled_indices(M)).all():
-        vals, vecs = np.linalg.eigh(M)
-    else:
-        c, u = np.flatnonzero(coupled), np.flatnonzero(~coupled)
-        block = np.linalg.eigh(M[np.ix_(c, c)]) if c.size else (np.empty(0), None)
-        vals = np.concatenate([np.diagonal(M).real[u], block[0]])
-        # ascending, the uncoupled pairs first at a tie; pair t goes to column at[t]
-        order = np.argsort(vals, kind="stable")
-        at = np.empty_like(order)
-        at[order] = np.arange(order.size)
-        vals = vals[order]
-        vecs = np.zeros(M.shape, dtype=complex if np.iscomplexobj(M) else float)
-        vecs[u, at[:u.size]] = 1.0
-        if c.size:
-            vecs[np.ix_(c, at[u.size:])] = block[1]
-    vals.flags.writeable = vecs.flags.writeable = False
-    return SpectralDecomposition(vals, vecs)
+        vals, W = np.linalg.eigh(M)
+        vals.flags.writeable = W.flags.writeable = False
+        return SpectralDecomposition(vals, np.empty(0, dtype=int), slice(None), vals, W)
+    c, u = np.flatnonzero(coupled), np.flatnonzero(~coupled)
+    lam_c, W = (np.linalg.eigh(M[np.ix_(c, c)]) if c.size else
+                (np.empty(0), np.empty((0, 0), dtype=complex if np.iscomplexobj(M) else float)))
+    values = np.concatenate([np.diagonal(M).real[u], lam_c])
+    vals = np.sort(values, kind="stable")
+    for a in (vals, u, c, values, W):
+        a.flags.writeable = False
+    return SpectralDecomposition(vals, u, c, values, W)
 
 
 def _real_factor(M: np.ndarray):

@@ -9,10 +9,11 @@ write is byte-identical.  Reading takes a file that starts with
 found and validated first, then each chunk of whole rows must match its
 part of the bracket skeleton of the declared shape and hold two numbers
 per entry (NumPy's parser also takes spellings JSON forbids, such as
-``+1``), and is parsed straight into the preallocated payload.  A chunk
-ends between two rows, so the chunks accept exactly what the whole text
-would.  Other layouts, and any mismatch, go through ``json.loads`` and the
-same checks.
+``+1``), and is parsed straight into the payload: float64 for a density
+until an imaginary part that is not +0.0 promotes it to complex128.  A
+chunk ends between two rows, so the chunks accept exactly what the whole
+text would.  Other layouts, and any mismatch, go through ``json.loads``
+and the same checks.
 """
 
 from __future__ import annotations
@@ -102,38 +103,37 @@ def _read_canonical(fh) -> tuple | None:
     if "data" in doc:       # a repeated key: json keeps the last one
         return None
     rep, shape, label = _checked_header(doc)   # before the payload is read
-    payload = np.empty(shape, dtype=complex)
     # the payload's text runs from its outer [ to the , after its ]
     first = len(_PAYLOAD_OPEN) - 1
     fh.seek(first)
-    if not _parse_payload(fh, end + at - 1 - first, payload):
-        return None
-    return rep, payload, label
+    payload = _parse_payload(fh, end + at - 1 - first, shape)
+    return None if payload is None else (rep, payload, label)
 
 
-def _parse_payload(fh, size: int, payload: np.ndarray) -> bool:
-    """Fill payload from the next size bytes of fh, [item,item,...] with one
-    item per row (per entry of a vector), a chunk of whole items at a time.
-    False unless the text matches the bracket skeleton of payload's shape
-    and holds two numbers per entry.
+def _parse_payload(fh, size: int, shape: tuple) -> np.ndarray | None:
+    """The payload of the given shape from the next size bytes of fh,
+    [item,item,...] with one item per row (per entry of a vector), parsed a
+    chunk of whole items at a time; None unless the text matches the bracket
+    skeleton of the shape and holds two numbers per entry.
 
     A chunk ends at the separator of two items, "]],[[" between rows (which
     occurs nowhere else in the skeleton), so that the chunks together are
-    checked and parsed exactly as the whole text would be."""
-    shape = payload.shape
+    checked and parsed exactly as the whole text would be.  A density is
+    float64 up to an imaginary part that is not +0.0 bit for bit (-0.0 too)."""
+    payload = np.empty(shape, dtype=float if len(shape) == 2 else complex)
     item = b"[,]"
     for n in reversed(shape[1:]):
         item = b"[" + (item + b",") * (n - 1) + item + b"]"
     depth = len(shape)
     sep = b"]" * depth + b"," + b"[" * depth
     numbers = 2 * math.prod(shape[1:])
-    flat = payload.reshape(-1).view(float)
     text, done, head = b"", 0, True
     while size or text:
         chunk = fh.read(min(size, _READ_CHUNK))
         size -= len(chunk)
-        text += chunk
         tail = size == 0 or not chunk
+        text += chunk
+        del chunk   # each temporary goes as soon as it is used: a chunk's take a few MB
         if tail:
             piece, text = text, b""
         else:
@@ -145,17 +145,24 @@ def _parse_payload(fh, size: int, payload: np.ndarray) -> bool:
         k = (len(skeleton) - head - tail + 1) // (len(item) + 1)
         if (done + k > shape[0] or skeleton !=
                 b"[" * head + (item + b",") * (k - 1) + item + b"]" * tail):
-            return False
+            return None
+        del skeleton
+        piece = piece.translate(None, b"[]")    # deleted, not blanked: NumPy reads blank as -1
         try:
-            # brackets deleted, not blanked: NumPy reads a blank token as -1
-            values = np.fromstring(piece.translate(None, b"[]"), sep=",")
+            values = np.fromstring(piece, sep=",")
         except ValueError:      # a bad token; older NumPy warns and stops short
-            return False
+            return None
+        del piece
         if values.size != k * numbers:
-            return False
-        flat[done * numbers:(done + k) * numbers] = values
+            return None
+        if not np.iscomplexobj(payload) and values[1::2].view(np.uint64).any():
+            payload = payload.astype(complex)   # the rows so far have +0.0 imaginary parts
+        step = 2 - np.iscomplexobj(payload)     # a float64 payload takes the real parts
+        payload.reshape(-1).view(float)[done * numbers // step:][:k * numbers // step] = \
+            values[::step]
+        del values
         done, head = done + k, False
-    return done == shape[0]
+    return payload if done == shape[0] else None
 
 
 def dumps_canonical(doc: dict) -> str:

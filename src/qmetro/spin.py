@@ -15,11 +15,12 @@ structure the physics provides, and ``apply(v)`` acts with it on a vector
 
 * symmetric J_x, J_y, J_z: a real diagonal and one band from the ladder
   amplitudes, O(N) per vector;
-* full-space site sums (``collective_op``, ``gradient_op``,
-  ``single_site_op``): site weights and a 2x2 operator, applied by bit
-  flips on the (2,)*N tensor in O(N 2^N) and exponentiated site by site;
+* full-space site sums (``collective_op``, ``direction_op``,
+  ``gradient_op``, ``single_site_op``): site weights and a 2x2 operator,
+  applied by bit flips on the (2,)*N tensor in O(N 2^N) and exponentiated
+  site by site;
 * parity: an index flip, with a sign for sigma_z and sigma_y;
-* ``direction_op``: sum_l n_l J_l, applied term by term;
+* a symmetric-sector ``direction_op``: sum_l n_l J_l, applied term by term;
 * ``squared_op``: the diagonal of squares for a diagonal operator (J_z^2),
   else the operator applied twice;
 * custom matrices: ``matrix @ v``.
@@ -30,12 +31,13 @@ operator through its ``factor`` (F, k), A = 1j**k F: the real diagonal
 has both a real and an imaginary part (J_x real, J_y purely imaginary),
 else (a mixed direction, a complex custom matrix) the complex matrix with
 k = 0.  The factor is filled from the structure on first use and kept,
-read-only; the dense complex ``matrix`` is built from it on request and
-agrees bit for bit with the Kronecker sums it replaced.  ``as_operator``
-wraps a bare matrix as a custom operator, so every caller meets one kind
-of operator.  ``spectrum`` keeps the eigendecomposition for density
-rotations by any generator but a site sum, and ``norm_bound()`` bounds the
-1-norm for ``linalg.unitary_apply``.  Builders are kept in bounded caches.
+read-only (a form's ``factor(cols)`` builds a column block and keeps
+none); the dense ``matrix`` is built from it on request, bit for bit the
+Kronecker sums.  ``as_operator`` wraps a bare matrix as a custom operator,
+so every caller meets one kind of operator.  ``spectrum`` keeps the
+eigendecomposition for density rotations by any generator but a site sum,
+and ``norm_bound()`` bounds the 1-norm for ``linalg.unitary_apply``.
+Builders are kept in bounded caches.
 """
 
 from __future__ import annotations
@@ -148,10 +150,10 @@ class _Form:
     def diagonal(self):
         return None
 
-    def factor(self):
-        """(F, k), the matrix being 1j**k F: the diagonal of a diagonal form,
-        else filled from the triplets, real when no entry has both parts
-        nonzero and complex with k = 0 otherwise."""
+    def factor(self, cols=slice(None)):
+        """(F[:, cols], k), the matrix being 1j**k F: the whole diagonal of a
+        diagonal form, else filled from the triplets in one order for any cols,
+        real when no entry has both parts nonzero, else complex with k = 0."""
         d = self.diagonal()
         if d is not None:
             return _freeze(d), 0
@@ -161,10 +163,13 @@ class _Form:
         elif not any(np.real(v).any() for *_, v in groups):
             k, part = 1, np.imag
         else:
-            k, part = 0, None
-        F = np.zeros((self.dim, self.dim), dtype=complex if part is None else float)
-        for rows, cols, vals in groups:
-            F[rows, cols] += vals if part is None else part(vals)
+            k, part = 0, np.asarray
+        at = np.full(self.dim, -1)
+        at[cols] = np.arange(at[cols].size)
+        F = np.zeros((self.dim, at[cols].size), dtype=complex if part is np.asarray else float)
+        for rows, c, vals in groups:
+            keep = at[c] >= 0
+            F[rows[keep], at[c[keep]]] += part(vals)[keep]
         return _freeze(F), k
 
 
@@ -217,12 +222,16 @@ class _SiteSum(_Form):
         self.dim = 2 ** self.weights.size
 
     def diagonal(self):
-        if self.op2[0, 1] or self.op2[1, 0]:
-            return None
-        d = np.zeros(self.dim, dtype=complex)
-        for _, _, vals in list(self.triplets())[1::2]:
-            d += vals
-        return real_if_exact(d)
+        return None if self.op2[0, 1] or self.op2[1, 0] else real_if_exact(self._diagonal())
+
+    def _diagonal(self):
+        """sum_s w_s op2[b_s, b_s] over the bits b_s of each index, site by site;
+        a traceless op2 (J_n) gives op2[0, 0] sum_s w_s (1 - 2 b_s), n_z m exactly."""
+        h, n = self.op2, self.weights.size
+        bits = [(np.arange(self.dim) >> (n - 1 - s)) & 1 for s in range(n)]
+        if not np.trace(h):
+            return h[0, 0] * sum(w * (1 - 2 * b) for w, b in zip(self.weights, bits))
+        return sum((w * h[b, b] for w, b in zip(self.weights, bits)), np.zeros(self.dim, complex))
 
     def apply(self, v):
         out = np.zeros(v.shape, dtype=np.result_type(v, self.op2))
@@ -261,7 +270,7 @@ class _SiteSum(_Form):
         for s, w in enumerate(self.weights):
             bit = (cols >> (n - 1 - s)) & 1
             yield cols ^ (1 << (n - 1 - s)), cols, w * self.op2[1 - bit, bit]
-            yield cols, cols, w * self.op2[bit, bit]
+        yield cols, cols, self._diagonal()
 
 
 class _Flip(_Form):
@@ -290,15 +299,15 @@ class _Sum(_Form):
     def apply(self, v):
         return sum(w * A.apply(v) for w, A in self.terms if w)
 
-    def factor(self):
+    def factor(self, cols=slice(None)):
         # the real factors of the terms with a nonzero weight, when they share
         # one power of 1j (a diagonal as its matrix); else the complex sum
         parts = [(w, *A.factor) for w, A in self.terms if w]
         if len({k for *_, k in parts}) == 1 and not any(np.iscomplexobj(F) for _, F, _ in parts):
             return _freeze(sum(w * (np.diag(F) if F.ndim == 1 else F)
-                               for w, F, _ in parts)), parts[0][2]
+                               for w, F, _ in parts)[:, cols]), parts[0][2]
         return _freeze(np.ascontiguousarray(
-            sum(w * _from_factor(*A.factor) for w, A in self.terms))), 0
+            sum(w * _from_factor(*A.factor) for w, A in self.terms)[:, cols])), 0
 
     def norm_bound(self):
         return sum(abs(w) * A.norm_bound() for w, A in self.terms)
@@ -313,10 +322,10 @@ class _Square(_Form):
     def apply(self, v):
         return self.A.apply(self.A.apply(v))
 
-    def factor(self):
+    def factor(self, cols=slice(None)):
         # (1j**k F)^2 = (-1)^k F^2, real for a real F
         F, k = self.A.factor
-        return _freeze(-(F @ F) if k else F @ F), 0
+        return _freeze(-(F @ F[:, cols]) if k else F @ F[:, cols]), 0
 
     def norm_bound(self):
         return self.A.norm_bound() ** 2
@@ -331,9 +340,9 @@ class _Dense(_Form):
     def apply(self, v):
         return self.M @ v
 
-    def factor(self):
+    def factor(self, cols=slice(None)):
         F, k = _real_factor(self.M) or (self.M, 0)
-        return _freeze(F.view()), k
+        return _freeze(F[:, cols]), k
 
     def norm_bound(self):
         return float(np.linalg.norm(self.M, 1))
@@ -456,7 +465,11 @@ def direction_op(n_vec, rep: Representation) -> CollectiveOperator:
         raise ValueError(f"direction vector must be finite, got {n_vec}")
     if abs(np.linalg.norm(n_vec) - 1.0) > DIRECTION_NORM:
         raise ValueError(f"direction vector must have unit norm, got |n|={np.linalg.norm(n_vec):.12f}")
-    terms = tuple((n_vec[i], collective_op(AXES[i], rep)) for i in range(3))
+    if rep.kind == "full":
+        # the site sum of (n . sigma) / 2, rotated by its product of 2x2 rotations
+        h = sum(n_vec[i] * PAULI[a] for i, a in enumerate(AXES)) / 2.0
+        return CollectiveOperator(_SiteSum(h, np.ones(rep.n)), rep, provenance=tuple(n_vec))
+    terms = tuple((n_vec[i], collective_op(a, rep)) for i, a in enumerate(AXES))
     return CollectiveOperator(_Sum(terms), rep, provenance=tuple(n_vec))
 
 

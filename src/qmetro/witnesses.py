@@ -9,11 +9,11 @@ reduced state.
 Axis conventions are explicit arguments everywhere; the printed forms of
 the criteria put the squeezed component on x, and those are the defaults.
 
-The moments of a density are summed over blocks of columns of rho
-(``linalg.row_blocks``, 128 of a 1024^2 density): each block holds
-J_l rho[:, blk] and the rows blk of J_l J_l, never a d x d product.  The
-diagonal <J_l^2> and the means keep every bit of the dense products, so
-that exact ties between axes break as before.
+The moments of a density are summed one J_l at a time over blocks of
+columns of rho (``linalg.row_blocks``): J_l's dense factor, and only the
+columns blk of the others, meet J_l rho[:, blk] and the rows blk of
+J_l J_l.  The diagonal <J_l^2> and the means keep every bit of the dense
+products, so that exact ties between axes break as before.
 """
 
 from __future__ import annotations
@@ -70,11 +70,11 @@ def moments(state: QuantumState) -> MomentSet:
 
     With G_kl = <J_k J_l>, the symmetrised second moments are Re G.  A pure
     state needs only the three vectors J_l|psi> (G is their Gram matrix).
-    A density meets each J_l through its real factor or diagonal (real
-    products only on a real density), in blocks of columns of rho:
-    the columns blk of J_l rho give their share of every G_kl, k != l, and
-    the diagonal G_ll keeps the dense-product form Tr((J_l J_l) rho), its
-    entries blk from rows blk of J_l J_l times rho[:, blk].  The result is
+    A density meets one J_l at a time through its real factor or diagonal
+    (real products only on a real density), in blocks of columns of rho:
+    the columns blk of J_l rho meet those of J_k's factor, built from its
+    structure, for G_kl, k != l, and G_ll keeps the dense form
+    Tr((J_l J_l) rho), from the rows blk of J_l J_l.  The result is
     computed once and kept on the state: do not write into it.
     """
     return state._memoized("moments", lambda: _evaluate_moments(state))
@@ -86,38 +86,37 @@ def _evaluate_moments(state: QuantumState) -> MomentSet:
         psi = state.data
         return MomentSet(state.n, *pure_moments(psi, [J.apply(psi) for J in ops]))
     rho = state.data
-    # factors built here and dropped on return, not the operators' kept ones:
-    # a density's eigendecomposition, which the Fisher quantities run next,
-    # then holds none of them (two 8 MB factors at full N = 10)
-    factors = [J.form.factor() for J in ops]
-    mean = np.array([hermitian_trace(f, rho).real for f in factors])
-    G = np.zeros((3, 3), dtype=complex)
-    diagonals, powers = [[] for _ in factors], [0] * len(factors)
-    for blk in row_blocks(rho.shape[0]):
-        cols = np.ascontiguousarray(rho[:, blk])
-        for l, (F, k) in enumerate(factors):
+    mean, G = np.zeros(3), np.zeros((3, 3), dtype=complex)
+    for l, J in enumerate(ops):
+        # one dense factor at a time, built here and dropped, not the operator's
+        # kept one (8 MB at full N = 10); the others give their column blocks
+        F, k = J.form.factor()
+        mean[l] = hermitian_trace((F, k), rho).real
+        diagonal = []
+        for blk in row_blocks(rho.shape[0]):
+            cols = np.ascontiguousarray(rho[:, blk])
             x = factor_product((F, k), cols)
-            for m, g in enumerate(factors):
+            for m, g in enumerate(ops):
                 if m != l:
-                    G[m, l] += _column_trace(g, x, blk)
+                    G[m, l] += _column_trace(g.form.factor(blk), x, blk)
             # at an exact tie between axes (white-noise GHZ, singlets) the axis
             # that optimal_ssi reports follows the round-off of the diagonal, so
             # it takes the entries of the dense product (F F) rho, bit for bit
-            P, powers[l] = (factor_product((F[blk], k), (F[blk], k), cols[blk]) if F.ndim == 1
-                            else factor_product((F[blk], k), (F, k), cols))
-            diagonals[l].append(np.diagonal(P))
-    for l, (parts, k) in enumerate(zip(diagonals, powers)):
-        G[l, l] = 1j ** k * np.concatenate(parts).sum()
+            P, power = (factor_product((F[blk], k), (F[blk], k), cols[blk]) if F.ndim == 1
+                        else factor_product((F[blk], k), (F, k), cols))
+            diagonal.append(np.diagonal(P))
+        G[l, l] = 1j ** power * np.concatenate(diagonal).sum()
+        del F
     return MomentSet(state.n, mean, np.real(G + G.conj().T) / 2.0)
 
 
 def _column_trace(f, x, blk) -> complex:
-    """The share of the columns blk in Tr(A X) for the Hermitian A of factor
-    f, from the factor x of X[:, blk]."""
+    """The share of the columns blk in Tr(A X), from A's factor f of those
+    columns (a diagonal whole) and the factor x of X[:, blk]."""
     F, k = f
     if F.ndim == 1:     # a diagonal meets the rows blk of X[:, blk] only
         return hermitian_trace((F[blk], k), (x[0][blk], x[1]))
-    return hermitian_trace((F[:, blk], k), x)
+    return hermitian_trace((F, k), x)
 
 
 # ----------------------------------------------------------------------

@@ -129,11 +129,16 @@ def test_pure_speed_bound_fidelity_matches_density(rng, rep):
 
 
 def _site_sums(rng, rep):
-    """Every kind of full-space site sum: J_x, J_y, J_z, both gradients and a
+    """Every kind of full-space site sum: J_x, J_y, J_z, J_n along a direction
+    in the x-y plane and two with a z component, both gradients and a
     single-site operator with a nonzero trace."""
     h = rand_hermitian(rng, 2)
     assert np.trace(h).real != 0
-    return ([collective_op(axis, rep) for axis in "xyz"]
+    directions = [direction_op(n_vec, rep) for n_vec in
+                  (np.array([1.0, 1.0, 0.0]) / np.sqrt(2), np.array([1.0, 2.0, 2.0]) / 3.0,
+                   np.array([0.6, 0.0, -0.8]))]
+    assert all(isinstance(J.form, _SiteSum) for J in directions)
+    return ([collective_op(axis, rep) for axis in "xyz"] + directions
             + [gradient_op(rep), gradient_op(rep, centered=True),
                single_site_op(h, rep.n // 2, rep)])
 
@@ -369,7 +374,7 @@ def test_real_eigh_matches_complex_eigh():
         dec = eigh_hermitian(rho)
         assert dec.eigenvectors.dtype == np.float64
         assert np.abs(dec.eigenvalues - np.linalg.eigh(rho)[0]).max() <= 1e-12
-        assert np.abs(dec.reconstruct() - rho).max() <= 1e-12
+        assert np.abs(dec.apply_function(lambda w: w) - rho).max() <= 1e-12
 
     check()
 

@@ -357,6 +357,68 @@ def test_blocked_fisher_matrix_matches_whole_array_oracle(rng):
         assert np.array_equal(F, F.T), name
 
 
+def _dense_v_fisher(rho, ops):
+    """The Fisher matrix and dropped-pair count from a dense eigendecomposition
+    of the whole density, V^dag A V for every generator at once."""
+    from qmetro.config import QFI_PAIR_FLOOR
+    lam, V = np.linalg.eigh(rho)
+    S = lam[:, None] + lam[None, :]
+    keep = S >= QFI_PAIR_FLOOR
+    W = np.where(keep, (lam[:, None] - lam[None, :]) ** 2 / np.where(keep, S, 1.0), 0.0)
+    T = [V.conj().T @ (A.matrix if hasattr(A, "matrix") else A) @ V for A in ops]
+    F = np.array([[2.0 * np.sum(W * Tm * Tn.conj()).real for Tn in T] for Tm in T])
+    return F, int(keep.size - np.count_nonzero(keep))
+
+
+def _uncoupled_third(rng, dim, real):
+    """A random density (rank dim // 2) whose every third index is uncoupled."""
+    rho = rand_density(rng, dim, rank=max(dim // 2, 1))
+    rho = rho.real.copy() if real else rho
+    off = np.arange(0, dim, 3)
+    diag = rho[off, off].real.copy()
+    rho[off, :] = 0.0
+    rho[:, off] = 0.0
+    rho[off, off] = diag
+    return rho / np.trace(rho).real
+
+
+def test_block_fisher_matrix_matches_a_dense_v_oracle(rng):
+    """The pair blocks (u, u), (u, c) twice and (c, c) sum to the Fisher
+    matrix of a dense eigendecomposition, within 1e-12, for real, purely
+    imaginary, complex and custom generators and the collective ones, on
+    densities with no uncoupled index, no coupled one and both, over one row
+    block and several."""
+    from qmetro.fisher import _fisher
+    from qmetro.spin import CollectiveOperator, as_operator
+    rep = full_rep(4)
+
+    def generators(dim):
+        S = rng.standard_normal((dim, dim))
+        ops = [S + S.T, 1j * (S - S.T), rand_hermitian(rng, dim), np.diag(rng.standard_normal(dim))]
+        if dim == rep.dim:
+            ops += [CollectiveOperator(rand_hermitian(rng, dim), rep)]
+            ops += [collective_op(a, rep) for a in "xyz"]
+        return ops
+
+    diagonal = rng.random(16) * (np.arange(16) % 4 > 0)    # rank 12
+    cases = {"dense": rand_density(rng, 16), "diagonal": np.diag(diagonal / diagonal.sum()),
+             "pattern-real": _uncoupled_third(rng, 16, True),
+             "pattern-complex": _uncoupled_third(rng, 16, False),
+             "ghz-noise": mix_white_noise(ghz(4, rep), 0.6).data,
+             "singlet": singlet_pi(4).data,
+             "pattern-blocks-real": _uncoupled_third(rng, 400, True),
+             "pattern-blocks-complex": _uncoupled_third(rng, 400, False)}
+    for name, rho in cases.items():
+        ops = generators(rho.shape[0])
+        # a state keeps its spectrum; a bare array is eigendecomposed here
+        state = QuantumState(rep, rho) if rho.shape[0] == rep.dim else rho
+        F, skipped = _fisher(state, [as_operator(A) for A in ops])
+        want, want_skipped = _dense_v_fisher(rho, ops)
+        assert skipped == want_skipped, name
+        assert np.abs(F - want).max() <= 1e-12 * max(1.0, np.abs(want).max()), name
+        assert np.array_equal(F, F.T), name
+
+
 def test_crb_matrix_inverse_and_pseudo(rng):
     rho = rand_density(rng, 4)
     ops = [rand_hermitian(rng, 4) for _ in range(2)]

@@ -25,7 +25,7 @@ def test_reconstruction_residual(rng):
     M = rand_hermitian(rng, 8)
     dec = eigh_hermitian(M)
     scale = np.abs(M).max()
-    assert np.abs(dec.reconstruct() - M).max() <= 1e-10 * scale
+    assert np.abs(dec.apply_function(lambda w: w) - M).max() <= 1e-10 * scale
     gram = dec.eigenvectors.conj().T @ dec.eigenvectors
     assert np.abs(gram - np.eye(8)).max() <= 1e-10
 
@@ -138,7 +138,7 @@ def _assert_matches_lapack(M):
     V = dec.eigenvectors
     assert np.all(np.diff(dec.eigenvalues) >= 0)
     assert np.abs(dec.eigenvalues - np.linalg.eigvalsh(M)).max() <= 1e-12
-    assert np.abs(dec.reconstruct() - M).max() <= 1e-12
+    assert np.abs(dec.apply_function(lambda w: w) - M).max() <= 1e-12
     assert np.abs(V.conj().T @ V - np.eye(M.shape[0])).max() <= 1e-12
     assert not (dec.eigenvalues.flags.writeable or V.flags.writeable)
     return dec
@@ -181,6 +181,49 @@ def test_eigh_with_every_index_coupled_is_one_lapack_call(rng, real):
     dec = _assert_matches_lapack(M)
     vals, vecs = np.linalg.eigh(M)
     assert np.array_equal(dec.eigenvalues, vals) and np.array_equal(dec.eigenvectors, vecs)
+
+
+def _dense_merge_oracle(M):
+    """The eigenvectors as eigh_hermitian merged them into one d x d array
+    when it kept them dense: the block's LAPACK vectors and the unit vectors
+    of the uncoupled indices, in ascending order, uncoupled first at a tie."""
+    M = np.asarray(M)
+    if np.iscomplexobj(M) and not M.imag.any():
+        M = M.real
+    coupled = coupled_indices(M)
+    if coupled.all():
+        return np.linalg.eigh(M)[1]
+    c, u = np.flatnonzero(coupled), np.flatnonzero(~coupled)
+    block = np.linalg.eigh(M[np.ix_(c, c)]) if c.size else (np.empty(0), None)
+    order = np.argsort(np.concatenate([np.diagonal(M).real[u], block[0]]), kind="stable")
+    at = np.empty_like(order)
+    at[order] = np.arange(order.size)
+    vecs = np.zeros(M.shape, dtype=complex if np.iscomplexobj(M) else float)
+    vecs[u, at[:u.size]] = 1.0
+    if c.size:
+        vecs[np.ix_(c, at[u.size:])] = block[1]
+    return vecs
+
+
+def test_dense_eigenvectors_are_the_former_merge_bitwise(rng):
+    """The block spectrum builds its dense eigenvectors on request, with the
+    bits, order and dtype of the former dense merge: white-noise GHZ and
+    singlet densities, random densities with uncoupled indices, a diagonal
+    one and a fully coupled one, at d <= 64."""
+    from qmetro.spin import full_rep
+    from qmetro.states import ghz, mix_white_noise, singlet_pi
+    cases = [mix_white_noise(ghz(n, full_rep(n)), p).data for n in (2, 4, 6) for p in (0.3, 0.9)]
+    cases += [singlet_pi(n).data for n in (2, 4, 6)]
+    cases += [_with_uncoupled(rng, dim, real)[0] for dim in (5, 16, 64) for real in (True, False)]
+    cases += [np.diag(rng.random(9)).astype(complex), rand_density(rng, 12)]
+    for M in cases:
+        dec = eigh_hermitian(M)
+        V = dec.eigenvectors
+        want = _dense_merge_oracle(M)
+        assert V.dtype == want.dtype and not V.flags.writeable
+        assert np.array_equal(V.view(np.uint64), want.view(np.uint64)), M.shape
+        # the block form holds no dense d x d array beside W
+        assert dec.block_vectors.shape == (M.shape[0] - dec.uncoupled.size,) * 2
 
 
 def test_coupling_is_read_from_the_lower_triangle():

@@ -5,16 +5,18 @@ their collective operators are applied, never stored: each command below
 stays under 200 MB (a dense 4096 x 4096 operator alone is 268 MB).
 
 Full densities go up to N = 10 (1024 x 1024).  A real one (white-noise
-GHZ, the singlet) is held as an 8 MB float64 payload, a complex one in
-16 MB.  They meet J_x and J_y through real factors and J_z through its
-diagonal, and are read, checked, eigendecomposed and contracted in blocks
-of rows, so ``witness --all`` on a mixed N = 10 state holds the payload,
-two real factors, the eigenvectors and a few MB more: under 80 MB.  Its
-odd-parity indices are uncoupled, so LAPACK sees a 512^2 block; a
-singlet's indices are all coupled by round-off, so its witnesses take the
-blocks without that rule.  Building the singlet (a dense projector
-product) and its witnesses stay under 92 MB, building and writing the
-mixed state under 60 MB.
+GHZ, the singlet) is parsed straight into an 8 MB float64 payload, a
+complex one held in 16 MB.  They meet J_x and J_y through real factors,
+one dense factor at a time, and J_z through its diagonal, and are read,
+checked, eigendecomposed and contracted in blocks of rows.  The
+odd-parity indices of a mixed N = 10 state are uncoupled, so LAPACK sees
+a 512^2 block and its spectrum is kept as that block's eigenvectors: its
+``witness --all`` holds the payload, one real factor, the block and a
+few MB more, under 64 MB (59 MB here).  A singlet's indices are all but
+three coupled by round-off, so its block is nearly the whole matrix.
+Building the singlet (a dense projector product) and its witnesses stay
+under 90 MB (85 MB here), building and writing the mixed state under
+60 MB.
 
 The gradient scenario at N = 10 rotates the float64 singlet by the
 gradient's product of 2x2 rotations, with no 2^N generator spectrum and
@@ -46,8 +48,8 @@ from qmetro.states import (SqueezingSpec, ghz, mix_white_noise, singlet_pi,
                            squeezed_ground_state)
 
 LIMIT_MB = 200
-DENSITY_LIMIT_MB = 80
-SINGLET_LIMIT_MB = 92
+DENSITY_LIMIT_MB = 64
+SINGLET_LIMIT_MB = 90
 MIXED_STATE_LIMIT_MB = 60
 GRADIENT_LIMIT_MB = 130
 # squeezed ground states take NumPy alone (no SciPy import): 31-35 MB here

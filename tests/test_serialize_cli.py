@@ -436,6 +436,68 @@ def test_reader_keeps_the_payload_dtype_rule(tmp_path, monkeypatch, layout, chun
         assert again.read_bytes() == first, state.label
 
 
+def _hand_written_density(n, entries) -> str:
+    """A canonical state file of the full N-qubit density I/2^N, written by
+    hand, with the (row, column) -> (re, im) text of ``entries`` put in."""
+    d = 2 ** n
+    diag = repr(1.0 / d)
+    rows = []
+    for i in range(d):
+        pairs = [entries.get((i, j), (diag if i == j else "0.0", "0.0")) for j in range(d)]
+        rows.append("[" + ",".join(f"[{re},{im}]" for re, im in pairs) + "]")
+    return ('{"data":[' + ",".join(rows) + '],"format":"qmetro-state/1","kind":"density",'
+            f'"label":"hand","n_qubits":{n},"representation":"full"}}\n')
+
+
+@pytest.mark.parametrize("case,dtype", [
+    ("all +0.0", np.float64), ("-0.0 in the last row", np.complex128),
+    ("imaginary part in the last chunk", np.complex128)])
+def test_reader_parses_a_density_into_float64_until_an_imaginary_part(tmp_path, case, dtype):
+    """A density file of 9 qubits (2.6 MB, three chunks) is parsed into float64
+    and promoted to complex128 at the first imaginary part that is not +0.0
+    bit for bit; each file reads bit for bit as the json.loads fallback does."""
+    entries = {"all +0.0": {(3, 4): ("0.001", "0.0"), (4, 3): ("0.001", "0.0")},
+               "-0.0 in the last row": {(511, 17): ("0.0", "-0.0")},
+               "imaginary part in the last chunk": {(510, 511): ("0.0", "-0.001"),
+                                                    (511, 510): ("0.0", "0.001")}}[case]
+    text = _hand_written_density(9, entries)
+    assert len(text) > 2 * serialize._READ_CHUNK
+    path = tmp_path / "hand.json"
+    path.write_text(text)
+    with open(path, "rb") as fh:
+        rep, payload, _ = serialize._read_canonical(fh)
+    assert payload.dtype == dtype
+    fallback = serialize.state_from_dict(json.loads(text)).data
+    state = serialize.read_state(str(path))
+    assert state.data.dtype == fallback.dtype == dtype
+    assert np.array_equal(state.data.view(np.uint64), fallback.view(np.uint64))
+    assert np.array_equal(payload.view(np.uint64), fallback.view(np.uint64))
+
+
+def test_reading_a_full_density_allocates_no_complex_payload(tmp_path):
+    """read_state of the mixed N = 10 state parses its 8 MB of float64 in
+    place: its traced peak holds the payload, the chunk temporaries and the
+    PSD check's copy of the 512 x 512 coupled block with its Cholesky
+    factor (2 MB each), 28 MB when the payload was parsed as complex."""
+    import tracemalloc
+    path = tmp_path / "m.json"
+    serialize.write_state(mix_white_noise(ghz(10, full_rep(10)), 0.6), str(path))
+    tracemalloc.start()
+    try:
+        with open(path, "rb") as fh:
+            payload = serialize._read_canonical(fh)[1]
+        parse_peak = tracemalloc.get_traced_memory()[1]
+        del payload
+        tracemalloc.reset_peak()
+        state = serialize.read_state(str(path))
+        read_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert state.data.dtype == np.float64
+    assert parse_peak < 12 * 2 ** 20, f"{parse_peak / 2 ** 20:.1f} MB"
+    assert read_peak < 12.5 * 2 ** 20, f"{read_peak / 2 ** 20:.1f} MB"
+
+
 def test_csv_formatting():
     from qmetro.metrology import SweepRecord
     rec = SweepRecord(scenario="s", n=4, p=0.25, lam=1 / 3, theta0=0.0,
