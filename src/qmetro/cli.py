@@ -128,7 +128,8 @@ def cmd_qfi(args) -> int:
         doc["wigner_yanase_sandwich_ok"] = bool(4 * doc["wigner_yanase"] <= res.value + 1e-8)
     if args.sld:
         L = sld(state, gen)
-        doc["sld"] = serialize._complex_to_pairs(L)
+        if args.out:
+            doc["sld"] = serialize._complex_to_pairs(L)
         # Tr(rho L^2): |L psi|^2 for a vector, Tr((L rho) L) for a density
         X = L @ state.data
         doc["sld_trace_check"] = float(np.real(

@@ -307,7 +307,8 @@ def zeno_time(state, op) -> float:
 # ----------------------------------------------------------------------
 
 def bures_fidelity(state1, state2) -> float:
-    """Tr(sqrt(sqrt(r1) r2 sqrt(r1)))^2, with pure-state shortcuts."""
+    """Tr(sqrt(sqrt(r1) r2 sqrt(r1)))^2, with pure-state shortcuts; a
+    QuantumState density r1 takes its square root from its kept spectrum."""
     d1, d2 = _payload(state1), _payload(state2)
     dim1 = d1.shape[0]
     dim2 = d2.shape[0]
@@ -319,7 +320,7 @@ def bures_fidelity(state1, state2) -> float:
         return float(np.real(np.vdot(d1, d2 @ d1)))
     if d2.ndim == 1:
         return float(np.real(np.vdot(d2, d1 @ d2)))
-    R = psd_sqrt(d1)
+    R = psd_sqrt(_eigensystem(state1, d1) if isinstance(state1, QuantumState) else d1)
     M = R @ d2 @ R
     w = np.linalg.eigvalsh((M + M.conj().T) / 2.0)
     return float(np.sum(rank_floor_sqrt(w)) ** 2)
@@ -345,7 +346,7 @@ def mandelstam_tamm_check(state, op, theta: float) -> SpeedBoundCheck:
             f"speed bound valid only for sqrt(F_Q)|theta| <= pi "
             f"(have {np.sqrt(F) * abs(theta):.4f})")
     data = _payload(state)
-    fid = bures_fidelity(data, evolve(A, theta, data))
+    fid = bures_fidelity(state, evolve(A, theta, data))
     bound = float(np.cos(np.sqrt(max(F, 0.0)) / 2.0 * theta) ** 2)
     return SpeedBoundCheck(fid, bound, fid >= bound - SPEED_BOUND_TOL)
 

@@ -258,14 +258,14 @@ def hermitian_trace(a, b) -> complex:
     return 1j ** (kb - ka) * np.vdot(Fa, Fb)
 
 
-def psd_sqrt(M: np.ndarray) -> np.ndarray:
-    """Principal square root of a PSD Hermitian matrix.
+def psd_sqrt(M) -> np.ndarray:
+    """Principal square root of a PSD Hermitian matrix or of its kept spectrum.
 
     Eigenvalues in [PSD_FLOOR, 0), and positive ones under the numerical-rank
     floor of ``rank_floor_sqrt``, are clamped to zero; anything below
     PSD_FLOOR is rejected as non-PSD.
     """
-    dec = eigh_hermitian(M)
+    dec = M if isinstance(M, SpectralDecomposition) else eigh_hermitian(M)
     lo = dec.eigenvalues.min() if dec.dim else 0.0
     scale = max(abs(dec.eigenvalues).max(), 1.0)
     if lo < PSD_FLOOR * scale:
@@ -315,7 +315,7 @@ def unitary_apply(A, theta: float, v: np.ndarray) -> np.ndarray:
     2011): ceil(|theta| b) steps, each summing the series until two
     consecutive terms fall below the unit roundoff times the sum, within a
     budget of _TAYLOR_MAX_STEPS = 50,000 steps (4 pi about a unit J_n at N =
-    4096 takes at most 44,584); an angle that needs more is refused.
+    4096 takes at most 25,743); an angle that needs more is refused.
     """
     if not np.isfinite(theta):
         raise ValueError(f"rotation angle must be finite, got {theta}")

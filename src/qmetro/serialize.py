@@ -199,7 +199,9 @@ def read_state(path: str) -> QuantumState:
 
 def write_report(doc: dict, path: str):
     with open(path, "w") as fh:
-        fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        # streamed: the bytes of json.dumps, without the whole text in memory
+        json.dump(doc, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 def _fmt(x) -> str:

@@ -13,14 +13,14 @@ Operators are applied, not stored.  A ``CollectiveOperator`` holds the
 structure the physics provides, and ``apply(v)`` acts with it on a vector
 (or on the columns of a d x k matrix) without a d x d array:
 
-* symmetric J_x, J_y, J_z: a real diagonal and one band from the ladder
-  amplitudes, O(N) per vector;
-* full-space site sums (``collective_op``, ``direction_op``,
-  ``gradient_op``, ``single_site_op``): site weights and a 2x2 operator,
-  applied by bit flips on the (2,)*N tensor in O(N 2^N) and exponentiated
-  site by site;
+* J_n = n . J (``direction_op``, ``collective_op`` at a unit axis) from one
+  builder: in the symmetric sector a real diagonal n_z m and one band from
+  the ladder amplitudes, each left out where zero (J_z diagonal, J_x real),
+  O(N) per vector; in the full space the site sum of (n . sigma)/2;
+* full-space site sums (J_n, ``gradient_op``, ``single_site_op``): site
+  weights and a 2x2 operator, applied by bit flips on the (2,)*N tensor
+  in O(N 2^N) and exponentiated site by site;
 * parity: an index flip, with a sign for sigma_z and sigma_y;
-* a symmetric-sector ``direction_op``: sum_l n_l J_l, applied term by term;
 * ``squared_op``: the diagonal of squares for a diagonal operator (J_z^2),
   else the operator applied twice;
 * custom matrices: ``matrix @ v``.
@@ -36,8 +36,8 @@ none); the dense ``matrix`` is built from it on request, bit for bit the
 Kronecker sums.  ``as_operator`` wraps a bare matrix as a custom operator,
 so every caller meets one kind of operator.  ``spectrum`` keeps the
 eigendecomposition for density rotations by any generator but a site sum,
-and ``norm_bound()`` bounds the 1-norm for ``linalg.unitary_apply``.
-Builders are kept in bounded caches.
+and ``norm_bound()`` bounds the 1-norm for ``linalg.unitary_apply``, a
+band's exactly.  Builders are kept in bounded caches.
 """
 
 from __future__ import annotations
@@ -290,29 +290,6 @@ class _Flip(_Form):
         yield i, (i[::-1] if self.flip else i), self.phase
 
 
-class _Sum(_Form):
-    """sum_l w_l A_l over (w_l, CollectiveOperator) terms, applied term by term."""
-
-    def __init__(self, terms):
-        self.terms, self.dim = terms, terms[0][1].rep.dim
-
-    def apply(self, v):
-        return sum(w * A.apply(v) for w, A in self.terms if w)
-
-    def factor(self, cols=slice(None)):
-        # the real factors of the terms with a nonzero weight, when they share
-        # one power of 1j (a diagonal as its matrix); else the complex sum
-        parts = [(w, *A.factor) for w, A in self.terms if w]
-        if len({k for *_, k in parts}) == 1 and not any(np.iscomplexobj(F) for _, F, _ in parts):
-            return _freeze(sum(w * (np.diag(F) if F.ndim == 1 else F)
-                               for w, F, _ in parts)[:, cols]), parts[0][2]
-        return _freeze(np.ascontiguousarray(
-            sum(w * _from_factor(*A.factor) for w, A in self.terms)[:, cols])), 0
-
-    def norm_bound(self):
-        return sum(abs(w) * A.norm_bound() for w, A in self.terms)
-
-
 class _Square(_Form):
     """A^2 of a CollectiveOperator A, applied as A twice."""
 
@@ -433,6 +410,19 @@ def ladder_amplitudes(n: int) -> np.ndarray:
     return np.sqrt(j * (j + 1) - m * (m + 1))
 
 
+def _component(n_vec, rep: Representation) -> _Form:
+    """The form of J_n = n . J for a unit 3-vector n.  J_+ is the subdiagonal
+    of the ascending-m basis, so n_x J_x + n_y J_y is the band (n_x - i n_y) a / 2."""
+    nx, ny, nz = n_vec
+    if rep.kind == "full":
+        h = sum(n_vec[i] * PAULI[a] for i, a in enumerate(AXES)) / 2.0
+        return _SiteSum(h, np.ones(rep.n))
+    half = ladder_amplitudes(rep.n) / 2.0
+    band = (nx - 1j * ny) * half if ny else nx * half
+    return _Banded(rep.dim, diag=nz * (np.arange(rep.dim) - rep.n / 2.0) if nz else None,
+                   lower=band if nx or ny else None)
+
+
 @lru_cache(maxsize=OPERATOR_CACHE_SIZE)
 def collective_op(axis: str, rep: Representation) -> CollectiveOperator:
     """The collective component J_axis = sum_n j_axis^{(n)}.
@@ -442,17 +432,7 @@ def collective_op(axis: str, rep: Representation) -> CollectiveOperator:
     """
     if axis not in AXES:
         raise ValueError(f"axis must be one of {AXES}, got {axis!r}")
-    n = rep.n
-    if rep.kind == "full":
-        form = _SiteSum(PAULI[axis] / 2.0, np.ones(n))
-    elif axis == "z":
-        form = _Banded(n + 1, diag=np.arange(n + 1) - n / 2.0)
-    elif axis == "x":
-        # (J_+ + J_-)/2; J_+ is the subdiagonal in the ascending-m basis
-        form = _Banded(n + 1, lower=ladder_amplitudes(n) / 2.0)
-    else:
-        form = _Banded(n + 1, lower=ladder_amplitudes(n).astype(complex) / 2j)
-    return CollectiveOperator(form, rep, provenance=axis)
+    return CollectiveOperator(_component(np.eye(3)[AXES.index(axis)], rep), rep, provenance=axis)
 
 
 def direction_op(n_vec, rep: Representation) -> CollectiveOperator:
@@ -465,12 +445,7 @@ def direction_op(n_vec, rep: Representation) -> CollectiveOperator:
         raise ValueError(f"direction vector must be finite, got {n_vec}")
     if abs(np.linalg.norm(n_vec) - 1.0) > DIRECTION_NORM:
         raise ValueError(f"direction vector must have unit norm, got |n|={np.linalg.norm(n_vec):.12f}")
-    if rep.kind == "full":
-        # the site sum of (n . sigma) / 2, rotated by its product of 2x2 rotations
-        h = sum(n_vec[i] * PAULI[a] for i, a in enumerate(AXES)) / 2.0
-        return CollectiveOperator(_SiteSum(h, np.ones(rep.n)), rep, provenance=tuple(n_vec))
-    terms = tuple((n_vec[i], collective_op(a, rep)) for i, a in enumerate(AXES))
-    return CollectiveOperator(_Sum(terms), rep, provenance=tuple(n_vec))
+    return CollectiveOperator(_component(n_vec, rep), rep, provenance=tuple(n_vec))
 
 
 def _gradient_weights(n: int, centered: bool) -> np.ndarray:

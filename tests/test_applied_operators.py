@@ -115,6 +115,40 @@ def test_lazy_matrix_equals_former_builders_bitwise(rng, rep):
         assert np.array_equal(_bits(got), _bits(_site_oracle(rep, op2, site))), site
 
 
+@pytest.mark.parametrize("rep", _REPS, ids=repr)
+def test_axis_and_unit_direction_are_one_builder(rep):
+    """collective_op(a) and direction_op(e_a) are the same operator: J_z stays
+    diagonal (a 1-D factor), J_x real and J_y purely imaginary."""
+    for i, axis in enumerate(AXES):
+        J, Jn = collective_op(axis, rep), direction_op(np.eye(3)[i], rep)
+        assert type(J.form) is type(Jn.form), axis
+        assert (J.form.diagonal() is None) == (Jn.form.diagonal() is None), axis
+        (F, k), (Fn, kn) = J.factor, Jn.factor
+        assert k == kn and F.dtype == Fn.dtype and F.shape == Fn.shape, axis
+        assert np.array_equal(_bits(F), _bits(Fn)), axis
+        assert np.array_equal(_bits(J.matrix), _bits(Jn.matrix)), axis
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 40])
+def test_symmetric_direction_norm_bound_is_the_exact_one_norm(n):
+    """A symmetric J_n is one band, so its bound is the band's largest row
+    sum, the 1-norm itself (a sum of three term bounds gave 35.21 against
+    20.49 at (1,1,1)/sqrt(3), N = 40)."""
+    rep = symmetric_rep(n)
+    for n_vec in _DIRECTIONS + [np.ones(3) / np.sqrt(3.0), np.array([1.0, 1.0, 0.0]) / np.sqrt(2)]:
+        J = direction_op(n_vec, rep)
+        exact = np.linalg.norm(J.matrix, 1)
+        assert abs(J.norm_bound() - exact) <= 1e-12 * exact, n_vec
+        assert J.apply(np.eye(rep.dim)) == pytest.approx(J.matrix, abs=1e-13), n_vec
+
+
+def test_turn_about_a_symmetric_direction_at_the_largest_n_is_25743_steps():
+    # unitary_apply takes ceil(|theta| b) Taylor steps; b <= sqrt(j(j+1)) for
+    # a unit J_n, as the rows of the band are at most that long
+    J = direction_op(np.ones(3) / np.sqrt(3.0), symmetric_rep(spin.SYMMETRIC_MAX))
+    assert int(np.ceil(4 * np.pi * J.norm_bound())) <= 25_743
+
+
 def test_lazy_matrix_is_built_once_and_read_only():
     J = collective_op("y", symmetric_rep(9))
     assert J.matrix is J.matrix

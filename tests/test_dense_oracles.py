@@ -114,6 +114,21 @@ def test_pure_rotate_matches_unitary_exp(rng, rep, theta):
         assert np.abs(unitary_apply(gen, -t, X) - U.conj().T @ X).max() <= 1e-12, gen
 
 
+@pytest.mark.parametrize("n_vec", [np.ones(3) / np.sqrt(3.0), np.array([-1.0, 2.0, -2.0]) / 3.0],
+                         ids=["111", "-12-2"])
+def test_symmetric_direction_rotations_match_unitary_exp(rng, n_vec):
+    """J_n as one band at symmetric N = 40: vectors by Taylor steps, densities
+    by the kept spectrum, against the propagator of the dense matrix."""
+    rep = symmetric_rep(40)
+    gen = direction_op(n_vec, rep)
+    psi, rho = rand_pure(rng, rep.dim), rand_density(rng, rep.dim)
+    for t in (-2.5, 0.3, 4 * np.pi):
+        U = unitary_exp(gen.matrix, t)
+        assert np.abs(rotate(QuantumState(rep, psi), gen, t).data - U @ psi).max() <= 1e-12, t
+        want = U @ rho @ U.conj().T
+        assert np.abs(rotate(QuantumState(rep, rho), gen, t).data - want).max() <= 1e-12, t
+
+
 @pytest.mark.parametrize("rep", [symmetric_rep(8), full_rep(4)], ids=repr)
 def test_pure_speed_bound_fidelity_matches_density(rng, rep):
     psi = rand_pure(rng, rep.dim)

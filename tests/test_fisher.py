@@ -471,6 +471,27 @@ def test_speed_bound_random_mixed(rng):
         assert chk.holds
 
 
+def test_speed_bound_of_a_state_takes_one_eigendecomposition(monkeypatch):
+    """qfi and the fidelity's square root share the state's kept spectrum;
+    the value is that of the bare payload, which takes its own."""
+    state = mix_white_noise(ghz(8, full_rep(8)), 0.6)
+    Jx = collective_op("x", state.rep)
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(M, *args, **kwargs):
+        calls.append(M.shape)
+        return eigh(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    chk = mandelstam_tamm_check(state, Jx, 0.05)
+    assert len(calls) == 1, calls
+    monkeypatch.undo()
+    want = bures_fidelity(state.data, rotate(state, Jx, 0.05).data)
+    assert abs(chk.fidelity - want) <= 1e-12
+    assert chk.holds
+
+
 def test_speed_bound_window_enforced():
     g = ghz(8)
     with pytest.raises(ValueError, match="pi"):

@@ -326,7 +326,7 @@ def test_unitary_apply_refuses_a_non_finite_angle(theta):
 
 def test_unitary_apply_step_budget():
     # every turn of up to 4 pi about a unit direction fits at the largest
-    # symmetric N; sum_l |n_l| and so the norm bound peak on the diagonal
+    # symmetric N: the 1-norm of a unit J_n is at most sqrt(j(j+1))
     rep = symmetric_rep(SYMMETRIC_MAX)
     for n_vec in ([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], np.ones(3) / np.sqrt(3.0)):
         assert 4 * np.pi * direction_op(np.asarray(n_vec), rep).norm_bound() <= _TAYLOR_MAX_STEPS

@@ -18,6 +18,13 @@ Building the singlet (a dense projector product) and its witnesses stay
 under 90 MB (85 MB here), building and writing the mixed state under
 60 MB.
 
+The SLD of a mixed N = 10 state is a complex 1024^2 matrix.  Printed
+without a report it is dropped after its trace check: ``qfi --wy --sld
+--zeno`` stays under 150 MB (137 MB here, 265 MB when every run turned it
+into nested Python lists).  A report written with ``--out`` holds those
+lists and streams its text to the file: under 300 MB (265 MB here, 557 MB
+with the whole text in memory).
+
 The gradient scenario at N = 10 rotates the float64 singlet by the
 gradient's product of 2x2 rotations, with no 2^N generator spectrum and
 no dense propagator: under 130 MB (181 MB with both).
@@ -52,6 +59,8 @@ DENSITY_LIMIT_MB = 64
 SINGLET_LIMIT_MB = 90
 MIXED_STATE_LIMIT_MB = 60
 GRADIENT_LIMIT_MB = 130
+SLD_LIMIT_MB = 150
+SLD_REPORT_LIMIT_MB = 300
 # squeezed ground states take NumPy alone (no SciPy import): 31-35 MB here
 SQUEEZING_LIMIT_MB = 45
 
@@ -99,10 +108,13 @@ def _peak_rss_mb(argv, cwd) -> float:
     (["sweep", "--kind", "frontier", "--n", "1000", "--points", "64", "--out", "f1000.csv"],
      SQUEEZING_LIMIT_MB),
     (["scenario", "--family", "gradient", "--n", "10", "--theta0", "0.1"], GRADIENT_LIMIT_MB),
+    (["qfi", "mixed10.json", "--wy", "--sld", "--zeno"], SLD_LIMIT_MB),
+    (["qfi", "mixed10.json", "--sld", "--out", "sld.json"], SLD_REPORT_LIMIT_MB),
 ], ids=["witness-symmetric-4096", "frontier-4096", "qfi-full-ghz-12", "witness-full-ghz-12",
         "witness-full-mixed-10", "witness-full-singlet-10", "state-mixed-10",
         "state-singlet-10",
-        "state-squeezed-4096", "frontier-1000", "scenario-gradient-10"])
+        "state-squeezed-4096", "frontier-1000", "scenario-gradient-10",
+        "qfi-sld-full-mixed-10", "qfi-sld-report-full-mixed-10"])
 def test_cli_peak_rss_at_advertised_limits(states, argv, limit):
     peak = _peak_rss_mb(argv, states)
     assert peak < limit, f"{' '.join(argv)}: peak RSS {peak:.0f} MB"
