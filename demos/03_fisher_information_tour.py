@@ -13,7 +13,7 @@ from qmetro import (Povm, classical_fisher, concave_roof_oracle,
                     qfi_alternative, sld, white_noise_qfi, wigner_yanase,
                     zeno_time)
 from qmetro.spin import collective_op, full_rep
-from qmetro.states import ghz, mix_white_noise, rotate
+from qmetro.states import ghz, mix_white_noise
 
 n, p = 3, 0.7
 pure = ghz(n, full_rep(n), axis="x")
@@ -32,7 +32,7 @@ print(f"  4 * variance             = {4 * noisy.variance(Jx):.10f}  (never below
 L = sld(noisy, Jx)
 print(f"\n  Tr(rho L^2) = {np.trace(noisy.data @ L @ L).real:.10f}  (equals qfi)")
 povm = Povm.from_observable_eigenbasis(L)
-F_cl = classical_fisher(lambda th: rotate(noisy, Jx, th), povm, 0.0)
+F_cl = classical_fisher(noisy, Jx, povm)
 print(f"  classical Fisher information in the L eigenbasis = {F_cl.value:.10f}")
 
 print("\nvariance roofs: exact optimal decompositions into rank(rho) pure states:")

@@ -129,7 +129,7 @@ def cmd_qfi(args) -> int:
     if args.sld:
         L = sld(state, gen)
         if args.out:
-            doc["sld"] = serialize._complex_to_pairs(L)
+            doc["sld"] = L
         # Tr(rho L^2): |L psi|^2 for a vector, Tr((L rho) L) for a density
         X = L @ state.data
         doc["sld_trace_check"] = float(np.real(

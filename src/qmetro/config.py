@@ -26,8 +26,8 @@ FISHER_FLOOR = 1e-12
 # Relative eigenvalue cut below which crb_matrix takes a pseudo-inverse.
 CRB_RCOND = 1e-10
 
-# Central finite-difference step in theta: the error-propagation slope
-# cross-check and the classical Fisher information.
+# Central finite-difference step in theta of the error-propagation slope
+# cross-check.
 FD_STEP = 1e-5
 # Error propagation: a slope, variance or curvature this small in
 # magnitude counts as zero.

@@ -9,7 +9,8 @@ below a floor (both eigenvalues numerically zero) are dropped, which
 restricts the sum to the support and keeps the symmetric logarithmic
 derivative finite.  ``qfi`` is the 1x1 case of the multi-parameter Fisher
 matrix.  Alongside them live the alternative second-moment form, the SLD,
-classical Fisher information of a POVM, Bures fidelity, evolution-speed
+the exact classical Fisher information of a readout (a ``Povm`` kept as
+outcome columns; dp_k = 2 Im Tr(E_k A rho)), Bures fidelity, evolution-speed
 and Zeno-time quantities, the Wigner-Yanase skew information and exact
 optimal decompositions for the convex and concave roofs of the variance.
 
@@ -40,13 +41,12 @@ dropped after it; a matrix of d <= 362 takes one pass.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import (CRB_RCOND, FD_STEP, FISHER_FLOOR, PROB_FLOOR, QFI_PAIR_FLOOR,
-                     ROOF_TOL, SPEED_BOUND_TOL)
+from .config import (CRB_RCOND, FISHER_FLOOR, PROB_FLOOR, QFI_PAIR_FLOOR, ROOF_TOL,
+                     SPEED_BOUND_TOL)
 from .linalg import (SpectralDecomposition, _times, eigh_hermitian, factor_product, psd_sqrt,
                      pure_moments, rank_floor_sqrt, require_hermitian, row_blocks)
 from .spin import as_operator
@@ -356,40 +356,38 @@ def mandelstam_tamm_check(state, op, theta: float) -> SpeedBoundCheck:
 # ----------------------------------------------------------------------
 
 class Povm:
-    """A positive operator valued measure: PSD elements summing to identity."""
+    """A positive operator valued measure, kept as outcome columns: E_k is the
+    sum of b b^dag over the columns b of ``columns`` (d x R) whose ``outcomes``
+    entry is k.  Elements must be PSD (each is kept as its factor V sqrt(w)
+    from the eigh of that check) and sum to the identity, B B^dag = I."""
 
     def __init__(self, elements):
-        self.elements = [np.asarray(E, dtype=complex) for E in elements]
-        dim = self.elements[0].shape[0]
-        total = np.zeros((dim, dim), dtype=complex)
-        for E in self.elements:
-            require_hermitian(E, name="POVM element")
-            if np.linalg.eigvalsh(E).min() < -1e-9:
+        factors = []
+        for E in elements:
+            w, V = np.linalg.eigh(require_hermitian(np.asarray(E, dtype=complex), "POVM element"))
+            if w.min() < -1e-9:
                 raise ValueError("POVM element is not PSD")
-            total += E
-        if np.abs(total - np.eye(dim)).max() > 1e-9:
+            factors.append(V[:, w > 0] * np.sqrt(w[w > 0]))
+        self._keep(np.hstack(factors), np.repeat(np.arange(len(factors)),
+                                                 [F.shape[1] for F in factors]), len(factors))
+
+    def _keep(self, columns, outcomes, count):
+        if np.abs(columns @ columns.conj().T - np.eye(columns.shape[0])).max() > 1e-9:
             raise ValueError("POVM elements do not sum to the identity")
+        self.columns, self.outcomes, self._count = columns, outcomes, count
+        return self
 
     @classmethod
     def projective(cls, basis: np.ndarray) -> "Povm":
-        """Rank-1 projectors onto the columns of a unitary basis matrix."""
-        cols = [basis[:, k] for k in range(basis.shape[1])]
-        return cls([np.outer(c, c.conj()) for c in cols])
+        """Rank-1 projectors onto the columns of a unitary basis matrix, kept as it is."""
+        return cls.__new__(cls)._keep(basis, np.arange(basis.shape[1]), basis.shape[1])
 
     @classmethod
     def from_observable_eigenbasis(cls, M) -> "Povm":
         return cls.projective(as_operator(M).spectrum.eigenvectors)
 
-    def probabilities(self, state) -> np.ndarray:
-        data = _payload(state)
-        if data.ndim == 1:
-            p = [np.real(np.vdot(data, E @ data)) for E in self.elements]
-        else:
-            p = [np.real(np.trace(E @ data)) for E in self.elements]
-        return np.array(p)
-
     def __len__(self):
-        return len(self.elements)
+        return self._count
 
 
 @dataclass
@@ -401,50 +399,34 @@ class CfiResult:
         return self.value
 
 
-def classical_fisher(family, povm: Povm, theta0: float) -> CfiResult:
-    """Fisher information sum (dp/dtheta)^2 / p of a parametrised state family.
-
-    ``family`` maps theta to a state.  Derivatives are central differences
-    with step ``FD_STEP``; a Richardson pass refines outcomes whose
-    probability is below 1e-8, and outcomes with vanishing probability are
-    handled by a one-sided limit (the contribution of a quadratically
-    vanishing outcome is finite and survives the limit).
-    """
-    if not isinstance(povm, Povm):
-        povm = Povm(povm)
-    h = FD_STEP
-    p0 = povm.probabilities(family(theta0))
-    pp = povm.probabilities(family(theta0 + h))
-    pm = povm.probabilities(family(theta0 - h))
-    dp = (pp - pm) / (2 * h)
-
-    needs_richardson = np.any((p0 >= PROB_FLOOR) & (p0 < 1e-8))
-    if needs_richardson:
-        pph = povm.probabilities(family(theta0 + h / 2))
-        pmh = povm.probabilities(family(theta0 - h / 2))
-        dp_half = (pph - pmh) / h
-        dp = (4.0 * dp_half - dp) / 3.0
-
-    value = 0.0
-    boundary = []
-    p2h = None  # at theta0 + 2h, evaluated for the first outcome that needs it
-    for x in range(len(povm)):
-        if p0[x] >= PROB_FLOOR:
-            value += dp[x] ** 2 / p0[x]
-            continue
-        # zero-probability outcome: evaluate the term one step off theta0
-        if abs(dp[x]) > 1e-6:
-            boundary.append(x)
-            warnings.warn(
-                f"POVM outcome {x} has vanishing probability but derivative "
-                f"{dp[x]:.3e}; contribution estimated by a one-sided limit")
-        if pp[x] < PROB_FLOOR:
-            continue
-        if p2h is None:
-            p2h = povm.probabilities(family(theta0 + 2 * h))
-        dp_side = (p2h[x] - p0[x]) / (2 * h)
-        value += dp_side ** 2 / pp[x]
-    return CfiResult(float(value), boundary)
+def classical_fisher(state, generator, povm: Povm, theta0: float = 0.0) -> CfiResult:
+    """Fisher information sum_k (dp_k/dtheta)^2 / p_k of the readout povm on
+    exp(-i theta A) rho exp(i theta A) at theta0 (one ``evolve``), exactly: over
+    the columns b of outcome k, p_k = sum b^dag rho b and dp_k = sum 2 Im (A b)^dag
+    rho b.  An outcome of p_k < PROB_FLOOR has E_k rho = 0 and takes the limit
+    4 Tr(E_k A rho A); ``boundary_outcomes`` lists those whose limit exceeds
+    FISHER_FLOOR."""
+    A, data = _inputs(state, generator)
+    if theta0:
+        data = evolve(A, theta0, data)
+    povm = povm if isinstance(povm, Povm) else Povm(povm)
+    B, k = povm.columns, povm.outcomes
+    if data.ndim == 1:
+        # rho b = psi <psi|b>: with a = B^dag psi and c = B^dag A psi the column
+        # terms are |a|^2, c conj(a) and, for the limit, |c|^2
+        a, c = B.conj().T @ data, B.conj().T @ A.apply(data)
+        p, z = np.abs(a) ** 2, c * a.conj()
+    else:
+        AB, rB = A.apply(B), data @ B
+        p, z = np.sum(B.conj() * rB, axis=0).real, np.sum(AB.conj() * rB, axis=0)
+    p, dp = (np.bincount(k, x, minlength=len(povm)) for x in (p, 2.0 * z.imag))
+    zero = p < PROB_FLOOR
+    cols = zero[k]
+    limit = (np.abs(c[cols]) ** 2 if data.ndim == 1 else
+             np.sum(AB[:, cols].conj() * (data @ AB[:, cols]), axis=0).real)
+    limit = 4.0 * np.bincount(k[cols], limit, minlength=len(povm))
+    value = float(np.sum(dp[~zero] ** 2 / p[~zero]) + np.sum(limit[zero]))
+    return CfiResult(value, np.flatnonzero(zero & (limit > FISHER_FLOOR)).tolist())
 
 
 # ----------------------------------------------------------------------

@@ -197,10 +197,28 @@ def read_state(path: str) -> QuantumState:
     return QuantumState(rep, payload, label=label)
 
 
+class _PairRows(list):
+    """An ndarray report value as the list of its rows' [re, im] pairs, each
+    row built when ``json.dump`` reaches it (its ``default`` hook): its Python
+    encoder iterates a list, where the one-shot C encoder would not."""
+
+    def __init__(self, arr):
+        if not isinstance(arr, np.ndarray):
+            raise TypeError(f"Object of type {type(arr).__name__} is not JSON serializable")
+        self.arr = arr
+
+    def __len__(self):
+        return len(self.arr)
+
+    def __iter__(self):
+        return map(_complex_to_pairs, self.arr)
+
+
 def write_report(doc: dict, path: str):
     with open(path, "w") as fh:
-        # streamed: the bytes of json.dumps, without the whole text in memory
-        json.dump(doc, fh, sort_keys=True, indent=2)
+        # streamed: the bytes of json.dumps, without the whole text in memory;
+        # an ndarray value (an SLD) as its nested pairs, one row at a time
+        json.dump(doc, fh, sort_keys=True, indent=2, default=_PairRows)
         fh.write("\n")
 
 

@@ -19,7 +19,7 @@ from qmetro.metrology import (NoiseChannel, apply_noise, dicke_scenario,
                               ramsey_curve, ramsey_scenario)
 from qmetro.selftest import qfi_property_battery, witness_soundness_battery
 from qmetro.spin import collective_op, full_rep, symmetric_rep
-from qmetro.states import (QuantumState, SqueezingSpec, dicke, ghz, rotate,
+from qmetro.states import (QuantumState, SqueezingSpec, dicke, ghz,
                            squeezed_ground_state, to_full)
 from qmetro.witnesses import avg_qfi, depth_certificate, producibility_bound
 from conftest import roof_search
@@ -185,19 +185,18 @@ def test_criterion_10_optimal_measurement():
     st = ramsey_scenario(4).probe
     Jy = collective_op("y", st.rep)
     povm = Povm.from_observable_eigenbasis(sld(st, Jy))
-    F = classical_fisher(lambda th: rotate(st, Jy, th), povm, 0.0)
+    F = classical_fisher(st, Jy, povm)
     FQ = qfi(st, Jy).value
-    assert abs(F.value - FQ) <= 1e-6 * FQ
+    assert abs(F.value - FQ) <= 1e-12 * FQ
 
     g = ghz(3, axis="z")
     Jz = collective_op("z", g.rep)
     povm_g = Povm.from_observable_eigenbasis(sld(g, Jz))
-    Fg = classical_fisher(lambda th: rotate(g, Jz, th), povm_g, 0.0)
+    Fg = classical_fisher(g, Jz, povm_g)
     FQg = qfi(g, Jz).value
-    assert abs(Fg.value - FQg) <= 1e-6 * FQg
+    assert abs(Fg.value - FQg) <= 1e-12 * FQg
 
-    blind = classical_fisher(lambda th: rotate(g, Jz, th),
-                             Povm.from_observable_eigenbasis(Jz), 0.0)
+    blind = classical_fisher(g, Jz, Povm.from_observable_eigenbasis(Jz))
     assert blind.value <= 1e-12
     _report("10 optimal measurement",
             f"SLD basis reaches F_Q (ramsey {F.value:.6f}/4, ghz {Fg.value:.6f}/9); "

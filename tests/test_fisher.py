@@ -145,7 +145,7 @@ def test_identity_povm_gives_zero():
     st = polarized(3, "z")
     Jy = collective_op("y", st.rep)
     povm = Povm([np.eye(st.rep.dim, dtype=complex)])
-    F = classical_fisher(lambda th: rotate(st, Jy, th), povm, 0.0)
+    F = classical_fisher(st, Jy, povm)
     assert F.value <= 1e-12
 
 
@@ -153,15 +153,15 @@ def test_sld_basis_is_optimal_ramsey():
     st = polarized(4, "z")
     Jy = collective_op("y", st.rep)
     povm = Povm.from_observable_eigenbasis(sld(st, Jy))
-    F = classical_fisher(lambda th: rotate(st, Jy, th), povm, 0.0)
-    assert F.value == pytest.approx(4.0, rel=1e-6)
+    F = classical_fisher(st, Jy, povm)
+    assert F.value == pytest.approx(4.0, rel=1e-12)
 
 
 def test_populations_blind_to_ghz_phase():
     g = ghz(3, axis="z")
     Jz = collective_op("z", g.rep)
     povm = Povm.from_observable_eigenbasis(Jz)
-    F = classical_fisher(lambda th: rotate(g, Jz, th), povm, 0.0)
+    F = classical_fisher(g, Jz, povm)
     assert F.value <= 1e-12
 
 
@@ -169,25 +169,96 @@ def test_parity_basis_reaches_heisenberg_at_origin():
     g = ghz(4, axis="z")
     Jz = collective_op("z", g.rep)
     povm = Povm.from_observable_eigenbasis(parity_op("x", g.rep))
-    F = classical_fisher(lambda th: rotate(g, Jz, th), povm, 0.0)
-    assert F.value == pytest.approx(16.0, rel=1e-6)
+    F = classical_fisher(g, Jz, povm)
+    assert F.value == pytest.approx(16.0, rel=1e-12)
 
 
-def test_zero_probability_outcome_reuses_the_forward_step():
-    """The one-sided limit of a vanishing outcome reads the family at
-    theta0 + h from the central difference: four evaluations, not five, and
-    the value it had with five."""
+def test_zero_probability_outcome_takes_the_exact_limit():
+    """|1, 1> read out by J_z counting about J_y: m = 0 and m = -1 have zero
+    probability, and the limit 4 |<0|J_y|1>|^2 = 2 of m = 0 is the whole
+    information; m = -1 adds nothing and is no boundary outcome."""
     st = polarized(2, "z")
     Jy = collective_op("y", st.rep)
-    calls = []
+    F = classical_fisher(st, Jy, Povm.from_observable_eigenbasis(collective_op("z", st.rep)))
+    assert abs(F.value - 2.0) <= 1e-14
+    assert F.boundary_outcomes == [1]
 
-    def family(theta):
-        calls.append(theta)
-        return rotate(st, Jy, theta)
 
-    F = classical_fisher(family, Povm.from_observable_eigenbasis(collective_op("z", st.rep)), 0.0)
-    assert calls == [0.0, FD_STEP, -FD_STEP, 2 * FD_STEP]
-    assert F.value == 1.9999999995333337
+def _rand_povm(rng, dim, outcomes):
+    """Elements S^-1/2 G_k S^-1/2 of random PSD G_k, S = sum G_k: the first of
+    full rank, so that S is invertible, the others of random rank."""
+    G = []
+    for k in range(outcomes):
+        X = rng.standard_normal((dim, int(rng.integers(1, dim + 1)) if k else dim))
+        X = X + 1j * rng.standard_normal(X.shape)
+        G.append(X @ X.conj().T)
+    w, V = np.linalg.eigh(sum(G))
+    T = (V / np.sqrt(w)) @ V.conj().T
+    return [(E + E.conj().T) / 2.0 for E in (T @ g @ T for g in G)]
+
+
+def _column_probabilities(povm, rho):
+    """p_k = sum b^dag rho b over the columns b of outcome k."""
+    B = povm.columns
+    return np.bincount(povm.outcomes, np.real(np.sum(B.conj() * (rho @ B), axis=0)),
+                       minlength=len(povm))
+
+
+def _fd_fisher(rho, A, elements, theta0):
+    """sum_k (dp_k/dtheta)^2 / p_k with dp_k by central differences of
+    Tr(E_k rho(theta)), step FD_STEP, on the dense exp(-i theta A): the oracle
+    of the closed form."""
+    w, V = np.linalg.eigh(A)
+
+    def probabilities(theta):
+        U = (V * np.exp(-1j * theta * w)) @ V.conj().T
+        r = U @ rho @ U.conj().T
+        return np.array([np.trace(E @ r).real for E in elements])
+
+    dp = (probabilities(theta0 + FD_STEP) - probabilities(theta0 - FD_STEP)) / (2 * FD_STEP)
+    return float(np.sum(dp ** 2 / probabilities(theta0)))
+
+
+@pytest.mark.parametrize("theta0", [0.0, 0.37])
+def test_closed_form_matches_central_differences(rng, theta0):
+    for _ in range(30):
+        dim = int(rng.integers(2, 17))
+        A = rand_hermitian(rng, dim)
+        if rng.integers(2):
+            U = rand_unitary(rng, dim)
+            povm, elements = Povm.projective(U), [np.outer(u, u.conj()) for u in U.T]
+        else:
+            elements = _rand_povm(rng, dim, int(rng.integers(2, 6)))
+            povm = Povm(elements)
+        for state in (rand_pure(rng, dim), rand_density(rng, dim)):
+            rho = np.outer(state, state.conj()) if state.ndim == 1 else state
+            got = classical_fisher(state, A, povm, theta0).value
+            assert got == pytest.approx(_fd_fisher(rho, A, elements, theta0), rel=1e-7)
+            assert got <= qfi(state, A).value + 1e-9
+
+
+def test_column_probabilities_are_the_element_traces(rng):
+    for _ in range(20):
+        dim = int(rng.integers(2, 17))
+        elements = _rand_povm(rng, dim, int(rng.integers(2, 6)))
+        rho = rand_density(rng, dim)
+        want = [np.trace(E @ rho).real for E in elements]
+        assert np.abs(_column_probabilities(Povm(elements), rho) - want).max() <= 1e-14
+
+
+@pytest.mark.parametrize("theta", [0.0, 1e-3, 0.05])
+def test_jz_counting_reaches_the_qfi_of_a_large_dicke_state(theta):
+    """|N/2, 0> at N = 1000 turned about J_y and read out by J_z counting: F_C
+    equals F_Q = 4 Var(J_y) = N(N+2)/2, the readout kept as the N + 1 basis
+    columns (the dense elements would take 16 GB)."""
+    n = 1000
+    st = dicke(n, n // 2)
+    Jy = collective_op("y", st.rep)
+    povm = Povm.projective(np.eye(n + 1))
+    assert povm.columns.size <= (n + 1) ** 2
+    FQ = qfi(st, Jy).value
+    assert FQ == pytest.approx(n * (n + 2) / 2, rel=1e-12)
+    assert abs(classical_fisher(st, Jy, povm, theta).value / FQ - 1.0) <= 1e-12
 
 
 def test_povm_validation():
@@ -196,6 +267,10 @@ def test_povm_validation():
     with pytest.raises(ValueError, match="PSD"):
         Povm([np.diag([2.0, 1.0]).astype(complex),
               np.diag([-1.0, 0.0]).astype(complex)])
+    with pytest.raises(ValueError, match="Hermitian"):
+        Povm([np.array([[1.0, 1.0], [0.0, 0.0]]), np.array([[0.0, -1.0], [0.0, 1.0]])])
+    with pytest.raises(ValueError, match="identity"):
+        Povm.projective(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
 # ------------------------------------------------- fisher matrix

@@ -21,9 +21,10 @@ under 90 MB (85 MB here), building and writing the mixed state under
 The SLD of a mixed N = 10 state is a complex 1024^2 matrix.  Printed
 without a report it is dropped after its trace check: ``qfi --wy --sld
 --zeno`` stays under 150 MB (137 MB here, 265 MB when every run turned it
-into nested Python lists).  A report written with ``--out`` holds those
-lists and streams its text to the file: under 300 MB (265 MB here, 557 MB
-with the whole text in memory).
+into nested Python lists).  A report written with ``--out`` keeps the array
+and streams its [re, im] pairs to the file one row at a time: under 150 MB
+too (265 MB with the whole array as nested lists, 557 MB with the whole
+text in memory).
 
 The gradient scenario at N = 10 rotates the float64 singlet by the
 gradient's product of 2x2 rotations, with no 2^N generator spectrum and
@@ -60,7 +61,7 @@ SINGLET_LIMIT_MB = 90
 MIXED_STATE_LIMIT_MB = 60
 GRADIENT_LIMIT_MB = 130
 SLD_LIMIT_MB = 150
-SLD_REPORT_LIMIT_MB = 300
+SLD_REPORT_LIMIT_MB = 150
 # squeezed ground states take NumPy alone (no SciPy import): 31-35 MB here
 SQUEEZING_LIMIT_MB = 45
 

@@ -556,6 +556,23 @@ def test_cli_sld_trace_equals_qfi(tmp_path, state_args):
     assert doc["sld_trace_check"] == pytest.approx(doc["qfi"], rel=1e-10)
 
 
+def test_report_streams_an_array_as_its_nested_pairs(tmp_path):
+    """An ndarray value is written row by row with the bytes of its nested
+    [re, im] lists; signed zeros keep their sign, and any other object that
+    JSON cannot hold is still refused."""
+    rng = np.random.default_rng(3)
+    L = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    L[1, 2] = complex(-0.0, 0.0)
+    for value in (L, L[0], np.zeros((0, 3))):
+        path = tmp_path / "r.json"
+        serialize.write_report({"qfi": 1.5, "sld": value, "z": [1]}, str(path))
+        want = json.dumps({"qfi": 1.5, "sld": serialize._complex_to_pairs(value), "z": [1]},
+                          sort_keys=True, indent=2) + "\n"
+        assert path.read_text() == want
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        serialize.write_report({"x": {1, 2}}, str(tmp_path / "r.json"))
+
+
 def test_cli_witness_all(tmp_path, capsys):
     out = tmp_path / "singlet.json"
     assert main(["state", "--kind", "singlet", "--n", "4", "--rep", "full",
