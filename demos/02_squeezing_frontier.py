@@ -9,8 +9,6 @@ onto one shape, which is the hallmark of Heisenberg scaling.
 Writes squeezing_frontier.png.
 """
 
-import numpy as np
-
 from qmetro.metrology import frontier_lambda_grid, squeezing_frontier
 
 curves = {}

@@ -6,8 +6,7 @@ criterion plus the Fisher-information bounds, and prints the verdict
 matrix together with certified entanglement depths.
 """
 
-from qmetro import avg_qfi, depth_certificate, macroscopicity, moments, qfi
-from qmetro.spin import collective_op
+from qmetro import avg_qfi, depth_certificate, macroscopicity, moments
 from qmetro.states import (SqueezingSpec, dicke, ghz, polarized, singlet_pi,
                            squeezed_ground_state)
 from qmetro.witnesses import (optimal_ssi, xi_squared_os, xi_squared_s,

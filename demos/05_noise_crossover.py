@@ -15,8 +15,6 @@ which caps F_Q/N for any probe as N grows (eta = 1 - p).
 Writes noise_crossover.png when matplotlib is installed.
 """
 
-import numpy as np
-
 from qmetro.metrology import noisy_scaling_sweep
 
 print("noiseless sweep (symmetric sector, large N):")

@@ -33,10 +33,14 @@ eigenvectors V, and V^T A V is real for J_x, J_z ((V^T * m) V) and the
 real factor of the purely imaginary J_y; the Fisher cross term of a real
 and a purely imaginary transform is exactly zero and is not summed.
 
-The Fisher matrix of a density is summed over blocks of rows k of the
-pair sums (``linalg.row_blocks``) on the kept block spectrum, with no d x d
-V, by parity groups whose dense factors are built for the group and
-dropped after it; a matrix of d <= 362 takes one pass.
+Every Fisher quantity of a density forms V^dag A V in one place, the row
+transform ``_transform`` of the kept block spectrum: rows of it, in the
+order of the spectrum's ``values``, as [X[:, u] | X[:, c] W] for the rows X
+of V^dag F, where an uncoupled row is a row of A's factor F and a coupled
+one a row of W^dag F[c].  The Fisher matrix sums it by blocks of rows
+(``linalg.row_blocks``) against every column, with no d x d V, by parity
+groups whose dense factors are built for the group and dropped after it (a
+matrix of d <= 362 takes one pass); the SLD and both roofs take all rows.
 """
 
 from __future__ import annotations
@@ -49,11 +53,8 @@ from .config import (CRB_RCOND, FISHER_FLOOR, PROB_FLOOR, QFI_PAIR_FLOOR, ROOF_T
                      SPEED_BOUND_TOL)
 from .linalg import (SpectralDecomposition, _times, eigh_hermitian, factor_product, psd_sqrt,
                      pure_moments, rank_floor_sqrt, require_hermitian, row_blocks)
-from .spin import as_operator
+from .spin import SYMMETRIC_MAX, as_operator, symmetric_rep
 from .states import QuantumState, check_same_rep, evolve, operator_moments
-
-QFI_DENSITY_DIM_MAX = 4096
-
 
 # ----------------------------------------------------------------------
 # input adapters
@@ -101,11 +102,13 @@ class QfiResult:
 
 
 def _eigensystem(state, rho: np.ndarray) -> SpectralDecomposition:
-    """Spectrum of the density rho of state; a QuantumState keeps it."""
+    """Spectrum of the density rho of state; a QuantumState keeps it.  A bare
+    array has at most the rows of the largest density ``require_density``
+    admits, the symmetric one at SYMMETRIC_MAX."""
     if isinstance(state, QuantumState):
-        return state._memoized("spectrum", lambda: _eigensystem(None, rho))
-    if rho.shape[0] > QFI_DENSITY_DIM_MAX:
-        raise ValueError(f"density dimension {rho.shape[0]} exceeds {QFI_DENSITY_DIM_MAX}")
+        return state._memoized("spectrum", lambda: eigh_hermitian(rho))
+    if rho.shape[0] > (most := symmetric_rep(SYMMETRIC_MAX).dim):
+        raise ValueError(f"density dimension {rho.shape[0]} exceeds {most}")
     return eigh_hermitian(rho)
 
 
@@ -119,44 +122,33 @@ def _pair_ratio(lam_rows: np.ndarray, lam: np.ndarray, num: np.ndarray, floor: f
     return num, keep
 
 
-def _entries(f, rows: np.ndarray, cols) -> tuple:
-    """A[rows][:, cols] as a factor, for A's factor f (a 1-D F a diagonal)."""
+def _transform(dec: SpectralDecomposition, f, r: slice) -> tuple:
+    """Rows r, in the order of ``dec.values``, of V^dag A V as a factor, for A's
+    factor f = (F, k): [X[:, u] | X[:, c] W] for the rows X of V^dag F.  An
+    uncoupled row e_u^dag F is row u of F (of a diagonal F, F_uu at column u),
+    a coupled one a row of W^dag F[c]; the only place V^dag A V is formed."""
     F, k = f
-    if F.ndim == 1:
-        return np.where(rows[:, None] == np.arange(F.size)[cols], F[rows, None], 0.0), k
-    return F[rows][:, cols], k
-
-
-def _pair_blocks(dec: SpectralDecomposition):
-    """Blocks of rows k (``linalg.row_blocks``, in the order of ``dec.values``)
-    of the eigenvector pairs (k, l) as (l_k, l_l, times, transform), the
-    factor transform(f) of V^dag A V there counting times: a row e_u gives
-    A[u, u] and A[u, c] W, twice for its conjugate (c, u), a row of W gives
-    (W^dag A)[:, c] W, the dense V^dag A V when every index is coupled."""
-    u, c, W, lam, nu = dec.uncoupled, dec.coupled, dec.block_vectors, dec.values, dec.uncoupled.size
-
-    def coupled_rows(f, Vr):
-        return _times(Vr.conj().T, f[0])[:, c] @ W, f[1]
-
-    for r in row_blocks(dec.dim):
-        if r.start < nu:
-            ru = slice(r.start, min(r.stop, nu))
-            ur = u[ru]
-            yield lam[ru], lam[:nu], 1, lambda f, ur=ur: _entries(f, ur, u)
-            yield lam[ru], lam[nu:], 2, lambda f, ur=ur: factor_product(_entries(f, ur, c), (W, 0))
-        if r.stop > nu:
-            Vr = dec.columns(rc := slice(max(r.start, nu), r.stop))
-            yield lam[rc], lam[nu:], 1, lambda f, Vr=Vr: coupled_rows(f, Vr)
+    u, c, W, nu = dec.uncoupled, dec.coupled, dec.block_vectors, dec.uncoupled.size
+    X = _times(dec.columns(slice(max(r.start, nu), max(r.stop, nu))).conj().T, F)
+    if (ur := u[r]).size:
+        X = np.concatenate([F[ur] if F.ndim == 2 else
+                            np.where(ur[:, None] == np.arange(dec.dim), F[ur, None], 0.0), X])
+    if nu:  # [X[:, u] | X[:, c] W] in the storage of X; the product's operand
+        # copy is freed before X[:, u] is copied
+        X[:, nu:], X[:, :nu] = X[:, c] @ W, X[:, u]
+        return X, k
+    return X @ W, k
 
 
 def _pair_sum(dec: SpectralDecomposition, ops, numerator) -> tuple[np.ndarray, int]:
     """S_mn = 2 sum_kl w_kl Re(T^m_kl conj T^n_kl) for the generators ops, with
-    T^n = V^dag A_n V and w_kl = numerator(l_k, l_l) / (l_k + l_l) on the pairs
-    that reach QFI_PAIR_FLOOR, and the number of pairs dropped, over
-    ``_pair_blocks`` (one pass at d <= 362).  Real transforms 1j**k T of an
-    even and an odd power of 1j have the cross term 2 Re(+-1j * real sum) = 0,
-    so the generators go by parity groups (J_x with J_z, then J_y; complex
-    ones in one), each group's dense factors built for it and dropped after."""
+    T^n = V^dag A_n V (``_transform``) and w_kl = numerator(l_k, l_l) / (l_k + l_l)
+    on the pairs that reach QFI_PAIR_FLOOR, and the number of pairs dropped, by
+    blocks of rows k against every l (``linalg.row_blocks``; one pass at d <= 362).
+    Real transforms 1j**k T of an even and an odd power of 1j have the cross term
+    2 Re(+-1j * real sum) = 0, so the generators go by parity groups (J_x with
+    J_z, then J_y; complex ones in one), each group's dense factors built for it
+    and dropped after."""
     groups = {0: list(enumerate(ops))}
     if len(ops) > 1:    # each factor's kind, from an empty column block
         kinds = [A.form.factor(slice(0)) for A in ops]
@@ -164,13 +156,13 @@ def _pair_sum(dec: SpectralDecomposition, ops, numerator) -> tuple[np.ndarray, i
         groups = {}
         for n, (A, (_, k)) in enumerate(zip(ops, kinds)):
             groups.setdefault(k % 2 if real else 0, []).append((n, A))
-    S = np.zeros((len(ops), len(ops)))
+    S, lam = np.zeros((len(ops), len(ops))), dec.values
     for members in groups.values():
         factors, skipped = [(n, A.form.factor()) for n, A in members], 0
-        for lam_k, lam_l, times, transform in _pair_blocks(dec):
-            W, keep = _pair_ratio(lam_k, lam_l, numerator(lam_k, lam_l), QFI_PAIR_FLOOR)
-            skipped += times * (keep.size - int(np.count_nonzero(keep)))
-            _fisher_block(S, W, transform, factors, 2.0 * times)
+        for r in row_blocks(dec.dim):
+            W, keep = _pair_ratio(lam[r], lam, numerator(lam[r], lam), QFI_PAIR_FLOOR)
+            skipped += keep.size - int(np.count_nonzero(keep))
+            _fisher_block(S, W, lambda f, r=r: _transform(dec, f, r), factors)
         del factors
     return S, skipped
 
@@ -188,8 +180,8 @@ def _fisher(state, ops) -> tuple[np.ndarray, int]:
                      lambda lam_k, lam_l: (lam_k[:, None] - lam_l) ** 2)
 
 
-def _fisher_block(F, W, transform, members, scale):
-    """Add scale sum_kl W_kl Re(T^m_kl conj T^n_kl) to F[m, n] for the (n, factor)
+def _fisher_block(F, W, transform, members):
+    """Add 2 sum_kl W_kl Re(T^m_kl conj T^n_kl) to F[m, n] for the (n, factor)
     members, whose transforms 1j**k T = transform(factor) are held together."""
     held = []
     for n, f in members:
@@ -197,7 +189,7 @@ def _fisher_block(F, W, transform, members, scale):
         t = np.abs(T)
         t **= 2
         t *= W
-        F[n, n] += scale * float(t.sum())
+        F[n, n] += 2.0 * float(t.sum())
         del t
         for m, Tm, km in held:
             # (W tilde_m) conj(tilde_n), multiplied into the complex factor,
@@ -206,7 +198,7 @@ def _fisher_block(F, W, transform, members, scale):
             if np.iscomplexobj(q) and not np.iscomplexobj(p):
                 p, q = q, p
             p *= q
-            F[m, n] += scale * float(np.real(1j ** (km - k) * p.sum()))
+            F[m, n] += 2.0 * float(np.real(1j ** (km - k) * p.sum()))
             F[n, m] = F[m, n]
             del p, q
         held.append((n, T, k))
@@ -248,7 +240,9 @@ def sld(state, op) -> np.ndarray:
     """Symmetric logarithmic derivative for unitary dynamics generated by op.
 
     Satisfies (L rho + rho L)/2 = i(rho A - A rho) and Tr(rho L^2) = F_Q.
-    Off the support of rho the operator is completed with zeros.
+    Off the support of rho the operator is completed with zeros.  A density
+    gives L = V (2i (l_k - l_l) / (l_k + l_l) T_kl) V^dag for T = V^dag A V
+    (``_transform``) and V its eigenvectors in the order of ``values``.
     """
     A, data = _inputs(state, op)
     if data.ndim == 1:
@@ -256,10 +250,9 @@ def sld(state, op) -> np.ndarray:
         Av = A.apply(data)
         return 2j * (np.outer(data, Av.conj()) - np.outer(Av, data.conj()))
     dec = _eigensystem(state, data)
-    lam = dec.eigenvalues
-    V = dec.eigenvectors
-    w, _ = _pair_ratio(lam, lam, lam[:, None] - lam[None, :], QFI_PAIR_FLOOR)
-    T, k = factor_product((V.conj().T, 0), A.factor, (V, 0))
+    lam, V = dec.values, dec.columns()
+    w, _ = _pair_ratio(lam, lam, lam[:, None] - lam, QFI_PAIR_FLOOR)
+    T, k = _transform(dec, A.factor, slice(0, dec.dim))
     return V @ (2j * 1j ** k * w * T) @ V.conj().T
 
 
@@ -479,7 +472,8 @@ class RoofResult:
 
 def _roof(state, op, convex: bool) -> RoofResult:
     """psi~_k = sum_i sqrt(l_i) U_ik |i> and p_k = |psi~_k|^2 over the kept
-    spectrum l > QFI_PAIR_FLOOR, with B = sqrt(L) V^dag A V sqrt(L) there.
+    spectrum l > QFI_PAIR_FLOOR, in the order of ``values``, with B =
+    sqrt(L) V^dag A V sqrt(L) there (the kept rows and columns of ``_transform``).
     Convex: U = W (not conj(W)) for g = W D W^dag, g_ij = 2 B_ij / (l_i + l_j);
     the purification sum_i sqrt(l_i) |i>|i> is measured on the ancilla in the
     eigenbasis of the optimal h = g^T of F_Q/4 = min_h Var(A x 1 - 1 x h).
@@ -490,9 +484,10 @@ def _roof(state, op, convex: bool) -> RoofResult:
         # a pure state is its only decomposition
         return RoofResult(_mean_and_var(data, A)[1], np.ones(1), data[:, None])
     dec = _eigensystem(state, data)
-    keep = dec.eigenvalues > QFI_PAIR_FLOOR
-    lam, V = dec.eigenvalues[keep], dec.eigenvectors[:, keep]
-    T, k = factor_product((V.conj().T, 0), A.factor, (V, 0))
+    keep = dec.values > QFI_PAIR_FLOOR
+    lam, V = dec.values[keep], dec.columns(keep)
+    T, k = _transform(dec, A.factor, slice(0, dec.dim))
+    T = T[np.ix_(keep, keep)]
     root = np.sqrt(lam)
     B = root[:, None] * (1j ** k * T) * root
     if convex:

@@ -29,7 +29,7 @@ import numpy as np
 from .config import CRB_TOL, DERIV_FLOOR, FD_STEP, FISHER_FLOOR
 from .fisher import qfi
 from .linalg import factor_product, hermitian_trace, real_if_exact
-from .spin import (FULL_DENSITY_MAX, CollectiveOperator, Representation,
+from .spin import (CollectiveOperator, Representation,
                    collective_op, full_rep, gradient_op, parity_op,
                    require_density, squared_op, symmetric_rep)
 from .states import (QuantumState, SqueezingSpec, check_same_rep, dicke, ghz,
@@ -98,10 +98,9 @@ def gradient_scenario(n: int, theta0: float = 0.0) -> Scenario:
     """Singlet probe under a site-weighted y generator, <J_z^2> measured.
 
     The probe is rotation invariant, so a homogeneous field produces no
-    signal while the gradient component does.
+    signal while the gradient component does.  ``singlet_pi`` refuses odd N
+    and ``require_density`` full densities past FULL_DENSITY_MAX.
     """
-    if n % 2 or n > FULL_DENSITY_MAX:
-        raise ValueError(f"gradient estimation implemented for even N <= {FULL_DENSITY_MAX}")
     rep = full_rep(n)
     return Scenario(singlet_pi(n), gradient_op(rep),
                     squared_op(collective_op("z", rep), "Jz^2"),

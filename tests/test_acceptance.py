@@ -7,20 +7,17 @@ report.  All tolerances are fixed here, not configurable.
 import time
 
 import numpy as np
-import pytest
 
 from qmetro.config import ROOF_TOL
 from qmetro.fisher import (Povm, classical_fisher, concave_roof_oracle,
                            convex_roof_oracle, mandelstam_tamm_check, qfi,
-                           qfi_alternative, sld, zeno_time)
-from qmetro.metrology import (NoiseChannel, apply_noise, dicke_scenario,
-                              error_propagation, frontier_on_polarization_grid,
-                              ghz_parity_scenario, noisy_scaling_sweep,
-                              ramsey_curve, ramsey_scenario)
+                           sld, zeno_time)
+from qmetro.metrology import (dicke_scenario, error_propagation,
+                              frontier_on_polarization_grid, ghz_parity_scenario,
+                              noisy_scaling_sweep, ramsey_curve, ramsey_scenario)
 from qmetro.selftest import qfi_property_battery, witness_soundness_battery
-from qmetro.spin import collective_op, full_rep, symmetric_rep
-from qmetro.states import (QuantumState, SqueezingSpec, dicke, ghz,
-                           squeezed_ground_state, to_full)
+from qmetro.spin import collective_op
+from qmetro.states import dicke, ghz
 from qmetro.witnesses import avg_qfi, depth_certificate, producibility_bound
 from conftest import roof_search
 

@@ -18,7 +18,7 @@ from qmetro.spin import collective_op, full_rep, gradient_op, parity_op, symmetr
 from qmetro.states import (QuantumState, dicke, ghz, maximally_mixed,
                            mix_white_noise, polarized, rotate, singlet_pi)
 from conftest import (rand_density, rand_hermitian, rand_pure, rand_unitary,
-                      roof_objective, roof_search)
+                      roof_objective)
 
 
 # ----------------------------------------------------------------- qfi
@@ -445,6 +445,55 @@ def _dense_v_fisher(rho, ops):
     return F, int(keep.size - np.count_nonzero(keep))
 
 
+def _zero_padded(rng, dim, pad, real):
+    """A random density of dimension dim (rank dim // 2), then pad zero rows and
+    columns: uncoupled indices of eigenvalue 0."""
+    rho = rand_density(rng, dim, rank=dim // 2)
+    out = np.zeros((dim + pad,) * 2, dtype=float if real else complex)
+    out[:dim, :dim] = rho.real if real else rho
+    return out
+
+
+def test_sld_and_roofs_on_uncoupled_rows_match_a_dense_v_oracle(rng):
+    """The SLD and both roofs take V^dag A V from the block spectrum, an
+    uncoupled row as a row of A; against V^dag A V from np.linalg.eigh of the
+    whole density, within 1e-12: the SLD entry for entry, the roof values
+    F_Q / 4 and Var(A), and the decompositions rebuild the density with those
+    average variances (the concave one with every mean <A>)."""
+    from qmetro.config import QFI_PAIR_FLOOR
+    noisy = mix_white_noise(ghz(8, full_rep(8), axis="x"), 0.6)  # odd parity uncoupled
+    cases = {"ghz-noise": (noisy, [collective_op(a, noisy.rep) for a in "xyz"])}
+    for real in (True, False):
+        rho = _zero_padded(rng, 12, 5, real)
+        S = rng.standard_normal((17, 17))
+        cases["padded-" + ("real" if real else "complex")] = (
+            rho, [S + S.T, 1j * (S - S.T), rand_hermitian(rng, 17), np.diag(S[0])])
+    for name, (state, ops) in cases.items():
+        rho = state.data if isinstance(state, QuantumState) else state
+        lam, V = np.linalg.eigh(rho)
+        total = lam[:, None] + lam
+        keep = total >= QFI_PAIR_FLOOR
+        w = np.where(keep, (lam[:, None] - lam) / np.where(keep, total, 1.0), 0.0)
+        for A in ops:
+            M = A.matrix if hasattr(A, "matrix") else A
+            T = V.conj().T @ M @ V
+            L = V @ (2j * w * T) @ V.conj().T
+            assert np.abs(sld(state, A) - L).max() <= 1e-12 * max(1.0, np.abs(L).max()), name
+            mean = np.trace(rho @ M).real
+            var = np.trace(rho @ M @ M).real - mean ** 2
+            lower = 0.5 * np.sum(w * (lam[:, None] - lam) * np.abs(T) ** 2)
+            for res, want in ((convex_roof_oracle(state, A), lower),
+                              (concave_roof_oracle(state, A), var)):
+                tol = 1e-12 * max(1.0, abs(want))
+                assert abs(res.value - want) <= tol, name
+                X = res.vectors
+                assert np.abs((X * res.weights) @ X.conj().T - rho).max() <= 1e-12, name
+                means = np.sum(X.conj() * (M @ X), axis=0).real
+                seconds = np.sum(np.abs(M @ X) ** 2, axis=0)
+                assert abs(res.weights @ (seconds - means ** 2) - want) <= tol, name
+            assert np.abs(means - mean).max() <= 1e-12 * max(1.0, np.abs(M).max()), name
+
+
 def _uncoupled_third(rng, dim, real):
     """A random density (rank dim // 2) whose every third index is uncoupled."""
     rho = rand_density(rng, dim, rank=max(dim // 2, 1))
@@ -458,8 +507,8 @@ def _uncoupled_third(rng, dim, real):
 
 
 def test_block_fisher_matrix_matches_a_dense_v_oracle(rng):
-    """The pair blocks (u, u), (u, c) twice and (c, c) sum to the Fisher
-    matrix of a dense eigendecomposition, within 1e-12, for real, purely
+    """The rows of V^dag A V, uncoupled and coupled, against every column sum
+    to the Fisher matrix of a dense eigendecomposition, within 1e-12, for real, purely
     imaginary, complex and custom generators and the collective ones, on
     densities with no uncoupled index, no coupled one and both, over one row
     block and several."""
@@ -544,6 +593,28 @@ def test_speed_bound_random_mixed(rng):
         cap = np.pi / np.sqrt(F) if F > 1e-9 else 0.3
         chk = mandelstam_tamm_check(rho, A, rng.uniform(0, min(cap, 0.5)))
         assert chk.holds
+
+
+def test_a_symmetric_density_at_the_largest_n_reaches_the_qfi(monkeypatch):
+    """``require_density`` is the one size rule for densities: a diagonal
+    symmetric density at N = SYMMETRIC_MAX (4097 rows) reaches qfi with no
+    LAPACK call, and a bare array one row larger is refused before any work."""
+    from qmetro.spin import SYMMETRIC_MAX
+
+    def refused(*args):
+        raise AssertionError("a diagonal density needs no eigh")
+
+    monkeypatch.setattr(np.linalg, "eigh", refused)
+    rep = symmetric_rep(SYMMETRIC_MAX)
+    rho = np.zeros((rep.dim, rep.dim))
+    rho[[0, 7, rep.dim - 1], [0, 7, rep.dim - 1]] = [0.25, 0.25, 0.5]
+    res = qfi(QuantumState(rep, rho), collective_op("z", rep))
+    # J_z is diagonal too; only the pairs of two zero eigenvalues are dropped
+    assert res.value == 0.0 and res.skipped_pairs == (rep.dim - 3) ** 2
+    # a zero matrix of no memory: the refusal reads only its shape
+    larger = np.broadcast_to(np.complex128(0.0), (rep.dim + 1,) * 2)
+    with pytest.raises(ValueError, match="density dimension 4098 exceeds 4097"):
+        qfi(larger, larger)
 
 
 def test_speed_bound_of_a_state_takes_one_eigendecomposition(monkeypatch):

@@ -20,7 +20,7 @@ from qmetro.metrology import (NOISY_QFI_MAX, NoiseChannel, Scenario, _golden,
                               ramsey_curve, ramsey_scenario, squeezing_frontier,
                               squared_op)
 from qmetro.spin import (PAULI, collective_op, direction_op, full_rep, gradient_op,
-                         parity_op, symmetric_rep)
+                         symmetric_rep)
 from qmetro.states import (QuantumState, SqueezingSpec, dicke, ghz, polarized,
                            rotate, singlet_pi, squeezed_ground_state, to_full)
 
@@ -168,9 +168,17 @@ def test_gradient_larger_n_finite():
 
 
 def test_gradient_scenario_sizes():
-    for n in (3, 12):
-        with pytest.raises(ValueError, match="even N <= 10"):
+    # the singlet and the density rule decide, with no check of the scenario's own
+    env = dict(os.environ, PYTHONPATH=str(Path(qmetro.__file__).parents[1]))
+    for n, message in ((3, "needs an even particle number"), (7, "needs an even particle number"),
+                       (12, "density matrices limited to N <= 10")):
+        with pytest.raises(ValueError, match=message):
             gradient_scenario(n)
+        done = subprocess.run([sys.executable, "-m", "qmetro.cli", "scenario", "--family",
+                               "gradient", "--n", str(n)], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 1
+        assert message in done.stderr and done.stdout == ""
 
 
 def test_homogeneous_field_invisible_to_singlet():
