@@ -22,8 +22,8 @@ the payload is a ``QuantumState``'s own array, or a bare array as complex
 A bare matrix becomes a custom ``CollectiveOperator`` of no representation
 (``spin.as_operator``, checked Hermitian), so every operator is met the
 same way: pure states through ``apply`` only (A|psi> with no d x d
-matrix), densities through its ``factor`` (a real diagonal or matrix
-where the operator is real or purely imaginary).
+matrix), densities through its ``times`` (real products where the operator
+is real or purely imaginary, and no d x d operator).
 A ``QuantumState`` density is eigendecomposed once: its payload is
 read-only, and the spectrum is kept on the state for every later Fisher
 quantity.  Bare arrays are eigendecomposed on every call.
@@ -35,12 +35,12 @@ and a purely imaginary transform is exactly zero and is not summed.
 
 Every Fisher quantity of a density forms V^dag A V in one place, the row
 transform ``_transform`` of the kept block spectrum: rows of it, in the
-order of the spectrum's ``values``, as [X[:, u] | X[:, c] W] for the rows X
-of V^dag F, where an uncoupled row is a row of A's factor F and a coupled
-one a row of W^dag F[c].  The Fisher matrix sums it by blocks of rows
-(``linalg.row_blocks``) against every column, with no d x d V, by parity
-groups whose dense factors are built for the group and dropped after it (a
-matrix of d <= 362 takes one pass); the SLD and both roofs take all rows.
+order of the spectrum's ``values``, as [X[:, u] | X[:, c] W] for the rows
+X = (A V[:, r])^dag of V^dag A, A V[:, r] being A's ``times`` of those
+eigenvectors (an uncoupled one a unit column).  The Fisher matrix sums it
+by blocks of rows (``linalg.row_blocks``) against every column, with no
+d x d V (a matrix of d <= 362 takes one pass); the SLD and both roofs take
+all rows.
 """
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ import numpy as np
 
 from .config import (CRB_RCOND, FISHER_FLOOR, PROB_FLOOR, QFI_PAIR_FLOOR, ROOF_TOL,
                      SPEED_BOUND_TOL)
-from .linalg import (SpectralDecomposition, _times, eigh_hermitian, factor_product, psd_sqrt,
-                     pure_moments, rank_floor_sqrt, require_hermitian, row_blocks)
+from .linalg import (SpectralDecomposition, eigh_hermitian, psd_sqrt, pure_moments,
+                     rank_floor_sqrt, require_hermitian, row_blocks)
 from .spin import SYMMETRIC_MAX, as_operator, symmetric_rep
 from .states import QuantumState, check_same_rep, evolve, operator_moments
 
@@ -122,48 +122,37 @@ def _pair_ratio(lam_rows: np.ndarray, lam: np.ndarray, num: np.ndarray, floor: f
     return num, keep
 
 
-def _transform(dec: SpectralDecomposition, f, r: slice) -> tuple:
-    """Rows r, in the order of ``dec.values``, of V^dag A V as a factor, for A's
-    factor f = (F, k): [X[:, u] | X[:, c] W] for the rows X of V^dag F.  An
-    uncoupled row e_u^dag F is row u of F (of a diagonal F, F_uu at column u),
-    a coupled one a row of W^dag F[c]; the only place V^dag A V is formed."""
-    F, k = f
+def _transform(dec: SpectralDecomposition, A, Vr: np.ndarray) -> tuple:
+    """Rows r, in the order of ``dec.values``, of V^dag A V as a factor (T, k),
+    V^dag A V = 1j**k T, for the eigenvectors Vr = ``dec.columns(r)``: the rows
+    of V^dag A are (A Vr)^dag, A Vr being A's ``times`` (an uncoupled
+    eigenvector is a unit column), so with X = (A Vr)^dag they are
+    [X[:, u] | X[:, c] W]; the only place V^dag A V is formed."""
     u, c, W, nu = dec.uncoupled, dec.coupled, dec.block_vectors, dec.uncoupled.size
-    X = _times(dec.columns(slice(max(r.start, nu), max(r.stop, nu))).conj().T, F)
-    if (ur := u[r]).size:
-        X = np.concatenate([F[ur] if F.ndim == 2 else
-                            np.where(ur[:, None] == np.arange(dec.dim), F[ur, None], 0.0), X])
+    Y, k = A.form.times(Vr)
+    X = np.ascontiguousarray(Y.conj().T)
+    del Y
     if nu:  # [X[:, u] | X[:, c] W] in the storage of X; the product's operand
         # copy is freed before X[:, u] is copied
         X[:, nu:], X[:, :nu] = X[:, c] @ W, X[:, u]
-        return X, k
-    return X @ W, k
+        return X, -k % 4
+    return X @ W, -k % 4
 
 
 def _pair_sum(dec: SpectralDecomposition, ops, numerator) -> tuple[np.ndarray, int]:
     """S_mn = 2 sum_kl w_kl Re(T^m_kl conj T^n_kl) for the generators ops, with
     T^n = V^dag A_n V (``_transform``) and w_kl = numerator(l_k, l_l) / (l_k + l_l)
     on the pairs that reach QFI_PAIR_FLOOR, and the number of pairs dropped, by
-    blocks of rows k against every l (``linalg.row_blocks``; one pass at d <= 362).
-    Real transforms 1j**k T of an even and an odd power of 1j have the cross term
-    2 Re(+-1j * real sum) = 0, so the generators go by parity groups (J_x with
-    J_z, then J_y; complex ones in one), each group's dense factors built for it
-    and dropped after."""
-    groups = {0: list(enumerate(ops))}
-    if len(ops) > 1:    # each factor's kind, from an empty column block
-        kinds = [A.form.factor(slice(0)) for A in ops]
-        real = np.isrealobj(dec.block_vectors) and all(np.isrealobj(F) for F, _ in kinds)
-        groups = {}
-        for n, (A, (_, k)) in enumerate(zip(ops, kinds)):
-            groups.setdefault(k % 2 if real else 0, []).append((n, A))
-    S, lam = np.zeros((len(ops), len(ops))), dec.values
-    for members in groups.values():
-        factors, skipped = [(n, A.form.factor()) for n, A in members], 0
-        for r in row_blocks(dec.dim):
-            W, keep = _pair_ratio(lam[r], lam, numerator(lam[r], lam), QFI_PAIR_FLOOR)
-            skipped += keep.size - int(np.count_nonzero(keep))
-            _fisher_block(S, W, lambda f, r=r: _transform(dec, f, r), factors)
-        del factors
+    blocks of rows k against every l (``linalg.row_blocks``; one pass at d <= 362)."""
+    S, lam, skipped = np.zeros((len(ops), len(ops))), dec.values, 0
+    for r in row_blocks(dec.dim):
+        W, keep = _pair_ratio(lam[r], lam, numerator(lam[r], lam), QFI_PAIR_FLOOR)
+        skipped += keep.size - int(np.count_nonzero(keep))
+        Vr = dec.columns(r)
+        transforms = [_transform(dec, A, Vr) for A in ops]
+        del Vr
+        _fisher_block(S, W, transforms)
+        del transforms
     return S, skipped
 
 
@@ -180,18 +169,20 @@ def _fisher(state, ops) -> tuple[np.ndarray, int]:
                      lambda lam_k, lam_l: (lam_k[:, None] - lam_l) ** 2)
 
 
-def _fisher_block(F, W, transform, members):
-    """Add 2 sum_kl W_kl Re(T^m_kl conj T^n_kl) to F[m, n] for the (n, factor)
-    members, whose transforms 1j**k T = transform(factor) are held together."""
-    held = []
-    for n, f in members:
-        T, k = transform(f)
+def _fisher_block(F, W, transforms):
+    """Add 2 sum_kl W_kl Re(T^m_kl conj T^n_kl) to F[m, n] for the transforms
+    1j**k T of the generators.  Real transforms of an even and an odd power of
+    1j (J_x or J_z with J_y) have the cross term 2 Re(+-1j * real sum) = 0,
+    which is not summed."""
+    for n, (T, k) in enumerate(transforms):
         t = np.abs(T)
         t **= 2
         t *= W
         F[n, n] += 2.0 * float(t.sum())
         del t
-        for m, Tm, km in held:
+        for m, (Tm, km) in enumerate(transforms[:n]):
+            if (km - k) % 2 and not (np.iscomplexobj(T) or np.iscomplexobj(Tm)):
+                continue
             # (W tilde_m) conj(tilde_n), multiplied into the complex factor,
             # with the power of 1j outside
             p, q = W * Tm, T.conj()
@@ -201,7 +192,6 @@ def _fisher_block(F, W, transform, members):
             F[m, n] += 2.0 * float(np.real(1j ** (km - k) * p.sum()))
             F[n, m] = F[m, n]
             del p, q
-        held.append((n, T, k))
 
 
 def qfi(state, op) -> QfiResult:
@@ -252,7 +242,7 @@ def sld(state, op) -> np.ndarray:
     dec = _eigensystem(state, data)
     lam, V = dec.values, dec.columns()
     w, _ = _pair_ratio(lam, lam, lam[:, None] - lam, QFI_PAIR_FLOOR)
-    T, k = _transform(dec, A.factor, slice(0, dec.dim))
+    T, k = _transform(dec, A, V)
     return V @ (2j * 1j ** k * w * T) @ V.conj().T
 
 
@@ -264,7 +254,7 @@ def wigner_yanase(state, op) -> float:
     dec = _eigensystem(state, data)
     root = dec.apply_function(rank_floor_sqrt)
     # Tr(A root A root) = Tr(X X) = sum_ij X_ij X_ji for X = A root = 1j**k P
-    P, k = factor_product(A.factor, root)
+    P, k = A.form.times(root)
     cross = float(np.real((-1) ** k * np.sum(P * P.T)))
     return operator_moments(A, data)[1] - cross
 
@@ -486,8 +476,8 @@ def _roof(state, op, convex: bool) -> RoofResult:
     dec = _eigensystem(state, data)
     keep = dec.values > QFI_PAIR_FLOOR
     lam, V = dec.values[keep], dec.columns(keep)
-    T, k = _transform(dec, A.factor, slice(0, dec.dim))
-    T = T[np.ix_(keep, keep)]
+    T, k = _transform(dec, A, V)
+    T = T[:, keep]
     root = np.sqrt(lam)
     B = root[:, None] * (1j ** k * T) * root
     if convex:

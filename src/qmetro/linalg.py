@@ -9,9 +9,9 @@ Operators reach this module as arrays.  Pure-state routines take what a
 structured operator gives without a dense matrix: ``pure_moments`` reads
 the images A_k|psi> (from ``CollectiveOperator.apply``) and
 ``unitary_apply`` needs only ``apply`` and the operator's ``norm_bound()``.
-Densities work on factors (F, k) standing for 1j**k F (an operator's
-``CollectiveOperator.factor``): F is a real diagonal (1-D), a real matrix,
-or a genuinely complex matrix with k = 0.
+Densities meet an operator through its form's ``times`` (``spin``), which
+gives a product A X as a factor (P, k) standing for 1j**k P, with no d x d
+operator; ``hermitian_trace`` takes such factors (a 1-D F a diagonal).
 
 Symmetric tridiagonal M-matrices (nonpositive off-diagonals, positive
 definite) have their own batched routines: ``mmatrix_tridiagonal_solve``
@@ -24,9 +24,8 @@ Real data takes real arithmetic.  A state's real density arrives as float64
 (``states.QuantumState``); a bare complex array whose imaginary part is
 exactly zero holds the same matrix as its real part, so ``eigh_hermitian``
 eigendecomposes the real part with real LAPACK (and returns real
-eigenvectors), and ``factor_product`` multiplies real and purely imaginary
-operands with real BLAS, keeping the power of 1j apart, so that no complex
-d x d array is formed.  The rule is exact: no tolerance decides it.
+eigenvectors), so that no complex d x d array is formed.  The rule is
+exact: no tolerance decides it.
 
 So is the coupled-index rule: an index i with M[i, j] = M[j, i] = 0 for
 every j != i, in the lower triangle LAPACK reads, is an eigenvector e_i
@@ -40,7 +39,7 @@ Passes over a d x d matrix run in blocks of rows (``row_blocks``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
@@ -217,35 +216,14 @@ def _real_factor(M: np.ndarray):
     return None
 
 
-def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b, where a 1-D operand is a diagonal: it scales rows or columns."""
-    if b.ndim == 1:
-        return a * b
-    return a[:, None] * b if a.ndim == 1 else a @ b
-
-
 def _as_factor(op) -> tuple:
     """A factor (F, k) as is; an array split by ``_real_factor``, else (M, 0)."""
     return op if isinstance(op, tuple) else (_real_factor(op) or (op, 0))
 
 
-def factor_product(*operands) -> tuple:
-    """The product operands[0] @ operands[1] @ ... as a factor (P, k), the
-    product being 1j**k P.
-
-    An operand is an array or a factor (F, k) standing for 1j**k F, where a
-    1-D F is a diagonal.  An array is split into its real or imaginary part
-    when the other is exactly zero (``_real_factor``), so real and purely
-    imaginary operands multiply in real BLAS and the power of 1j stays out of
-    the d x d result; a genuinely complex array takes part as it is.
-    """
-    factors = [_as_factor(op) for op in operands]
-    return reduce(_times, [F for F, _ in factors]), sum(k for _, k in factors) % 4
-
-
 def hermitian_trace(a, b) -> complex:
-    """Tr(A B) for a Hermitian A and any B, each an operand of
-    ``factor_product``, in O(d^2) multiply-adds.
+    """Tr(A B) for a Hermitian A and any B, each a factor (F, k) standing for
+    1j**k F (a 1-D F a diagonal) or an array, in O(d^2) multiply-adds.
 
     A^T = conj(A), so a real F has F^T = (-1)^k F and a complex F (k = 0)
     has F^T = conj(F): Tr(A B) = sum_ij A_ji B_ij = 1j**(k_b - k_a) vdot(F_a, F_b).

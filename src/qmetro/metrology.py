@@ -28,13 +28,13 @@ import numpy as np
 
 from .config import CRB_TOL, DERIV_FLOOR, FD_STEP, FISHER_FLOOR
 from .fisher import qfi
-from .linalg import factor_product, hermitian_trace, real_if_exact
+from .linalg import real_if_exact
 from .spin import (CollectiveOperator, Representation,
                    collective_op, full_rep, gradient_op, parity_op,
                    require_density, squared_op, symmetric_rep)
 from .states import (QuantumState, SqueezingSpec, check_same_rep, dicke, ghz,
                      operator_moments, polarized, rotate, singlet_pi,
-                     squeezed_ground_state, squeezed_ground_states)
+                     squeezed_ground_state, squeezed_ground_states, trace_chain)
 from .witnesses import MomentSet, moments
 
 # Largest N for the QFI of a depolarized symmetric probe.  The reduced
@@ -138,13 +138,11 @@ def _slope(state: QuantumState, A: CollectiveOperator, M: CollectiveOperator) ->
     """d<M>/dtheta = i<[A, M]> at the working point.
 
     For a vector it is -2 Im<A psi|M psi>.  For a density rho,
-    Tr(M A rho) = conj Tr(A M rho), so it is -2 Im Tr(A M rho), from the
-    factors of A and M.
+    Tr(M A rho) = conj Tr(A M rho), so it is -2 Im Tr(A M rho).
     """
     if state.is_pure:
         return -2.0 * float(np.imag(np.vdot(A.apply(state.data), M.apply(state.data))))
-    return -2.0 * float(np.imag(hermitian_trace(A.factor,
-                                                factor_product(M.factor, state.data))))
+    return -2.0 * float(np.imag(trace_chain(state.data, (M, A))[1]))
 
 
 def _curvature_terms(state: QuantumState, A: CollectiveOperator, M: CollectiveOperator):
@@ -160,16 +158,12 @@ def _curvature_terms(state: QuantumState, A: CollectiveOperator, M: CollectiveOp
         a2, ma = A.apply(a), M.apply(a)
         return (2.0 * float(np.real(np.vdot(a, ma) - np.vdot(a2, m))),
                 2.0 * float(np.real(np.vdot(ma, ma) - np.vdot(a2, M.apply(m)))))
-    # the same for a density: -<[A,[A,X]]> = 2 Tr(X A rho A) - 2 Re Tr(A A X rho)
-    A, M = A.factor, M.factor
-    ArhoA = factor_product(A, state.data, A)
-    Mrho = factor_product(M, state.data)
-    MMrho = factor_product(M, Mrho)
+    # the same for a density: -<[A,[A,X]]> = 2 Tr(A X A rho) - 2 Re Tr(A A X rho)
 
-    def term(X, Xrho):
-        return 2.0 * float(np.real(hermitian_trace(X, ArhoA)
-                                   - hermitian_trace(A, factor_product(A, Xrho))))
-    return term(M, Mrho), term(factor_product(M, M), MMrho)
+    def term(*X):
+        return 2.0 * float(np.real(trace_chain(state.data, (A, *X, A))[-1]
+                                   - trace_chain(state.data, (*X, A, A))[-1]))
+    return term(M), term(M, M)
 
 
 def error_propagation(sc: Scenario) -> PrecisionResult:

@@ -26,18 +26,22 @@ structure the physics provides, and ``apply(v)`` acts with it on a vector
 * custom matrices: ``matrix @ v``.
 
 Pure states only need A|psi> and go through ``apply``.  Densities meet an
-operator through its ``factor`` (F, k), A = 1j**k F: the real diagonal
-(1-D) of a diagonal operator (J_z, J_z^2), else a float64 F when no entry
-has both a real and an imaginary part (J_x real, J_y purely imaginary),
-else (a mixed direction, a complex custom matrix) the complex matrix with
-k = 0.  The factor is filled from the structure on first use and kept,
-read-only (a form's ``factor(cols)`` builds a column block and keeps
-none); the dense ``matrix`` is built from it on request, bit for bit the
-Kronecker sums.  ``as_operator`` wraps a bare matrix as a custom operator,
-so every caller meets one kind of operator.  ``spectrum`` keeps the
-eigendecomposition for density rotations by any generator but a site sum,
-and ``norm_bound()`` bounds the 1-norm for ``linalg.unitary_apply``, a
-band's exactly.  Builders are kept in bounded caches.
+operator through its form's ``times(X)`` = (P, k), A X = 1j**k P for a
+d x k block X, formed from the structure in real arithmetic wherever the
+matrix is real or purely imaginary: a diagonal (J_z, J_z^2) scales rows, a
+real band (J_x) or site sum is applied as it is, a purely imaginary one
+(J_y, the gradient) by its imaginary part with k = 1, ``squared_op`` as two
+``times``; a mixed direction and parity go through ``apply`` (k = 0), and
+only a custom matrix multiplies its stored matrix.  The ``factor`` (F, k),
+A = 1j**k F (a real 1-D diagonal, a float64 F when no entry has both a real
+and an imaginary part, else the complex matrix with k = 0) is filled from
+the structure on first use and kept, read-only, for the ``spectrum`` and
+the dense ``matrix``, which is bit for bit the Kronecker sums.
+``as_operator`` wraps a bare matrix as a custom operator, so every caller
+meets one kind of operator.  ``spectrum`` keeps the eigendecomposition for
+density rotations by any generator but a site sum, and ``norm_bound()``
+bounds the 1-norm for ``linalg.unitary_apply``, a band's exactly.
+Builders are kept in bounded caches.
 """
 
 from __future__ import annotations
@@ -144,16 +148,22 @@ class _Form:
     """A structured Hermitian operator of dimension ``dim``.
 
     A subclass gives ``apply(v)``, a 1-norm bound ``norm_bound()`` and its
-    entries as ``triplets()``, (rows, cols, values) groups summing to the matrix.
+    entries as ``triplets()``, (rows, cols, values) groups summing to the
+    matrix; ``times(X)`` is the product with a d x k matrix as a factor.
     """
 
     def diagonal(self):
         return None
 
-    def factor(self, cols=slice(None)):
-        """(F[:, cols], k), the matrix being 1j**k F: the whole diagonal of a
-        diagonal form, else filled from the triplets in one order for any cols,
-        real when no entry has both parts nonzero, else complex with k = 0."""
+    def times(self, X):
+        """(P, k) with A X = 1j**k P, for a d x k X: here A X itself; a form
+        with a real or purely imaginary matrix gives P in real arithmetic."""
+        return self.apply(X), 0
+
+    def factor(self):
+        """(F, k), the matrix being 1j**k F: the diagonal of a diagonal form,
+        else filled from the triplets, real when no entry has both parts
+        nonzero, else complex with k = 0."""
         d = self.diagonal()
         if d is not None:
             return _freeze(d), 0
@@ -164,13 +174,23 @@ class _Form:
             k, part = 1, np.imag
         else:
             k, part = 0, np.asarray
-        at = np.full(self.dim, -1)
-        at[cols] = np.arange(at[cols].size)
-        F = np.zeros((self.dim, at[cols].size), dtype=complex if part is np.asarray else float)
-        for rows, c, vals in groups:
-            keep = at[c] >= 0
-            F[rows[keep], at[c[keep]]] += part(vals)[keep]
+        F = np.zeros((self.dim,) * 2, dtype=complex if part is np.asarray else float)
+        for rows, cols, vals in groups:
+            F[rows, cols] += part(vals)
         return _freeze(F), k
+
+
+def _band(diag, lower, upper, v):
+    """M v for the band of diagonal ``diag``, M[i+1, i] = lower[i] and
+    M[i, i+1] = upper[i] (None: absent), on a vector or the columns of a matrix."""
+    parts = [p for p in (diag, lower, upper) if p is not None]
+    out = np.zeros(v.shape, dtype=np.result_type(v, *parts))
+    if diag is not None:
+        out += _cols(diag, v) * v
+    if lower is not None:
+        out[1:] += _cols(lower, v) * v[:-1]
+        out[:-1] += _cols(upper, v) * v[1:]
+    return out
 
 
 class _Banded(_Form):
@@ -184,14 +204,15 @@ class _Banded(_Form):
         return self.diag if self.lower is None else None
 
     def apply(self, v):
-        parts = [p for p in (self.diag, self.lower) if p is not None]
-        out = np.zeros(v.shape, dtype=np.result_type(v, *parts))
-        if self.diag is not None:
-            out += _cols(self.diag, v) * v
-        if self.lower is not None:
-            out[1:] += _cols(self.lower, v) * v[:-1]
-            out[:-1] += _cols(np.conj(self.lower), v) * v[1:]
-        return out
+        return _band(self.diag, self.lower, None if self.lower is None else np.conj(self.lower), v)
+
+    def times(self, X):
+        """A purely imaginary band (J_y) from its imaginary parts, negated above
+        the diagonal (k = 1); a real one (J_x, a diagonal) is applied as it is."""
+        lower = self.lower
+        if self.diag is None and np.iscomplexobj(lower) and not lower.real.any():
+            return _band(None, lower.imag, -lower.imag, X), 1
+        return self.apply(X), 0
 
     def norm_bound(self):
         rows = np.abs(self.diag) if self.diag is not None else np.zeros(self.dim)
@@ -234,16 +255,32 @@ class _SiteSum(_Form):
         return sum((w * h[b, b] for w, b in zip(self.weights, bits)), np.zeros(self.dim, complex))
 
     def apply(self, v):
-        out = np.zeros(v.shape, dtype=np.result_type(v, self.op2))
-        for s, w in enumerate(self.weights):
-            if not w:
-                continue
+        return self._flips(self.op2, v)
+
+    def times(self, X):
+        """A diagonal site sum (J_z) scales rows; a real op2 (J_x) flips bits with
+        it, a purely imaginary one (J_y, the gradient) with its imaginary part
+        (k = 1), so a real X stays real."""
+        d, h = self.diagonal(), self.op2
+        if d is not None:
+            return _cols(d, X) * X, 0
+        if not h.imag.any():
+            return self._flips(h.real, X), 0
+        if not h.real.any():
+            return self._flips(h.imag, X), 1
+        return self.apply(X), 0
+
+    def _flips(self, h, v):
+        """sum_s w_s h at site s, applied to v by adds of its bit-flipped rows."""
+        v = np.ascontiguousarray(v)
+        out = np.zeros(v.shape, dtype=np.result_type(v, h))
+        for s in np.flatnonzero(self.weights):
             # axis 1 is the bit of site s; trailing bits and columns merge
             x, y = v.reshape(2 ** s, 2, -1), out.reshape(2 ** s, 2, -1)
             for r in (0, 1):
                 for c in (0, 1):
-                    if self.op2[r, c]:
-                        y[:, r] += (w * self.op2[r, c]) * x[:, c]
+                    if h[r, c]:
+                        y[:, r] += (self.weights[s] * h[r, c]) * x[:, c]
         return out
 
     def propagate(self, theta, X, columns=False):
@@ -299,10 +336,15 @@ class _Square(_Form):
     def apply(self, v):
         return self.A.apply(self.A.apply(v))
 
-    def factor(self, cols=slice(None)):
+    def times(self, X):
+        P, j = self.A.form.times(X)
+        P, k = self.A.form.times(P)
+        return P, j + k
+
+    def factor(self):
         # (1j**k F)^2 = (-1)^k F^2, real for a real F
         F, k = self.A.factor
-        return _freeze(-(F @ F[:, cols]) if k else F @ F[:, cols]), 0
+        return _freeze(-(F @ F) if k else F @ F), 0
 
     def norm_bound(self):
         return self.A.norm_bound() ** 2
@@ -313,13 +355,17 @@ class _Dense(_Form):
 
     def __init__(self, M: np.ndarray):
         self.M, self.dim = M, M.shape[0]
+        # M = 1j**k F, with F real where M is real or purely imaginary
+        self.F, self.k = _real_factor(M) or (M, 0)
 
     def apply(self, v):
         return self.M @ v
 
-    def factor(self, cols=slice(None)):
-        F, k = _real_factor(self.M) or (self.M, 0)
-        return _freeze(F[:, cols]), k
+    def times(self, X):
+        return self.F @ X, self.k
+
+    def factor(self):
+        return _freeze(self.F.view()), self.k
 
     def norm_bound(self):
         return float(np.linalg.norm(self.M, 1))

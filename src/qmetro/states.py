@@ -11,10 +11,11 @@ float64 array; every other density (a -0.0 imaginary part included) and
 every vector is complex128.
 
 A pure state meets a ``CollectiveOperator`` only through ``apply``, so no
-d x d operator is built for it, and a density through its ``factor`` (real
-for every structured operator but a mixed direction), so a real density
-takes real products only.  ``operator_moments`` is the one evaluation of
-<A> and <A^2>, shared with the Fisher module, and ``evolve`` the one
+d x d operator is built for it, and a density through its form's ``times``
+on blocks of columns (``trace_chain``; real for every structured operator
+but a mixed direction and parity sigma_y), so a real density takes real
+products only.  ``operator_moments`` is the one evaluation of <A> and
+<A^2>, shared with the Fisher module, and ``evolve`` the one
 evolution rule: a full-space site sum rotates by its exact product of 2x2
 rotations, any other operator a vector by Taylor steps and a density with
 its kept ``spectrum``.  A bare matrix is accepted wherever an operator is.
@@ -37,8 +38,8 @@ from math import isfinite, lgamma
 import numpy as np
 
 from .config import PSD_FLOOR, STATE_NORM
-from .linalg import (coupled_indices, factor_product, hermitian_trace, real_if_exact,
-                     require_hermitian, tridiagonal_ground_pairs, unitary_apply, unitary_exp)
+from .linalg import (coupled_indices, real_if_exact, require_hermitian, row_blocks,
+                     tridiagonal_ground_pairs, unitary_apply, unitary_exp)
 from .spin import (AXES, FULL_DENSITY_MAX, CollectiveOperator, Representation, _popcount,
                    _SiteSum, as_operator, collective_op, full_rep, ladder_amplitudes,
                    require_density, symmetric_rep)
@@ -145,17 +146,30 @@ class QuantumState:
 
 def operator_moments(A: CollectiveOperator, data: np.ndarray, second: bool = True) -> tuple:
     """<A> and, with ``second``, <A^2> (else None) of a unit vector or a
-    density: vdots with A psi for a vector, traces with A's factor for a
-    density."""
+    density: vdots with A psi for a vector, ``trace_chain`` for a density."""
     if data.ndim == 1:
         Av = A.apply(data)
         m = np.vdot(data, Av)
         s = np.vdot(Av, Av) if second else None
     else:
-        f = A.factor
-        m = hermitian_trace(f, data)
-        s = hermitian_trace(f, factor_product(f, data)) if second else None
+        m, *s = trace_chain(data, (A, A) if second else (A,))
+        s = s[0] if second else None
     return float(np.real(m)), (None if s is None else float(np.real(s)))
+
+
+def trace_chain(rho: np.ndarray, ops) -> np.ndarray:
+    """Tr(A_1 rho), Tr(A_2 A_1 rho), ... for ops = (A_1, A_2, ...) and a d x d
+    rho, over blocks of its columns (``linalg.row_blocks``): each product is an
+    operator's ``times`` of a d x k block, so no d x d operator or product is
+    formed."""
+    out = np.zeros(len(ops), dtype=complex)
+    for blk in row_blocks(rho.shape[0]):
+        P, k = np.ascontiguousarray(rho[:, blk]), 0
+        for n, A in enumerate(ops):
+            P, j = A.form.times(P)
+            k += j
+            out[n] += 1j ** k * np.trace(P[blk])
+    return out
 
 
 def check_same_rep(state, op: CollectiveOperator):

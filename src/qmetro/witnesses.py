@@ -9,11 +9,12 @@ reduced state.
 Axis conventions are explicit arguments everywhere; the printed forms of
 the criteria put the squeezed component on x, and those are the defaults.
 
-The moments of a density are summed one J_l at a time over blocks of
-columns of rho (``linalg.row_blocks``): J_l's dense factor, and only the
-columns blk of the others, meet J_l rho[:, blk] and the rows blk of
-J_l J_l.  The diagonal <J_l^2> and the means keep every bit of the dense
-products, so that exact ties between axes break as before.
+The moments of a density are summed over blocks of columns of rho
+(``linalg.row_blocks``): each J_l meets rho[:, blk] through its ``times``,
+with no d x d factor; the columns blk of its factor and the rows blk of
+J_l J_l come from ``times`` of unit columns, every entry exact.  The
+diagonal <J_l^2> takes the same dense product of those rows with
+rho[:, blk] as before, so that exact ties between axes break as they did.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from .config import FISHER_FLOOR, VERDICT_TOL
 from .fisher import fisher_matrix, qfi
-from .linalg import factor_product, hermitian_trace, pure_moments, row_blocks
+from .linalg import hermitian_trace, pure_moments, row_blocks
 from .spin import AXES, PAULI, collective_op
 from .states import QuantumState
 
@@ -70,53 +71,54 @@ def moments(state: QuantumState) -> MomentSet:
 
     With G_kl = <J_k J_l>, the symmetrised second moments are Re G.  A pure
     state needs only the three vectors J_l|psi> (G is their Gram matrix).
-    A density meets one J_l at a time through its real factor or diagonal
-    (real products only on a real density), in blocks of columns of rho:
-    the columns blk of J_l rho meet those of J_k's factor, built from its
-    structure, for G_kl, k != l, and G_ll keeps the dense form
-    Tr((J_l J_l) rho), from the rows blk of J_l J_l.  The result is
-    computed once and kept on the state: do not write into it.
+    A density meets each J_l through its ``times``, in blocks of columns of
+    rho (real products only on a real density): the columns blk of J_l rho
+    give <J_l> and, against the columns blk of J_k's factor, G_kl for k != l,
+    and G_ll keeps the dense form Tr((J_l J_l) rho), from the rows blk of
+    J_l J_l.  The result is computed once and kept on the state: do not
+    write into it.
     """
     return state._memoized("moments", lambda: _evaluate_moments(state))
 
 
 def _evaluate_moments(state: QuantumState) -> MomentSet:
-    ops = [collective_op(a, state.rep) for a in AXES]
+    ops = [collective_op(a, state.rep).form for a in AXES]
     if state.is_pure:
         psi = state.data
         return MomentSet(state.n, *pure_moments(psi, [J.apply(psi) for J in ops]))
-    rho = state.data
+    rho, d = state.data, state.data.shape[0]
+    diagonals = [J.diagonal() for J in ops]
     mean, G = np.zeros(3), np.zeros((3, 3), dtype=complex)
-    for l, J in enumerate(ops):
-        # one dense factor at a time, built here and dropped, not the operator's
-        # kept one (8 MB at full N = 10); the others give their column blocks
-        F, k = J.form.factor()
-        mean[l] = hermitian_trace((F, k), rho).real
-        diagonal = []
-        for blk in row_blocks(rho.shape[0]):
-            cols = np.ascontiguousarray(rho[:, blk])
-            x = factor_product((F, k), cols)
-            for m, g in enumerate(ops):
-                if m != l:
-                    G[m, l] += _column_trace(g.form.factor(blk), x, blk)
+    parts, power = [[] for _ in ops], [0] * 3
+    for l, dl in enumerate(diagonals):
+        if dl is not None:  # a whole-array sum, as the dense trace takes it
+            mean[l] = hermitian_trace((dl, 0), rho).real
+    for blk in row_blocks(d):
+        cols = np.ascontiguousarray(rho[:, blk])
+        unit = np.zeros((d, cols.shape[1]))
+        unit[blk, :] = np.eye(cols.shape[1])
+        # the columns blk of each factor, every entry one term of the structure
+        factors = [None if dl is not None else J.times(unit) for J, dl in zip(ops, diagonals)]
+        for l, J in enumerate(ops):
+            x = J.times(cols)
+            for m, dm in enumerate(diagonals):
+                if m != l:  # a diagonal meets the rows blk of J_l rho[:, blk] only
+                    G[m, l] += (hermitian_trace((dm[blk], 0), (x[0][blk], x[1])) if dm is not None
+                                else hermitian_trace(factors[m], x))
+            if (dl := diagonals[l]) is not None:
+                parts[l].append(dl[blk] * dl[blk] * np.diagonal(cols[blk]))
+                continue
+            mean[l] += (1j ** x[1] * np.trace(x[0][blk])).real
             # at an exact tie between axes (white-noise GHZ, singlets) the axis
             # that optimal_ssi reports follows the round-off of the diagonal, so
-            # it takes the entries of the dense product (F F) rho, bit for bit
-            P, power = (factor_product((F[blk], k), (F[blk], k), cols[blk]) if F.ndim == 1
-                        else factor_product((F[blk], k), (F, k), cols))
-            diagonal.append(np.diagonal(P))
-        G[l, l] = 1j ** power * np.concatenate(diagonal).sum()
-        del F
+            # it takes the rows blk of J_l J_l, each entry exact, through the
+            # dense product with rho[:, blk]
+            square, power[l] = J.times(factors[l][0])
+            power[l] += factors[l][1]
+            parts[l].append(np.diagonal(np.ascontiguousarray(square.T.conj()) @ cols))
+    for l in range(3):
+        G[l, l] = 1j ** power[l] * np.concatenate(parts[l]).sum()
     return MomentSet(state.n, mean, np.real(G + G.conj().T) / 2.0)
-
-
-def _column_trace(f, x, blk) -> complex:
-    """The share of the columns blk in Tr(A X), from A's factor f of those
-    columns (a diagonal whole) and the factor x of X[:, blk]."""
-    F, k = f
-    if F.ndim == 1:     # a diagonal meets the rows blk of X[:, blk] only
-        return hermitian_trace((F[blk], k), (x[0][blk], x[1]))
-    return hermitian_trace((F, k), x)
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Applied operators checked against the dense builders they replaced.
 
 A ``CollectiveOperator`` acts on vectors through ``apply``, meets densities
-through its kept ``factor`` (A = 1j**k R, R a diagonal or a matrix), and
-builds its dense ``matrix`` only on request.  The former dense builders
+through its form's ``times``, keeps a ``factor`` (A = 1j**k R, R a diagonal
+or a matrix) and builds its dense ``matrix`` only on request.  The former dense builders
 are kept here as oracles: the lazy matrix must equal them, and 1j**k R
 must equal the matrix, bit for bit; ``apply`` must equal the dense
 product to 1e-12 relative to the scale ||A||_inf ||v||_inf of the product.
@@ -272,6 +272,73 @@ def test_bare_matrices_become_custom_operators(rng):
         qfi(st, collective_op("x", symmetric_rep(3)))
 
 
+# ------------------------------------------------- times vs the factor product
+
+def _times_cases(rng):
+    """Every form: the axes, directions with and without a diagonal (a real
+    and a complex band or site sum), parities, a square and, in the full
+    space, both gradients and single sites; custom real, imaginary and
+    complex matrices."""
+    cases = {}
+    for rep in (symmetric_rep(7), full_rep(5)):
+        ops = {f"J{a}": collective_op(a, rep) for a in AXES}
+        ops |= {name: direction_op(n, rep) for name, n in
+                (("n(1,1,0)", np.array([1.0, 1.0, 0.0]) / np.sqrt(2)),
+                 ("n(-1,2,-2)", np.array([-1.0, 2.0, -2.0]) / 3.0),
+                 ("n(3,0,4)", np.array([0.6, 0.0, 0.8])))}
+        ops |= {f"parity-{a}": parity_op(a, rep) for a in (AXES if rep.kind == "full" else "x")}
+        ops |= {"Jy^2": squared_op(collective_op("y", rep)), "Jz^2": squared_op(ops["Jz"])}
+        cases |= {f"{rep.kind}-{name}": op for name, op in ops.items()}
+    rep = full_rep(5)
+    cases |= {"gradient": gradient_op(rep), "gradient-centered": gradient_op(rep, True),
+              "site-x": single_site_op(PAULI["x"] / 2.0, 3, rep),
+              "site-complex": single_site_op(rand_hermitian(rng, 2), 1, rep)}
+    S = rng.standard_normal((9, 9))
+    cases |= {name: CollectiveOperator(M, None) for name, M in
+              (("custom-real", S + S.T), ("custom-imaginary", 1j * (S - S.T)),
+               ("custom-complex", rand_hermitian(rng, 9)))}
+    return cases
+
+
+def _factor_times(F, X):
+    return F[:, None] * X if F.ndim == 1 else F @ X
+
+
+def _dyadic_site_sum(op):
+    """A real site sum whose entries are multiples of 1/4 (J_x, J_y, J_z, the
+    gradients, a sigma_x site): on integer X every partial sum is exact."""
+    F = op.factor[0]
+    return (isinstance(op.form, spin._SiteSum) and not np.iscomplexobj(F)
+            and np.array_equal(4.0 * F, np.round(4.0 * F)))
+
+
+def test_times_is_the_factor_product(rng):
+    """form.times(X) = (P, k) with 1j**k P equal to 1j**k' F X for the dense
+    factor (F, k'), on real and complex X of one column and of six, within
+    1e-14 ||F||_1 max|X|; a real or purely imaginary form keeps a real X real
+    (but for a parity of phase i, which goes through ``apply``).
+    GEMM sums the N terms of a site sum's entry in an order of its own, so
+    they agree to rounding; on integer X, where every partial sum of a
+    dyadic site sum is exact, a real site sum must match the dense product
+    bit for bit: each entry takes exactly its terms."""
+    for name, op in _times_cases(rng).items():
+        F, k = op.form.factor()
+        d, norm = F.shape[0], np.abs(F).max() if F.ndim == 1 else np.linalg.norm(F, 1)
+        for cols in (1, 6):
+            for X in (rng.standard_normal((d, cols)),
+                      rng.standard_normal((d, cols)) + 1j * rng.standard_normal((d, cols))):
+                P, j = op.form.times(X)
+                want = 1j ** k * _factor_times(F, X)
+                assert np.abs(1j ** j * P - want).max() <= 1e-14 * norm * np.abs(X).max(), name
+                if not (np.iscomplexobj(F) or np.iscomplexobj(X)
+                        or k and isinstance(op.form, spin._Flip)):
+                    assert P.dtype == np.float64, name
+            if _dyadic_site_sum(op):
+                X = rng.integers(-8, 9, size=(d, cols)).astype(float)
+                P, j = op.form.times(X)
+                assert j == k and np.array_equal(_bits(P), _bits(_factor_times(F, X))), name
+
+
 # ------------------------------------------------- apply vs dense product
 
 def _assert_product(got, M, v, what):
@@ -400,7 +467,8 @@ def test_symmetric_1000_commands_build_no_dense_operator(tmp_path, monkeypatch):
 
 def test_witness_on_a_real_full_density_builds_no_dense_operator(tmp_path, monkeypatch):
     """witness --all and qfi --wy --sld --zeno on white-noise GHZ-8 meet J
-    through real factors and the diagonal of J_z only."""
+    through the operators' ``times`` only: no dense matrix and no dense
+    factor is built."""
     read = []
     lazy = CollectiveOperator.matrix
 
@@ -410,6 +478,9 @@ def test_witness_on_a_real_full_density_builds_no_dense_operator(tmp_path, monke
         return lazy.fget(op)
 
     monkeypatch.setattr(CollectiveOperator, "matrix", property(recorded))
+    for form in (spin._Form, spin._Square, spin._Dense):
+        monkeypatch.setattr(form, "factor", lambda self, built=form.factor: (
+            read.append(self), built(self))[1])
     state = tmp_path / "mixed.json"
     write_state(mix_white_noise(ghz(8, full_rep(8)), 0.6), str(state))
     assert main(["witness", str(state), "--all", "--out", str(tmp_path / "w.json")]) == 0

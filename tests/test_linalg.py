@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qmetro.linalg import (_TAYLOR_MAX_STEPS, coupled_indices, eigh_hermitian, factor_product,
+from qmetro.linalg import (_TAYLOR_MAX_STEPS, coupled_indices, eigh_hermitian,
                            hermitian_trace, hermiticity_defect, mmatrix_tridiagonal_solve,
                            psd_sqrt, require_hermitian, tridiagonal_ground_pairs,
                            unitary_apply, unitary_exp)
@@ -78,30 +78,6 @@ def test_unitarity_and_group_property(rng):
     U1 = unitary_exp(A, 0.2)
     U2 = unitary_exp(A, 0.5)
     assert np.abs(U1 @ U2 - unitary_exp(A, 0.7)).max() <= 1e-9
-
-
-def test_factor_product_matches_complex_product(rng):
-    R = [rng.standard_normal((6, 6)) for _ in range(3)]
-    C = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    d = rng.standard_normal(6)
-    # operands, the dtype of the product's factor and its power of 1j
-    cases = [((R[0] + 0j, R[1]), np.float64, 0),
-             ((1j * R[0], R[1]), np.float64, 1),
-             ((1j * R[0], R[1] + 0j, 1j * R[2]), np.float64, 2),
-             ((1j * R[0], 1j * R[1], 1j * R[2]), np.float64, 3),
-             ((R[0], C, R[1]), np.complex128, 0),
-             ((1j * R[0], C), np.complex128, 1)]
-    for mats, dtype, power in cases:
-        want = mats[0]
-        for M in mats[1:]:
-            want = want @ M
-        P, k = factor_product(*mats)
-        assert P.dtype == dtype and k == power
-        assert np.abs(1j ** k * P - want).max() <= 1e-12
-    # a factor (F, k) takes part as 1j**k F, a 1-D F as a diagonal
-    P, k = factor_product((d, 0), (R[0], 1), R[1], (d, 0))
-    want = np.diag(d) @ (1j * R[0]) @ R[1] @ np.diag(d)
-    assert k == 1 and np.abs(1j * P - want).max() <= 1e-12
 
 
 def test_hermitian_trace_matches_dense_trace(rng):

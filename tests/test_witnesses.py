@@ -66,8 +66,8 @@ _TIED_DENSITIES = {**{f"ghz10-p{p}": lambda p=p: mix_white_noise(ghz(10, full_re
 def test_density_moment_diagonal_is_the_dense_form_bitwise(make):
     """Axes tie exactly on these states (y and z for white-noise GHZ, all
     three for singlets), so the axis optimal_ssi reports follows the last bit
-    of <J_l^2>: the real factors and the diagonal of J_z keep every bit, and
-    so do the means."""
+    of <J_l^2>: the exact rows of J_l^2 from the operators' products and the
+    diagonal of J_z keep every bit, and so do the means."""
     state = make()
     m = moments(state)
     got = np.diag(m.second).copy()
@@ -89,52 +89,56 @@ def test_blocked_moments_keep_every_bit_at_any_block(monkeypatch, make, rows):
     assert np.array_equal(m.mean.view(np.uint64), _whole_array_means(state).view(np.uint64))
 
 
-def _all_factors_moments(state):
-    """The moments as a loop over column blocks with the three factors built
-    up front, every operator inside every block: the order of sums the
-    one-factor-at-a-time loop keeps for each (m, l)."""
-    from qmetro.linalg import factor_product, row_blocks
-    from qmetro.witnesses import _column_trace
-    factors = [collective_op(a, state.rep).form.factor() for a in "xyz"]
+def _dense_factor_moments(state):
+    """The moments by the loop that multiplied one J_l's dense factor F at a
+    time into column blocks of rho: <J_l> as the whole-array trace with F,
+    G_kl from J_k's factor columns against F rho[:, blk], and G_ll from the
+    rows blk of F F times rho[:, blk]."""
+    from qmetro.linalg import row_blocks
     rho = state.data
+    factors = [collective_op(a, state.rep).form.factor() for a in "xyz"]
     mean = np.array([hermitian_trace(f, rho).real for f in factors])
     G = np.zeros((3, 3), dtype=complex)
-    diagonals, powers = [[] for _ in factors], [0] * 3
-    for blk in row_blocks(rho.shape[0]):
-        cols = np.ascontiguousarray(rho[:, blk])
-        for l, (F, k) in enumerate(factors):
-            x = factor_product((F, k), cols)
+    for l, (F, k) in enumerate(factors):
+        diagonal = []
+        for blk in row_blocks(rho.shape[0]):
+            cols = np.ascontiguousarray(rho[:, blk])
+            x = (F[:, None] * cols if F.ndim == 1 else F @ cols, k)
             for m, (g, kg) in enumerate(factors):
                 if m != l:
-                    G[m, l] += _column_trace((g if g.ndim == 1 else g[:, blk], kg), x, blk)
-            P, powers[l] = (factor_product((F[blk], k), (F[blk], k), cols[blk]) if F.ndim == 1
-                            else factor_product((F[blk], k), (F, k), cols))
-            diagonals[l].append(np.diagonal(P))
-    for l, (parts, k) in enumerate(zip(diagonals, powers)):
-        G[l, l] = 1j ** k * np.concatenate(parts).sum()
+                    G[m, l] += (hermitian_trace((g[blk], kg), (x[0][blk], k)) if g.ndim == 1
+                                else hermitian_trace((np.ascontiguousarray(g[:, blk]), kg), x))
+            P = (F[blk] * F[blk])[:, None] * cols[blk] if F.ndim == 1 else (F[blk] @ F) @ cols
+            diagonal.append(np.diagonal(P))
+        G[l, l] = 1j ** (2 * k) * np.concatenate(diagonal).sum()
     return mean, np.real(G + G.conj().T) / 2.0
 
 
-_MOMENT_STATES = {"ghz10-p0.6": _TIED_DENSITIES["ghz10-p0.6"], "singlet8": _TIED_DENSITIES["singlet8"],
+_MOMENT_STATES = {**{name: _TIED_DENSITIES[name] for name in
+                     ("ghz10-p0.5", "ghz10-p0.6", "ghz10-p0.7", "ghz10-p0.8", "ghz10-p0.9",
+                      "singlet8")},
                   "squeezed-full10": lambda: mix_white_noise(
                       to_full(squeezed_ground_state(SqueezingSpec(10, 4.0))), 0.9)}
 
 
 @pytest.mark.parametrize("make", _MOMENT_STATES.values(), ids=_MOMENT_STATES.keys())
-def test_one_factor_at_a_time_moments_are_the_all_factor_loop_bitwise(make):
-    """Holding one dense factor at a time and reading the others' column
-    blocks from their structure changes no bit of any moment."""
+def test_density_moments_are_the_dense_factor_loop_bitwise(make):
+    """Products from the operators' structure in place of their dense factors
+    change no bit of any moment on these states, whose tie picks
+    perfbench/reference.json records: the entries of J_x rho and J_y rho that
+    round differently reach the moments only through sums of exact zeros and
+    through imaginary parts that Re drops."""
     state = make()
     m = moments(state)
-    mean, second = _all_factors_moments(state)
+    mean, second = _dense_factor_moments(state)
     assert np.array_equal(m.mean.view(np.uint64), mean.view(np.uint64))
     assert np.array_equal(m.second.view(np.uint64), second.view(np.uint64))
 
 
 def test_moments_of_a_real_density_copy_no_payload():
     """The moments of a real full N = 10 density take the float64 payload as
-    it is: NumPy-tracked memory holds one real 8 MB factor at a time and a
-    few MB of column blocks (12 MB here), no 8 MB copy of rho."""
+    it is: NumPy-tracked memory holds a few 1 MB column blocks (10 MB here;
+    12 MB with one dense 8 MB factor at a time), no 8 MB copy of rho."""
     import tracemalloc
     state = mix_white_noise(ghz(10, full_rep(10)), 0.6)
     tracemalloc.start()
@@ -143,7 +147,60 @@ def test_moments_of_a_real_density_copy_no_payload():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 14 * 2 ** 20, f"{peak / 2 ** 20:.1f} MB"
+    assert peak < 12 * 2 ** 20, f"{peak / 2 ** 20:.1f} MB"
+
+
+def _symmetric_densities(rng, n):
+    """Real and complex symmetric-sector densities of every coupled-index
+    pattern: every index coupled, none (a diagonal), every third uncoupled,
+    and 0.5 GHZ + 0.5 Dicke (the odd indices uncoupled)."""
+    rep = symmetric_rep(n)
+    g, dk = ghz(n, rep).data.real, dicke(n, n // 2, rep).data.real
+    w = rng.random(rep.dim)
+    cases = {"ghz+dicke": 0.5 * np.outer(g, g) + 0.5 * np.outer(dk, dk),
+             "diagonal": np.diag(w / w.sum())}
+    for kind in ("real", "complex"):
+        rho = rand_density(rng, rep.dim, rank=max(rep.dim // 2, 1))
+        rho = rho.real.copy() if kind == "real" else rho
+        cases[f"dense-{kind}"] = rho.copy()
+        off = np.arange(0, rep.dim, 3)
+        diag = rho[off, off].copy()
+        rho[off, :] = 0.0
+        rho[:, off] = 0.0
+        rho[off, off] = diag
+        cases[f"third-uncoupled-{kind}"] = rho / np.trace(rho).real
+    return {name: QuantumState(rep, rho) for name, rho in cases.items()}
+
+
+@pytest.mark.parametrize("n,rows", [(7, 8), (200, 16), (200, 256)])
+def test_symmetric_density_moments_and_fisher_match_dense_oracles(monkeypatch, rng, n, rows):
+    """Moments and Fisher matrices of symmetric-sector densities, whose J_x and
+    J_y meet them as bands, against dense matrices and a dense np.linalg.eigh,
+    within 1e-12 relative, over several column blocks and one; the generators
+    add a complex band and a real band with a diagonal."""
+    from qmetro.config import QFI_PAIR_FLOOR
+    from qmetro.fisher import fisher_matrix
+    monkeypatch.setattr(qmetro.linalg, "_BLOCK_ENTRIES", (n + 1) * rows)
+    rep = symmetric_rep(n)
+    ops = [collective_op(a, rep) for a in "xyz"]
+    ops += [direction_op(v / np.linalg.norm(v), rep) for v in (np.ones(3), np.array([3., 0, 4]))]
+    J = [A.matrix for A in ops]
+    for name, state in _symmetric_densities(rng, n).items():
+        rho = state.data
+        m = moments(state)
+        mean = np.array([np.trace(M @ rho).real for M in J[:3]])
+        G = np.array([[np.trace(a @ b @ rho) for b in J[:3]] for a in J[:3]])
+        assert np.abs(m.mean - mean).max() <= 1e-12 * max(1.0, np.abs(mean).max()), name
+        second = np.real(G + G.conj().T) / 2.0
+        assert np.abs(m.second - second).max() <= 1e-12 * np.abs(second).max(), name
+        lam, V = np.linalg.eigh(rho)
+        total = lam[:, None] + lam
+        keep = total >= QFI_PAIR_FLOOR
+        W = np.where(keep, (lam[:, None] - lam) ** 2 / np.where(keep, total, 1.0), 0.0)
+        T = [V.conj().T @ M @ V for M in J]
+        want = np.array([[2.0 * np.sum(W * Tm * Tn.conj()).real for Tn in T] for Tm in T])
+        got = fisher_matrix(state, ops).matrix
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
 
 
 @pytest.mark.parametrize("rows", [5, 8, 64])
