@@ -4,7 +4,10 @@ State files hold complex payloads as nested [re, im] pairs in row-major
 order.  Writing is canonical (sorted keys, no whitespace, shortest
 round-trip floats with signed zeros) and streams the payload one row at a
 time, with one repr per distinct bit pattern of a row, so write -> read ->
-write is byte-identical.  Reading takes a file that starts with
+write is byte-identical.  Reports are the bytes of json.dumps(doc,
+sort_keys=True, indent=2): the document is rendered with a placeholder
+for each ndarray value (an SLD), whose rows are then streamed in its place
+by the same row formatter, at its indentation.  Reading takes a file that starts with
 ``{"data":[`` in chunks of about 1 MB: the header after the payload is
 found and validated first, then each chunk of whole rows must match its
 part of the bracket skeleton of the declared shape and hold two numbers
@@ -20,7 +23,6 @@ from __future__ import annotations
 
 import json
 import math
-from operator import itemgetter
 
 import numpy as np
 
@@ -169,22 +171,32 @@ def dumps_canonical(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _pair_rows(arr: np.ndarray, indent: int | None = None, level: int = 0):
+    """The text of json.dumps(_complex_to_pairs(arr), indent=indent) at
+    nesting ``level`` (compact separators for indent None), one row of
+    pairs at a time.  A row formats one number per distinct bit pattern (so
+    -0.0 keeps its sign) by json's own float format, NaN and Infinity too."""
+    nl = ["" if indent is None else "\n" + " " * (indent * d) for d in range(level, level + 3)]
+    if arr.ndim > 1:
+        for i, row in enumerate(arr):
+            yield ("," if i else "[") + nl[1]
+            yield from _pair_rows(row, indent, level + 1)
+        yield nl[0] + "]" if len(arr) else "[]"
+        return
+    values, at = np.unique(np.stack([arr.real, arr.imag], -1).ravel().view(np.uint64),
+                           return_inverse=True)
+    text = json.dumps(values.view(float).tolist())[1:-1].split(", ")
+    pair = "[" + nl[2] + "%s," + nl[2] + "%s" + nl[1] + "]"
+    row = "[" + nl[1] + ("," + nl[1]).join([pair] * arr.size) + nl[0] + "]" if arr.size else "[]"
+    yield row % tuple(map(text.__getitem__, at.tolist()))
+
+
 def write_state(state: QuantumState, path: str):
-    data = state.data
-    pairs = "[" + ",".join(["[%s,%s]"] * data.shape[-1]) + "]"
-    rows = [data] if state.is_pure else data
     with open(path, "w") as fh:
-        fh.write('{"data":' + ("" if state.is_pure else "["))
-        for i, row in enumerate(rows):
-            # one repr per distinct bit pattern (so -0.0 keeps its sign);
-            # float.__repr__ is the float format of json.dumps
-            values, at = np.unique(np.stack([row.real, row.imag], -1).ravel().view(np.uint64),
-                                   return_inverse=True)
-            text = list(map(float.__repr__, values.view(float).tolist()))
-            # a row holds at least two numbers, so itemgetter gives a tuple
-            fh.write(("," if i else "") + pairs % itemgetter(*at.tolist())(text))
+        fh.write('{"data":')
+        fh.writelines(_pair_rows(state.data))
         # every header key sorts after "data"
-        fh.write(("," if state.is_pure else "],") + dumps_canonical(_header(state))[1:])
+        fh.write("," + dumps_canonical(_header(state))[1:])
 
 
 def read_state(path: str) -> QuantumState:
@@ -197,28 +209,28 @@ def read_state(path: str) -> QuantumState:
     return QuantumState(rep, payload, label=label)
 
 
-class _PairRows(list):
-    """An ndarray report value as the list of its rows' [re, im] pairs, each
-    row built when ``json.dump`` reaches it (its ``default`` hook): its Python
-    encoder iterates a list, where the one-shot C encoder would not."""
+def write_report(doc: dict, path: str):
+    """json.dumps(doc, sort_keys=True, indent=2) and a newline, with an
+    ndarray value (an SLD) as its nested [re, im] pairs, streamed row by row
+    where a placeholder stood, at its indentation."""
+    arrays, parts, token = [], [], "\0ndarray"
 
-    def __init__(self, arr):
+    def hold(arr):
         if not isinstance(arr, np.ndarray):
             raise TypeError(f"Object of type {type(arr).__name__} is not JSON serializable")
-        self.arr = arr
+        arrays.append(arr)
+        return token
 
-    def __len__(self):
-        return len(self.arr)
-
-    def __iter__(self):
-        return map(_complex_to_pairs, self.arr)
-
-
-def write_report(doc: dict, path: str):
+    while len(parts) != len(arrays) + 1:    # a placeholder no string of doc equals
+        token += "\0"
+        arrays.clear()
+        parts = json.dumps(doc, sort_keys=True, indent=2, default=hold).split(json.dumps(token))
     with open(path, "w") as fh:
-        # streamed: the bytes of json.dumps, without the whole text in memory;
-        # an ndarray value (an SLD) as its nested pairs, one row at a time
-        json.dump(doc, fh, sort_keys=True, indent=2, default=_PairRows)
+        fh.write(parts[0])
+        for arr, before, after in zip(arrays, parts, parts[1:]):
+            line = before[before.rfind("\n") + 1:]
+            fh.writelines(_pair_rows(arr, 2, (len(line) - len(line.lstrip(" "))) // 2))
+            fh.write(after)
         fh.write("\n")
 
 

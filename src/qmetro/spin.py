@@ -10,50 +10,48 @@ Two representations are supported:
                   m = -N/2 ... +N/2.
 
 Operators are applied, not stored.  A ``CollectiveOperator`` holds the
-structure the physics provides, and ``apply(v)`` acts with it on a vector
-(or on the columns of a d x k matrix) without a d x d array:
+structure the physics provides as a form, and a form is its product
+``times(X)`` = (P, k), A X = 1j**k P, with a vector or a d x k block X, in
+real arithmetic wherever the matrix is real or purely imaginary (k = 1 on
+its imaginary part) and without a d x d array:
 
 * J_n = n . J (``direction_op``, ``collective_op`` at a unit axis) from one
   builder: in the symmetric sector a real diagonal n_z m and one band from
-  the ladder amplitudes, each left out where zero (J_z diagonal, J_x real),
-  O(N) per vector; in the full space the site sum of (n . sigma)/2;
+  the ladder amplitudes, each left out where zero (J_z diagonal, J_x real,
+  J_y imaginary), O(N) per vector; in the full space the site sum of
+  (n . sigma)/2;
 * full-space site sums (J_n, ``gradient_op``, ``single_site_op``): site
-  weights and a 2x2 operator, applied by bit flips on the (2,)*N tensor
-  in O(N 2^N) and exponentiated site by site;
-* parity: an index flip, with a sign for sigma_z and sigma_y;
+  weights and a 2x2 operator, off the diagonal by bit flips on the (2,)*N
+  tensor in O(N 2^N), on it by the exact diagonal (n_z m for J_n), and
+  exponentiated site by site;
+* parity: an index flip, with a sign for sigma_z and sigma_y (and the phase
+  i of sigma_y^N at odd N as k = 1);
 * ``squared_op``: the diagonal of squares for a diagonal operator (J_z^2),
-  else the operator applied twice;
-* custom matrices: ``matrix @ v``.
+  else two ``times``;
+* custom matrices: their real or complex factor times X.
 
-Pure states only need A|psi> and go through ``apply``.  Densities meet an
-operator through its form's ``times(X)`` = (P, k), A X = 1j**k P for a
-d x k block X, formed from the structure in real arithmetic wherever the
-matrix is real or purely imaginary: a diagonal (J_z, J_z^2) scales rows, a
-real band (J_x) or site sum is applied as it is, a purely imaginary one
-(J_y, the gradient) by its imaginary part with k = 1, ``squared_op`` as two
-``times``; a mixed direction and parity go through ``apply`` (k = 0), and
-only a custom matrix multiplies its stored matrix.  The ``factor`` (F, k),
-A = 1j**k F (a real 1-D diagonal, a float64 F when no entry has both a real
-and an imaginary part, else the complex matrix with k = 0) is filled from
-the structure on first use and kept, read-only, for the ``spectrum`` and
-the dense ``matrix``, which is bit for bit the Kronecker sums.
-``as_operator`` wraps a bare matrix as a custom operator, so every caller
-meets one kind of operator.  ``spectrum`` keeps the eigendecomposition for
-density rotations by any generator but a site sum, and ``norm_bound()``
-bounds the 1-norm for ``linalg.unitary_apply``, a band's exactly.
-Builders are kept in bounded caches.
+The rest follows from ``times``.  ``apply(v)`` = 1j**k P serves pure
+states (k = 2 a sign).  The ``factor`` (F, k), A = 1j**k F, is a diagonal
+form's real 1-D diagonal, else ``times`` of the unit columns (float64 where
+the matrix is real or purely imaginary, else complex with k = 0); it is
+built on first use and kept, read-only, for the ``spectrum`` and the dense
+``matrix``.  ``as_operator`` wraps a bare matrix as a custom operator, so
+every caller meets one kind of operator.  ``spectrum`` keeps the
+eigendecomposition for density rotations by any generator but a site sum,
+and ``norm_bound()`` bounds the 1-norm for ``linalg.unitary_apply``, a
+band's exactly.  Builders are kept in bounded caches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .config import DIRECTION_NORM
 from .linalg import (SpectralDecomposition, _real_factor, eigh_hermitian, real_if_exact,
-                     require_hermitian)
+                     require_hermitian, row_blocks)
 
 FULL_VECTOR_MAX = 12   # 2^12 = 4096 amplitudes
 FULL_DENSITY_MAX = 10  # 2^10 = 1024 -> 1M-entry density matrices
@@ -145,38 +143,39 @@ def _from_factor(F: np.ndarray, k: int) -> np.ndarray:
 
 
 class _Form:
-    """A structured Hermitian operator of dimension ``dim``.
+    """A structured Hermitian operator of dimension ``dim``, given by its
+    product with a d x k matrix: ``times(X)`` = (P, k), A X = 1j**k P.
 
-    A subclass gives ``apply(v)``, a 1-norm bound ``norm_bound()`` and its
-    entries as ``triplets()``, (rows, cols, values) groups summing to the
-    matrix; ``times(X)`` is the product with a d x k matrix as a factor.
+    A subclass gives ``times`` and a 1-norm bound ``norm_bound()``; ``apply``
+    and the dense ``factor`` follow from ``times``.
     """
 
     def diagonal(self):
         return None
 
-    def times(self, X):
-        """(P, k) with A X = 1j**k P, for a d x k X: here A X itself; a form
-        with a real or purely imaginary matrix gives P in real arithmetic."""
-        return self.apply(X), 0
+    def apply(self, v):
+        """A v (A X column by column): 1j**k P from times(v), k = 2 a sign."""
+        P, k = self.times(v)
+        return -P if k == 2 else 1j * P if k else P
+
+    def columns(self, blk):
+        """(P, k) for the columns blk of the matrix (a slice of rows):
+        ``times`` of those unit columns, every entry exact."""
+        unit = np.zeros((self.dim, len(range(self.dim)[blk])))
+        unit[blk, :] = np.eye(unit.shape[1])
+        return self.times(unit)
 
     def factor(self):
         """(F, k), the matrix being 1j**k F: the diagonal of a diagonal form,
-        else filled from the triplets, real when no entry has both parts
-        nonzero, else complex with k = 0."""
+        else its unit columns, one ``row_blocks`` block at a time."""
         d = self.diagonal()
         if d is not None:
             return _freeze(d), 0
-        groups = list(self.triplets())
-        if not any(np.imag(v).any() for *_, v in groups):
-            k, part = 0, np.real
-        elif not any(np.real(v).any() for *_, v in groups):
-            k, part = 1, np.imag
-        else:
-            k, part = 0, np.asarray
-        F = np.zeros((self.dim,) * 2, dtype=complex if part is np.asarray else float)
-        for rows, cols, vals in groups:
-            F[rows, cols] += part(vals)
+        F = None
+        for blk in row_blocks(self.dim):
+            P, k = self.columns(blk)
+            F = np.empty((self.dim,) * 2, dtype=P.dtype) if F is None else F
+            F[:, blk] = P
         return _freeze(F), k
 
 
@@ -203,16 +202,14 @@ class _Banded(_Form):
     def diagonal(self):
         return self.diag if self.lower is None else None
 
-    def apply(self, v):
-        return _band(self.diag, self.lower, None if self.lower is None else np.conj(self.lower), v)
-
     def times(self, X):
         """A purely imaginary band (J_y) from its imaginary parts, negated above
-        the diagonal (k = 1); a real one (J_x, a diagonal) is applied as it is."""
+        the diagonal (k = 1); a real one (J_x, a diagonal) or a complex one is
+        applied as it is."""
         lower = self.lower
         if self.diag is None and np.iscomplexobj(lower) and not lower.real.any():
             return _band(None, lower.imag, -lower.imag, X), 1
-        return self.apply(X), 0
+        return _band(self.diag, lower, None if lower is None else np.conj(lower), X), 0
 
     def norm_bound(self):
         rows = np.abs(self.diag) if self.diag is not None else np.zeros(self.dim)
@@ -220,22 +217,14 @@ class _Banded(_Form):
             rows = rows + np.abs(np.r_[0, self.lower]) + np.abs(np.r_[self.lower, 0])
         return float(rows.max())
 
-    def triplets(self):
-        i = np.arange(self.dim)
-        if self.diag is not None:
-            yield i, i, self.diag
-        if self.lower is not None:
-            yield i[1:], i[:-1], self.lower
-            yield i[:-1], i[1:], np.conj(self.lower)
-
 
 class _SiteSum(_Form):
     """sum_s w_s op2 at site s (0 = leftmost factor) on N = len(weights) qubits.
 
     Site s is bit N-1-s of the basis index: op2 at s maps column i to rows
     i and i ^ 2^(N-1-s).  Each off-diagonal entry comes from one site, so
-    the dense matrix equals the sum of Kronecker products I (x) op2 (x) I
-    bit for bit.
+    off the diagonal the dense matrix equals the sum of Kronecker products
+    I (x) op2 (x) I bit for bit; its diagonal is the exact ``_diagonal``.
     """
 
     def __init__(self, op2: np.ndarray, weights):
@@ -243,44 +232,43 @@ class _SiteSum(_Form):
         self.dim = 2 ** self.weights.size
 
     def diagonal(self):
-        return None if self.op2[0, 1] or self.op2[1, 0] else real_if_exact(self._diagonal())
+        return None if self.op2[0, 1] or self.op2[1, 0] else self._diagonal
 
+    @cached_property
     def _diagonal(self):
-        """sum_s w_s op2[b_s, b_s] over the bits b_s of each index, site by site;
-        a traceless op2 (J_n) gives op2[0, 0] sum_s w_s (1 - 2 b_s), n_z m exactly."""
+        """The real diagonal sum_s w_s op2[b_s, b_s] over the bits b_s of each
+        index, kept read-only; a traceless op2 (J_n) gives op2[0, 0] sum_s
+        w_s (1 - 2 b_s), n_z m exactly."""
         h, n = self.op2, self.weights.size
         bits = [(np.arange(self.dim) >> (n - 1 - s)) & 1 for s in range(n)]
-        if not np.trace(h):
-            return h[0, 0] * sum(w * (1 - 2 * b) for w, b in zip(self.weights, bits))
-        return sum((w * h[b, b] for w, b in zip(self.weights, bits)), np.zeros(self.dim, complex))
-
-    def apply(self, v):
-        return self._flips(self.op2, v)
+        d = (sum((w * h[b, b] for w, b in zip(self.weights, bits)), np.zeros(self.dim, complex))
+             if np.trace(h) else h[0, 0] * sum(w * (1 - 2 * b) for w, b in zip(self.weights, bits)))
+        return _freeze(real_if_exact(d))
 
     def times(self, X):
         """A diagonal site sum (J_z) scales rows; a real op2 (J_x) flips bits with
         it, a purely imaginary one (J_y, the gradient) with its imaginary part
-        (k = 1), so a real X stays real."""
-        d, h = self.diagonal(), self.op2
+        (k = 1), so a real X stays real; a complex one as it is."""
+        d = self.diagonal()
         if d is not None:
             return _cols(d, X) * X, 0
-        if not h.imag.any():
-            return self._flips(h.real, X), 0
-        if not h.real.any():
-            return self._flips(h.imag, X), 1
-        return self.apply(X), 0
+        h, k = _real_factor(self.op2) or (self.op2, 0)
+        return self._flips(h, X), k
 
     def _flips(self, h, v):
-        """sum_s w_s h at site s, applied to v by adds of its bit-flipped rows."""
+        """sum_s w_s h at site s, applied to v: its off-diagonal entries by adds
+        of bit-flipped rows, site by site, and its diagonal once, as the exact
+        ``_diagonal`` (zero for the imaginary part of a Hermitian op2)."""
         v = np.ascontiguousarray(v)
         out = np.zeros(v.shape, dtype=np.result_type(v, h))
         for s in np.flatnonzero(self.weights):
             # axis 1 is the bit of site s; trailing bits and columns merge
             x, y = v.reshape(2 ** s, 2, -1), out.reshape(2 ** s, 2, -1)
             for r in (0, 1):
-                for c in (0, 1):
-                    if h[r, c]:
-                        y[:, r] += (self.weights[s] * h[r, c]) * x[:, c]
+                if h[r, 1 - r]:
+                    y[:, r] += (self.weights[s] * h[r, 1 - r]) * x[:, 1 - r]
+        if h[0, 0] or h[1, 1]:
+            out += _cols(self._diagonal, v) * v
         return out
 
     def propagate(self, theta, X, columns=False):
@@ -301,30 +289,20 @@ class _SiteSum(_Form):
     def norm_bound(self):
         return float(np.abs(self.weights).sum() * np.linalg.norm(self.op2, 1))
 
-    def triplets(self):
-        n = self.weights.size
-        cols = np.arange(self.dim)
-        for s, w in enumerate(self.weights):
-            bit = (cols >> (n - 1 - s)) & 1
-            yield cols ^ (1 << (n - 1 - s)), cols, w * self.op2[1 - bit, bit]
-        yield cols, cols, self._diagonal()
-
 
 class _Flip(_Form):
-    """(P v)[i] = phase[i] v[d-1-i] with ``flip``, else phase[i] v[i]."""
+    """(P v)[i] = phase[i] v[d-1-i] with ``flip``, else phase[i] v[i]; a phase
+    of +-i (sigma_y^N at odd N) is kept as its imaginary part with k = 1."""
 
     def __init__(self, phase: np.ndarray, flip: bool):
-        self.phase, self.flip, self.dim = phase, flip, phase.size
+        self.phase, self.k = _real_factor(phase) or (phase, 0)
+        self.flip, self.dim = flip, phase.size
 
-    def apply(self, v):
-        return _cols(self.phase, v) * (v[::-1] if self.flip else v)
+    def times(self, X):
+        return _cols(self.phase, X) * (X[::-1] if self.flip else X), self.k
 
     def norm_bound(self):
         return float(np.abs(self.phase).max())
-
-    def triplets(self):
-        i = np.arange(self.dim)
-        yield i, (i[::-1] if self.flip else i), self.phase
 
 
 class _Square(_Form):
@@ -332,9 +310,6 @@ class _Square(_Form):
 
     def __init__(self, A):
         self.A, self.dim = A, A.form.dim
-
-    def apply(self, v):
-        return self.A.apply(self.A.apply(v))
 
     def times(self, X):
         P, j = self.A.form.times(X)
@@ -357,9 +332,6 @@ class _Dense(_Form):
         self.M, self.dim = M, M.shape[0]
         # M = 1j**k F, with F real where M is real or purely imaginary
         self.F, self.k = _real_factor(M) or (M, 0)
-
-    def apply(self, v):
-        return self.M @ v
 
     def times(self, X):
         return self.F @ X, self.k

@@ -95,10 +95,8 @@ def _evaluate_moments(state: QuantumState) -> MomentSet:
             mean[l] = hermitian_trace((dl, 0), rho).real
     for blk in row_blocks(d):
         cols = np.ascontiguousarray(rho[:, blk])
-        unit = np.zeros((d, cols.shape[1]))
-        unit[blk, :] = np.eye(cols.shape[1])
         # the columns blk of each factor, every entry one term of the structure
-        factors = [None if dl is not None else J.times(unit) for J, dl in zip(ops, diagonals)]
+        factors = [None if dl is not None else J.columns(blk) for J, dl in zip(ops, diagonals)]
         for l, J in enumerate(ops):
             x = J.times(cols)
             for m, dm in enumerate(diagonals):

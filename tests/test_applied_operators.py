@@ -315,8 +315,8 @@ def _dyadic_site_sum(op):
 def test_times_is_the_factor_product(rng):
     """form.times(X) = (P, k) with 1j**k P equal to 1j**k' F X for the dense
     factor (F, k'), on real and complex X of one column and of six, within
-    1e-14 ||F||_1 max|X|; a real or purely imaginary form keeps a real X real
-    (but for a parity of phase i, which goes through ``apply``).
+    1e-14 ||F||_1 max|X|; a real or purely imaginary form keeps a real X real,
+    a parity of phase i too.
     GEMM sums the N terms of a site sum's entry in an order of its own, so
     they agree to rounding; on integer X, where every partial sum of a
     dyadic site sum is exact, a real site sum must match the dense product
@@ -330,13 +330,63 @@ def test_times_is_the_factor_product(rng):
                 P, j = op.form.times(X)
                 want = 1j ** k * _factor_times(F, X)
                 assert np.abs(1j ** j * P - want).max() <= 1e-14 * norm * np.abs(X).max(), name
-                if not (np.iscomplexobj(F) or np.iscomplexobj(X)
-                        or k and isinstance(op.form, spin._Flip)):
+                if not (np.iscomplexobj(F) or np.iscomplexobj(X)):
                     assert P.dtype == np.float64, name
             if _dyadic_site_sum(op):
                 X = rng.integers(-8, 9, size=(d, cols)).astype(float)
                 P, j = op.form.times(X)
                 assert j == k and np.array_equal(_bits(P), _bits(_factor_times(F, X))), name
+
+
+# the kind of each factor (F, k): k, F's dtype and whether F is a 1-D diagonal
+_FACTOR_KINDS = {
+    "symmetric-Jx": (0, "float64", 2), "symmetric-Jy": (1, "float64", 2),
+    "symmetric-Jz": (0, "float64", 1), "symmetric-n(1,1,0)": (0, "complex128", 2),
+    "symmetric-n(-1,2,-2)": (0, "complex128", 2), "symmetric-n(3,0,4)": (0, "float64", 2),
+    "symmetric-parity-x": (0, "float64", 2), "symmetric-Jy^2": (0, "float64", 2),
+    "symmetric-Jz^2": (0, "float64", 1),
+    "full-Jx": (0, "float64", 2), "full-Jy": (1, "float64", 2), "full-Jz": (0, "float64", 1),
+    "full-n(1,1,0)": (0, "complex128", 2), "full-n(-1,2,-2)": (0, "complex128", 2),
+    "full-n(3,0,4)": (0, "float64", 2), "full-parity-x": (0, "float64", 2),
+    # sigma_y^5 has the phase i^5 (-1)^(5-k): real with k = 1
+    "full-parity-y": (1, "float64", 2), "full-parity-z": (0, "float64", 2),
+    "full-Jy^2": (0, "float64", 2), "full-Jz^2": (0, "float64", 1),
+    "gradient": (1, "float64", 2), "gradient-centered": (1, "float64", 2),
+    "site-x": (0, "float64", 2), "site-complex": (0, "complex128", 2),
+    "custom-real": (0, "float64", 2), "custom-imaginary": (1, "float64", 2),
+    "custom-complex": (0, "complex128", 2),
+}
+
+
+def test_factor_kind_of_every_form(rng):
+    """factor() is (F, k) of a fixed kind per form: a diagonal form's real
+    diagonal, float64 where the matrix is real or purely imaginary (k = 1),
+    else complex with k = 0."""
+    cases = _times_cases(rng)
+    assert set(cases) == set(_FACTOR_KINDS)
+    for name, op in cases.items():
+        F, k = op.form.factor()
+        assert (k, str(F.dtype), F.ndim) == _FACTOR_KINDS[name], name
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_full_direction_diagonal_is_exactly_nz_m(n):
+    """A full-space J_n adds its diagonal once, as n_z m, not site by site:
+    the diagonal of ``apply`` and of ``times`` on unit vectors equals n_z m
+    exactly (== lets +0 and -0 compare equal)."""
+    rep = full_rep(n)
+    m = (n - 2.0 * _popcount(n)) / 2.0
+    for n_vec in (np.array([3.0, 0.0, 4.0]) / 5.0, np.array([1.0, 0.0, 1.0]) / np.sqrt(2)):
+        op = direction_op(n_vec, rep)
+        want = n_vec[2] * m
+        assert (np.diagonal(op.apply(np.eye(rep.dim))) == want).all(), n_vec
+        P, k = op.form.times(np.eye(rep.dim))
+        assert k == 0 and (np.diagonal(P) == want).all(), n_vec
+
+
+def _popcount(n):
+    idx = np.arange(2 ** n)
+    return sum((idx >> b) & 1 for b in range(n))
 
 
 # ------------------------------------------------- apply vs dense product

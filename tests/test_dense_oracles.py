@@ -8,6 +8,7 @@ replaced are kept here as oracles.
 """
 
 from functools import reduce
+from math import comb
 
 import numpy as np
 import pytest
@@ -16,9 +17,10 @@ import qmetro.states
 from qmetro.cli import main
 from qmetro.fisher import (_eigensystem, fisher_matrix, mandelstam_tamm_check, qfi,
                            qfi_alternative, sld, wigner_yanase)
-from qmetro.linalg import coupled_indices, eigh_hermitian, unitary_apply, unitary_exp
-from qmetro.metrology import (NoiseChannel, Scenario, _depolarized_blocks,
-                              _noisy_precision, apply_noise, depolarized_qfi,
+from qmetro.linalg import (coupled_indices, eigh_hermitian, real_if_exact, unitary_apply,
+                           unitary_exp)
+from qmetro.metrology import (NoiseChannel, Scenario, _couple_mixed_qubit, _depolarized_blocks,
+                              _noisy_precision, _partial_trace, apply_noise, depolarized_qfi,
                               dicke_scenario, error_propagation,
                               frontier_lambda_grid, ghz_parity_scenario,
                               noisy_moments, ramsey_scenario, squared_op)
@@ -375,6 +377,42 @@ def test_depolarized_blocks_are_a_state(rng, n):
             for A in blocks:
                 assert np.abs(A - A.conj().T).max() <= 1e-15
                 assert np.linalg.eigvalsh(A).min() >= -1e-14, (name, p)
+
+
+def _all_probes_blocks(probe, p):
+    """The J blocks by the former recursion, which keeps every reduced probe
+    sigma_N, ..., sigma_0 alive from the start."""
+    n = probe.n
+    reduced = [real_if_exact(probe.density())]
+    for _ in range(n):
+        reduced.append(_partial_trace(reduced[-1]))
+    weights = [comb(n, k) * p ** k * (1.0 - p) ** (n - k) for k in range(n + 1)]
+    blocks = [weights[n] * reduced.pop()]
+    for m in range(1, n + 1):
+        new = [None] * (m // 2 + 1)
+        for r, B in enumerate(blocks):
+            grown, shrunk = _couple_mixed_qubit(B)
+            if new[r] is None:
+                new[r] = grown
+            else:
+                new[r] += grown
+            if shrunk is not None:
+                new[r + 1] = shrunk
+        new[0] += weights[n - m] * reduced.pop()
+        blocks = new
+    return blocks
+
+
+@pytest.mark.parametrize("n", [4, 10, 64])
+def test_depolarized_blocks_are_the_all_probes_recursion_bitwise(rng, n):
+    """Recomputing the reduced probes between checkpoints changes no bit."""
+    for name, probe in _symmetric_probes(rng, n).items():
+        for p in _DEPOLARIZING:
+            got, want = _depolarized_blocks(probe, p), _all_probes_blocks(probe, p)
+            assert len(got) == len(want), (name, p)
+            for A, B in zip(got, want):
+                assert A.dtype == B.dtype and A.shape == B.shape, (name, p)
+                assert np.array_equal(A.view(np.uint8), B.view(np.uint8)), (name, p)
 
 
 # ------------------------------------------------- full-space operators

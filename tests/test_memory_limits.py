@@ -35,6 +35,13 @@ no dense propagator, and takes its slope and curvature from ``times`` on
 column blocks: under 120 MB (101 MB here; 109 MB through dense factors,
 181 MB with a spectrum and a propagator as well).
 
+The noisy QFI of a symmetric probe at N = 256 builds its J blocks, N^3 / 6
+numbers in all, by Horner's rule over the reduced probes sigma_N ... sigma_0.
+Each block goes as soon as it is coupled to the next qubit, and every other
+reduced probe is kept, the ones between recomputed: a noise sweep at
+N = 256 stays under 70 MB (64 MB here, 79 MB with every reduced probe and
+two generations of blocks alive).
+
 Squeezed ground states come from NumPy alone, so building one at N = 4096
 or a 64-point frontier at N = 1000 stays under 45 MB; importing
 ``scipy.linalg`` alone would add 26 MB.
@@ -69,6 +76,7 @@ MIXED_STATE_LIMIT_MB = 60
 GRADIENT_LIMIT_MB = 120
 SLD_LIMIT_MB = 140
 SLD_REPORT_LIMIT_MB = 140
+NOISY_QFI_LIMIT_MB = 70
 # squeezed ground states take NumPy alone (no SciPy import): 31-35 MB here
 SQUEEZING_LIMIT_MB = 45
 
@@ -123,12 +131,14 @@ def _peak_rss_mb(argv, cwd) -> float:
     (["scenario", "--family", "gradient", "--n", "10", "--theta0", "0.1"], GRADIENT_LIMIT_MB),
     (["qfi", "mixed10.json", "--wy", "--sld", "--zeno"], SLD_LIMIT_MB),
     (["qfi", "mixed10.json", "--sld", "--out", "sld.json"], SLD_REPORT_LIMIT_MB),
+    (["sweep", "--kind", "noise", "--p", "0.25", "--n-list", "256", "--points", "4",
+      "--out", "n256.csv"], NOISY_QFI_LIMIT_MB),
 ], ids=["witness-symmetric-4096", "frontier-4096", "qfi-full-ghz-12", "witness-full-ghz-12",
         "witness-full-mixed-10", "witness-symmetric-density-1000",
         "witness-full-singlet-10", "state-mixed-10",
         "state-singlet-10",
         "state-squeezed-4096", "frontier-1000", "scenario-gradient-10",
-        "qfi-sld-full-mixed-10", "qfi-sld-report-full-mixed-10"])
+        "qfi-sld-full-mixed-10", "qfi-sld-report-full-mixed-10", "noise-sweep-256"])
 def test_cli_peak_rss_at_advertised_limits(states, argv, limit):
     peak = _peak_rss_mb(argv, states)
     assert peak < limit, f"{' '.join(argv)}: peak RSS {peak:.0f} MB"

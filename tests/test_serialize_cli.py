@@ -573,6 +573,39 @@ def test_report_streams_an_array_as_its_nested_pairs(tmp_path):
         serialize.write_report({"x": {1, 2}}, str(tmp_path / "r.json"))
 
 
+def _nested_pairs(doc):
+    """doc with every ndarray replaced by its nested [re, im] lists."""
+    if isinstance(doc, dict):
+        return {k: _nested_pairs(v) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [_nested_pairs(v) for v in doc]
+    return serialize._complex_to_pairs(doc) if isinstance(doc, np.ndarray) else doc
+
+
+def test_report_bytes_are_json_dumps_of_the_nested_pairs(tmp_path):
+    """write_report gives the bytes of json.dumps(..., sort_keys=True,
+    indent=2) of the nested pairs: real and complex arrays, signed zeros,
+    1e+-300, json's spellings of non-finite values, 1-D arrays, arrays at
+    any depth, two arrays in one document, and a string that equals the
+    placeholder."""
+    rng = np.random.default_rng(5)
+    C = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    C[0, :4] = [complex(-0.0, 0.0), complex(0.0, -0.0), 1e300 - 1e-300j, -1e-300 + 1e300j]
+    C[1, :3] = [complex(np.nan, 1.0), complex(np.inf, -np.inf), complex(-np.inf, np.nan)]
+    R = rng.standard_normal((3, 3))
+    R[0, :3] = [-0.0, 1e300, -1e-300]
+    R[1, 1] = np.nan
+    docs = [{"qfi": 2.5, "sld": R}, {"qfi": 2.5, "sld": C},
+            {"a": C[0], "b": R[:, 0], "label": "two"},
+            {"outer": {"list": [1, R, {"deep": C[1]}]}, "z": [np.zeros((0, 2)), 3.0]},
+            {"\0ndarray": "key", "label": "\0ndarray", "sld": R}]
+    for doc in docs:
+        path = tmp_path / "r.json"
+        serialize.write_report(doc, str(path))
+        want = json.dumps(_nested_pairs(doc), sort_keys=True, indent=2) + "\n"
+        assert path.read_text() == want
+
+
 def test_cli_witness_all(tmp_path, capsys):
     out = tmp_path / "singlet.json"
     assert main(["state", "--kind", "singlet", "--n", "4", "--rep", "full",
