@@ -54,7 +54,7 @@ from .config import (CRB_RCOND, FISHER_FLOOR, PROB_FLOOR, QFI_PAIR_FLOOR, ROOF_T
 from .linalg import (SpectralDecomposition, eigh_hermitian, psd_sqrt, pure_moments,
                      rank_floor_sqrt, require_hermitian, row_blocks)
 from .spin import SYMMETRIC_MAX, as_operator, symmetric_rep
-from .states import QuantumState, check_same_rep, evolve, operator_moments
+from .states import QuantumState, braket, check_same_rep, evolve, operator_moments
 
 # ----------------------------------------------------------------------
 # input adapters
@@ -129,7 +129,7 @@ def _transform(dec: SpectralDecomposition, A, Vr: np.ndarray) -> tuple:
     eigenvector is a unit column), so with X = (A Vr)^dag they are
     [X[:, u] | X[:, c] W]; the only place V^dag A V is formed."""
     u, c, W, nu = dec.uncoupled, dec.coupled, dec.block_vectors, dec.uncoupled.size
-    Y, k = A.form.times(Vr)
+    Y, k = A.times(Vr)
     X = np.ascontiguousarray(Y.conj().T)
     del Y
     if nu:  # [X[:, u] | X[:, c] W] in the storage of X; the product's operand
@@ -223,7 +223,7 @@ def qfi_alternative(state, op) -> float:
         return 4.0 * (var + m * m) - 4.0 * m * m
     # 8 sum = 4 times the pair sum of l_k l_l
     S, _ = _pair_sum(_eigensystem(state, data), [A], lambda lam_k, lam_l: lam_k[:, None] * lam_l)
-    return 4.0 * operator_moments(A, data)[1] - 4.0 * float(S[0, 0])
+    return 4.0 * float(np.real(braket(data, (A,), (A,)))) - 4.0 * float(S[0, 0])
 
 
 def sld(state, op) -> np.ndarray:
@@ -254,9 +254,9 @@ def wigner_yanase(state, op) -> float:
     dec = _eigensystem(state, data)
     root = dec.apply_function(rank_floor_sqrt)
     # Tr(A root A root) = Tr(X X) = sum_ij X_ij X_ji for X = A root = 1j**k P
-    P, k = A.form.times(root)
+    P, k = A.times(root)
     cross = float(np.real((-1) ** k * np.sum(P * P.T)))
-    return operator_moments(A, data)[1] - cross
+    return float(np.real(braket(data, (A,), (A,)))) - cross
 
 
 def white_noise_qfi(pure_state, op, p: float) -> float:
@@ -488,7 +488,7 @@ def _roof(state, op, convex: bool) -> RoofResult:
     # <A^2> - sum_k <psi~_k|A|psi~_k>^2 / p_k, where every p_k >= min l
     weights = lam @ np.abs(U) ** 2
     means = np.sum(U.conj() * (B @ U), axis=0).real
-    value = operator_moments(A, data)[1] - float(np.sum(means ** 2 / weights))
+    value = float(np.real(braket(data, (A,), (A,)))) - float(np.sum(means ** 2 / weights))
     return RoofResult(value, weights, (V @ (root[:, None] * U)) / np.sqrt(weights))
 
 

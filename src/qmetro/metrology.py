@@ -32,9 +32,9 @@ from .linalg import real_if_exact
 from .spin import (CollectiveOperator, Representation,
                    collective_op, full_rep, gradient_op, parity_op,
                    require_density, squared_op, symmetric_rep)
-from .states import (QuantumState, SqueezingSpec, check_same_rep, dicke, ghz,
+from .states import (QuantumState, SqueezingSpec, braket, check_same_rep, dicke, ghz,
                      operator_moments, polarized, rotate, singlet_pi,
-                     squeezed_ground_state, squeezed_ground_states, trace_chain)
+                     squeezed_ground_state, squeezed_ground_states)
 from .witnesses import MomentSet, moments
 
 # Largest N for the QFI of a depolarized symmetric probe.  The reduced
@@ -135,35 +135,22 @@ class PrecisionResult:
 
 
 def _slope(state: QuantumState, A: CollectiveOperator, M: CollectiveOperator) -> float:
-    """d<M>/dtheta = i<[A, M]> at the working point.
-
-    For a vector it is -2 Im<A psi|M psi>.  For a density rho,
-    Tr(M A rho) = conj Tr(A M rho), so it is -2 Im Tr(A M rho).
-    """
-    if state.is_pure:
-        return -2.0 * float(np.imag(np.vdot(A.apply(state.data), M.apply(state.data))))
-    return -2.0 * float(np.imag(trace_chain(state.data, (M, A))[1]))
+    """d<M>/dtheta = i<[A, M]> at the working point: -2 Im<A psi|M psi>, for a
+    density -2 Im Tr(A M rho), as Tr(M A rho) = conj Tr(A M rho)."""
+    return -2.0 * float(np.imag(braket(state.data, (A,), (M,))))
 
 
 def _curvature_terms(state: QuantumState, A: CollectiveOperator, M: CollectiveOperator):
     """-<[A,[A,M]]> and -<[A,[A,M^2]]>: the second derivatives of <M> and
     <M^2> at the working point.
 
-    For a vector, -<[A,[A,X]]> = 2<A psi|X A psi> - 2 Re<A^2 psi|X psi>,
-    evaluated for X = M and M^2 from operator applications.
+    -<[A,[A,X]]> = 2<A psi|X A psi> - 2 Re<A^2 psi|X psi> for X = M and M^2,
+    the latter as 2<M A psi|M A psi> - 2 Re<A^2 psi|M^2 psi> (for a density,
+    each bra-ket Tr(L^dag R rho)).
     """
-    if state.is_pure:
-        psi = state.data
-        a, m = A.apply(psi), M.apply(psi)
-        a2, ma = A.apply(a), M.apply(a)
-        return (2.0 * float(np.real(np.vdot(a, ma) - np.vdot(a2, m))),
-                2.0 * float(np.real(np.vdot(ma, ma) - np.vdot(a2, M.apply(m)))))
-    # the same for a density: -<[A,[A,X]]> = 2 Tr(A X A rho) - 2 Re Tr(A A X rho)
-
-    def term(*X):
-        return 2.0 * float(np.real(trace_chain(state.data, (A, *X, A))[-1]
-                                   - trace_chain(state.data, (*X, A, A))[-1]))
-    return term(M), term(M, M)
+    data = state.data
+    return (2.0 * float(np.real(braket(data, (A,), (A, M)) - braket(data, (A, A), (M,)))),
+            2.0 * float(np.real(braket(data, (A, M), (A, M)) - braket(data, (A, A), (M, M)))))
 
 
 def error_propagation(sc: Scenario) -> PrecisionResult:

@@ -9,11 +9,13 @@ Two representations are supported:
                   j = N/2, basis ordered by ascending J_z eigenvalue
                   m = -N/2 ... +N/2.
 
-Operators are applied, not stored.  A ``CollectiveOperator`` holds the
-structure the physics provides as a form, and a form is its product
-``times(X)`` = (P, k), A X = 1j**k P, with a vector or a d x k block X, in
-real arithmetic wherever the matrix is real or purely imaginary (k = 1 on
-its imaginary part) and without a d x d array:
+Operators are applied, not stored.  A ``CollectiveOperator`` is its
+product ``times(X)`` = (P, k), A X = 1j**k P, with a vector or a d x k
+block X.  Built from a matrix, the class itself is a custom operator; the
+structured forms are its subclasses, built by the builders below, and take
+the structure the physics provides, in real arithmetic wherever the matrix
+is real or purely imaginary (k = 1 on its imaginary part) and without a
+d x d array:
 
 * J_n = n . J (``direction_op``, ``collective_op`` at a unit axis) from one
   builder: in the symmetric sector a real diagonal n_z m and one band from
@@ -28,14 +30,15 @@ its imaginary part) and without a d x d array:
   i of sigma_y^N at odd N as k = 1);
 * ``squared_op``: the diagonal of squares for a diagonal operator (J_z^2),
   else two ``times``;
-* custom matrices: their real or complex factor times X.
+* a custom operator: its real or complex factor times X.
 
 The rest follows from ``times``.  ``apply(v)`` = 1j**k P serves pure
 states (k = 2 a sign).  The ``factor`` (F, k), A = 1j**k F, is a diagonal
 form's real 1-D diagonal, else ``times`` of the unit columns (float64 where
-the matrix is real or purely imaginary, else complex with k = 0); it is
-built on first use and kept, read-only, for the ``spectrum`` and the dense
-``matrix``.  ``as_operator`` wraps a bare matrix as a custom operator, so
+the matrix is real or purely imaginary, else complex with k = 0); a custom
+operator's is the factor of its matrix.  ``_factor()`` builds it, and the
+``factor`` property builds it on first use and keeps it, read-only, for the
+``spectrum`` and the dense ``matrix``.  ``as_operator`` wraps a bare matrix as a custom operator, so
 every caller meets one kind of operator.  ``spectrum`` keeps the
 eigendecomposition for density rotations by any generator but a site sum,
 and ``norm_bound()`` bounds the 1-norm for ``linalg.unitary_apply``, a
@@ -142,19 +145,54 @@ def _from_factor(F: np.ndarray, k: int) -> np.ndarray:
     return _freeze(M)
 
 
-class _Form:
-    """A structured Hermitian operator of dimension ``dim``, given by its
-    product with a d x k matrix: ``times(X)`` = (P, k), A X = 1j**k P.
-
-    A subclass gives ``times`` and a 1-norm bound ``norm_bound()``; ``apply``
-    and the dense ``factor`` follow from ``times``.
+class CollectiveOperator:
+    """A Hermitian operator of dimension ``dim``, its representation and
+    provenance, given by its product with a d x k matrix: ``times(X)`` =
+    (P, k), A X = 1j**k P.  Built from a matrix, checked Hermitian, it is the
+    custom operator of that matrix: ``times`` is its real or complex factor
+    times X.  The structured operators are its subclasses (``_Form``).
+    ``provenance`` records how it was built: an axis label, a unit direction
+    3-vector, the site weights of a gradient generator, or "custom" for
+    user-supplied matrices.  ``rep`` is None for a bare matrix wrapped by
+    ``as_operator``, which fits any state of its dimension.
     """
+
+    def __init__(self, M, rep: Representation | None, provenance: object = "custom"):
+        M = np.asarray(M)
+        require_hermitian(real_if_exact(M), name="collective operator")
+        self._bind(M.shape[0], rep, provenance)
+        # M = 1j**k F, with F real where M is real or purely imaginary
+        self.F, self.k = _real_factor(M) or (M, 0)
+        self._memo["matrix"] = M
+
+    def _bind(self, dim: int, rep: Representation | None, provenance: object):
+        """Set the dimension, checked against rep, the provenance and an empty memo."""
+        if rep is not None and dim != rep.dim:
+            raise ValueError(f"operator dimension {dim} does not match {rep}")
+        self.dim, self.rep, self.provenance, self._memo = dim, rep, provenance, {}
+
+    def __repr__(self):
+        return f"CollectiveOperator({self.provenance!r}, {self.rep})"
+
+    def times(self, X):
+        return self.F @ X, self.k
 
     def diagonal(self):
         return None
 
-    def apply(self, v):
-        """A v (A X column by column): 1j**k P from times(v), k = 2 a sign."""
+    def norm_bound(self) -> float:
+        """A bound on the 1-norm (so on the spectral norm), from the structure."""
+        return float(np.linalg.norm(self.matrix, 1))
+
+    def _factor(self):
+        return _freeze(self.F.view()), self.k
+
+    def apply(self, v) -> np.ndarray:
+        """A v for a vector, A X column by column for a d x k matrix: 1j**k P
+        from times(v), k = 2 a sign."""
+        v = np.asarray(v)
+        if v.shape[0] != self.dim:
+            raise ValueError(f"operand length {v.shape[0]} does not match dimension {self.dim}")
         P, k = self.times(v)
         return -P if k == 2 else 1j * P if k else P
 
@@ -165,7 +203,44 @@ class _Form:
         unit[blk, :] = np.eye(unit.shape[1])
         return self.times(unit)
 
-    def factor(self):
+    def _memoized(self, key: str, compute):
+        """compute() on the first request for key, the kept value afterwards."""
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
+
+    @property
+    def factor(self) -> tuple:
+        """(F, k) with the operator equal to 1j**k F, F read-only: a 1-D real
+        diagonal, a float64 matrix, or a complex matrix with k = 0.  Built
+        from the structure (``_factor()``) on first use and kept."""
+        return self._memoized("factor", self._factor)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense complex matrix 1j**k F, built on first use and kept; a
+        custom operator's is the matrix it was given."""
+        return self._memoized("matrix", lambda: _from_factor(*self.factor))
+
+    @property
+    def spectrum(self) -> SpectralDecomposition:
+        """The eigendecomposition, computed on first use and kept (one per
+        generator however many angles it rotates by).  A real factor (k = 0)
+        is decomposed as it is, with no complex d x d copy."""
+        def compute():
+            F, k = self.factor
+            if k == 0 and not np.iscomplexobj(F):
+                return eigh_hermitian(np.diag(F) if F.ndim == 1 else F)
+            return eigh_hermitian(_from_factor(F, k))
+        return self._memoized("spectrum", compute)
+
+
+class _Form(CollectiveOperator):
+    """A structured operator: a subclass gives ``times`` and a 1-norm bound
+    ``norm_bound()``, and takes ``rep`` and ``provenance`` from its builder.
+    Its dense factor follows from ``times``."""
+
+    def _factor(self):
         """(F, k), the matrix being 1j**k F: the diagonal of a diagonal form,
         else its unit columns, one ``row_blocks`` block at a time."""
         d = self.diagonal()
@@ -196,8 +271,9 @@ class _Banded(_Form):
     """Real diagonal ``diag`` and subdiagonal ``lower`` (M[i+1, i]); either
     may be absent, and the superdiagonal is conj(lower)."""
 
-    def __init__(self, dim: int, diag=None, lower=None):
-        self.dim, self.diag, self.lower = dim, diag, lower
+    def __init__(self, dim: int, diag, lower, rep, provenance):
+        self.diag, self.lower = diag, lower
+        self._bind(dim, rep, provenance)
 
     def diagonal(self):
         return self.diag if self.lower is None else None
@@ -227,9 +303,9 @@ class _SiteSum(_Form):
     I (x) op2 (x) I bit for bit; its diagonal is the exact ``_diagonal``.
     """
 
-    def __init__(self, op2: np.ndarray, weights):
+    def __init__(self, op2: np.ndarray, weights, rep, provenance):
         self.op2, self.weights = op2, np.asarray(weights, dtype=float)
-        self.dim = 2 ** self.weights.size
+        self._bind(2 ** self.weights.size, rep, provenance)
 
     def diagonal(self):
         return None if self.op2[0, 1] or self.op2[1, 0] else self._diagonal
@@ -294,9 +370,9 @@ class _Flip(_Form):
     """(P v)[i] = phase[i] v[d-1-i] with ``flip``, else phase[i] v[i]; a phase
     of +-i (sigma_y^N at odd N) is kept as its imaginary part with k = 1."""
 
-    def __init__(self, phase: np.ndarray, flip: bool):
-        self.phase, self.k = _real_factor(phase) or (phase, 0)
-        self.flip, self.dim = flip, phase.size
+    def __init__(self, phase: np.ndarray, flip: bool, rep, provenance):
+        self.flip, (self.phase, self.k) = flip, _real_factor(phase) or (phase, 0)
+        self._bind(phase.size, rep, provenance)
 
     def times(self, X):
         return _cols(self.phase, X) * (X[::-1] if self.flip else X), self.k
@@ -308,107 +384,22 @@ class _Flip(_Form):
 class _Square(_Form):
     """A^2 of a CollectiveOperator A, applied as A twice."""
 
-    def __init__(self, A):
-        self.A, self.dim = A, A.form.dim
+    def __init__(self, A, rep, provenance):
+        self.A = A
+        self._bind(A.dim, rep, provenance)
 
     def times(self, X):
-        P, j = self.A.form.times(X)
-        P, k = self.A.form.times(P)
+        P, j = self.A.times(X)
+        P, k = self.A.times(P)
         return P, j + k
 
-    def factor(self):
+    def _factor(self):
         # (1j**k F)^2 = (-1)^k F^2, real for a real F
         F, k = self.A.factor
         return _freeze(-(F @ F) if k else F @ F), 0
 
     def norm_bound(self):
         return self.A.norm_bound() ** 2
-
-
-class _Dense(_Form):
-    """A custom operator: the matrix it was given."""
-
-    def __init__(self, M: np.ndarray):
-        self.M, self.dim = M, M.shape[0]
-        # M = 1j**k F, with F real where M is real or purely imaginary
-        self.F, self.k = _real_factor(M) or (M, 0)
-
-    def times(self, X):
-        return self.F @ X, self.k
-
-    def factor(self):
-        return _freeze(self.F.view()), self.k
-
-    def norm_bound(self):
-        return float(np.linalg.norm(self.M, 1))
-
-
-class CollectiveOperator:
-    """A Hermitian operator together with its representation and provenance.
-
-    ``form`` is one of the structured forms of this module, or a matrix for
-    a custom operator.  ``provenance`` records how it was built: an axis
-    label, a unit direction 3-vector, the site weights of a gradient
-    generator, or "custom" for user-supplied matrices.  ``rep`` is None for
-    a bare matrix wrapped by ``as_operator``, which fits any state of its
-    dimension.
-    """
-
-    def __init__(self, form, rep: Representation | None, provenance: object = "custom"):
-        self._memo = {}
-        if not isinstance(form, _Form):
-            M = np.asarray(form)
-            require_hermitian(real_if_exact(M), name="collective operator")
-            form = _Dense(M)
-            self._memo["matrix"] = M
-        if rep is not None and form.dim != rep.dim:
-            raise ValueError(f"operator dimension {form.dim} does not match {rep}")
-        self.form, self.rep, self.provenance = form, rep, provenance
-
-    def __repr__(self):
-        return f"CollectiveOperator({self.provenance!r}, {self.rep})"
-
-    def apply(self, v) -> np.ndarray:
-        """A v for a vector, A X column by column for a d x k matrix."""
-        v = np.asarray(v)
-        if v.shape[0] != self.form.dim:
-            raise ValueError(f"operand length {v.shape[0]} does not match dimension {self.form.dim}")
-        return self.form.apply(v)
-
-    def _memoized(self, key: str, compute):
-        """compute() on the first request for key, the kept value afterwards."""
-        if key not in self._memo:
-            self._memo[key] = compute()
-        return self._memo[key]
-
-    @property
-    def factor(self) -> tuple:
-        """(F, k) with the operator equal to 1j**k F, F read-only: a 1-D real
-        diagonal, a float64 matrix, or a complex matrix with k = 0.  Built
-        from the structure on first use and kept."""
-        return self._memoized("factor", self.form.factor)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The dense complex matrix 1j**k F, built on first use and kept; a
-        custom operator's is the matrix it was given."""
-        return self._memoized("matrix", lambda: _from_factor(*self.factor))
-
-    @property
-    def spectrum(self) -> SpectralDecomposition:
-        """The eigendecomposition, computed on first use and kept (one per
-        generator however many angles it rotates by).  A real factor (k = 0)
-        is decomposed as it is, with no complex d x d copy."""
-        def compute():
-            F, k = self.factor
-            if k == 0 and not np.iscomplexobj(F):
-                return eigh_hermitian(np.diag(F) if F.ndim == 1 else F)
-            return eigh_hermitian(_from_factor(F, k))
-        return self._memoized("spectrum", compute)
-
-    def norm_bound(self) -> float:
-        """A bound on the 1-norm (so on the spectral norm), from the structure."""
-        return self.form.norm_bound()
 
 
 def as_operator(op) -> CollectiveOperator:
@@ -428,17 +419,17 @@ def ladder_amplitudes(n: int) -> np.ndarray:
     return np.sqrt(j * (j + 1) - m * (m + 1))
 
 
-def _component(n_vec, rep: Representation) -> _Form:
-    """The form of J_n = n . J for a unit 3-vector n.  J_+ is the subdiagonal
+def _component(n_vec, rep: Representation, provenance) -> _Form:
+    """J_n = n . J for a unit 3-vector n.  J_+ is the subdiagonal
     of the ascending-m basis, so n_x J_x + n_y J_y is the band (n_x - i n_y) a / 2."""
     nx, ny, nz = n_vec
     if rep.kind == "full":
         h = sum(n_vec[i] * PAULI[a] for i, a in enumerate(AXES)) / 2.0
-        return _SiteSum(h, np.ones(rep.n))
+        return _SiteSum(h, np.ones(rep.n), rep, provenance)
     half = ladder_amplitudes(rep.n) / 2.0
     band = (nx - 1j * ny) * half if ny else nx * half
-    return _Banded(rep.dim, diag=nz * (np.arange(rep.dim) - rep.n / 2.0) if nz else None,
-                   lower=band if nx or ny else None)
+    return _Banded(rep.dim, nz * (np.arange(rep.dim) - rep.n / 2.0) if nz else None,
+                   band if nx or ny else None, rep, provenance)
 
 
 @lru_cache(maxsize=OPERATOR_CACHE_SIZE)
@@ -450,7 +441,7 @@ def collective_op(axis: str, rep: Representation) -> CollectiveOperator:
     """
     if axis not in AXES:
         raise ValueError(f"axis must be one of {AXES}, got {axis!r}")
-    return CollectiveOperator(_component(np.eye(3)[AXES.index(axis)], rep), rep, provenance=axis)
+    return _component(np.eye(3)[AXES.index(axis)], rep, axis)
 
 
 def direction_op(n_vec, rep: Representation) -> CollectiveOperator:
@@ -463,7 +454,7 @@ def direction_op(n_vec, rep: Representation) -> CollectiveOperator:
         raise ValueError(f"direction vector must be finite, got {n_vec}")
     if abs(np.linalg.norm(n_vec) - 1.0) > DIRECTION_NORM:
         raise ValueError(f"direction vector must have unit norm, got |n|={np.linalg.norm(n_vec):.12f}")
-    return CollectiveOperator(_component(n_vec, rep), rep, provenance=tuple(n_vec))
+    return _component(n_vec, rep, tuple(n_vec))
 
 
 def _gradient_weights(n: int, centered: bool) -> np.ndarray:
@@ -485,8 +476,7 @@ def gradient_op(rep: Representation, centered: bool = False) -> CollectiveOperat
             "the gradient generator is not permutation invariant and needs the full "
             "representation; the symmetric sector cannot hold it")
     weights = _gradient_weights(rep.n, centered)
-    return CollectiveOperator(_SiteSum(PAULI["y"] / 2.0, weights), rep,
-                              provenance=tuple(weights))
+    return _SiteSum(PAULI["y"] / 2.0, weights, rep, tuple(weights))
 
 
 def _popcount(n: int) -> np.ndarray:
@@ -513,14 +503,12 @@ def parity_op(axis: str, rep: Representation) -> CollectiveOperator:
     if rep.kind == "symmetric" and axis != "x":
         raise ValueError("symmetric-sector parity implemented for the x axis only")
     if axis == "x":
-        form = _Flip(np.ones(rep.dim), flip=True)
+        phase = np.ones(rep.dim)
     else:
         down = _popcount(n)
-        if axis == "z":
-            form = _Flip(1.0 - 2.0 * (down % 2), flip=False)
-        else:
-            form = _Flip((1, 1j, -1, -1j)[n % 4] * (1.0 - 2.0 * ((n - down) % 2)), flip=True)
-    return CollectiveOperator(form, rep, provenance=f"parity_{axis}")
+        phase = (1.0 - 2.0 * (down % 2) if axis == "z"
+                 else (1, 1j, -1, -1j)[n % 4] * (1.0 - 2.0 * ((n - down) % 2)))
+    return _Flip(phase, axis != "z", rep, f"parity_{axis}")
 
 
 def single_site_op(op2: np.ndarray, site: int, rep: Representation) -> CollectiveOperator:
@@ -534,12 +522,10 @@ def single_site_op(op2: np.ndarray, site: int, rep: Representation) -> Collectiv
         raise ValueError(f"single-site operator must be 2x2, got shape {op2.shape}")
     require_hermitian(op2, name="collective operator")
     # unit weight at `site`, zero elsewhere
-    return CollectiveOperator(_SiteSum(op2, np.eye(rep.n)[site]), rep,
-                              provenance=f"site_{site}")
+    return _SiteSum(op2, np.eye(rep.n)[site], rep, f"site_{site}")
 
 
 def squared_op(op: CollectiveOperator, label: str = "") -> CollectiveOperator:
     """op^2.  A diagonal operator (J_z) gives the diagonal of squares."""
-    d = op.form.diagonal()
-    form = _Banded(op.form.dim, diag=d * d) if d is not None else _Square(op)
-    return CollectiveOperator(form, op.rep, provenance=label or f"({op.provenance})^2")
+    d, label = op.diagonal(), label or f"({op.provenance})^2"
+    return _Banded(op.dim, d * d, None, op.rep, label) if d is not None else _Square(op, op.rep, label)

@@ -11,14 +11,17 @@ float64 array; every other density (a -0.0 imaginary part included) and
 every vector is complex128.
 
 A pure state meets a ``CollectiveOperator`` only through ``apply``, so no
-d x d operator is built for it, and a density through its form's ``times``
-on blocks of columns (``trace_chain``; real for every structured operator
-but a mixed direction and parity sigma_y), so a real density takes real
-products only.  ``operator_moments`` is the one evaluation of <A> and
-<A^2>, shared with the Fisher module, and ``evolve`` the one
-evolution rule: a full-space site sum rotates by its exact product of 2x2
-rotations, any other operator a vector by Taylor steps and a density with
-its kept ``spectrum``.  A bare matrix is accepted wherever an operator is.
+d x d operator is built for it, and a density through the operator's
+``times`` on blocks of columns (``trace_chain``; real for every structured
+operator but a mixed direction and parity sigma_y), so a real density takes
+real products only.  ``braket`` is the one evaluation of <L psi|R psi>
+(Tr(L^dag R rho) for a density) for chains of operators L and R: the
+moments <A> and <A^2> of ``operator_moments``, shared with the Fisher
+module, and the slopes and curvatures of the metrology module.  ``evolve``
+is the one evolution rule: a full-space site sum rotates by its exact
+product of 2x2 rotations, any other operator a vector by Taylor steps and a
+density with its kept ``spectrum``.  A bare matrix is accepted wherever an
+operator is.
 
 Squeezed states, the ground states of J_x^2 - lam J_z, come from the two
 parity blocks of that tridiagonal Hamiltonian by Noda iteration
@@ -145,16 +148,20 @@ class QuantumState:
 
 
 def operator_moments(A: CollectiveOperator, data: np.ndarray, second: bool = True) -> tuple:
-    """<A> and, with ``second``, <A^2> (else None) of a unit vector or a
-    density: vdots with A psi for a vector, ``trace_chain`` for a density."""
+    """<A> and, with ``second``, <A^2> = <A psi|A psi> (else None) of a unit
+    vector or a density, each one ``braket``."""
+    s = braket(data, (A,), (A,)) if second else None
+    return float(np.real(braket(data, (), (A,)))), (None if s is None else float(np.real(s)))
+
+
+def braket(data: np.ndarray, left, right) -> complex:
+    """<L psi|R psi> for a unit vector psi, Tr(L^dag R rho) for a density rho,
+    with L = L_n ... L_1 for left = (L_1, ..., L_n) and R likewise: each chain
+    applied to psi, then one vdot, or one ``trace_chain`` of rho."""
     if data.ndim == 1:
-        Av = A.apply(data)
-        m = np.vdot(data, Av)
-        s = np.vdot(Av, Av) if second else None
-    else:
-        m, *s = trace_chain(data, (A, A) if second else (A,))
-        s = s[0] if second else None
-    return float(np.real(m)), (None if s is None else float(np.real(s)))
+        bra, ket = (reduce(lambda v, A: A.apply(v), ops, data) for ops in (left, right))
+        return np.vdot(bra, ket)
+    return trace_chain(data, (*right, *reversed(left)))[-1]
 
 
 def trace_chain(rho: np.ndarray, ops) -> np.ndarray:
@@ -166,7 +173,7 @@ def trace_chain(rho: np.ndarray, ops) -> np.ndarray:
     for blk in row_blocks(rho.shape[0]):
         P, k = np.ascontiguousarray(rho[:, blk]), 0
         for n, A in enumerate(ops):
-            P, j = A.form.times(P)
+            P, j = A.times(P)
             k += j
             out[n] += 1j ** k * np.trace(P[blk])
     return out
@@ -186,9 +193,9 @@ def evolve(A: CollectiveOperator, theta: float, data: np.ndarray) -> np.ndarray:
     steps on a vector (``unitary_apply``) and its kept ``spectrum`` on a density."""
     if not isfinite(theta * A.norm_bound()):
         raise ValueError(f"rotation angle theta = {theta}: theta times ||A|| must be finite")
-    if isinstance(A.form, _SiteSum):
-        rows = A.form.propagate(theta, data)
-        return rows if data.ndim == 1 else A.form.propagate(theta, rows, columns=True)
+    if isinstance(A, _SiteSum):
+        rows = A.propagate(theta, data)
+        return rows if data.ndim == 1 else A.propagate(theta, rows, columns=True)
     if data.ndim == 1:
         return unitary_apply(A, theta, data)
     U = unitary_exp(A.spectrum, theta)
@@ -303,7 +310,8 @@ def _singlet_density(n: int) -> np.ndarray:
     # J^2 = sum_l J_l^2 is real (J_y^2 = -R_y^2 for J_y = i R_y); its
     # eigenvalues are J(J+1), J = 0 .. N/2, so the product of 1 - J^2/(j(j+1))
     # over j = 1 .. N/2 keeps the J = 0 subspace only
-    (Rx, _), (Ry, _), (m, _) = (collective_op(a, full_rep(n)).factor for a in AXES)
+    # from the unkept ``_factor()``: the cached operators keep no 8 MB factor
+    (Rx, _), (Ry, _), (m, _) = (collective_op(a, full_rep(n))._factor() for a in AXES)
     # entry for entry the sum 0 + R_x^2 - R_y^2 + J_z^2 of dense squares:
     # J_z^2 adds m^2 on the diagonal and +0 elsewhere
     J2 = Rx @ Rx

@@ -82,7 +82,7 @@ def moments(state: QuantumState) -> MomentSet:
 
 
 def _evaluate_moments(state: QuantumState) -> MomentSet:
-    ops = [collective_op(a, state.rep).form for a in AXES]
+    ops = [collective_op(a, state.rep) for a in AXES]
     if state.is_pure:
         psi = state.data
         return MomentSet(state.n, *pure_moments(psi, [J.apply(psi) for J in ops]))

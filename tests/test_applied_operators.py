@@ -1,7 +1,7 @@
 """Applied operators checked against the dense builders they replaced.
 
 A ``CollectiveOperator`` acts on vectors through ``apply``, meets densities
-through its form's ``times``, keeps a ``factor`` (A = 1j**k R, R a diagonal
+through its ``times``, keeps a ``factor`` (A = 1j**k R, R a diagonal
 or a matrix) and builds its dense ``matrix`` only on request.  The former dense builders
 are kept here as oracles: the lazy matrix must equal them, and 1j**k R
 must equal the matrix, bit for bit; ``apply`` must equal the dense
@@ -121,8 +121,8 @@ def test_axis_and_unit_direction_are_one_builder(rep):
     diagonal (a 1-D factor), J_x real and J_y purely imaginary."""
     for i, axis in enumerate(AXES):
         J, Jn = collective_op(axis, rep), direction_op(np.eye(3)[i], rep)
-        assert type(J.form) is type(Jn.form), axis
-        assert (J.form.diagonal() is None) == (Jn.form.diagonal() is None), axis
+        assert type(J) is type(Jn), axis
+        assert (J.diagonal() is None) == (Jn.diagonal() is None), axis
         (F, k), (Fn, kn) = J.factor, Jn.factor
         assert k == kn and F.dtype == Fn.dtype and F.shape == Fn.shape, axis
         assert np.array_equal(_bits(F), _bits(Fn)), axis
@@ -180,7 +180,7 @@ def test_real_factor_equals_matrix_bitwise(rep):
         # diagonal operators (J_z, J_z^2, sigma_z sites) keep their diagonal,
         # kept and read-only like every factor: the cached J_z is shared
         assert R.dtype == np.float64 and not R.flags.writeable, op
-        assert R.ndim == (1 if op.form.diagonal() is not None else 2), op
+        assert R.ndim == (1 if op.diagonal() is not None else 2), op
         assert op.factor is op.factor
         # 1j**k R, with +0 in the other part as the matrix is filled from zeros
         want = np.zeros((rep.dim, rep.dim), dtype=complex)
@@ -212,11 +212,11 @@ def test_spectrum_from_a_real_factor_equals_the_matrix_spectrum_bitwise(rep):
     """A real factor (J_x, J_z, directions in the x-z plane) is decomposed as
     it is, J_y and mixed directions through the complex matrix; LAPACK sees
     the same values either way."""
-    ops = [collective_op(a, rep) for a in AXES] + [direction_op(n_vec, rep) for n_vec in
-                                                   _DIRECTIONS + [np.ones(3) / np.sqrt(3)]]
+    # direction_op is uncached, so each operator is fresh: the cached axes of
+    # collective_op may hold a spectrum already
+    ops = [direction_op(n_vec, rep) for n_vec in
+           list(np.eye(3)) + _DIRECTIONS + [np.ones(3) / np.sqrt(3)]]
     for op in ops:
-        # a fresh operator: the cached ones may hold a spectrum already
-        op = CollectiveOperator(op.form, op.rep, op.provenance)
         got, want = op.spectrum, eigh_hermitian(op.matrix)
         assert got.eigenvalues.dtype == want.eigenvalues.dtype, op
         assert got.eigenvectors.dtype == want.eigenvectors.dtype, op
@@ -227,8 +227,7 @@ def test_spectrum_from_a_real_factor_equals_the_matrix_spectrum_bitwise(rep):
 def test_spectrum_of_a_real_factor_holds_no_complex_copy():
     """Full J_x at N = 10: the eigenvectors (8 MB) and no complex 1024^2
     matrix (16 MB) in NumPy-tracked memory."""
-    J = collective_op("x", full_rep(10))
-    op = CollectiveOperator(J.form, J.rep, J.provenance)
+    op = direction_op(np.eye(3)[0], full_rep(10))
     op.factor
     tracemalloc.start()
     try:
@@ -256,6 +255,30 @@ def test_custom_and_site_operators_are_validated():
         single_site_op(np.array([[0, 1], [0, 0]]), 0, full_rep(3))
     with pytest.raises(ValueError, match="does not match"):
         collective_op("x", full_rep(3)).apply(np.ones(7))
+
+
+def test_every_builder_returns_the_operator_itself(rng):
+    """Each builder returns a structured operator, a ``_Form`` subclass of
+    CollectiveOperator with no separate form object, and keeps its rep,
+    provenance (a direction or weights as a tuple of NumPy floats) and repr;
+    a bare matrix is a plain CollectiveOperator."""
+    sym, full = symmetric_rep(4), full_rep(3)
+    cases = [(collective_op("x", sym), sym, "x"), (collective_op("z", full), full, "z"),
+             (direction_op(np.array([0.6, 0.0, 0.8]), sym), sym, tuple(np.array([0.6, 0.0, 0.8]))),
+             (gradient_op(full), full, tuple(np.arange(1.0, 4.0))),
+             (gradient_op(full, centered=True), full, tuple(np.arange(-1.0, 2.0))),
+             (parity_op("y", full), full, "parity_y"), (parity_op("x", sym), sym, "parity_x"),
+             (single_site_op(PAULI["x"] / 2.0, 1, full), full, "site_1"),
+             (squared_op(collective_op("z", sym)), sym, "(z)^2"),
+             (squared_op(collective_op("y", full)), full, "(y)^2"),
+             (squared_op(collective_op("x", sym), "Jx^2"), sym, "Jx^2")]
+    for op, rep, provenance in cases:
+        assert isinstance(op, spin._Form) and not hasattr(op, "form"), op
+        assert op.rep == rep and op.provenance == provenance, op
+        assert repr(op) == f"CollectiveOperator({provenance!r}, {rep})", op
+    custom = as_operator(rand_hermitian(rng, 4))
+    assert type(custom) is CollectiveOperator and not hasattr(custom, "form")
+    assert custom.provenance == "custom" and repr(custom) == "CollectiveOperator('custom', None)"
 
 
 def test_bare_matrices_become_custom_operators(rng):
@@ -308,12 +331,12 @@ def _dyadic_site_sum(op):
     """A real site sum whose entries are multiples of 1/4 (J_x, J_y, J_z, the
     gradients, a sigma_x site): on integer X every partial sum is exact."""
     F = op.factor[0]
-    return (isinstance(op.form, spin._SiteSum) and not np.iscomplexobj(F)
+    return (isinstance(op, spin._SiteSum) and not np.iscomplexobj(F)
             and np.array_equal(4.0 * F, np.round(4.0 * F)))
 
 
 def test_times_is_the_factor_product(rng):
-    """form.times(X) = (P, k) with 1j**k P equal to 1j**k' F X for the dense
+    """op.times(X) = (P, k) with 1j**k P equal to 1j**k' F X for the dense
     factor (F, k'), on real and complex X of one column and of six, within
     1e-14 ||F||_1 max|X|; a real or purely imaginary form keeps a real X real,
     a parity of phase i too.
@@ -322,19 +345,19 @@ def test_times_is_the_factor_product(rng):
     dyadic site sum is exact, a real site sum must match the dense product
     bit for bit: each entry takes exactly its terms."""
     for name, op in _times_cases(rng).items():
-        F, k = op.form.factor()
+        F, k = op._factor()
         d, norm = F.shape[0], np.abs(F).max() if F.ndim == 1 else np.linalg.norm(F, 1)
         for cols in (1, 6):
             for X in (rng.standard_normal((d, cols)),
                       rng.standard_normal((d, cols)) + 1j * rng.standard_normal((d, cols))):
-                P, j = op.form.times(X)
+                P, j = op.times(X)
                 want = 1j ** k * _factor_times(F, X)
                 assert np.abs(1j ** j * P - want).max() <= 1e-14 * norm * np.abs(X).max(), name
                 if not (np.iscomplexobj(F) or np.iscomplexobj(X)):
                     assert P.dtype == np.float64, name
             if _dyadic_site_sum(op):
                 X = rng.integers(-8, 9, size=(d, cols)).astype(float)
-                P, j = op.form.times(X)
+                P, j = op.times(X)
                 assert j == k and np.array_equal(_bits(P), _bits(_factor_times(F, X))), name
 
 
@@ -359,13 +382,13 @@ _FACTOR_KINDS = {
 
 
 def test_factor_kind_of_every_form(rng):
-    """factor() is (F, k) of a fixed kind per form: a diagonal form's real
+    """_factor() is (F, k) of a fixed kind per form: a diagonal form's real
     diagonal, float64 where the matrix is real or purely imaginary (k = 1),
     else complex with k = 0."""
     cases = _times_cases(rng)
     assert set(cases) == set(_FACTOR_KINDS)
     for name, op in cases.items():
-        F, k = op.form.factor()
+        F, k = op._factor()
         assert (k, str(F.dtype), F.ndim) == _FACTOR_KINDS[name], name
 
 
@@ -380,7 +403,7 @@ def test_full_direction_diagonal_is_exactly_nz_m(n):
         op = direction_op(n_vec, rep)
         want = n_vec[2] * m
         assert (np.diagonal(op.apply(np.eye(rep.dim))) == want).all(), n_vec
-        P, k = op.form.times(np.eye(rep.dim))
+        P, k = op.times(np.eye(rep.dim))
         assert k == 0 and (np.diagonal(P) == want).all(), n_vec
 
 
@@ -497,7 +520,7 @@ def test_symmetric_1000_commands_build_no_dense_operator(tmp_path, monkeypatch):
     lazy = CollectiveOperator.matrix
 
     def recorded(op):
-        if not isinstance(op.form, spin._Dense):
+        if isinstance(op, spin._Form):
             read.append(op)
         return lazy.fget(op)
 
@@ -523,13 +546,13 @@ def test_witness_on_a_real_full_density_builds_no_dense_operator(tmp_path, monke
     lazy = CollectiveOperator.matrix
 
     def recorded(op):
-        if not isinstance(op.form, spin._Dense):
+        if isinstance(op, spin._Form):
             read.append(op)
         return lazy.fget(op)
 
     monkeypatch.setattr(CollectiveOperator, "matrix", property(recorded))
-    for form in (spin._Form, spin._Square, spin._Dense):
-        monkeypatch.setattr(form, "factor", lambda self, built=form.factor: (
+    for cls in (CollectiveOperator, spin._Form, spin._Square):
+        monkeypatch.setattr(cls, "_factor", lambda self, built=cls._factor: (
             read.append(self), built(self))[1])
     state = tmp_path / "mixed.json"
     write_state(mix_white_noise(ghz(8, full_rep(8)), 0.6), str(state))

@@ -156,7 +156,7 @@ def _site_sums(rng, rep):
     directions = [direction_op(n_vec, rep) for n_vec in
                   (np.array([1.0, 1.0, 0.0]) / np.sqrt(2), np.array([1.0, 2.0, 2.0]) / 3.0,
                    np.array([0.6, 0.0, -0.8]))]
-    assert all(isinstance(J.form, _SiteSum) for J in directions)
+    assert all(isinstance(J, _SiteSum) for J in directions)
     return ([collective_op(axis, rep) for axis in "xyz"] + directions
             + [gradient_op(rep), gradient_op(rep, centered=True),
                single_site_op(h, rep.n // 2, rep)])
@@ -182,8 +182,8 @@ def test_site_sum_product_follows_the_site_order(rng):
     # give another operator and another rotation
     rep = full_rep(3)
     psi = rand_pure(rng, rep.dim)
-    forward, reverse = gradient_op(rep), CollectiveOperator(
-        _SiteSum(PAULI["y"] / 2.0, np.arange(3.0, 0.0, -1.0)), rep)
+    forward, reverse = gradient_op(rep), _SiteSum(PAULI["y"] / 2.0, np.arange(3.0, 0.0, -1.0),
+                                                  rep, "reversed gradient")
     for gen in (forward, reverse):
         U = unitary_exp(gen.matrix, 0.7)
         assert np.abs(evolve(gen, 0.7, psi) - U @ psi).max() <= 1e-12
@@ -212,7 +212,7 @@ def test_site_sum_propagator_is_the_kronecker_product_of_its_factors(rng, n):
             + [gradient_op(rep), gradient_op(rep, centered=True),
                single_site_op(rand_hermitian(rng, 2), n // 2, rep)])
     for gen in gens:
-        h, weights = gen.form.op2, gen.form.weights
+        h, weights = gen.op2, gen.weights
         w, V = np.linalg.eigh(h)
         for theta in (0.3, -2.5, 4 * np.pi):
             factors = [_site_rotation(h, theta * ws) if ws else np.eye(2) for ws in weights]
@@ -220,7 +220,7 @@ def test_site_sum_propagator_is_the_kronecker_product_of_its_factors(rng, n):
                 # the closed form against the 2x2 spectral route
                 assert np.abs(f - (V * np.exp(-1j * theta * ws * w)) @ V.conj().T).max() <= 1e-13
             want = reduce(np.kron, factors)
-            assert np.abs(gen.form.propagate(theta, np.eye(rep.dim)) - want).max() <= 1e-15, \
+            assert np.abs(gen.propagate(theta, np.eye(rep.dim)) - want).max() <= 1e-15, \
                 (gen, theta)
 
 

@@ -32,8 +32,10 @@ as nested lists, 557 MB with the whole text in memory).
 The gradient scenario at N = 10 rotates the float64 singlet by the
 gradient's product of 2x2 rotations, with no 2^N generator spectrum and
 no dense propagator, and takes its slope and curvature from ``times`` on
-column blocks: under 120 MB (101 MB here; 109 MB through dense factors,
-181 MB with a spectrum and a propagator as well).
+column blocks.  The singlet is built from unkept factors of J_x, J_y and
+J_z, so no 8 MB factor stays on the cached operators: under 95 MB (85 MB
+here; 101 MB when the cached J_x and J_y kept their factors, 109 MB
+through dense factors, 181 MB with a spectrum and a propagator as well).
 
 The noisy QFI of a symmetric probe at N = 256 builds its J blocks, N^3 / 6
 numbers in all, by Horner's rule over the reduced probes sigma_N ... sigma_0.
@@ -73,7 +75,7 @@ DENSITY_LIMIT_MB = 56
 SYMMETRIC_DENSITY_LIMIT_MB = 54
 SINGLET_LIMIT_MB = 90
 MIXED_STATE_LIMIT_MB = 60
-GRADIENT_LIMIT_MB = 120
+GRADIENT_LIMIT_MB = 95
 SLD_LIMIT_MB = 140
 SLD_REPORT_LIMIT_MB = 140
 NOISY_QFI_LIMIT_MB = 70

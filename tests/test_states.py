@@ -5,11 +5,12 @@ import qmetro.states
 from qmetro import serialize
 from qmetro.linalg import tridiagonal_ground_pairs
 from qmetro.metrology import NoiseChannel, apply_noise, frontier_lambda_grid
-from qmetro.spin import collective_op, full_rep, symmetric_rep
-from qmetro.states import (QuantumState, SqueezingSpec, _parity_blocks, dicke, ghz,
-                           maximally_mixed, mix_white_noise, polarized, rotate,
+from qmetro.spin import (collective_op, direction_op, full_rep, gradient_op, parity_op,
+                         squared_op, symmetric_rep)
+from qmetro.states import (QuantumState, SqueezingSpec, _parity_blocks, braket, dicke, evolve,
+                           ghz, maximally_mixed, mix_white_noise, polarized, rotate,
                            singlet_pi, squeezed_ground_state, squeezed_ground_states,
-                           to_full)
+                           to_full, trace_chain)
 from qmetro.fisher import qfi, qfi_pure, white_noise_qfi, bures_fidelity
 from conftest import dicke_isometry, rand_density, rand_pure
 
@@ -492,3 +493,43 @@ def test_fidelity_with_keeps_the_former_shortcuts_bitwise():
     shortcut = float(np.real(np.vdot(a.data, m.data @ a.data)))
     assert a.fidelity_with(m) == shortcut and m.fidelity_with(a) == shortcut
     assert m.fidelity_with(m) == bures_fidelity(m, m)
+
+
+def _former_brakets(data, A, M):
+    """Every (left, right) pair of error_propagation with its value by the
+    expression it had before ``braket``: vdots of applied vectors for a
+    vector, ``trace_chain`` for a density."""
+    if data.ndim == 1:
+        a, m = A.apply(data), M.apply(data)
+        a2, ma = A.apply(a), M.apply(a)
+        return {((), (M,)): np.vdot(data, m), ((M,), (M,)): np.vdot(m, m),
+                ((A,), (M,)): np.vdot(a, m), ((A,), (A, M)): np.vdot(a, ma),
+                ((A, A), (M,)): np.vdot(a2, m), ((A, M), (A, M)): np.vdot(ma, ma),
+                ((A, A), (M, M)): np.vdot(a2, M.apply(m))}
+    mean, second = trace_chain(data, (M, M))
+    return {((), (M,)): mean, ((M,), (M,)): second,
+            ((A,), (M,)): trace_chain(data, (M, A))[1],
+            ((A,), (A, M)): trace_chain(data, (A, M, A))[-1],
+            ((A, A), (M,)): trace_chain(data, (M, A, A))[-1],
+            ((A, M), (A, M)): trace_chain(data, (A, M, M, A))[-1],
+            ((A, A), (M, M)): trace_chain(data, (M, M, A, A))[-1]}
+
+
+def test_braket_keeps_every_bit_of_the_former_expressions(rng):
+    """<L psi|R psi> and Tr(L^dag R rho) equal the vdots and chains they
+    replaced bit for bit, at the state and rotated away from it."""
+    sym, g6, g8, g4 = symmetric_rep(8), full_rep(6), full_rep(8), full_rep(4)
+    cases = [(dicke(8, 4).data, collective_op("y", sym), squared_op(collective_op("z", sym))),
+             (ghz(6, g6).data, gradient_op(g6), squared_op(collective_op("z", g6))),
+             (singlet_pi(8).data, gradient_op(g8), squared_op(collective_op("z", g8))),
+             (mix_white_noise(ghz(6, g6, axis="z"), 0.6).data, collective_op("z", g6),
+              parity_op("x", g6)),
+             (rand_density(rng, g4.dim, rank=3),
+              direction_op(np.array([1.0, 1.0, 0.0]) / np.sqrt(2), g4),
+              squared_op(collective_op("y", g4)))]
+    for probe, A, M in cases:
+        for data in (probe, evolve(A, 0.3, probe)):
+            for (left, right), want in _former_brakets(data, A, M).items():
+                got = braket(data, left, right)
+                assert (np.array([got]).view(np.uint64) == np.array([want]).view(np.uint64)).all(), \
+                    (A, M, len(left), len(right))

@@ -96,7 +96,7 @@ def _dense_factor_moments(state):
     rows blk of F F times rho[:, blk]."""
     from qmetro.linalg import row_blocks
     rho = state.data
-    factors = [collective_op(a, state.rep).form.factor() for a in "xyz"]
+    factors = [collective_op(a, state.rep)._factor() for a in "xyz"]
     mean = np.array([hermitian_trace(f, rho).real for f in factors])
     G = np.zeros((3, 3), dtype=complex)
     for l, (F, k) in enumerate(factors):
