@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import serialize
-from .fisher import qfi, sld, wigner_yanase, zeno_time
+from .fisher import qfi, sld, sld_trace, wigner_yanase, zeno_interval
 from .metrology import (FrontierRow, SweepRecord, crb_consistency,
                         dicke_scenario, frontier_lambda_grid,
                         ghz_parity_scenario, gradient_scenario,
@@ -122,7 +122,7 @@ def cmd_qfi(args) -> int:
            "qfi": res.value,
            "skipped_pairs": res.skipped_pairs}
     if args.zeno:
-        doc["zeno_time"] = zeno_time(state, gen)
+        doc["zeno_time"] = zeno_interval(res.value)
     if args.wy:
         doc["wigner_yanase"] = wigner_yanase(state, gen)
         doc["wigner_yanase_sandwich_ok"] = bool(4 * doc["wigner_yanase"] <= res.value + 1e-8)
@@ -130,10 +130,7 @@ def cmd_qfi(args) -> int:
         L = sld(state, gen)
         if args.out:
             doc["sld"] = L
-        # Tr(rho L^2): |L psi|^2 for a vector, Tr((L rho) L) for a density
-        X = L @ state.data
-        doc["sld_trace_check"] = float(np.real(
-            np.vdot(X, X) if state.is_pure else np.einsum("ij,ji->", X, L)))
+        doc["sld_trace_check"] = sld_trace(state, L)
     if args.out:
         serialize.write_report(doc, args.out)
     print(f"qfi = {res.value:.12g}  (skipped pairs: {res.skipped_pairs})")

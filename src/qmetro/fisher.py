@@ -4,43 +4,37 @@ The closed-form quantum Fisher information
 
     F_Q[rho, A] = 2 sum_{k,l} (l_k - l_l)^2 / (l_k + l_l) |<k|A|l>|^2
 
-is evaluated in the eigenbasis of rho; pairs whose eigenvalue sum falls
-below a floor (both eigenvalues numerically zero) are dropped, which
-restricts the sum to the support and keeps the symmetric logarithmic
-derivative finite.  ``qfi`` is the 1x1 case of the multi-parameter Fisher
-matrix.  Alongside them live the alternative second-moment form, the SLD,
-the exact classical Fisher information of a readout (a ``Povm`` kept as
-outcome columns; dp_k = 2 Im Tr(E_k A rho)), Bures fidelity, evolution-speed
-and Zeno-time quantities, the Wigner-Yanase skew information and exact
-optimal decompositions for the convex and concave roofs of the variance.
+is evaluated in the eigenbasis of rho, dropping the pairs whose eigenvalue
+sum falls below a floor (both numerically zero): the sum stays on the
+support and the symmetric logarithmic derivative (SLD) finite.  ``qfi`` is
+the 1x1 Fisher matrix.  Alongside live the second-moment form, the SLD, the
+exact classical Fisher information of a readout (a ``Povm`` kept as outcome
+columns; dp_k = 2 Im Tr(E_k A rho)), Bures fidelity, speed and Zeno-time
+quantities, the Wigner-Yanase skew information and exact optimal
+decompositions for the convex and concave roofs of the variance.
 
-Functions accept either package states/operators or bare numpy arrays, so
-the property batteries can run on arbitrary-dimension random instances.
-One adapter, ``_inputs``, turns a (state, operator) pair into (A, payload):
-the payload is a ``QuantumState``'s own array, or a bare array as complex
-(a vector normalised), and a 1-D payload is a pure state.
-A bare matrix becomes a custom ``CollectiveOperator`` of no representation
-(``spin.as_operator``, checked Hermitian), so every operator is met the
-same way: pure states through ``apply`` only (A|psi> with no d x d
-matrix), densities through its ``times`` (real products where the operator
-is real or purely imaginary, and no d x d operator).
-A ``QuantumState`` density is eigendecomposed once: its payload is
-read-only, and the spectrum is kept on the state for every later Fisher
-quantity.  Bare arrays are eigendecomposed on every call.
+Functions take package states and operators or bare arrays, so the property
+batteries can run on random instances.  ``_inputs`` turns a (state,
+operator) pair into (A, payload): a ``QuantumState``'s own array, or a bare
+array as complex (a vector normalised; a 1-D payload is pure), and a bare
+matrix becomes a custom ``CollectiveOperator`` (``spin.as_operator``, checked
+Hermitian).  Pure states meet A through ``apply``, densities through its
+``times`` (real products for a real or purely imaginary A), with no d x d
+operator.  A ``QuantumState`` density is eigendecomposed once and the
+spectrum kept on the state; a bare array on every call.
 
-A real density (every probe family here and its noisy mixtures) has real
-eigenvectors V, and V^T A V is real for J_x, J_z ((V^T * m) V) and the
-real factor of the purely imaginary J_y; the Fisher cross term of a real
-and a purely imaginary transform is exactly zero and is not summed.
+A real density (every probe family and its noisy mixtures) has real
+eigenvectors V, so V^T A V is real for J_x, J_z and the real factor of the
+purely imaginary J_y, whose Fisher cross term with them is zero, not summed.
 
-Every Fisher quantity of a density forms V^dag A V in one place, the row
-transform ``_transform`` of the kept block spectrum: rows of it, in the
-order of the spectrum's ``values``, as [X[:, u] | X[:, c] W] for the rows
-X = (A V[:, r])^dag of V^dag A, A V[:, r] being A's ``times`` of those
-eigenvectors (an uncoupled one a unit column).  The Fisher matrix sums it
-by blocks of rows (``linalg.row_blocks``) against every column, with no
-d x d V (a matrix of d <= 362 takes one pass); the SLD and both roofs take
-all rows.
+Every Fisher quantity forms V^dag A V in one place, the row transform
+``_transform`` of the kept block spectrum: rows r, in the order of its
+``values``, are [X[:, u] | X[:, c] W] for X = (A V[:, r])^dag, A V[:, r] being
+A's ``times`` (an uncoupled eigenvector is a unit column).  The Fisher matrix
+sums it by blocks of rows (``linalg.row_blocks``; one pass at d <= 362) with
+no d x d V; the SLD and both roofs take all rows.  Its dual V X V^dag is the
+spectrum's ``sandwich`` (the SLD, sqrt(rho)), and ``sld_trace`` reads
+Tr(rho L^2) from one factor of rho.
 """
 
 from __future__ import annotations
@@ -145,7 +139,7 @@ def _pair_sum(dec: SpectralDecomposition, ops, numerator) -> tuple[np.ndarray, i
     on the pairs that reach QFI_PAIR_FLOOR, and the number of pairs dropped, by
     blocks of rows k against every l (``linalg.row_blocks``; one pass at d <= 362)."""
     S, lam, skipped = np.zeros((len(ops), len(ops))), dec.values, 0
-    for r in row_blocks(dec.dim):
+    for r in row_blocks(lam.size):
         W, keep = _pair_ratio(lam[r], lam, numerator(lam[r], lam), QFI_PAIR_FLOOR)
         skipped += keep.size - int(np.count_nonzero(keep))
         Vr = dec.columns(r)
@@ -209,7 +203,8 @@ def qfi_pure(state, op) -> float:
         purity = float(np.real(np.vdot(data, data)))
         if abs(purity - 1.0) > 1e-9:
             raise ValueError(f"qfi_pure needs a pure state; purity={purity:.6f}")
-        data = _eigensystem(state, data).eigenvectors[:, -1]
+        dec = _eigensystem(state, data)
+        data = dec.columns([int(np.argmax(dec.values))])[:, 0]
     _, var = _mean_and_var(data, A)
     return 4.0 * var
 
@@ -231,8 +226,8 @@ def sld(state, op) -> np.ndarray:
 
     Satisfies (L rho + rho L)/2 = i(rho A - A rho) and Tr(rho L^2) = F_Q.
     Off the support of rho the operator is completed with zeros.  A density
-    gives L = V (2i (l_k - l_l) / (l_k + l_l) T_kl) V^dag for T = V^dag A V
-    (``_transform``) and V its eigenvectors in the order of ``values``.
+    gives L = V (2i (l_k - l_l) / (l_k + l_l) T_kl) V^dag, a ``sandwich``, for
+    V^dag A V = 1j**k T (``_transform``); a real T gives a real or imaginary L.
     """
     A, data = _inputs(state, op)
     if data.ndim == 1:
@@ -240,10 +235,18 @@ def sld(state, op) -> np.ndarray:
         Av = A.apply(data)
         return 2j * (np.outer(data, Av.conj()) - np.outer(Av, data.conj()))
     dec = _eigensystem(state, data)
-    lam, V = dec.values, dec.columns()
-    w, _ = _pair_ratio(lam, lam, lam[:, None] - lam, QFI_PAIR_FLOOR)
-    T, k = _transform(dec, A, V)
-    return V @ (2j * 1j ** k * w * T) @ V.conj().T
+    lam, (T, k) = dec.values, _transform(dec, A, dec.columns())
+    T *= _pair_ratio(lam, lam, lam[:, None] - lam, QFI_PAIR_FLOOR)[0]
+    c = 2j * 1j ** k
+    if np.iscomplexobj(T):
+        T *= c
+        return dec.sandwich(T)
+    T *= c.real or c.imag   # c is real or imaginary: L's other part stays +0.0
+    S = dec.sandwich(T)
+    del T
+    L = np.zeros(S.shape, dtype=complex)
+    (L.imag if c.imag else L.real)[...] = S
+    return L
 
 
 def wigner_yanase(state, op) -> float:
@@ -251,8 +254,7 @@ def wigner_yanase(state, op) -> float:
     A, data = _inputs(state, op)
     if data.ndim == 1:
         return _mean_and_var(data, A)[1]
-    dec = _eigensystem(state, data)
-    root = dec.apply_function(rank_floor_sqrt)
+    root = psd_sqrt(_eigensystem(state, data))
     # Tr(A root A root) = Tr(X X) = sum_ij X_ij X_ji for X = A root = 1j**k P
     P, k = A.times(root)
     cross = float(np.real((-1) ** k * np.sum(P * P.T)))
@@ -279,10 +281,25 @@ def white_noise_qfi(pure_state, op, p: float) -> float:
 
 def zeno_time(state, op) -> float:
     """Shortest useful interval between projective resets: 2 / sqrt(F_Q)."""
-    F = qfi(state, op).value
-    if F <= FISHER_FLOOR:
-        return float("inf")
-    return 2.0 / np.sqrt(F)
+    return zeno_interval(qfi(state, op).value)
+
+
+def zeno_interval(F: float) -> float:
+    """``zeno_time`` of a QFI F at hand: 2 / sqrt(F), infinite at F <= FISHER_FLOOR."""
+    return float("inf") if F <= FISHER_FLOOR else 2.0 / np.sqrt(F)
+
+
+def sld_trace(state, L: np.ndarray) -> float:
+    """Tr(rho L^2) = ||L R||_F^2 for one factor rho = R R^dag: psi, or the kept
+    eigenvectors times ``rank_floor_sqrt`` of their values where it is
+    nonzero (the rule of ``psd_sqrt``), with no d x d product."""
+    R = _payload(state)
+    if R.ndim == 2:
+        dec = _eigensystem(state, R)
+        root = rank_floor_sqrt(dec.values)
+        R = dec.columns(root > 0) * root[root > 0]
+    X = L @ R
+    return float(np.real(np.vdot(X, X)))
 
 
 # ----------------------------------------------------------------------
@@ -303,7 +320,7 @@ def bures_fidelity(state1, state2) -> float:
         return float(np.real(np.vdot(d1, d2 @ d1)))
     if d2.ndim == 1:
         return float(np.real(np.vdot(d2, d1 @ d2)))
-    R = psd_sqrt(_eigensystem(state1, d1) if isinstance(state1, QuantumState) else d1)
+    R = psd_sqrt(_eigensystem(state1, d1))
     M = R @ d2 @ R
     w = np.linalg.eigvalsh((M + M.conj().T) / 2.0)
     return float(np.sum(rank_floor_sqrt(w)) ** 2)
@@ -367,7 +384,8 @@ class Povm:
 
     @classmethod
     def from_observable_eigenbasis(cls, M) -> "Povm":
-        return cls.projective(as_operator(M).spectrum.eigenvectors)
+        """Projectors onto the eigenvectors of M, in its spectrum's block order."""
+        return cls.projective(as_operator(M).spectrum.columns())
 
     def __len__(self):
         return self._count

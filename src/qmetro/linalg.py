@@ -1,39 +1,33 @@
-"""Dense complex linear-algebra primitives used throughout the package.
+"""Dense linear-algebra primitives used throughout the package.
 
-Everything here is a thin, contract-enforcing layer over LAPACK (via
-numpy): Hermitian eigendecomposition, PSD square roots, unitaries
-generated by Hermitian matrices, their action on vectors and pure-state
-moments.  All functions are pure; inputs are never mutated.
+A thin, contract-enforcing layer over LAPACK (via numpy): Hermitian
+eigendecomposition, PSD square roots, unitaries generated by Hermitian
+matrices, their action on vectors and pure-state moments.  All functions
+are pure; inputs are never mutated.
 
-Operators reach this module as arrays.  Pure-state routines take what a
-structured operator gives without a dense matrix: ``pure_moments`` reads
-the images A_k|psi> (from ``CollectiveOperator.apply``) and
-``unitary_apply`` needs only ``apply`` and the operator's ``norm_bound()``.
-Densities meet an operator through its form's ``times`` (``spin``), which
-gives a product A X as a factor (P, k) standing for 1j**k P, with no d x d
-operator; ``hermitian_trace`` takes such factors (a 1-D F a diagonal).
+Operators reach this module as arrays or through what a structured operator
+gives without a dense matrix: ``pure_moments`` reads the images A_k|psi>
+(``CollectiveOperator.apply``), ``unitary_apply`` needs only ``apply`` and
+``norm_bound()``, and ``hermitian_trace`` takes the factors (P, k) of
+``times``, standing for 1j**k P (a 1-D P a diagonal).
 
 Symmetric tridiagonal M-matrices (nonpositive off-diagonals, positive
-definite) have their own batched routines: ``mmatrix_tridiagonal_solve``
-solves them by odd-even reduction, and ``tridiagonal_ground_pairs`` finds
-the lowest eigenpair of a tridiagonal matrix with positive off-diagonals,
-which such a matrix becomes under a sign change of every other basis
-vector, with those solves alone.
+definite) have batched routines: ``mmatrix_tridiagonal_solve`` solves them
+by odd-even reduction, and ``tridiagonal_ground_pairs`` finds the lowest
+eigenpair of a tridiagonal matrix with positive off-diagonals, which such a
+matrix becomes under a sign change of every other basis vector.
 
-Real data takes real arithmetic.  A state's real density arrives as float64
-(``states.QuantumState``); a bare complex array whose imaginary part is
-exactly zero holds the same matrix as its real part, so ``eigh_hermitian``
-eigendecomposes the real part with real LAPACK (and returns real
-eigenvectors), so that no complex d x d array is formed.  The rule is
-exact: no tolerance decides it.
-
-So is the coupled-index rule: an index i with M[i, j] = M[j, i] = 0 for
-every j != i, in the lower triangle LAPACK reads, is an eigenvector e_i
-with eigenvalue M_ii and a 1 x 1 block of a Cholesky factor
-(``coupled_indices``).  ``eigh_hermitian`` and the PSD check of a state
-hand LAPACK the coupled block only; the spectrum keeps its eigenvectors
-W beside the pairs (M_ii, e_i), and builds the dense d x d ones on request.
-Passes over a d x d matrix run in blocks of rows (``row_blocks``).
+Real data takes real arithmetic: a bare complex array whose imaginary part
+is exactly zero is its real part, so ``eigh_hermitian`` solves it with real
+LAPACK and returns real eigenvectors; no tolerance decides it.  So is the
+coupled-index rule: an index i with M[i, j] = M[j, i] = 0 for every j != i,
+in the lower triangle LAPACK reads, is an eigenvector e_i with eigenvalue
+M_ii and a 1 x 1 block of a Cholesky factor (``coupled_indices``).
+``eigh_hermitian`` and the PSD check of a state hand LAPACK the coupled
+block only, and the spectrum keeps its eigenvectors W beside the pairs
+(M_ii, e_i), its one form: V X V^dag is formed block by block, with no
+dense d x d V.  Passes over a d x d matrix run in blocks of rows
+(``row_blocks``).
 """
 
 from __future__ import annotations
@@ -105,46 +99,41 @@ def require_hermitian(M: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenvalues (ascending) and eigenvectors of a Hermitian M in block form:
-    the pairs (M_uu, e_u) of the uncoupled indices u, then the block M[c, c] =
-    W diag(l_c) W^dag (``values`` lists the M_uu, then the l_c; ``coupled`` is
-    slice(None) when W is every eigenvector).  The dense ``eigenvectors``,
-    column k for ``eigenvalues[k]``, are merged on each request, not kept."""
+    """Eigenvalues and eigenvectors V of a Hermitian M in one form, by blocks:
+    the pairs (M_uu, e_u) of the uncoupled indices u, then M[c, c] = W diag(l_c)
+    W^dag (``values``, the M_uu then the l_c, orders V's columns; ``coupled`` is
+    slice(None) when W is every eigenvector).  V is never kept dense."""
 
-    eigenvalues: np.ndarray
     uncoupled: np.ndarray
     coupled: np.ndarray | slice
     values: np.ndarray
     block_vectors: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
 
     def columns(self, cols=slice(None)) -> np.ndarray:
         """The eigenvectors of ``values[cols]`` as columns of length d."""
         nu, W = self.uncoupled.size, self.block_vectors
         if not nu:
             return W[:, cols]
-        k = np.arange(self.dim)[cols]
-        out, unit = np.zeros((self.dim, k.size), dtype=W.dtype), k < nu
+        k = np.arange(self.values.size)[cols]
+        out, unit = np.zeros((self.values.size, k.size), dtype=W.dtype), k < nu
         out[self.uncoupled[k[unit]], np.flatnonzero(unit)] = 1.0
         out[np.ix_(self.coupled, np.flatnonzero(~unit))] = W[:, k[~unit] - nu]
         return out
 
-    @property
-    def eigenvectors(self) -> np.ndarray:
-        if not self.uncoupled.size:
-            return self.block_vectors
-        # ascending, the uncoupled pairs first at a tie
-        V = self.columns(np.argsort(self.values, kind="stable"))
-        V.flags.writeable = False
-        return V
-
-    def apply_function(self, f) -> np.ndarray:
-        """f(M) computed through the spectrum; f acts elementwise on eigenvalues."""
-        V = self.eigenvectors
-        return (V * f(self.eigenvalues)) @ V.conj().T
+    def sandwich(self, X: np.ndarray) -> np.ndarray:
+        """V X V^dag for X in the order of ``values`` (a 1-D X a diagonal), the only
+        place it is formed: X_uu scattered, X_uc W^dag, W X_cu, W X_cc W^dag."""
+        u, c, W, nu = self.uncoupled, self.coupled, self.block_vectors, self.uncoupled.size
+        Wh, diagonal = W.conj().T, X.ndim == 1
+        if not nu:
+            return (W * X) @ Wh if diagonal else W @ X @ Wh
+        out = np.zeros((self.values.size,) * 2, dtype=np.result_type(W, X))
+        if diagonal:
+            out[u, u], out[np.ix_(c, c)] = X[:nu], (W * X[nu:]) @ Wh
+            return out
+        out[np.ix_(u, u)], out[np.ix_(u, c)] = X[:nu, :nu], X[:nu, nu:] @ Wh
+        out[np.ix_(c, u)], out[np.ix_(c, c)] = W @ X[nu:, :nu], W @ X[nu:, nu:] @ Wh
+        return out
 
 
 def real_if_exact(M: np.ndarray) -> np.ndarray:
@@ -190,19 +179,17 @@ def eigh_hermitian(M: np.ndarray) -> SpectralDecomposition:
     no mask), and a diagonal matrix none.  The arrays are read-only.
     """
     M = require_hermitian(real_if_exact(M))
-    # a matrix with no zero entry has every index coupled, with no mask
-    if np.count_nonzero(M) == M.size or (coupled := coupled_indices(M)).all():
+    if (coupled := coupled_indices(M)).all():
         vals, W = np.linalg.eigh(M)
         vals.flags.writeable = W.flags.writeable = False
-        return SpectralDecomposition(vals, np.empty(0, dtype=int), slice(None), vals, W)
+        return SpectralDecomposition(np.empty(0, dtype=int), slice(None), vals, W)
     c, u = np.flatnonzero(coupled), np.flatnonzero(~coupled)
     lam_c, W = (np.linalg.eigh(M[np.ix_(c, c)]) if c.size else
                 (np.empty(0), np.empty((0, 0), dtype=complex if np.iscomplexobj(M) else float)))
     values = np.concatenate([np.diagonal(M).real[u], lam_c])
-    vals = np.sort(values, kind="stable")
-    for a in (vals, u, c, values, W):
+    for a in (u, c, values, W):
         a.flags.writeable = False
-    return SpectralDecomposition(vals, u, c, values, W)
+    return SpectralDecomposition(u, c, values, W)
 
 
 def _real_factor(M: np.ndarray):
@@ -244,11 +231,10 @@ def psd_sqrt(M) -> np.ndarray:
     PSD_FLOOR is rejected as non-PSD.
     """
     dec = M if isinstance(M, SpectralDecomposition) else eigh_hermitian(M)
-    lo = dec.eigenvalues.min() if dec.dim else 0.0
-    scale = max(abs(dec.eigenvalues).max(), 1.0)
-    if lo < PSD_FLOOR * scale:
+    lo = dec.values.min()
+    if lo < PSD_FLOOR * max(abs(dec.values).max(), 1.0):
         raise ValueError(f"matrix is not PSD: smallest eigenvalue {lo:.3e}")
-    return dec.apply_function(rank_floor_sqrt)
+    return dec.sandwich(rank_floor_sqrt(dec.values))
 
 
 def rank_floor_sqrt(w: np.ndarray) -> np.ndarray:
@@ -267,7 +253,7 @@ def unitary_exp(A, theta: float) -> np.ndarray:
     exp(+i theta A) is the propagator at -theta.
     """
     dec = A if isinstance(A, SpectralDecomposition) else eigh_hermitian(A)
-    return dec.apply_function(lambda w: np.exp(-1j * theta * w))
+    return dec.sandwich(np.exp(-1j * theta * dec.values))
 
 
 def pure_moments(psi: np.ndarray, images) -> tuple[np.ndarray, np.ndarray]:

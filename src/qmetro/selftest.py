@@ -13,6 +13,7 @@ import numpy as np
 
 from .fisher import (Povm, classical_fisher, qfi, qfi_alternative, sld,
                      white_noise_qfi)
+from .linalg import eigh_hermitian
 from .spin import collective_op, full_rep
 from .states import QuantumState
 from .witnesses import (avg_qfi, moments, optimal_ssi, qfi_entanglement,
@@ -77,8 +78,7 @@ def qfi_property_battery(samples: int = 100, seed: int = 2024) -> list[CheckResu
         dim = int(rng.integers(2, 9))
         rho = _rand_density(rng, dim)
         A = _rand_hermitian(rng, dim)
-        w, V = np.linalg.eigh(rho)
-        D = (V * rng.standard_normal(dim)) @ V.conj().T
+        D = eigh_hermitian(rho).sandwich(rng.standard_normal(dim))
         dev = abs(qfi(rho, A + D).value - qfi(rho, A).value)
         worst = max(worst, dev)
     results.append(CheckResult("(b) invariance under commuting diagonal shifts",

@@ -16,8 +16,8 @@ d x d operator is built for it, and a density through the operator's
 operator but a mixed direction and parity sigma_y), so a real density takes
 real products only.  ``braket`` is the one evaluation of <L psi|R psi>
 (Tr(L^dag R rho) for a density) for chains of operators L and R: the
-moments <A> and <A^2> of ``operator_moments``, shared with the Fisher
-module, and the slopes and curvatures of the metrology module.  ``evolve``
+slopes and curvatures of the metrology module, and with the same bits the
+moments <A> and <A^2> of ``operator_moments`` from one chain.  ``evolve``
 is the one evolution rule: a full-space site sum rotates by its exact
 product of 2x2 rotations, any other operator a vector by Taylor steps and a
 density with its kept ``spectrum``.  A bare matrix is accepted wherever an
@@ -148,10 +148,13 @@ class QuantumState:
 
 
 def operator_moments(A: CollectiveOperator, data: np.ndarray, second: bool = True) -> tuple:
-    """<A> and, with ``second``, <A^2> = <A psi|A psi> (else None) of a unit
-    vector or a density, each one ``braket``."""
-    s = braket(data, (A,), (A,)) if second else None
-    return float(np.real(braket(data, (), (A,)))), (None if s is None else float(np.real(s)))
+    """<A> and, with ``second``, <A^2> (else None) of a unit vector, from one
+    A psi, or of a density, from one ``trace_chain`` (A, A): ``braket``'s bits."""
+    if data.ndim == 2:
+        traces = trace_chain(data, (A, A) if second else (A,))
+    else:
+        traces = (np.vdot(data, Av := A.apply(data)), np.vdot(Av, Av))
+    return float(np.real(traces[0])), (float(np.real(traces[1])) if second else None)
 
 
 def braket(data: np.ndarray, left, right) -> complex:

@@ -42,6 +42,16 @@ def dicke_isometry(n):
     return B
 
 
+def ghz_dicke_density(n):
+    """0.5 GHZ + 0.5 Dicke |N/2, 0> in the symmetric sector of n spins, as a
+    QuantumState: its odd indices are uncoupled, its even ones one block."""
+    from qmetro.spin import symmetric_rep
+    from qmetro.states import QuantumState, dicke, ghz
+    rep = symmetric_rep(n)
+    g, d = ghz(n, rep).data.real, dicke(n, n // 2, rep).data.real
+    return QuantumState(rep, 0.5 * np.outer(g, g) + 0.5 * np.outer(d, d))
+
+
 def roof_objective(lam, B, K):
     """g(x) = sum_k m_k^2 / p_k over the K-state decompositions of rho, and its
     gradient in x = (Re X, Im X), X a K x r matrix.

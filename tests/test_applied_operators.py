@@ -23,7 +23,7 @@ from qmetro.spin import (AXES, PAULI, CollectiveOperator, Representation, as_ope
                          ladder_amplitudes, parity_op, single_site_op, squared_op,
                          symmetric_rep)
 from qmetro.states import SqueezingSpec, ghz, mix_white_noise, squeezed_ground_state
-from conftest import dicke_isometry, rand_hermitian
+from conftest import dicke_isometry, ghz_dicke_density, rand_hermitian
 
 
 # ------------------------------------------------- oracles: former builders
@@ -218,10 +218,10 @@ def test_spectrum_from_a_real_factor_equals_the_matrix_spectrum_bitwise(rep):
            list(np.eye(3)) + _DIRECTIONS + [np.ones(3) / np.sqrt(3)]]
     for op in ops:
         got, want = op.spectrum, eigh_hermitian(op.matrix)
-        assert got.eigenvalues.dtype == want.eigenvalues.dtype, op
-        assert got.eigenvectors.dtype == want.eigenvectors.dtype, op
-        assert np.array_equal(_bits(got.eigenvalues), _bits(want.eigenvalues)), op
-        assert np.array_equal(_bits(got.eigenvectors), _bits(want.eigenvectors)), op
+        assert got.values.dtype == want.values.dtype, op
+        assert got.columns().dtype == want.columns().dtype, op
+        assert np.array_equal(_bits(got.values), _bits(want.values)), op
+        assert np.array_equal(_bits(got.columns()), _bits(want.columns())), op
 
 
 def test_spectrum_of_a_real_factor_holds_no_complex_copy():
@@ -560,3 +560,40 @@ def test_witness_on_a_real_full_density_builds_no_dense_operator(tmp_path, monke
     assert main(["qfi", str(state), "--wy", "--sld", "--zeno",
                  "--out", str(tmp_path / "q.json")]) == 0
     assert read == []
+
+
+def _counted_times(A, calls):
+    """A with its ``times`` calls recorded, on this instance only."""
+    times = A.times
+    A.times = lambda X: calls.append(X.shape) or times(X)
+    return A
+
+
+def test_operator_moments_are_one_chain_with_the_bits_of_two_brakets():
+    """<A> and <A^2> of a density come from one trace chain (A, A), 2 ``times``
+    per column block, and of a vector from one ``apply`` (1 ``times``); both
+    bit for bit the two ``braket`` values: white-noise GHZ-10 and the
+    symmetric N = 200 density with J_x, J_y and J_z^2, pure GHZ and squeezed
+    vectors."""
+    from qmetro.linalg import row_blocks
+    from qmetro.states import braket, operator_moments
+    states = [mix_white_noise(ghz(10, full_rep(10)), 0.6), ghz_dicke_density(200),
+              ghz(10, full_rep(10)), ghz(200, symmetric_rep(200)),
+              squeezed_ground_state(SqueezingSpec(200, 2.0))]
+    for state in states:
+        data = state.data
+        # direction_op is uncached: the recorder stays on these instances
+        ops = [direction_op(np.eye(3)[0], state.rep), direction_op(np.eye(3)[1], state.rep),
+               squared_op(direction_op(np.eye(3)[2], state.rep))]
+        for A in ops:
+            want = (float(np.real(braket(data, (), (A,)))),
+                    float(np.real(braket(data, (A,), (A,)))))
+            calls = []
+            got = operator_moments(_counted_times(A, calls), data)
+            assert np.array_equal(np.array(got).view(np.uint64),
+                                  np.array(want).view(np.uint64)), (state.label, A)
+            blocks = 1 if data.ndim == 1 else 2 * len(row_blocks(state.rep.dim))
+            assert len(calls) == blocks, (state.label, A)
+            calls.clear()
+            assert operator_moments(A, data, second=False) == (want[0], None)
+            assert len(calls) == blocks // (1 if data.ndim == 1 else 2)

@@ -461,9 +461,9 @@ def test_real_eigh_matches_complex_eigh():
         rank = max(1, int(round(rank_frac * dim)))
         rho = _real_density(np.random.default_rng(seed), dim, rank)
         dec = eigh_hermitian(rho)
-        assert dec.eigenvectors.dtype == np.float64
-        assert np.abs(dec.eigenvalues - np.linalg.eigh(rho)[0]).max() <= 1e-12
-        assert np.abs(dec.apply_function(lambda w: w) - rho).max() <= 1e-12
+        assert dec.columns().dtype == np.float64
+        assert np.abs(np.sort(dec.values) - np.linalg.eigh(rho)[0]).max() <= 1e-12
+        assert np.abs(dec.sandwich(dec.values) - rho).max() <= 1e-12
 
     check()
 
@@ -504,8 +504,8 @@ def test_real_route_matches_rotated_complex_copy(n):
         assert not state.data.imag.any(), name
         turned = QuantumState(rep, U @ state.data @ U.conj().T)
         assert turned.data.imag.any(), name
-        assert _eigensystem(state, state.data).eigenvectors.dtype == np.float64
-        assert _eigensystem(turned, turned.data).eigenvectors.dtype == np.complex128
+        assert _eigensystem(state, state.data).columns().dtype == np.float64
+        assert _eigensystem(turned, turned.data).columns().dtype == np.complex128
         # F[U rho U^dag, U A U^dag] = F[rho, A]: the real state takes the real
         # route, its rotated copy the complex one
         turned_gens = [U @ A @ U.conj().T for A in gens]

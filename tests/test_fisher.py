@@ -13,12 +13,13 @@ from qmetro.fisher import (Povm, bures_fidelity, classical_fisher,
                            concave_roof_oracle, convex_roof_oracle, crb_matrix,
                            fisher_matrix, mandelstam_tamm_check, qfi,
                            qfi_alternative, qfi_pure, roof_sandwich_check, sld,
-                           white_noise_qfi, wigner_yanase, zeno_time)
+                           sld_trace, white_noise_qfi, wigner_yanase, zeno_interval,
+                           zeno_time)
 from qmetro.spin import collective_op, full_rep, gradient_op, parity_op, symmetric_rep
 from qmetro.states import (QuantumState, dicke, ghz, maximally_mixed,
                            mix_white_noise, polarized, rotate, singlet_pi)
-from conftest import (rand_density, rand_hermitian, rand_pure, rand_unitary,
-                      roof_objective)
+from conftest import (ghz_dicke_density, rand_density, rand_hermitian, rand_pure,
+                      rand_unitary, roof_objective)
 
 
 # ----------------------------------------------------------------- qfi
@@ -401,7 +402,7 @@ def _fisher_whole_array_oracle(state, ops):
     from qmetro.fisher import _eigensystem, _payload
     data = _payload(state)
     dec = _eigensystem(state, data)
-    lam, V = dec.eigenvalues, dec.eigenvectors
+    lam, V = dec.values, dec.columns()
     S = lam[:, None] + lam[None, :]
     keep = S >= QFI_PAIR_FLOOR
     W = np.divide(2.0 * (lam[:, None] - lam[None, :]) ** 2, S, out=np.zeros_like(S), where=keep)
@@ -680,6 +681,42 @@ def test_zeno_values():
     assert zeno_time(st, collective_op("y", st.rep)) == pytest.approx(2 / 3, abs=1e-9)
     mm = maximally_mixed(symmetric_rep(4))
     assert zeno_time(mm, collective_op("x", mm.rep)) == np.inf
+
+
+def test_zeno_time_is_the_interval_of_its_qfi():
+    """zeno_time is 2 / sqrt(F_Q) of the QFI, bit for bit, through the one
+    formula ``zeno_interval``; infinite at or below FISHER_FLOOR."""
+    from qmetro.config import FISHER_FLOOR
+    st = mix_white_noise(ghz(6, full_rep(6)), 0.7)
+    for a in "xyz":
+        J = collective_op(a, st.rep)
+        F = qfi(st, J).value
+        assert zeno_time(st, J) == zeno_interval(F) == 2.0 / np.sqrt(F)
+    assert zeno_interval(FISHER_FLOOR) == zeno_interval(0.0) == np.inf
+
+
+def _sld_trace_states():
+    return {"mixed-10": mix_white_noise(ghz(10, full_rep(10)), 0.6),
+            "singlet-8": singlet_pi(8), "symmetric-200": ghz_dicke_density(200),
+            "ghz-vector-10": ghz(10, full_rep(10))}
+
+
+@pytest.mark.parametrize("name", list(_sld_trace_states()))
+def test_sld_trace_matches_the_dense_trace(name):
+    """Tr(rho L^2) as ||L R||_F^2 for one factor rho = R R^dag against the
+    dense Tr((L rho) L), within 1e-12 relative (1e-12 absolute where F_Q = 0,
+    as for the singlet), for J_x, J_y, J_z and a complex direction."""
+    from qmetro.config import FISHER_FLOOR
+    from qmetro.spin import direction_op
+    state = _sld_trace_states()[name]
+    rho = state.density()
+    gens = [collective_op(a, state.rep) for a in "xyz"]
+    gens.append(direction_op(np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0), state.rep))
+    for J in gens:
+        L = sld(state, J)
+        want = np.einsum("ij,ji->", L @ rho, L).real
+        tol = 1e-12 * (abs(want) if qfi(state, J).value > FISHER_FLOOR else 1.0)
+        assert abs(sld_trace(state, L) - want) <= tol, (name, J)
 
 
 # ------------------------------------------------- roofs

@@ -6,27 +6,27 @@ from qmetro.linalg import (_TAYLOR_MAX_STEPS, coupled_indices, eigh_hermitian,
                            psd_sqrt, require_hermitian, tridiagonal_ground_pairs,
                            unitary_apply, unitary_exp)
 from qmetro.spin import SYMMETRIC_MAX, direction_op, symmetric_rep
-from conftest import rand_density, rand_hermitian
+from conftest import ghz_dicke_density, rand_density, rand_hermitian
 
 
 def test_diagonal_matrix():
     dec = eigh_hermitian(np.diag([1.0, 2.0]).astype(complex))
-    assert np.allclose(dec.eigenvalues, [1, 2])
-    assert np.allclose(np.abs(dec.eigenvectors), np.eye(2))
+    assert np.allclose(np.sort(dec.values), [1, 2])
+    assert np.allclose(np.abs(dec.columns()), np.eye(2))
 
 
 def test_pauli_x_spectrum():
     sx = np.array([[0, 1], [1, 0]], dtype=complex)
     dec = eigh_hermitian(sx)
-    assert np.allclose(dec.eigenvalues, [-1, 1])
+    assert np.allclose(np.sort(dec.values), [-1, 1])
 
 
 def test_reconstruction_residual(rng):
     M = rand_hermitian(rng, 8)
     dec = eigh_hermitian(M)
     scale = np.abs(M).max()
-    assert np.abs(dec.apply_function(lambda w: w) - M).max() <= 1e-10 * scale
-    gram = dec.eigenvectors.conj().T @ dec.eigenvectors
+    assert np.abs(dec.sandwich(dec.values) - M).max() <= 1e-10 * scale
+    gram = dec.columns().conj().T @ dec.columns()
     assert np.abs(gram - np.eye(8)).max() <= 1e-10
 
 
@@ -34,7 +34,7 @@ def test_eigenvalue_sum_is_trace(rng):
     for dim in (2, 7, 33, 64):
         M = rand_hermitian(rng, dim)
         dec = eigh_hermitian(M)
-        assert abs(dec.eigenvalues.sum() - np.trace(M).real) <= 1e-10 * max(1, abs(np.trace(M)))
+        assert abs(dec.values.sum() - np.trace(M).real) <= 1e-10 * max(1, abs(np.trace(M)))
 
 
 def test_rejects_non_hermitian():
@@ -111,12 +111,11 @@ def _with_uncoupled(rng, dim, real):
 
 def _assert_matches_lapack(M):
     dec = eigh_hermitian(M)
-    V = dec.eigenvectors
-    assert np.all(np.diff(dec.eigenvalues) >= 0)
-    assert np.abs(dec.eigenvalues - np.linalg.eigvalsh(M)).max() <= 1e-12
-    assert np.abs(dec.apply_function(lambda w: w) - M).max() <= 1e-12
+    V = dec.columns()
+    assert np.abs(np.sort(dec.values) - np.linalg.eigvalsh(M)).max() <= 1e-12
+    assert np.abs(dec.sandwich(dec.values) - M).max() <= 1e-12
     assert np.abs(V.conj().T @ V - np.eye(M.shape[0])).max() <= 1e-12
-    assert not (dec.eigenvalues.flags.writeable or V.flags.writeable)
+    assert not (dec.values.flags.writeable or dec.block_vectors.flags.writeable)
     return dec
 
 
@@ -131,12 +130,13 @@ def test_eigh_solves_the_coupled_indices_only(rng, monkeypatch, dim, real):
     monkeypatch.setattr(np.linalg, "eigh", lambda A: shapes.append(A.shape) or eigh(A))
     dec = _assert_matches_lapack(M)
     assert shapes == [(dim - off.size,) * 2]
-    assert dec.eigenvectors.dtype == (np.float64 if real else np.complex128)
+    V = dec.columns()
+    assert V.dtype == (np.float64 if real else np.complex128)
     # an uncoupled index is the unit eigenvector of its diagonal entry
     for i in off:
-        k = np.flatnonzero(dec.eigenvectors[i])
-        assert k.size == 1 and dec.eigenvectors[i, k[0]] == 1.0
-        assert dec.eigenvalues[k[0]] == M[i, i].real
+        k = np.flatnonzero(V[i])
+        assert k.size == 1 and V[i, k[0]] == 1.0
+        assert dec.values[k[0]] == M[i, i].real
 
 
 def test_eigh_of_a_diagonal_density_makes_no_lapack_call(rng, monkeypatch):
@@ -144,8 +144,8 @@ def test_eigh_of_a_diagonal_density_makes_no_lapack_call(rng, monkeypatch):
     M = np.diag(w / w.sum()).astype(complex)
     monkeypatch.setattr(np.linalg, "eigh", lambda A: pytest.fail("LAPACK was called"))
     dec = _assert_matches_lapack(M)
-    assert np.array_equal(dec.eigenvalues, np.sort(np.diag(M).real))
-    assert dec.eigenvectors.dtype == np.float64
+    assert np.array_equal(np.sort(dec.values), np.sort(np.diag(M).real))
+    assert dec.columns().dtype == np.float64
 
 
 @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
@@ -156,50 +156,111 @@ def test_eigh_with_every_index_coupled_is_one_lapack_call(rng, real):
     assert coupled_indices(M).all()
     dec = _assert_matches_lapack(M)
     vals, vecs = np.linalg.eigh(M)
-    assert np.array_equal(dec.eigenvalues, vals) and np.array_equal(dec.eigenvectors, vecs)
+    assert np.array_equal(dec.values, vals) and np.array_equal(dec.columns(), vecs)
 
 
 def _dense_merge_oracle(M):
-    """The eigenvectors as eigh_hermitian merged them into one d x d array
-    when it kept them dense: the block's LAPACK vectors and the unit vectors
-    of the uncoupled indices, in ascending order, uncoupled first at a tie."""
+    """The eigenvalues and eigenvectors as eigh_hermitian merged them into one
+    d x d array when it kept them dense: the block's LAPACK vectors and the
+    unit vectors of the uncoupled indices, in ascending order, uncoupled
+    first at a tie."""
     M = np.asarray(M)
     if np.iscomplexobj(M) and not M.imag.any():
         M = M.real
     coupled = coupled_indices(M)
     if coupled.all():
-        return np.linalg.eigh(M)[1]
+        return np.linalg.eigh(M)
     c, u = np.flatnonzero(coupled), np.flatnonzero(~coupled)
     block = np.linalg.eigh(M[np.ix_(c, c)]) if c.size else (np.empty(0), None)
-    order = np.argsort(np.concatenate([np.diagonal(M).real[u], block[0]]), kind="stable")
+    values = np.concatenate([np.diagonal(M).real[u], block[0]])
+    order = np.argsort(values, kind="stable")
     at = np.empty_like(order)
     at[order] = np.arange(order.size)
     vecs = np.zeros(M.shape, dtype=complex if np.iscomplexobj(M) else float)
     vecs[u, at[:u.size]] = 1.0
     if c.size:
         vecs[np.ix_(c, at[u.size:])] = block[1]
-    return vecs
+    return values[order], vecs
 
 
-def test_dense_eigenvectors_are_the_former_merge_bitwise(rng):
-    """The block spectrum builds its dense eigenvectors on request, with the
-    bits, order and dtype of the former dense merge: white-noise GHZ and
-    singlet densities, random densities with uncoupled indices, a diagonal
-    one and a fully coupled one, at d <= 64."""
+def _former_merge_cases(rng):
+    """White-noise GHZ and singlet densities, random densities with uncoupled
+    indices, a diagonal one and a fully coupled one, at d <= 64."""
     from qmetro.spin import full_rep
     from qmetro.states import ghz, mix_white_noise, singlet_pi
     cases = [mix_white_noise(ghz(n, full_rep(n)), p).data for n in (2, 4, 6) for p in (0.3, 0.9)]
     cases += [singlet_pi(n).data for n in (2, 4, 6)]
     cases += [_with_uncoupled(rng, dim, real)[0] for dim in (5, 16, 64) for real in (True, False)]
-    cases += [np.diag(rng.random(9)).astype(complex), rand_density(rng, 12)]
-    for M in cases:
-        dec = eigh_hermitian(M)
-        V = dec.eigenvectors
-        want = _dense_merge_oracle(M)
-        assert V.dtype == want.dtype and not V.flags.writeable
-        assert np.array_equal(V.view(np.uint64), want.view(np.uint64)), M.shape
-        # the block form holds no dense d x d array beside W
-        assert dec.block_vectors.shape == (M.shape[0] - dec.uncoupled.size,) * 2
+    return cases + [np.diag(rng.random(9)).astype(complex), rand_density(rng, 12)]
+
+
+def _assert_close(got, want, tol=1e-12):
+    """Within tol relative to the largest entry of want (or 1)."""
+    assert np.abs(got - want).max() <= tol * max(np.abs(want).max(), 1.0)
+
+
+def test_sandwich_is_v_x_v_dagger_of_the_former_merge(rng):
+    """sandwich(X) = V X V^dag, V the eigenvectors of the former dense merge
+    taken back to block order, for random 1-D and 2-D, real and complex X;
+    the block form holds no dense d x d array beside W."""
+    for M in _former_merge_cases(rng):
+        dec, d = eigh_hermitian(M), M.shape[0]
+        V = _block_order(dec, _dense_merge_oracle(M)[1])
+        for X in (rng.standard_normal(d), rng.standard_normal(d) + 1j * rng.standard_normal(d),
+                  rng.standard_normal((d, d)),
+                  rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))):
+            want = (V * X) @ V.conj().T if X.ndim == 1 else V @ X @ V.conj().T
+            got = dec.sandwich(X)
+            assert got.dtype == np.result_type(V, X), M.shape
+            _assert_close(got, want)
+        assert dec.block_vectors.shape == (d - dec.uncoupled.size,) * 2
+
+
+def _block_order(dec, V_sorted):
+    """The merged eigenvectors (ascending, uncoupled first at a tie) in the
+    order of dec.values, where the stable sort of the values put them."""
+    V = np.empty_like(V_sorted)
+    V[:, np.argsort(dec.values, kind="stable")] = V_sorted
+    return V
+
+
+def test_block_consumers_match_the_former_merge(rng):
+    """psd_sqrt, unitary_exp, bures_fidelity, wigner_yanase and sld from the
+    block form against the same formulas on the former dense merge, within
+    1e-12 of the largest entry (or 1): every case of the merge test, with
+    real, purely imaginary and complex generators, and the symmetric N = 1000
+    density with J_x and J_y."""
+    from qmetro.config import QFI_PAIR_FLOOR
+    from qmetro.fisher import bures_fidelity, sld, wigner_yanase
+    from qmetro.linalg import rank_floor_sqrt
+    from qmetro.spin import collective_op
+
+    def generators(dim):
+        S = rng.standard_normal((dim, dim))
+        return [S + S.T, 1j * (S - S.T), rand_hermitian(rng, dim)]
+
+    sym = ghz_dicke_density(1000)
+    cases = [(M, generators(M.shape[0])) for M in _former_merge_cases(rng)]
+    cases.append((sym.data, [collective_op(a, sym.rep) for a in "xy"]))
+    for M, ops in cases:
+        dim = M.shape[0]
+        lam, V = _dense_merge_oracle(M)
+        Vh = V.conj().T
+        root = (V * rank_floor_sqrt(lam)) @ Vh
+        _assert_close(psd_sqrt(M), root)
+        _assert_close(unitary_exp(M, 0.3), (V * np.exp(-0.3j * lam)) @ Vh)
+        other = rand_density(rng, dim)
+        X = root @ other @ root
+        fid = np.sum(rank_floor_sqrt(np.linalg.eigvalsh((X + X.conj().T) / 2.0))) ** 2
+        assert abs(bures_fidelity(M, other) - fid) <= 1e-12
+        total = lam[:, None] + lam
+        keep = total >= QFI_PAIR_FLOOR
+        w = np.where(keep, (lam[:, None] - lam) / np.where(keep, total, 1.0), 0.0)
+        for A in ops:
+            D = A.matrix if hasattr(A, "matrix") else A
+            _assert_close(sld(M, A), V @ (2j * w * (Vh @ D @ V)) @ Vh)
+            wy = np.trace(D @ D @ M).real - np.trace(D @ root @ D @ root).real
+            assert abs(wigner_yanase(M, A) - wy) <= 1e-12 * max(abs(wy), 1.0)
 
 
 def test_coupling_is_read_from_the_lower_triangle():

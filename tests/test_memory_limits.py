@@ -23,11 +23,15 @@ under 90 MB (85 MB here), building and writing the mixed state under
 
 The SLD of a mixed N = 10 state is a complex 1024^2 matrix.  Printed
 without a report it is dropped after its trace check: ``qfi --wy --sld
---zeno`` stays under 140 MB (129 MB here; 137 MB through the dense factor,
-265 MB when every run turned it into nested Python lists).  A report
-written with ``--out`` keeps the array and streams its [re, im] pairs to
-the file one row at a time: under 140 MB too (265 MB with the whole array
-as nested lists, 557 MB with the whole text in memory).
+--zeno`` stays under 140 MB (111 MB here; 129 MB with a dense eigenvector
+matrix, 137 MB through the dense factor, 265 MB when every run turned it
+into nested Python lists).  On the symmetric N = 1000 density the SLD and
+the square root are sandwiches of the 501^2 coupled block and the trace
+check is ||L R||_F^2 for a 1001 x 2 factor R of rho: under 110 MB (73 MB
+here; 128 MB with the dense 1001^2 eigenvectors and the product L rho).
+A report written with ``--out`` keeps the array and streams its [re, im]
+pairs to the file one row at a time: under 140 MB too (265 MB with the
+whole array as nested lists, 557 MB with the whole text in memory).
 
 The gradient scenario at N = 10 rotates the float64 singlet by the
 gradient's product of 2x2 rotations, with no 2^N generator spectrum and
@@ -78,6 +82,7 @@ MIXED_STATE_LIMIT_MB = 60
 GRADIENT_LIMIT_MB = 95
 SLD_LIMIT_MB = 140
 SLD_REPORT_LIMIT_MB = 140
+SYMMETRIC_SLD_LIMIT_MB = 110
 NOISY_QFI_LIMIT_MB = 70
 # squeezed ground states take NumPy alone (no SciPy import): 31-35 MB here
 SQUEEZING_LIMIT_MB = 45
@@ -133,6 +138,7 @@ def _peak_rss_mb(argv, cwd) -> float:
     (["scenario", "--family", "gradient", "--n", "10", "--theta0", "0.1"], GRADIENT_LIMIT_MB),
     (["qfi", "mixed10.json", "--wy", "--sld", "--zeno"], SLD_LIMIT_MB),
     (["qfi", "mixed10.json", "--sld", "--out", "sld.json"], SLD_REPORT_LIMIT_MB),
+    (["qfi", "sym1000.json", "--wy", "--sld", "--zeno"], SYMMETRIC_SLD_LIMIT_MB),
     (["sweep", "--kind", "noise", "--p", "0.25", "--n-list", "256", "--points", "4",
       "--out", "n256.csv"], NOISY_QFI_LIMIT_MB),
 ], ids=["witness-symmetric-4096", "frontier-4096", "qfi-full-ghz-12", "witness-full-ghz-12",
@@ -140,7 +146,8 @@ def _peak_rss_mb(argv, cwd) -> float:
         "witness-full-singlet-10", "state-mixed-10",
         "state-singlet-10",
         "state-squeezed-4096", "frontier-1000", "scenario-gradient-10",
-        "qfi-sld-full-mixed-10", "qfi-sld-report-full-mixed-10", "noise-sweep-256"])
+        "qfi-sld-full-mixed-10", "qfi-sld-report-full-mixed-10",
+        "qfi-sld-symmetric-density-1000", "noise-sweep-256"])
 def test_cli_peak_rss_at_advertised_limits(states, argv, limit):
     peak = _peak_rss_mb(argv, states)
     assert peak < limit, f"{' '.join(argv)}: peak RSS {peak:.0f} MB"

@@ -542,6 +542,24 @@ def test_cli_state_and_qfi(tmp_path, capsys):
     assert doc["zeno_time"] == pytest.approx(0.5, abs=1e-12)
 
 
+def test_cli_zeno_reuses_the_qfi_it_holds(tmp_path, monkeypatch):
+    """qfi --zeno on a mixed N = 8 state makes one pair sum, the QFI's, and
+    reports zeno_time of the state bit for bit."""
+    from qmetro import fisher
+    from qmetro.spin import collective_op
+    path = tmp_path / "m.json"
+    serialize.write_state(mix_white_noise(ghz(8, full_rep(8)), 0.6), str(path))
+    calls, pair_sum = [], fisher._pair_sum
+    monkeypatch.setattr(fisher, "_pair_sum", lambda *a: calls.append(a) or pair_sum(*a))
+    report = tmp_path / "r.json"
+    assert main(["qfi", str(path), "--zeno", "--out", str(report)]) == 0
+    assert len(calls) == 1
+    monkeypatch.undo()
+    state = serialize.read_state(str(path))
+    want = fisher.zeno_time(state, collective_op("x", state.rep))
+    assert json.loads(report.read_text())["zeno_time"] == want
+
+
 @pytest.mark.parametrize("state_args", [
     ["--kind", "squeezed", "--n", "6", "--lam", "2"],
     ["--kind", "mixed", "--n", "3", "--rep", "full", "--p", "0.7"],
