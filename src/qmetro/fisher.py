@@ -13,40 +13,30 @@ columns; dp_k = 2 Im Tr(E_k A rho)), Bures fidelity, speed and Zeno-time
 quantities, the Wigner-Yanase skew information and exact optimal
 decompositions for the convex and concave roofs of the variance.
 
-Functions take package states and operators or bare arrays, so the property
-batteries can run on random instances.  ``_inputs`` turns a (state,
-operator) pair into (A, payload): a ``QuantumState``'s own array, or a bare
-array as complex (a vector normalised; a 1-D payload is pure), and a bare
-matrix becomes a custom ``CollectiveOperator`` (``spin.as_operator``, checked
-Hermitian).  Pure states meet A through ``apply``, densities through its
-``times`` (real products for a real or purely imaginary A), with no d x d
-operator.  A ``QuantumState`` density is eigendecomposed once and the
-spectrum kept on the state; a bare array on every call.
-
-A real density (every probe family and its noisy mixtures) has real
-eigenvectors V, so V^T A V is real for J_x, J_z and the real factor of the
-purely imaginary J_y, whose Fisher cross term with them is zero, not summed.
-
-Every Fisher quantity forms V^dag A V in one place, the row transform
-``_transform`` of the kept block spectrum: rows r, in the order of its
-``values``, are [X[:, u] | X[:, c] W] for X = (A V[:, r])^dag, A V[:, r] being
-A's ``times`` (an uncoupled eigenvector is a unit column).  The Fisher matrix
-sums it by blocks of rows (``linalg.row_blocks``; one pass at d <= 362) with
-no d x d V; the SLD and both roofs take all rows.  Its dual V X V^dag is the
-spectrum's ``sandwich`` (the SLD, sqrt(rho)), and ``sld_trace`` reads
-Tr(rho L^2) from one factor of rho.
+Functions take package states and operators or bare arrays (``_inputs``; a
+bare vector is normalised, a bare matrix a custom ``CollectiveOperator``),
+so the property batteries can run on random instances.  Operators are met
+through their ``times``, with no d x d operator.  A state has one spectrum
+(``_eigensystem``): a vector psi its rank-one spectrum, the value 1 with
+psi as its column and an implicit zero kernel; a density its block
+eigendecomposition, kept on a ``QuantumState``.  Every Fisher quantity is
+one pair sum over it (``_pair_sum``) with its own weights: (l_k - l_l)^2 /
+(l_k + l_l) for F_Q, l_k l_l / (l_k + l_l) for the second-moment form and
+sqrt(l_k l_l) for the skew information's Tr(A sqrt(rho) A sqrt(rho)).
+V^dag A V is formed in one place, by blocks of rows (``_transform``), and
+the SLD is a ``sandwich`` of the same rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import (CRB_RCOND, FISHER_FLOOR, PROB_FLOOR, QFI_PAIR_FLOOR, ROOF_TOL,
-                     SPEED_BOUND_TOL)
-from .linalg import (SpectralDecomposition, eigh_hermitian, psd_sqrt, pure_moments,
-                     rank_floor_sqrt, require_hermitian, row_blocks)
+from .config import (CRB_RCOND, FISHER_FLOOR, PROB_FLOOR, PSD_FLOOR, QFI_PAIR_FLOOR,
+                     ROOF_TOL, SPEED_BOUND_TOL)
+from .linalg import (SpectralDecomposition, eigh_hermitian, psd_sqrt, rank_floor_sqrt,
+                     require_hermitian, row_blocks)
 from .spin import SYMMETRIC_MAX, as_operator, symmetric_rep
 from .states import QuantumState, braket, check_same_rep, evolve, operator_moments
 
@@ -95,15 +85,17 @@ class QfiResult:
         return self.value
 
 
-def _eigensystem(state, rho: np.ndarray) -> SpectralDecomposition:
-    """Spectrum of the density rho of state; a QuantumState keeps it.  A bare
-    array has at most the rows of the largest density ``require_density``
-    admits, the symmetric one at SYMMETRIC_MAX."""
+def _eigensystem(state, data: np.ndarray) -> SpectralDecomposition:
+    """Spectrum of the state of payload data: a vector's rank-one spectrum, or
+    a density's, kept on a QuantumState.  A bare density has at most the rows
+    of the largest one ``require_density`` admits, at SYMMETRIC_MAX."""
+    if data.ndim == 1:
+        return SpectralDecomposition(np.empty(0, int), slice(None), np.ones(1), data[:, None])
     if isinstance(state, QuantumState):
-        return state._memoized("spectrum", lambda: eigh_hermitian(rho))
-    if rho.shape[0] > (most := symmetric_rep(SYMMETRIC_MAX).dim):
-        raise ValueError(f"density dimension {rho.shape[0]} exceeds {most}")
-    return eigh_hermitian(rho)
+        return state._memoized("spectrum", lambda: eigh_hermitian(data))
+    if data.shape[0] > (most := symmetric_rep(SYMMETRIC_MAX).dim):
+        raise ValueError(f"density dimension {data.shape[0]} exceeds {most}")
+    return eigh_hermitian(data)
 
 
 def _pair_ratio(lam_rows: np.ndarray, lam: np.ndarray, num: np.ndarray, floor: float):
@@ -116,14 +108,17 @@ def _pair_ratio(lam_rows: np.ndarray, lam: np.ndarray, num: np.ndarray, floor: f
     return num, keep
 
 
-def _transform(dec: SpectralDecomposition, A, Vr: np.ndarray) -> tuple:
+def _transform(dec: SpectralDecomposition, A, Vr: np.ndarray, images=None) -> tuple:
     """Rows r, in the order of ``dec.values``, of V^dag A V as a factor (T, k),
     V^dag A V = 1j**k T, for the eigenvectors Vr = ``dec.columns(r)``: the rows
     of V^dag A are (A Vr)^dag, A Vr being A's ``times`` (an uncoupled
     eigenvector is a unit column), so with X = (A Vr)^dag they are
-    [X[:, u] | X[:, c] W]; the only place V^dag A V is formed."""
+    [X[:, u] | X[:, c] W]; the only place V^dag A V is formed.  A list
+    ``images`` is given the factor (Y, k) of A Vr = 1j**k Y."""
     u, c, W, nu = dec.uncoupled, dec.coupled, dec.block_vectors, dec.uncoupled.size
     Y, k = A.times(Vr)
+    if images is not None:
+        images.append((Y, k))
     X = np.ascontiguousarray(Y.conj().T)
     del Y
     if nu:  # [X[:, u] | X[:, c] W] in the storage of X; the product's operand
@@ -136,30 +131,34 @@ def _transform(dec: SpectralDecomposition, A, Vr: np.ndarray) -> tuple:
 def _pair_sum(dec: SpectralDecomposition, ops, numerator) -> tuple[np.ndarray, int]:
     """S_mn = 2 sum_kl w_kl Re(T^m_kl conj T^n_kl) for the generators ops, with
     T^n = V^dag A_n V (``_transform``) and w_kl = numerator(l_k, l_l) / (l_k + l_l)
-    on the pairs that reach QFI_PAIR_FLOOR, and the number of pairs dropped, by
-    blocks of rows k against every l (``linalg.row_blocks``; one pass at d <= 362)."""
-    S, lam, skipped = np.zeros((len(ops), len(ops))), dec.values, 0
+    (symmetric) on the pairs that reach QFI_PAIR_FLOOR, and the number of pairs
+    dropped, by blocks of rows k against every l (``linalg.row_blocks``; one
+    pass at d <= 362).  Row i pairs with the kernel (eigenvalue 0) through
+    sum_{j in kernel} T^m_ij conj T^n_ij = <(1 - P) A_m u_i|(1 - P) A_n u_i>,
+    P = U U^dag on the kept columns U: the residual of A u_i = 1j**k Y is
+    1j**k (Y - U T^dag), with no cancellation, and both orders weigh 2 w_i0."""
+    S, lam, skipped, zero = np.zeros((len(ops), len(ops))), dec.values, 0, np.zeros(1)
+    kernel = dec.uncoupled.size + dec.block_vectors.shape[0] - lam.size
     for r in row_blocks(lam.size):
         W, keep = _pair_ratio(lam[r], lam, numerator(lam[r], lam), QFI_PAIR_FLOOR)
         skipped += keep.size - int(np.count_nonzero(keep))
-        Vr = dec.columns(r)
-        transforms = [_transform(dec, A, Vr) for A in ops]
+        Vr, images = dec.columns(r), [] if kernel else None
+        transforms = [_transform(dec, A, Vr, images) for A in ops]
         del Vr
+        if kernel:
+            w, keep = _pair_ratio(lam[r], zero, numerator(lam[r], zero), QFI_PAIR_FLOOR)
+            skipped += 2 * kernel * (keep.size - int(np.count_nonzero(keep)))
+            _fisher_block(S, 2.0 * w, [((Y - dec.columns() @ T.conj().T).conj().T, p)
+                                       for (Y, _), (T, p) in zip(images, transforms)])
         _fisher_block(S, W, transforms)
-        del transforms
-    return S, skipped
+        del transforms, images
+    return S, skipped + kernel ** 2
 
 
 def _fisher(state, ops) -> tuple[np.ndarray, int]:
     """Fisher matrix of the generators (CollectiveOperators) and the number of
     dropped pairs."""
-    data = _payload(state)
-    if data.ndim == 1:
-        # rank-1 spectrum: F is four times the covariance matrix; the dropped
-        # pairs are exactly those inside the (dim-1)-dimensional kernel
-        mean, second = pure_moments(data, [A.apply(data) for A in ops])
-        return 4.0 * (second - np.outer(mean, mean)), (data.shape[0] - 1) ** 2
-    return _pair_sum(_eigensystem(state, data), ops,
+    return _pair_sum(_eigensystem(state, _payload(state)), ops,
                      lambda lam_k, lam_l: (lam_k[:, None] - lam_l) ** 2)
 
 
@@ -212,10 +211,6 @@ def qfi_pure(state, op) -> float:
 def qfi_alternative(state, op) -> float:
     """Second-moment form 4<A^2> - 8 sum l_k l_l / (l_k + l_l) |<k|A|l>|^2."""
     A, data = _inputs(state, op)
-    if data.ndim == 1:
-        # rank-1 spectrum: the correction sum keeps only the (psi,psi) term
-        m, var = _mean_and_var(data, A)
-        return 4.0 * (var + m * m) - 4.0 * m * m
     # 8 sum = 4 times the pair sum of l_k l_l
     S, _ = _pair_sum(_eigensystem(state, data), [A], lambda lam_k, lam_l: lam_k[:, None] * lam_l)
     return 4.0 * float(np.real(braket(data, (A,), (A,)))) - 4.0 * float(S[0, 0])
@@ -224,41 +219,50 @@ def qfi_alternative(state, op) -> float:
 def sld(state, op) -> np.ndarray:
     """Symmetric logarithmic derivative for unitary dynamics generated by op.
 
-    Satisfies (L rho + rho L)/2 = i(rho A - A rho) and Tr(rho L^2) = F_Q.
-    Off the support of rho the operator is completed with zeros.  A density
-    gives L = V (2i (l_k - l_l) / (l_k + l_l) T_kl) V^dag, a ``sandwich``, for
-    V^dag A V = 1j**k T (``_transform``); a real T gives a real or imaginary L.
+    Satisfies (L rho + rho L)/2 = i(rho A - A rho) and Tr(rho L^2) = F_Q, and
+    is zero between kernel vectors.  On the kept spectrum L = V (2i (l_k - l_l)
+    / (l_k + l_l) T_kl) V^dag, a ``sandwich`` of the rows V^dag A V = 1j**k T
+    (``_transform``, by blocks); a real T gives a real or imaginary L.  The
+    pairs with the kernel add 2i(PA - AP), P = U U^dag on the kept columns U.
     """
     A, data = _inputs(state, op)
-    if data.ndim == 1:
-        # 2i [|psi><psi|, A] = 2i (|psi><A psi| - |A psi><psi|)
-        Av = A.apply(data)
-        return 2j * (np.outer(data, Av.conj()) - np.outer(Av, data.conj()))
     dec = _eigensystem(state, data)
-    lam, (T, k) = dec.values, _transform(dec, A, dec.columns())
-    T *= _pair_ratio(lam, lam, lam[:, None] - lam, QFI_PAIR_FLOOR)[0]
+    lam, T, images = dec.values, None, [] if data.shape[0] > dec.values.size else None
+    for r in row_blocks(lam.size):
+        Tr, k = _transform(dec, A, dec.columns(r), images)
+        Tr *= _pair_ratio(lam[r], lam, lam[r, None] - lam, QFI_PAIR_FLOOR)[0]
+        T = np.empty((lam.size,) * 2, Tr.dtype) if T is None else T
+        T[r] = Tr
+        del Tr
     c = 2j * 1j ** k
-    if np.iscomplexobj(T):
-        T *= c
-        return dec.sandwich(T)
-    T *= c.real or c.imag   # c is real or imaginary: L's other part stays +0.0
-    S = dec.sandwich(T)
+    T *= c if np.iscomplexobj(T) else c.real or c.imag   # c is real or imaginary
+    L = dec.sandwich(T)
     del T
-    L = np.zeros(S.shape, dtype=complex)
-    (L.imag if c.imag else L.real)[...] = S
+    if not np.iscomplexobj(L):   # one part of L, the other stays +0.0
+        L, S = np.zeros(L.shape, dtype=complex), L
+        (L.imag if c.imag else L.real)[...] = S
+        del S
+    for r, (Y, j) in zip(row_blocks(lam.size), images or ()):
+        U = dec.columns(r)   # 2i(U (AU)^dag - (AU) U^dag) for AU = 1j**j Y
+        for b in row_blocks(L.shape[0]):
+            L[b] += 2j * (1j ** -j * U[b] @ Y.conj().T - 1j ** j * Y[b] @ U.conj().T)
     return L
 
 
 def wigner_yanase(state, op) -> float:
-    """Skew information Tr(A^2 rho) - Tr(A sqrt(rho) A sqrt(rho))."""
+    """Skew information Tr(A^2 rho) - Tr(A sqrt(rho) A sqrt(rho)), the cross
+    term being half the pair sum of sqrt(l_k l_l) (l_k + l_l), with no d x d
+    sqrt(rho), on the spectrum ``psd_sqrt`` takes roots of: rejected below
+    PSD_FLOOR, and zero where ``rank_floor_sqrt`` is."""
     A, data = _inputs(state, op)
-    if data.ndim == 1:
-        return _mean_and_var(data, A)[1]
-    root = psd_sqrt(_eigensystem(state, data))
-    # Tr(A root A root) = Tr(X X) = sum_ij X_ij X_ji for X = A root = 1j**k P
-    P, k = A.times(root)
-    cross = float(np.real((-1) ** k * np.sum(P * P.T)))
-    return float(np.real(braket(data, (A,), (A,)))) - cross
+    dec = _eigensystem(state, data)
+    lam = dec.values
+    if lam.min() < PSD_FLOOR * max(abs(lam).max(), 1.0):
+        raise ValueError(f"matrix is not PSD: smallest eigenvalue {lam.min():.3e}")
+    dec = replace(dec, values=np.where(rank_floor_sqrt(lam) > 0, lam, 0.0))
+    S, _ = _pair_sum(dec, [A], lambda lam_k, lam_l: (np.sqrt(lam_k[:, None] * lam_l)
+                                                    * (lam_k[:, None] + lam_l)))
+    return float(np.real(braket(data, (A,), (A,)))) - float(S[0, 0]) / 2.0
 
 
 def white_noise_qfi(pure_state, op, p: float) -> float:
@@ -290,15 +294,13 @@ def zeno_interval(F: float) -> float:
 
 
 def sld_trace(state, L: np.ndarray) -> float:
-    """Tr(rho L^2) = ||L R||_F^2 for one factor rho = R R^dag: psi, or the kept
+    """Tr(rho L^2) = ||L R||_F^2 for one factor rho = R R^dag: the kept
     eigenvectors times ``rank_floor_sqrt`` of their values where it is
-    nonzero (the rule of ``psd_sqrt``), with no d x d product."""
-    R = _payload(state)
-    if R.ndim == 2:
-        dec = _eigensystem(state, R)
-        root = rank_floor_sqrt(dec.values)
-        R = dec.columns(root > 0) * root[root > 0]
-    X = L @ R
+    nonzero (the rule of ``psd_sqrt``; psi for a vector), with no d x d
+    product."""
+    dec = _eigensystem(state, _payload(state))
+    root = rank_floor_sqrt(dec.values)
+    X = L @ (dec.columns(root > 0) * root[root > 0])
     return float(np.real(np.vdot(X, X)))
 
 
@@ -488,9 +490,6 @@ def _roof(state, op, convex: bool) -> RoofResult:
     Concave: diag(U^dag (B - <A> L) U) = 0, so every psi_k has the mean <A>.
     """
     A, data = _inputs(state, op)
-    if data.ndim == 1:
-        # a pure state is its only decomposition
-        return RoofResult(_mean_and_var(data, A)[1], np.ones(1), data[:, None])
     dec = _eigensystem(state, data)
     keep = dec.values > QFI_PAIR_FLOOR
     lam, V = dec.values[keep], dec.columns(keep)
@@ -565,8 +564,7 @@ def roof_sandwich_check(state, op, weights, vectors) -> RoofSandwich:
         raise ValueError("decomposition does not reproduce the state "
                          f"(max deviation {np.abs(rebuilt - rho).max():.2e})")
     avg = sum(w * _mean_and_var(v, A)[1] for w, v in zip(weights, vectors.T))
-    # both ends from the state itself: its kept spectrum (none for a vector)
-    # and its payload
+    # both ends from the state itself: its spectrum and its payload
     lower = qfi(state, A).value / 4.0
     _, upper = _mean_and_var(data, A)
     holds = (lower - ROOF_TOL <= avg) and (avg <= upper + ROOF_TOL)

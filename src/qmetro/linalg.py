@@ -102,7 +102,8 @@ class SpectralDecomposition:
     """Eigenvalues and eigenvectors V of a Hermitian M in one form, by blocks:
     the pairs (M_uu, e_u) of the uncoupled indices u, then M[c, c] = W diag(l_c)
     W^dag (``values``, the M_uu then the l_c, orders V's columns; ``coupled`` is
-    slice(None) when W is every eigenvector).  V is never kept dense."""
+    slice(None) when W is every eigenvector).  V is never kept dense.  With no
+    uncoupled index W may be d x r, r < d: the rest is an implicit zero kernel."""
 
     uncoupled: np.ndarray
     coupled: np.ndarray | slice

@@ -925,3 +925,139 @@ def test_roofs_and_demo_03_run_without_scipy():
     done = subprocess.run([sys.executable, "-c", code, str(demo)], env=env, timeout=120,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+# ------------------------------------------------- a vector's rank-one spectrum
+
+def _vector_cases(rng):
+    """Vectors with their generators: symmetric Dicke, GHZ and squeezed vectors
+    and full GHZ-6 under J_x, J_y, J_z and a complex direction, a complex
+    rotated probe, and bare vectors under random complex, real and purely
+    imaginary Hermitian matrices."""
+    from qmetro.spin import direction_op
+    from qmetro.states import SqueezingSpec, squeezed_ground_state
+    n = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
+    sym20 = symmetric_rep(20)
+    states = {"dicke-40": dicke(40, 13, symmetric_rep(40)), "ghz-40": ghz(40, symmetric_rep(40)),
+              "squeezed-200": squeezed_ground_state(SqueezingSpec(200, 20.0)),
+              "ghz-full-6": ghz(6, full_rep(6)),
+              "rotated-20": rotate(dicke(20, 7, sym20), direction_op(n, sym20), 0.3)}
+    cases = {name: (st, [collective_op(a, st.rep) for a in "xyz"] + [direction_op(n, st.rep)])
+             for name, st in states.items()}
+    for d in (2, 7, 16):
+        S = rng.standard_normal((d, d))
+        cases[f"bare-{d}"] = (rand_pure(rng, d), [rand_hermitian(rng, d), S + S.T, 1j * (S - S.T)])
+    cases["bare-real-9"] = (rng.standard_normal(9), [rand_hermitian(rng, 9)])
+    return cases
+
+
+def _vector_oracle(state, A):
+    """psi, the dense matrix of A, A psi, <A>, Var(A) = ||(A - <A>) psi||^2
+    and the scale <A^2> of the second-moment forms."""
+    psi = state.data if isinstance(state, QuantumState) else np.asarray(state, dtype=complex)
+    psi = psi / np.linalg.norm(psi)
+    M = A.matrix if hasattr(A, "matrix") else np.asarray(A)
+    Apsi = M @ psi
+    mean = np.vdot(psi, Apsi).real
+    return psi, M, Apsi, mean, np.linalg.norm(Apsi - mean * psi) ** 2, np.vdot(Apsi, Apsi).real
+
+
+def test_a_vector_takes_the_pair_sum_of_its_rank_one_spectrum(rng):
+    """A vector is the rank-one spectrum {1} with psi as its column: the pair
+    sum, the SLD, its trace check, the second-moment form, the skew
+    information and both roofs agree with the closed forms of a pure state,
+    within 1e-12 relative (for the second-moment forms, relative to <A^2>,
+    the size of the terms they subtract; for the SLD, to max |L|), and every
+    pair inside the (d - 1)-dimensional kernel is dropped."""
+    for name, (state, ops) in _vector_cases(rng).items():
+        images, means = [], []
+        for A in ops:
+            psi, M, Apsi, mean, var, second = _vector_oracle(state, A)
+            d = psi.size
+            res = qfi(state, A)
+            assert res.skipped_pairs == (d - 1) ** 2, name
+            assert abs(res.value - 4.0 * var) <= 1e-12 * 4.0 * var + 1e-12 * second, name
+            assert abs(qfi_alternative(state, A) - 4.0 * var) <= 4e-12 * second, name
+            assert abs(wigner_yanase(state, A) - var) <= 1e-12 * second, name
+            L = sld(state, A)
+            proj = np.outer(psi, psi.conj())
+            want = 2j * (proj @ M - M @ proj)
+            assert np.abs(L - want).max() <= 1e-12 * np.abs(want).max() + 1e-15, name
+            trace = np.linalg.norm(L @ psi) ** 2
+            assert abs(sld_trace(state, L) - trace) <= 1e-12 * max(trace, second), name
+            for roof in (convex_roof_oracle(state, A), concave_roof_oracle(state, A)):
+                assert abs(roof.value - var) <= 1e-12 * second, name
+                assert roof.weights.shape == (1,) and abs(roof.weights[0] - 1.0) <= 1e-12, name
+                assert np.abs(roof.vectors[:, 0] - psi).max() <= 1e-12, name
+            images.append(Apsi - mean * psi)
+        # 4 Cov(A_m, A_n) = 4 Re <(A_m - <A_m>) psi|(A_n - <A_n>) psi>
+        want = 4.0 * np.real(np.conj(np.array(images)) @ np.array(images).T)
+        F = fisher_matrix(state, ops).matrix
+        assert np.abs(F - want).max() <= 1e-12 * np.abs(want).max(), name
+        assert np.array_equal(F, F.T), name
+
+
+def test_a_squeezed_vector_takes_its_qfi_with_no_cancellation():
+    """Var(J_z) of a squeezed N = 1000 vector (lam = 500) is 0.17 beside
+    <J_z^2> = 2.5e5: the kernel residual ||(1 - P) J_z psi||^2 keeps it to
+    1e-12 of the exact rational value of the stored amplitudes, where
+    <J_z^2> - <J_z>^2 lost 4e-10 of it."""
+    from fractions import Fraction
+    from qmetro.states import SqueezingSpec, squeezed_ground_state
+    st = squeezed_ground_state(SqueezingSpec(1000, 500.0))
+    p = [Fraction(float(x.real)) ** 2 + Fraction(float(x.imag)) ** 2 for x in st.data]
+    m = [Fraction(500 - i) for i in range(1001)]
+    norm = sum(p)
+    mean = sum(a * b for a, b in zip(p, m)) / norm
+    exact = float(4 * (sum(a * b * b for a, b in zip(p, m)) / norm - mean ** 2))
+    got = qfi(st, collective_op("z", st.rep)).value
+    assert abs(got - exact) <= 1e-12 * exact
+
+
+def _dense_sqrt_wigner_yanase(state, ops):
+    """The skew information through the d x d sqrt(rho) of ``psd_sqrt``, for
+    each generator: Tr(A^2 rho) - Tr(X X) for X = A sqrt(rho) = 1j**k P, the
+    sum of P * P^T."""
+    from qmetro.fisher import _eigensystem, _payload
+    from qmetro.linalg import psd_sqrt
+    from qmetro.spin import as_operator
+    from qmetro.states import braket
+    data = _payload(state)
+    root, out = psd_sqrt(_eigensystem(state, data)), []
+    for A in map(as_operator, ops):
+        P, k = A.times(root)
+        cross = float(np.real((-1) ** k * np.sum(P * P.T)))
+        out.append(float(np.real(braket(data, (A,), (A,)))) - cross)
+    return out
+
+
+def test_pair_sum_skew_information_matches_the_dense_square_root(rng):
+    """wigner_yanase as <A^2> less half the pair sum of sqrt(l_k) sqrt(l_l)
+    (l_k + l_l), against Tr(A sqrt(rho) A sqrt(rho)) from the dense sqrt(rho),
+    within 1e-12 relative (1e-12 ||A||^2 where it is zero, as for the
+    singlet), with zero rows padded in and on the collective states."""
+    from qmetro.spin import direction_op
+    n = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
+    cases = {"singlet-8": singlet_pi(8), "mixed-10": mix_white_noise(ghz(10, full_rep(10)), 0.6),
+             "symmetric-200": ghz_dicke_density(200)}
+    cases = {name: (st, [collective_op(a, st.rep) for a in "xyz"] + [direction_op(n, st.rep)])
+             for name, st in cases.items()}
+    for dim in (5, 24, 64):
+        for real in (True, False):
+            rho = (rand_density(rng, dim) if dim == 5 else
+                   _zero_padded(rng, dim - dim // 4, dim // 4, real))
+            rho = rho.real.copy() if real else rho
+            S = rng.standard_normal((dim, dim))
+            cases[f"random-{dim}-{'real' if real else 'complex'}"] = (
+                rho / np.trace(rho).real, [rand_hermitian(rng, dim), S + S.T, 1j * (S - S.T)])
+    for name, (state, ops) in cases.items():
+        for A, want in zip(ops, _dense_sqrt_wigner_yanase(state, ops)):
+            # a singlet's skew information is zero: 1e-12 of ||A||^2 (its bound)
+            tol = 1e-12 * (A.norm_bound() ** 2 if name == "singlet-8" else abs(want))
+            assert abs(wigner_yanase(state, A) - want) <= tol, (name, want)
+
+
+def test_skew_information_keeps_the_psd_rejection():
+    rho = np.diag([0.6, 0.5, -0.1])
+    with pytest.raises(ValueError, match="not PSD"):
+        wigner_yanase(rho, np.diag([1.0, 0.0, -1.0]))

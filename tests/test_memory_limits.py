@@ -25,10 +25,15 @@ The SLD of a mixed N = 10 state is a complex 1024^2 matrix.  Printed
 without a report it is dropped after its trace check: ``qfi --wy --sld
 --zeno`` stays under 140 MB (111 MB here; 129 MB with a dense eigenvector
 matrix, 137 MB through the dense factor, 265 MB when every run turned it
-into nested Python lists).  On the symmetric N = 1000 density the SLD and
-the square root are sandwiches of the 501^2 coupled block and the trace
-check is ||L R||_F^2 for a 1001 x 2 factor R of rho: under 110 MB (73 MB
-here; 128 MB with the dense 1001^2 eigenvectors and the product L rho).
+into nested Python lists).  On the symmetric N = 1000 density the SLD is a
+sandwich of the 501^2 coupled block, its rows V^dag A V taken by blocks of
+rows, and the trace check is ||L R||_F^2 for a 1001 x 2 factor R of rho:
+under 110 MB with ``--wy --zeno`` (73 MB here; 128 MB with the dense 1001^2
+eigenvectors and the product L rho), and alone under 78 MB (73 MB here,
+82 MB when the row transform took all 1001 columns of V at once).  The
+skew information is a pair sum over the same rows, with no d x d sqrt(rho):
+``qfi --wy`` stays under 60 MB (51 MB here, 72 MB with sqrt(rho) and its
+product with A).
 A report written with ``--out`` keeps the array and streams its [re, im]
 pairs to the file one row at a time: under 140 MB too (265 MB with the
 whole array as nested lists, 557 MB with the whole text in memory).
@@ -83,6 +88,8 @@ GRADIENT_LIMIT_MB = 95
 SLD_LIMIT_MB = 140
 SLD_REPORT_LIMIT_MB = 140
 SYMMETRIC_SLD_LIMIT_MB = 110
+SYMMETRIC_SLD_ALONE_LIMIT_MB = 78
+SYMMETRIC_WY_LIMIT_MB = 60
 NOISY_QFI_LIMIT_MB = 70
 # squeezed ground states take NumPy alone (no SciPy import): 31-35 MB here
 SQUEEZING_LIMIT_MB = 45
@@ -139,6 +146,8 @@ def _peak_rss_mb(argv, cwd) -> float:
     (["qfi", "mixed10.json", "--wy", "--sld", "--zeno"], SLD_LIMIT_MB),
     (["qfi", "mixed10.json", "--sld", "--out", "sld.json"], SLD_REPORT_LIMIT_MB),
     (["qfi", "sym1000.json", "--wy", "--sld", "--zeno"], SYMMETRIC_SLD_LIMIT_MB),
+    (["qfi", "sym1000.json", "--sld"], SYMMETRIC_SLD_ALONE_LIMIT_MB),
+    (["qfi", "sym1000.json", "--wy"], SYMMETRIC_WY_LIMIT_MB),
     (["sweep", "--kind", "noise", "--p", "0.25", "--n-list", "256", "--points", "4",
       "--out", "n256.csv"], NOISY_QFI_LIMIT_MB),
 ], ids=["witness-symmetric-4096", "frontier-4096", "qfi-full-ghz-12", "witness-full-ghz-12",
@@ -147,7 +156,8 @@ def _peak_rss_mb(argv, cwd) -> float:
         "state-singlet-10",
         "state-squeezed-4096", "frontier-1000", "scenario-gradient-10",
         "qfi-sld-full-mixed-10", "qfi-sld-report-full-mixed-10",
-        "qfi-sld-symmetric-density-1000", "noise-sweep-256"])
+        "qfi-sld-symmetric-density-1000", "qfi-sld-alone-symmetric-density-1000",
+        "qfi-wy-symmetric-density-1000", "noise-sweep-256"])
 def test_cli_peak_rss_at_advertised_limits(states, argv, limit):
     peak = _peak_rss_mb(argv, states)
     assert peak < limit, f"{' '.join(argv)}: peak RSS {peak:.0f} MB"
