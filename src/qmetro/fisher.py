@@ -24,7 +24,11 @@ one pair sum over it (``_pair_sum``) with its own weights: (l_k - l_l)^2 /
 (l_k + l_l) for F_Q, l_k l_l / (l_k + l_l) for the second-moment form and
 sqrt(l_k l_l) for the skew information's Tr(A sqrt(rho) A sqrt(rho)).
 V^dag A V is formed in one place, by blocks of rows (``_transform``), and
-the SLD is a ``sandwich`` of the same rows.
+the SLD is a ``sandwich`` of the same rows.  Every other root of a state is
+its one factor rho = R R^dag on the kept spectrum (``linalg.psd_factor``,
+under the one PSD rule; psi for a vector): the fidelity takes the r x r
+R^dag rho_2 R, the SLD trace ||L R||_F^2, both roofs R^dag A R, and a
+``Povm`` keeps each element as its factor.
 """
 
 from __future__ import annotations
@@ -33,9 +37,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import (CRB_RCOND, FISHER_FLOOR, PROB_FLOOR, PSD_FLOOR, QFI_PAIR_FLOOR,
-                     ROOF_TOL, SPEED_BOUND_TOL)
-from .linalg import (SpectralDecomposition, eigh_hermitian, psd_sqrt, rank_floor_sqrt,
+from .config import (CRB_RCOND, FISHER_FLOOR, PROB_FLOOR, QFI_PAIR_FLOOR, ROOF_TOL,
+                     SPEED_BOUND_TOL)
+from .linalg import (SpectralDecomposition, eigh_hermitian, psd_factor, rank_floor_sqrt,
                      require_hermitian, row_blocks)
 from .spin import SYMMETRIC_MAX, as_operator, symmetric_rep
 from .states import QuantumState, braket, check_same_rep, evolve, operator_moments
@@ -252,14 +256,11 @@ def sld(state, op) -> np.ndarray:
 def wigner_yanase(state, op) -> float:
     """Skew information Tr(A^2 rho) - Tr(A sqrt(rho) A sqrt(rho)), the cross
     term being half the pair sum of sqrt(l_k l_l) (l_k + l_l), with no d x d
-    sqrt(rho), on the spectrum ``psd_sqrt`` takes roots of: rejected below
-    PSD_FLOOR, and zero where ``rank_floor_sqrt`` is."""
+    sqrt(rho), on the spectrum that ``rank_floor_sqrt``, the PSD rule of
+    ``psd_sqrt``, checks and takes roots of: zero where the root is."""
     A, data = _inputs(state, op)
     dec = _eigensystem(state, data)
-    lam = dec.values
-    if lam.min() < PSD_FLOOR * max(abs(lam).max(), 1.0):
-        raise ValueError(f"matrix is not PSD: smallest eigenvalue {lam.min():.3e}")
-    dec = replace(dec, values=np.where(rank_floor_sqrt(lam) > 0, lam, 0.0))
+    dec = replace(dec, values=np.where(rank_floor_sqrt(dec.values) > 0, dec.values, 0.0))
     S, _ = _pair_sum(dec, [A], lambda lam_k, lam_l: (np.sqrt(lam_k[:, None] * lam_l)
                                                     * (lam_k[:, None] + lam_l)))
     return float(np.real(braket(data, (A,), (A,)))) - float(S[0, 0]) / 2.0
@@ -294,13 +295,9 @@ def zeno_interval(F: float) -> float:
 
 
 def sld_trace(state, L: np.ndarray) -> float:
-    """Tr(rho L^2) = ||L R||_F^2 for one factor rho = R R^dag: the kept
-    eigenvectors times ``rank_floor_sqrt`` of their values where it is
-    nonzero (the rule of ``psd_sqrt``; psi for a vector), with no d x d
-    product."""
-    dec = _eigensystem(state, _payload(state))
-    root = rank_floor_sqrt(dec.values)
-    X = L @ (dec.columns(root > 0) * root[root > 0])
+    """Tr(rho L^2) = ||L R||_F^2 for the factor rho = R R^dag (``psd_factor``;
+    psi for a vector), with no d x d product."""
+    X = L @ psd_factor(_eigensystem(state, _payload(state)))[1]
     return float(np.real(np.vdot(X, X)))
 
 
@@ -309,22 +306,21 @@ def sld_trace(state, L: np.ndarray) -> float:
 # ----------------------------------------------------------------------
 
 def bures_fidelity(state1, state2) -> float:
-    """Tr(sqrt(sqrt(r1) r2 sqrt(r1)))^2, with pure-state shortcuts; a
-    QuantumState density r1 takes its square root from its kept spectrum."""
+    """Tr(sqrt(sqrt(r1) r2 sqrt(r1)))^2, with pure-state shortcuts.  Two
+    densities take the factor r1 = R R^dag (``psd_factor``, from the kept
+    spectrum of a QuantumState): sqrt(r1) r2 sqrt(r1) has the nonzero
+    eigenvalues of the r x r matrix R^dag r2 R, r = rank(r1)."""
     d1, d2 = _payload(state1), _payload(state2)
-    dim1 = d1.shape[0]
-    dim2 = d2.shape[0]
-    if dim1 != dim2:
-        raise ValueError(f"dimension mismatch {dim1} vs {dim2}")
+    if d1.shape[0] != d2.shape[0]:
+        raise ValueError(f"dimension mismatch {d1.shape[0]} vs {d2.shape[0]}")
     if d1.ndim == 1 and d2.ndim == 1:
         return float(abs(np.vdot(d1, d2)) ** 2)
     if d1.ndim == 1:
         return float(np.real(np.vdot(d1, d2 @ d1)))
     if d2.ndim == 1:
         return float(np.real(np.vdot(d2, d1 @ d2)))
-    R = psd_sqrt(_eigensystem(state1, d1))
-    M = R @ d2 @ R
-    w = np.linalg.eigvalsh((M + M.conj().T) / 2.0)
+    R = psd_factor(_eigensystem(state1, d1))[1]
+    w = np.linalg.eigvalsh(R.conj().T @ (d2 @ R))
     return float(np.sum(rank_floor_sqrt(w)) ** 2)
 
 
@@ -360,16 +356,12 @@ def mandelstam_tamm_check(state, op, theta: float) -> SpeedBoundCheck:
 class Povm:
     """A positive operator valued measure, kept as outcome columns: E_k is the
     sum of b b^dag over the columns b of ``columns`` (d x R) whose ``outcomes``
-    entry is k.  Elements must be PSD (each is kept as its factor V sqrt(w)
-    from the eigh of that check) and sum to the identity, B B^dag = I."""
+    entry is k.  Elements must be PSD (each is kept as its factor, checked by
+    ``psd_factor``) and sum to the identity, B B^dag = I."""
 
     def __init__(self, elements):
-        factors = []
-        for E in elements:
-            w, V = np.linalg.eigh(require_hermitian(np.asarray(E, dtype=complex), "POVM element"))
-            if w.min() < -1e-9:
-                raise ValueError("POVM element is not PSD")
-            factors.append(V[:, w > 0] * np.sqrt(w[w > 0]))
+        factors = [psd_factor(eigh_hermitian(require_hermitian(
+            np.asarray(E, dtype=complex), "POVM element")))[1] for E in elements]
         self._keep(np.hstack(factors), np.repeat(np.arange(len(factors)),
                                                  [F.shape[1] for F in factors]), len(factors))
 
@@ -481,32 +473,34 @@ class RoofResult:
 
 
 def _roof(state, op, convex: bool) -> RoofResult:
-    """psi~_k = sum_i sqrt(l_i) U_ik |i> and p_k = |psi~_k|^2 over the kept
-    spectrum l > QFI_PAIR_FLOOR, in the order of ``values``, with B =
-    sqrt(L) V^dag A V sqrt(L) there (the kept rows and columns of ``_transform``).
+    """The states psi~_k = (R U)_k and p_k = |psi~_k|^2 for the factor
+    rho = R R^dag (``psd_factor``) on its columns of l > QFI_PAIR_FLOOR, with
+    B = R^dag A R from A's ``times`` of R (real when both are).
     Convex: U = W (not conj(W)) for g = W D W^dag, g_ij = 2 B_ij / (l_i + l_j);
     the purification sum_i sqrt(l_i) |i>|i> is measured on the ancilla in the
     eigenbasis of the optimal h = g^T of F_Q/4 = min_h Var(A x 1 - 1 x h).
     Concave: diag(U^dag (B - <A> L) U) = 0, so every psi_k has the mean <A>.
     """
     A, data = _inputs(state, op)
-    dec = _eigensystem(state, data)
-    keep = dec.values > QFI_PAIR_FLOOR
-    lam, V = dec.values[keep], dec.columns(keep)
-    T, k = _transform(dec, A, V)
-    T = T[:, keep]
-    root = np.sqrt(lam)
-    B = root[:, None] * (1j ** k * T) * root
+    lam, R = psd_factor(_eigensystem(state, data))
+    if not (keep := lam > QFI_PAIR_FLOOR).all():
+        lam, R = lam[keep], R[:, keep]
+    B, k = A.times(R)
+    B = R.conj().T @ B   # R^dag A R = 1j**k R^dag B, real for an even k and a real B
+    B = B * 1j ** k if k % 2 else B * (1j ** k).real
     if convex:
         U = np.linalg.eigh(2.0 * B / (lam[:, None] + lam[None, :]))[1]
-    else:
-        U = _zero_diagonal(B - (np.trace(B).real / lam.sum()) * np.diag(lam))
+    else:   # the complex Givens rotations need a complex H
+        U = _zero_diagonal((B - (np.trace(B).real / lam.sum()) * np.diag(lam)).astype(complex))
     # <psi~_k|A|psi~_k> = (U^dag B U)_kk, and the average variance is
     # <A^2> - sum_k <psi~_k|A|psi~_k>^2 / p_k, where every p_k >= min l
     weights = lam @ np.abs(U) ** 2
     means = np.sum(U.conj() * (B @ U), axis=0).real
+    del B
     value = float(np.real(braket(data, (A,), (A,)))) - float(np.sum(means ** 2 / weights))
-    return RoofResult(value, weights, (V @ (root[:, None] * U)) / np.sqrt(weights))
+    vectors = R @ U
+    vectors /= np.sqrt(weights)
+    return RoofResult(value, weights, vectors)
 
 
 def _zero_diagonal(H: np.ndarray) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Dense linear-algebra primitives used throughout the package.
 
 A thin, contract-enforcing layer over LAPACK (via numpy): Hermitian
-eigendecomposition, PSD square roots, unitaries generated by Hermitian
-matrices, their action on vectors and pure-state moments.  All functions
-are pure; inputs are never mutated.
+eigendecomposition, PSD square roots and factors M = R R^dag under one PSD
+rule (``rank_floor_sqrt``), unitaries generated by Hermitian matrices, their
+action on vectors and pure-state moments.  All functions are pure; inputs
+are never mutated.
 
 Operators reach this module as arrays or through what a structured operator
 gives without a dense matrix: ``pure_moments`` reads the images A_k|psi>
@@ -225,27 +226,30 @@ def hermitian_trace(a, b) -> complex:
 
 
 def psd_sqrt(M) -> np.ndarray:
-    """Principal square root of a PSD Hermitian matrix or of its kept spectrum.
-
-    Eigenvalues in [PSD_FLOOR, 0), and positive ones under the numerical-rank
-    floor of ``rank_floor_sqrt``, are clamped to zero; anything below
-    PSD_FLOOR is rejected as non-PSD.
-    """
+    """Principal square root of a PSD Hermitian matrix or of its kept spectrum,
+    its eigenvalues taken by the PSD rule of ``rank_floor_sqrt``."""
     dec = M if isinstance(M, SpectralDecomposition) else eigh_hermitian(M)
-    lo = dec.values.min()
-    if lo < PSD_FLOOR * max(abs(dec.values).max(), 1.0):
-        raise ValueError(f"matrix is not PSD: smallest eigenvalue {lo:.3e}")
     return dec.sandwich(rank_floor_sqrt(dec.values))
 
 
 def rank_floor_sqrt(w: np.ndarray) -> np.ndarray:
-    """Square roots of the eigenvalues w of a PSD matrix.
-
-    Eigenvalues under the numerical-rank floor dim * eps * max(w) are
-    round-off of zero and give 0; their square roots (~1e-8) would not.
-    """
-    floor = w.size * np.finfo(float).eps * max(w.max(), 0.0)
+    """Square roots of the eigenvalues w of a PSD matrix, the one PSD rule:
+    w below PSD_FLOOR * max(max|w|, 1) is rejected, and w under the
+    numerical-rank floor dim * eps * max(w) is round-off of zero and gives 0
+    (its square root, ~1e-8, would not)."""
+    if (lo := w.min(initial=0.0)) < PSD_FLOOR * abs(w).max(initial=1.0):
+        raise ValueError(f"matrix is not PSD: smallest eigenvalue {lo:.3e}")
+    floor = w.size * np.finfo(float).eps * w.max(initial=0.0)
     return np.sqrt(np.where(w > floor, w, 0.0))
+
+
+def psd_factor(dec: SpectralDecomposition) -> tuple[np.ndarray, np.ndarray]:
+    """(l, R) for the kept spectrum of a PSD M: the eigenvalues l whose
+    ``rank_floor_sqrt`` is nonzero and R = V sqrt(l) on their eigenvectors,
+    the factor M = R R^dag with rank(M) columns."""
+    root = rank_floor_sqrt(dec.values)
+    keep = root > 0
+    return dec.values[keep], dec.columns(keep) * root[keep]
 
 
 def unitary_exp(A, theta: float) -> np.ndarray:

@@ -218,11 +218,11 @@ def to_full(state: QuantumState) -> QuantumState:
     share of the Dicke state i = N - k, so a vector v becomes v[i] c and a
     density rho[i, i'] c c' (scaled by rows, then by columns, as the
     products B rho B^dag of the isometry B order them).  No 2^N x (N+1)
-    matrix is formed.
+    matrix is formed, and a density past the cap is refused before its gather.
     """
     if state.rep.kind == "full":
         return state
-    rep = full_rep(state.n)
+    rep = full_rep(state.n) if state.is_pure else require_density(full_rep(state.n))
     down = _popcount(state.n)
     c = (1.0 / np.sqrt(np.bincount(down)))[down]
     i = state.n - down

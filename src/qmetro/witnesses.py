@@ -305,6 +305,7 @@ def producibility_bound(n: int, k: int) -> float:
 
 def avg_producibility_bound(n: int, k: int) -> float:
     """Bound on the direction-averaged QFI for k-producible states."""
+    producibility_bound(n, k)   # refuses k outside 1..N
     if k == 1:
         return 2.0 * n / 3.0
     s = n // k

@@ -1061,3 +1061,80 @@ def test_skew_information_keeps_the_psd_rejection():
     rho = np.diag([0.6, 0.5, -0.1])
     with pytest.raises(ValueError, match="not PSD"):
         wigner_yanase(rho, np.diag([1.0, 0.0, -1.0]))
+
+
+# ------------------------------------------------- the factor rho = R R^dag
+
+def test_fidelity_of_white_noise_ghz_matches_its_closed_form():
+    """p|psi><psi| + q I against its turn by U: only span(psi, U psi) differs
+    from q I, so F = (sqrt(p^2 c^2 + 4 q (p + q)) + (d - 2) q)^2 with
+    c = |<psi|U psi>| and q = (1 - p)/d.  White-noise GHZ-10 at p = 0.6 turned
+    about J_x by 0.01 (c = cos(5 * 0.01), GHZ_x being J_x's +-5 pair): the
+    r x r matrix R^dag rho_2 R comes within 1e-12 (the d x d sqrt(rho) and
+    its two products were 8.4e-12 off)."""
+    p, theta = 0.6, 0.01
+    state = mix_white_noise(ghz(10, full_rep(10)), p)
+    turned = rotate(state, collective_op("x", state.rep), theta)
+    d = state.rep.dim
+    q, c = (1.0 - p) / d, np.cos(5 * theta)
+    want = (np.sqrt(p * p * c * c + 4.0 * q * (p + q)) + (d - 2) * q) ** 2
+    assert abs(bures_fidelity(state, turned) - want) <= 1e-12 * want
+
+
+def _traced_peak(call):
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_fidelity_and_convex_roof_take_the_factor_in_bounded_memory():
+    """With the spectrum kept, the fidelity of the rank-2 symmetric N = 1000
+    density against its J_x turn forms a 1001 x 2 factor, not a 1001^2
+    sqrt(rho) and its products (54 MB traced), and the convex roof of
+    white-noise GHZ-10 under J_x a real B = R^dag A R (the complex B of the
+    kept rows traced 96 MB)."""
+    sym = ghz_dicke_density(1000)
+    Jx = collective_op("x", sym.rep)
+    turned = rotate(sym, Jx, 1e-3)
+    qfi(sym, Jx)
+    assert _traced_peak(lambda: bures_fidelity(sym, turned)) < 2 * 2 ** 20
+    mixed = mix_white_noise(ghz(10, full_rep(10)), 0.6)
+    Jx = collective_op("x", mixed.rep)
+    qfi(mixed, Jx)
+    assert _traced_peak(lambda: convex_roof_oracle(mixed, Jx)) < 48 * 2 ** 20
+
+
+def test_every_square_root_takes_one_psd_rule():
+    """psd_sqrt, wigner_yanase, sld_trace, the fidelity of two densities (in
+    either order), both roofs and Povm refuse an eigenvalue of -0.1 alike;
+    Povm also one of -5e-10, below PSD_FLOOR."""
+    from qmetro.linalg import psd_sqrt
+    bad, A = np.diag([0.6, 0.5, -0.1]), np.diag([1.0, 0.0, -1.0])
+    calls = [lambda: psd_sqrt(bad), lambda: wigner_yanase(bad, A),
+             lambda: sld_trace(bad, np.eye(3)), lambda: bures_fidelity(bad, np.eye(3) / 3),
+             lambda: bures_fidelity(np.eye(3) / 3, bad), lambda: convex_roof_oracle(bad, A),
+             lambda: concave_roof_oracle(bad, A),
+             lambda: Povm([bad, np.eye(3) - bad]),
+             lambda: Povm([np.diag([1.0, 1.0 + 5e-10]), np.diag([0.0, -5e-10])])]
+    for call in calls:
+        with pytest.raises(ValueError, match="not PSD"):
+            call()
+
+
+def test_concave_roof_of_a_real_density_and_generator(rng):
+    """A real rank-4 density with a real symmetric generator gives a real
+    B = R^dag A R; the Givens rotations of the concave roof are complex and
+    must not lose their imaginary parts to it."""
+    G = rng.standard_normal((8, 4))
+    rho = G @ G.T / np.trace(G @ G.T)
+    S = rng.standard_normal((8, 8))
+    A = S + S.T
+    var = np.trace(A @ A @ rho) - np.trace(A @ rho) ** 2
+    cc = concave_roof_oracle(rho, A)
+    assert abs(cc.value - var) <= 1e-10
+    chk = roof_sandwich_check(rho, A, cc.weights, cc.vectors)
+    assert chk.holds and abs(chk.average_variance - var) <= 1e-10

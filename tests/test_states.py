@@ -61,6 +61,21 @@ def test_to_full_is_the_dense_isometry_exactly(rng, n):
         assert np.array_equal(got.data, B @ rho @ B.conj().T)
 
 
+def test_to_full_refuses_a_density_past_the_cap_before_its_gather():
+    """A symmetric N = 12 density is refused with the full-density message
+    before its 4096^2 gather (144 MB) is formed."""
+    import tracemalloc
+    st = maximally_mixed(symmetric_rep(12))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="density matrices limited to N <= 10"):
+            to_full(st)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, f"{peak / 2 ** 20:.1f} MB"
+
+
 def test_ghz_values():
     g = ghz(3)
     assert qfi_pure(g, collective_op("x", g.rep)) == pytest.approx(9.0, abs=1e-9)

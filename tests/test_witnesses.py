@@ -437,6 +437,15 @@ def test_avg_producibility_k1_matches_separable():
     assert avg_producibility_bound(7, 3) == pytest.approx((2 * 3 * 5 + 2) / 3)
 
 
+@pytest.mark.parametrize("k", [0, -2, 7])
+def test_avg_producibility_bound_refuses_k_outside_one_to_n(k):
+    """k = 0 divided by zero and k = -2 gave -1/3; both bounds refuse k
+    outside 1..N with one message."""
+    for bound in (producibility_bound, avg_producibility_bound):
+        with pytest.raises(ValueError, match=f"need 1 <= k <= N, got k={k}, N=6"):
+            bound(6, k)
+
+
 # ------------------------------------------------- macroscopicity
 
 def test_macroscopicity_families():
