@@ -35,7 +35,7 @@ except ImportError:
 fig, ax = plt.subplots(figsize=(6, 4))
 for n, rows in curves.items():
     pol = [r.polarization for r in rows]
-    val = [r.precision_inv_norm for r in rows]
+    val = [r.precision_inv / r.n**2 for r in rows]
     ax.plot(pol, val, label=f"N = {n}")
 ax.set_xlabel(r"$\langle J_z\rangle / J_{\max}$")
 ax.set_ylabel(r"$(\Delta\theta)^{-2} / N^2$")

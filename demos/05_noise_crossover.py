@@ -29,8 +29,8 @@ print(f"\ndepolarizing noise p={p}, small N:")
 noisy = noisy_scaling_sweep(p, [4, 6, 8, 10], lambda_points=12)
 for r in noisy.records:
     print(f"  N={r.n:2d}: best (dtheta)^-2 = {r.precision_inv:7.3f}  "
-          f"ceiling N/p = {noisy.ceiling[r.n]:5.1f}  "
-          f"Var(Jx) = {r.var_x:.3f} >= pN/4 = {p*r.n/4:.3f}")
+          f"ceiling N/p = {r.ceiling:5.1f}  "
+          f"Var(Jx) = {r.var_x:.3f} >= (2p - p^2)N/4 = {(2*p - p*p)*r.n/4:.3f}")
 print(f"  fitted exponent: {noisy.exponent:.3f}  (shot-noise scaling -> 1)")
 
 # <J_z> <= eta N/2 and Var(J_x) >= (1 - eta^2) N/4 after the channel, so
@@ -43,7 +43,7 @@ print(f"\ndepolarizing noise p={p}, large N; squeezed probes stay below "
 wide = noisy_scaling_sweep(p, [32, 64, 128, 256], lambda_points=12)
 for r in wide.records:
     print(f"  N={r.n:4d}: best (dtheta)^-2 = {r.precision_inv:8.2f}  "
-          f"= {r.precision_inv / wide.ceiling[r.n]:.3f} N/p   "
+          f"= {r.precision_inv / r.ceiling:.3f} N/p   "
           f"QFI/N = {r.qfi / r.n:.4f}  (bound {channel_constant:.3f})")
 print(f"  fitted exponent: {wide.exponent:.3f}  (linear in N)")
 

@@ -15,8 +15,7 @@ import numpy as np
 
 from . import serialize
 from .fisher import qfi, sld, sld_trace, wigner_yanase, zeno_interval
-from .metrology import (FrontierRow, SweepRecord, crb_consistency,
-                        dicke_scenario, frontier_lambda_grid,
+from .metrology import (crb_consistency, dicke_scenario, frontier_lambda_grid,
                         ghz_parity_scenario, gradient_scenario,
                         noisy_scaling_sweep, ramsey_scenario, squeezing_frontier)
 from .spin import Representation, collective_op, direction_op, gradient_op
@@ -93,6 +92,8 @@ def _generator_from_spec(spec: str, rep: Representation):
         vec = np.array([float(t) for t in spec.split(":", 1)[1].split(",")])
         if not (np.isfinite(vec).all() and vec.any()):
             raise ValueError(f"direction must be a finite nonzero vector, got {spec!r}")
+        # largest component scaled to 1: the norm can neither overflow nor underflow
+        vec = vec / np.abs(vec).max()
         vec = vec / np.linalg.norm(vec)
         return direction_op(vec, rep)
     if spec == "gradient":
@@ -220,49 +221,31 @@ def cmd_scenario(args) -> int:
     return 0
 
 
-def _frontier_to_records(rows: list[FrontierRow]) -> list[SweepRecord]:
-    return [SweepRecord(scenario="frontier", n=r.n, p=0.0, lam=r.lam,
-                        theta0=0.0, precision_inv=r.precision_inv, qfi=r.qfi_jy,
-                        bound_sep=float(r.n), bound_bisep=float((r.n - 1) ** 2 + 1),
-                        bound_heisenberg=float(r.n ** 2),
-                        polarization=r.polarization, var_x=0.0)
-            for r in rows]
-
-
 def cmd_sweep(args) -> int:
     if args.points < 1:
         raise ValueError(f"--points must be at least 1, got {args.points}")
+    exponent = None
     if args.kind == "frontier":
-        if args.lambdas:
-            lams = parse_range(args.lambdas)
-        else:
-            lams = frontier_lambda_grid(args.n, args.points)
-        rows = squeezing_frontier(args.n, lams)
-        serialize.write_sweep_csv(_frontier_to_records(rows), args.out)
-        print(f"wrote {len(rows)} frontier rows to {args.out}")
-        bad = [r for r in rows if not r.within_ceiling]
-        if bad:
-            r = bad[0]
-            print(f"ceiling violated at lam={r.lam:.6g}: "
-                  f"{r.precision_inv:.6g} > {r.ceiling:.6g}", file=sys.stderr)
+        lams = (parse_range(args.lambdas) if args.lambdas
+                else frontier_lambda_grid(args.n, args.points))
+        records, what = squeezing_frontier(args.n, lams), "frontier"
+    else:
+        n_list = parse_int_list(args.n_list)
+        if not n_list:
+            raise ValueError("--n-list must name at least one particle number")
+        result = noisy_scaling_sweep(args.p, n_list, lambda_points=args.points)
+        records, exponent, what = result.records, result.exponent, "sweep"
+    serialize.write_sweep_csv(records, args.out)
+    print(f"wrote {len(records)} {what} rows to {args.out}")
+    if exponent is not None:
+        print(f"fitted precision exponent: {exponent:.4f}")
+    for rec in records:
+        if not rec.within_ceiling:
+            print(f"N={rec.n}, lam={rec.lam:.6g}: precision {rec.precision_inv:.6g} "
+                  f"exceeds the ceiling {rec.ceiling:.6g}", file=sys.stderr)
             return INVARIANT_EXIT
-        return 0
-    # noisy scaling sweep
-    n_list = parse_int_list(args.n_list)
-    if not n_list:
-        raise ValueError("--n-list must name at least one particle number")
-    result = noisy_scaling_sweep(args.p, n_list, lambda_points=args.points)
-    serialize.write_sweep_csv(result.records, args.out)
-    print(f"wrote {len(result.records)} sweep rows to {args.out}")
-    if result.exponent is not None:
-        print(f"fitted precision exponent: {result.exponent:.4f}")
-    for rec in result.records:
-        ceiling = result.ceiling[rec.n]
-        if rec.precision_inv > ceiling + 1e-6:
-            print(f"N={rec.n}: precision {rec.precision_inv:.6g} exceeds the "
-                  f"ceiling {ceiling:.6g}", file=sys.stderr)
-            return INVARIANT_EXIT
-        if args.p > 0 and rec.var_x < args.p * rec.n / 4 - 1e-9:
+        # per-qubit depolarizing leaves Var(J_x) >= (1 - eta^2) N/4, eta = 1 - p
+        if rec.var_x < (2 * rec.p - rec.p ** 2) * rec.n / 4 - 1e-9:
             print(f"N={rec.n}: Var(J_x) fell below the noise floor", file=sys.stderr)
             return INVARIANT_EXIT
     return 0

@@ -21,7 +21,7 @@ and its QFI column from the J blocks, so no 2^N density is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 
 import numpy as np
@@ -224,56 +224,70 @@ def ramsey_curve(probe: QuantumState, generator: CollectiveOperator,
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class FrontierRow:
+class SweepRecord:
+    """One row of a frontier or noise sweep and the ceiling it must keep:
+    2N + N^2 (1 - pol^2) on the frontier, N/p in a noise sweep (N^2 at
+    p = 0).  The bound columns are the separable N, the biseparable
+    (N - 1)^2 + 1 and the Heisenberg N^2."""
+
+    scenario: str
     n: int
+    p: float
     lam: float
-    polarization: float      # <J_z> / (N/2)
-    precision_inv: float     # <J_z>^2 / Var(J_x)
-    precision_inv_norm: float
-    ceiling: float           # 2N + N^2 (1 - polarization^2)
-    qfi_jy: float
+    theta0: float
+    precision_inv: float
+    qfi: float
+    bound_sep: float
+    bound_bisep: float
+    bound_heisenberg: float
+    polarization: float
+    var_x: float
+    ceiling: float
 
     @property
     def within_ceiling(self) -> bool:
         return self.precision_inv <= self.ceiling + 1e-6
 
 
-def _frontier_row(st: QuantumState, lam: float, ops) -> FrontierRow:
-    Jz, Jx, Jy = ops
+def _sweep_record(scenario: str, n: int, p: float, lam, precision_inv, qfi,
+                  polarization, var_x, ceiling) -> SweepRecord:
+    """A row read out at theta0 = 0, with its bound columns filled in."""
+    return SweepRecord(scenario, n, p, float(lam), 0.0, float(precision_inv),
+                       float(qfi), float(n), float((n - 1) ** 2 + 1), float(n * n),
+                       float(polarization), float(var_x), float(ceiling))
+
+
+def _frontier_record(st: QuantumState, lam: float) -> SweepRecord:
     n = st.n
-    mz = st.expectation(Jz)
-    vx = st.variance(Jx)
+    mz = st.expectation(collective_op("z", st.rep))
+    vx = st.variance(collective_op("x", st.rep))
     prec = mz * mz / vx if vx > 1e-300 else 0.0
     pol = mz / (n / 2.0)
-    ceiling = 2.0 * n + n * n * (1.0 - pol * pol)
-    return FrontierRow(n, lam, pol, prec, prec / n ** 2, ceiling,
-                       4.0 * st.variance(Jy))
+    return _sweep_record("frontier", n, 0.0, lam, prec,
+                         4.0 * st.variance(collective_op("y", st.rep)), pol, vx,
+                         2.0 * n + n * n * (1.0 - pol * pol))
 
 
-def squeezing_frontier(n: int, lambdas) -> list[FrontierRow]:
+def squeezing_frontier(n: int, lambdas) -> list[SweepRecord]:
     """Precision of the variance-minimising probes across polarizations.
 
     Each row measures J_x after a rotation about y of the ground state of
     J_x^2 - lam J_z; sweeping lam traces the best (Delta theta)^-2
-    reachable at a given mean spin.
+    reachable at a given mean spin.  Its ceiling is 2N + N^2 (1 - pol^2).
     """
     if n % 2:
         raise ValueError("the squeezed-probe family needs even N")
-    rep = symmetric_rep(n)
-    ops = tuple(collective_op(a, rep) for a in "zxy")
     lambdas = list(lambdas)
-    return [_frontier_row(st, lam, ops)
+    return [_frontier_record(st, lam)
             for st, lam in zip(squeezed_ground_states(n, lambdas), lambdas)]
 
 
 def frontier_lambda_grid(n: int, points: int = 110, pol_floor: float = 0.005) -> np.ndarray:
     """Log grid of lam values, up to 1000 N, whose polarizations span
     (pol_floor, ~1)."""
-    rep = symmetric_rep(n)
-    ops = tuple(collective_op(a, rep) for a in "zxy")
     lo = 1e-9 * n
-    while _frontier_row(squeezed_ground_state(SqueezingSpec(n, lo)), lo,
-                        ops).polarization > pol_floor:
+    while _frontier_record(squeezed_ground_state(SqueezingSpec(n, lo)),
+                           lo).polarization > pol_floor:
         lo /= 10.0
         if lo < 1e-18:
             break
@@ -284,7 +298,7 @@ def frontier_on_polarization_grid(n: int, pol_grid, points: int = 110) -> np.nda
     """Normalised precision interpolated onto a shared polarization grid."""
     rows = squeezing_frontier(n, frontier_lambda_grid(n, points))
     pols = np.array([r.polarization for r in rows])
-    precs = np.array([r.precision_inv_norm for r in rows])
+    precs = np.array([r.precision_inv / n ** 2 for r in rows])
     order = np.argsort(pols)
     return np.interp(np.asarray(pol_grid), pols[order], precs[order])
 
@@ -522,27 +536,10 @@ def depolarized_qfi(probe: QuantumState, p: float) -> float:
 # noisy scaling sweep
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SweepRecord:
-    scenario: str
-    n: int
-    p: float
-    lam: float
-    theta0: float
-    precision_inv: float
-    qfi: float
-    bound_sep: float
-    bound_bisep: float
-    bound_heisenberg: float
-    polarization: float = 0.0
-    var_x: float = 0.0
-
-
 @dataclass
 class SweepResult:
     records: list
     exponent: float | None
-    ceiling: dict = field(default_factory=dict)  # N -> analytic ceiling
 
 
 def _noisy_precision(n: int, lam: float, channel: NoiseChannel):
@@ -597,15 +594,14 @@ def noisy_scaling_sweep(p: float, n_list, lambda_points: int = 16) -> SweepResul
     The probe family is the squeezed ground state of J_x^2 - lam J_z, read
     out at theta0 = 0 (the records' ``theta0`` column is 0.0).
 
-    With p > 0 each record is compared against the N/p uncorrelated-noise
-    ceiling; the noiseless ceiling is N^2.  The lam search is a coarse log
-    grid followed by golden-section refinement around the best point, both
-    on moments transferred through the channel.  The QFI column, at the
-    optimum, comes from the probe's permutation-invariant J blocks
-    (``depolarized_qfi``), or at p = 0 from the pure probe itself; no 2^N
-    density is built.  With p > 0 it is limited to N <= NOISY_QFI_MAX, and a
-    longer list is refused before any row runs; at p = 0 any symmetric-sector
-    N is accepted.
+    Each record carries its ceiling: N/p under uncorrelated noise, N^2 at
+    p = 0.  The lam search is a coarse log grid followed by golden-section
+    refinement around the best point, both on moments transferred through
+    the channel.  The QFI column, at the optimum, comes from the probe's
+    permutation-invariant J blocks (``depolarized_qfi``), or at p = 0 from
+    the pure probe itself; no 2^N density is built.  With p > 0 it is
+    limited to N <= NOISY_QFI_MAX, and a longer list is refused before any
+    row runs; at p = 0 any symmetric-sector N is accepted.
     """
     channel = NoiseChannel("depolarizing", p=p)
     n_list = list(n_list)
@@ -613,7 +609,6 @@ def noisy_scaling_sweep(p: float, n_list, lambda_points: int = 16) -> SweepResul
         raise ValueError(f"the QFI column of a noisy sweep is limited to "
                          f"N <= {NOISY_QFI_MAX} (NOISY_QFI_MAX), got N={max(n_list)}")
     records = []
-    ceilings = {}
     for n in n_list:
         lams = frontier_lambda_grid(n, lambda_points, pol_floor=0.02)
         vals = [_probe_precision(probe, channel)[0]
@@ -631,16 +626,12 @@ def noisy_scaling_sweep(p: float, n_list, lambda_points: int = 16) -> SweepResul
         prec, pol, vx, probe = _noisy_precision(n, lam_best, channel)
         F = (depolarized_qfi(probe, p) if p > 0
              else qfi(probe, collective_op("y", probe.rep)).value)
-        records.append(SweepRecord(
-            scenario=f"squeezing(p={p:g})", n=n, p=p, lam=float(lam_best),
-            theta0=0.0, precision_inv=float(prec), qfi=F,
-            bound_sep=float(n), bound_bisep=float((n - 1) ** 2 + 1),
-            bound_heisenberg=float(n * n), polarization=float(pol), var_x=float(vx)))
-        ceilings[n] = n / p if p > 0 else float(n * n)
+        records.append(_sweep_record(f"squeezing(p={p:g})", n, p, lam_best, prec, F,
+                                     pol, vx, n / p if p > 0 else n * n))
     exponent = None
     if len(records) >= 3:
         ns = np.array([r.n for r in records], dtype=float)
         ys = np.array([r.precision_inv for r in records])
         if (ys > 0).all():
             exponent = float(np.polyfit(np.log(ns), np.log(ys), 1)[0])
-    return SweepResult(records, exponent, ceilings)
+    return SweepResult(records, exponent)

@@ -163,8 +163,8 @@ def test_criterion_09_noise_crossover():
     t0 = time.time()
     sweep = noisy_scaling_sweep(0.25, [4, 6, 8, 10], lambda_points=12)
     for rec in sweep.records:
-        assert rec.precision_inv <= sweep.ceiling[rec.n] + 1e-6
-        assert rec.var_x >= 0.25 * rec.n / 4 - 1e-9
+        assert rec.precision_inv <= rec.ceiling + 1e-6
+        assert rec.var_x >= (2 * 0.25 - 0.25 ** 2) * rec.n / 4 - 1e-9
     # noiseless scaling: the asymptotic exponent is 2; the fit window must
     # sit at large N because the optimum N(N+2)/2 carries an (N+2)/N bias
     # that puts the {4,6,8,10} window at slope 1.755 (printed for reference)

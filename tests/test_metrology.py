@@ -11,18 +11,20 @@ import pytest
 
 import qmetro
 from qmetro.fisher import qfi
-from qmetro.metrology import (NOISY_QFI_MAX, NoiseChannel, Scenario, _golden,
-                              _noisy_precision, apply_noise,
+from qmetro.metrology import (NOISY_QFI_MAX, NoiseChannel, Scenario, SweepRecord,
+                              _golden, _noisy_precision, apply_noise,
                               crb_consistency, depolarized_qfi, dicke_scenario,
                               error_propagation, frontier_lambda_grid,
                               frontier_on_polarization_grid, ghz_parity_scenario,
                               gradient_scenario, noisy_scaling_sweep,
                               ramsey_curve, ramsey_scenario, squeezing_frontier,
                               squared_op)
+from qmetro.serialize import sweep_rows_to_csv
 from qmetro.spin import (PAULI, collective_op, direction_op, full_rep, gradient_op,
                          symmetric_rep)
 from qmetro.states import (QuantumState, SqueezingSpec, dicke, ghz, polarized,
-                           rotate, singlet_pi, squeezed_ground_state, to_full)
+                           rotate, singlet_pi, squeezed_ground_state,
+                           squeezed_ground_states, to_full)
 
 
 # ------------------------------------------------- error propagation
@@ -214,6 +216,49 @@ def test_frontier_peak_at_low_polarization():
     assert best.precision_inv == pytest.approx(12 * 14 / 2, rel=0.05)
 
 
+def _bound_columns(n):
+    return float(n), float((n - 1) ** 2 + 1), float(n ** 2)
+
+
+@pytest.mark.parametrize("n", [20, 1000])
+def test_frontier_records_keep_the_row_expressions_bit_for_bit(n):
+    lams = frontier_lambda_grid(n, points=16)
+    records = squeezing_frontier(n, lams)
+    rep = symmetric_rep(n)
+    Jz, Jx, Jy = (collective_op(a, rep) for a in "zxy")
+    former = []
+    for st, lam, rec in zip(squeezed_ground_states(n, list(lams)), lams, records,
+                            strict=True):
+        mz, vx = st.expectation(Jz), st.variance(Jx)
+        prec = mz * mz / vx if vx > 1e-300 else 0.0
+        pol = mz / (n / 2.0)
+        fq = 4.0 * st.variance(Jy)
+        assert (rec.lam, rec.precision_inv, rec.qfi, rec.polarization, rec.var_x) == \
+            (lam, prec, fq, pol, vx)
+        assert rec.ceiling == 2.0 * n + n * n * (1.0 - pol * pol)
+        former.append(SweepRecord("frontier", n, 0.0, lam, 0.0, prec, fq,
+                                  *_bound_columns(n), pol, 0.0, np.inf))
+    assert sweep_rows_to_csv(records) == sweep_rows_to_csv(former)
+
+
+def test_noise_records_keep_the_transferred_moments_bit_for_bit():
+    p = 0.25
+    channel = NoiseChannel("depolarizing", p=p)
+    records = noisy_scaling_sweep(p, [4, 6, 8], lambda_points=8).records
+    former = []
+    for rec in records:
+        prec, pol, vx, probe = _noisy_precision(rec.n, rec.lam, channel)
+        fq = depolarized_qfi(probe, p)
+        assert (rec.precision_inv, rec.qfi, rec.polarization, rec.var_x) == \
+            (prec, fq, pol, vx)
+        assert rec.ceiling == rec.n / p
+        former.append(SweepRecord(f"squeezing(p={p:g})", rec.n, p, rec.lam, 0.0,
+                                  float(prec), fq, *_bound_columns(rec.n),
+                                  float(pol), float(vx), np.inf))
+    assert [rec.n for rec in records] == [4, 6, 8]
+    assert sweep_rows_to_csv(records) == sweep_rows_to_csv(former)
+
+
 def test_frontier_polarization_grid_interpolation():
     grid = np.linspace(0.1, 0.7, 8)
     vals = frontier_on_polarization_grid(16, grid, points=60)
@@ -347,8 +392,10 @@ def test_noise_variance_floor():
 def test_noisy_sweep_obeys_ceiling_and_floor():
     result = noisy_scaling_sweep(0.5, [4, 6], lambda_points=8)
     for rec in result.records:
-        assert rec.precision_inv <= result.ceiling[rec.n] + 1e-6
-        assert rec.var_x >= 0.5 * rec.n / 4 - 1e-9
+        assert rec.ceiling == rec.n / 0.5
+        assert rec.precision_inv <= rec.ceiling + 1e-6
+        # Var(J_x) >= (1 - eta^2) N/4 = (2p - p^2) N/4 after the channel
+        assert rec.var_x >= (2 * 0.5 - 0.5 ** 2) * rec.n / 4 - 1e-9
 
 
 def test_noiseless_sweep_exponent_large_n():
@@ -484,9 +531,9 @@ def test_noisy_sweep_without_qfi_reaches_large_n():
     eta = 1.0 - p
     result = noisy_scaling_sweep(p, [64, 256], lambda_points=8)
     for rec in result.records:
-        assert 0.0 < rec.precision_inv <= result.ceiling[rec.n] + 1e-6
-        assert result.ceiling[rec.n] == rec.n / p
-        assert rec.var_x >= p * rec.n / 4 - 1e-9
+        assert 0.0 < rec.precision_inv <= rec.ceiling + 1e-6
+        assert rec.ceiling == rec.n / p
+        assert rec.var_x >= (2 * p - p ** 2) * rec.n / 4 - 1e-9
         # <J_z> <= eta N/2 and Var(J_x) >= (1 - eta^2) N/4 after the channel
         assert rec.precision_inv <= eta ** 2 * rec.n / (1 - eta ** 2) + 1e-9
     # the QFI column stops at the cap, before any row runs

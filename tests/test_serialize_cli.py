@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import os
@@ -14,7 +15,8 @@ import qmetro
 from qmetro import serialize
 from qmetro.cli import main, parse_int_list, parse_range
 from qmetro.spin import full_rep, symmetric_rep
-from qmetro.states import QuantumState, dicke, ghz, mix_white_noise, singlet_pi
+from qmetro.states import (QuantumState, SqueezingSpec, dicke, ghz, mix_white_noise,
+                           singlet_pi, squeezed_ground_state)
 
 
 # ------------------------------------------------- state files
@@ -502,7 +504,8 @@ def test_csv_formatting():
     from qmetro.metrology import SweepRecord
     rec = SweepRecord(scenario="s", n=4, p=0.25, lam=1 / 3, theta0=0.0,
                       precision_inv=np.pi, qfi=1.0, bound_sep=4.0,
-                      bound_bisep=10.0, bound_heisenberg=16.0)
+                      bound_bisep=10.0, bound_heisenberg=16.0, polarization=0.0,
+                      var_x=0.0, ceiling=16.0)
     text = serialize.sweep_rows_to_csv([rec])
     header, row = text.strip().split("\n")
     assert header == ("scenario,N,p,lambda,theta0,precision_inv,qfi,"
@@ -747,6 +750,44 @@ def test_cli_sweep_deterministic_under_thread_cap(tmp_path, monkeypatch):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("kind,column,shift,rc", [
+    ("frontier", "precision_inv", 2e-6, 2),
+    ("frontier", "precision_inv", 0.5e-6, 0),
+    ("noise", "precision_inv", 2e-6, 2),
+    ("noise", "precision_inv", 0.5e-6, 0),
+    ("noise", "var_x", -2e-9, 2),
+    ("noise", "var_x", -0.5e-9, 0),
+])
+def test_cli_sweep_checks_every_row_against_its_ceiling_and_floor(
+        tmp_path, capsys, monkeypatch, kind, column, shift, rc):
+    """The last row is moved to its ceiling or its noise floor
+    (2p - p^2) N/4 plus a shift: past the slack the sweep exits 2."""
+    import qmetro.cli
+    name = "squeezing_frontier" if kind == "frontier" else "noisy_scaling_sweep"
+    real = getattr(qmetro.cli, name)
+
+    def moved(*args, **kwargs):
+        out = real(*args, **kwargs)
+        records = out if kind == "frontier" else out.records
+        rec = records[-1]
+        edge = (rec.ceiling if column == "precision_inv"
+                else (2 * rec.p - rec.p ** 2) * rec.n / 4)
+        records[-1] = dataclasses.replace(rec, **{column: edge + shift})
+        return out
+
+    monkeypatch.setattr(qmetro.cli, name, moved)
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--kind", kind, "--n", "8", "--points", "8",
+                 "--n-list", "4,6", "--p", "0.25", "--out", str(out)]) == rc
+    err = capsys.readouterr().err
+    assert out.exists()
+    if rc:
+        assert ("exceeds the ceiling" if column == "precision_inv"
+                else "below the noise floor") in err
+    else:
+        assert err == ""
+
+
 def test_cli_usage_errors_exit_one(tmp_path, capsys):
     assert main(["state", "--kind", "nope", "--n", "4", "--out", "x.json"]) == 1
     assert main(["qfi", str(tmp_path / "missing.json")]) == 1
@@ -826,13 +867,31 @@ def test_cli_selftest_small(capsys):
     assert "PASS" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("direction", ["0,0,0", "nan,0,1", "1,inf,0"])
+@pytest.mark.parametrize("direction", ["0,0,0", "nan,0,1", "1,inf,0", "inf,0,0",
+                                       "nan,nan,nan"])
 def test_cli_qfi_rejects_zero_or_non_finite_direction(tmp_path, capsys, direction):
     path = tmp_path / "ghz.json"
     serialize.write_state(ghz(3), str(path))
     assert main(["qfi", str(path), "--generator", f"direction:{direction}"]) == 1
     captured = capsys.readouterr()
     assert "finite nonzero" in captured.err and "qfi =" not in captured.out
+
+
+@pytest.mark.parametrize("direction,same_as", [
+    ("1e200,1e200,0", "direction:1,1,0"),
+    ("1e-200,1e-200,0", "direction:1,1,0"),
+    ("3e-170,0,0", "axis:x"),
+])
+def test_cli_qfi_direction_of_any_finite_scale(tmp_path, direction, same_as):
+    """Components whose norm overflows or underflows name the same axis."""
+    path = tmp_path / "sq.json"
+    serialize.write_state(squeezed_ground_state(SqueezingSpec(20, 3.0)), str(path))
+    values = []
+    for spec in (f"direction:{direction}", same_as):
+        report = tmp_path / "r.json"
+        assert main(["qfi", str(path), "--generator", spec, "--out", str(report)]) == 0
+        values.append(json.loads(report.read_text())["qfi"])
+    assert values[0] == pytest.approx(values[1], rel=1e-12)
 
 
 def test_cli_witness_names_unknown_criteria(tmp_path, capsys):
