@@ -15,7 +15,7 @@ from .states import (QuantumState, SqueezingSpec, dicke, ghz, maximally_mixed,
 from .fisher import (CfiResult, FisherMatrix, Povm, QfiResult, bures_fidelity,
                      classical_fisher, concave_roof_oracle, convex_roof_oracle,
                      crb_matrix, fisher_matrix, mandelstam_tamm_check, qfi,
-                     qfi_alternative, qfi_pure, roof_sandwich_check, sld,
+                     qfi_alternative, roof_sandwich_check, sld,
                      white_noise_qfi, wigner_yanase, zeno_time)
 from .witnesses import (AvgQfiReport, DepthCertificate, MomentSet, WitnessReport,
                         avg_qfi, avg_two_particle_dm, chi_squared,

@@ -22,13 +22,14 @@ psi as its column and an implicit zero kernel; a density its block
 eigendecomposition, kept on a ``QuantumState``.  Every Fisher quantity is
 one pair sum over it (``_pair_sum``) with its own weights: (l_k - l_l)^2 /
 (l_k + l_l) for F_Q, l_k l_l / (l_k + l_l) for the second-moment form and
-sqrt(l_k l_l) for the skew information's Tr(A sqrt(rho) A sqrt(rho)).
+(sqrt(l_k) - sqrt(l_l))^2 for the skew information.
 V^dag A V is formed in one place, by blocks of rows (``_transform``), and
 the SLD is a ``sandwich`` of the same rows.  Every other root of a state is
 its one factor rho = R R^dag on the kept spectrum (``linalg.psd_factor``,
 under the one PSD rule; psi for a vector): the fidelity takes the r x r
-R^dag rho_2 R, the SLD trace ||L R||_F^2, both roofs R^dag A R, and a
-``Povm`` keeps each element as its factor.
+R^dag rho_2 R, the speed bound R^dag U R (U turning the r columns of R),
+the SLD trace ||L R||_F^2, both roofs R^dag A R, and a ``Povm`` keeps each
+element as its factor.
 """
 
 from __future__ import annotations
@@ -42,7 +43,8 @@ from .config import (CRB_RCOND, FISHER_FLOOR, PROB_FLOOR, QFI_PAIR_FLOOR, ROOF_T
 from .linalg import (SpectralDecomposition, eigh_hermitian, psd_factor, rank_floor_sqrt,
                      require_hermitian, row_blocks)
 from .spin import SYMMETRIC_MAX, as_operator, symmetric_rep
-from .states import QuantumState, braket, check_same_rep, evolve, operator_moments
+from .states import (QuantumState, braket, check_same_rep, evolve, operator_moments,
+                     propagate)
 
 # ----------------------------------------------------------------------
 # input adapters
@@ -199,19 +201,6 @@ def qfi(state, op) -> QfiResult:
     return QfiResult(float(F[0, 0]), skipped)
 
 
-def qfi_pure(state, op) -> float:
-    """4 Var(A) -- valid for pure states only."""
-    A, data = _inputs(state, op)
-    if data.ndim != 1:
-        purity = float(np.real(np.vdot(data, data)))
-        if abs(purity - 1.0) > 1e-9:
-            raise ValueError(f"qfi_pure needs a pure state; purity={purity:.6f}")
-        dec = _eigensystem(state, data)
-        data = dec.columns([int(np.argmax(dec.values))])[:, 0]
-    _, var = _mean_and_var(data, A)
-    return 4.0 * var
-
-
 def qfi_alternative(state, op) -> float:
     """Second-moment form 4<A^2> - 8 sum l_k l_l / (l_k + l_l) |<k|A|l>|^2."""
     A, data = _inputs(state, op)
@@ -254,34 +243,30 @@ def sld(state, op) -> np.ndarray:
 
 
 def wigner_yanase(state, op) -> float:
-    """Skew information Tr(A^2 rho) - Tr(A sqrt(rho) A sqrt(rho)), the cross
-    term being half the pair sum of sqrt(l_k l_l) (l_k + l_l), with no d x d
-    sqrt(rho), on the spectrum that ``rank_floor_sqrt``, the PSD rule of
+    """Skew information Tr(A^2 rho) - Tr(A sqrt(rho) A sqrt(rho)) = 1/2 sum_kl
+    (sqrt(l_k) - sqrt(l_l))^2 |A_kl|^2, non-negative term by term, with no
+    d x d sqrt(rho), on the spectrum that ``rank_floor_sqrt``, the PSD rule of
     ``psd_sqrt``, checks and takes roots of: zero where the root is."""
     A, data = _inputs(state, op)
     dec = _eigensystem(state, data)
     dec = replace(dec, values=np.where(rank_floor_sqrt(dec.values) > 0, dec.values, 0.0))
-    S, _ = _pair_sum(dec, [A], lambda lam_k, lam_l: (np.sqrt(lam_k[:, None] * lam_l)
-                                                    * (lam_k[:, None] + lam_l)))
-    return float(np.real(braket(data, (A,), (A,)))) - float(S[0, 0]) / 2.0
+    S, _ = _pair_sum(dec, [A], lambda lam_k, lam_l: ((np.sqrt(lam_k)[:, None] - np.sqrt(lam_l))
+                                                    ** 2 * (lam_k[:, None] + lam_l)))
+    return float(S[0, 0]) / 4.0
 
 
 def white_noise_qfi(pure_state, op, p: float) -> float:
     """Closed-form QFI of p|psi><psi| + (1-p) I/D.
 
     Only the support<->kernel eigenvalue pairs contribute, giving
-    F = 4 p^2 Var_psi(A) / (p + 2(1-p)/D).
+    F = p^2 F_psi / (p + 2(1-p)/D), F_psi = 4 Var_psi(A) the ``qfi`` of psi.
     """
     A, data = _inputs(pure_state, op)
     if data.ndim != 1:
         raise ValueError("white_noise_qfi takes the pure input state")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    dim = data.shape[0]
-    _, var = _mean_and_var(data, A)
-    if p == 0.0:
-        return 0.0
-    return 4.0 * p * p * var / (p + 2.0 * (1.0 - p) / dim)
+    return p * p * qfi(pure_state, A).value / (p + 2.0 * (1.0 - p) / data.shape[0])
 
 
 def zeno_time(state, op) -> float:
@@ -335,17 +320,20 @@ def mandelstam_tamm_check(state, op, theta: float) -> SpeedBoundCheck:
     """Check F_B(rho, rho_theta) >= cos^2(sqrt(F_Q/4) theta).
 
     Valid while sqrt(F_Q)|theta| <= pi; outside that window the bound is
-    meaningless and the call is rejected.
+    meaningless and the call is rejected.  With rho = R R^dag (``psd_factor``;
+    psi for a vector), F_B = (sum of the singular values of M = R^dag U R)^2,
+    U turning the r columns of R (``states.propagate``): no rotated density,
+    generator spectrum or unitary is formed.
     """
-    A = as_operator(op)
-    F = qfi(state, A).value
-    if np.sqrt(max(F, 0.0)) * abs(theta) > np.pi + 1e-12:
-        raise ValueError(
-            f"speed bound valid only for sqrt(F_Q)|theta| <= pi "
-            f"(have {np.sqrt(F) * abs(theta):.4f})")
-    data = _payload(state)
-    fid = bures_fidelity(state, evolve(A, theta, data))
-    bound = float(np.cos(np.sqrt(max(F, 0.0)) / 2.0 * theta) ** 2)
+    A, data = _inputs(state, op)
+    root = np.sqrt(max(qfi(state, A).value, 0.0))
+    if root * abs(theta) > np.pi + 1e-12:
+        raise ValueError(f"speed bound valid only for sqrt(F_Q)|theta| <= pi "
+                         f"(have {root * abs(theta):.4f})")
+    R = psd_factor(_eigensystem(state, data))[1]
+    M = R.conj().T @ propagate(A, theta, R)
+    fid = float(np.sum(rank_floor_sqrt(np.linalg.eigvalsh(M @ M.conj().T))) ** 2)
+    bound = float(np.cos(root / 2.0 * theta) ** 2)
     return SpeedBoundCheck(fid, bound, fid >= bound - SPEED_BOUND_TOL)
 
 
@@ -406,6 +394,8 @@ def classical_fisher(state, generator, povm: Povm, theta0: float = 0.0) -> CfiRe
         data = evolve(A, theta0, data)
     povm = povm if isinstance(povm, Povm) else Povm(povm)
     B, k = povm.columns, povm.outcomes
+    if len(B) != len(data):
+        raise ValueError(f"POVM dimension {len(B)} does not match state dimension {len(data)}")
     if data.ndim == 1:
         # rho b = psi <psi|b>: with a = B^dag psi and c = B^dag A psi the column
         # terms are |a|^2, c conj(a) and, for the limit, |c|^2

@@ -600,11 +600,13 @@ def noisy_scaling_sweep(p: float, n_list, lambda_points: int = 16) -> SweepResul
     the channel.  The QFI column, at the optimum, comes from the probe's
     permutation-invariant J blocks (``depolarized_qfi``), or at p = 0 from
     the pure probe itself; no 2^N density is built.  With p > 0 it is
-    limited to N <= NOISY_QFI_MAX, and a longer list is refused before any
-    row runs; at p = 0 any symmetric-sector N is accepted.
+    limited to N <= NOISY_QFI_MAX; a longer list, or one naming an N twice,
+    is refused before any row runs; at p = 0 any symmetric-sector N is accepted.
     """
     channel = NoiseChannel("depolarizing", p=p)
     n_list = list(n_list)
+    if len(set(n_list)) < len(n_list):
+        raise ValueError(f"a particle number is listed more than once in {n_list}")
     if p > 0 and max(n_list, default=0) > NOISY_QFI_MAX:
         raise ValueError(f"the QFI column of a noisy sweep is limited to "
                          f"N <= {NOISY_QFI_MAX} (NOISY_QFI_MAX), got N={max(n_list)}")

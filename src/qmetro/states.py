@@ -17,11 +17,12 @@ operator but a mixed direction and parity sigma_y), so a real density takes
 real products only.  ``braket`` is the one evaluation of <L psi|R psi>
 (Tr(L^dag R rho) for a density) for chains of operators L and R: the
 slopes and curvatures of the metrology module, and with the same bits the
-moments <A> and <A^2> of ``operator_moments`` from one chain.  ``evolve``
-is the one evolution rule: a full-space site sum rotates by its exact
-product of 2x2 rotations, any other operator a vector by Taylor steps and a
-density with its kept ``spectrum``.  A bare matrix is accepted wherever an
-operator is.
+moments <A> and <A^2> of ``operator_moments`` from one chain.  ``propagate``
+is the one rule for U X, U = exp(-i theta A), on a vector or a d x k block:
+a full-space site sum by its exact product of 2x2 rotations, any other
+operator by Taylor steps.  ``evolve`` turns a vector by it and a density by
+the site sum's product or the kept ``spectrum``.  A bare matrix is accepted
+wherever an operator is.
 
 Squeezed states, the ground states of J_x^2 - lam J_z, come from the two
 parity blocks of that tridiagonal Hamiltonian by Noda iteration
@@ -189,20 +190,26 @@ def check_same_rep(state, op: CollectiveOperator):
         raise ValueError(f"representation mismatch: state {state.rep} vs operator {op.rep}")
 
 
-def evolve(A: CollectiveOperator, theta: float, data: np.ndarray) -> np.ndarray:
-    """psi -> U psi or rho -> U rho U^dag, U = exp(-i theta A); theta is refused first
-    if theta ||A|| is not finite.  A full-space site sum takes its product of 2x2
-    rotations on the rows, then the columns of a density; any other operator Taylor
-    steps on a vector (``unitary_apply``) and its kept ``spectrum`` on a density."""
+def propagate(A: CollectiveOperator, theta: float, X: np.ndarray) -> np.ndarray:
+    """U X, U = exp(-i theta A), for a vector or the columns of a d x k block X,
+    with no unitary formed; theta is refused first if theta ||A|| is not finite.
+    A full-space site sum takes its product of 2x2 rotations, any other
+    operator Taylor steps (``unitary_apply``)."""
     if not isfinite(theta * A.norm_bound()):
         raise ValueError(f"rotation angle theta = {theta}: theta times ||A|| must be finite")
-    if isinstance(A, _SiteSum):
-        rows = A.propagate(theta, data)
-        return rows if data.ndim == 1 else A.propagate(theta, rows, columns=True)
-    if data.ndim == 1:
-        return unitary_apply(A, theta, data)
-    U = unitary_exp(A.spectrum, theta)
-    return U @ data @ U.conj().T
+    return A.propagate(theta, X) if isinstance(A, _SiteSum) else unitary_apply(A, theta, X)
+
+
+def evolve(A: CollectiveOperator, theta: float, data: np.ndarray) -> np.ndarray:
+    """psi -> U psi or rho -> U rho U^dag, U = exp(-i theta A): a vector by
+    ``propagate``, a density under a full-space site sum by the same product on
+    its rows, then its columns, and under any other operator by its kept
+    ``spectrum``.  A non-finite theta ||A|| reaches ``propagate``'s refusal."""
+    if data.ndim == 2 and not isinstance(A, _SiteSum) and isfinite(theta * A.norm_bound()):
+        U = unitary_exp(A.spectrum, theta)
+        return U @ data @ U.conj().T
+    rows = propagate(A, theta, data)
+    return rows if data.ndim == 1 else A.propagate(theta, rows, columns=True)
 
 
 def rotate(state: QuantumState, generator: CollectiveOperator, theta: float) -> QuantumState:

@@ -12,7 +12,7 @@ from qmetro.config import FD_STEP
 from qmetro.fisher import (Povm, bures_fidelity, classical_fisher,
                            concave_roof_oracle, convex_roof_oracle, crb_matrix,
                            fisher_matrix, mandelstam_tamm_check, qfi,
-                           qfi_alternative, qfi_pure, roof_sandwich_check, sld,
+                           qfi_alternative, roof_sandwich_check, sld,
                            sld_trace, white_noise_qfi, wigner_yanase, zeno_interval,
                            zeno_time)
 from qmetro.spin import collective_op, full_rep, gradient_op, parity_op, symmetric_rep
@@ -40,18 +40,12 @@ def test_qfi_polarized_equals_4var():
 
 def test_qfi_pure_examples():
     d = dicke(4, 2)
-    assert qfi_pure(d, collective_op("x", d.rep)) == pytest.approx(12.0, abs=1e-9)
+    assert qfi(d, collective_op("x", d.rep)).value == pytest.approx(12.0, abs=1e-9)
     # an eigenstate of the generator carries no phase information
     st = polarized(5, "z")
-    assert qfi_pure(st, collective_op("z", st.rep)) == pytest.approx(0.0, abs=1e-12)
+    assert qfi(st, collective_op("z", st.rep)).value == pytest.approx(0.0, abs=1e-12)
     g = ghz(6)
-    assert qfi_pure(g, collective_op("z", g.rep)) == pytest.approx(6.0, abs=1e-9)
-
-
-def test_qfi_pure_rejects_mixed():
-    mm = maximally_mixed(symmetric_rep(2))
-    with pytest.raises(ValueError, match="pure"):
-        qfi_pure(mm, collective_op("x", mm.rep))
+    assert qfi(g, collective_op("z", g.rep)).value == pytest.approx(6.0, abs=1e-9)
 
 
 def test_qfi_rep_mismatch_rejected():
@@ -272,6 +266,14 @@ def test_povm_validation():
         Povm([np.array([[1.0, 1.0], [0.0, 0.0]]), np.array([[0.0, -1.0], [0.0, 1.0]])])
     with pytest.raises(ValueError, match="identity"):
         Povm.projective(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("pure", [True, False], ids=["vector", "density"])
+def test_classical_fisher_refuses_a_povm_of_another_dimension(pure):
+    st = dicke(4, 2) if pure else maximally_mixed(symmetric_rep(4))
+    povm = Povm.projective(np.eye(4))
+    with pytest.raises(ValueError, match="POVM dimension 4 does not match state dimension 5"):
+        classical_fisher(st, collective_op("y", st.rep), povm)
 
 
 # ------------------------------------------------- fisher matrix
@@ -645,6 +647,33 @@ def test_speed_bound_window_enforced():
         mandelstam_tamm_check(g, collective_op("x", g.rep), 1.0)
 
 
+def _speed_bound_cases():
+    from qmetro.spin import direction_op
+    third = np.ones(3) / np.sqrt(3.0)
+    mixed, singlet = mix_white_noise(ghz(10, full_rep(10)), 0.6), singlet_pi(8)
+    g = ghz(12, full_rep(12))
+    cases = [("mixed-10 J_x", mixed, collective_op("x", mixed.rep)),
+             ("singlet-8 gradient", singlet, gradient_op(singlet.rep)),
+             ("ghz-12 J_x", g, collective_op("x", g.rep)),
+             ("ghz-12 (1,1,1)", g, direction_op(third, g.rep))]
+    for n in (200, 1000):
+        sym = ghz_dicke_density(n)
+        cases += [(f"ghz+dicke-{n} J_x", sym, collective_op("x", sym.rep)),
+                  (f"ghz+dicke-{n} (1,1,1)", sym, direction_op(third, sym.rep))]
+    return cases
+
+
+def test_speed_bound_fidelity_matches_the_rotated_density():
+    """The fidelity of R^dag U R against the oracle, the fidelity of the state
+    and its rotated payload, at theta = 1e-3 and at theta = 1/sqrt(F_Q)."""
+    for name, state, A in _speed_bound_cases():
+        for theta in (1e-3, 1.0 / np.sqrt(qfi(state, A).value)):
+            chk = mandelstam_tamm_check(state, A, theta)
+            want = bures_fidelity(state, rotate(state, A, theta).data)
+            assert abs(chk.fidelity - want) <= 1e-12, (name, theta, chk.fidelity, want)
+            assert chk.holds, (name, theta)
+
+
 # ------------------------------------------------- skew information
 
 def test_wigner_yanase_values(rng):
@@ -669,6 +698,28 @@ def test_skew_information_sandwich(rng):
         assert I >= -1e-10
         assert 4 * I <= F + 1e-8
         assert F <= 4 * var + 1e-8
+
+
+def test_wigner_yanase_is_never_negative():
+    """Each term of the pair sum is non-negative: on states where the skew
+    information is 0 in exact arithmetic it reads 0 or a round-off above it
+    (the difference <A^2> - Tr(A sqrt(rho) A sqrt(rho)) read -1.6e-15 on
+    singlet-8 and -5.6e-17 on polarized N = 1 along x under J_x)."""
+    s8 = singlet_pi(8)
+    for axis in "xyz":
+        A = collective_op(axis, s8.rep)
+        assert 0.0 <= wigner_yanase(s8, A) <= 1e-12 * 16.0, axis
+    for rep in (symmetric_rep(1), full_rep(1)):
+        for along in "xyz":
+            st = polarized(1, along, rep)
+            for axis in "xyz":
+                wy = wigner_yanase(st, collective_op(axis, rep))
+                assert wy >= 0.0 and abs(wy - (axis != along) / 4.0) <= 1e-15, (along, axis)
+    for n in (4, 7, 10):
+        for rep in (symmetric_rep(n), full_rep(n)):
+            Jz = collective_op("z", rep)
+            for m in range(n + 1):
+                assert 0.0 <= wigner_yanase(dicke(n, m, rep), Jz) <= 1e-12 * n * n, (n, m)
 
 
 # ------------------------------------------------- zeno time
@@ -1106,6 +1157,25 @@ def test_fidelity_and_convex_roof_take_the_factor_in_bounded_memory():
     Jx = collective_op("x", mixed.rep)
     qfi(mixed, Jx)
     assert _traced_peak(lambda: convex_roof_oracle(mixed, Jx)) < 48 * 2 ** 20
+
+
+def test_speed_bound_turns_the_factor_in_bounded_memory():
+    """With the spectrum kept, the speed bound of the rank-2 symmetric density
+    turns its 1001 x 2 factor, with no rotated density, generator spectrum or
+    unitary (76 MiB traced through the rotated density), and completes at the
+    largest symmetric N."""
+    sym = ghz_dicke_density(1000)
+    Jx = collective_op("x", sym.rep)
+    qfi(sym, Jx)
+    assert _traced_peak(lambda: mandelstam_tamm_check(sym, Jx, 1e-3)) < 8 * 2 ** 20
+    rep = symmetric_rep(4096)
+    g = ghz(4096, rep).data.real
+    rho = np.outer(g, g)
+    rho *= 0.5
+    rho[2048, 2048] += 0.5   # the Dicke state |N/2, 0> is a unit vector
+    big = QuantumState(rep, rho)
+    del rho
+    assert mandelstam_tamm_check(big, collective_op("x", rep), 1e-4).holds
 
 
 def test_every_square_root_takes_one_psd_rule():

@@ -811,6 +811,21 @@ def test_cli_noise_sweep_over_the_qfi_cap_runs_no_row(tmp_path, capsys, monkeypa
     assert rows == [] and not out.exists()
 
 
+@pytest.mark.parametrize("p", ["0.25", "0"])
+def test_cli_noise_sweep_of_a_repeated_n_runs_no_row(tmp_path, capsys, monkeypatch, p):
+    """A particle number named twice is refused before any row runs; it wrote
+    repeated rows and fitted an exponent to them."""
+    import qmetro.metrology
+    rows = []
+    monkeypatch.setattr(qmetro.metrology, "squeezed_ground_states",
+                        lambda *args: rows.append(args))
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--kind", "noise", "--n-list", "4,4,4", "--p", p,
+                 "--out", str(out)]) == 1
+    assert "listed more than once" in capsys.readouterr().err
+    assert rows == [] and not out.exists()
+
+
 @pytest.mark.parametrize("rep,n", [("symmetric", 4), ("full", 12)])
 def test_cli_witness_reports_of_coherent_states(tmp_path, capsys, rep, n):
     # boundary verdicts are Python bools, so the report is written

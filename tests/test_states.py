@@ -11,7 +11,7 @@ from qmetro.states import (QuantumState, SqueezingSpec, _parity_blocks, braket, 
                            ghz, maximally_mixed, mix_white_noise, polarized, rotate,
                            singlet_pi, squeezed_ground_state, squeezed_ground_states,
                            to_full, trace_chain)
-from qmetro.fisher import qfi, qfi_pure, white_noise_qfi, bures_fidelity
+from qmetro.fisher import qfi, white_noise_qfi, bures_fidelity
 from conftest import dicke_isometry, rand_density, rand_pure
 
 
@@ -78,9 +78,9 @@ def test_to_full_refuses_a_density_past_the_cap_before_its_gather():
 
 def test_ghz_values():
     g = ghz(3)
-    assert qfi_pure(g, collective_op("x", g.rep)) == pytest.approx(9.0, abs=1e-9)
-    assert qfi_pure(g, collective_op("y", g.rep)) == pytest.approx(3.0, abs=1e-9)
-    assert qfi_pure(g, collective_op("z", g.rep)) == pytest.approx(3.0, abs=1e-9)
+    assert qfi(g, collective_op("x", g.rep)).value == pytest.approx(9.0, abs=1e-9)
+    assert qfi(g, collective_op("y", g.rep)).value == pytest.approx(3.0, abs=1e-9)
+    assert qfi(g, collective_op("z", g.rep)).value == pytest.approx(3.0, abs=1e-9)
     assert g.expectation(collective_op("z", g.rep)) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -111,7 +111,7 @@ def test_ghz_z_axis_form():
     v = np.zeros(5)
     v[0] = v[4] = 1 / np.sqrt(2)
     assert np.abs(np.abs(g.data) - v).max() <= 1e-12
-    assert qfi_pure(g, collective_op("z", g.rep)) == pytest.approx(16.0, abs=1e-9)
+    assert qfi(g, collective_op("z", g.rep)).value == pytest.approx(16.0, abs=1e-9)
 
 
 def test_ghz_reps_agree():
@@ -159,7 +159,7 @@ def test_dicke_moments_and_qfi():
     assert d.expectation(Jx.matrix @ Jx.matrix) == pytest.approx(3.0, abs=1e-12)
     assert d.expectation(Jy.matrix @ Jy.matrix) == pytest.approx(3.0, abs=1e-12)
     assert d.expectation(Jz.matrix @ Jz.matrix) == pytest.approx(0.0, abs=1e-12)
-    assert qfi_pure(d, Jx) == pytest.approx(12.0, abs=1e-9)
+    assert qfi(d, Jx).value == pytest.approx(12.0, abs=1e-9)
 
 
 def test_dicke_m0_is_polarized():
@@ -325,6 +325,15 @@ def test_white_noise_ghz2_frozen_value():
     closed = white_noise_qfi(g, Jx, 0.5)
     assert direct == pytest.approx(4.0 / 3.0, abs=1e-9)
     assert closed == pytest.approx(direct, abs=1e-9)
+
+
+def test_white_noise_qfi_at_p_one_is_the_qfi_of_the_vector():
+    """Var(A) from the residual pair sum of qfi, not <A^2> - <A>^2, which was
+    3.7e-10 relative off on this squeezed vector."""
+    sq = squeezed_ground_state(SqueezingSpec(1000, 500.0))
+    Jz = collective_op("z", sq.rep)
+    want = qfi(sq, Jz).value
+    assert abs(white_noise_qfi(sq, Jz, 1.0) - want) <= 1e-12 * want
 
 
 @pytest.mark.parametrize("pure", [True, False], ids=["pure", "density"])
