@@ -18,6 +18,14 @@ DIRECTION_NORM = 1e-9
 # Eigenvalue-pair floor in the Fisher-information sums: terms with
 # lambda_k + lambda_l below this are dropped (zero-support pairs).
 QFI_PAIR_FLOOR = 1e-12
+# Width of a density's eigenvalue floor: the eigenvalues within this of the
+# smallest (of a unit-trace density) are one degenerate floor, folded into an
+# implicit kernel of their mean l0 by the Fisher pair sums whose weights vanish
+# on equal eigenvalues (F_Q, the skew information, the SLD).  The within-floor
+# terms it drops, 2 (l_k - l_l)^2 / (l_k + l_l) |A_kl|^2 <= 2 |l_k - l_l| |A_kl|^2,
+# sum to at most 2 FLOOR_WIDTH ||A||_F^2 in F_Q, and each floor-support weight
+# moves by at most 6 FLOOR_WIDTH.  Round-off spreads a floor by ~1e-15.
+FLOOR_WIDTH = 1e-13
 # Probability floor for classical Fisher information outcomes.
 PROB_FLOOR = 1e-12
 # A QFI at or below this is no Fisher information: the Zeno time and the

@@ -6,7 +6,13 @@ The closed-form quantum Fisher information
 
 is evaluated in the eigenbasis of rho, dropping the pairs whose eigenvalue
 sum falls below a floor (both numerically zero): the sum stays on the
-support and the symmetric logarithmic derivative (SLD) finite.  ``qfi`` is
+support and the symmetric logarithmic derivative (SLD) finite.  Its terms
+vanish on every pair of equal eigenvalues, so a density is summed in its
+support and floor form (Liu, Jing & Wang, Commun. Theor. Phys. 61, 45
+(2014)): the eigenvalues within FLOOR_WIDTH of the smallest are one implicit
+kernel of eigenvalue l0 (``linalg.fold_floor``; l0 = 0 below a low rank,
+(1 - p)/D under white noise), and the other r its support, so that each
+generator costs O(d r), with no d x d table or transform.  ``qfi`` is
 the 1x1 Fisher matrix.  Alongside live the second-moment form, the SLD, the
 exact classical Fisher information of a readout (a ``Povm`` kept as outcome
 columns; dp_k = 2 Im Tr(E_k A rho)), Bures fidelity, speed and Zeno-time
@@ -22,7 +28,11 @@ psi as its column and an implicit zero kernel; a density its block
 eigendecomposition, kept on a ``QuantumState``.  Every Fisher quantity is
 one pair sum over it (``_pair_sum``) with its own weights: (l_k - l_l)^2 /
 (l_k + l_l) for F_Q, l_k l_l / (l_k + l_l) for the second-moment form and
-(sqrt(l_k) - sqrt(l_l))^2 for the skew information.
+(sqrt(l_k) - sqrt(l_l))^2 for the skew information.  The weights of F_Q, the
+skew information and the SLD vanish on the floor's own pairs, so they take
+the support and floor form (``fold_floor``), the row i of the support meeting
+the kernel through the residual (1 - P) A u_i; the second-moment form's do
+not, and it keeps the whole spectrum.
 V^dag A V is formed in one place, by blocks of rows (``_transform``), and
 the SLD is a ``sandwich`` of the same rows.  Every other root of a state is
 its one factor rho = R R^dag on the kept spectrum (``linalg.psd_factor``,
@@ -40,8 +50,8 @@ import numpy as np
 
 from .config import (CRB_RCOND, FISHER_FLOOR, PROB_FLOOR, QFI_PAIR_FLOOR, ROOF_TOL,
                      SPEED_BOUND_TOL)
-from .linalg import (SpectralDecomposition, eigh_hermitian, psd_factor, rank_floor_sqrt,
-                     require_hermitian, row_blocks)
+from .linalg import (SpectralDecomposition, eigh_hermitian, fold_floor, psd_factor,
+                     rank_floor_sqrt, require_hermitian, row_blocks)
 from .spin import SYMMETRIC_MAX, as_operator, symmetric_rep
 from .states import (QuantumState, braket, check_same_rep, evolve, operator_moments,
                      propagate)
@@ -98,7 +108,7 @@ def _eigensystem(state, data: np.ndarray) -> SpectralDecomposition:
     if data.ndim == 1:
         return SpectralDecomposition(np.empty(0, int), slice(None), np.ones(1), data[:, None])
     if isinstance(state, QuantumState):
-        return state._memoized("spectrum", lambda: eigh_hermitian(data))
+        return state._memoized("spectrum", lambda: eigh_hermitian(data, state._memo["coupled"]))
     if data.shape[0] > (most := symmetric_rep(SYMMETRIC_MAX).dim):
         raise ValueError(f"density dimension {data.shape[0]} exceeds {most}")
     return eigh_hermitian(data)
@@ -134,17 +144,25 @@ def _transform(dec: SpectralDecomposition, A, Vr: np.ndarray, images=None) -> tu
     return X @ W, -k % 4
 
 
+def _residual(dec: SpectralDecomposition, Y: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """(1 - P) A u_i = 1j**k (Y - U T^dag) for A U_r = 1j**k Y (``_transform``'s
+    image of the columns U_r) and T its rows of V^dag A V, P = U U^dag on the
+    support columns U: the parts of A u_i in the kernel, with no cancellation."""
+    return Y - dec.columns() @ T.conj().T
+
+
 def _pair_sum(dec: SpectralDecomposition, ops, numerator) -> tuple[np.ndarray, int]:
     """S_mn = 2 sum_kl w_kl Re(T^m_kl conj T^n_kl) for the generators ops, with
     T^n = V^dag A_n V (``_transform``) and w_kl = numerator(l_k, l_l) / (l_k + l_l)
     (symmetric) on the pairs that reach QFI_PAIR_FLOOR, and the number of pairs
     dropped, by blocks of rows k against every l (``linalg.row_blocks``; one
-    pass at d <= 362).  Row i pairs with the kernel (eigenvalue 0) through
-    sum_{j in kernel} T^m_ij conj T^n_ij = <(1 - P) A_m u_i|(1 - P) A_n u_i>,
-    P = U U^dag on the kept columns U: the residual of A u_i = 1j**k Y is
-    1j**k (Y - U T^dag), with no cancellation, and both orders weigh 2 w_i0."""
-    S, lam, skipped, zero = np.zeros((len(ops), len(ops))), dec.values, 0, np.zeros(1)
-    kernel = dec.uncoupled.size + dec.block_vectors.shape[0] - lam.size
+    pass at d <= 362).  Row i pairs with the kernel (eigenvalue l0 = ``floor``)
+    through sum_{j in kernel} T^m_ij conj T^n_ij = <(1 - P) A_m u_i|(1 - P) A_n u_i>
+    (``_residual``), and both orders weigh 2 w_i0; the kernel's own pairs weigh
+    numerator(l0, l0) = 0, since only weights that vanish on equal eigenvalues
+    meet a kernel of l0 > 0 (``fold_floor``)."""
+    S, lam, skipped = np.zeros((len(ops), len(ops))), dec.values, 0
+    kernel, floor = dec.dim - lam.size, np.array([dec.floor])
     for r in row_blocks(lam.size):
         W, keep = _pair_ratio(lam[r], lam, numerator(lam[r], lam), QFI_PAIR_FLOOR)
         skipped += keep.size - int(np.count_nonzero(keep))
@@ -152,19 +170,19 @@ def _pair_sum(dec: SpectralDecomposition, ops, numerator) -> tuple[np.ndarray, i
         transforms = [_transform(dec, A, Vr, images) for A in ops]
         del Vr
         if kernel:
-            w, keep = _pair_ratio(lam[r], zero, numerator(lam[r], zero), QFI_PAIR_FLOOR)
+            w, keep = _pair_ratio(lam[r], floor, numerator(lam[r], floor), QFI_PAIR_FLOOR)
             skipped += 2 * kernel * (keep.size - int(np.count_nonzero(keep)))
-            _fisher_block(S, 2.0 * w, [((Y - dec.columns() @ T.conj().T).conj().T, p)
+            _fisher_block(S, 2.0 * w, [(_residual(dec, Y, T).conj().T, p)
                                        for (Y, _), (T, p) in zip(images, transforms)])
         _fisher_block(S, W, transforms)
         del transforms, images
-    return S, skipped + kernel ** 2
+    return S, skipped + kernel ** 2 * bool(2.0 * dec.floor < QFI_PAIR_FLOOR)
 
 
 def _fisher(state, ops) -> tuple[np.ndarray, int]:
     """Fisher matrix of the generators (CollectiveOperators) and the number of
-    dropped pairs."""
-    return _pair_sum(_eigensystem(state, _payload(state)), ops,
+    dropped pairs, on the support and floor of the state's spectrum."""
+    return _pair_sum(fold_floor(_eigensystem(state, _payload(state))), ops,
                      lambda lam_k, lam_l: (lam_k[:, None] - lam_l) ** 2)
 
 
@@ -213,20 +231,27 @@ def sld(state, op) -> np.ndarray:
     """Symmetric logarithmic derivative for unitary dynamics generated by op.
 
     Satisfies (L rho + rho L)/2 = i(rho A - A rho) and Tr(rho L^2) = F_Q, and
-    is zero between kernel vectors.  On the kept spectrum L = V (2i (l_k - l_l)
-    / (l_k + l_l) T_kl) V^dag, a ``sandwich`` of the rows V^dag A V = 1j**k T
-    (``_transform``, by blocks); a real T gives a real or imaginary L.  The
-    pairs with the kernel add 2i(PA - AP), P = U U^dag on the kept columns U.
+    is zero between kernel vectors.  On the support (``fold_floor``) L = V (2i
+    (l_k - l_l) / (l_k + l_l) T_kl) V^dag, a ``sandwich`` of the rows
+    V^dag A V = 1j**k T (``_transform``, by blocks); a real T gives a real or
+    imaginary L.  The pairs with the kernel (eigenvalue l0) add
+    2i sum_i c_i (u_i z_i^dag - z_i u_i^dag), z_i = (1 - P) A u_i the
+    ``_residual`` and c_i = (l_i - l0) / (l_i + l0), 1 at l0 = 0.
     """
     A, data = _inputs(state, op)
-    dec = _eigensystem(state, data)
-    lam, T, images = dec.values, None, [] if data.shape[0] > dec.values.size else None
+    dec = fold_floor(_eigensystem(state, data))
+    lam, T, images = dec.values, None, [] if dec.dim > dec.values.size else None
+    rows = []   # with a kernel, the unweighted rows of each block
     for r in row_blocks(lam.size):
         Tr, k = _transform(dec, A, dec.columns(r), images)
+        if images is not None:
+            rows.append(Tr.copy())
         Tr *= _pair_ratio(lam[r], lam, lam[r, None] - lam, QFI_PAIR_FLOOR)[0]
         T = np.empty((lam.size,) * 2, Tr.dtype) if T is None else T
         T[r] = Tr
         del Tr
+    if T is None:   # every eigenvalue is the floor's: L = 0
+        return np.zeros((dec.dim,) * 2, dtype=complex)
     c = 2j * 1j ** k
     T *= c if np.iscomplexobj(T) else c.real or c.imag   # c is real or imaginary
     L = dec.sandwich(T)
@@ -235,10 +260,16 @@ def sld(state, op) -> np.ndarray:
         L, S = np.zeros(L.shape, dtype=complex), L
         (L.imag if c.imag else L.real)[...] = S
         del S
-    for r, (Y, j) in zip(row_blocks(lam.size), images or ()):
-        U = dec.columns(r)   # 2i(U (AU)^dag - (AU) U^dag) for AU = 1j**j Y
+    if images is None:
+        return L
+    floor = np.array([dec.floor])
+    for r, (Y, j), Tr in zip(row_blocks(lam.size), images, rows):
+        # 2i(U_c Z^dag - Z U_c^dag) for (1 - P) A U = 1j**j Z and U_c = U diag(c)
+        Z = _residual(dec, Y, Tr)
+        Uc = dec.columns(r) * _pair_ratio(lam[r], floor, lam[r, None] - floor,
+                                          QFI_PAIR_FLOOR)[0].T
         for b in row_blocks(L.shape[0]):
-            L[b] += 2j * (1j ** -j * U[b] @ Y.conj().T - 1j ** j * Y[b] @ U.conj().T)
+            L[b] += 2j * (1j ** -j * Uc[b] @ Z.conj().T - 1j ** j * Z[b] @ Uc.conj().T)
     return L
 
 
@@ -250,8 +281,8 @@ def wigner_yanase(state, op) -> float:
     A, data = _inputs(state, op)
     dec = _eigensystem(state, data)
     dec = replace(dec, values=np.where(rank_floor_sqrt(dec.values) > 0, dec.values, 0.0))
-    S, _ = _pair_sum(dec, [A], lambda lam_k, lam_l: ((np.sqrt(lam_k)[:, None] - np.sqrt(lam_l))
-                                                    ** 2 * (lam_k[:, None] + lam_l)))
+    S, _ = _pair_sum(fold_floor(dec), [A], lambda lam_k, lam_l: (
+        (np.sqrt(lam_k)[:, None] - np.sqrt(lam_l)) ** 2 * (lam_k[:, None] + lam_l)))
     return float(S[0, 0]) / 4.0
 
 

@@ -27,8 +27,10 @@ M_ii and a 1 x 1 block of a Cholesky factor (``coupled_indices``).
 ``eigh_hermitian`` and the PSD check of a state hand LAPACK the coupled
 block only, and the spectrum keeps its eigenvectors W beside the pairs
 (M_ii, e_i), its one form: V X V^dag is formed block by block, with no
-dense d x d V.  Passes over a d x d matrix run in blocks of rows
-(``row_blocks``).
+dense d x d V.  A density's spectrum also has a support and floor form
+(``fold_floor``): the eigenvalues of its degenerate floor as one implicit
+kernel, the rest as d x r columns.  Passes over a d x d matrix run in
+blocks of rows (``row_blocks``).
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import HERMITICITY, PSD_FLOOR
+from .config import FLOOR_WIDTH, HERMITICITY, PSD_FLOOR
 
 _UNIT_ROUNDOFF = 2.0 ** -53  # the Taylor stopping rule's tolerance, as in expm_multiply
 _TAYLOR_MAX_STEPS = 50_000  # the step budget of unitary_apply
@@ -104,12 +106,19 @@ class SpectralDecomposition:
     the pairs (M_uu, e_u) of the uncoupled indices u, then M[c, c] = W diag(l_c)
     W^dag (``values``, the M_uu then the l_c, orders V's columns; ``coupled`` is
     slice(None) when W is every eigenvector).  V is never kept dense.  With no
-    uncoupled index W may be d x r, r < d: the rest is an implicit zero kernel."""
+    uncoupled index W may be d x r, r < d: the support, its r eigenvectors, and
+    the rest an implicit kernel of the one eigenvalue ``floor`` (0 for a
+    vector's rank-one spectrum; ``fold_floor`` gives a density this form)."""
 
     uncoupled: np.ndarray
     coupled: np.ndarray | slice
     values: np.ndarray
     block_vectors: np.ndarray
+    floor: float = 0.0
+
+    @property
+    def dim(self) -> int:
+        return self.uncoupled.size + self.block_vectors.shape[0]
 
     def columns(self, cols=slice(None)) -> np.ndarray:
         """The eigenvectors of ``values[cols]`` as columns of length d."""
@@ -167,7 +176,7 @@ def coupled_indices(M: np.ndarray) -> np.ndarray:
     return coupled
 
 
-def eigh_hermitian(M: np.ndarray) -> SpectralDecomposition:
+def eigh_hermitian(M: np.ndarray, coupled: np.ndarray | None = None) -> SpectralDecomposition:
     """Full eigendecomposition of a Hermitian matrix, in block form.
 
     Rejects non-Hermitian input with a diagnostic naming the maximum
@@ -178,10 +187,14 @@ def eigh_hermitian(M: np.ndarray) -> SpectralDecomposition:
     LAPACK solves only the coupled block M[c, c] (``coupled_indices``), kept
     with the uncoupled pairs (M_uu, e_u).  A matrix with every index coupled
     is one LAPACK call on M (one with no zero entry is told by one count, with
-    no mask), and a diagonal matrix none.  The arrays are read-only.
+    no mask), and a diagonal matrix none.  The arrays are read-only.  Given
+    ``coupled``, the mask of a matrix its caller has already checked Hermitian
+    (a ``QuantumState``'s payload), neither scan is repeated.
     """
-    M = require_hermitian(real_if_exact(M))
-    if (coupled := coupled_indices(M)).all():
+    M = real_if_exact(M)
+    if coupled is None:
+        coupled = coupled_indices(require_hermitian(M))
+    if coupled.all():
         vals, W = np.linalg.eigh(M)
         vals.flags.writeable = W.flags.writeable = False
         return SpectralDecomposition(np.empty(0, dtype=int), slice(None), vals, W)
@@ -241,6 +254,25 @@ def rank_floor_sqrt(w: np.ndarray) -> np.ndarray:
         raise ValueError(f"matrix is not PSD: smallest eigenvalue {lo:.3e}")
     floor = w.size * np.finfo(float).eps * w.max(initial=0.0)
     return np.sqrt(np.where(w > floor, w, 0.0))
+
+
+def fold_floor(dec: SpectralDecomposition) -> SpectralDecomposition:
+    """The support and floor form of a density's spectrum: the eigenvalues
+    within FLOOR_WIDTH of the smallest become one implicit kernel of their
+    mean l0, and the other r its support, their eigenvectors the d x r
+    ``block_vectors``.  Exact for the pair sums whose weights vanish on equal
+    eigenvalues, up to the bound stated at FLOOR_WIDTH.  A spectrum with a
+    kernel already (a vector's) is in this form, and one whose smallest
+    eigenvalue is alone has no floor: both are returned as they are."""
+    lam = dec.values
+    if dec.dim > lam.size or lam.size < 2:
+        return dec
+    lo, second = np.sort(lam)[:2].tolist()
+    if second > lo + FLOOR_WIDTH:
+        return dec
+    low = lam <= lo + FLOOR_WIDTH
+    return SpectralDecomposition(np.empty(0, dtype=int), slice(None), lam[~low],
+                                 dec.columns(~low), float(lam[low].mean()))
 
 
 def psd_factor(dec: SpectralDecomposition) -> tuple[np.ndarray, np.ndarray]:

@@ -25,7 +25,8 @@ d x d array:
 * full-space site sums (J_n, ``gradient_op``, ``single_site_op``): site
   weights and a 2x2 operator, off the diagonal by bit flips on the (2,)*N
   tensor in O(N 2^N), on it by the exact diagonal (n_z m for J_n), and
-  exponentiated site by site;
+  exponentiated site by site; their columns, and the rows of their square,
+  are written by index with the bits of those products;
 * parity: an index flip, with a sign for sigma_z and sigma_y (and the phase
   i of sigma_y^N at odd N as k = 1);
 * ``squared_op``: the diagonal of squares for a diagonal operator (J_z^2),
@@ -203,6 +204,14 @@ class CollectiveOperator:
         unit[blk, :] = np.eye(unit.shape[1])
         return self.times(unit)
 
+    def square_rows(self, blk):
+        """(Q, k) for the rows blk of A A = 1j**k Q (k even), a C-contiguous
+        block: ``times`` of the columns blk, conjugate-transposed, A A being
+        Hermitian."""
+        F, j = self.columns(blk)
+        P, k = self.times(F)
+        return np.ascontiguousarray(P.T.conj()), j + k
+
     def _memoized(self, key: str, compute):
         """compute() on the first request for key, the kept value afterwards."""
         if key not in self._memo:
@@ -278,14 +287,34 @@ class _Banded(_Form):
     def diagonal(self):
         return self.diag if self.lower is None else None
 
-    def times(self, X):
-        """A purely imaginary band (J_y) from its imaginary parts, negated above
-        the diagonal (k = 1); a real one (J_x, a diagonal) or a complex one is
-        applied as it is."""
+    def _parts(self):
+        """((diag, lower, upper), k): the band ``times`` applies, 1j**k times it
+        the operator.  A purely imaginary band (J_y) is its imaginary parts,
+        negated above the diagonal (k = 1); a real one (J_x, a diagonal) or a
+        complex one is itself."""
         lower = self.lower
         if self.diag is None and np.iscomplexobj(lower) and not lower.real.any():
-            return _band(None, lower.imag, -lower.imag, X), 1
-        return _band(self.diag, lower, None if lower is None else np.conj(lower), X), 0
+            return (None, lower.imag, -lower.imag), 1
+        return (self.diag, lower, None if lower is None else np.conj(lower)), 0
+
+    def times(self, X):
+        parts, k = self._parts()
+        return _band(*parts, X), k
+
+    def columns(self, blk):
+        """The columns blk, written by index: at most three entries each, the
+        bits of ``times`` of unit columns."""
+        (diag, lower, upper), k = self._parts()
+        cols, d = np.arange(self.dim)[blk], self.dim
+        kinds = [p for p in (diag, lower) if p is not None]
+        out, at = np.zeros((d, cols.size), dtype=np.result_type(float, *kinds)), np.arange(cols.size)
+        if diag is not None:
+            out[cols, at] += diag[cols]
+        if lower is not None:
+            down, up = cols < d - 1, cols > 0
+            out[cols[down] + 1, at[down]] += lower[cols[down]]
+            out[cols[up] - 1, at[up]] += upper[cols[up] - 1]
+        return out, k
 
     def norm_bound(self):
         rows = np.abs(self.diag) if self.diag is not None else np.zeros(self.dim)
@@ -328,8 +357,59 @@ class _SiteSum(_Form):
         d = self.diagonal()
         if d is not None:
             return _cols(d, X) * X, 0
-        h, k = _real_factor(self.op2) or (self.op2, 0)
+        h, k = self._factor_2x2()
         return self._flips(h, X), k
+
+    def _flip_entries(self, h, cols):
+        """(rows, values) per site of nonzero weight, in site order, for the
+        entries that h at that site puts in the columns cols (indices) off the
+        diagonal: rows = cols ^ 2^(N-1-s) and w_s h[r, 1 - r] for the bit r of
+        each row, the coefficient ``_flips`` takes."""
+        n = self.weights.size
+        for s in np.flatnonzero(self.weights):
+            coef = np.array([self.weights[s] * h[r, 1 - r] for r in (0, 1)])
+            rows = cols ^ (1 << (n - 1 - s))
+            yield rows, coef[(rows >> (n - 1 - s)) & 1]
+
+    def _column_entries(self, h, cols):
+        """(P, V), the rows and values of the entries of the columns cols of
+        the site sum of h: one row of P and V per site (``_flip_entries``),
+        then the diagonal's, 0.0 + the exact ``_diagonal``, where h has one."""
+        P, V = map(np.array, zip(*self._flip_entries(h, cols)))
+        if h[0, 0] or h[1, 1]:
+            P, V = np.vstack([P, cols]), np.vstack([V, 0.0 + self._diagonal[cols]])
+        return P, V
+
+    def columns(self, blk):
+        """The columns blk of the matrix, written by index: N off-diagonal
+        entries per column and the exact ``_diagonal``, the bits of ``times``
+        of unit columns."""
+        if self.diagonal() is not None or not self.weights.any():
+            return super().columns(blk)
+        (h, k), cols = self._factor_2x2(), np.arange(self.dim)[blk]
+        P, V = self._column_entries(h, cols)
+        out = np.zeros((self.dim, cols.size), dtype=V.dtype)
+        out[P, np.arange(cols.size)] = V
+        return out, k
+
+    def square_rows(self, blk):
+        """The rows blk of A A, written by index: the terms of A's ``times`` of
+        its columns blk (``_column_entries``) added in the same order, site by
+        site and the diagonal last, into the transposed block, then conjugated."""
+        if self.diagonal() is not None or not self.weights.any():
+            return super().square_rows(blk)
+        (h, k), cols = self._factor_2x2(), np.arange(self.dim)[blk]
+        P, V = self._column_entries(h, cols)
+        out, at = np.zeros((cols.size, self.dim), dtype=V.dtype), np.arange(cols.size)
+        for rows, values in self._flip_entries(h, P):
+            out[at, rows] += values * V
+        if h[0, 0] or h[1, 1]:
+            out[at, P] += self._diagonal[P] * V
+        return np.conjugate(out, out=out), 2 * k
+
+    def _factor_2x2(self):
+        """(h, k) with op2 = 1j**k h, h real where op2 is real or imaginary."""
+        return _real_factor(self.op2) or (self.op2, 0)
 
     def _flips(self, h, v):
         """sum_s w_s h at site s, applied to v: its off-diagonal entries by adds

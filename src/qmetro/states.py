@@ -91,8 +91,10 @@ class QuantumState:
                 raise ValueError(f"density matrix trace {np.trace(d).real!r} != 1")
             # PSD within the floor <=> rho + |floor| I admits a Cholesky factor;
             # an uncoupled index is a 1 x 1 block of it, and the shift goes
-            # onto the diagonal of one copy of the coupled block
-            coupled = coupled_indices(d)
+            # onto the diagonal of one copy of the coupled block.  The mask is
+            # kept for the spectrum (``eigh_hermitian``), which needs no scan.
+            self._memo["coupled"] = coupled = coupled_indices(d)
+            coupled.flags.writeable = False
             c = np.flatnonzero(coupled)
             shifted = d[np.ix_(c, c)]
             shifted.flat[::c.size + 1] += -PSD_FLOOR

@@ -11,8 +11,9 @@ the criteria put the squeezed component on x, and those are the defaults.
 
 The moments of a density are summed over blocks of columns of rho
 (``linalg.row_blocks``): each J_l meets rho[:, blk] through its ``times``,
-with no d x d factor; the columns blk of its factor and the rows blk of
-J_l J_l come from ``times`` of unit columns, every entry exact.  The
+with no d x d factor; the columns blk of its factor (``columns``) and the
+rows blk of J_l J_l (``square_rows``) hold the bits of ``times`` of unit
+columns, every entry exact, a full-space site sum's written by index.  The
 diagonal <J_l^2> takes the same dense product of those rows with
 rho[:, blk] as before, so that exact ties between axes break as they did.
 """
@@ -111,9 +112,8 @@ def _evaluate_moments(state: QuantumState) -> MomentSet:
             # that optimal_ssi reports follows the round-off of the diagonal, so
             # it takes the rows blk of J_l J_l, each entry exact, through the
             # dense product with rho[:, blk]
-            square, power[l] = J.times(factors[l][0])
-            power[l] += factors[l][1]
-            parts[l].append(np.diagonal(np.ascontiguousarray(square.T.conj()) @ cols))
+            rows, power[l] = J.square_rows(blk)
+            parts[l].append(np.diagonal(rows @ cols))
     for l in range(3):
         G[l, l] = 1j ** power[l] * np.concatenate(parts[l]).sum()
     return MomentSet(state.n, mean, np.real(G + G.conj().T) / 2.0)

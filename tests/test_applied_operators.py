@@ -16,7 +16,7 @@ import pytest
 from qmetro import spin
 from qmetro.cli import main
 from qmetro.fisher import qfi
-from qmetro.linalg import eigh_hermitian
+from qmetro.linalg import eigh_hermitian, row_blocks
 from qmetro.serialize import write_state
 from qmetro.spin import (AXES, PAULI, CollectiveOperator, Representation, as_operator,
                          collective_op, direction_op, full_rep, gradient_op,
@@ -597,3 +597,34 @@ def test_operator_moments_are_one_chain_with_the_bits_of_two_brakets():
             calls.clear()
             assert operator_moments(A, data, second=False) == (want[0], None)
             assert len(calls) == blocks // (1 if data.ndim == 1 else 2)
+
+
+def _bits(a):
+    return a.view(np.uint64) if a.dtype == np.float64 else a.view(np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("rep", [full_rep(n) for n in range(1, 11)]
+                         + [symmetric_rep(n) for n in (1, 2, 7, 40)], ids=repr)
+def test_columns_and_square_rows_by_index_are_the_unit_column_products(rep):
+    """A site sum writes its columns blk, and the rows blk of its square, by
+    index, and a band its columns: bit for bit (signed zeros too) the
+    ``times`` of unit columns and ``times`` of those columns conjugate-
+    transposed, with the same power of 1j, for x, y, z, real, imaginary and
+    complex directions and the plain and centred gradients."""
+    ops = [collective_op(a, rep) for a in AXES]
+    ops += [direction_op(np.array(v) / np.linalg.norm(v), rep)
+            for v in ((1.0, 1.0, 0.0), (1.0, -2.0, 3.0), (0.0, 1.0, 1.0))]
+    if rep.kind == "full":
+        ops += [gradient_op(rep), gradient_op(rep, centered=True)]
+    blocks = row_blocks(rep.dim)[:3] + (slice(min(3, rep.dim - 1), 9),)
+    for A in ops:
+        for blk in blocks:
+            unit_columns = CollectiveOperator.columns(A, blk)
+            unit_square = A.times(unit_columns[0])
+            unit_square = (np.ascontiguousarray(unit_square[0].T.conj()),
+                           unit_columns[1] + unit_square[1])
+            for ours, unit in ((A.columns(blk), unit_columns), (A.square_rows(blk), unit_square)):
+                assert ours[1] == unit[1] and ours[0].dtype == unit[0].dtype, A
+                assert ours[0].shape == unit[0].shape, A
+                assert np.array_equal(_bits(ours[0]), _bits(unit[0])), (A, blk)
+            assert A.square_rows(blk)[0].flags.c_contiguous

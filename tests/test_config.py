@@ -9,6 +9,7 @@ PINNED = {
     "STATE_NORM": 1e-10,
     "DIRECTION_NORM": 1e-9,
     "QFI_PAIR_FLOOR": 1e-12,
+    "FLOOR_WIDTH": 1e-13,
     "PROB_FLOOR": 1e-12,
     "FISHER_FLOOR": 1e-12,
     "CRB_RCOND": 1e-10,

@@ -860,7 +860,7 @@ def test_roof_sandwich_reuses_the_kept_spectrum(monkeypatch):
     calls = []
     original = qmetro.fisher.eigh_hermitian
     monkeypatch.setattr(qmetro.fisher, "eigh_hermitian",
-                        lambda M: calls.append(M.shape) or original(M))
+                        lambda M, *mask: calls.append(M.shape) or original(M, *mask))
     st = mix_white_noise(ghz(4, full_rep(4)), 0.6)
     J = collective_op("x", st.rep)
     fq = qfi(st, J).value
@@ -1208,3 +1208,168 @@ def test_concave_roof_of_a_real_density_and_generator(rng):
     assert abs(cc.value - var) <= 1e-10
     chk = roof_sandwich_check(rho, A, cc.weights, cc.vectors)
     assert chk.holds and abs(chk.average_variance - var) <= 1e-10
+
+
+# ------------------------------------------- support and floor form
+
+def _whole_spectrum_sums(state, ops):
+    """The Fisher matrix, dropped-pair count and per-generator skew information
+    from the pair sums over every eigenvalue of the state's spectrum, unfolded:
+    the oracle of the support and floor form."""
+    from dataclasses import replace
+    from qmetro.fisher import _eigensystem, _pair_sum, _payload
+    from qmetro.linalg import rank_floor_sqrt
+    data = _payload(state)
+    dec = _eigensystem(state, data)
+    F, skipped = _pair_sum(dec, ops, lambda lam_k, lam_l: (lam_k[:, None] - lam_l) ** 2)
+    clamped = replace(dec, values=np.where(rank_floor_sqrt(dec.values) > 0, dec.values, 0.0))
+    wy = [_pair_sum(clamped, [A], lambda lam_k, lam_l: (
+        (np.sqrt(lam_k)[:, None] - np.sqrt(lam_l)) ** 2 * (lam_k[:, None] + lam_l)))[0][0, 0] / 4
+        for A in ops]
+    return F, skipped, wy
+
+
+def _floor_density(rng, dim, rank, lam0, real, uncoupled):
+    """A unit-trace density of dimension dim: rank eigenvalues in [0.2, 1.2)
+    above a floor lam0 of the rest (before normalising).  With ``uncoupled``
+    a third of its indices, scattered, are uncoupled and carry the floor."""
+    m = dim - dim // 3 if uncoupled else dim
+    G = rng.standard_normal((m, rank)) + (0 if real else 1j) * rng.standard_normal((m, rank))
+    Q = np.linalg.qr(G)[0]
+    block = (Q * (0.2 + rng.random(rank))) @ Q.conj().T + lam0 * (np.eye(m) - Q @ Q.conj().T)
+    rho = np.diag(np.full(dim, lam0)).astype(block.dtype)
+    idx = rng.permutation(dim)[:m]
+    rho[np.ix_(idx, idx)] = (block + block.conj().T) / 2
+    return rho / np.trace(rho).real
+
+
+def _generators(rng, dim):
+    S = rng.standard_normal((dim, dim))
+    return [S + S.T, 1j * (S - S.T), rand_hermitian(rng, dim), np.diag(S[0])]
+
+
+def _assert_folded_sums_match(state, ops, name):
+    from qmetro.spin import as_operator
+    ops = [as_operator(A) for A in ops]
+    F_want, skipped, wy_want = _whole_spectrum_sums(state, ops)
+    F = fisher_matrix(state, ops).matrix
+    scale = max(1.0, np.abs(F_want).max())
+    assert np.abs(F - F_want).max() <= 1e-12 * scale, name
+    assert np.array_equal(F, F.T), name
+    for m, A in enumerate(ops):
+        res = qfi(state, A)
+        assert abs(res.value - F_want[m, m]) <= 1e-12 * max(1.0, F_want[m, m]), name
+        assert res.skipped_pairs == skipped, name
+        assert abs(wigner_yanase(state, A) - wy_want[m]) <= 1e-12 * max(1.0, wy_want[m]), name
+    theta = 0.5 / np.sqrt(max(F_want[0, 0], 1.0))
+    bound = np.cos(np.sqrt(F_want[0, 0]) / 2.0 * theta) ** 2
+    assert abs(mandelstam_tamm_check(state, ops[0], theta).bound - bound) <= 1e-12 * bound, name
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize("lam0", [0.0, 1e-6, 1e-3])
+def test_folded_pair_sums_match_the_whole_spectrum_on_random_floors(rng, lam0, real):
+    """F_Q, the Fisher matrix, the skew information and the speed bound on the
+    support and floor form agree with the pair sums over every eigenvalue
+    within 1e-12 relative, with the same dropped-pair count, for rank 1 to 8
+    above a floor lam0, with and without uncoupled indices, over one row block
+    and several; a bare matrix and a state, which keeps its spectrum."""
+    from qmetro.fisher import _eigensystem
+    from qmetro.linalg import fold_floor
+    for n, rank, uncoupled in ((4, 1, False), (4, 3, True), (6, 8, False),
+                               (6, 2, True), (9, 8, True), (9, 1, False)):
+        rho = _floor_density(rng, 2 ** n, rank, lam0, real, uncoupled)
+        state = rho if n == 4 else QuantumState(full_rep(n), rho)
+        assert fold_floor(_eigensystem(state, rho)).values.size == rank
+        _assert_folded_sums_match(state, _generators(rng, 2 ** n), f"{n}-{rank}-{uncoupled}")
+
+
+def _sector_white_noise_ghz(n, p):
+    rep = symmetric_rep(n)
+    g = ghz(n, rep).data.real
+    return QuantumState(rep, p * np.outer(g, g) + (1 - p) / rep.dim * np.eye(rep.dim))
+
+
+_FLOOR_STATES = {
+    **{f"mixed-10-{p}": (lambda p=p: mix_white_noise(ghz(10, full_rep(10)), p))
+       for p in (0.5, 0.6, 0.7, 0.8, 0.9)},
+    "singlet-8": lambda: singlet_pi(8), "singlet-10": lambda: singlet_pi(10),
+    "ghz-dicke-200": lambda: ghz_dicke_density(200),
+    "white-noise-ghz-200": lambda: _sector_white_noise_ghz(200, 0.6)}
+
+
+@pytest.mark.parametrize("name", list(_FLOOR_STATES))
+def test_folded_pair_sums_match_the_whole_spectrum_on_the_studied_states(name):
+    """White-noise GHZ-10 at p = 0.5 ... 0.9 (a floor (1 - p)/D), singlets (a
+    zero floor below rank 14 and 42), 0.5 GHZ + 0.5 Dicke at N = 200 (rank 2)
+    and sector white-noise GHZ-200 under J_x, J_y, J_z and (1,1,1)/sqrt(3)."""
+    from qmetro.spin import direction_op
+    state = _FLOOR_STATES[name]()
+    ops = [collective_op(a, state.rep) for a in "xyz"]
+    ops.append(direction_op(np.ones(3) / np.sqrt(3), state.rep))
+    _assert_folded_sums_match(state, ops, name)
+
+
+def test_fold_keeps_the_support_above_the_floor(rng):
+    """The support of each studied state has its rank (one column under white
+    noise, 14 and 42 for the singlets, 2 for GHZ + Dicke) and the kernel the
+    floor's mean; a spectrum whose smallest eigenvalue is alone is unchanged,
+    and white-noise GHZ in the sector meets its closed form."""
+    from qmetro.fisher import _eigensystem
+    from qmetro.linalg import fold_floor
+    for name, rank, floor in (("mixed-10-0.6", 1, 0.4 / 1024), ("singlet-8", 14, 0.0),
+                              ("singlet-10", 42, 0.0), ("ghz-dicke-200", 2, 0.0),
+                              ("white-noise-ghz-200", 1, 0.4 / 201)):
+        st = _FLOOR_STATES[name]()
+        dec = fold_floor(_eigensystem(st, st.data))
+        assert dec.values.size == dec.block_vectors.shape[1] == rank, name
+        assert dec.dim == st.rep.dim and abs(dec.floor - floor) <= 1e-14, name
+    st = _sector_white_noise_ghz(200, 0.6)
+    for a in "xyz":
+        J = collective_op(a, st.rep)
+        want = white_noise_qfi(ghz(200, st.rep), J, 0.6)
+        assert abs(qfi(st, J).value - want) <= 1e-10 * want, a
+    rho = rand_density(rng, 12)
+    dec = _eigensystem(rho, rho)
+    assert fold_floor(dec) is dec
+
+
+@pytest.mark.parametrize("name", ["mixed-10", "random-floor-1e-3"])
+def test_sld_on_the_folded_spectrum_keeps_its_identities(rng, name):
+    """The SLD of a spectrum with a floor l0 > 0 (white-noise GHZ-10; a complex
+    rank-3 density above 1e-3 with uncoupled indices) satisfies
+    (L rho + rho L)/2 = i[rho, A], which fixes it on a full-rank rho, and
+    Tr(rho L^2) = F_Q, within 1e-12."""
+    from qmetro.spin import direction_op
+    if name == "mixed-10":
+        state = mix_white_noise(ghz(10, full_rep(10)), 0.6)
+        rho = state.data
+        ops = [collective_op(a, state.rep) for a in "xy"]
+        ops.append(direction_op(np.ones(3) / np.sqrt(3), state.rep))
+    else:
+        state = rho = _floor_density(rng, 64, 3, 1e-3, False, True)
+        ops = _generators(rng, 64)
+    for A in ops:
+        M = A.matrix if hasattr(A, "matrix") else A
+        L = sld(state, A)
+        if np.isrealobj(rho):
+            Lr = L.real @ rho + 1j * (L.imag @ rho)
+        else:
+            Lr = L @ rho
+        want = 1j * (rho @ M - M @ rho)
+        got = (Lr + Lr.conj().T) / 2.0
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max()), name
+        F = qfi(state, A).value
+        assert abs(sld_trace(state, L) - F) <= 1e-12 * max(1.0, F), name
+
+
+def test_speed_bound_of_a_rank_two_density_costs_its_support():
+    """The rank-2 symmetric density at N = 2000 checks the speed bound in under
+    20 ms once its spectrum is kept: the QFI sums two columns and a zero
+    floor, and the factor turns two columns."""
+    import timeit
+    st = ghz_dicke_density(2000)
+    J = collective_op("x", st.rep)
+    assert mandelstam_tamm_check(st, J, 1e-3).holds
+    best = min(timeit.repeat(lambda: mandelstam_tamm_check(st, J, 1e-3), number=1, repeat=5))
+    assert best < 0.02, f"{best * 1e3:.1f} ms"

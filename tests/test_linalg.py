@@ -374,3 +374,26 @@ def test_unitary_apply_step_budget():
     with pytest.raises(ValueError, match="more than the budget of 50000"):
         unitary_apply(A, np.nextafter(2.0 * _TAYLOR_MAX_STEPS, np.inf), v)
     assert unitary_apply(A, 4 * np.pi, v) == pytest.approx(np.exp(-2j * np.pi) * v, abs=1e-12)
+
+
+def test_the_spectrum_of_a_state_repeats_no_scan(monkeypatch):
+    """A QuantumState's spectrum reuses the Hermiticity check and coupled-index
+    mask of its construction: no scan of the payload runs again, and the
+    spectrum is bit for bit that of the bare matrix, which takes both scans."""
+    import qmetro.linalg
+    from qmetro.fisher import _eigensystem
+    from qmetro.spin import full_rep
+    from qmetro.states import ghz, mix_white_noise
+    st = mix_white_noise(ghz(6, full_rep(6)), 0.6)
+    calls = []
+    for name in ("require_hermitian", "coupled_indices"):
+        original = getattr(qmetro.linalg, name)
+        monkeypatch.setattr(qmetro.linalg, name, lambda *a, _f=original, _n=name:
+                            calls.append(_n) or _f(*a))
+    dec = _eigensystem(st, st.data)
+    assert calls == []
+    bare = eigh_hermitian(st.data)
+    assert calls == ["require_hermitian", "coupled_indices"]
+    for a, b in ((dec.uncoupled, bare.uncoupled), (dec.coupled, bare.coupled),
+                 (dec.values, bare.values), (dec.block_vectors, bare.block_vectors)):
+        assert a.tobytes() == b.tobytes()

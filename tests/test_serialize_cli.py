@@ -923,3 +923,57 @@ def test_cli_sweep_needs_at_least_one_point(tmp_path, capsys, kind):
     assert main(["sweep", "--kind", kind, "--n", "8", "--n-list", "4", "--p", "0.25",
                  "--points", "0", "--out", str(out)]) == 1
     assert "--points" in capsys.readouterr().err and not out.exists()
+
+
+@pytest.mark.parametrize("im,dtype", [
+    ("0.0", np.float64), ("0", np.float64), ("0e0", np.float64), ("0.00", np.float64),
+    ("-0.0", np.complex128), ("1e-3", np.complex128), ("-2.5e-4", np.complex128)])
+def test_reader_real_parts_of_a_density_keep_every_imaginary_spelling(tmp_path, monkeypatch,
+                                                                      im, dtype):
+    """A density file of 9 qubits (three chunks) whose imaginary parts are all
+    spelled 0.0 but for one Hermitian pair in its second chunk and one in its
+    last rows: the chunks of 0.0 parse their real parts only, the others both
+    parts, and the payload is bit for bit the json.loads fallback's (a +0.0
+    spelled 0, 0e0 or 0.00 stays float64, -0.0 or a nonzero part promotes)."""
+    neg = im[1:] if im.startswith("-") else "-" + im
+    partner = "0.0" if dtype is np.float64 or im == "-0.0" else neg
+    entries = {(300, 301): ("0.001", im), (301, 300): ("0.001", partner),
+               (511, 510): ("0.0", im), (510, 511): ("0.0", partner)}
+    text = _hand_written_density(9, entries)
+    path = tmp_path / "hand.json"
+    path.write_text(text)
+    parsed, fromstring = [], np.fromstring
+
+    def counted(*args, **kwargs):
+        values = fromstring(*args, **kwargs)
+        parsed.append(values.size)
+        return values
+
+    monkeypatch.setattr(np, "fromstring", counted)
+    with open(path, "rb") as fh:
+        payload = serialize._read_canonical(fh)[1]
+    monkeypatch.undo()
+    # numbers parsed: the real parts alone where every part is spelled 0.0
+    if im == "0.0":
+        assert sum(parsed) == 512 * 512
+    else:
+        assert 512 * 512 < sum(parsed) < 2 * 512 * 512
+    fallback = serialize.state_from_dict(json.loads(text)).data
+    assert payload.dtype == fallback.dtype == dtype
+    assert np.array_equal(payload.view(np.uint64), fallback.view(np.uint64))
+
+
+@pytest.mark.parametrize("entry", [("", "0.0"), ("0.0.0", "0.0"), ("1e", "0.0"),
+                                   ("--1", "0.0"), ("0.1", ""), ("0.1", "0.0.0"),
+                                   ("0.1", "0.0e")])
+def test_reader_refuses_malformed_numbers_among_zero_imaginary_parts(tmp_path, entry):
+    """A density whose other imaginary parts are all spelled 0.0, with one
+    malformed real or imaginary token, is declined by the fast path, in its
+    first row and its last, and refused by the reader."""
+    for row in (0, 15):
+        path = tmp_path / f"bad{row}.json"
+        path.write_text(_hand_written_density(4, {(row, 3): entry}))
+        with open(path, "rb") as fh:
+            assert serialize._read_canonical(fh) is None, (entry, row)
+        with pytest.raises(ValueError):
+            serialize.read_state(str(path))

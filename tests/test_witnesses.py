@@ -531,3 +531,26 @@ def test_moments_recoverable_from_pair_average(rng):
     s_rebuilt = xi_squared_s(rebuilt, "x")
     if s_direct.value is not None:
         assert s_rebuilt.value == pytest.approx(s_direct.value, abs=1e-9)
+
+
+@pytest.mark.parametrize("name", ["mixed-10-0.5", "mixed-10-0.6", "mixed-10-0.7",
+                                  "mixed-10-0.8", "mixed-10-0.9", "singlet-8"])
+def test_moments_keep_their_bits_from_operands_written_by_index(monkeypatch, name):
+    """The moments of a full density from the site sums' columns and square
+    rows written by index equal, bit for bit, those from ``times`` of unit
+    columns (the operands the moments took before), so that the axis
+    optimal_ssi reports at an exact tie does not move."""
+    from qmetro import spin
+    from qmetro.witnesses import _evaluate_moments
+
+    def state():
+        if name == "singlet-8":
+            return singlet_pi(8)
+        return mix_white_noise(ghz(10, full_rep(10)), float(name.rsplit("-", 1)[1]))
+
+    ours = _evaluate_moments(state())
+    monkeypatch.setattr(spin._SiteSum, "columns", spin.CollectiveOperator.columns)
+    monkeypatch.setattr(spin._SiteSum, "square_rows", spin.CollectiveOperator.square_rows)
+    unit = _evaluate_moments(state())
+    assert ours.mean.tobytes() == unit.mean.tobytes()
+    assert ours.second.tobytes() == unit.second.tobytes()
