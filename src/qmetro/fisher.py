@@ -33,13 +33,14 @@ skew information and the SLD vanish on the floor's own pairs, so they take
 the support and floor form (``fold_floor``), the row i of the support meeting
 the kernel through the residual (1 - P) A u_i; the second-moment form's do
 not, and it keeps the whole spectrum.
-V^dag A V is formed in one place, by blocks of rows (``_transform``), and
-the SLD is a ``sandwich`` of the same rows.  Every other root of a state is
-its one factor rho = R R^dag on the kept spectrum (``linalg.psd_factor``,
-under the one PSD rule; psi for a vector): the fidelity takes the r x r
-R^dag rho_2 R, the speed bound R^dag U R (U turning the r columns of R),
-the SLD trace ||L R||_F^2, both roofs R^dag A R, and a ``Povm`` keeps each
-element as its factor.
+V^dag A V is formed in one place, by blocks of rows (``_transform``, with
+the residuals (1 - P) A V_r), and the SLD is one ``sandwich`` of the same
+rows, with the residuals beside the support when there is a kernel.  Every
+other root of a state is its one factor rho = R R^dag on the kept spectrum
+(``linalg.psd_factor``, under the one PSD rule; psi for a vector): the
+fidelity takes the r x r R^dag rho_2 R, the speed bound R^dag U R (U turning
+the r columns of R), both roofs R^dag A R, and a ``Povm`` keeps each element
+as its factor; the SLD trace takes the support and floor.
 """
 
 from __future__ import annotations
@@ -124,31 +125,27 @@ def _pair_ratio(lam_rows: np.ndarray, lam: np.ndarray, num: np.ndarray, floor: f
     return num, keep
 
 
-def _transform(dec: SpectralDecomposition, A, Vr: np.ndarray, images=None) -> tuple:
-    """Rows r, in the order of ``dec.values``, of V^dag A V as a factor (T, k),
-    V^dag A V = 1j**k T, for the eigenvectors Vr = ``dec.columns(r)``: the rows
-    of V^dag A are (A Vr)^dag, A Vr being A's ``times`` (an uncoupled
-    eigenvector is a unit column), so with X = (A Vr)^dag they are
-    [X[:, u] | X[:, c] W]; the only place V^dag A V is formed.  A list
-    ``images`` is given the factor (Y, k) of A Vr = 1j**k Y."""
+def _transform(dec: SpectralDecomposition, A, Vr: np.ndarray) -> tuple:
+    """Rows r, in the order of ``dec.values``, of V^dag A V as a factor (T, q),
+    V^dag A V = 1j**q T, for the eigenvectors Vr = ``dec.columns(r)``, and with
+    a kernel their residuals (1 - P) A Vr = 1j**-q Z, P = U U^dag on the
+    support columns U (None without one): the parts of A u_i in the kernel,
+    with no cancellation.  The rows of V^dag A are X = Y^dag for A's ``times``
+    A Vr = 1j**-q Y (an uncoupled eigenvector is a unit column), so they are
+    [X[:, u] | X[:, c] W] and Z = Y - U T^dag; the only place V^dag A V is
+    formed."""
     u, c, W, nu = dec.uncoupled, dec.coupled, dec.block_vectors, dec.uncoupled.size
     Y, k = A.times(Vr)
-    if images is not None:
-        images.append((Y, k))
     X = np.ascontiguousarray(Y.conj().T)
+    if dec.dim > dec.values.size:   # a kernel, so no uncoupled index: U = W
+        T = X @ W
+        return (T, -k % 4), Y - W @ T.conj().T
     del Y
     if nu:  # [X[:, u] | X[:, c] W] in the storage of X; the product's operand
         # copy is freed before X[:, u] is copied
         X[:, nu:], X[:, :nu] = X[:, c] @ W, X[:, u]
-        return X, -k % 4
-    return X @ W, -k % 4
-
-
-def _residual(dec: SpectralDecomposition, Y: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """(1 - P) A u_i = 1j**k (Y - U T^dag) for A U_r = 1j**k Y (``_transform``'s
-    image of the columns U_r) and T its rows of V^dag A V, P = U U^dag on the
-    support columns U: the parts of A u_i in the kernel, with no cancellation."""
-    return Y - dec.columns() @ T.conj().T
+        return (X, -k % 4), None
+    return (X @ W, -k % 4), None
 
 
 def _pair_sum(dec: SpectralDecomposition, ops, numerator) -> tuple[np.ndarray, int]:
@@ -158,24 +155,23 @@ def _pair_sum(dec: SpectralDecomposition, ops, numerator) -> tuple[np.ndarray, i
     dropped, by blocks of rows k against every l (``linalg.row_blocks``; one
     pass at d <= 362).  Row i pairs with the kernel (eigenvalue l0 = ``floor``)
     through sum_{j in kernel} T^m_ij conj T^n_ij = <(1 - P) A_m u_i|(1 - P) A_n u_i>
-    (``_residual``), and both orders weigh 2 w_i0; the kernel's own pairs weigh
-    numerator(l0, l0) = 0, since only weights that vanish on equal eigenvalues
-    meet a kernel of l0 > 0 (``fold_floor``)."""
+    (``_transform``'s residuals), and both orders weigh 2 w_i0; the kernel's
+    own pairs weigh numerator(l0, l0) = 0, since only weights that vanish on
+    equal eigenvalues meet a kernel of l0 > 0 (``fold_floor``)."""
     S, lam, skipped = np.zeros((len(ops), len(ops))), dec.values, 0
     kernel, floor = dec.dim - lam.size, np.array([dec.floor])
     for r in row_blocks(lam.size):
         W, keep = _pair_ratio(lam[r], lam, numerator(lam[r], lam), QFI_PAIR_FLOOR)
         skipped += keep.size - int(np.count_nonzero(keep))
-        Vr, images = dec.columns(r), [] if kernel else None
-        transforms = [_transform(dec, A, Vr, images) for A in ops]
+        Vr = dec.columns(r)
+        pairs = [_transform(dec, A, Vr) for A in ops]
         del Vr
         if kernel:
             w, keep = _pair_ratio(lam[r], floor, numerator(lam[r], floor), QFI_PAIR_FLOOR)
             skipped += 2 * kernel * (keep.size - int(np.count_nonzero(keep)))
-            _fisher_block(S, 2.0 * w, [(_residual(dec, Y, T).conj().T, p)
-                                       for (Y, _), (T, p) in zip(images, transforms)])
-        _fisher_block(S, W, transforms)
-        del transforms, images
+            _fisher_block(S, 2.0 * w, [(Z.conj().T, q) for (_, q), Z in pairs])
+        _fisher_block(S, W, [rows for rows, _ in pairs])
+        del pairs
     return S, skipped + kernel ** 2 * bool(2.0 * dec.floor < QFI_PAIR_FLOOR)
 
 
@@ -231,45 +227,37 @@ def sld(state, op) -> np.ndarray:
     """Symmetric logarithmic derivative for unitary dynamics generated by op.
 
     Satisfies (L rho + rho L)/2 = i(rho A - A rho) and Tr(rho L^2) = F_Q, and
-    is zero between kernel vectors.  On the support (``fold_floor``) L = V (2i
-    (l_k - l_l) / (l_k + l_l) T_kl) V^dag, a ``sandwich`` of the rows
-    V^dag A V = 1j**k T (``_transform``, by blocks); a real T gives a real or
-    imaginary L.  The pairs with the kernel (eigenvalue l0) add
-    2i sum_i c_i (u_i z_i^dag - z_i u_i^dag), z_i = (1 - P) A u_i the
-    ``_residual`` and c_i = (l_i - l0) / (l_i + l0), 1 at l0 = 0.
-    """
+    is zero between kernel vectors.  One ``sandwich`` L = W (c K) W^dag,
+    c = 2i 1j**q, of the rows V^dag A V = 1j**q T (``_transform``, by blocks)
+    on the support (``fold_floor``), w_kl = (l_k - l_l) / (l_k + l_l): W = V
+    and K = w o T without a kernel; with a kernel l0, W = [U | Z] for the
+    residuals (1 - P) A U = 1j**-q Z and K = [[w o T, C], [-(-1)**q C, 0]],
+    C = diag((l_i - l0) / (l_i + l0)).  A real K and W give a real or
+    imaginary L."""
     A, data = _inputs(state, op)
     dec = fold_floor(_eigensystem(state, data))
-    lam, T, images = dec.values, None, [] if dec.dim > dec.values.size else None
-    rows = []   # with a kernel, the unweighted rows of each block
-    for r in row_blocks(lam.size):
-        Tr, k = _transform(dec, A, dec.columns(r), images)
-        if images is not None:
-            rows.append(Tr.copy())
-        Tr *= _pair_ratio(lam[r], lam, lam[r, None] - lam, QFI_PAIR_FLOOR)[0]
-        T = np.empty((lam.size,) * 2, Tr.dtype) if T is None else T
-        T[r] = Tr
-        del Tr
-    if T is None:   # every eigenvalue is the floor's: L = 0
+    lam, n, K, Z = dec.values, dec.values.size, None, []
+    for r in row_blocks(n):
+        (T, q), Zr = _transform(dec, A, dec.columns(r))
+        if K is None:   # T has the dtype of Z
+            K = np.zeros((n if Zr is None else 2 * n,) * 2, T.dtype)
+        Z.append(Zr)
+        K[:n, :n][r] = T * _pair_ratio(lam[r], lam, lam[r, None] - lam, QFI_PAIR_FLOOR)[0]
+    if K is None:   # every eigenvalue is the floor's: L = 0
         return np.zeros((dec.dim,) * 2, dtype=complex)
-    c = 2j * 1j ** k
-    T *= c if np.iscomplexobj(T) else c.real or c.imag   # c is real or imaginary
-    L = dec.sandwich(T)
-    del T
+    if dec.dim > n:   # the sandwich of W = [U | Z]
+        C = _pair_ratio(lam, np.array([dec.floor]), (lam - dec.floor)[:, None],
+                        QFI_PAIR_FLOOR)[0][:, 0]
+        K[range(n), range(n, 2 * n)], K[range(n, 2 * n), range(n)] = C, -(-1) ** q * C
+        dec = replace(dec, block_vectors=np.hstack([dec.block_vectors, *Z]))
+    del Z
+    c = 2j * 1j ** q
+    K *= c if np.iscomplexobj(K) else c.real or c.imag   # c is real or imaginary
+    L = dec.sandwich(K)
+    del K
     if not np.iscomplexobj(L):   # one part of L, the other stays +0.0
         L, S = np.zeros(L.shape, dtype=complex), L
         (L.imag if c.imag else L.real)[...] = S
-        del S
-    if images is None:
-        return L
-    floor = np.array([dec.floor])
-    for r, (Y, j), Tr in zip(row_blocks(lam.size), images, rows):
-        # 2i(U_c Z^dag - Z U_c^dag) for (1 - P) A U = 1j**j Z and U_c = U diag(c)
-        Z = _residual(dec, Y, Tr)
-        Uc = dec.columns(r) * _pair_ratio(lam[r], floor, lam[r, None] - floor,
-                                          QFI_PAIR_FLOOR)[0].T
-        for b in row_blocks(L.shape[0]):
-            L[b] += 2j * (1j ** -j * Uc[b] @ Z.conj().T - 1j ** j * Z[b] @ Uc.conj().T)
     return L
 
 
@@ -279,11 +267,17 @@ def wigner_yanase(state, op) -> float:
     d x d sqrt(rho), on the spectrum that ``rank_floor_sqrt``, the PSD rule of
     ``psd_sqrt``, checks and takes roots of: zero where the root is."""
     A, data = _inputs(state, op)
-    dec = _eigensystem(state, data)
-    dec = replace(dec, values=np.where(rank_floor_sqrt(dec.values) > 0, dec.values, 0.0))
-    S, _ = _pair_sum(fold_floor(dec), [A], lambda lam_k, lam_l: (
+    S, _ = _pair_sum(_psd_spectrum(state, data), [A], lambda lam_k, lam_l: (
         (np.sqrt(lam_k)[:, None] - np.sqrt(lam_l)) ** 2 * (lam_k[:, None] + lam_l)))
     return float(S[0, 0]) / 4.0
+
+
+def _psd_spectrum(state, data) -> SpectralDecomposition:
+    """``fold_floor`` of the state's spectrum under the one PSD rule: checked
+    by ``rank_floor_sqrt``, each eigenvalue of root 0 set to 0."""
+    dec = _eigensystem(state, data)
+    return fold_floor(replace(dec, values=np.where(rank_floor_sqrt(dec.values) > 0,
+                                                   dec.values, 0.0)))
 
 
 def white_noise_qfi(pure_state, op, p: float) -> float:
@@ -311,10 +305,12 @@ def zeno_interval(F: float) -> float:
 
 
 def sld_trace(state, L: np.ndarray) -> float:
-    """Tr(rho L^2) = ||L R||_F^2 for the factor rho = R R^dag (``psd_factor``;
-    psi for a vector), with no d x d product."""
-    X = L @ psd_factor(_eigensystem(state, _payload(state)))[1]
-    return float(np.real(np.vdot(X, X)))
+    """Tr(rho L^2) = sum_i (l_i - l0) ||L u_i||^2 + l0 ||L||_F^2 for a Hermitian
+    L on the support and floor l0 of rho (``_psd_spectrum``; psi and 0 for a
+    vector), in O(d^2 r) with no d x d product."""
+    dec = _psd_spectrum(state, _payload(state))
+    X = (L @ dec.columns()) * np.sqrt(dec.values - dec.floor)
+    return float(np.vdot(X, X).real + (dec.floor * np.vdot(L, L).real if dec.floor else 0.0))
 
 
 # ----------------------------------------------------------------------

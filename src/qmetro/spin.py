@@ -427,19 +427,18 @@ class _SiteSum(_Form):
             out += _cols(self._diagonal, v) * v
         return out
 
-    def propagate(self, theta, X, columns=False):
-        """exp(-i theta A) X for a vector or a d x k matrix X, or with ``columns``
-        X exp(i theta A) for a d x d X: the terms commute, so it is the product
-        over sites of exp(-i phi op2), phi = theta w_s, on the bit of site s; with
-        op2 = a + r B, B^2 = 1, that is e^{-i phi a} (cos(phi r) - i sin(phi r) B)."""
+    def propagate(self, theta, X):
+        """exp(-i theta A) X for a vector or the rows of a d x k matrix X: the
+        terms commute, so it is the product over sites of exp(-i phi op2),
+        phi = theta w_s, on the bit of site s; with op2 = a + r B, B^2 = 1, that
+        is e^{-i phi a} (cos(phi r) - i sin(phi r) B), real for a purely
+        imaginary op2."""
         h, phi = self.op2, theta * self.weights[:, None, None]
         a, r = np.trace(h).real / 2.0, np.hypot((h[0, 0] - h[1, 1]).real / 2.0, abs(h[0, 1]))
         B = (h - a * np.eye(2)) / (r or 1.0)
         us = np.exp(-1j * phi * a) * (np.cos(phi * r) * np.eye(2) - 1j * np.sin(phi * r) * B)
-        # a column's bits follow its row index; real for a purely imaginary op2
-        us, lead = (us.conj(), X.shape[0]) if columns else (us, 1)
         for s in np.flatnonzero(phi):
-            X = (real_if_exact(us[s]) @ X.reshape(lead * 2 ** s, 2, -1)).reshape(X.shape)
+            X = (real_if_exact(us[s]) @ X.reshape(2 ** s, 2, -1)).reshape(X.shape)
         return X
 
     def norm_bound(self):

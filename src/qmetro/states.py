@@ -20,9 +20,9 @@ slopes and curvatures of the metrology module, and with the same bits the
 moments <A> and <A^2> of ``operator_moments`` from one chain.  ``propagate``
 is the one rule for U X, U = exp(-i theta A), on a vector or a d x k block:
 a full-space site sum by its exact product of 2x2 rotations, any other
-operator by Taylor steps.  ``evolve`` turns a vector by it and a density by
-the site sum's product or the kept ``spectrum``.  A bare matrix is accepted
-wherever an operator is.
+operator by Taylor steps.  ``evolve`` turns a vector by it and a density as
+U (U rho)^dag under a site sum, or by the kept ``spectrum``.  A bare matrix
+is accepted wherever an operator is.
 
 Squeezed states, the ground states of J_x^2 - lam J_z, come from the two
 parity blocks of that tridiagonal Hamiltonian by Noda iteration
@@ -136,7 +136,7 @@ class QuantumState:
         return float(np.real(np.vdot(self.data, self.data)))
 
     def expectation(self, op) -> float:
-        return operator_moments(as_operator(op), self.data, second=False)[0]
+        return float(np.real(braket(self.data, (), (as_operator(op),))))
 
     def variance(self, op) -> float:
         m, second = operator_moments(as_operator(op), self.data)
@@ -150,14 +150,14 @@ class QuantumState:
         return bures_fidelity(self, other)
 
 
-def operator_moments(A: CollectiveOperator, data: np.ndarray, second: bool = True) -> tuple:
-    """<A> and, with ``second``, <A^2> (else None) of a unit vector, from one
-    A psi, or of a density, from one ``trace_chain`` (A, A): ``braket``'s bits."""
+def operator_moments(A: CollectiveOperator, data: np.ndarray) -> tuple:
+    """<A> and <A^2> of a unit vector, from one A psi, or of a density, from one
+    ``trace_chain`` (A, A): ``braket``'s bits."""
     if data.ndim == 2:
-        traces = trace_chain(data, (A, A) if second else (A,))
+        traces = trace_chain(data, (A, A))
     else:
         traces = (np.vdot(data, Av := A.apply(data)), np.vdot(Av, Av))
-    return float(np.real(traces[0])), (float(np.real(traces[1])) if second else None)
+    return float(np.real(traces[0])), float(np.real(traces[1]))
 
 
 def braket(data: np.ndarray, left, right) -> complex:
@@ -204,14 +204,17 @@ def propagate(A: CollectiveOperator, theta: float, X: np.ndarray) -> np.ndarray:
 
 def evolve(A: CollectiveOperator, theta: float, data: np.ndarray) -> np.ndarray:
     """psi -> U psi or rho -> U rho U^dag, U = exp(-i theta A): a vector by
-    ``propagate``, a density under a full-space site sum by the same product on
-    its rows, then its columns, and under any other operator by its kept
-    ``spectrum``.  A non-finite theta ||A|| reaches ``propagate``'s refusal."""
+    ``propagate``, a density under a full-space site sum as U (U rho)^dag (rho
+    Hermitian), both by the product on rows, and under any other operator by
+    its kept ``spectrum``.  A non-finite theta ||A|| reaches ``propagate``'s refusal."""
     if data.ndim == 2 and not isinstance(A, _SiteSum) and isfinite(theta * A.norm_bound()):
         U = unitary_exp(A.spectrum, theta)
         return U @ data @ U.conj().T
     rows = propagate(A, theta, data)
-    return rows if data.ndim == 1 else A.propagate(theta, rows, columns=True)
+    if data.ndim == 2:   # U (U rho)^dag; U rho is freed when rows is rebound
+        rows = np.conjugate(rows.T, out=np.empty_like(rows))
+        rows = A.propagate(theta, rows)
+    return rows
 
 
 def rotate(state: QuantumState, generator: CollectiveOperator, theta: float) -> QuantumState:

@@ -1373,3 +1373,128 @@ def test_speed_bound_of_a_rank_two_density_costs_its_support():
     assert mandelstam_tamm_check(st, J, 1e-3).holds
     best = min(timeit.repeat(lambda: mandelstam_tamm_check(st, J, 1e-3), number=1, repeat=5))
     assert best < 0.02, f"{best * 1e3:.1f} ms"
+
+
+# ------------------------------------------- the SLD as one sandwich
+
+def _two_loop_sld(state, op):
+    """The former SLD, the oracle of the one sandwich: the support block
+    V (2i w o T) V^dag, then the pairs with the kernel,
+    2i sum_i c_i (u_i z_i^dag - z_i u_i^dag) for the residuals z_i, added in a
+    second blocked loop over the rows of L; complex throughout."""
+    from qmetro.config import QFI_PAIR_FLOOR
+    from qmetro.fisher import _eigensystem, _inputs, _pair_ratio, _transform
+    from qmetro.linalg import fold_floor, row_blocks
+    A, data = _inputs(state, op)
+    dec = fold_floor(_eigensystem(state, data))
+    lam, residuals = dec.values, []
+    T = np.zeros((lam.size,) * 2, dtype=complex)
+    for r in row_blocks(lam.size):
+        (Tr, q), Z = _transform(dec, A, dec.columns(r))
+        residuals.append(Z)
+        T[r] = Tr * _pair_ratio(lam[r], lam, lam[r, None] - lam, QFI_PAIR_FLOOR)[0]
+    if not lam.size:
+        return np.zeros((dec.dim,) * 2, dtype=complex)
+    L = dec.sandwich(2j * 1j ** q * T)
+    if dec.dim == lam.size:
+        return L
+    floor = np.array([dec.floor])
+    for r, Z in zip(row_blocks(lam.size), residuals):
+        Uc = dec.columns(r) * _pair_ratio(lam[r], floor, lam[r, None] - floor,
+                                          QFI_PAIR_FLOOR)[0].T
+        for b in row_blocks(L.shape[0]):
+            L[b] += 2j * (1j ** q * Uc[b] @ Z.conj().T - 1j ** -q * Z[b] @ Uc.conj().T)
+    return L
+
+
+def _no_floor_uncoupled(rng):
+    """A full-rank complex density of dimension 12 with four uncoupled indices
+    of distinct eigenvalues, and a smallest eigenvalue that is alone."""
+    rho = np.zeros((12, 12), dtype=complex)
+    c, u = [0, 2, 3, 5, 7, 8, 10, 11], [1, 4, 6, 9]
+    rho[np.ix_(c, c)] = 0.8 * rand_density(rng, 8)
+    rho[u, u] = 0.02 * np.arange(1.0, 5.0)
+    return rho
+
+
+def _sld_cases(rng):
+    from qmetro.spin import direction_op
+    cases = {}
+    for name, state in (("mixed-8", mix_white_noise(ghz(8, full_rep(8)), 0.6)),
+                        ("singlet-8", singlet_pi(8)), ("ghz-dicke-60", ghz_dicke_density(60))):
+        cases[name] = (state, [collective_op(a, state.rep) for a in "xy"]
+                       + [direction_op(np.array([1.0, 1.0, 0.0]) / np.sqrt(2), state.rep)])
+    cases["complex-floor-1e-3"] = (_floor_density(rng, 64, 3, 1e-3, False, True),
+                                   _generators(rng, 64))
+    cases["complex-rank-2"] = (_floor_density(rng, 32, 2, 0.0, False, False), _generators(rng, 32))
+    cases["no-floor-uncoupled"] = (_no_floor_uncoupled(rng), _generators(rng, 12))
+    cases["vector"] = (rand_pure(rng, 16), _generators(rng, 16))
+    return cases
+
+
+def test_sld_is_one_sandwich_of_the_support_and_the_residuals(rng):
+    """L = W (c K) W^dag on W = [U | Z] agrees with the two-loop oracle within
+    1e-13 max|L| and keeps (L rho + rho L)/2 = i[rho, A] and Tr(rho L^2) = F_Q:
+    real densities with a floor l0 > 0 (white-noise GHZ-8), a zero floor
+    (singlet-8) and uncoupled indices (GHZ + Dicke at N = 60) under J_x (an
+    imaginary L), J_y (a real L) and the complex (1,1,0)/sqrt(2); complex
+    densities above a floor 1e-3 and of rank 2; a full-rank spectrum with
+    uncoupled indices and no floor; a vector."""
+    from qmetro.fisher import _eigensystem
+    from qmetro.linalg import fold_floor
+    from qmetro.spin import as_operator
+    cases = _sld_cases(rng)
+    dec = _eigensystem(*(cases["no-floor-uncoupled"][0],) * 2)
+    assert fold_floor(dec) is dec and dec.uncoupled.size == 4
+    for name, (state, ops) in cases.items():
+        data = state.data if isinstance(state, QuantumState) else np.asarray(state)
+        rho = np.outer(data, data.conj()) if data.ndim == 1 else data
+        for m, A in enumerate(ops):
+            M = as_operator(A).matrix
+            L, want = sld(state, A), _two_loop_sld(state, A)
+            assert np.abs(L - want).max() <= 1e-13 * np.abs(want).max(), (name, m)
+            if isinstance(state, QuantumState) and m < 2:   # J_x imaginary, J_y real
+                assert not (L.real if m == 0 else L.imag).any(), (name, m)
+            comm = 1j * (rho @ M - M @ rho)
+            got = (L @ rho + rho @ L) / 2.0
+            assert np.abs(got - comm).max() <= 1e-12 * max(1.0, np.abs(comm).max()), (name, m)
+            F = qfi(state, A).value
+            assert abs(np.trace(rho @ L @ L).real - F) <= 1e-12 * max(1.0, F), (name, m)
+            assert abs(sld_trace(state, L) - F) <= 1e-12 * max(1.0, F), (name, m)
+
+
+def _factor_norm_trace(state, L):
+    """The former SLD trace, the oracle of the support and floor form:
+    ||L R||_F^2 for the factor rho = R R^dag of the whole kept spectrum."""
+    from qmetro.fisher import _eigensystem, _payload
+    from qmetro.linalg import psd_factor
+    X = L @ psd_factor(_eigensystem(state, _payload(state)))[1]
+    return float(np.real(np.vdot(X, X)))
+
+
+@pytest.mark.parametrize("lam0", [0.0, 1e-6, 1e-3])
+def test_sld_trace_on_the_support_and_floor_matches_the_factor_norm(rng, lam0):
+    """sum_i (l_i - l0) ||L u_i||^2 + l0 ||L||_F^2 agrees with ||L R||_F^2 within
+    1e-12 relative (absolute where F_Q = 0, as on the singlets): random
+    densities of rank 1 to 8 above a floor lam0, real and complex, with and
+    without uncoupled indices, and white-noise GHZ-10, singlet-8, singlet-10
+    and GHZ + Dicke at N = 200 under J_x, J_y, J_z and (1,1,1)/sqrt(3)."""
+    from qmetro.config import FISHER_FLOOR
+    from qmetro.spin import direction_op
+    cases = []
+    for n, rank, real, uncoupled in ((4, 1, True, False), (5, 3, False, True),
+                                     (6, 8, True, True), (6, 2, False, False)):
+        rho = _floor_density(rng, 2 ** n, rank, lam0, real, uncoupled)
+        cases.append((f"{n}-{rank}", QuantumState(full_rep(n), rho), _generators(rng, 2 ** n)))
+    if lam0 == 0.0:
+        for name, state in (("mixed-10", mix_white_noise(ghz(10, full_rep(10)), 0.6)),
+                            ("singlet-8", singlet_pi(8)), ("singlet-10", singlet_pi(10)),
+                            ("ghz-dicke-200", ghz_dicke_density(200))):
+            cases.append((name, state, [collective_op(a, state.rep) for a in "xyz"]
+                          + [direction_op(np.ones(3) / np.sqrt(3), state.rep)]))
+    for name, state, ops in cases:
+        for A in ops:
+            L = sld(state, A)
+            want = _factor_norm_trace(state, L)
+            tol = 1e-12 * (abs(want) if qfi(state, A).value > FISHER_FLOOR else 1.0)
+            assert abs(sld_trace(state, L) - want) <= tol, (name, A)
