@@ -172,8 +172,7 @@ def cmd_witness(args) -> int:
         doc["qfi_per_axis"] = per_axis
         doc["depth_certificate"] = _report_dataclass(cert)
     if "avg" in wanted:
-        doc["avg_qfi"] = {k: v for k, v in _report_dataclass(avg).items()
-                          if k not in ("n", "producibility_table")}
+        doc["avg_qfi"] = {k: v for k, v in _report_dataclass(avg).items() if k != "n"}
     if "macro" in wanted:
         macro = macroscopicity(state)
         doc["effective_size"] = {"n_eff": macro.n_eff,

@@ -41,7 +41,9 @@ FD_STEP = 1e-5
 # magnitude counts as zero.
 DERIV_FLOOR = 1e-12
 
-# Witness verdicts: |value - threshold| below this reports "boundary".
+# Witness verdicts, relative: a gap within VERDICT_TOL max(1, scale) reports
+# "boundary", one below minus that "violated"; scale is the size of the terms
+# compared, N(N+2)/4 times the coefficient of a moment criterion, or F_Q.
 VERDICT_TOL = 1e-9
 # Slack of the Cramer-Rao check (Delta theta)^2 >= 1/F_Q.
 CRB_TOL = 1e-8

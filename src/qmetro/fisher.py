@@ -74,12 +74,13 @@ def _payload(state) -> np.ndarray:
     raise ValueError("state must be a vector or a density matrix")
 
 
-def _inputs(state, op) -> tuple:
-    """(A, payload): op as a CollectiveOperator, checked against the state's
-    representation, and the state's ``_payload``."""
-    A = as_operator(op)
-    check_same_rep(state, A)
-    return A, _payload(state)
+def _inputs(state, *ops) -> tuple:
+    """(A, ..., payload): each op as a CollectiveOperator, checked against the
+    state's representation, and the state's ``_payload``."""
+    operators = [as_operator(op) for op in ops]
+    for A in operators:
+        check_same_rep(state, A)
+    return (*operators, _payload(state))
 
 
 def _mean_and_var(data, A) -> tuple[float, float]:
@@ -175,10 +176,11 @@ def _pair_sum(dec: SpectralDecomposition, ops, numerator) -> tuple[np.ndarray, i
     return S, skipped + kernel ** 2 * bool(2.0 * dec.floor < QFI_PAIR_FLOOR)
 
 
-def _fisher(state, ops) -> tuple[np.ndarray, int]:
-    """Fisher matrix of the generators (CollectiveOperators) and the number of
+def _fisher(state, generators) -> tuple[np.ndarray, int]:
+    """Fisher matrix of the generators (``_inputs``) and the number of
     dropped pairs, on the support and floor of the state's spectrum."""
-    return _pair_sum(fold_floor(_eigensystem(state, _payload(state))), ops,
+    *ops, data = _inputs(state, *generators)
+    return _pair_sum(fold_floor(_eigensystem(state, data)), ops,
                      lambda lam_k, lam_l: (lam_k[:, None] - lam_l) ** 2)
 
 
@@ -209,9 +211,7 @@ def _fisher_block(F, W, transforms):
 
 def qfi(state, op) -> QfiResult:
     """Quantum Fisher information of the state for the phase generator op."""
-    A = as_operator(op)
-    check_same_rep(state, A)
-    F, skipped = _fisher(state, [A])
+    F, skipped = _fisher(state, [op])
     return QfiResult(float(F[0, 0]), skipped)
 
 
@@ -321,7 +321,11 @@ def bures_fidelity(state1, state2) -> float:
     """Tr(sqrt(sqrt(r1) r2 sqrt(r1)))^2, with pure-state shortcuts.  Two
     densities take the factor r1 = R R^dag (``psd_factor``, from the kept
     spectrum of a QuantumState): sqrt(r1) r2 sqrt(r1) has the nonzero
-    eigenvalues of the r x r matrix R^dag r2 R, r = rank(r1)."""
+    eigenvalues of the r x r matrix R^dag r2 R, r = rank(r1).  States of two
+    representations are refused, bare arrays of two dimensions too."""
+    if (isinstance(state1, QuantumState) and isinstance(state2, QuantumState)
+            and state1.rep != state2.rep):
+        raise ValueError(f"representation mismatch: {state1.rep} vs {state2.rep}")
     d1, d2 = _payload(state1), _payload(state2)
     if d1.shape[0] != d2.shape[0]:
         raise ValueError(f"dimension mismatch {d1.shape[0]} vs {d2.shape[0]}")
@@ -455,7 +459,7 @@ def fisher_matrix(state, generators) -> FisherMatrix:
     """Fisher matrix F_mn for a list of commuting-or-not phase generators."""
     if len(generators) == 0:
         raise ValueError("need at least one generator")
-    F, _ = _fisher(state, [as_operator(g) for g in generators])
+    F, _ = _fisher(state, generators)
     return FisherMatrix(tuple(generators), F)
 
 

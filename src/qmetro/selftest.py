@@ -195,10 +195,8 @@ def witness_soundness_battery(samples: int = 200, seed: int = 99) -> list[CheckR
         reports = [xi_squared_s(mset), xi_squared_os(mset), xi_squared_singlet(mset)]
         reports += optimal_ssi(mset)
         for axis in "xyz":
-            reports.append(qfi_entanglement(state, n, collective_op(axis, state.rep)))
-        avg = avg_qfi(state)
-        if avg.average > avg.bound_separable + 1e-8 or avg.certified_depth > 1:
-            violations += 1
+            reports.append(qfi_entanglement(qfi(state, collective_op(axis, state.rep)).value, n))
+        violations += avg_qfi(state).certified_depth > 1
         violations += sum(r.violated for r in reports)
         checked += len(reports) + 1
     return [CheckResult("witness soundness on product states",

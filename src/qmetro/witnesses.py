@@ -16,11 +16,18 @@ rows blk of J_l J_l (``square_rows``) hold the bits of ``times`` of unit
 columns, every entry exact, a full-space site sum's written by index.  The
 diagonal <J_l^2> takes the same dense product of those rows with
 rho[:, blk] as before, so that exact ties between axes break as they did.
+
+One rule decides every comparison of a value with a bound (``_verdict``):
+a gap within VERDICT_TOL max(1, scale) is a boundary hit, where ``scale``
+is the size of the terms both sides were computed from before any
+cancellation.  Moment criteria take N(N+2)/4, the bound ``MomentSet``
+enforces on sum_l <J_l^2>, times their coefficient; Fisher criteria take
+F_Q itself.  A product state then reads no violation at any N.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -129,8 +136,8 @@ class WitnessReport:
 
     ``direction`` says which side of the threshold is consistent with
     separability ('ge': satisfied when value >= threshold).  ``verdict``
-    is 'satisfied', 'violated' or 'inapplicable'; boundary hits within
-    ``VERDICT_TOL`` count as satisfied with ``boundary=True``.
+    is 'satisfied', 'violated' or 'inapplicable'; a gap within the slack of
+    ``_verdict`` counts as satisfied with ``boundary=True``.
     """
 
     criterion: str
@@ -147,12 +154,33 @@ class WitnessReport:
         return self.verdict == "violated"
 
 
-def _verdict(value: float, threshold: float, direction: str):
+def _verdict(value: float, threshold: float, direction: str, scale: float):
+    """(verdict, boundary) of value <direction> threshold: a gap within
+    VERDICT_TOL max(1, scale) is a boundary hit and one below minus that a
+    violation, where scale is the size of the terms both sides were computed
+    from before any cancellation."""
     gap = value - threshold if direction == "ge" else threshold - value
-    if gap < -VERDICT_TOL:
+    tol = VERDICT_TOL * max(1.0, scale)
+    if gap < -tol:
         return "violated", False
     # a Python bool: a NumPy one is no JSON value
-    return "satisfied", bool(abs(gap) <= VERDICT_TOL)
+    return "satisfied", bool(abs(gap) <= tol)
+
+
+def _exceeds(value: float, bound: float, scale: float) -> bool:
+    """Whether value exceeds bound by more than the slack of ``_verdict``."""
+    return _verdict(value, bound, "le", scale)[0] == "violated"
+
+
+def _report(criterion: str, value: float, threshold: float, direction: str,
+            scale: float, detail: str = "") -> WitnessReport:
+    return WitnessReport(criterion, value, threshold, direction,
+                         *_verdict(value, threshold, direction, scale), detail=detail)
+
+
+def _size(m: MomentSet) -> float:
+    """N(N+2)/4, the bound on sum_l <J_l^2>: the size of every moment."""
+    return m.n * (m.n + 2) / 4.0
 
 
 # ----------------------------------------------------------------------
@@ -168,36 +196,33 @@ def xi_squared_s(m: MomentSet, squeezed_axis: str = "x") -> WitnessReport:
 
     Values below one certify entanglement; the criterion needs a mean spin
     in the plane orthogonal to the squeezed axis and reports inapplicable
-    without one.
+    without one (a denominator within the slack of zero).
     """
     o1, o2 = _others(squeezed_axis)
     denom = m.mean[_AX_INDEX[o1]] ** 2 + m.mean[_AX_INDEX[o2]] ** 2
-    if denom <= 1e-12:
+    if not _exceeds(denom, 0.0, _size(m)):
         return WitnessReport("xi_squared_s", None, 1.0, "ge", "inapplicable",
                              detail="mean spin vanishes in the plane orthogonal "
                                     f"to {squeezed_axis}")
-    value = m.n * m.var(squeezed_axis) / denom
-    verdict, boundary = _verdict(value, 1.0, "ge")
-    return WitnessReport("xi_squared_s", value, 1.0, "ge", verdict, boundary,
-                         detail=f"squeezed axis {squeezed_axis}")
+    return _report("xi_squared_s", m.n * m.var(squeezed_axis) / denom, 1.0, "ge",
+                   m.n * _size(m) / denom, f"squeezed axis {squeezed_axis}")
 
 
 def xi_squared_os(m: MomentSet, squeezed_axis: str = "x") -> WitnessReport:
     """Dicke-adapted parameter (N-1) Var(J_x) / (<J_y^2> + <J_z^2> - N/2).
 
-    With a nonpositive denominator the underlying second-moment inequality
-    holds trivially, so the verdict is satisfied but the ratio undefined.
+    With a denominator within the slack of zero, or below it, the underlying
+    second-moment inequality holds trivially, so the verdict is satisfied but
+    the ratio undefined.
     """
     o1, o2 = _others(squeezed_axis)
     denom = m.second_moment(o1) + m.second_moment(o2) - m.n / 2.0
-    if denom <= 1e-12:
+    if not _exceeds(denom, 0.0, _size(m)):
         return WitnessReport("xi_squared_os", None, 1.0, "ge", "satisfied",
                              detail="denominator nonpositive; the underlying "
                                     "inequality holds trivially")
-    value = (m.n - 1) * m.var(squeezed_axis) / denom
-    verdict, boundary = _verdict(value, 1.0, "ge")
-    return WitnessReport("xi_squared_os", value, 1.0, "ge", verdict, boundary,
-                         detail=f"squeezed axis {squeezed_axis}")
+    return _report("xi_squared_os", (m.n - 1) * m.var(squeezed_axis) / denom, 1.0, "ge",
+                   (m.n - 1) * _size(m) / denom, f"squeezed axis {squeezed_axis}")
 
 
 def xi_squared_singlet(m: MomentSet) -> WitnessReport:
@@ -206,46 +231,33 @@ def xi_squared_singlet(m: MomentSet) -> WitnessReport:
     N times the value also upper-bounds the number of unentangled spins.
     """
     value = m.total_variance() / (m.n / 2.0)
-    verdict, boundary = _verdict(value, 1.0, "ge")
-    return WitnessReport("xi_squared_singlet", value, 1.0, "ge", verdict, boundary,
-                         detail=f"unentangled-spin bound N*xi^2 = {m.n * value:.6g}")
+    return _report("xi_squared_singlet", value, 1.0, "ge", _size(m) / (m.n / 2.0),
+                   f"unentangled-spin bound N*xi^2 = {m.n * value:.6g}")
 
 
 def optimal_ssi(m: MomentSet) -> list[WitnessReport]:
     """The four complete second-moment (optimal squeezing) inequalities.
 
-    The first is an angular-momentum identity valid for every state and is
-    enforced on the input; violating any of the remaining three certifies
-    entanglement.  The permutation of (k, l, m) with the smallest margin is
-    reported for the axis-resolved inequalities.
+    The first is an angular-momentum identity valid for every state, which
+    ``MomentSet`` enforces on its input; violating any of the remaining three
+    certifies entanglement.  The permutation of (k, l, m) with the smallest
+    margin is reported for the axis-resolved inequalities.
     """
-    n = m.n
-    reports = []
-
-    total = sum(m.second_moment(a) for a in AXES)
-    bound = n * (n + 2) / 4.0
-    if total > bound + 1e-8:
-        raise ValueError(f"moments are unphysical: total second moment {total:.8f} "
-                         f"exceeds {bound:.8f}")
-    verdict, boundary = _verdict(total, bound, "le")
-    reports.append(WitnessReport("ssi_total_second_moment", total, bound, "le",
-                                 verdict, boundary, detail="valid for all states"))
-
-    tv = m.total_variance()
-    verdict, boundary = _verdict(tv, n / 2.0, "ge")
-    reports.append(WitnessReport("ssi_total_variance", tv, n / 2.0, "ge",
-                                 verdict, boundary))
-
-    # <Jk^2> + <Jl^2> - N/2 <= (N-1) Var(Jm)
-    reports.append(_tightest("ssi_second_moments_vs_variance", "le", lambda o1, o2, ax: (
-        m.second_moment(o1) + m.second_moment(o2) - n / 2.0, (n - 1) * m.var(ax))))
-    # (N-1)[Var(Jk) + Var(Jl)] >= <Jm^2> + N(N-2)/4
-    reports.append(_tightest("ssi_variances_vs_second_moment", "ge", lambda o1, o2, ax: (
-        (n - 1) * (m.var(o1) + m.var(o2)), m.second_moment(ax) + n * (n - 2) / 4.0)))
-    return reports
+    n, size = m.n, _size(m)
+    return [
+        _report("ssi_total_second_moment", sum(m.second_moment(a) for a in AXES),
+                size, "le", size, "valid for all states"),
+        _report("ssi_total_variance", m.total_variance(), n / 2.0, "ge", size),
+        # <Jk^2> + <Jl^2> - N/2 <= (N-1) Var(Jm)
+        _tightest("ssi_second_moments_vs_variance", "le", (n - 1) * size, lambda o1, o2, ax: (
+            m.second_moment(o1) + m.second_moment(o2) - n / 2.0, (n - 1) * m.var(ax))),
+        # (N-1)[Var(Jk) + Var(Jl)] >= <Jm^2> + N(N-2)/4
+        _tightest("ssi_variances_vs_second_moment", "ge", (n - 1) * size, lambda o1, o2, ax: (
+            (n - 1) * (m.var(o1) + m.var(o2)), m.second_moment(ax) + n * (n - 2) / 4.0)),
+    ]
 
 
-def _tightest(name: str, sense: str, sides) -> WitnessReport:
+def _tightest(name: str, sense: str, scale: float, sides) -> WitnessReport:
     """The report of an axis-resolved inequality lhs <sense> rhs at its axis
     of smallest margin, the first of x, y, z on a tie; ``sides(o1, o2, m)``
     gives (lhs, rhs) for the axis m and the other two o1, o2."""
@@ -254,32 +266,19 @@ def _tightest(name: str, sense: str, sides) -> WitnessReport:
         lhs, rhs = sides(*_others(axis), axis)
         rows.append((rhs - lhs if sense == "le" else lhs - rhs, axis, lhs, rhs))
     _, axis, lhs, rhs = min(rows, key=lambda row: row[0])
-    verdict, boundary = _verdict(lhs, rhs, sense)
-    return WitnessReport(name, lhs, rhs, sense, verdict, boundary,
-                         detail=f"tightest for m={axis}")
+    return _report(name, lhs, rhs, sense, scale, f"tightest for m={axis}")
 
 
 # ----------------------------------------------------------------------
 # Fisher-information criteria
 # ----------------------------------------------------------------------
 
-def _resolve_fq(value_or_state, generator):
-    if isinstance(value_or_state, (int, float)):
-        return float(value_or_state)
-    if generator is None:
-        raise ValueError("pass a generator together with a state")
-    return qfi(value_or_state, generator).value
-
-
-def qfi_entanglement(value_or_state, n: int, generator=None) -> WitnessReport:
-    """Separable states obey F_Q[rho, J_l] <= N; larger values mean entanglement."""
-    F = _resolve_fq(value_or_state, generator)
-    detail = ""
-    if F > n * n + 1e-6:
-        detail = f"unphysical: F_Q={F:.6g} exceeds the N^2 ceiling"
-    verdict, boundary = _verdict(F, float(n), "le")
-    return WitnessReport("qfi_shot_noise_bound", F, float(n), "le", verdict,
-                         boundary, detail=detail)
+def qfi_entanglement(F: float, n: int) -> WitnessReport:
+    """Separable states obey F_Q[rho, J_l] <= N; larger values mean
+    entanglement, and values above the N^2 ceiling are marked unphysical."""
+    F = float(F)
+    detail = f"unphysical: F_Q={F:.6g} exceeds the N^2 ceiling" if _exceeds(F, n * n, F) else ""
+    return _report("qfi_shot_noise_bound", F, float(n), "le", F, detail)
 
 
 def chi_squared(state, generator, n: int | None = None) -> WitnessReport:
@@ -289,10 +288,9 @@ def chi_squared(state, generator, n: int | None = None) -> WitnessReport:
             raise ValueError("pass n explicitly for bare-array states")
         n = state.n
     F = qfi(state, generator).value
-    value = float("inf") if F <= FISHER_FLOOR else n / F
-    verdict, boundary = _verdict(value, 1.0, "ge") if np.isfinite(value) \
-        else ("satisfied", False)
-    return WitnessReport("chi_squared", value, 1.0, "ge", verdict, boundary)
+    if F <= FISHER_FLOOR:
+        return WitnessReport("chi_squared", float("inf"), 1.0, "ge")
+    return _report("chi_squared", n / F, 1.0, "ge", n / F)
 
 
 def producibility_bound(n: int, k: int) -> float:
@@ -315,6 +313,13 @@ def avg_producibility_bound(n: int, k: int) -> float:
     return (s * k * (k + 2) + 2.0) / 3.0
 
 
+def _depth(F: float, n: int, bound) -> tuple[int, bool]:
+    """The smallest k with F within bound(n, k), and whether F exceeds
+    bound(n, N - 1), i.e. certifies genuine N-partite entanglement."""
+    depth = next((k for k in range(1, n + 1) if not _exceeds(F, bound(n, k), F)), n)
+    return depth, n >= 2 and _exceeds(F, bound(n, n - 1), F)
+
+
 @dataclass(frozen=True)
 class DepthCertificate:
     depth: int
@@ -322,24 +327,18 @@ class DepthCertificate:
     fq: float
     n: int
 
-    def bound(self, k: int) -> float:
-        return producibility_bound(self.n, k)
 
-
-def depth_certificate(value_or_state, n: int, generator=None) -> DepthCertificate:
+def depth_certificate(F: float, n: int) -> DepthCertificate:
     """Smallest producibility class k consistent with the observed F_Q.
 
     k-producible states satisfy F_Q <= s k^2 + (N - s k)^2 with
     s = floor(N/k); exceeding the k = N-1 bound certifies genuine
-    N-partite entanglement.
+    N-partite entanglement.  A value outside [0, N^2] is refused.
     """
-    F = _resolve_fq(value_or_state, generator)
-    if F < -VERDICT_TOL or F > n * n + 1e-6:
+    F = float(F)
+    if _exceeds(-F, 0.0, F) or _exceeds(F, n * n, F):
         raise ValueError(f"F_Q={F:.6g} is outside the physical range [0, N^2]")
-    depth = next((k for k in range(1, n + 1)
-                  if F <= producibility_bound(n, k) + VERDICT_TOL), n)
-    genuine = F > producibility_bound(n, n - 1) + VERDICT_TOL if n >= 2 else False
-    return DepthCertificate(depth, genuine, F, n)
+    return DepthCertificate(*_depth(F, n, producibility_bound), F, n)
 
 
 @dataclass(frozen=True)
@@ -353,7 +352,6 @@ class AvgQfiReport:
     bound_biseparable: float
     bound_maximum: float
     bound_spin_length: float
-    producibility_table: dict = field(default_factory=dict)
     certified_depth: int = 1
     genuine_multipartite: bool = False
 
@@ -374,15 +372,12 @@ def avg_qfi(state) -> AvgQfiReport:
     avg = sum(per_axis) / 3.0
     mset = moments(state)
     spin_bound = 4.0 * (np.trace(mset.second) - float(mset.mean @ mset.mean)) / 3.0
-    table = {k: avg_producibility_bound(n, k) for k in range(1, n + 1)}
-    depth = next((k for k in range(1, n + 1) if avg <= table[k] + VERDICT_TOL), n)
-    genuine = avg > avg_producibility_bound(n, n - 1) + VERDICT_TOL if n >= 2 else False
+    depth, genuine = _depth(avg, n, avg_producibility_bound)
     return AvgQfiReport(avg, per_axis, n,
                         bound_separable=2.0 * n / 3.0,
                         bound_biseparable=(n * n + 1) / 3.0,
                         bound_maximum=n * (n + 2) / 3.0,
                         bound_spin_length=float(spin_bound),
-                        producibility_table=table,
                         certified_depth=depth,
                         genuine_multipartite=genuine)
 

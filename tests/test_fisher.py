@@ -68,6 +68,30 @@ def test_rep_mismatch_of_equal_dimension_rejected(call):
         call(st, collective_op("z", full_rep(2)))
 
 
+def test_fisher_matrix_refuses_a_generator_of_another_representation():
+    """A full N = 2 GHZ state and the symmetric N = 3 J_x both have dimension
+    4: the Fisher matrix read [[3.]] where qfi refused the pair."""
+    st = ghz(2, full_rep(2))
+    other = collective_op("x", symmetric_rep(3))
+    with pytest.raises(ValueError, match="representation mismatch"):
+        fisher_matrix(st, [other])
+    with pytest.raises(ValueError, match="representation mismatch"):
+        fisher_matrix(st, [collective_op("x", st.rep), other])
+    assert fisher_matrix(st.data, [other]).matrix[0, 0] == pytest.approx(3.0)
+
+
+def test_bures_fidelity_refuses_states_of_different_representations():
+    """A full N = 2 and a symmetric N = 3 GHZ state both have dimension 4:
+    their fidelity read 0.125.  Bare arrays keep the dimension check alone."""
+    full, sym = ghz(2, full_rep(2)), ghz(3)
+    for a, b in ((full, sym), (sym, full), (mix_white_noise(full, 0.5), sym)):
+        with pytest.raises(ValueError, match="representation mismatch"):
+            bures_fidelity(a, b)
+    assert bures_fidelity(full.data, sym.data) == pytest.approx(0.125)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        bures_fidelity(full.data, ghz(4).data)
+
+
 def test_alternative_form_agrees(rng):
     for _ in range(50):
         dim = int(rng.integers(2, 17))

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,8 @@ from qmetro.fisher import qfi
 from qmetro.linalg import hermitian_trace, real_if_exact
 from qmetro.spin import collective_op, direction_op, full_rep, symmetric_rep
 from qmetro.states import (QuantumState, SqueezingSpec, dicke, ghz,
-                           maximally_mixed, mix_white_noise, polarized, singlet_pi,
-                           squeezed_ground_state, to_full)
+                           maximally_mixed, mix_white_noise, polarized, rotate,
+                           singlet_pi, squeezed_ground_state, to_full)
 from qmetro.witnesses import (avg_producibility_bound, avg_qfi,
                               avg_two_particle_dm, chi_squared,
                               depth_certificate, macroscopicity, moments,
@@ -341,10 +343,10 @@ def test_xi_os_detects_whatever_xi_s_detects(rng):
 
 def test_qfi_entanglement_verdicts():
     g = ghz(4)
-    rep = qfi_entanglement(g, 4, collective_op("x", g.rep))
+    rep = qfi_entanglement(qfi(g, collective_op("x", g.rep)).value, 4)
     assert rep.violated and rep.value == pytest.approx(16.0, abs=1e-9)
     mm = maximally_mixed(symmetric_rep(4))
-    rep2 = qfi_entanglement(mm, 4, collective_op("x", mm.rep))
+    rep2 = qfi_entanglement(qfi(mm, collective_op("x", mm.rep)).value, 4)
     assert not rep2.violated
     rep3 = qfi_entanglement(17.0 + 1e-3, 4)
     assert "unphysical" in rep3.detail
@@ -401,6 +403,18 @@ def test_depth_certificate_examples():
     assert cert3.depth == 1
     with pytest.raises(ValueError, match="physical"):
         depth_certificate(70.0, 8)
+
+
+def test_fisher_bounds_compare_within_the_slack_of_f():
+    """GHZ-4096 turned about J_x by 1.3 has F_Q - N^2 = 1.2e-6, round-off of
+    F_Q = 1.7e7: the depth certificate refused it and qfi_entanglement called
+    it unphysical.  Values past the ceiling by more than 1e-9 F_Q still are."""
+    F = 4096.0 ** 2 * (1 + 1e-13)
+    cert = depth_certificate(F, 4096)
+    assert cert.depth == 4096 and cert.genuine_multipartite and cert.fq == F
+    assert qfi_entanglement(F, 4096).detail == ""
+    with pytest.raises(ValueError, match="physical"):
+        depth_certificate(4096.0 ** 2 * (1 + 1e-8), 4096)
 
 
 def test_depth_monotone_in_fq():
@@ -554,3 +568,42 @@ def test_moments_keep_their_bits_from_operands_written_by_index(monkeypatch, nam
     unit = _evaluate_moments(state())
     assert ours.mean.tobytes() == unit.mean.tobytes()
     assert ours.second.tobytes() == unit.second.tobytes()
+
+
+# ------------------------------------------------- advertised sizes
+
+@pytest.mark.parametrize("axis", ["x", "y", "z"])
+@pytest.mark.parametrize("n", [1000, 3410, 4096])
+def test_witness_all_certifies_nothing_on_a_polarized_state(tmp_path, n, axis):
+    """A product state violates no criterion and has depth 1 at any size.
+    At N = 1000 the axis-resolved inequalities read violated by round-off
+    (2.3e-13 against -5.8e-8); at N = 3410 xi_os read -1745408; at N = 4096
+    the total variance read 2048 - 2.3e-9 against 2048."""
+    from qmetro.cli import main
+    from qmetro.serialize import write_state
+    path = tmp_path / "p.json"
+    write_state(polarized(n, axis), path)
+    for squeezed in "xyz":
+        out = tmp_path / f"w{squeezed}.json"
+        assert main(["witness", str(path), "--all", "--squeezed-axis", squeezed,
+                     "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        violated = [w["criterion"] for w in doc["witnesses"] if w["verdict"] == "violated"]
+        assert violated == [], (squeezed, violated)
+        assert doc["depth_certificate"]["depth"] == 1
+        assert doc["avg_qfi"]["certified_depth"] == 1
+
+
+def test_witnesses_take_a_turned_squeezed_state_at_n_4096(tmp_path):
+    """The squeezed N = 4096 state (lambda = 5) turned about J_x by 0.3 has
+    sum_l <J_l^2> = N(N+2)/4 + 2.3e-8, which MomentSet admits: optimal_ssi
+    refused it as unphysical and witness --all exited 1."""
+    from qmetro.cli import main
+    from qmetro.serialize import write_state
+    st = squeezed_ground_state(SqueezingSpec(4096, 5.0))
+    turned = rotate(st, collective_op("x", st.rep), 0.3)
+    reports = optimal_ssi(moments(turned))
+    assert reports[0].criterion == "ssi_total_second_moment" and not reports[0].violated
+    path = tmp_path / "t.json"
+    write_state(turned, path)
+    assert main(["witness", str(path), "--all", "--out", str(tmp_path / "w.json")]) == 0
